@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench bench-smoke pipeline-smoke stability-smoke obs-smoke restore-chaos svc-smoke svc-chaos
+.PHONY: build test check race vet bench bench-smoke pipeline-smoke stability-smoke obs-smoke restore-chaos svc-smoke svc-chaos perf-smoke
 
 build:
 	$(GO) build ./...
@@ -83,3 +83,15 @@ obs-smoke: bench-smoke pipeline-smoke stability-smoke
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# Wall-clock smoke of the checkpoint write path: one short round of the
+# repository benchmark's paper-configuration workload on the real
+# filesystem. The round verifies every restore against its generator and
+# an acknowledged step through a crash; its last line is the result
+# object, which must say so. It gates correctness, not speed: the
+# numbers of one 5 s round on a shared runner are for reading.
+perf-smoke:
+	@out=$$(bash benchmark/run.sh --workload ckpt-llm --seed 1 --seconds 5 --trace 0); rc=$$?; \
+	echo "$$out" | tail -n 2; \
+	[ $$rc -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
+		{ echo "perf-smoke: the round failed or its last line does not report \"correct\":true" >&2; exit 1; }

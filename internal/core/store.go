@@ -163,11 +163,11 @@ func OpenStore(dir string, opts StoreOptions) (Store, error) {
 			return nil, err
 		}
 		return &levelStore{
-			db:        db,
-			fs:        opts.FS,
-			batch:     lsm.NewBatch(),
-			batchMax:  eo.WriteBufferSize,
-			snapshots: make(map[string][]byte),
+			db:       db,
+			fs:       opts.FS,
+			batch:    lsm.NewBatch(),
+			batchMax: eo.WriteBufferSize,
+			pending:  make(map[string]batchValue),
 		}, nil
 	default:
 		return nil, fmt.Errorf("lsmio: unknown backend %q", opts.Backend)
@@ -299,11 +299,15 @@ type levelStore struct {
 	batching bool
 	batch    *lsm.Batch
 	batchMax int
-	// snapshots lets Get/Append observe writes still sitting in the
-	// unapplied batch (read-your-writes inside a batch window).
-	snapshots map[string][]byte
-	deleted   map[string]bool
+	// pending locates, inside the unapplied batch, the newest value put
+	// for each key, so Get/Append observe writes still sitting there
+	// (read-your-writes inside a batch window) without a second copy.
+	pending map[string]batchValue
+	deleted map[string]bool
 }
+
+// batchValue is a value's place in the pending batch's encoding.
+type batchValue struct{ off, n int }
 
 func (s *levelStore) StartBatch() error {
 	s.batching = true
@@ -319,9 +323,8 @@ func (s *levelStore) applyBatch() error {
 	if s.batch.Count() == 0 {
 		return nil
 	}
-	err := s.db.Apply(s.batch)
-	s.batch = lsm.NewBatch()
-	s.snapshots = make(map[string][]byte)
+	err := s.db.Apply(s.batch) // leaves the batch empty, also on error
+	clear(s.pending)
 	s.deleted = nil
 	return err
 }
@@ -330,8 +333,8 @@ func (s *levelStore) Get(key string) ([]byte, error) {
 	if s.deleted != nil && s.deleted[key] {
 		return nil, ErrNotFound
 	}
-	if v, ok := s.snapshots[key]; ok {
-		return append([]byte(nil), v...), nil
+	if v, ok := s.pending[key]; ok {
+		return append([]byte(nil), s.batch.Bytes(v.off, v.n)...), nil
 	}
 	v, err := s.db.Get([]byte(key))
 	if errors.Is(err, lsm.ErrNotFound) {
@@ -342,7 +345,7 @@ func (s *levelStore) Get(key string) ([]byte, error) {
 
 func (s *levelStore) Put(key string, value []byte, sync bool) error {
 	s.batch.Put([]byte(key), value)
-	s.snapshots[key] = append([]byte(nil), value...)
+	s.pending[key] = batchValue{off: s.batch.Size() - len(value), n: len(value)}
 	if s.deleted != nil {
 		delete(s.deleted, key)
 	}
@@ -370,7 +373,7 @@ func (s *levelStore) Append(key string, value []byte, sync bool) error {
 
 func (s *levelStore) Del(key string) error {
 	s.batch.Delete([]byte(key))
-	delete(s.snapshots, key)
+	delete(s.pending, key)
 	if s.deleted == nil {
 		s.deleted = make(map[string]bool)
 	}

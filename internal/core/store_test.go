@@ -83,13 +83,38 @@ func TestStoreBatchReadYourWrites(t *testing.T) {
 			if _, err := st.Get("k"); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("batched delete: %v", err)
 			}
+			// The store reads pending values out of the batch itself: an
+			// overwrite must win, the caller's slice is its own again after
+			// Put, and later puts that regrow the batch's buffer must not
+			// strand the earlier value.
+			mine := []byte("kept-v1")
+			st.Put("k2", mine, false)
+			copy(mine, "XXXXXXX")
 			st.Put("k2", []byte("kept"), false)
+			st.Put("filler", bytes.Repeat([]byte("f"), 1<<16), false)
+			if v, err := st.Get("k2"); err != nil || string(v) != "kept" {
+				t.Fatalf("pending overwrite: %q %v", v, err)
+			}
+			st.Append("k2", []byte("+more"), false)
+			if v, err := st.Get("k2"); err != nil || string(v) != "kept+more" {
+				t.Fatalf("pending append: %q %v", v, err)
+			}
 			if err := st.StopBatch(); err != nil {
 				t.Fatal(err)
 			}
-			if v, err := st.Get("k2"); err != nil || string(v) != "kept" {
+			if v, err := st.Get("k2"); err != nil || string(v) != "kept+more" {
 				t.Fatalf("after stopBatch: %q %v", v, err)
 			}
+			// The applied batch was consumed; the next window starts clean.
+			st.StartBatch()
+			st.Put("k3", []byte("next"), false)
+			if v, err := st.Get("k3"); err != nil || string(v) != "next" {
+				t.Fatalf("second window: %q %v", v, err)
+			}
+			if v, err := st.Get("k2"); err != nil || string(v) != "kept+more" {
+				t.Fatalf("second window, applied key: %q %v", v, err)
+			}
+			st.StopBatch()
 		})
 	}
 }

@@ -1,9 +1,9 @@
 package lsm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,7 +18,8 @@ import (
 // blockBuilder accumulates sorted (internalKey, value) entries.
 type blockBuilder struct {
 	restartInterval int
-	buf             bytes.Buffer
+	buf             []byte
+	nextCap         int // capacity of the buffer add makes after a take
 	restarts        []uint32
 	counter         int
 	lastKey         []byte
@@ -32,7 +33,7 @@ func newBlockBuilder(restartInterval int) *blockBuilder {
 }
 
 func (b *blockBuilder) reset() {
-	b.buf.Reset()
+	b.buf = b.buf[:0]
 	b.restarts = b.restarts[:0]
 	b.restarts = append(b.restarts, 0)
 	b.counter = 0
@@ -44,10 +45,21 @@ func (b *blockBuilder) empty() bool { return b.entries == 0 }
 
 // estimatedSize returns the built block size so far.
 func (b *blockBuilder) estimatedSize() int {
-	return b.buf.Len() + 4*len(b.restarts) + 4
+	return len(b.buf) + 4*len(b.restarts) + 4
 }
 
 func (b *blockBuilder) add(key, value []byte) {
+	if cap(b.buf) == 0 {
+		b.buf = make([]byte, 0, b.nextCap)
+	}
+	b.addHeader(key, len(value))
+	b.buf = append(b.buf, value...)
+}
+
+// addHeader appends everything of an entry but its value, which the
+// caller puts right behind it: into buf (add) or, for a value too large
+// to be worth copying, straight into the file after buf's bytes.
+func (b *blockBuilder) addHeader(key []byte, valueLen int) {
 	shared := 0
 	if b.counter < b.restartInterval {
 		n := len(b.lastKey)
@@ -58,32 +70,45 @@ func (b *blockBuilder) add(key, value []byte) {
 			shared++
 		}
 	} else {
-		b.restarts = append(b.restarts, uint32(b.buf.Len()))
+		b.restarts = append(b.restarts, uint32(len(b.buf)))
 		b.counter = 0
 	}
-	var tmp [3 * binary.MaxVarintLen32]byte
-	n := binary.PutUvarint(tmp[:], uint64(shared))
-	n += binary.PutUvarint(tmp[n:], uint64(len(key)-shared))
-	n += binary.PutUvarint(tmp[n:], uint64(len(value)))
-	b.buf.Write(tmp[:n])
-	b.buf.Write(key[shared:])
-	b.buf.Write(value)
+	b.buf = binary.AppendUvarint(b.buf, uint64(shared))
+	b.buf = binary.AppendUvarint(b.buf, uint64(len(key)-shared))
+	b.buf = binary.AppendUvarint(b.buf, uint64(valueLen))
+	b.buf = append(b.buf, key[shared:]...)
 	b.lastKey = append(b.lastKey[:0], key...)
 	b.counter++
 	b.entries++
 }
 
-// finish appends the restart trailer and returns the raw block contents.
+// finish appends the restart trailer and returns the raw block contents,
+// with room behind them for the block trailer encodeBlock adds. The
+// slice is the builder's own buffer: it is valid until the next reset.
 func (b *blockBuilder) finish() []byte {
+	b.buf = slices.Grow(b.buf, 4*len(b.restarts)+4+blockTrailerLen)
 	for _, r := range b.restarts {
-		var tmp [4]byte
-		binary.LittleEndian.PutUint32(tmp[:], r)
-		b.buf.Write(tmp[:])
+		b.buf = binary.LittleEndian.AppendUint32(b.buf, r)
 	}
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(b.restarts)))
-	b.buf.Write(tmp[:])
-	return b.buf.Bytes()
+	b.buf = binary.LittleEndian.AppendUint32(b.buf, uint32(len(b.restarts)))
+	return b.buf
+}
+
+// take is finish for a block that outlives the builder's next reset: the
+// buffer is handed to the caller, and the builder makes itself another
+// when the next value is copied in (add). That one is sized by this
+// block if it is a guide to the next, which a block that filled up is —
+// blocks of one table are about as big as each other — and a block cut
+// short by a value written from elsewhere is not: it can be as little as
+// that entry's header, and a run of such blocks needs no buffer at all.
+func (b *blockBuilder) take(guide bool) []byte {
+	raw := b.finish()
+	if guide {
+		// By the last such block, not by the largest ever.
+		b.nextCap = min(cap(raw), 2*len(raw))
+	}
+	b.buf = nil
+	return raw
 }
 
 // block is a parsed read-only block.

@@ -191,6 +191,38 @@ func TestBlockBuilderRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBlockBuilderTakeSizesNextBuffer: a block that is only the header of
+// a value written from elsewhere must neither shrink the buffer of the
+// ordinary block after it (which then regrew by doubling) nor cost a
+// block-sized buffer of its own.
+func TestBlockBuilderTakeSizesNextBuffer(t *testing.T) {
+	b := newBlockBuilder(16)
+	fill := func(from int) {
+		for i := from; b.estimatedSize() < 64<<10; i++ {
+			b.add(makeIKey([]byte(fmt.Sprintf("k%06d", i)), 1, kindValue), make([]byte, 1000))
+		}
+	}
+	fill(0)
+	full := len(b.take(true))
+	b.reset()
+	for i := 0; i < 3; i++ { // a run of large values
+		b.addHeader(makeIKey([]byte(fmt.Sprintf("l%06d", i)), 1, kindValue), 8<<20)
+		if head := b.take(false); cap(head) > 256 {
+			t.Fatalf("header-only block %d got a %d-byte buffer", i, cap(head))
+		}
+		b.reset()
+	}
+	b.add(makeIKey([]byte("m"), 1, kindValue), []byte("v"))
+	if cap(b.buf) < full {
+		t.Fatalf("buffer after the large values holds %d bytes, the last full block was %d", cap(b.buf), full)
+	}
+	before := cap(b.buf)
+	fill(1)
+	if cap(b.buf) != before {
+		t.Fatalf("an ordinary block regrew its buffer: %d -> %d", before, cap(b.buf))
+	}
+}
+
 func TestBlockSeek(t *testing.T) {
 	b := newBlockBuilder(3)
 	for i := 0; i < 50; i += 2 { // even keys only

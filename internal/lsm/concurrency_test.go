@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -409,4 +410,56 @@ func TestCompactionCleansPartialOutputsOnError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMemtableReadersDuringWrites: Get and iterators read the memtable
+// without the DB lock while a writer inserts under it. The skiplist
+// links are atomic for exactly this; under -race (make check) a plain
+// link would be reported here.
+func TestMemtableReadersDuringWrites(t *testing.T) {
+	db := openTestDB(t, vfs.NewMemFS(), func(o *Options) {
+		o.WriteBufferSize = 64 << 20 // everything stays in one memtable
+	})
+	defer db.Close()
+	const n = 2000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("mr%05d", i)) }
+	var written atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for written.Load() < n {
+				hi := int(written.Load())
+				if hi == 0 {
+					continue
+				}
+				i := (hi - 1) * (r + 1) / 3
+				if v, err := db.Get(key(i)); err != nil || !bytes.Equal(v, key(i)) {
+					t.Errorf("get %s with %d written: %q, %v", key(i), hi, v, err)
+					return
+				}
+				it, err := db.NewIterator()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen := 0
+				for it.SeekToFirst(); it.Valid(); it.Next() {
+					seen++
+				}
+				if err := it.Close(); err != nil || seen < hi {
+					t.Errorf("scan saw %d entries with %d written: %v", seen, hi, err)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < n; i++ {
+		if err := db.Put(key(i), key(i)); err != nil {
+			t.Fatal(err)
+		}
+		written.Store(int64(i + 1))
+	}
+	wg.Wait()
 }

@@ -249,7 +249,8 @@ func (db *DB) replayLog(num uint64) error {
 		}
 		maxApplied := db.vs.lastSeq
 		err = b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
-			db.mem.add(seq, kind, key, append([]byte(nil), value...))
+			// rec is this record's own buffer; the memtable keeps it.
+			db.mem.add(seq, kind, key, value)
 			if seq > maxApplied {
 				maxApplied = seq
 			}
@@ -302,7 +303,12 @@ type pendingWrite struct {
 	err  error
 }
 
-// Apply atomically applies a batch of writes.
+// Apply atomically applies a batch of writes and consumes the batch: the
+// memtable takes over the batch's buffer instead of copying every value
+// out of it, so when Apply returns — with or without an error — b is
+// empty, and whatever the caller queues on it next goes into a new
+// buffer. Nothing the caller passed to Put or Delete is referenced: those
+// were copied into the batch when they were queued.
 //
 // Writes go through a LevelDB-style writer queue: each caller enqueues
 // its batch and waits until either a leader has committed it (a cohort
@@ -317,6 +323,9 @@ func (db *DB) Apply(b *Batch) error {
 	}
 	db.plat.Lock()
 	defer db.plat.Unlock()
+	// Runs once this writer's cohort is finished: until then its leader,
+	// possibly another caller, is still reading the batch.
+	defer b.release()
 	if db.closed {
 		return ErrClosed
 	}
@@ -403,7 +412,7 @@ func (db *DB) commitCohortLocked() {
 	var applyErr error
 	for _, pw := range cohort {
 		err := pw.b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
-			db.mem.add(seq, kind, key, append([]byte(nil), value...))
+			db.mem.add(seq, kind, key, value)
 			switch kind {
 			case kindValue:
 				db.m.puts.Inc()
@@ -779,11 +788,18 @@ func (db *DB) refCurrentLocked() *version {
 	return v
 }
 
-// unrefVersion releases a reader's pin. Called with the lock held.
+// unrefVersion releases a reader's pin. Called with the lock held. The
+// last reader of a superseded version frees the tables only it kept —
+// unless the DB is closed: Close does not wait for readers, and by then
+// the directory may belong to a newer DB whose tables this one's stale
+// live set does not know.
 func (db *DB) unrefVersion(v *version) {
 	v.refs--
-	if v.refs <= 0 {
-		delete(db.pinned, v)
+	if v.refs > 0 {
+		return
+	}
+	delete(db.pinned, v)
+	if v != db.vs.current && !db.closed {
 		db.deleteObsoleteLocked()
 	}
 }

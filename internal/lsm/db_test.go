@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -752,5 +753,117 @@ func TestObsRegistryAndResetStats(t *testing.T) {
 	}
 	if st := db.Stats(); st.Puts != 1 {
 		t.Fatalf("puts after reset = %d, want 1", st.Puts)
+	}
+}
+
+// TestSupersededVersionsAreReleased: a version that readers touched must
+// let go of its tables once it is superseded and the last reader is done.
+// (The version set used to keep a reference of its own on every version
+// it ever made current, so a single Get pinned that version's tables —
+// files and open readers — for the life of the DB.)
+func TestSupersededVersionsAreReleased(t *testing.T) {
+	fs := vfs.NewMemFS()
+	db := openTestDB(t, fs, func(o *Options) { o.DisableCompaction = true })
+	defer db.Close()
+
+	onDisk := func() int { return len(listTables(t, fs)) }
+	live := func() (n int) {
+		for _, c := range db.NumTableFiles() {
+			n += c
+		}
+		return n
+	}
+	for r := 0; r < 20; r++ {
+		key := []byte(fmt.Sprintf("pin%02d", r))
+		if err := db.Put(key, bytes.Repeat(key, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Read from a table (the memtable is empty) and scan: both pin
+		// the version that is current now and is superseded next round.
+		if _, err := db.Get([]byte("pin00")); err != nil {
+			t.Fatal(err)
+		}
+		it, err := db.NewIterator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A reader that is still open when its version is superseded keeps
+	// that version's tables, and only until it closes.
+	held, err := db.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	held.SeekToFirst()
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if live() != 1 || onDisk() != 21 || len(db.pinned) != 1 {
+		t.Fatalf("with an open iterator: %d live tables, %d on disk, %d pinned versions; want 1, 21, 1",
+			live(), onDisk(), len(db.pinned))
+	}
+	n := 0
+	for ; held.Valid(); held.Next() {
+		n++
+	}
+	if err := held.Close(); err != nil || n != 20 {
+		t.Fatalf("open iterator saw %d of 20 keys across the compaction: %v", n, err)
+	}
+	if live() != 1 || onDisk() != 1 || len(db.pinned) != 0 || len(db.tables) > 1 {
+		t.Fatalf("after the last reader: %d live tables, %d on disk, %d pinned versions, %d open readers; want 1, 1, 0, <=1",
+			live(), onDisk(), len(db.pinned), len(db.tables))
+	}
+}
+
+// TestLateReaderCloseAfterReopenKeepsNewTables: Close does not wait for
+// readers, so the last unref of a superseded version can arrive after the
+// directory has been reopened. It must not sweep the directory against
+// the closed DB's stale live set: the new DB's tables are not in it.
+func TestLateReaderCloseAfterReopenKeepsNewTables(t *testing.T) {
+	fs := vfs.NewMemFS()
+	noCompact := func(o *Options) { o.DisableCompaction = true }
+	old := openTestDB(t, fs, noCompact)
+	putFlush := func(db *DB, key string) {
+		t.Helper()
+		if err := db.Put([]byte(key), bytes.Repeat([]byte(key), 100)); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putFlush(old, "a")
+	held, err := old.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	putFlush(old, "b") // supersedes the version the iterator holds
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db := openTestDB(t, fs, noCompact)
+	defer db.Close()
+	putFlush(db, "c")
+	before := listTables(t, fs)
+
+	if err := held.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := listTables(t, fs); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a reader of the closed DB removed tables: %v -> %v", before, after)
+	}
+	for _, k := range []string{"a", "b", "c"} {
+		if _, err := db.Get([]byte(k)); err != nil {
+			t.Fatalf("get %q after the late close: %v", k, err)
+		}
 	}
 }

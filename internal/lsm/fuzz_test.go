@@ -19,6 +19,15 @@ func FuzzParseBlock(f *testing.F) {
 		b.add(makeIKey([]byte{byte('a' + i)}, seqNum(i+1), kindValue), []byte("v"))
 	}
 	f.Add(append([]byte(nil), b.finish()...))
+	// A block as the table writer assembles it around a large value:
+	// header, value and restart trailer are separate pieces on the way to
+	// the file and one block to the reader.
+	b.reset()
+	big := bytes.Repeat([]byte("L"), 5000)
+	b.addHeader(makeIKey([]byte("large"), 7, kindValue), len(big))
+	split := len(b.buf)
+	raw := b.finish()
+	f.Add(append(append(append([]byte(nil), raw[:split]...), big...), raw[split:]...))
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -83,6 +92,12 @@ func FuzzBatchDecode(f *testing.F) {
 	b.Put([]byte("k"), []byte("v"))
 	b.setSeq(1)
 	f.Add(append([]byte(nil), b.data...))
+	// The batch DB.Put builds: one put, its value grown into a buffer of
+	// its own size (the allocation ratchet test holds it to that).
+	b = NewBatch()
+	b.Put([]byte("checkpoint/000001/var"), bytes.Repeat([]byte("v"), 300))
+	b.setSeq(2)
+	f.Add(b.data)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dec, err := decodeBatch(append([]byte(nil), raw...))
 		if err != nil {

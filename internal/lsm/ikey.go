@@ -28,10 +28,15 @@ type internalKey []byte
 
 // makeIKey builds an internal key from its parts.
 func makeIKey(userKey []byte, seq seqNum, kind keyKind) internalKey {
-	ik := make([]byte, len(userKey)+8)
+	ik := make(internalKey, len(userKey)+8)
+	ik.set(userKey, seq, kind)
+	return ik
+}
+
+// set fills ik, which must be len(userKey)+8 long, from its parts.
+func (ik internalKey) set(userKey []byte, seq seqNum, kind keyKind) {
 	copy(ik, userKey)
 	binary.LittleEndian.PutUint64(ik[len(userKey):], uint64(seq)<<8|uint64(kind))
-	return ik
 }
 
 // userKey returns the user portion of an internal key.

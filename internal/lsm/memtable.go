@@ -1,9 +1,17 @@
 package lsm
 
+import "sync/atomic"
+
 // The memtable is a skiplist keyed by internal keys, the C0 tree of the
 // LSM paper (O'Neil et al., 1996). Inserts are O(log n); iteration is in
 // sorted order. The skiplist's level generator is seeded deterministically
 // so that simulations are reproducible.
+//
+// Concurrency, LevelDB's: one writer at a time (add runs under the DB
+// lock), any number of readers without it (Get and iterators read the
+// memtable after dropping the lock). A node is complete before the atomic
+// store that links it in, and readers follow links with atomic loads, so
+// a reader sees either no node or a whole one.
 
 const (
 	maxSkipHeight = 12
@@ -13,23 +21,38 @@ const (
 type skipNode struct {
 	ikey  internalKey
 	value []byte
-	next  []*skipNode
+	next  []atomic.Pointer[skipNode]
 }
+
+// Nodes, their next-pointer towers and their internal keys are carved
+// from slabs, so an insert allocates nothing most of the time. A slab is
+// never reallocated (nodes point into it); a full one is simply replaced
+// and stays alive through the nodes carved from it.
+const (
+	nodeSlabLen  = 64
+	towerSlabLen = 128
+	keySlabLen   = 4 << 10
+)
 
 type memtable struct {
 	head   *skipNode
-	height int
+	height atomic.Int32
 	rnd    uint64 // xorshift state
 	size   int64  // approximate memory usage in bytes
 	count  int
+
+	nodes  []skipNode
+	towers []atomic.Pointer[skipNode]
+	keys   []byte
 }
 
 func newMemtable() *memtable {
-	return &memtable{
-		head:   &skipNode{next: make([]*skipNode, maxSkipHeight)},
-		height: 1,
-		rnd:    0x9E3779B97F4A7C15, // fixed seed: deterministic shape
+	m := &memtable{
+		head: &skipNode{next: make([]atomic.Pointer[skipNode], maxSkipHeight)},
+		rnd:  0x9E3779B97F4A7C15, // fixed seed: deterministic shape
 	}
+	m.height.Store(1)
+	return m
 }
 
 func (m *memtable) randomHeight() int {
@@ -50,9 +73,9 @@ func (m *memtable) randomHeight() int {
 // (when non-nil) with the rightmost node before key at every level.
 func (m *memtable) findGreaterOrEqual(key internalKey, prev []*skipNode) *skipNode {
 	x := m.head
-	level := m.height - 1
+	level := m.height.Load() - 1
 	for {
-		next := x.next[level]
+		next := x.next[level].Load()
 		if next != nil && compareIKeys(next.ikey, key) < 0 {
 			x = next
 			continue
@@ -70,9 +93,9 @@ func (m *memtable) findGreaterOrEqual(key internalKey, prev []*skipNode) *skipNo
 // findLessThan returns the last node with ikey < key, or nil if none.
 func (m *memtable) findLessThan(key internalKey) *skipNode {
 	x := m.head
-	level := m.height - 1
+	level := m.height.Load() - 1
 	for {
-		next := x.next[level]
+		next := x.next[level].Load()
 		if next != nil && compareIKeys(next.ikey, key) < 0 {
 			x = next
 			continue
@@ -90,9 +113,9 @@ func (m *memtable) findLessThan(key internalKey) *skipNode {
 // findLast returns the last node, or nil when empty.
 func (m *memtable) findLast() *skipNode {
 	x := m.head
-	level := m.height - 1
+	level := m.height.Load() - 1
 	for {
-		next := x.next[level]
+		next := x.next[level].Load()
 		if next != nil {
 			x = next
 			continue
@@ -107,23 +130,49 @@ func (m *memtable) findLast() *skipNode {
 	}
 }
 
+// carve returns n fresh elements from *slab, starting a new slab when
+// the current one cannot hold them.
+func carve[T any](slab *[]T, n, slabLen int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(slabLen, n))
+	}
+	s := *slab
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// newNode carves a node of height h from the slabs, with userKey copied
+// into its internal key.
+func (m *memtable) newNode(seq seqNum, kind keyKind, userKey []byte, h int) *skipNode {
+	n := &carve(&m.nodes, 1, nodeSlabLen)[0]
+	n.next = carve(&m.towers, h, towerSlabLen)
+	n.ikey = carve(&m.keys, len(userKey)+8, keySlabLen)
+	n.ikey.set(userKey, seq, kind)
+	return n
+}
+
 // add inserts an entry. Keys are unique per (userKey, seq, kind) because
-// the sequence number increases on every write.
+// the sequence number increases on every write. userKey is copied; value
+// is kept as passed, so it must never change afterwards — in practice it
+// is a slice of the batch buffer the DB took over in Apply.
 func (m *memtable) add(seq seqNum, kind keyKind, userKey, value []byte) {
-	ik := makeIKey(userKey, seq, kind)
+	h := m.randomHeight()
+	n := m.newNode(seq, kind, userKey, h)
+	n.value = value
+	ik := n.ikey
 	var prev [maxSkipHeight]*skipNode
 	m.findGreaterOrEqual(ik, prev[:])
-	h := m.randomHeight()
-	if h > m.height {
-		for i := m.height; i < h; i++ {
+	if cur := int(m.height.Load()); h > cur {
+		for i := cur; i < h; i++ {
 			prev[i] = m.head
 		}
-		m.height = h
+		// A reader that sees the new height before the links below finds
+		// nil at the new levels of head and drops down a level.
+		m.height.Store(int32(h))
 	}
-	n := &skipNode{ikey: ik, value: value, next: make([]*skipNode, h)}
 	for i := 0; i < h; i++ {
-		n.next[i] = prev[i].next[i]
-		prev[i].next[i] = n
+		n.next[i].Store(prev[i].next[i].Load())
+		prev[i].next[i].Store(n)
 	}
 	m.size += int64(len(ik) + len(value) + 48) // entry + node overhead
 	m.count++
@@ -162,10 +211,10 @@ type memIterator struct {
 	n *skipNode
 }
 
-func (it *memIterator) SeekToFirst()        { it.n = it.m.head.next[0] }
+func (it *memIterator) SeekToFirst()        { it.n = it.m.head.next[0].Load() }
 func (it *memIterator) SeekToLast()         { it.n = it.m.findLast() }
 func (it *memIterator) Seek(ik internalKey) { it.n = it.m.findGreaterOrEqual(ik, nil) }
-func (it *memIterator) Next()               { it.n = it.n.next[0] }
+func (it *memIterator) Next()               { it.n = it.n.next[0].Load() }
 func (it *memIterator) Prev() {
 	if it.n != nil {
 		it.n = it.m.findLessThan(it.n.ikey)

@@ -36,7 +36,7 @@ const (
 type encodeJob struct {
 	seq           int
 	kind          blockKind
-	raw           []byte
+	raw           rawBlock
 	indexKey      internalKey // data blocks: separator key for the index
 	allowCompress bool
 }
@@ -45,7 +45,7 @@ type encodeJob struct {
 // ready to be appended to the file verbatim.
 type encodedBlock struct {
 	kind       blockKind
-	enc        []byte
+	enc        rawBlock
 	payloadLen int
 	indexKey   internalKey
 }
@@ -177,10 +177,10 @@ func (p *tablePipeline) encode(job encodeJob) encodedBlock {
 	raw := job.raw
 	allowCompress := job.allowCompress
 	if job.kind == blkFilter {
-		raw = buildBloom(p.w.userKeys, p.w.opts.BitsPerKey)
+		raw = rawBlock{buf: buildBloom(p.w.userKeys, p.w.opts.BitsPerKey)}
 		allowCompress = false // random bits don't compress
 	}
-	chargeEncodeCost(p.w.opts, len(raw))
+	chargeEncodeCost(p.w.opts, raw.size())
 	enc, payloadLen := encodeBlock(p.w.opts, raw, allowCompress)
 	return encodedBlock{
 		kind:       job.kind,
@@ -216,8 +216,8 @@ func (p *tablePipeline) writerLoop() {
 
 		start := p.plat.Now()
 		h := blockHandle{offset: w.offset, length: int64(eb.payloadLen)}
-		werr = w.writeRaw(eb.enc)
-		w.offset += int64(len(eb.enc))
+		werr = w.emit(eb.enc)
+		w.offset += int64(eb.payloadLen) + blockTrailerLen
 		switch eb.kind {
 		case blkData:
 			w.index.add(eb.indexKey, encodeHandle(h))

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"lsmio/internal/faultfs"
+	"lsmio/internal/iosched"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -102,6 +104,170 @@ func TestPipelinedTableBytesIdentical(t *testing.T) {
 		b := readWholeFile(t, pipedFS, "db/"+name)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s differs between serial (%d bytes) and piped (%d bytes) builds", name, len(a), len(b))
+		}
+	}
+}
+
+// referenceTable builds a table image the plain way — every value copied
+// into the block builder, a block cut as soon as it reaches BlockSize —
+// which is the format a table must have however its bytes were moved.
+func referenceTable(opts *Options, keys []internalKey, values [][]byte) (image []byte, dataBlocks int) {
+	var file []byte
+	data, index := newBlockBuilder(opts.BlockRestartInterval), newBlockBuilder(1)
+	emit := func(raw []byte) blockHandle {
+		enc, n := encodeBlock(opts, rawBlock{buf: append([]byte(nil), raw...)}, false)
+		h := blockHandle{offset: int64(len(file)), length: int64(n)}
+		file = append(file, enc.buf...)
+		return h
+	}
+	var userKeys [][]byte
+	for i, ik := range keys {
+		data.add(ik, values[i])
+		userKeys = append(userKeys, ik.userKey())
+		if data.estimatedSize() >= opts.BlockSize || i == len(keys)-1 {
+			index.add(ik, encodeHandle(emit(data.finish())))
+			data.reset()
+			dataBlocks++
+		}
+	}
+	filter := emit(buildBloom(userKeys, opts.BitsPerKey))
+	idx := emit(index.finish())
+	var footer [footerLen]byte
+	for i, v := range []uint64{uint64(filter.offset), uint64(filter.length), uint64(idx.offset), uint64(idx.length), tableMagic} {
+		binary.LittleEndian.PutUint64(footer[8*i:], v)
+	}
+	return append(file, footer[:]...), dataBlocks
+}
+
+// TestLargeValueTableBytesIdentical: a value of at least a block's length
+// is written to the table from where it lies instead of through the block
+// builder. That may change how the bytes travel, never which bytes: every
+// combination of encoder workers, mmap-style coalescing and an attached
+// bandwidth scheduler must produce the reference image, and every entry
+// must be reachable by point get, in both scan directions, and through an
+// index whose separator is the last key of the block it points at.
+func TestLargeValueTableBytesIdentical(t *testing.T) {
+	base := CheckpointOptions(nil) // blocks stored raw, which is when values bypass the builder
+	base.BlockSize = 4 << 10
+	bs := base.BlockSize
+	var keys []internalKey
+	var values [][]byte
+	rng := rand.New(rand.NewSource(11))
+	add := func(n int) {
+		v := make([]byte, n)
+		rng.Read(v)
+		keys = append(keys, makeIKey([]byte(fmt.Sprintf("lv%04d", len(keys))), seqNum(len(keys)+1), kindValue))
+		values = append(values, v)
+	}
+	for _, n := range []int{1, bs - 1, bs, 3 * bs, 8 << 20} {
+		// Each size after small neighbours (so it ends a block others
+		// began), then twice in a row (so it has a block to itself).
+		add(10)
+		add(100)
+		add(n)
+		add(n)
+		add(n)
+		add(7)
+	}
+	want, wantBlocks := referenceTable(&base, keys, values)
+
+	for _, workers := range []int{0, 4} {
+		for _, mmap := range []bool{false, true} {
+			for _, sched := range []bool{false, true} {
+				name := fmt.Sprintf("workers=%d/mmap=%v/iosched=%v", workers, mmap, sched)
+				t.Run(name, func(t *testing.T) {
+					fs := vfs.NewMemFS()
+					opts := base
+					opts.FS, opts.EncodeWorkers, opts.UseMMap = fs, workers, mmap
+					if sched {
+						opts.IOSched = iosched.New(iosched.Config{BytesPerSec: 1 << 40})
+					}
+					opts = opts.withDefaults()
+					f, err := fs.Create("t.sst")
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := newTableWriter(f, &opts, 1, nil)
+					for i, ik := range keys {
+						w.add(ik, values[i])
+					}
+					meta, err := w.finish()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if meta.entries != len(keys) || meta.size != int64(len(want)) ||
+						compareIKeys(meta.smallest, keys[0]) != 0 || compareIKeys(meta.largest, keys[len(keys)-1]) != 0 {
+						t.Fatalf("meta %+v does not describe %d entries in %d bytes", meta, len(keys), len(want))
+					}
+					if got := readWholeFile(t, fs, "t.sst"); !bytes.Equal(got, want) {
+						t.Fatalf("table differs from the reference image (%d vs %d bytes)", len(got), len(want))
+					}
+					if sched {
+						granted := opts.IOSched.Obs().Snapshot().Counters["iosched.flush.granted_bytes"]
+						if granted != int64(len(want)) {
+							t.Errorf("scheduler granted %d bytes for a %d-byte table", granted, len(want))
+						}
+					}
+
+					tr, err := openTable(f, &opts, 1, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, ik := range keys {
+						v, found, deleted, err := tr.get(ik.userKey(), maxSeq)
+						if err != nil || !found || deleted || !bytes.Equal(v, values[i]) {
+							t.Fatalf("get %s: %d bytes, found=%v deleted=%v err=%v", ik, len(v), found, deleted, err)
+						}
+					}
+					it := tr.iterator()
+					i := 0
+					for it.SeekToFirst(); it.Valid(); it.Next() {
+						if i >= len(keys) || compareIKeys(it.IKey(), keys[i]) != 0 || !bytes.Equal(it.Value(), values[i]) {
+							t.Fatalf("forward scan, entry %d: got %s", i, it.IKey())
+						}
+						i++
+					}
+					if i != len(keys) {
+						t.Fatalf("forward scan saw %d of %d entries", i, len(keys))
+					}
+					for it.SeekToLast(); it.Valid(); it.Prev() {
+						i--
+						if i < 0 || compareIKeys(it.IKey(), keys[i]) != 0 || !bytes.Equal(it.Value(), values[i]) {
+							t.Fatalf("reverse scan, entry %d: got %s", i, it.IKey())
+						}
+					}
+					if i != 0 || it.Close() != nil {
+						t.Fatalf("reverse scan stopped at entry %d: %v", i, it.Close())
+					}
+					blocks := 0
+					for idx := tr.index.iterator(); ; blocks++ {
+						if blocks == 0 {
+							idx.SeekToFirst()
+						} else {
+							idx.Next()
+						}
+						if !idx.Valid() {
+							break
+						}
+						h, err := decodeHandle(idx.Value())
+						if err != nil {
+							t.Fatal(err)
+						}
+						b, err := tr.readBlock(h)
+						if err != nil {
+							t.Fatal(err)
+						}
+						last := b.iterator()
+						last.SeekToLast()
+						if !last.Valid() || compareIKeys(last.IKey(), idx.IKey()) != 0 {
+							t.Fatalf("block %d is indexed under %s but ends at %s", blocks, idx.IKey(), last.IKey())
+						}
+					}
+					if blocks != wantBlocks {
+						t.Fatalf("index lists %d data blocks, reference has %d", blocks, wantBlocks)
+					}
+				})
+			}
 		}
 	}
 }
@@ -261,6 +427,64 @@ func TestPipelinedFlushPropagatesWriteError(t *testing.T) {
 		if len(n) > 4 && n[len(n)-4:] == ".sst" {
 			t.Fatalf("failed flush leaked partial table %s", n)
 		}
+	}
+}
+
+// TestLargeValueTornWrite: the write of a large value — its own write
+// call, between the block's head and tail — fails having persisted only
+// part of the value. The flush must fail, remove the partial table and
+// leave the manifest alone, and a retry must succeed from the memtable,
+// which still owns the bytes.
+func TestLargeValueTornWrite(t *testing.T) {
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ffs := faultfs.New(vfs.NewMemFS())
+			db := openTestDB(t, ffs, func(o *Options) {
+				o.DisableCompression = true
+				o.DisableCompaction = true
+				o.EncodeWorkers = workers
+			})
+			defer db.Close()
+			big := bytes.Repeat([]byte("torn"), 256<<10)
+			if err := db.Put([]byte("a-small"), []byte("s")); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Put([]byte("b-large"), big); err != nil {
+				t.Fatal(err)
+			}
+			manifest := func() (image []byte) {
+				names, _ := ffs.List("db")
+				for _, n := range names {
+					if len(n) > 9 && n[:9] == "MANIFEST-" {
+						image = append(image, readWholeFile(t, ffs, "db/"+n)...)
+					}
+				}
+				return image
+			}
+			before := manifest()
+			// Write 1 is the block's head (the small entry and the large
+			// one's header), write 2 the value.
+			ffs.AddRule(&faultfs.Rule{Op: faultfs.OpWrite, Path: ".sst", Nth: 2, KeepPrefix: int64(len(big) / 2)})
+			if err := db.Flush(); err == nil {
+				t.Fatal("flush with a torn value write should fail")
+			}
+			ffs.ClearRules()
+			if tables := listTables(t, ffs); len(tables) != 0 {
+				t.Fatalf("failed flush left %v behind", tables)
+			}
+			if !bytes.Equal(manifest(), before) {
+				t.Fatal("failed flush edited the manifest")
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatalf("retry: %v", err)
+			}
+			if got, err := db.Get([]byte("b-large")); err != nil || !bytes.Equal(got, big) {
+				t.Fatalf("after retry: %d bytes, %v", len(got), err)
+			}
+			if err := db.VerifyChecksums(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

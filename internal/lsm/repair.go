@@ -259,7 +259,7 @@ func salvageLogInto(fs vfs.FS, dir string, num uint64, mem *memtable) error {
 			return nil
 		}
 		_ = b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
-			mem.add(seq, kind, key, append([]byte(nil), value...))
+			mem.add(seq, kind, key, value)
 			return nil
 		})
 	}

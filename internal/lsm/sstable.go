@@ -153,31 +153,32 @@ func (w *tableWriter) drainRaw() error {
 // writeScheduled is the single funnel every table-build byte passes
 // through on its way to the filesystem: it buys ioClass tokens from the
 // shared bandwidth scheduler (free when none is configured) and refunds
-// them if the write fails, so an errored build does not hold budget the
-// device never saw.
-func (w *tableWriter) writeScheduled(p []byte) error {
-	w.opts.IOSched.Acquire(w.ioClass, int64(len(p)))
-	_, err := w.f.Write(p)
-	if err != nil {
-		w.opts.IOSched.Cancel(w.ioClass, int64(len(p)))
+// them if a write fails, so an errored build does not hold budget the
+// device never saw. Several pieces are one purchase and consecutive
+// writes: a block whose value lies outside the builder's buffer costs
+// the scheduler what it cost as one write.
+func (w *tableWriter) writeScheduled(pieces ...[]byte) error {
+	var n int64
+	for _, p := range pieces {
+		n += int64(len(p))
 	}
-	return err
-}
-
-func (w *tableWriter) write(p []byte) {
-	if w.err != nil {
-		return
+	w.opts.IOSched.Acquire(w.ioClass, n)
+	for _, p := range pieces {
+		if len(p) == 0 {
+			continue
+		}
+		if _, err := w.f.Write(p); err != nil {
+			w.opts.IOSched.Cancel(w.ioClass, n)
+			return err
+		}
 	}
-	w.err = w.writeRaw(p)
-}
-
-func (w *tableWriter) drain() {
-	if w.err == nil {
-		w.err = w.drainRaw()
-	}
+	return nil
 }
 
 // add appends an entry; keys must arrive in increasing internal-key order.
+// value is not copied when it is at least a block long and blocks are
+// stored raw: it must stay unchanged until the table is finished, which
+// memtable entries and parsed blocks (the two sources) guarantee.
 func (w *tableWriter) add(ik internalKey, value []byte) {
 	if w.err != nil {
 		return
@@ -193,84 +194,146 @@ func (w *tableWriter) add(ik internalKey, value []byte) {
 	if w.opts.BitsPerKey > 0 {
 		w.userKeys = append(w.userKeys, append([]byte(nil), ik.userKey()...))
 	}
-	w.dataBlock.add(ik, value)
 	w.meta.entries++
+	if len(value) >= w.opts.BlockSize && w.opts.DisableCompression {
+		// The entry ends its block whatever came before it, so the value
+		// need not pass through the builder: only its header does, and
+		// the value goes from where it is to the file. (A codec needs the
+		// whole block in one piece, hence the second condition.)
+		w.dataBlock.addHeader(ik, len(value))
+		w.cutDataBlock(value)
+		return
+	}
+	w.dataBlock.add(ik, value)
 	if w.dataBlock.estimatedSize() >= w.opts.BlockSize {
-		w.finishDataBlock()
+		w.cutDataBlock(nil)
 	}
 }
 
 func (w *tableWriter) finishDataBlock() {
-	if w.dataBlock.empty() || w.err != nil {
+	if !w.dataBlock.empty() {
+		w.cutDataBlock(nil)
+	}
+}
+
+// cutDataBlock ends the block under construction and sends it on its
+// way. A non-nil value belongs to the block's last entry, whose header
+// is the last thing in the builder.
+func (w *tableWriter) cutDataBlock(value []byte) {
+	if w.err != nil {
 		return
 	}
+	b := rawBlock{value: value}
+	if value != nil {
+		b.split = len(w.dataBlock.buf)
+	}
 	if w.pipe != nil {
-		// The block builder reuses its buffer across blocks, so the raw
-		// bytes are snapshotted before they cross into the compute stage.
-		raw := append([]byte(nil), w.dataBlock.finish()...)
-		w.approxSize += int64(len(raw)) + blockTrailerLen
+		// The builder's buffer crosses into the compute stage, so the
+		// builder gets a new one.
+		b.buf = w.dataBlock.take(value == nil)
+		w.approxSize += int64(b.size()) + blockTrailerLen
 		w.err = w.pipe.submit(encodeJob{
 			kind:          blkData,
-			raw:           raw,
+			raw:           b,
 			indexKey:      append(internalKey(nil), w.lastIKey...),
 			allowCompress: !w.opts.DisableCompression,
 		})
 		w.dataBlock.reset()
 		return
 	}
-	handle := w.writeBlock(w.dataBlock.finish(), !w.opts.DisableCompression)
+	b.buf = w.dataBlock.finish()
+	handle := w.writeBlock(b, !w.opts.DisableCompression)
 	w.dataBlock.reset()
-	w.index.add(append(internalKey(nil), w.lastIKey...), encodeHandle(handle))
+	w.index.add(w.lastIKey, encodeHandle(handle))
 }
 
+// rawBlock is a block's bytes in file order: buf, or, when the block ends
+// in an entry whose value was too large to copy, buf[:split] ++ value ++
+// buf[split:] (only ever a block that is stored raw: add sees to that).
+// encodeBlock turns an unencoded rawBlock into an encoded one of the same
+// shape.
+type rawBlock struct {
+	buf   []byte
+	value []byte
+	split int
+}
+
+func (b rawBlock) size() int { return len(b.buf) + len(b.value) }
+
 // encodeBlock compresses raw per opts (when allowed and the compressed
-// form is >12.5% smaller) and appends the 5-byte block trailer. Returns
-// the bytes to append to the file and the payload length (trailer
-// excluded). Pure function of (opts, raw), so the pipelined and serial
-// writers produce identical files.
-func encodeBlock(opts *Options, raw []byte, allowCompress bool) (enc []byte, payloadLen int) {
+// form is >12.5% smaller) and appends the 5-byte block trailer, in place
+// when raw.buf has the room (blockBuilder.finish leaves it). Returns the
+// bytes to append to the file and the payload length (trailer excluded).
+// Pure function of (opts, raw), so the pipelined and serial writers
+// produce identical files.
+func encodeBlock(opts *Options, raw rawBlock, allowCompress bool) (enc rawBlock, payloadLen int) {
 	blockType := byte(compressionNone)
-	out := raw
+	enc = raw
 	if allowCompress {
 		switch opts.Compression {
 		case CompressionFlate:
 			var cbuf bytes.Buffer
 			fw, err := flate.NewWriter(&cbuf, flate.BestSpeed)
 			if err == nil {
-				if _, err = fw.Write(raw); err == nil && fw.Close() == nil &&
-					cbuf.Len() < len(raw)-len(raw)/8 {
-					out = cbuf.Bytes()
+				if _, err = fw.Write(raw.buf); err == nil && fw.Close() == nil &&
+					cbuf.Len() < len(raw.buf)-len(raw.buf)/8 {
+					enc.buf = cbuf.Bytes()
 					blockType = compressionFlate
 				}
 			}
 		default: // CompressionSnappy (and unset)
-			c := snappy.Encode(nil, raw)
-			if len(c) < len(raw)-len(raw)/8 {
-				out = c
+			c := snappy.Encode(nil, raw.buf)
+			if len(c) < len(raw.buf)-len(raw.buf)/8 {
+				enc.buf = c
 				blockType = compressionSnappy
 			}
 		}
 	}
-	crc := crc32.Checksum(out, crcTable)
+	payloadLen = enc.size()
+	// One checksum over the pieces in file order. split is 0 without a
+	// value, which makes the first two updates no-ops.
+	crc := crc32.Update(0, crcTable, enc.buf[:enc.split])
+	crc = crc32.Update(crc, crcTable, enc.value)
+	crc = crc32.Update(crc, crcTable, enc.buf[enc.split:])
 	crc = crc32.Update(crc, crcTable, []byte{blockType})
-	enc = make([]byte, 0, len(out)+blockTrailerLen)
-	enc = append(enc, out...)
-	var trailer [blockTrailerLen]byte
-	trailer[0] = blockType
-	binary.LittleEndian.PutUint32(trailer[1:], crc)
-	enc = append(enc, trailer[:]...)
-	return enc, len(out)
+	enc.buf = append(enc.buf, blockType)
+	enc.buf = binary.LittleEndian.AppendUint32(enc.buf, crc)
+	return enc, payloadLen
+}
+
+// emit appends an encoded block to the file. A value that was kept out
+// of the builder is written from where it lies, between the two halves of
+// buf, unless it is smaller than a coalescing segment: then it is
+// gathered into one like any other block.
+func (w *tableWriter) emit(b rawBlock) error {
+	if b.value == nil {
+		return w.writeRaw(b.buf)
+	}
+	head, tail := b.buf[:b.split], b.buf[b.split:]
+	if len(b.value) < w.coalesce {
+		for _, p := range [][]byte{head, b.value, tail} {
+			if err := w.writeRaw(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	err := w.writeScheduled(w.buf.Bytes(), head, b.value, tail)
+	w.buf.Reset()
+	return err
 }
 
 // writeBlock encodes raw and emits it at the current offset, returning
 // its handle. Serial path only (the pipeline splits the same work across
 // its encoder and writer stages).
-func (w *tableWriter) writeBlock(raw []byte, allowCompress bool) blockHandle {
-	chargeEncodeCost(w.opts, len(raw))
+func (w *tableWriter) writeBlock(raw rawBlock, allowCompress bool) blockHandle {
+	chargeEncodeCost(w.opts, raw.size())
 	enc, payloadLen := encodeBlock(w.opts, raw, allowCompress)
 	h := blockHandle{offset: w.offset, length: int64(payloadLen)}
-	w.write(enc)
-	w.offset += int64(len(enc))
+	if w.err == nil {
+		w.err = w.emit(enc)
+	}
+	w.offset += int64(payloadLen) + blockTrailerLen
 	return h
 }
 
@@ -290,14 +353,14 @@ func (w *tableWriter) estimatedSize() int64 {
 // the error-returning write path so the pipeline's writer task can call
 // it without touching the producer's w.err.
 func (w *tableWriter) writeTail(filterHandle blockHandle) error {
-	indexRaw := w.index.finish()
-	chargeEncodeCost(w.opts, len(indexRaw))
+	indexRaw := rawBlock{buf: w.index.finish()}
+	chargeEncodeCost(w.opts, indexRaw.size())
 	enc, payloadLen := encodeBlock(w.opts, indexRaw, !w.opts.DisableCompression)
 	indexHandle := blockHandle{offset: w.offset, length: int64(payloadLen)}
-	if err := w.writeRaw(enc); err != nil {
+	if err := w.emit(enc); err != nil {
 		return err
 	}
-	w.offset += int64(len(enc))
+	w.offset += int64(payloadLen) + blockTrailerLen
 	var footer [footerLen]byte
 	binary.LittleEndian.PutUint64(footer[0:], uint64(filterHandle.offset))
 	binary.LittleEndian.PutUint64(footer[8:], uint64(filterHandle.length))
@@ -332,7 +395,7 @@ func (w *tableWriter) finish() (tableMeta, error) {
 	// Filter block (never compressed: it is random bits).
 	var filterHandle blockHandle
 	if w.opts.BitsPerKey > 0 && len(w.userKeys) > 0 {
-		filterHandle = w.writeBlock(buildBloom(w.userKeys, w.opts.BitsPerKey), false)
+		filterHandle = w.writeBlock(rawBlock{buf: buildBloom(w.userKeys, w.opts.BitsPerKey)}, false)
 	}
 	if w.err != nil {
 		return tableMeta{}, w.err

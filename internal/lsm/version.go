@@ -39,7 +39,11 @@ func (f *fileMeta) overlaps(lo, hi []byte) bool {
 // smallest key and disjoint.
 type version struct {
 	levels [numLevels][]*fileMeta
-	refs   int
+	// refs counts readers (DB.refCurrentLocked). The version set holds no
+	// reference of its own: the current version's tables are live by
+	// being current, and a superseded one lives only as long as its
+	// readers.
+	refs int
 }
 
 func (v *version) clone() *version {
@@ -234,7 +238,7 @@ func newVersionSet(fs vfs.FS, dir string) *versionSet {
 	return &versionSet{
 		fs:          fs,
 		dir:         dir,
-		current:     &version{refs: 1},
+		current:     &version{},
 		nextFileNum: 2, // 1 is reserved for the first manifest
 	}
 }
@@ -291,7 +295,6 @@ func (vs *versionSet) apply(edit *versionEdit) (*version, error) {
 		vs.lastSeq = seqNum(*edit.LastSeq)
 	}
 	vs.current = nv
-	nv.refs = 1 // the set's own reference
 	return nv, nil
 }
 

@@ -34,7 +34,10 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-point enumeration sweep skipped in -short mode")
 	}
-	const writers, gens = 4, 8
+	// Twelve generations: even if every cohort held all four writers there
+	// would be one log append and one log sync per generation, so the
+	// workload always crosses more than the 20 boundaries demanded below.
+	const writers, gens = 4, 12
 
 	ffs := faultfs.New(vfs.NewMemFS())
 	if err := ffs.StartRecording(); err != nil {

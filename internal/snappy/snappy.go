@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Errors returned by Decode.
@@ -31,6 +32,10 @@ const (
 	tagCopy4   = 0x03
 
 	maxBlockDecodedLen = 1 << 30
+
+	// maxExpansion bounds decoded bytes per encoded byte: the densest
+	// element is a 3-byte copy producing 64 bytes.
+	maxExpansion = 22
 )
 
 // MaxEncodedLen returns the worst-case encoded size for srcLen input
@@ -43,9 +48,9 @@ func MaxEncodedLen(srcLen int) int {
 
 // Encode compresses src, appending to dst (which may be nil).
 func Encode(dst, src []byte) []byte {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(src)))
-	dst = append(dst, hdr[:n]...)
+	// Sized once for the worst case, so the appends below never regrow.
+	dst = slices.Grow(dst, MaxEncodedLen(len(src)))
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return dst
 	}
@@ -167,7 +172,10 @@ func Decode(dst, src []byte) ([]byte, error) {
 	_, n := binary.Uvarint(src)
 	src = src[n:]
 
-	out := dst
+	// Sized once from the header. A hostile header cannot make this
+	// large: no input decodes to more than maxExpansion times its length,
+	// and one that claims to fails the length check at the end.
+	out := slices.Grow(dst, min(decodedLen, maxExpansion*len(src)))
 	base := len(out)
 	for len(src) > 0 {
 		tag := src[0]

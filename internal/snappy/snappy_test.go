@@ -2,7 +2,9 @@ package snappy
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -158,6 +160,31 @@ func TestAppendToExistingDst(t *testing.T) {
 	}
 	if !bytes.HasPrefix(dec, prefix) || !bytes.Equal(dec[len(prefix):], src) {
 		t.Fatal("Decode must append to dst")
+	}
+}
+
+// Into a nil dst, both directions size their output once instead of
+// growing it by doubling; a header that promises far more than the input
+// can expand to must not get that much memory.
+func TestNilDstIsSizedOnce(t *testing.T) {
+	src := []byte(strings.Repeat("checkpoint block ", 4096/17))
+	enc := Encode(nil, src)
+	if n := testing.AllocsPerRun(20, func() { Encode(nil, src) }); n > 2 {
+		t.Errorf("Encode(nil, …) allocates %v times, want 1 (2 under -race)", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { Decode(nil, enc) }); n > 2 {
+		t.Errorf("Decode(nil, …) allocates %v times, want 1 (2 under -race)", n)
+	}
+	hostile := append(binary.AppendUvarint(nil, maxBlockDecodedLen), 0, 'x')
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(nil, hostile)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("hostile header decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4096 {
+		t.Errorf("hostile header made Decode allocate %d bytes for %d bytes of input", got, len(hostile))
 	}
 }
 

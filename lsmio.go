@@ -187,7 +187,10 @@ func DefaultEngineOptions(fs FS) EngineOptions { return lsm.DefaultOptions(fs) }
 // 32 MB write buffer (§3.1.1).
 func CheckpointEngineOptions(fs FS) EngineOptions { return lsm.CheckpointOptions(fs) }
 
-// NewBatch returns an empty write batch.
+// NewBatch returns an empty write batch. Put and Delete copy their
+// arguments into the batch, so the caller's slices are its own again as
+// soon as they return; DB.Apply takes the batch's bytes for the memtable
+// and leaves the batch empty and reusable.
 func NewBatch() *Batch { return lsm.NewBatch() }
 
 // RepairSummary reports what RepairDB salvaged.
