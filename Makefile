@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench bench-smoke pipeline-smoke stability-smoke obs-smoke restore-chaos svc-smoke svc-chaos perf-smoke
+.PHONY: build test check race vet bench figures restore-chaos svc-smoke svc-chaos perf-smoke
 
 build:
 	$(GO) build ./...
@@ -18,9 +18,9 @@ race:
 
 # Full gate: vet + the complete test suite (including the crash-point
 # enumeration sweeps in internal/robustness) under the race detector,
-# plus a quick-scale end-to-end smoke of the extension figures and an
-# observability check over their emitted JSON.
-check: vet race restore-chaos svc-chaos svc-smoke obs-smoke
+# plus the extension figures regenerated, shape-checked and compared
+# with their versioned JSON.
+check: vet race restore-chaos svc-chaos svc-smoke figures
 
 # Multi-tenant service smoke: a simulated lsmiod session with four
 # behaved tenants beside a flooding noisy neighbor must keep the
@@ -45,41 +45,24 @@ restore-chaos:
 svc-chaos:
 	$(GO) test -race -run TestServiceChaos -v ./internal/robustness/
 
-# Quick-scale run of the extension figures. The BENCH_*.json files land
-# at the repo root so the perf trajectory is versioned with the code,
-# not just buried in CI artifacts.
-bench-smoke:
-	$(GO) run ./cmd/lsmio-bench -fig ext-nvme -scale quick -json . -q
-	$(GO) run ./cmd/lsmio-bench -fig ext-burst -scale quick -json . -q
-	$(GO) run ./cmd/lsmio-bench -fig ext-degraded -scale quick -json . -q
-	$(GO) run ./cmd/lsmio-bench -fig ext-compaction -scale quick -json . -q
-	$(GO) run ./cmd/lsmio-bench -fig ext-restore -scale quick -json . -q
-	$(GO) run ./cmd/lsmio-bench -fig ext-service -scale quick -json . -q
-
-# Write-path pipelining smoke: the ext-pipeline figure's shape checks
-# are the throughput gate for the table-build pipeline (≥1.3× serial
-# flush at 4 encode workers), piped compaction, and WAL group commit.
-pipeline-smoke:
-	$(GO) run ./cmd/lsmio-bench -fig ext-pipeline -scale quick -json . -q
-
-# Sustained-load stability smoke: the ext-stability figure's shape
-# checks are the gate for the shared I/O bandwidth scheduler
-# (internal/iosched) — scheduler-on must show strictly lower windowed
-# throughput CoV and p999 drift than scheduler-off at no more than 5%
-# mean-throughput cost, and improve foreground commit p99 under a
-# compaction storm with concurrent scrub traffic.
-stability-smoke:
-	$(GO) run ./cmd/lsmio-bench -fig ext-stability -scale quick -json . -q
-
-# Observability smoke: every extension figure's JSON must embed the
-# unified obs registry snapshot ("metrics") with per-op latency
-# quantiles down to p999 — the guarantee that every layer is still
-# plumbed through internal/obs.
-obs-smoke: bench-smoke pipeline-smoke stability-smoke
-	@for f in BENCH_ext-nvme.json BENCH_ext-burst.json BENCH_ext-degraded.json BENCH_ext-compaction.json BENCH_ext-restore.json BENCH_ext-service.json BENCH_ext-pipeline.json BENCH_ext-stability.json; do \
-		grep -q '"metrics"' $$f || { echo "obs-smoke: $$f missing metrics snapshot" >&2; exit 1; }; \
-		grep -q '"p999"' $$f || { echo "obs-smoke: $$f missing latency quantiles" >&2; exit 1; }; \
-	done; echo "obs-smoke: all extension figures embed registry snapshots"
+# The eight extension figures at quick scale, in one process. Their
+# shape checks are the end-to-end gates of the staging tier, degraded
+# mode, compaction, restore, the service, the table-build pipeline
+# (>= 1.3x serial flush at 4 encode workers, piped compaction, WAL group
+# commit) and the shared I/O scheduler (lower windowed-throughput CoV
+# and p999 drift at <= 5% mean-throughput cost). Every emitted JSON
+# must embed the obs registry snapshot ("metrics") with latency
+# quantiles down to p999 — every layer still plumbed through
+# internal/obs. And the simulator is deterministic, so the BENCH_*.json
+# files versioned at the repo root must come out byte for byte: a diff
+# is a change in virtual time that the PR has to explain and commit.
+figures:
+	$(GO) run ./cmd/lsmio-bench -fig ext -scale quick -json . -q
+	@for f in BENCH_ext-*.json; do \
+		grep -q '"metrics"' $$f || { echo "figures: $$f missing metrics snapshot" >&2; exit 1; }; \
+		grep -q '"p999"' $$f || { echo "figures: $$f missing latency quantiles" >&2; exit 1; }; \
+	done
+	git diff --exit-code -- 'BENCH_ext-*.json'
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

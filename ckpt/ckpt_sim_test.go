@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/mpisim"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -19,6 +19,7 @@ import (
 func TestCheckpointOnSimulatedCluster(t *testing.T) {
 	const ranks = 8
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(ranks))
 	world := mpisim.NewWorld(k, cluster.Fabric(), ranks)
 
@@ -30,12 +31,11 @@ func TestCheckpointOnSimulatedCluster(t *testing.T) {
 		mgr, err := core.NewManager(fmt.Sprintf("ck/rank%02d", r.Rank()), core.ManagerOptions{
 			Store: core.StoreOptions{
 				FS:              cluster.Client(r.Rank()),
-				Platform:        lsm.SimPlatform(k),
 				Async:           true,
 				WriteBufferSize: 256 << 10,
 			},
-			Kernel: k,
-			MPI:    r,
+			Runtime: rtm,
+			MPI:     r,
 		})
 		if err != nil {
 			t.Error(err)

@@ -6,14 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"lsmio/internal/core"
 	"lsmio/internal/lsm"
 	"lsmio/internal/resil"
-	"lsmio/internal/sim"
 )
 
 // The self-healing restore pipeline. RestoreLatest is rebuilt on top of
@@ -67,25 +65,6 @@ type RestoreReport struct {
 	DeltaBytes  int64   // payload bytes those reused variables saved
 	Parallel    int     // effective worker-pool width
 	Elapsed     time.Duration
-}
-
-// kernClock adapts the simulation kernel to resil.Clock: backoffs are
-// charged to whichever process is current when Sleep runs, so each
-// restore worker sleeps on its own virtual timeline.
-type kernClock struct{ k *sim.Kernel }
-
-func (c kernClock) Now() time.Duration { return c.k.Now().Duration() }
-func (c kernClock) Sleep(d time.Duration) {
-	if p := c.k.Current(); p != nil {
-		p.Sleep(d)
-	}
-}
-
-func (s *Store) restoreClock() resil.Clock {
-	if k := s.mgr.Kernel(); k != nil {
-		return kernClock{k}
-	}
-	return resil.WallClock()
 }
 
 func (s *Store) journalKey() string { return s.pfx + "/restore/journal" }
@@ -280,7 +259,8 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 	var next, bytesRead, deltaVars, deltaBytes int64
 	var failed atomic.Bool
 
-	readVar := func(clk resil.Clock, i int) error {
+	rtm := s.mgr.Runtime()
+	readVar := func(i int) error {
 		v := vars[i]
 		if herr := s.hook(opts, "var", step, v.Name); herr != nil {
 			return herr
@@ -294,7 +274,7 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 		}
 		key := s.dataKey(step, v.Name)
 		var data []byte
-		rerr := opts.Policy.Do(opts.Ctx, clk, uint64(step)^uint64(i)*0x9e3779b97f4a7c15,
+		rerr := opts.Policy.Do(opts.Ctx, rtm, uint64(step)^uint64(i)*0x9e3779b97f4a7c15,
 			func(int) error {
 				var gerr error
 				data, gerr = s.mgr.Get(key)
@@ -316,56 +296,25 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 		return nil
 	}
 
-	worker := func(clk resil.Clock) {
-		for {
-			if failed.Load() {
-				return
-			}
-			i := int(atomic.AddInt64(&next, 1)) - 1
-			if i >= len(vars) {
-				return
-			}
-			if werr := readVar(clk, i); werr != nil {
-				errs[i] = werr
-				failed.Store(true)
-				return
-			}
-		}
-	}
-
+	// The pool is n tasks of the manager's runtime — goroutines, or
+	// simulation processes whose reads the DB's cooperative lock
+	// interleaves exactly as goroutines would interleave real ones.
 	n := par
 	if n > len(vars) {
 		n = len(vars)
 	}
-	kern := s.mgr.Kernel()
-	switch {
-	case n <= 1:
-		worker(s.restoreClock())
-	case kern != nil && kern.Current() != nil:
-		// Inside the simulator: the pool is n simulation processes; the
-		// DB's cooperative platform lock interleaves their reads exactly
-		// as goroutines would interleave real ones.
-		cur := kern.Current()
-		procs := make([]*sim.Proc, n)
-		for w := 0; w < n; w++ {
-			procs[w] = kern.Spawn(fmt.Sprintf("ckpt-restore-w%d", w), func(p *sim.Proc) {
-				worker(kernClock{kern})
-			})
+	rtm.Parallel("ckpt-restore-w", n, func(int) {
+		for !failed.Load() {
+			i := int(atomic.AddInt64(&next, 1)) - 1
+			if i >= len(vars) {
+				return
+			}
+			if werr := readVar(i); werr != nil {
+				errs[i] = werr
+				failed.Store(true)
+			}
 		}
-		for _, pr := range procs {
-			cur.Join(pr)
-		}
-	default:
-		var wg sync.WaitGroup
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				worker(resil.WallClock())
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	rep.BytesRead += bytesRead
 	rep.DeltaVars += deltaVars

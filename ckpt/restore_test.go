@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lsmio/internal/core"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -73,9 +74,10 @@ func TestParallelRestoreMatchesSerial(t *testing.T) {
 // cooperative kernel and return verified state.
 func TestParallelRestoreInSimulator(t *testing.T) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	mgr, err := core.NewManager("app", core.ManagerOptions{
-		Store:  core.StoreOptions{FS: vfs.NewMemFS(), WriteBufferSize: 64 << 10},
-		Kernel: k,
+		Store:   core.StoreOptions{FS: vfs.NewMemFS(), WriteBufferSize: 64 << 10},
+		Runtime: rtm,
 	})
 	if err != nil {
 		t.Fatal(err)

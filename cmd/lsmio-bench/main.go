@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	lsmio-bench [-fig all|1|5..10|ext-nvme|ext-burst|ext-degraded|ext-compaction|ext-restore|ext-service|ext-pipeline|ext-stability] [-scale paper|quick] [-csv dir] [-json dir] [-q]
+//	lsmio-bench [-fig all|1|5..10|ext|ext-nvme|ext-burst|ext-degraded|ext-compaction|ext-restore|ext-service|ext-pipeline|ext-stability] [-scale paper|quick] [-csv dir] [-json dir] [-q]
+//
+// -fig also matches by prefix up to a dash: `-fig ext` runs the eight
+// extension figures in one process.
 package main
 
 import (
@@ -19,7 +22,7 @@ import (
 )
 
 func main() {
-	figFlag := flag.String("fig", "all", "figure to run: all, 1, 5..10, ext-nvme, ext-burst, ext-degraded, ext-compaction, ext-restore, ext-service, ext-pipeline, ext-stability")
+	figFlag := flag.String("fig", "all", "figure to run: all, 1, 5..10, ext (all eight ext-*), ext-nvme, ext-burst, ext-degraded, ext-compaction, ext-restore, ext-service, ext-pipeline, ext-stability")
 	scaleFlag := flag.String("scale", "paper", "sweep scale: paper (1..48 nodes) or quick")
 	csvDir := flag.String("csv", "", "directory to write per-figure CSV files")
 	jsonDir := flag.String("json", "", "directory to write per-figure BENCH_<fig>.json files")
@@ -41,7 +44,7 @@ func main() {
 		if *figFlag == "all" {
 			return true
 		}
-		return "fig"+*figFlag == id || *figFlag == id
+		return "fig"+*figFlag == id || *figFlag == id || strings.HasPrefix(id, *figFlag+"-")
 	}
 
 	if *figFlag == "all" || *figFlag == "1" || *figFlag == "fig1" {

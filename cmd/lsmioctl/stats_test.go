@@ -13,15 +13,15 @@ import (
 // — one row per class, populated from the same instruments a live
 // deployment records — and stays silent for a snapshot with no iosched
 // instruments (a store opened without a scheduler attached).
+// fakeClock is a single-threaded clock whose Sleep advances Now.
+type fakeClock struct{ now time.Duration }
+
+func (f *fakeClock) Now() time.Duration    { return f.now }
+func (f *fakeClock) Sleep(d time.Duration) { f.now += d }
+
 func TestWriteIOSchedSection(t *testing.T) {
 	reg := obs.NewRegistry()
-	now := int64(0)
-	s := iosched.New(iosched.Config{
-		BytesPerSec: 100e6,
-		Obs:         reg,
-		Now:         func() (d time.Duration) { return time.Duration(now) },
-		Sleep:       func(d time.Duration) { now += int64(d) },
-	})
+	s := iosched.New(iosched.Config{BytesPerSec: 100e6, Obs: reg, Clock: &fakeClock{}})
 	s.Acquire(iosched.Foreground, 1<<20)
 	s.Acquire(iosched.Scrub, 4<<20)
 

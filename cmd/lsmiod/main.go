@@ -24,9 +24,9 @@ import (
 
 	"lsmio/internal/core"
 	"lsmio/internal/iosched"
-	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/svc"
 	"lsmio/internal/vfs"
@@ -228,17 +228,17 @@ func main() {
 // capacity until the behaved tenants finish.
 func runSim(shards, tenants, steps, blocks int, blockBytes int64, noisy bool, adm svc.AdmissionConfig, compute time.Duration, noisyRate float64, ioBW float64) (sessionResult, error) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	clients := tenants + 1
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(clients+shards))
-	reg := obs.NewRegistry()
-	reg.SetClock(func() time.Duration { return k.Now().Duration() })
+	reg := obs.NewRegistryOn(rtm.Now)
 
 	// One scheduler instance covers every shard's engine I/O and the
 	// cluster's scrubber; disabled (nil-equivalent) when ioBW is 0 so the
 	// calibrated fairness gate is measured on the unscheduled baseline.
 	var sched *iosched.Scheduler
 	if ioBW > 0 {
-		sched = iosched.New(iosched.Config{BytesPerSec: ioBW, Kernel: k, Obs: reg})
+		sched = iosched.New(iosched.Config{BytesPerSec: ioBW, Clock: rtm, Obs: reg})
 		cluster.SetIOScheduler(sched)
 	}
 
@@ -252,16 +252,15 @@ func runSim(shards, tenants, steps, blocks int, blockBytes int64, noisy bool, ad
 				return core.NewManager(svc.ShardDirName(i), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              cluster.Client(clients + i),
-						Platform:        lsm.SimPlatform(k),
 						Async:           true,
 						WriteBufferSize: 1 << 20,
 						IOSched:         sched,
 					},
-					Kernel: k,
-					Obs:    reg,
+					Runtime: rtm,
+					Obs:     reg,
 				})
 			},
-			Kernel:    k,
+			Runtime:   rtm,
 			Obs:       reg,
 			Admission: adm,
 			IOSched:   sched,

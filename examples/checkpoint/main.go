@@ -24,9 +24,9 @@ import (
 	"lsmio/ckpt"
 	"lsmio/internal/burst"
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/mpisim"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -265,6 +265,7 @@ func run(label string, makeCkpt func(r *mpisim.Rank, c *pfs.Cluster) checkpointe
 // until everything is durable on the PFS.
 func runBurst() {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(ranks))
 	world := mpisim.NewWorld(k, cluster.Fabric(), ranks)
 
@@ -275,8 +276,8 @@ func runBurst() {
 	world.Launch(func(r *mpisim.Rank) {
 		staging, err := core.NewManager(fmt.Sprintf("stage/rank%03d", r.Rank()),
 			core.ManagerOptions{
-				Store:  core.StoreOptions{FS: vfs.NewMemFS(), Platform: lsm.SimPlatform(k)},
-				Kernel: k,
+				Store:   core.StoreOptions{FS: vfs.NewMemFS()},
+				Runtime: rtm,
 			})
 		if err != nil {
 			log.Fatal(err)
@@ -284,11 +285,10 @@ func runBurst() {
 		durable, err := core.NewManager(fmt.Sprintf("app.burst/rank%03d", r.Rank()),
 			core.ManagerOptions{
 				Store: core.StoreOptions{
-					FS:       cluster.Client(r.Rank()),
-					Platform: lsm.SimPlatform(k),
-					Async:    true,
+					FS:    cluster.Client(r.Rank()),
+					Async: true,
 				},
-				Kernel: k,
+				Runtime: rtm,
 			})
 		if err != nil {
 			log.Fatal(err)
@@ -296,7 +296,7 @@ func runBurst() {
 		tier := burst.New(
 			ckpt.New(staging, ckpt.Options{}),
 			ckpt.New(durable, ckpt.Options{}),
-			burst.Options{StagingBudget: 4 * 8 * cellsPerRank, Kernel: k},
+			burst.Options{StagingBudget: 4 * 8 * cellsPerRank, Runtime: rtm},
 		)
 		tier.StartWorker()
 
@@ -391,12 +391,11 @@ func main() {
 		mgr, err := core.NewManager(fmt.Sprintf("app.lsmio/rank%03d", r.Rank()),
 			core.ManagerOptions{
 				Store: core.StoreOptions{
-					FS:       c.Client(r.Rank()),
-					Platform: lsm.SimPlatform(c.Kernel()),
-					Async:    true,
+					FS:    c.Client(r.Rank()),
+					Async: true,
 				},
-				Kernel: c.Kernel(),
-				MPI:    r,
+				Runtime: rt.Sim(c.Kernel()),
+				MPI:     r,
 			})
 		if err != nil {
 			log.Fatal(err)

@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"lsmio/internal/mpisim"
-	"lsmio/internal/sim"
+	"lsmio/internal/rt"
 	"lsmio/internal/vfs"
 )
 
@@ -71,10 +71,10 @@ func DefaultCostModel() CostModel {
 
 // Config configures an Adios instance (one per rank, like adios2::ADIOS).
 type Config struct {
-	FS     vfs.FS
-	Kernel *sim.Kernel  // nil outside the simulator
-	Rank   *mpisim.Rank // nil for serial use; enables metadata aggregation
-	Cost   CostModel    // zero value: defaults
+	FS      vfs.FS
+	Runtime rt.Runtime   // nil: rt.Real(); inside the simulator, the stack's rt.Sim
+	Rank    *mpisim.Rank // nil for serial use; enables metadata aggregation
+	Cost    CostModel    // zero value: defaults
 }
 
 // Adios is the top-level factory object (adios2::ADIOS).
@@ -87,6 +87,9 @@ type Adios struct {
 func New(cfg Config) *Adios {
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCostModel()
+	}
+	if cfg.Runtime == nil {
+		cfg.Runtime = rt.Real()
 	}
 	return &Adios{cfg: cfg, ios: make(map[string]*IO)}
 }
@@ -181,13 +184,13 @@ func (io *IO) Open(path string, mode Mode) (Engine, error) {
 			return nil, fmt.Errorf("adios2: plugin %q is not registered", name)
 		}
 		return factory(PluginContext{
-			Path:   path,
-			Mode:   mode,
-			IO:     io,
-			FS:     io.a.cfg.FS,
-			Kernel: io.a.cfg.Kernel,
-			Rank:   io.a.cfg.Rank,
-			Params: io.params,
+			Path:    path,
+			Mode:    mode,
+			IO:      io,
+			FS:      io.a.cfg.FS,
+			Runtime: io.a.cfg.Runtime,
+			Rank:    io.a.cfg.Rank,
+			Params:  io.params,
 		})
 	default:
 		return nil, fmt.Errorf("adios2: unknown engine type %q", io.engineType)

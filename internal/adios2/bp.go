@@ -94,7 +94,7 @@ func openBP(ioObj *IO, path string, mode Mode) (Engine, error) {
 	return e, nil
 }
 
-func (e *bpEngine) compute(d time.Duration) { e.io.a.cfg.Kernel.Compute(d) }
+func (e *bpEngine) compute(d time.Duration) { e.io.a.cfg.Runtime.Compute(d) }
 
 // BeginStep implements Engine.
 func (e *bpEngine) BeginStep() error { return nil }

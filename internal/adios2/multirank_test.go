@@ -7,6 +7,7 @@ import (
 
 	"lsmio/internal/mpisim"
 	"lsmio/internal/netsim"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -22,7 +23,7 @@ func TestMultiRankBP(t *testing.T) {
 	fs := vfs.NewMemFS() // shared backing store (one namespace)
 
 	err := world.Run(func(r *mpisim.Rank) {
-		a := New(Config{FS: fs, Kernel: k, Rank: r})
+		a := New(Config{FS: fs, Runtime: rt.Sim(k), Rank: r})
 		io := a.DeclareIO("out")
 		io.SetParameter("BufferChunkSize", "65536")
 		v := io.DefineVariable("field", 8, 1024)

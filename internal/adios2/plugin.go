@@ -4,7 +4,7 @@ import (
 	"sync"
 
 	"lsmio/internal/mpisim"
-	"lsmio/internal/sim"
+	"lsmio/internal/rt"
 	"lsmio/internal/vfs"
 )
 
@@ -19,13 +19,13 @@ import (
 
 // PluginContext is everything a plugin engine gets at Open time.
 type PluginContext struct {
-	Path   string
-	Mode   Mode
-	IO     *IO
-	FS     vfs.FS
-	Kernel *sim.Kernel
-	Rank   *mpisim.Rank
-	Params map[string]string
+	Path    string
+	Mode    Mode
+	IO      *IO
+	FS      vfs.FS
+	Runtime rt.Runtime
+	Rank    *mpisim.Rank
+	Params  map[string]string
 }
 
 // PluginFactory constructs a plugin engine instance.

@@ -7,9 +7,9 @@ import (
 	"lsmio/ckpt"
 	"lsmio/internal/burst"
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -140,6 +140,7 @@ func writeBurstStep(p *sim.Proc, tp ckpt.TwoPhase, step int64, perRank int64) (t
 // registry snapshot.
 func runBurstSync(nodes int, scale Scale, compute time.Duration) (time.Duration, time.Duration, obs.Snapshot, error) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(nodes))
 	stalls := make([]time.Duration, nodes)
 	errs := make([]error, nodes)
@@ -151,11 +152,10 @@ func runBurstSync(nodes int, scale Scale, compute time.Duration) (time.Duration,
 				mgr, err := core.NewManager(fmt.Sprintf("sync/rank%03d", r), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              cluster.Client(r),
-						Platform:        lsm.SimPlatform(k),
 						Async:           true,
 						WriteBufferSize: scale.BufferSize,
 					},
-					Kernel: k,
+					Runtime: rtm,
 				})
 				if err != nil {
 					return err
@@ -197,11 +197,11 @@ func runBurstSync(nodes int, scale Scale, compute time.Duration) (time.Duration,
 // with the ranks' shared `burst.*` tier instruments).
 func runBurstStaged(nodes int, scale Scale, compute time.Duration) (time.Duration, time.Duration, obs.Snapshot, error) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(nodes))
 	// One registry shared by every rank's tier, so the drain counters and
 	// lag histogram aggregate across the whole run.
-	tierReg := obs.NewRegistry()
-	tierReg.SetClock(func() time.Duration { return k.Now().Duration() })
+	tierReg := obs.NewRegistryOn(rtm.Now)
 	stalls := make([]time.Duration, nodes)
 	errs := make([]error, nodes)
 	var durable time.Duration
@@ -212,10 +212,9 @@ func runBurstStaged(nodes int, scale Scale, compute time.Duration) (time.Duratio
 				smgr, err := core.NewManager(fmt.Sprintf("stage/rank%03d", r), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              vfs.NewMemFS(),
-						Platform:        lsm.SimPlatform(k),
 						WriteBufferSize: scale.BufferSize,
 					},
-					Kernel: k,
+					Runtime: rtm,
 				})
 				if err != nil {
 					return err
@@ -223,11 +222,10 @@ func runBurstStaged(nodes int, scale Scale, compute time.Duration) (time.Duratio
 				dmgr, err := core.NewManager(fmt.Sprintf("burst/rank%03d", r), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              cluster.Client(r),
-						Platform:        lsm.SimPlatform(k),
 						Async:           true,
 						WriteBufferSize: scale.BufferSize,
 					},
-					Kernel: k,
+					Runtime: rtm,
 				})
 				if err != nil {
 					return err
@@ -235,7 +233,7 @@ func runBurstStaged(nodes int, scale Scale, compute time.Duration) (time.Duratio
 				tier := burst.New(
 					ckpt.New(smgr, ckpt.Options{}),
 					ckpt.New(dmgr, ckpt.Options{}),
-					burst.Options{StagingBudget: 4 * scale.PerRankBytes, Kernel: k, Obs: tierReg},
+					burst.Options{StagingBudget: 4 * scale.PerRankBytes, Runtime: rtm, Obs: tierReg},
 				)
 				tier.StartWorker()
 				tp := tier.TwoPhase()

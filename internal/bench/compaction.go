@@ -8,6 +8,7 @@ import (
 	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -133,7 +134,7 @@ func runCompactionWorkload(scale Scale, jobs int, smooth bool) (time.Duration, t
 	k.Spawn("lsm-writer", func(p *sim.Proc) {
 		runErr = func() error {
 			opts := lsm.DefaultOptions(cluster.Client(0))
-			opts.Platform = lsm.SimPlatform(k)
+			opts.Runtime = rt.Sim(k)
 			opts.AsyncFlush = true
 			opts.MaxBackgroundJobs = jobs
 			opts.MaxImmutableMemtables = 4

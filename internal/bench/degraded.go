@@ -8,10 +8,10 @@ import (
 
 	"lsmio/ckpt"
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -149,6 +149,7 @@ func degradedClusterConfig(nodes int) pfs.Config {
 // rebuilds the lost stripes onto spares, and a clean re-read after.
 func runDegradedMode(nodes int, scale Scale, m degradedMode) (time.Duration, time.Duration, obs.Snapshot, error) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, degradedClusterConfig(nodes))
 	cluster.EnableResilience(pfs.Resilience{
 		Hedge:  m.hedge,
@@ -174,11 +175,10 @@ func runDegradedMode(nodes int, scale Scale, m degradedMode) (time.Duration, tim
 				mgr, err := core.NewManager(fmt.Sprintf("deg/rank%03d", r), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              cluster.ResilientClient(r),
-						Platform:        lsm.SimPlatform(k),
 						Async:           true,
 						WriteBufferSize: scale.BufferSize,
 					},
-					Kernel: k,
+					Runtime: rtm,
 				})
 				if err != nil {
 					return err

@@ -7,6 +7,7 @@ import (
 	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -31,7 +32,7 @@ import (
 //
 // The modeled encode cost (pipeEncodeCostPerMB on the virtual Compute
 // clock) is what makes the compute stage visible on the simulator; the
-// real platform pays real compression CPU instead.
+// real runtime pays real compression CPU instead.
 const (
 	pipeValueSize       = 4 << 10
 	pipeWALValueSize    = 1 << 10
@@ -239,7 +240,7 @@ func runPipelineFlush(scale Scale, workers int) (time.Duration, float64, obs.Sna
 	k.Spawn("pipe-flush", func(p *sim.Proc) {
 		runErr = func() error {
 			opts := lsm.DefaultOptions(cluster.Client(0))
-			opts.Platform = lsm.SimPlatform(k)
+			opts.Runtime = rt.Sim(k)
 			opts.DisableWAL = true
 			opts.DisableCompaction = true
 			opts.WriteBufferSize = int(2 * scale.PerRankBytes)
@@ -293,7 +294,7 @@ func runPipelineCompaction(scale Scale, workers int) (time.Duration, obs.Snapsho
 	k.Spawn("pipe-compact", func(p *sim.Proc) {
 		runErr = func() error {
 			opts := lsm.DefaultOptions(cluster.Client(0))
-			opts.Platform = lsm.SimPlatform(k)
+			opts.Runtime = rt.Sim(k)
 			opts.AsyncFlush = true
 			opts.MaxBackgroundJobs = 4
 			opts.MaxImmutableMemtables = 4
@@ -353,7 +354,7 @@ func runPipelineWAL(scale Scale, grouped bool) (time.Duration, float64, obs.Snap
 	var runErr error
 	k.Spawn("wal-setup", func(p *sim.Proc) {
 		opts := lsm.DefaultOptions(cluster.Client(0))
-		opts.Platform = lsm.SimPlatform(k)
+		opts.Runtime = rt.Sim(k)
 		opts.Sync = true
 		opts.DisableWALGroupCommit = !grouped
 		opts.DisableCompaction = true

@@ -30,7 +30,7 @@ func TestExtPipelineFigureRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The full ≥1.3× acceptance bar belongs to the quick/paper-scale run
-	// (make pipeline-smoke); at test scale just require a real speedup.
+	// (make figures); at test scale just require a real speedup.
 	if piped <= serial {
 		t.Fatalf("piped flush (%.1f MB/s) not faster than serial (%.1f MB/s)", piped/1e6, serial/1e6)
 	}

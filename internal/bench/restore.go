@@ -7,9 +7,9 @@ import (
 
 	"lsmio/ckpt"
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -137,6 +137,7 @@ func runRestoreFigure(f Figure, scale Scale, progress func(string)) (*FigureResu
 // metrics snapshot (pfs + ckpt restore latency quantiles).
 func runRestoreMode(nodes int, scale Scale, m restoreMode) (time.Duration, obs.Snapshot, error) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, degradedClusterConfig(nodes))
 	cluster.EnableResilience(pfs.Resilience{Hedge: true, Parity: true})
 
@@ -150,12 +151,11 @@ func runRestoreMode(nodes int, scale Scale, m restoreMode) (time.Duration, obs.S
 				mgr, err := core.NewManager(fmt.Sprintf("res/rank%03d", r), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              cluster.ResilientClient(r),
-						Platform:        lsm.SimPlatform(k),
 						Async:           true,
 						WriteBufferSize: scale.BufferSize,
 					},
-					Kernel: k,
-					Obs:    cluster.Obs(),
+					Runtime: rtm,
+					Obs:     cluster.Obs(),
 				})
 				if err != nil {
 					return err

@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/svc"
 )
@@ -275,10 +275,10 @@ func runServiceFigure(f Figure, scale Scale, progress func(string)) (*FigureResu
 // simulated cluster.
 func runServiceRun(scale Scale, behaved int, noisy bool, adm svc.AdmissionConfig, compute time.Duration, noisyRate float64) (svcRunResult, error) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	clients := behaved + 1 // the last client node hosts the noisy tenant
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(clients+svcShards))
-	reg := obs.NewRegistry()
-	reg.SetClock(func() time.Duration { return k.Now().Duration() })
+	reg := obs.NewRegistryOn(rtm.Now)
 
 	var s *svc.Service
 	var front *svc.Front
@@ -290,15 +290,14 @@ func runServiceRun(scale Scale, behaved int, noisy bool, adm svc.AdmissionConfig
 				return core.NewManager(fmt.Sprintf("svc/shard%03d", i), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              cluster.Client(clients + i),
-						Platform:        lsm.SimPlatform(k),
 						Async:           true,
 						WriteBufferSize: scale.BufferSize,
 					},
-					Kernel: k,
-					Obs:    reg,
+					Runtime: rtm,
+					Obs:     reg,
 				})
 			},
-			Kernel:    k,
+			Runtime:   rtm,
 			Obs:       reg,
 			Admission: adm,
 		})
@@ -431,10 +430,10 @@ func runServiceRun(scale Scale, behaved int, noisy bool, adm svc.AdmissionConfig
 // durable.
 func runServiceFaultRun(scale Scale, behaved int, adm svc.AdmissionConfig, compute time.Duration) (svcRunResult, error) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	clients := behaved + 1
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(clients+svcShards))
-	reg := obs.NewRegistry()
-	reg.SetClock(func() time.Duration { return k.Now().Duration() })
+	reg := obs.NewRegistryOn(rtm.Now)
 
 	var s *svc.Service
 	var front *svc.Front
@@ -446,15 +445,14 @@ func runServiceFaultRun(scale Scale, behaved int, adm svc.AdmissionConfig, compu
 				return core.NewManager(fmt.Sprintf("svc/shard%03d", i), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              cluster.Client(clients + i),
-						Platform:        lsm.SimPlatform(k),
 						Async:           true,
 						WriteBufferSize: scale.BufferSize,
 					},
-					Kernel: k,
-					Obs:    reg,
+					Runtime: rtm,
+					Obs:     reg,
 				})
 			},
-			Kernel:     k,
+			Runtime:    rtm,
 			Obs:        reg,
 			Admission:  adm,
 			Supervisor: svc.SupervisorConfig{RestartBackoff: 500 * time.Microsecond},

@@ -11,6 +11,7 @@ import (
 	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -49,8 +50,8 @@ const (
 // ExtStability is the sustained-load scheduler-stability extension figure.
 func ExtStability() Figure {
 	f := Figure{
-		ID:        "ext-stability",
-		Title:     "EXTENSION: sustained-load stability with the shared I/O scheduler",
+		ID:           "ext-stability",
+		Title:        "EXTENSION: sustained-load stability with the shared I/O scheduler",
 		Transfers:    []int64{stabValueSize},
 		StripeCounts: []int{stabStripe},
 		Phase:        PhaseWrite,
@@ -171,11 +172,11 @@ func runStabilityWorkload(scale Scale, withSched bool) (stabStats, error) {
 	stormStart := 2 * phaseDur
 
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, cfg)
 	cluster.EnableResilience(pfs.Resilience{Parity: true})
 
-	reg := obs.NewRegistry()
-	reg.SetClock(func() time.Duration { return k.Now().Duration() })
+	reg := obs.NewRegistryOn(rtm.Now)
 	commitBytes := reg.Counter("stab.commit.bytes")
 	commitLat := reg.Histogram("stab.commit.lat")
 
@@ -184,7 +185,7 @@ func runStabilityWorkload(scale Scale, withSched bool) (stabStats, error) {
 		// Budget slightly under the device aggregate (4 OSTs × 20 MB/s),
 		// so queueing happens at the scheduler — where class priorities
 		// apply — instead of at the OSTs, where they cannot.
-		sched = iosched.New(iosched.Config{BytesPerSec: 0.75 * 4 * cfg.OSTSeqWriteBW, Kernel: k, Obs: reg})
+		sched = iosched.New(iosched.Config{BytesPerSec: 0.75 * 4 * cfg.OSTSeqWriteBW, Clock: rtm, Obs: reg})
 		cluster.SetIOScheduler(sched)
 	}
 
@@ -222,7 +223,7 @@ func runStabilityWorkload(scale Scale, withSched bool) (stabStats, error) {
 
 	lsmOpts := func(client int, buf int) lsm.Options {
 		opts := lsm.DefaultOptions(cluster.Client(client))
-		opts.Platform = lsm.SimPlatform(k)
+		opts.Runtime = rt.Sim(k)
 		opts.AsyncFlush = true
 		opts.MaxBackgroundJobs = 2
 		opts.MaxImmutableMemtables = 4

@@ -6,7 +6,7 @@ import "testing"
 // and asserts the full stability gate: the scheduler must cut windowed
 // throughput variance and p999 drift, keep the mean-throughput cost
 // within 5%, and improve the storm-phase commit p99. This is the same
-// bar `make stability-smoke` enforces via the figure's shape checks.
+// bar `make figures` enforces via the figure's shape checks.
 func TestExtStabilityFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sustained-load stability sweep skipped in -short mode")

@@ -11,7 +11,7 @@
 //
 //	tier := burst.New(stagingStore, durableStore, burst.Options{
 //		StagingBudget: 4 << 30,
-//		Kernel:        k, // nil outside the simulator
+//		Runtime:       rtm, // the stack's rt.Sim; nil outside the simulator
 //	})
 //	tier.StartWorker()
 //	c, _ := tier.Begin(step)
@@ -22,27 +22,24 @@
 //
 // Flow control: when the bytes staged but not yet drained exceed
 // Options.StagingBudget, Commit blocks until the drain catches up
-// (backpressure). A drain rate limit keeps background draining from
+// (backpressure). Options.IOSched keeps background draining from
 // monopolizing the PFS against the next compute phase's own I/O.
 //
-// The tier runs in two concurrency modes. Inside the simulator
-// (Options.Kernel set) the drain worker is a daemon simulation process
-// and all interleaving is cooperative, so the in-memory state needs no
-// locking. Outside it the worker is a goroutine and a mutex/cond pair
-// guards the same state.
+// The drain worker is a daemon task of Options.Runtime and one rt
+// mutex/cond pair guards the in-memory state, so the same code runs on
+// goroutines and on simulation processes (DESIGN.md §5).
 package burst
 
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"lsmio/ckpt"
 	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
-	"lsmio/internal/sim"
+	"lsmio/internal/rt"
 )
 
 // Options configures a staging tier.
@@ -51,21 +48,17 @@ type Options struct {
 	// not yet drained; Commit blocks while a new step would exceed it.
 	// Zero means unbounded (no backpressure).
 	StagingBudget int64
-	// DrainRate paces the background drain in bytes per second of
-	// wall-clock (or virtual) time, so draining does not contend with
-	// the application's next I/O phase. Zero means drain flat-out.
-	// Ignored when IOSched is enabled.
-	DrainRate float64
-	// IOSched, when set and enabled, supersedes DrainRate: the drain
-	// worker buys Drain-class tokens from the shared bandwidth
-	// scheduler for each step's bytes, so drain pacing is arbitrated
-	// globally against the LSM engine's flush/compaction I/O and the
-	// PFS scrubber instead of by a private sleep loop.
+	// IOSched, when set and enabled, paces the drain: the worker buys
+	// Drain-class tokens from the shared bandwidth scheduler for each
+	// step's bytes, so draining is arbitrated globally against the LSM
+	// engine's flush/compaction I/O and the PFS scrubber and does not
+	// contend with the application's next I/O phase. Nil or disabled
+	// means drain flat-out.
 	IOSched *iosched.Scheduler
-	// Kernel must be set when the tier runs inside the simulator; the
-	// drain worker is then a simulation process and all waits park the
-	// calling process. Nil outside the simulator (goroutine worker).
-	Kernel *sim.Kernel
+	// Runtime is what the tier waits, spawns its drain worker and reads
+	// time on: the stack's rt.Sim inside the simulator, rt.Real() when
+	// nil.
+	Runtime rt.Runtime
 	// DrainPolicy is the shared resil retry/timeout discipline applied
 	// to each step's drain: transient failures (e.g. a PFS retry budget
 	// exhausted on a flaky target) are retried with deterministic
@@ -82,8 +75,8 @@ type Options struct {
 	// means no cancellation.
 	DrainCtx context.Context
 	// Obs is the metrics/trace registry the tier records into, under the
-	// `burst.` prefix. Nil creates a private registry clocked by the
-	// tier's own monotonic clock; callers that manage several subsystems
+	// `burst.` prefix. Nil creates a private registry clocked by
+	// Runtime; callers that manage several subsystems
 	// inject a shared one so a single snapshot covers the whole stack.
 	Obs *obs.Registry
 }
@@ -109,12 +102,12 @@ type Counters struct {
 	DrainCanceled int64
 	DrainRetries  int64
 	PendingSteps  int64 // staged, not yet drained
-	PendingBytes int64
-	HighWater    int64         // max PendingBytes ever observed
-	StallTime    time.Duration // Commit time blocked on the staging budget
-	ThrottleTime time.Duration // drain time spent pacing to DrainRate
-	DrainLag     time.Duration // staged→durable latency of the last drain
-	MaxDrainLag  time.Duration
+	PendingBytes  int64
+	HighWater     int64         // max PendingBytes ever observed
+	StallTime     time.Duration // Commit time blocked on the staging budget
+	ThrottleTime  time.Duration // drain time spent waiting for Drain-class tokens
+	DrainLag      time.Duration // staged→durable latency of the last drain
+	MaxDrainLag   time.Duration
 }
 
 // stagedStep is one committed step queued for draining.
@@ -130,20 +123,13 @@ type Tier struct {
 	staging *ckpt.Store
 	durable *ckpt.Store
 	opts    Options
-	k       *sim.Kernel
+	rt      rt.Runtime
 
-	// go-mode synchronization (unused under the simulator, where the
-	// cooperative kernel serializes all state access).
-	mu    sync.Mutex
-	cond  *sync.Cond
-	wgw   sync.WaitGroup
-	epoch time.Time
-
-	// sim-mode wait channel.
-	sig *sim.Signal
-
-	// Shared state; guarded by mu in go mode, by cooperative
-	// scheduling in sim mode.
+	// mu guards the state below; cond is its one wait channel (any
+	// change broadcasts, waiters re-check in a loop). Never call a
+	// manager or store with mu held — store I/O blocks.
+	mu       rt.Mutex
+	cond     rt.Cond
 	queue    []stagedStep
 	pending  map[int64]bool // staged or draining, not yet finished
 	failed   map[int64]error
@@ -169,74 +155,28 @@ func New(staging, durable *ckpt.Store, opts Options) *Tier {
 		staging: staging,
 		durable: durable,
 		opts:    opts,
-		k:       opts.Kernel,
+		rt:      opts.Runtime,
 		pending: make(map[int64]bool),
 		failed:  make(map[int64]error),
-		epoch:   time.Now(),
 	}
-	if t.k != nil {
-		t.sig = sim.NewSignal(t.k)
-	} else {
-		t.cond = sync.NewCond(&t.mu)
+	if t.rt == nil {
+		t.rt = rt.Real()
 	}
+	t.mu = t.rt.NewMutex()
+	t.cond = t.mu.NewCond()
 	t.reg = opts.Obs
 	if t.reg == nil {
-		t.reg = obs.NewRegistry()
-		t.reg.SetClock(t.now)
+		t.reg = obs.NewRegistryOn(t.rt.Now)
 	}
 	t.m = newTierMetrics(t.reg)
 	return t
 }
 
-// lock/unlock guard the tier's in-memory state. Under the simulator
-// they are no-ops: the cooperative kernel runs one process at a time,
-// and the critical sections below never park. Never call a manager or
-// store inside the critical section — store I/O parks the process.
-func (t *Tier) lock() {
-	if t.k == nil {
-		t.mu.Lock()
-	}
-}
-
-func (t *Tier) unlock() {
-	if t.k == nil {
-		t.mu.Unlock()
-	}
-}
-
-// wait parks the caller until the next wake; the lock is released
-// while parked, per sync.Cond semantics. Callers re-check their
-// condition in a loop.
-func (t *Tier) wait() {
-	if t.k == nil {
-		t.cond.Wait()
-		return
-	}
-	t.sig.Wait(t.k.Current())
-}
-
-func (t *Tier) wake() {
-	if t.k == nil {
-		t.cond.Broadcast()
-		return
-	}
-	t.sig.Broadcast()
-}
-
-// now is the tier's monotonic clock: virtual time inside the
-// simulator, wall time outside.
-func (t *Tier) now() time.Duration {
-	if t.k != nil {
-		return t.k.Now().Duration()
-	}
-	return time.Since(t.epoch)
-}
-
 // Counters returns a snapshot of the tier's counters. It is a legacy
 // view over the tier's `burst.` instruments in the obs registry.
 func (t *Tier) Counters() Counters {
-	t.lock()
-	defer t.unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return Counters{
 		StagedSteps:     t.m.stagedSteps.Load(),
 		StagedBytes:     t.m.stagedBytes.Load(),
@@ -266,8 +206,8 @@ func (t *Tier) Obs() *obs.Registry { return t.reg }
 // pending.bytes gauge is immediately restored from it so the snapshot
 // view stays coherent.
 func (t *Tier) ResetCounters() {
-	t.lock()
-	defer t.unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.reg.ResetPrefix("burst.")
 	t.m.pendingBytes.Set(t.pendingBytes)
 	t.m.highWater.SetMax(t.pendingBytes)
@@ -318,17 +258,17 @@ func (c *Checkpoint) Commit() error {
 	if err := c.inner.Commit(); err != nil {
 		return err
 	}
-	t.lock()
-	t.queue = append(t.queue, stagedStep{step: c.step, bytes: c.bytes, stagedAt: t.now()})
+	t.mu.Lock()
+	t.queue = append(t.queue, stagedStep{step: c.step, bytes: c.bytes, stagedAt: t.rt.Now()})
 	t.pending[c.step] = true
 	t.m.stagedSteps.Inc()
 	t.m.stagedBytes.Add(c.bytes)
 	t.pendingBytes += c.bytes
 	t.m.pendingBytes.Set(t.pendingBytes)
 	t.m.highWater.SetMax(t.pendingBytes)
-	t.unlock()
+	t.mu.Unlock()
 	t.m.trace.Emitf("burst.stage", "step=%d bytes=%d", c.step, c.bytes)
-	t.wake()
+	t.cond.Broadcast()
 	return nil
 }
 
@@ -341,20 +281,20 @@ func (t *Tier) admit(bytes int64) {
 	if t.opts.StagingBudget <= 0 {
 		return
 	}
-	start := t.now()
-	t.lock()
+	start := t.rt.Now()
+	t.mu.Lock()
 	for t.pendingBytes > 0 && t.pendingBytes+bytes > t.opts.StagingBudget &&
 		t.lastErr == nil && !t.closed {
 		if !t.workerOn {
 			// No background worker: reclaim budget by draining the
 			// oldest step inline on the caller.
-			t.unlock()
+			t.mu.Unlock()
 			t.DrainPending(1)
-			t.lock()
+			t.mu.Lock()
 			continue
 		}
-		t.wait()
+		t.cond.Wait()
 	}
-	t.m.stallNanos.Add(int64(t.now() - start))
-	t.unlock()
+	t.m.stallNanos.Add(int64(t.rt.Now() - start))
+	t.mu.Unlock()
 }

@@ -4,96 +4,52 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"lsmio/ckpt"
 	"lsmio/internal/iosched"
 	"lsmio/internal/resil"
-	"lsmio/internal/sim"
 )
 
-// tierClock adapts the tier's monotonic clock (virtual time inside the
-// simulator, wall time outside) to the resil.Clock the drain policy
-// runs on. Sleep charges backoff to the draining process.
-type tierClock struct{ t *Tier }
-
-func (c tierClock) Now() time.Duration { return c.t.now() }
-
-func (c tierClock) Sleep(d time.Duration) {
-	if c.t.k != nil {
-		c.t.k.Current().Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
-// StartWorker launches the background drain worker: a daemon
-// simulation process under the simulator, a goroutine outside it. At
-// most one worker runs per tier; extra calls are no-ops.
+// StartWorker launches the background drain worker as a daemon task
+// of the tier's runtime. At most one worker runs per tier; extra calls
+// are no-ops.
 func (t *Tier) StartWorker() {
-	t.lock()
+	t.mu.Lock()
 	if t.workerOn || t.closed {
-		t.unlock()
+		t.mu.Unlock()
 		return
 	}
 	t.workerOn = true
-	t.unlock()
-	if t.k != nil {
-		t.k.Spawn("burst-drain", func(p *sim.Proc) {
-			t.runWorker(p.Sleep)
-		}).SetDaemon(true)
-		return
-	}
-	t.wgw.Add(1)
-	go func() {
-		defer t.wgw.Done()
-		t.runWorker(time.Sleep)
-	}()
+	t.mu.Unlock()
+	t.rt.Go("burst-drain", true, t.runWorker)
 }
 
-// runWorker drains queued steps oldest-first until the tier closes,
-// pacing itself to Options.DrainRate between steps.
-func (t *Tier) runWorker(sleep func(time.Duration)) {
+// runWorker drains queued steps oldest-first until the tier closes.
+func (t *Tier) runWorker() {
 	for {
-		t.lock()
+		t.mu.Lock()
 		for len(t.queue) == 0 && !t.closed {
-			t.wait()
+			t.cond.Wait()
 		}
-		if len(t.queue) == 0 && t.closed {
-			t.unlock()
+		if len(t.queue) == 0 {
+			t.workerOn = false
+			t.cond.Broadcast() // Close waits for the worker to exit
+			t.mu.Unlock()
 			return
 		}
 		item := t.queue[0]
 		t.queue = t.queue[1:]
 		t.inFlight++
-		t.unlock()
+		t.mu.Unlock()
 
-		if t.opts.IOSched.Enabled() {
-			// The shared bandwidth scheduler replaces the private
-			// DrainRate pacing: the step buys Drain-class tokens before
-			// its I/O is issued, so drain bandwidth is arbitrated against
-			// flush, compaction and scrub instead of by a local sleep.
-			// The wait still feeds the legacy throttle counter, which is
-			// now a snapshot view of iosched.drain.wait_nanos.
-			if w := t.opts.IOSched.Acquire(iosched.Drain, item.bytes); w > 0 {
-				t.m.throttleNanos.Add(int64(w))
-			}
-			t.finish(item, t.drain(item))
-			continue
+		// The step buys Drain-class tokens before its I/O is issued, so
+		// drain bandwidth is arbitrated against flush, compaction and
+		// scrub. The wait feeds the tier's throttle counter, a view of
+		// iosched.drain.wait_nanos.
+		if w := t.opts.IOSched.Acquire(iosched.Drain, item.bytes); w > 0 {
+			t.m.throttleNanos.Add(int64(w))
 		}
-		start := t.now()
-		err := t.drain(item)
-		if err == nil && t.opts.DrainRate > 0 {
-			// Rate limit: stretch this step's drain to at least
-			// bytes/DrainRate so the PFS keeps headroom for the
-			// application's own I/O.
-			target := time.Duration(float64(item.bytes) / t.opts.DrainRate * float64(time.Second))
-			if pause := target - (t.now() - start); pause > 0 {
-				sleep(pause)
-				t.m.throttleNanos.Add(int64(pause))
-			}
-		}
-		t.finish(item, err)
+		t.finish(item, t.drain(item))
 	}
 }
 
@@ -109,7 +65,7 @@ func (t *Tier) drain(item stagedStep) error {
 		t.m.trace.Emitf("burst.drain.retry", "step=%d attempt=%d err=%v", item.step, attempt+1, err)
 	}
 	seed := uint64(item.step+1) * 0x9e3779b97f4a7c15
-	return p.Do(t.opts.DrainCtx, tierClock{t}, seed, func(int) error {
+	return p.Do(t.opts.DrainCtx, t.rt, seed, func(int) error {
 		return t.drainStep(item)
 	})
 }
@@ -154,7 +110,7 @@ func (t *Tier) drainStep(item stagedStep) error {
 // leaves the queue; the first failure is sticky in lastErr (surfaced
 // by Sync) and disables backpressure blocking.
 func (t *Tier) finish(item stagedStep, err error) {
-	t.lock()
+	t.mu.Lock()
 	t.inFlight--
 	delete(t.pending, item.step)
 	t.pendingBytes -= item.bytes
@@ -179,19 +135,19 @@ func (t *Tier) finish(item stagedStep, err error) {
 	} else {
 		t.m.drainedSteps.Inc()
 		t.m.drainedBytes.Add(item.bytes)
-		lag := t.now() - item.stagedAt
+		lag := t.rt.Now() - item.stagedAt
 		t.m.lagNanos.Set(int64(lag))
 		t.m.maxLagNanos.SetMax(int64(lag))
 		t.m.lagHist.ObserveDuration(lag)
 	}
-	t.unlock()
+	t.mu.Unlock()
 	if err != nil {
 		t.m.trace.Emitf("burst.drain.error", "step=%d bytes=%d err=%v", item.step, item.bytes, err)
 	} else {
 		t.m.trace.EmitSpan("burst.drain",
 			fmt.Sprintf("step=%d bytes=%d", item.step, item.bytes), item.stagedAt)
 	}
-	t.wake()
+	t.cond.Broadcast()
 }
 
 // DrainPending drains up to max queued steps inline on the caller
@@ -202,15 +158,15 @@ func (t *Tier) DrainPending(max int) (int, error) {
 	n := 0
 	var firstErr error
 	for max < 0 || n < max {
-		t.lock()
+		t.mu.Lock()
 		if len(t.queue) == 0 {
-			t.unlock()
+			t.mu.Unlock()
 			break
 		}
 		item := t.queue[0]
 		t.queue = t.queue[1:]
 		t.inFlight++
-		t.unlock()
+		t.mu.Unlock()
 		err := t.drain(item)
 		t.finish(item, err)
 		if err != nil && firstErr == nil {
@@ -226,36 +182,36 @@ func (t *Tier) DrainPending(max int) (int, error) {
 // no worker running the caller drains inline. Steps never staged (or
 // drained long ago) return immediately.
 func (t *Tier) WaitDurable(step int64) error {
-	t.lock()
+	t.mu.Lock()
 	for t.pending[step] {
 		if !t.workerOn {
-			t.unlock()
+			t.mu.Unlock()
 			t.DrainPending(1)
-			t.lock()
+			t.mu.Lock()
 			continue
 		}
-		t.wait()
+		t.cond.Wait()
 	}
 	err := t.failed[step]
-	t.unlock()
+	t.mu.Unlock()
 	return err
 }
 
 // Sync blocks until every committed step has drained, returning the
 // sticky first drain error, if any.
 func (t *Tier) Sync() error {
-	t.lock()
+	t.mu.Lock()
 	for len(t.queue) > 0 || t.inFlight > 0 {
 		if !t.workerOn && len(t.queue) > 0 {
-			t.unlock()
+			t.mu.Unlock()
 			t.DrainPending(-1)
-			t.lock()
+			t.mu.Lock()
 			continue
 		}
-		t.wait()
+		t.cond.Wait()
 	}
 	err := t.lastErr
-	t.unlock()
+	t.mu.Unlock()
 	return err
 }
 
@@ -264,13 +220,13 @@ func (t *Tier) Sync() error {
 // (the tier does not own them).
 func (t *Tier) Close() error {
 	err := t.Sync()
-	t.lock()
+	t.mu.Lock()
 	t.closed = true
-	t.unlock()
-	t.wake()
-	if t.k == nil {
-		t.wgw.Wait()
+	t.cond.Broadcast()
+	for t.workerOn {
+		t.cond.Wait()
 	}
+	t.mu.Unlock()
 	return err
 }
 
@@ -306,22 +262,22 @@ func (t *Tier) Recover() error {
 		if err != nil {
 			return err
 		}
-		t.lock()
+		t.mu.Lock()
 		if !t.pending[step] {
-			t.queue = append(t.queue, stagedStep{step: step, bytes: size, stagedAt: t.now()})
+			t.queue = append(t.queue, stagedStep{step: step, bytes: size, stagedAt: t.rt.Now()})
 			t.pending[step] = true
 			t.pendingBytes += size
 			t.m.pendingBytes.Set(t.pendingBytes)
 			t.m.highWater.SetMax(t.pendingBytes)
 			requeued = true
-			t.unlock()
+			t.mu.Unlock()
 			t.m.trace.Emitf("burst.recover.requeue", "step=%d bytes=%d", step, size)
 			continue
 		}
-		t.unlock()
+		t.mu.Unlock()
 	}
 	if requeued {
-		t.wake()
+		t.cond.Broadcast()
 	}
 	return nil
 }

@@ -26,11 +26,10 @@ type tierMetrics struct {
 	pendingBytes *obs.Gauge
 	highWater    *obs.Gauge
 
-	stallNanos    *obs.Counter // Commit time blocked on the staging budget
-	// throttleNanos is drain time spent pacing — to DrainRate in legacy
-	// mode, or waiting for Drain-class tokens when Options.IOSched is
-	// enabled (a snapshot view of iosched.drain.wait_nanos, kept so
-	// existing consumers of burst.drain.throttle_nanos see one number).
+	stallNanos *obs.Counter // Commit time blocked on the staging budget
+	// throttleNanos is drain time spent waiting for Drain-class tokens
+	// from Options.IOSched (a view of iosched.drain.wait_nanos, kept so
+	// consumers of burst.drain.throttle_nanos see one number).
 	throttleNanos *obs.Counter
 
 	lagNanos    *obs.Gauge // staged→durable latency of the last drain

@@ -9,9 +9,9 @@ import (
 	"lsmio/ckpt"
 	"lsmio/internal/core"
 	"lsmio/internal/faultfs"
-	"lsmio/internal/lsm"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -22,22 +22,23 @@ import (
 // staging read failures do not poison the durable engine, so a
 // drain-level retry can actually succeed.
 func pfsStagingTier(t *testing.T, k *sim.Kernel, fs vfs.FS, opts Options) (*Tier, *core.Manager, *core.Manager) {
+	rtm := rt.Sim(k)
 	t.Helper()
 	smgr, err := core.NewManager("stage", core.ManagerOptions{
-		Store:  core.StoreOptions{FS: fs, Platform: lsm.SimPlatform(k)},
-		Kernel: k,
+		Store:   core.StoreOptions{FS: fs},
+		Runtime: rtm,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dmgr, err := core.NewManager("app", core.ManagerOptions{
-		Store:  core.StoreOptions{FS: vfs.NewMemFS(), Platform: lsm.SimPlatform(k)},
-		Kernel: k,
+		Store:   core.StoreOptions{FS: vfs.NewMemFS()},
+		Runtime: rtm,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Kernel = k
+	opts.Runtime = rtm
 	tier := New(ckpt.New(smgr, ckpt.Options{}), ckpt.New(dmgr, ckpt.Options{}), opts)
 	return tier, smgr, dmgr
 }

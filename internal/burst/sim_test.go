@@ -7,8 +7,9 @@ import (
 	"lsmio/ckpt"
 	"lsmio/internal/core"
 	"lsmio/internal/faultfs"
-	"lsmio/internal/lsm"
+	"lsmio/internal/iosched"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -32,21 +33,21 @@ func slowPFSConfig() pfs.Config {
 // given PFS client. Returns the tier and the two managers.
 func simTier(t *testing.T, k *sim.Kernel, fs vfs.FS, opts Options) (*Tier, *core.Manager, *core.Manager) {
 	t.Helper()
+	opts.Runtime = rt.Sim(k)
 	smgr, err := core.NewManager("stage", core.ManagerOptions{
-		Store:  core.StoreOptions{FS: vfs.NewMemFS(), Platform: lsm.SimPlatform(k)},
-		Kernel: k,
+		Store:   core.StoreOptions{FS: vfs.NewMemFS()},
+		Runtime: opts.Runtime,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dmgr, err := core.NewManager("app", core.ManagerOptions{
-		Store:  core.StoreOptions{FS: fs, Platform: lsm.SimPlatform(k), Async: true},
-		Kernel: k,
+		Store:   core.StoreOptions{FS: fs, Async: true},
+		Runtime: opts.Runtime,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Kernel = k
 	tier := New(ckpt.New(smgr, ckpt.Options{}), ckpt.New(dmgr, ckpt.Options{}), opts)
 	return tier, smgr, dmgr
 }
@@ -107,19 +108,20 @@ func TestSimWorkerHidesDrainLatency(t *testing.T) {
 	}
 }
 
-// TestSimDrainRateLimit checks the drain scheduler's pacing: with a
-// rate limit, draining N bytes takes at least N/rate of virtual time
-// and the throttle counter records the idle gap.
+// TestSimDrainRateLimit checks the drain's pacing by the shared
+// bandwidth scheduler: each step buys Drain-class tokens before its
+// I/O, so the k-th step starts no earlier than (k-1)·bytes/rate of
+// virtual time, and the throttle counter records the idle gap.
 func TestSimDrainRateLimit(t *testing.T) {
 	k := sim.NewKernel()
 	var end time.Duration
 	var counters Counters
 	k.Spawn("app", func(p *sim.Proc) {
 		// Both tiers in memory: the only time cost is the pacing.
-		tier, smgr, dmgr := simTier(t, k, vfs.NewMemFS(), Options{DrainRate: 1e6})
-		// Durable MemFS manager still needs no PFS; overwrite not needed.
+		sched := iosched.New(iosched.Config{BytesPerSec: 1e6, Clock: rt.Sim(k)})
+		tier, smgr, dmgr := simTier(t, k, vfs.NewMemFS(), Options{IOSched: sched})
 		tier.StartWorker()
-		for step := int64(1); step <= 2; step++ {
+		for step := int64(1); step <= 3; step++ {
 			c, _ := tier.Begin(step)
 			if err := c.Write("v", make([]byte, 1<<20)); err != nil {
 				t.Errorf("write: %v", err)
@@ -143,7 +145,7 @@ func TestSimDrainRateLimit(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// 2 MiB at 1 MB/s ≥ 2.09 s of virtual time.
+	// The third 1 MiB step waits behind 2 MiB at 1 MB/s: ≥ 2.09 s.
 	if want := 2 * time.Second; end < want {
 		t.Fatalf("rate-limited drain finished at %v, want ≥ %v", end, want)
 	}

@@ -10,6 +10,7 @@ import (
 	"lsmio/internal/netsim"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -20,6 +21,7 @@ import (
 func TestCollectiveGroupSharedStore(t *testing.T) {
 	const ranks = 4
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(ranks))
 
 	var svc *KVService
@@ -29,9 +31,9 @@ func TestCollectiveGroupSharedStore(t *testing.T) {
 	k.Spawn("setup", func(p *sim.Proc) {
 		var err error
 		leaderStore, err = OpenStore("shared-db", StoreOptions{
-			FS:       cluster.Client(0),
-			Platform: lsm.SimPlatform(k),
-			Async:    true,
+			FS:      cluster.Client(0),
+			Runtime: rtm,
+			Async:   true,
 		})
 		if err != nil {
 			t.Error(err)
@@ -56,7 +58,7 @@ func TestCollectiveGroupSharedStore(t *testing.T) {
 			} else {
 				st = svc.Connect(r)
 			}
-			mgr, err := NewManager("", ManagerOptions{Kernel: k, Remote: st})
+			mgr, err := NewManager("", ManagerOptions{Runtime: rtm, Remote: st})
 			if err != nil {
 				t.Error(err)
 				return
@@ -114,12 +116,13 @@ func TestCollectiveGroupSharedStore(t *testing.T) {
 // barrier completes only after all its earlier puts are applied.
 func TestCollectiveBarrierOrdering(t *testing.T) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	fabric := netsim.New(k, netsim.DefaultConfig(2))
 	var put, served int64
 	k.Spawn("main", func(p *sim.Proc) {
 		store, err := OpenStore("db", StoreOptions{
-			FS:       vfs.NewMemFS(),
-			Platform: lsm.SimPlatform(k),
+			FS:      vfs.NewMemFS(),
+			Runtime: rtm,
 		})
 		if err != nil {
 			t.Error(err)
@@ -176,11 +179,12 @@ func (e transientErr) TransientFault() bool { return true }
 // sentinel must survive the trip too.
 func TestCollectiveErrorClassRoundTrip(t *testing.T) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	fabric := netsim.New(k, netsim.DefaultConfig(2))
 	k.Spawn("main", func(p *sim.Proc) {
 		store, err := OpenStore("db", StoreOptions{
-			FS:       vfs.NewMemFS(),
-			Platform: lsm.SimPlatform(k),
+			FS:      vfs.NewMemFS(),
+			Runtime: rtm,
 		})
 		if err != nil {
 			t.Error(err)
@@ -226,11 +230,12 @@ func TestCollectiveErrorClassRoundTrip(t *testing.T) {
 // Close — reports ErrClosed instead of silently succeeding.
 func TestRemoteStoreClose(t *testing.T) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	fabric := netsim.New(k, netsim.DefaultConfig(2))
 	k.Spawn("main", func(p *sim.Proc) {
 		store, err := OpenStore("db", StoreOptions{
-			FS:       vfs.NewMemFS(),
-			Platform: lsm.SimPlatform(k),
+			FS:      vfs.NewMemFS(),
+			Runtime: rtm,
 		})
 		if err != nil {
 			t.Error(err)

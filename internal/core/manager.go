@@ -10,7 +10,7 @@ import (
 	"lsmio/internal/lsm"
 	"lsmio/internal/mpisim"
 	"lsmio/internal/obs"
-	"lsmio/internal/sim"
+	"lsmio/internal/rt"
 )
 
 // CostProfile is the CPU cost model charged to simulation processes for
@@ -60,9 +60,11 @@ type Counters struct {
 type ManagerOptions struct {
 	// Store configures the local store (ignored when Remote is set).
 	Store StoreOptions
-	// Kernel, when running inside the simulator, lets the manager charge
-	// CPU costs to the calling process. Nil outside the simulator.
-	Kernel *sim.Kernel
+	// Runtime is what the manager and its local store run on: rt.Real()
+	// when nil; inside the simulator the stack's rt.Sim, to which the
+	// manager charges its CPU cost model. It is forwarded to the store
+	// (unless Store.Runtime names one) and clocks the default registry.
+	Runtime rt.Runtime
 	// Cost is the client-side CPU cost model (zero value: defaults).
 	Cost CostProfile
 	// MPI attaches an MPI rank; WriteBarrier then also performs an MPI
@@ -72,10 +74,9 @@ type ManagerOptions struct {
 	// a collective-I/O leader (§5.1 future work, implemented here).
 	Remote Store
 	// Obs is the metrics/trace registry the manager records into, under
-	// the `core.` prefix. Nil creates one clocked on the kernel's virtual
-	// time (wall time outside the simulator). The same registry is
-	// injected into the local store's LSM engine, so one snapshot covers
-	// `core.*` and `lsm.*` together.
+	// the `core.` prefix. Nil creates one clocked by Runtime. The same
+	// registry is injected into the local store's LSM engine, so one
+	// snapshot covers `core.*` and `lsm.*` together.
 	Obs *obs.Registry
 }
 
@@ -83,7 +84,7 @@ type ManagerOptions struct {
 // local store, plus MPI integration, typed puts and performance counters.
 type Manager struct {
 	store  Store
-	kern   *sim.Kernel
+	rt     rt.Runtime
 	cost   CostProfile
 	mpi    *mpisim.Rank
 	remote bool
@@ -98,14 +99,15 @@ func NewManager(dir string, opts ManagerOptions) (*Manager, error) {
 	if cost == (CostProfile{}) {
 		cost = DefaultCostProfile()
 	}
+	rtm := opts.Runtime
+	if rtm == nil {
+		rtm = rt.Real()
+	}
 	reg := opts.Obs
 	if reg == nil {
-		reg = obs.NewRegistry()
-		if k := opts.Kernel; k != nil {
-			reg.SetClock(func() time.Duration { return k.Now().Duration() })
-		}
+		reg = obs.NewRegistryOn(rtm.Now)
 	}
-	m := &Manager{kern: opts.Kernel, cost: cost, mpi: opts.MPI, reg: reg, m: newMgrMetrics(reg)}
+	m := &Manager{rt: rtm, cost: cost, mpi: opts.MPI, reg: reg, m: newMgrMetrics(reg)}
 	if opts.Remote != nil {
 		m.store = opts.Remote
 		m.remote = true
@@ -114,6 +116,9 @@ func NewManager(dir string, opts ManagerOptions) (*Manager, error) {
 	so := opts.Store
 	if so.Obs == nil {
 		so.Obs = reg
+	}
+	if so.Runtime == nil {
+		so.Runtime = rtm
 	}
 	st, err := OpenStore(dir, so)
 	if err != nil {
@@ -130,7 +135,7 @@ func (m *Manager) Get(key string) ([]byte, error) {
 	if err == nil {
 		m.m.gets.Inc()
 		m.m.bytesGot.Add(int64(len(v)))
-		m.kern.Compute(m.cost.getCost(len(v)))
+		m.rt.Compute(m.cost.getCost(len(v)))
 		m.m.getLatency.ObserveDuration(m.reg.Now() - start)
 	}
 	return v, err
@@ -144,7 +149,7 @@ func (m *Manager) ReadBatch(prefix string, fn func(key string, value []byte) boo
 	return m.store.Scan(prefix, func(key string, value []byte) bool {
 		m.m.gets.Inc()
 		m.m.bytesGot.Add(int64(len(value)))
-		m.kern.Compute(time.Duration(m.cost.GetPerByte * float64(len(value)) / 2))
+		m.rt.Compute(time.Duration(m.cost.GetPerByte * float64(len(value)) / 2))
 		return fn(key, value)
 	})
 }
@@ -175,7 +180,7 @@ func (m *Manager) PutSync(key string, value []byte) error {
 
 func (m *Manager) putInternal(key string, value []byte, sync bool) error {
 	start := m.reg.Now()
-	m.kern.Compute(m.cost.putCost(len(value)))
+	m.rt.Compute(m.cost.putCost(len(value)))
 	if err := m.store.Put(key, value, sync); err != nil {
 		return err
 	}
@@ -190,7 +195,7 @@ func (m *Manager) putInternal(key string, value []byte, sync bool) error {
 
 // Append extends key's value (creating it when absent).
 func (m *Manager) Append(key string, value []byte) error {
-	m.kern.Compute(m.cost.putCost(len(value)))
+	m.rt.Compute(m.cost.putCost(len(value)))
 	if err := m.store.Append(key, value, false); err != nil {
 		return err
 	}
@@ -298,10 +303,9 @@ func (m *Manager) Obs() *obs.Registry { return m.reg }
 // everything).
 func (m *Manager) ResetCounters() { m.reg.ResetPrefix("core.") }
 
-// Kernel returns the simulation kernel the manager charges CPU costs
-// to, nil outside the simulator. Layers above (e.g. the ckpt parallel
-// restore pool) use it to run their workers as simulation processes.
-func (m *Manager) Kernel() *sim.Kernel { return m.kern }
+// Runtime returns what the manager runs on. Layers above (the ckpt
+// restore pool, its retry backoff) run their workers and sleeps on it.
+func (m *Manager) Runtime() rt.Runtime { return m.rt }
 
 // EngineStats exposes the LSM engine's counters.
 func (m *Manager) EngineStats() lsm.Stats { return m.store.EngineStats() }

@@ -24,6 +24,7 @@ import (
 	"lsmio/internal/iosched"
 	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
+	"lsmio/internal/rt"
 	"lsmio/internal/vfs"
 )
 
@@ -82,9 +83,10 @@ type StoreOptions struct {
 	Backend Backend
 	// FS is the filesystem holding the store directory.
 	FS vfs.FS
-	// Platform supplies scheduling/locking (GoPlatform outside the
-	// simulator, SimPlatform inside).
-	Platform lsm.Platform
+	// Runtime is what the engine runs on (rt.Real() when nil; inside
+	// the simulator, the stack's rt.Sim). ManagerOptions.Runtime is
+	// forwarded here, so a caller building a Manager names it once.
+	Runtime rt.Runtime
 	// WriteBufferSize is the memtable size (the paper matches ADIOS2's
 	// 32 MB BufferChunkSize).
 	WriteBufferSize int
@@ -119,9 +121,7 @@ type StoreOptions struct {
 
 func (o StoreOptions) engineOptions() lsm.Options {
 	eo := lsm.CheckpointOptions(o.FS)
-	if o.Platform != nil {
-		eo.Platform = o.Platform
-	}
+	eo.Runtime = o.Runtime // nil: lsm.Open defaults to rt.Real()
 	if o.WriteBufferSize > 0 {
 		eo.WriteBufferSize = o.WriteBufferSize
 	}

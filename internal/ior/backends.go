@@ -7,7 +7,6 @@ import (
 	"lsmio/internal/adios2"
 	"lsmio/internal/core"
 	"lsmio/internal/hdf5sim"
-	"lsmio/internal/lsm"
 	"lsmio/internal/lsmioplugin"
 	"lsmio/internal/mpisim"
 	"lsmio/internal/vfs"
@@ -333,9 +332,9 @@ func (b *adios2Backend) variable(seg int) *adios2.Variable {
 func (b *adios2Backend) setupEngine(mode adios2.Mode) error {
 	if b.a == nil {
 		b.a = adios2.New(adios2.Config{
-			FS:     b.e.fs,
-			Kernel: b.e.kern,
-			Rank:   b.e.rank,
+			FS:      b.e.fs,
+			Runtime: b.e.rt,
+			Rank:    b.e.rank,
 		})
 		b.io = b.a.DeclareIO("ior")
 		b.io.SetEngine(b.engineType)
@@ -407,7 +406,7 @@ func (b *lsmioBackend) storeOptions() core.StoreOptions {
 	return core.StoreOptions{
 		Backend:         b.e.p.LSMIOBackend,
 		FS:              b.e.fs,
-		Platform:        lsm.SimPlatform(b.e.kern),
+		Runtime:         b.e.rt,
 		WriteBufferSize: b.e.p.WriteBufferSize,
 		BlockSize:       64 << 10,
 		Async:           true,
@@ -419,8 +418,8 @@ func (b *lsmioBackend) setupWrite() error {
 		return b.setupCollective()
 	}
 	mgr, err := core.NewManager(b.dir(), core.ManagerOptions{
-		Store:  b.storeOptions(),
-		Kernel: b.e.kern,
+		Store:   b.storeOptions(),
+		Runtime: b.e.rt,
 	})
 	if err != nil {
 		return err
@@ -445,9 +444,9 @@ func (b *lsmioBackend) setupCollective() error {
 		if err != nil {
 			return err
 		}
-		svc := core.NewKVService(b.e.kern, b.e.cluster.Fabric(), leader, st)
+		svc := core.NewKVService(b.e.rt.Kernel(), b.e.cluster.Fabric(), leader, st)
 		b.e.shared.kvServices[leader] = svc
-		mgr, err := core.NewManager("", core.ManagerOptions{Kernel: b.e.kern, Remote: st})
+		mgr, err := core.NewManager("", core.ManagerOptions{Runtime: b.e.rt, Remote: st})
 		if err != nil {
 			return err
 		}
@@ -460,8 +459,8 @@ func (b *lsmioBackend) setupCollective() error {
 			return fmt.Errorf("ior: no collective service for leader %d", leader)
 		}
 		mgr, err := core.NewManager("", core.ManagerOptions{
-			Kernel: b.e.kern,
-			Remote: svc.Connect(b.e.rank.Rank()),
+			Runtime: b.e.rt,
+			Remote:  svc.Connect(b.e.rank.Rank()),
 		})
 		if err != nil {
 			return err

@@ -16,7 +16,7 @@ import (
 	"lsmio/internal/core"
 	"lsmio/internal/mpisim"
 	"lsmio/internal/pfs"
-	"lsmio/internal/sim"
+	"lsmio/internal/rt"
 )
 
 // API selects the I/O backend.
@@ -150,7 +150,7 @@ type env struct {
 	rank    *mpisim.Rank
 	cluster *pfs.Cluster
 	fs      *pfs.ClientFS
-	kern    *sim.Kernel
+	rt      rt.Runtime // the run's one rt.Sim: every store and engine runs on it
 	nodes   int
 	shared  *sharedState
 }
@@ -193,6 +193,7 @@ func Run(cluster *pfs.Cluster, nodes int, p Params) (Result, error) {
 		return Result{}, err
 	}
 	k := cluster.Kernel()
+	rtm := rt.Sim(k)
 	world := mpisim.NewWorld(k, cluster.Fabric(), nodes)
 
 	res := Result{Nodes: nodes}
@@ -214,7 +215,7 @@ func Run(cluster *pfs.Cluster, nodes int, p Params) (Result, error) {
 			rank:    r,
 			cluster: cluster,
 			fs:      cluster.Client(r.Rank()),
-			kern:    k,
+			rt:      rtm,
 			nodes:   nodes,
 			shared:  shared,
 		}

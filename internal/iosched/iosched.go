@@ -2,8 +2,8 @@
 // shared arbiter that splits a device's (simulated or wall-clock)
 // bandwidth across priority classes using per-class token budgets.
 // Before PR 10 every background I/O consumer self-throttled with a
-// local heuristic — job counts in the LSM engine, DrainRate sleep
-// pacing in the burst tier, nothing at all for the parity scrubber —
+// local heuristic — job counts in the LSM engine, sleep pacing in the
+// burst tier, nothing at all for the parity scrubber —
 // exactly the uncoordinated setup Luo & Carey ("On Performance
 // Stability in LSM-based Storage Systems") show produces hour-scale
 // throughput variance and p999 drift under sustained load. The
@@ -20,9 +20,8 @@
 //   - Token budgets in the time domain. Each class keeps a virtual
 //     next-free time; a grant of n bytes at effective rate R advances
 //     it by n/R. A grant whose start lies in the future makes the
-//     caller sleep until then — on the simulator's virtual clock when
-//     Config.Kernel is set, so scheduling is deterministic under
-//     mpisim.
+//     caller sleep until then — on Config.Clock, so under the
+//     simulator's runtime scheduling is deterministic.
 //   - Work-conserving borrowing. The effective rate divides the device
 //     rate over the *active* classes only (a class is active while its
 //     next-free time lies in the future, i.e. it has unexpired claims
@@ -51,7 +50,7 @@ import (
 	"time"
 
 	"lsmio/internal/obs"
-	"lsmio/internal/sim"
+	"lsmio/internal/rt"
 )
 
 // Class is a priority class drawing from the shared bandwidth budget.
@@ -102,17 +101,12 @@ type Config struct {
 	// Burst bounds the free-token backlog an idle class accumulates
 	// (expressed as device time). 0 picks the default, 50ms.
 	Burst time.Duration
-	// Kernel, when set, clocks the scheduler on the simulator's virtual
-	// time: waits park the calling simulation process, so grant
-	// timelines are deterministic. Nil means wall clock + time.Sleep.
-	Kernel *sim.Kernel
-	// Now / Sleep override the clock explicitly (tests); both must be
-	// set together to be meaningful. They take precedence over Kernel.
-	Now   func() time.Duration
-	Sleep func(time.Duration)
+	// Clock is what grants are timed and paced on: the stack's
+	// rt.Runtime (virtual time under the simulator, so grant timelines
+	// are deterministic) or a test's fake. Nil means rt.Real().
+	Clock rt.Clock
 	// Obs is the registry the scheduler records into under the
-	// `iosched.` prefix. Nil creates a private registry on the
-	// scheduler's own clock.
+	// `iosched.` prefix. Nil creates a private registry on Clock.
 	Obs *obs.Registry
 }
 
@@ -125,8 +119,7 @@ type Scheduler struct {
 	share      [NumClasses]float64
 	totalShare float64
 	burst      time.Duration
-	now        func() time.Duration
-	sleep      func(time.Duration)
+	clk        rt.Clock
 	reg        *obs.Registry
 	m          schedMetrics
 
@@ -151,8 +144,10 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		rate:  cfg.BytesPerSec,
 		burst: cfg.Burst,
-		now:   cfg.Now,
-		sleep: cfg.Sleep,
+		clk:   cfg.Clock,
+	}
+	if s.clk == nil {
+		s.clk = rt.Real()
 	}
 	if s.burst <= 0 {
 		s.burst = 50 * time.Millisecond
@@ -175,21 +170,6 @@ func New(cfg Config) *Scheduler {
 		s.totalShare += shares[c]
 	}
 	s.share = shares
-	if k := cfg.Kernel; k != nil {
-		if s.now == nil {
-			s.now = func() time.Duration { return k.Now().Duration() }
-		}
-		if s.sleep == nil {
-			s.sleep = func(d time.Duration) { k.Current().Sleep(d) }
-		}
-	}
-	if s.now == nil {
-		epoch := time.Now()
-		s.now = func() time.Duration { return time.Since(epoch) }
-	}
-	if s.sleep == nil {
-		s.sleep = time.Sleep
-	}
 	if s.rate > 0 {
 		for c := Class(0); c < NumClasses; c++ {
 			s.deficitCap[c] = int64(s.rate * s.share[c] / s.totalShare)
@@ -197,8 +177,7 @@ func New(cfg Config) *Scheduler {
 	}
 	s.reg = cfg.Obs
 	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-		s.reg.SetClock(s.now)
+		s.reg = obs.NewRegistryOn(s.clk.Now)
 	}
 	s.m = newSchedMetrics(s.reg)
 	s.m.rate.Set(int64(s.rate))
@@ -234,7 +213,7 @@ func (s *Scheduler) Acquire(class Class, n int64) time.Duration {
 	}
 	wait := s.reserve(class, n)
 	if wait > 0 {
-		s.sleep(wait)
+		s.clk.Sleep(wait)
 	}
 	return wait
 }
@@ -277,7 +256,7 @@ func (s *Scheduler) Cancel(class Class, n int64) {
 func (s *Scheduler) reserve(class Class, n int64) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.now()
+	now := s.clk.Now()
 	granted := n
 	if r := s.refund[class]; r > 0 {
 		take := r

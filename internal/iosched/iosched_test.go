@@ -6,16 +6,25 @@ import (
 	"testing"
 	"time"
 
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
 // fakeClock is a deterministic single-threaded clock: Sleep simply
 // advances Now, so a test observes exactly the pacing the scheduler
 // imposed.
-type fakeClock struct{ now time.Duration }
+type fakeClock struct {
+	now     time.Duration
+	onSleep func() // optional: runs while the caller is "parked"
+}
 
-func (f *fakeClock) Now() time.Duration    { return f.now }
-func (f *fakeClock) Sleep(d time.Duration) { f.now += d }
+func (f *fakeClock) Now() time.Duration { return f.now }
+func (f *fakeClock) Sleep(d time.Duration) {
+	f.now += d
+	if f.onSleep != nil {
+		f.onSleep()
+	}
+}
 
 func TestDisabledAndNilAreFree(t *testing.T) {
 	var nilSched *Scheduler
@@ -27,7 +36,7 @@ func TestDisabledAndNilAreFree(t *testing.T) {
 		t.Fatal("nil scheduler reports enabled")
 	}
 	f := &fakeClock{}
-	s := New(Config{Now: f.Now, Sleep: f.Sleep}) // BytesPerSec 0: disabled
+	s := New(Config{Clock: f}) // BytesPerSec 0: disabled
 	if w := s.Acquire(Compaction, 64<<20); w != 0 || f.now != 0 {
 		t.Fatalf("disabled scheduler paced: wait=%v now=%v", w, f.now)
 	}
@@ -37,7 +46,7 @@ func TestDisabledAndNilAreFree(t *testing.T) {
 // budget regardless of its configured share.
 func TestWorkConservationIdleBudgetBorrowable(t *testing.T) {
 	f := &fakeClock{}
-	s := New(Config{BytesPerSec: 100e6, Now: f.Now, Sleep: f.Sleep})
+	s := New(Config{BytesPerSec: 100e6, Clock: f})
 	for i := 0; i < 10; i++ {
 		s.Acquire(Scrub, 1<<20) // 5% reserved share, but nobody else is active
 	}
@@ -53,7 +62,7 @@ func TestWorkConservationIdleBudgetBorrowable(t *testing.T) {
 // holding unexpired claims, scrub is paced at share-proportional rate.
 func TestBorrowingRevertsUnderContention(t *testing.T) {
 	f := &fakeClock{}
-	s := New(Config{BytesPerSec: 100e6, Now: f.Now, Sleep: f.Sleep})
+	s := New(Config{BytesPerSec: 100e6, Clock: f})
 	s.Acquire(Compaction, 15<<20) // alone: full rate, claims ~157ms of device
 	s.Acquire(Scrub, 1<<20)
 	// Scrub's effective rate = 100e6 * 5/(5+15) = 25 MB/s → 1 MiB ≈ 41.9ms.
@@ -68,7 +77,7 @@ func TestBorrowingRevertsUnderContention(t *testing.T) {
 // weight doubles, and the deficit drains to zero as grants flow.
 func TestDeficitAccruesAndDrains(t *testing.T) {
 	f := &fakeClock{}
-	s := New(Config{BytesPerSec: 10e6, Now: f.Now, Sleep: f.Sleep})
+	s := New(Config{BytesPerSec: 10e6, Clock: f})
 	s.Acquire(Scrub, 10<<20) // builds ~1.05s of backlog
 	s.Acquire(Scrub, 1024)   // waits behind it → accrues deficit at reserved rate
 	if d := s.State(Scrub).Deficit; d <= 0 {
@@ -89,7 +98,7 @@ func TestDeficitAccruesAndDrains(t *testing.T) {
 func TestSimDeterminismAndNoStarvation(t *testing.T) {
 	run := func() (compEnd, scrubEnd time.Duration) {
 		k := sim.NewKernel()
-		s := New(Config{BytesPerSec: 100e6, Kernel: k})
+		s := New(Config{BytesPerSec: 100e6, Clock: rt.Sim(k)})
 		k.Spawn("comp", func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
 				s.Acquire(Compaction, 1<<20)
@@ -189,7 +198,7 @@ func TestTokenAccountingUnderConcurrentAcquireCancel(t *testing.T) {
 
 func TestAcquireCtxCancellationRefunds(t *testing.T) {
 	f := &fakeClock{}
-	s := New(Config{BytesPerSec: 10e6, Now: f.Now, Sleep: f.Sleep})
+	s := New(Config{BytesPerSec: 10e6, Clock: f})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.AcquireCtx(ctx, Drain, 1<<20); err == nil {
@@ -201,11 +210,7 @@ func TestAcquireCtxCancellationRefunds(t *testing.T) {
 	// Cancellation that lands while the caller is parked in the pacing
 	// sleep refunds the grant.
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	f2 := &fakeClock{}
-	s2 := New(Config{BytesPerSec: 10e6, Now: f2.Now, Sleep: func(d time.Duration) {
-		f2.now += d
-		cancel2()
-	}})
+	s2 := New(Config{BytesPerSec: 10e6, Clock: &fakeClock{onSleep: cancel2}})
 	s2.Acquire(Drain, 8<<20) // backlog so the next acquire must sleep
 	if _, err := s2.AcquireCtx(ctx2, Drain, 1<<20); err == nil {
 		t.Fatal("post-sleep cancellation not surfaced")

@@ -122,13 +122,13 @@ func (db *DB) maybeScheduleCompaction() {
 			return
 		}
 		db.compactionsInFlight++
-		db.plat.Go("lsm-compact", func() { db.compactionWorker(job) })
+		db.rt.Go("lsm-compact", false, func() { db.compactionWorker(job) })
 	}
 }
 
 // compactionWorker runs claimed jobs until none remain admissible.
 func (db *DB) compactionWorker(job *compactionJob) {
-	db.plat.Lock()
+	db.mu.Lock()
 	for job != nil {
 		err := db.runCompactionLocked(job.level, job.inputs, job.overlaps)
 		db.vs.releaseCompaction(job.claim)
@@ -142,8 +142,8 @@ func (db *DB) compactionWorker(job *compactionJob) {
 		job = db.pickAndClaimLocked()
 	}
 	db.compactionsInFlight--
-	db.plat.Signal()
-	db.plat.Unlock()
+	db.cond.Broadcast()
+	db.mu.Unlock()
 }
 
 // pickAndClaimLocked selects the next admissible compaction and reserves
@@ -328,14 +328,14 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 	}
 	smallestSnapshot := db.smallestSnapshotLocked()
 	shards := db.planSubcompactions(all)
-	compactStart := db.plat.Now()
+	compactStart := db.rt.Now()
 	// The number of output tables is unknown up front, so the merge
 	// re-takes the lock briefly for each file-number allocation and marks
 	// each output pending so the obsolete-file sweep leaves it alone.
 	var outNums []uint64
 	alloc := func() uint64 {
-		db.plat.Lock()
-		defer db.plat.Unlock()
+		db.mu.Lock()
+		defer db.mu.Unlock()
 		n := db.vs.newFileNum()
 		db.pendingOutputs[n] = true
 		outNums = append(outNums, n)
@@ -344,9 +344,9 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 	var metas []tableMeta
 	var err error
 	if len(shards) <= 1 {
-		db.plat.Unlock()
+		db.mu.Unlock()
 		metas, err = db.mergeTables(all, shardRange{}, dropTombstones, smallestSnapshot, alloc)
-		db.plat.Lock()
+		db.mu.Lock()
 	} else {
 		metas, err = db.runSubcompactionsLocked(all, shards, dropTombstones, smallestSnapshot, alloc)
 	}
@@ -393,17 +393,17 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 	}
 	db.m.compactions.Inc()
 	db.m.bytesCompacted.Add(totalOut)
-	db.m.compactionDur.ObserveDuration(db.plat.Now() - compactStart)
+	db.m.compactionDur.ObserveDuration(db.rt.Now() - compactStart)
 	db.m.trace.EmitSpan("lsm.compaction",
 		fmt.Sprintf("L%d->L%d in=%d out_bytes=%d shards=%d", level, outLevel, len(all), totalOut, max(len(shards), 1)),
 		compactStart)
 	db.deleteObsoleteLocked()
-	db.plat.Signal()
+	db.cond.Broadcast()
 	return nil
 }
 
 // runSubcompactionsLocked fans the merge out over key-range shards: shard
-// 0 runs on the calling worker, the rest on freshly spawned platform
+// 0 runs on the calling worker, the rest on freshly spawned runtime
 // tasks, and the output tables are stitched back together in shard order
 // (the shards partition the user-key space, so concatenation preserves
 // the output level's sort invariant). Called with the lock held; the lock
@@ -416,21 +416,21 @@ func (db *DB) runSubcompactionsLocked(all []*fileMeta, shards []shardRange, drop
 	db.m.subcompactions.Add(int64(len(shards)))
 	for i := 1; i < len(shards); i++ {
 		i := i
-		db.plat.Go("lsm-subcompact", func() {
+		db.rt.Go("lsm-subcompact", false, func() {
 			metas[i], errs[i] = db.mergeTables(
 				filesForShard(all, shards[i]), shards[i], dropTombstones, smallestSnapshot, alloc)
-			db.plat.Lock()
+			db.mu.Lock()
 			pending--
-			db.plat.Signal()
-			db.plat.Unlock()
+			db.cond.Broadcast()
+			db.mu.Unlock()
 		})
 	}
-	db.plat.Unlock()
+	db.mu.Unlock()
 	metas[0], errs[0] = db.mergeTables(
 		filesForShard(all, shards[0]), shards[0], dropTombstones, smallestSnapshot, alloc)
-	db.plat.Lock()
+	db.mu.Lock()
 	for pending > 0 {
-		db.plat.WaitCond()
+		db.cond.Wait()
 	}
 	var out []tableMeta
 	for i := range shards {

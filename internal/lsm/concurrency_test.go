@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lsmio/internal/faultfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -231,7 +232,7 @@ func TestStallEpisodeAccounting(t *testing.T) {
 	var got Stats
 	k.Spawn("writer", func(p *sim.Proc) {
 		opts := DefaultOptions(&delayFS{FS: vfs.NewMemFS(), k: k, d: 2 * time.Millisecond})
-		opts.Platform = SimPlatform(k)
+		opts.Runtime = rt.Sim(k)
 		smallTreeOpts(&opts)
 		opts.AsyncFlush = true
 		opts.MaxImmutableMemtables = 1
@@ -397,7 +398,7 @@ func TestCompactionCleansPartialOutputsOnError(t *testing.T) {
 
 			// The tree is untouched: reopen and read everything back.
 			opts.FS = ffs
-			opts.Platform = nil
+			opts.Runtime = nil
 			db2, err := Open("db", opts)
 			if err != nil {
 				t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 
 	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
+	"lsmio/internal/rt"
 	"lsmio/internal/vfs"
 )
 
@@ -54,7 +55,7 @@ type Stats struct {
 	// the number of Broadcast deliveries.)
 	StallWaits int64
 	// StallMicros is the cumulative duration of those episodes, in
-	// microseconds (virtual time on the simulated platform).
+	// microseconds (virtual time on the simulated runtime).
 	StallMicros int64
 	// SlowdownWaits counts writes delayed by the soft admission-control
 	// tier (L0SlowdownTrigger / SoftPendingCompactionBytes), and
@@ -71,16 +72,18 @@ type Stats struct {
 // DB is a log-structured merge-tree database over a vfs.FS directory.
 //
 // Concurrency: DB methods may be called from multiple goroutines (or
-// simulation processes); internal state is guarded by the Platform lock
-// following LevelDB's protocol (the lock is released around file I/O on
-// the read path and during table builds).
+// simulation processes); internal state is guarded by mu following
+// LevelDB's protocol: held while mutating in-memory state, always
+// released around file I/O, table builds and sleeps.
 type DB struct {
 	opts Options
 	fs   vfs.FS
 	dir  string
-	plat Platform
+	rt   rt.Runtime
+	mu   rt.Mutex
+	cond rt.Cond // mu's one wait channel: any state change broadcasts
 
-	// State below is guarded by plat.Lock.
+	// State below is guarded by mu.
 	mem     *memtable
 	imm     []*memtable // oldest first
 	wal     *walWriter
@@ -129,7 +132,8 @@ func Open(dir string, opts Options) (*DB, error) {
 		opts:           o,
 		fs:             o.FS,
 		dir:            strings.TrimSuffix(dir, "/"),
-		plat:           o.Platform,
+		rt:             o.Runtime,
+		mu:             o.Runtime.NewMutex(),
 		mem:            newMemtable(),
 		tables:         make(map[uint64]*tableReader),
 		pinned:         make(map[*version]bool),
@@ -137,9 +141,9 @@ func Open(dir string, opts Options) (*DB, error) {
 		vs:             newVersionSet(o.FS, strings.TrimSuffix(dir, "/")),
 		reg:            o.Obs,
 	}
+	db.cond = db.mu.NewCond()
 	if db.reg == nil {
-		db.reg = obs.NewRegistry()
-		db.reg.SetClock(db.plat.Now)
+		db.reg = obs.NewRegistryOn(db.rt.Now)
 	}
 	db.m = newDBMetrics(db.reg)
 	if !o.DisableCache {
@@ -183,14 +187,21 @@ func (db *DB) recover() error {
 	}
 	var logs []uint64
 	for _, name := range names {
-		if strings.HasSuffix(name, ".log") {
-			numStr := strings.TrimSuffix(name, ".log")
-			num, err := strconv.ParseUint(numStr, 10, 64)
-			if err != nil {
-				continue
-			}
-			if num >= minLog {
+		switch {
+		case strings.HasSuffix(name, ".log"):
+			num, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
+			if err == nil && num >= minLog {
 				logs = append(logs, num)
+			}
+		case strings.HasPrefix(name, "MANIFEST-"):
+			// vs.recover has switched CURRENT — a rename, atomic and
+			// durable — to a fresh manifest that snapshots everything the
+			// older ones said. They are garbage from here on, and every
+			// open leaves one: sweep them (best effort; a crash or a
+			// failed remove leaves them for the next open).
+			num, err := strconv.ParseUint(strings.TrimPrefix(name, "MANIFEST-"), 10, 64)
+			if err == nil && num < db.vs.manifestNum {
+				db.fs.Remove(db.dir + "/" + name)
 			}
 		}
 	}
@@ -296,6 +307,11 @@ func (db *DB) Delete(key []byte) error {
 	return db.Apply(b)
 }
 
+// maxWriteGroupBytes caps the coalesced record a group-commit leader
+// writes for a cohort of concurrent Apply callers (LevelDB's
+// max_write_batch_group).
+const maxWriteGroupBytes = 1 << 20
+
 // pendingWrite is one Apply call queued on the group-commit writer queue.
 type pendingWrite struct {
 	b    *Batch
@@ -321,8 +337,8 @@ func (db *DB) Apply(b *Batch) error {
 	if b.Count() == 0 {
 		return nil
 	}
-	db.plat.Lock()
-	defer db.plat.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	// Runs once this writer's cohort is finished: until then its leader,
 	// possibly another caller, is still reading the batch.
 	defer b.release()
@@ -332,7 +348,7 @@ func (db *DB) Apply(b *Batch) error {
 	w := &pendingWrite{b: b}
 	db.writeQ = append(db.writeQ, w)
 	for !w.done && db.writeQ[0] != w {
-		db.plat.WaitCond()
+		db.cond.Wait()
 	}
 	if !w.done {
 		db.commitCohortLocked()
@@ -356,7 +372,7 @@ func (db *DB) commitCohortLocked() {
 	if !db.opts.DisableWALGroupCommit {
 		groupBytes := cohort[0].b.Size()
 		for _, f := range db.writeQ[len(cohort):] {
-			if groupBytes+f.b.Size() > db.opts.MaxWriteGroupBytes {
+			if groupBytes+f.b.Size() > maxWriteGroupBytes {
 				break
 			}
 			groupBytes += f.b.Size()
@@ -378,7 +394,7 @@ func (db *DB) commitCohortLocked() {
 		wal := db.wal
 		startOff := wal.tell()
 		db.logging = true
-		db.plat.Unlock()
+		db.mu.Unlock()
 		// Commit I/O is the scheduler's top class: the cohort's writers
 		// are blocked on this append, so it outbids every background
 		// consumer but is still accounted, which is what lets the
@@ -389,9 +405,9 @@ func (db *DB) commitCohortLocked() {
 			db.m.walSyncs.Inc()
 			werr = wal.sync()
 		}
-		db.plat.Lock()
+		db.mu.Lock()
 		db.logging = false
-		db.plat.Signal()
+		db.cond.Broadcast()
 		if werr != nil {
 			// Poison the DB: the record may be fully buffered even though
 			// the caller saw an error (fsync failed after a complete
@@ -447,7 +463,7 @@ func (db *DB) finishCohortLocked(cohort []*pendingWrite, err error) {
 		pw.err = err
 	}
 	db.writeQ = db.writeQ[len(cohort):]
-	db.plat.Signal()
+	db.cond.Broadcast()
 }
 
 // encodeGroupRecord coalesces a cohort's batches into one WAL record:
@@ -487,7 +503,7 @@ func (db *DB) makeRoomForWrite() error {
 	stalled := false
 	endStall := func() {
 		if stalled {
-			d := db.plat.Now() - stallStart
+			d := db.rt.Now() - stallStart
 			db.m.stallUS.Add(int64(d / time.Microsecond))
 			db.m.stallDur.ObserveDuration(d)
 			db.m.trace.EmitSpan("lsm.stall", "hard write stall", stallStart)
@@ -507,11 +523,11 @@ func (db *DB) makeRoomForWrite() error {
 			// parked.
 			allowDelay = false
 			db.m.slowdownWaits.Inc()
-			start := db.plat.Now()
-			db.plat.Unlock()
-			db.plat.Sleep(db.opts.SlowdownDelay)
-			db.plat.Lock()
-			d := db.plat.Now() - start
+			start := db.rt.Now()
+			db.mu.Unlock()
+			db.rt.Sleep(db.opts.SlowdownDelay)
+			db.mu.Lock()
+			d := db.rt.Now() - start
 			db.m.slowdownUS.Add(int64(d / time.Microsecond))
 			db.m.slowdownDur.ObserveDuration(d)
 			continue
@@ -530,9 +546,9 @@ func (db *DB) makeRoomForWrite() error {
 			if !stalled {
 				stalled = true
 				db.m.stallWaits.Inc()
-				stallStart = db.plat.Now()
+				stallStart = db.rt.Now()
 			}
-			db.plat.WaitCond()
+			db.cond.Wait()
 			continue
 		}
 		endStall()
@@ -586,7 +602,7 @@ func (db *DB) rotateMemtable() error {
 	// flush of that memtable then advances the manifest's log number
 	// past the record, and a crash would silently lose acked writes.
 	for db.logging {
-		db.plat.WaitCond()
+		db.cond.Wait()
 	}
 	db.imm = append(db.imm, db.mem)
 	db.mem = newMemtable()
@@ -603,11 +619,11 @@ func (db *DB) maybeScheduleFlush() {
 		return
 	}
 	db.flushing = true
-	db.plat.Go("lsm-flush", db.backgroundFlush)
+	db.rt.Go("lsm-flush", false, db.backgroundFlush)
 }
 
 func (db *DB) backgroundFlush() {
-	db.plat.Lock()
+	db.mu.Lock()
 	for len(db.imm) > 0 && db.bgErr == nil {
 		if err := db.flushOneLocked(); err != nil {
 			db.bgErr = err
@@ -615,16 +631,16 @@ func (db *DB) backgroundFlush() {
 		}
 	}
 	db.flushing = false
-	db.plat.Signal()
+	db.cond.Broadcast()
 	db.maybeScheduleCompaction()
-	db.plat.Unlock()
+	db.mu.Unlock()
 }
 
 // flushAllLocked flushes every immutable memtable inline. It claims the
 // flushing flag so concurrent writers cannot flush the same memtable twice.
 func (db *DB) flushAllLocked() error {
 	for db.flushing {
-		db.plat.WaitCond()
+		db.cond.Wait()
 	}
 	db.flushing = true
 	var err error
@@ -634,7 +650,7 @@ func (db *DB) flushAllLocked() error {
 		}
 	}
 	db.flushing = false
-	db.plat.Signal()
+	db.cond.Broadcast()
 	if err != nil {
 		return err
 	}
@@ -648,10 +664,10 @@ func (db *DB) flushOneLocked() error {
 	m := db.imm[0]
 	num := db.vs.newFileNum()
 	db.pendingOutputs[num] = true
-	flushStart := db.plat.Now()
-	db.plat.Unlock()
+	flushStart := db.rt.Now()
+	db.mu.Unlock()
 	meta, err := db.buildTable(m, num)
-	db.plat.Lock()
+	db.mu.Lock()
 	defer delete(db.pendingOutputs, num)
 	if err != nil {
 		return err
@@ -675,10 +691,10 @@ func (db *DB) flushOneLocked() error {
 	db.imm = db.imm[1:]
 	db.m.flushes.Inc()
 	db.m.bytesFlushed.Add(meta.size)
-	db.m.flushDur.ObserveDuration(db.plat.Now() - flushStart)
+	db.m.flushDur.ObserveDuration(db.rt.Now() - flushStart)
 	db.m.trace.EmitSpan("lsm.flush", fmt.Sprintf("table=%d bytes=%d", num, meta.size), flushStart)
 	db.deleteObsoleteLocked()
-	db.plat.Signal()
+	db.cond.Broadcast()
 	return nil
 }
 
@@ -715,9 +731,9 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 // getAtSeq returns the newest value for key visible at snapshot seq
 // (maxSeq = latest).
 func (db *DB) getAtSeq(key []byte, seq seqNum) ([]byte, error) {
-	db.plat.Lock()
+	db.mu.Lock()
 	if db.closed {
-		db.plat.Unlock()
+		db.mu.Unlock()
 		return nil, ErrClosed
 	}
 	db.m.gets.Inc()
@@ -727,12 +743,12 @@ func (db *DB) getAtSeq(key []byte, seq seqNum) ([]byte, error) {
 	mem := db.mem
 	imms := append([]*memtable(nil), db.imm...)
 	ver := db.refCurrentLocked()
-	db.plat.Unlock()
+	db.mu.Unlock()
 
 	defer func() {
-		db.plat.Lock()
+		db.mu.Lock()
 		db.unrefVersion(ver)
-		db.plat.Unlock()
+		db.mu.Unlock()
 	}()
 
 	if v, found, deleted := mem.get(key, seq); found {
@@ -806,12 +822,12 @@ func (db *DB) unrefVersion(v *version) {
 
 // getTable returns (opening if needed) the reader for a table file.
 func (db *DB) getTable(num uint64) (*tableReader, error) {
-	db.plat.Lock()
+	db.mu.Lock()
 	if t, ok := db.tables[num]; ok {
-		db.plat.Unlock()
+		db.mu.Unlock()
 		return t, nil
 	}
-	db.plat.Unlock()
+	db.mu.Unlock()
 	f, err := db.fs.Open(tableFileName(db.dir, num))
 	if err != nil {
 		return nil, err
@@ -821,14 +837,14 @@ func (db *DB) getTable(num uint64) (*tableReader, error) {
 		f.Close()
 		return nil, err
 	}
-	db.plat.Lock()
+	db.mu.Lock()
 	if existing, ok := db.tables[num]; ok {
-		db.plat.Unlock()
+		db.mu.Unlock()
 		t.close()
 		return existing, nil
 	}
 	db.tables[num] = t
-	db.plat.Unlock()
+	db.mu.Unlock()
 	return t, nil
 }
 
@@ -879,8 +895,8 @@ func (db *DB) deleteObsoleteLocked() {
 // Flush forces all buffered writes to SSTables, blocking until every
 // memtable is on disk. It is the engine half of LSMIO's write barrier.
 func (db *DB) Flush() error {
-	db.plat.Lock()
-	defer db.plat.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
 		return ErrClosed
 	}
@@ -892,7 +908,7 @@ func (db *DB) Flush() error {
 	if db.opts.AsyncFlush {
 		db.maybeScheduleFlush()
 		for len(db.imm) > 0 && db.bgErr == nil {
-			db.plat.WaitCond()
+			db.cond.Wait()
 		}
 		return db.bgErr
 	}
@@ -907,18 +923,18 @@ func (db *DB) CompactAll() error {
 	if err := db.Flush(); err != nil {
 		return err
 	}
-	db.plat.Lock()
-	defer db.plat.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for db.manualCompaction {
-		db.plat.WaitCond()
+		db.cond.Wait()
 	}
 	db.manualCompaction = true
 	for db.compactionsInFlight > 0 {
-		db.plat.WaitCond()
+		db.cond.Wait()
 	}
 	err := db.compactEverythingLocked()
 	db.manualCompaction = false
-	db.plat.Signal()
+	db.cond.Broadcast()
 	db.maybeScheduleCompaction()
 	return err
 }
@@ -928,8 +944,8 @@ func (db *DB) CompactAll() error {
 // the background error, if any. Benchmarks use it to charge the full
 // drain to the measured interval.
 func (db *DB) WaitBackground() error {
-	db.plat.Lock()
-	defer db.plat.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	for db.bgErr == nil && !db.closed &&
 		(db.flushing || db.compactionsInFlight > 0 || db.manualCompaction ||
 			len(db.imm) > 0 || db.needsCompactionLocked()) {
@@ -937,7 +953,7 @@ func (db *DB) WaitBackground() error {
 			db.maybeScheduleFlush()
 		}
 		db.maybeScheduleCompaction()
-		db.plat.WaitCond()
+		db.cond.Wait()
 	}
 	return db.bgErr
 }
@@ -952,9 +968,9 @@ func (db *DB) NewIterator() (*Iterator, error) {
 // the bounds are never opened, so a narrow scan of a large database
 // touches only the relevant files.
 func (db *DB) NewRangeIterator(start, limit []byte) (*Iterator, error) {
-	db.plat.Lock()
+	db.mu.Lock()
 	if db.closed {
-		db.plat.Unlock()
+		db.mu.Unlock()
 		return nil, ErrClosed
 	}
 	seq := db.vs.lastSeq
@@ -975,14 +991,14 @@ func (db *DB) NewRangeIterator(start, limit []byte) (*Iterator, error) {
 			}
 		}
 	}
-	db.plat.Unlock()
+	db.mu.Unlock()
 
 	for _, num := range fileNums {
 		t, err := db.getTable(num)
 		if err != nil {
-			db.plat.Lock()
+			db.mu.Lock()
 			db.unrefVersion(ver)
-			db.plat.Unlock()
+			db.mu.Unlock()
 			return nil, err
 		}
 		children = append(children, t.iterator())
@@ -1034,8 +1050,8 @@ func (db *DB) ResetStats() { db.reg.ResetPrefix("lsm.") }
 
 // NumTableFiles reports the number of live SSTables per level.
 func (db *DB) NumTableFiles() [numLevels]int {
-	db.plat.Lock()
-	defer db.plat.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	var out [numLevels]int
 	for l, files := range db.vs.current.levels {
 		out[l] = len(files)
@@ -1047,14 +1063,14 @@ func (db *DB) NumTableFiles() [numLevels]int {
 // disabled, unflushed writes are lost unless Flush was called first — the
 // contract the paper's checkpoint barrier satisfies.
 func (db *DB) Close() error {
-	db.plat.Lock()
+	db.mu.Lock()
 	if db.closed {
-		db.plat.Unlock()
+		db.mu.Unlock()
 		return ErrClosed
 	}
 	for db.flushing || db.compactionsInFlight > 0 || db.manualCompaction ||
 		db.logging || len(db.writeQ) > 0 {
-		db.plat.WaitCond()
+		db.cond.Wait()
 	}
 	db.closed = true
 	for _, t := range db.tables {
@@ -1068,7 +1084,7 @@ func (db *DB) Close() error {
 	if e := db.vs.close(); err == nil {
 		err = e
 	}
-	db.plat.Unlock()
+	db.mu.Unlock()
 	return err
 }
 

@@ -188,6 +188,30 @@ func TestRecoveryAcrossManyReopens(t *testing.T) {
 	if count != total {
 		t.Fatalf("recovered %d keys, want %d", count, total)
 	}
+	// Every open writes a fresh manifest; the superseded ones are swept,
+	// so six opens leave exactly the one CURRENT names.
+	names, err := fs.List("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifests []string
+	for _, name := range names {
+		if strings.HasPrefix(name, "MANIFEST-") {
+			manifests = append(manifests, name)
+		}
+	}
+	cur, err := fs.Open("db/CURRENT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	current, err := vfs.ReadAll(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(manifests) != 1 || manifests[0] != strings.TrimSpace(string(current)) {
+		t.Fatalf("manifests after 6 opens: %v, CURRENT names %q", manifests, current)
+	}
 }
 
 func TestIteratorOrderAndSnapshot(t *testing.T) {

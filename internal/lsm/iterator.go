@@ -336,9 +336,9 @@ func (it *Iterator) Value() []byte { return it.value }
 func (it *Iterator) Close() error {
 	err := it.merge.Close()
 	if it.db != nil && it.ver != nil {
-		it.db.opts.Platform.Lock()
+		it.db.mu.Lock()
 		it.db.unrefVersion(it.ver)
-		it.db.opts.Platform.Unlock()
+		it.db.mu.Unlock()
 		it.ver = nil
 	}
 	return err

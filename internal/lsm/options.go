@@ -20,6 +20,7 @@ import (
 
 	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
+	"lsmio/internal/rt"
 	"lsmio/internal/vfs"
 )
 
@@ -40,12 +41,12 @@ const (
 type Options struct {
 	// FS is the filesystem the database lives on.
 	FS vfs.FS
-	// Platform supplies background-task scheduling and locking; defaults
-	// to the real-goroutine platform.
-	Platform Platform
+	// Runtime is what the engine locks, waits, spawns background work
+	// and reads time on: rt.Real() (the default) or the simulator's.
+	Runtime rt.Runtime
 	// Obs is the metrics/trace registry the engine records into, under
 	// the `lsm.` prefix. Nil creates a private registry clocked by the
-	// Platform; callers that manage several subsystems (core.Manager)
+	// Runtime; callers that manage several subsystems (core.Manager)
 	// inject a shared one so a single snapshot covers the whole stack.
 	Obs *obs.Registry
 	// IOSched is the shared I/O-bandwidth scheduler. When set, WAL
@@ -130,22 +131,14 @@ type Options struct {
 	// offset and index construction. 0 (the default) keeps the fully
 	// serial writer; the output bytes are identical either way.
 	EncodeWorkers int
-	// EncodeQueueDepth bounds the encoder job queue per table (back
-	// pressure between the producer and the compute stage). 0 picks the
-	// default (2x EncodeWorkers).
-	EncodeQueueDepth int
-	// EncodeCostPerMB charges the platform's Compute clock for block
+	// EncodeCostPerMB charges the runtime's Compute clock for block
 	// encoding (compression + CRC + bloom hashing), per MiB of raw block
-	// bytes. On the real platform Compute is a no-op, so this only shapes
+	// bytes. On the real runtime Compute is a no-op, so this only shapes
 	// the simulated benchmarks, where CPU time is otherwise free and
 	// pipelining would show no benefit. 0 (the default) charges nothing,
 	// preserving every previously calibrated figure.
 	EncodeCostPerMB time.Duration
 
-	// MaxWriteGroupBytes caps the coalesced record a group-commit leader
-	// writes for a cohort of concurrent Apply callers (LevelDB's
-	// max_write_batch_group). 0 picks the default (1 MiB).
-	MaxWriteGroupBytes int
 	// DisableWALGroupCommit pins every cohort to a single writer: each
 	// Apply performs its own WAL append+sync. The writer queue (and its
 	// ordering guarantees) stays in place; only the coalescing is off.
@@ -181,7 +174,7 @@ type Options struct {
 func DefaultOptions(fs vfs.FS) Options {
 	return Options{
 		FS:                    fs,
-		Platform:              GoPlatform(),
+		Runtime:               rt.Real(),
 		WriteBufferSize:       4 << 20,
 		BlockSize:             4 << 10,
 		BlockRestartInterval:  16,
@@ -213,8 +206,8 @@ func CheckpointOptions(fs vfs.FS) Options {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.Platform == nil {
-		out.Platform = GoPlatform()
+	if out.Runtime == nil {
+		out.Runtime = rt.Real()
 	}
 	if out.WriteBufferSize <= 0 {
 		out.WriteBufferSize = 4 << 20
@@ -248,12 +241,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.EncodeWorkers < 0 {
 		out.EncodeWorkers = 0
-	}
-	if out.EncodeQueueDepth <= 0 {
-		out.EncodeQueueDepth = 2 * out.EncodeWorkers
-	}
-	if out.MaxWriteGroupBytes <= 0 {
-		out.MaxWriteGroupBytes = 1 << 20
 	}
 	if out.L0SlowdownTrigger == 0 {
 		out.L0SlowdownTrigger = 8

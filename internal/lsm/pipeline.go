@@ -3,6 +3,8 @@ package lsm
 import (
 	"errors"
 	"time"
+
+	"lsmio/internal/rt"
 )
 
 // Table-build pipeline: when Options.EncodeWorkers > 0 every output table
@@ -14,7 +16,7 @@ import (
 // finished blocks in submission order and owns the file offset and index
 // construction, so the bytes on disk are identical to the serial writer's.
 //
-// Locking: each pipeline has its own Platform Cond, independent of the
+// Locking: each pipeline has its own rt mutex + cond, independent of the
 // engine lock. Pipeline tasks never touch the engine lock, and pipeline
 // methods are only called either without the engine lock (flush/compaction
 // table builds run unlocked) or on the pipeline's own tasks.
@@ -51,14 +53,16 @@ type encodedBlock struct {
 }
 
 // tablePipeline coordinates the encoder pool and the writer task for one
-// output table. All fields below c are guarded by c.
+// output table. All fields below mu are guarded by mu; c is its one
+// wait channel.
 type tablePipeline struct {
 	w     *tableWriter
-	plat  Platform
+	rt    rt.Runtime
 	m     *dbMetrics
-	depth int
+	depth int // job-queue bound: back pressure between producer and encoders
 
-	c          Cond
+	mu         rt.Mutex
+	c          rt.Cond
 	jobs       []encodeJob
 	nextSeq    int // seq assigned to the next submitted job
 	ready      map[int]encodedBlock
@@ -71,36 +75,33 @@ type tablePipeline struct {
 
 // newTablePipeline starts the encoder pool and writer task for w.
 func newTablePipeline(w *tableWriter, workers int) *tablePipeline {
-	depth := w.opts.EncodeQueueDepth
-	if depth <= 0 {
-		depth = 2 * workers
-	}
 	p := &tablePipeline{
 		w:        w,
-		plat:     w.opts.Platform,
+		rt:       w.opts.Runtime,
 		m:        w.m,
-		depth:    depth,
-		c:        w.opts.Platform.NewCond(),
+		depth:    2 * workers,
+		mu:       w.opts.Runtime.NewMutex(),
 		ready:    make(map[int]encodedBlock),
 		encoders: workers,
 	}
+	p.c = p.mu.NewCond()
 	for i := 0; i < workers; i++ {
-		p.plat.Go("lsm-encode", p.encoderLoop)
+		p.rt.Go("lsm-encode", false, p.encoderLoop)
 	}
-	p.plat.Go("lsm-tblwrite", p.writerLoop)
+	p.rt.Go("lsm-tblwrite", false, p.writerLoop)
 	return p
 }
 
 // submit queues one job for the compute stage, blocking while the queue
 // is at its depth bound. Returns the pipeline error, if any.
 func (p *tablePipeline) submit(j encodeJob) error {
-	p.c.Lock()
+	p.mu.Lock()
 	for p.err == nil && len(p.jobs) >= p.depth {
 		p.c.Wait()
 	}
 	if p.err != nil {
 		err := p.err
-		p.c.Unlock()
+		p.mu.Unlock()
 		return err
 	}
 	j.seq = p.nextSeq
@@ -108,26 +109,26 @@ func (p *tablePipeline) submit(j encodeJob) error {
 	p.jobs = append(p.jobs, j)
 	p.m.pipeQueueDepth.Observe(int64(len(p.jobs)))
 	p.c.Broadcast()
-	p.c.Unlock()
+	p.mu.Unlock()
 	return nil
 }
 
 // closeSubmit marks the job stream complete (carrying any producer error)
 // so the stages can drain and the writer can emit the table tail.
 func (p *tablePipeline) closeSubmit(perr error) {
-	p.c.Lock()
+	p.mu.Lock()
 	if perr != nil && p.err == nil {
 		p.err = perr
 	}
 	p.closed = true
 	p.c.Broadcast()
-	p.c.Unlock()
+	p.mu.Unlock()
 }
 
 // abort poisons the pipeline and blocks until every task has exited, so
 // the caller may close and delete the output file underneath it.
 func (p *tablePipeline) abort() {
-	p.c.Lock()
+	p.mu.Lock()
 	if p.err == nil {
 		p.err = errPipelineAborted
 	}
@@ -136,14 +137,14 @@ func (p *tablePipeline) abort() {
 	for !p.writerDone || p.encoders > 0 {
 		p.c.Wait()
 	}
-	p.c.Unlock()
+	p.mu.Unlock()
 }
 
 // encoderLoop is the compute stage: pop a job, encode it outside the
 // pipeline lock (compression, CRC, bloom hashing — and the simulated CPU
 // charge), and deliver the result to the reorder buffer.
 func (p *tablePipeline) encoderLoop() {
-	p.c.Lock()
+	p.mu.Lock()
 	for {
 		for p.err == nil && len(p.jobs) == 0 && !p.closed {
 			p.c.Wait()
@@ -154,13 +155,13 @@ func (p *tablePipeline) encoderLoop() {
 		job := p.jobs[0]
 		p.jobs = p.jobs[1:]
 		p.c.Broadcast() // queue space freed: unblock the producer
-		p.c.Unlock()
+		p.mu.Unlock()
 
-		start := p.plat.Now()
+		start := p.rt.Now()
 		eb := p.encode(job)
-		d := p.plat.Now() - start
+		d := p.rt.Now() - start
 
-		p.c.Lock()
+		p.mu.Lock()
 		p.m.pipeBlocks.Inc()
 		p.m.pipeEncodeBusyUS.Add(int64(d / time.Microsecond))
 		p.m.pipeEncodeDur.ObserveDuration(d)
@@ -169,7 +170,7 @@ func (p *tablePipeline) encoderLoop() {
 	}
 	p.encoders--
 	p.c.Broadcast()
-	p.c.Unlock()
+	p.mu.Unlock()
 }
 
 // encode runs one job's compute work. Called without the pipeline lock.
@@ -181,7 +182,7 @@ func (p *tablePipeline) encode(job encodeJob) encodedBlock {
 		allowCompress = false // random bits don't compress
 	}
 	chargeEncodeCost(p.w.opts, raw.size())
-	enc, payloadLen := encodeBlock(p.w.opts, raw, allowCompress)
+	enc, payloadLen := encodeBlock(p.w.opts, raw, allowCompress, new([]byte))
 	return encodedBlock{
 		kind:       job.kind,
 		enc:        enc,
@@ -200,7 +201,7 @@ func (p *tablePipeline) writerLoop() {
 	w := p.w
 	var filterHandle blockHandle
 	var werr error
-	p.c.Lock()
+	p.mu.Lock()
 	for p.err == nil {
 		eb, ok := p.ready[p.writeSeq]
 		if !ok {
@@ -212,9 +213,9 @@ func (p *tablePipeline) writerLoop() {
 		}
 		delete(p.ready, p.writeSeq)
 		p.writeSeq++
-		p.c.Unlock()
+		p.mu.Unlock()
 
-		start := p.plat.Now()
+		start := p.rt.Now()
 		h := blockHandle{offset: w.offset, length: int64(eb.payloadLen)}
 		werr = w.emit(eb.enc)
 		w.offset += int64(eb.payloadLen) + blockTrailerLen
@@ -224,9 +225,9 @@ func (p *tablePipeline) writerLoop() {
 		case blkFilter:
 			filterHandle = h
 		}
-		d := p.plat.Now() - start
+		d := p.rt.Now() - start
 
-		p.c.Lock()
+		p.mu.Lock()
 		p.m.pipeWriteBusyUS.Add(int64(d / time.Microsecond))
 		p.m.pipeWriteDur.ObserveDuration(d)
 		if werr != nil && p.err == nil {
@@ -234,24 +235,24 @@ func (p *tablePipeline) writerLoop() {
 		}
 	}
 	finishTail := p.err == nil
-	p.c.Unlock()
+	p.mu.Unlock()
 
 	if finishTail {
-		start := p.plat.Now()
+		start := p.rt.Now()
 		err := w.writeTail(filterHandle)
-		d := p.plat.Now() - start
-		p.c.Lock()
+		d := p.rt.Now() - start
+		p.mu.Lock()
 		p.m.pipeWriteBusyUS.Add(int64(d / time.Microsecond))
 		p.m.pipeWriteDur.ObserveDuration(d)
 		if err != nil && p.err == nil {
 			p.err = err
 		}
 	} else {
-		p.c.Lock()
+		p.mu.Lock()
 	}
 	p.writerDone = true
 	p.c.Broadcast()
-	p.c.Unlock()
+	p.mu.Unlock()
 }
 
 // pendingTable is a handle to a table whose tail write and fsync may
@@ -272,12 +273,12 @@ func (pt *pendingTable) wait() (tableMeta, error) {
 		return pt.meta, pt.err
 	}
 	p := pt.p
-	p.c.Lock()
+	p.mu.Lock()
 	for !p.writerDone {
 		p.c.Wait()
 	}
 	err := p.err
-	p.c.Unlock()
+	p.mu.Unlock()
 	pt.done = true
 	if err != nil {
 		pt.err = err
@@ -287,12 +288,12 @@ func (pt *pendingTable) wait() (tableMeta, error) {
 	return pt.meta, nil
 }
 
-// chargeEncodeCost bills the platform's Compute clock for encoding
-// rawBytes of block data. A no-op on the real platform and whenever
+// chargeEncodeCost bills the runtime's Compute clock for encoding
+// rawBytes of block data. A no-op on the real runtime and whenever
 // EncodeCostPerMB is unset.
 func chargeEncodeCost(opts *Options, rawBytes int) {
-	if opts.EncodeCostPerMB <= 0 || opts.Platform == nil || rawBytes <= 0 {
+	if opts.EncodeCostPerMB <= 0 || opts.Runtime == nil || rawBytes <= 0 {
 		return
 	}
-	opts.Platform.Compute(time.Duration(int64(opts.EncodeCostPerMB) * int64(rawBytes) / (1 << 20)))
+	opts.Runtime.Compute(time.Duration(int64(opts.EncodeCostPerMB) * int64(rawBytes) / (1 << 20)))
 }

@@ -11,6 +11,7 @@ import (
 
 	"lsmio/internal/faultfs"
 	"lsmio/internal/iosched"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -115,7 +116,7 @@ func referenceTable(opts *Options, keys []internalKey, values [][]byte) (image [
 	var file []byte
 	data, index := newBlockBuilder(opts.BlockRestartInterval), newBlockBuilder(1)
 	emit := func(raw []byte) blockHandle {
-		enc, n := encodeBlock(opts, rawBlock{buf: append([]byte(nil), raw...)}, false)
+		enc, n := encodeBlock(opts, rawBlock{buf: append([]byte(nil), raw...)}, false, new([]byte))
 		h := blockHandle{offset: int64(len(file)), length: int64(n)}
 		file = append(file, enc.buf...)
 		return h
@@ -253,7 +254,7 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						b, err := tr.readBlock(h)
+						b, err := tr.readBlock(h, new([]byte))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -384,7 +385,7 @@ func TestPipelinedCompactionCleansPartialOutputsOnError(t *testing.T) {
 			db.Close()
 
 			opts.FS = ffs
-			opts.Platform = nil
+			opts.Runtime = nil
 			db2, err := Open("db", opts)
 			if err != nil {
 				t.Fatal(err)
@@ -499,7 +500,7 @@ func TestPipelineSimSpeedup(t *testing.T) {
 		var dur time.Duration
 		k.Spawn("flush", func(p *sim.Proc) {
 			opts := DefaultOptions(vfs.NewMemFS())
-			opts.Platform = SimPlatform(k)
+			opts.Runtime = rt.Sim(k)
 			opts.EncodeWorkers = workers
 			opts.EncodeCostPerMB = 8 * time.Millisecond
 			opts.DisableWAL = true
@@ -517,12 +518,12 @@ func TestPipelineSimSpeedup(t *testing.T) {
 					return
 				}
 			}
-			start := opts.Platform.Now()
+			start := opts.Runtime.Now()
 			if err := db.Flush(); err != nil {
 				t.Error(err)
 				return
 			}
-			dur = opts.Platform.Now() - start
+			dur = opts.Runtime.Now() - start
 			if err := db.Close(); err != nil {
 				t.Error(err)
 			}

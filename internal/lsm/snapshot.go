@@ -17,8 +17,8 @@ type Snapshot struct {
 
 // NewSnapshot captures the current state.
 func (db *DB) NewSnapshot() (*Snapshot, error) {
-	db.plat.Lock()
-	defer db.plat.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
 		return nil, ErrClosed
 	}
@@ -76,31 +76,31 @@ func (s *Snapshot) Release() {
 	}
 	s.released = true
 	db := s.db
-	db.plat.Lock()
+	db.mu.Lock()
 	for i, snap := range db.snapshots {
 		if snap == s {
 			db.snapshots = append(db.snapshots[:i], db.snapshots[i+1:]...)
 			break
 		}
 	}
-	db.plat.Unlock()
+	db.mu.Unlock()
 }
 
 // VerifyChecksums reads every block of every live table, validating CRCs
 // and structure, and replays iterator order; it returns the first
 // corruption found. The lsmioctl `verify` command exposes it.
 func (db *DB) VerifyChecksums() error {
-	db.plat.Lock()
+	db.mu.Lock()
 	if db.closed {
-		db.plat.Unlock()
+		db.mu.Unlock()
 		return ErrClosed
 	}
 	ver := db.refCurrentLocked()
-	db.plat.Unlock()
+	db.mu.Unlock()
 	defer func() {
-		db.plat.Lock()
+		db.mu.Lock()
 		db.unrefVersion(ver)
-		db.plat.Unlock()
+		db.mu.Unlock()
 	}()
 	for level, files := range ver.levels {
 		for _, fm := range files {
@@ -143,8 +143,8 @@ const (
 // GetProperty returns engine internals by name, mirroring RocksDB's
 // GetProperty surface.
 func (db *DB) GetProperty(name string) (string, bool) {
-	db.plat.Lock()
-	defer db.plat.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
 		return "", false
 	}
@@ -177,8 +177,8 @@ func (db *DB) GetProperty(name string) (string, bool) {
 // ApproximateSize estimates the on-disk bytes holding keys in
 // [start, end) (nil end = unbounded), by summing overlapping table sizes.
 func (db *DB) ApproximateSize(start, end []byte) int64 {
-	db.plat.Lock()
-	defer db.plat.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
 		return 0
 	}

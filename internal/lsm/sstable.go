@@ -85,6 +85,7 @@ type tableWriter struct {
 	ioClass iosched.Class
 
 	buf        bytes.Buffer // pending bytes when coalescing writes
+	cbuf       []byte       // serial mode: the compressed form of the block being written
 	coalesce   int          // flush granularity for buf; 0 = write-through
 	offset     int64
 	dataBlock  *blockBuilder
@@ -118,7 +119,7 @@ func newTableWriter(f vfs.File, opts *Options, fileNum uint64, m *dbMetrics) *ta
 	if w.m == nil {
 		w.m = &discardMetrics
 	}
-	if opts.EncodeWorkers > 0 && opts.Platform != nil {
+	if opts.EncodeWorkers > 0 && opts.Runtime != nil {
 		w.pipe = newTablePipeline(w, opts.EncodeWorkers)
 	}
 	return w
@@ -265,8 +266,10 @@ func (b rawBlock) size() int { return len(b.buf) + len(b.value) }
 // when raw.buf has the room (blockBuilder.finish leaves it). Returns the
 // bytes to append to the file and the payload length (trailer excluded).
 // Pure function of (opts, raw), so the pipelined and serial writers
-// produce identical files.
-func encodeBlock(opts *Options, raw rawBlock, allowCompress bool) (enc rawBlock, payloadLen int) {
+// produce identical files. The compressed bytes are built in *scratch: a
+// caller that is done with one encoded block before it encodes the next
+// (the serial writer) passes the same one every time.
+func encodeBlock(opts *Options, raw rawBlock, allowCompress bool, scratch *[]byte) (enc rawBlock, payloadLen int) {
 	blockType := byte(compressionNone)
 	enc = raw
 	if allowCompress {
@@ -282,7 +285,8 @@ func encodeBlock(opts *Options, raw rawBlock, allowCompress bool) (enc rawBlock,
 				}
 			}
 		default: // CompressionSnappy (and unset)
-			c := snappy.Encode(nil, raw.buf)
+			c := snappy.Encode((*scratch)[:0], raw.buf)
+			*scratch = c
 			if len(c) < len(raw.buf)-len(raw.buf)/8 {
 				enc.buf = c
 				blockType = compressionSnappy
@@ -328,7 +332,7 @@ func (w *tableWriter) emit(b rawBlock) error {
 // its encoder and writer stages).
 func (w *tableWriter) writeBlock(raw rawBlock, allowCompress bool) blockHandle {
 	chargeEncodeCost(w.opts, raw.size())
-	enc, payloadLen := encodeBlock(w.opts, raw, allowCompress)
+	enc, payloadLen := encodeBlock(w.opts, raw, allowCompress, &w.cbuf)
 	h := blockHandle{offset: w.offset, length: int64(payloadLen)}
 	if w.err == nil {
 		w.err = w.emit(enc)
@@ -355,7 +359,7 @@ func (w *tableWriter) estimatedSize() int64 {
 func (w *tableWriter) writeTail(filterHandle blockHandle) error {
 	indexRaw := rawBlock{buf: w.index.finish()}
 	chargeEncodeCost(w.opts, indexRaw.size())
-	enc, payloadLen := encodeBlock(w.opts, indexRaw, !w.opts.DisableCompression)
+	enc, payloadLen := encodeBlock(w.opts, indexRaw, !w.opts.DisableCompression, new([]byte))
 	indexHandle := blockHandle{offset: w.offset, length: int64(payloadLen)}
 	if err := w.emit(enc); err != nil {
 		return err
@@ -471,7 +475,7 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 		offset: int64(binary.LittleEndian.Uint64(footer[16:])),
 		length: int64(binary.LittleEndian.Uint64(footer[24:])),
 	}
-	rawIndex, err := t.readRawBlock(indexHandle)
+	rawIndex, err := t.readRawBlock(indexHandle, new([]byte))
 	if err != nil {
 		return nil, fmt.Errorf("lsm: table %d index: %w", fileNum, err)
 	}
@@ -479,7 +483,7 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 		return nil, err
 	}
 	if filterHandle.length > 0 {
-		if t.filter, err = t.readRawBlock(filterHandle); err != nil {
+		if t.filter, err = t.readRawBlock(filterHandle, new([]byte)); err != nil {
 			return nil, fmt.Errorf("lsm: table %d filter: %w", fileNum, err)
 		}
 	}
@@ -487,8 +491,16 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 }
 
 // readRawBlock reads, verifies and decompresses one block (no cache).
-func (t *tableReader) readRawBlock(h blockHandle) ([]byte, error) {
-	buf := make([]byte, h.length+blockTrailerLen)
+// The stored bytes are read into *scratch, which grows by doubling
+// (blocks that get larger in key order must not each outgrow it); a block
+// that was stored raw is returned as read, so it takes the buffer with it
+// and *scratch is left nil.
+func (t *tableReader) readRawBlock(h blockHandle, scratch *[]byte) ([]byte, error) {
+	n := int(h.length) + blockTrailerLen
+	if cap(*scratch) < n {
+		*scratch = make([]byte, n, max(n, 2*cap(*scratch)))
+	}
+	buf := (*scratch)[:n]
 	if _, err := t.f.ReadAt(buf, h.offset); err != nil && err != io.EOF {
 		return nil, err
 	}
@@ -502,6 +514,7 @@ func (t *tableReader) readRawBlock(h blockHandle) ([]byte, error) {
 	}
 	switch blockType {
 	case compressionNone:
+		*scratch = nil
 		return data, nil
 	case compressionFlate:
 		fr := flate.NewReader(bytes.NewReader(data))
@@ -522,13 +535,14 @@ func (t *tableReader) readRawBlock(h blockHandle) ([]byte, error) {
 }
 
 // readBlock returns a parsed block, using the shared cache when enabled.
-func (t *tableReader) readBlock(h blockHandle) (*block, error) {
+// scratch is readRawBlock's.
+func (t *tableReader) readBlock(h blockHandle, scratch *[]byte) (*block, error) {
 	if t.cache != nil {
 		if b, ok := t.cache.get(t.fileNum, h.offset); ok {
 			return b, nil
 		}
 	}
-	raw, err := t.readRawBlock(h)
+	raw, err := t.readRawBlock(h, scratch)
 	if err != nil {
 		return nil, err
 	}
@@ -557,7 +571,7 @@ func (t *tableReader) get(userKey []byte, seq seqNum) (value []byte, found, dele
 	if err != nil {
 		return nil, false, false, err
 	}
-	b, err := t.readBlock(h)
+	b, err := t.readBlock(h, new([]byte))
 	if err != nil {
 		return nil, false, false, err
 	}
@@ -586,10 +600,11 @@ func (t *tableReader) close() error { return t.f.Close() }
 
 // tableIterator is a two-level iterator: index block -> data blocks.
 type tableIterator struct {
-	t    *tableReader
-	idx  *blockIterator
-	data *blockIterator
-	err  error
+	t      *tableReader
+	idx    *blockIterator
+	data   *blockIterator
+	stored []byte // the last compressed block as read, reused for the next
+	err    error
 }
 
 func (it *tableIterator) loadData() {
@@ -602,7 +617,7 @@ func (it *tableIterator) loadData() {
 		it.err = err
 		return
 	}
-	b, err := it.t.readBlock(h)
+	b, err := it.t.readBlock(h, &it.stored)
 	if err != nil {
 		it.err = err
 		return

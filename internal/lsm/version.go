@@ -135,6 +135,7 @@ type versionSet struct {
 	current      *version
 	manifest     *walWriter
 	manifestFile vfs.File
+	manifestNum  uint64 // the manifest CURRENT names
 
 	nextFileNum uint64
 	logNum      uint64 // WAL file in use; older logs are obsolete
@@ -315,8 +316,8 @@ func (vs *versionSet) createNew() error {
 	if err := vs.fs.MkdirAll(vs.dir); err != nil {
 		return err
 	}
-	manifestNum := uint64(1)
-	f, err := vs.fs.Create(manifestFileName(vs.dir, manifestNum))
+	vs.manifestNum = 1
+	f, err := vs.fs.Create(manifestFileName(vs.dir, vs.manifestNum))
 	if err != nil {
 		return err
 	}
@@ -330,7 +331,7 @@ func (vs *versionSet) createNew() error {
 	if err := vs.logEdit(edit); err != nil {
 		return err
 	}
-	return vs.setCurrent(manifestNum)
+	return vs.setCurrent(vs.manifestNum)
 }
 
 // setCurrent atomically points CURRENT at a manifest.
@@ -418,6 +419,7 @@ func (vs *versionSet) recover() (logNum uint64, err error) {
 	if err := vs.setCurrent(manifestNum); err != nil {
 		return 0, err
 	}
+	vs.manifestNum = manifestNum
 	return vs.logNum, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lsmio/internal/snappy"
 	"lsmio/internal/vfs"
 )
 
@@ -129,5 +130,70 @@ func BenchmarkFlushLarge(b *testing.B) {
 		if err := db.Flush(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestCompactionAllocationRatchet bounds the bytes a merge of snappy
+// tables allocates by what decoding its input allocates, which is the
+// floor: each input block is decoded once, into the buffer the block
+// cache keeps. (The floor is measured, not computed: the race detector's
+// allocator hands out twice what is asked for.) On top of it used to come
+// a buffer for the stored form of every block read and one for the
+// compressed form of every block written (1.47 here): garbage in
+// proportion to what a compaction happens to pick up, which is a matter
+// of timing. Values grow in key order, the order a merge reads them in,
+// so a read buffer that only ever grew to fit would be outgrown by every
+// block.
+func TestCompactionAllocationRatchet(t *testing.T) {
+	const tables, count, limit = 4, 256, 1.3
+	opts := DefaultOptions(vfs.NewMemFS())
+	opts.Compression = CompressionSnappy
+	opts.DisableCompaction = true // nothing merges before CompactAll
+	opts.WriteBufferSize = 64 << 20
+	db, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var stored [][]byte
+	for r := 0; r < tables; r++ {
+		for i := 0; i < count; i++ {
+			v := make([]byte, 4<<10+i*128)
+			for j := range v {
+				v[j] = byte((j%128%64)*(r+i+7) + j/128)
+			}
+			stored = append(stored, snappy.Encode(nil, v))
+			if err := db.Put(fmt.Appendf(nil, "k%05d", i), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	floor := allocated(func() {
+		for _, s := range stored {
+			if _, err := snappy.Decode(nil, s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	got := allocated(func() {
+		if err := db.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d tables x %d values: the merge allocated %.3f times what decoding its input does", tables, count, got/floor)
+	if got > limit*floor {
+		t.Errorf("the merge allocated %.3f times what decoding its input does, limit %.2f: a per-block buffer is back", got/floor, limit)
 	}
 }

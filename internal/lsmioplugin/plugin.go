@@ -17,7 +17,6 @@ import (
 
 	"lsmio/internal/adios2"
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 )
 
 // PluginName is the name applications put in their XML configuration.
@@ -74,9 +73,6 @@ func open(ctx adios2.PluginContext) (adios2.Engine, error) {
 		FS:    ctx.FS,
 		Async: true,
 	}
-	if ctx.Kernel != nil {
-		storeOpts.Platform = lsm.SimPlatform(ctx.Kernel)
-	}
 	// Inherit the buffer size from the ADIOS2 configuration (the paper:
 	// "inherit the value from ADIOS2 configuration when used as a plugin").
 	if bcs, ok := ctx.IO.Parameter("BufferChunkSize"); ok {
@@ -96,9 +92,9 @@ func open(ctx adios2.PluginContext) (adios2.Engine, error) {
 	}
 	dir := fmt.Sprintf("%s.lsmio/rank%06d", ctx.Path, rank)
 	mgr, err := core.NewManager(dir, core.ManagerOptions{
-		Store:  storeOpts,
-		Kernel: ctx.Kernel,
-		MPI:    ctx.Rank,
+		Store:   storeOpts,
+		Runtime: ctx.Runtime,
+		MPI:     ctx.Rank,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("lsmio plugin: %w", err)
@@ -131,7 +127,7 @@ func (e *engine) rankID() int {
 }
 
 func (e *engine) compute(d time.Duration) {
-	e.ctx.Kernel.Compute(d)
+	e.ctx.Runtime.Compute(d)
 }
 
 // BeginStep implements adios2.Engine.

@@ -18,7 +18,7 @@
 //     for concurrent use; recording is lock-free atomics.
 //   - Time is an injected monotonic clock so the same instruments work
 //     under the discrete-event simulator (virtual time) and in real
-//     time. The default clock is wall time since registry creation.
+//     time. The default clock is the real runtime's (rt.Real).
 //
 // DESIGN.md §10 documents the naming scheme, the trace-event schema and
 // the compatibility story for the legacy Stats structs.
@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lsmio/internal/rt"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -82,35 +84,26 @@ type Registry struct {
 	now      func() time.Duration
 }
 
-// NewRegistry builds an empty registry whose clock defaults to wall
-// time since creation.
-func NewRegistry() *Registry {
-	start := time.Now()
+// NewRegistry builds an empty registry on the real runtime's clock
+// (wall time since the process epoch).
+func NewRegistry() *Registry { return NewRegistryOn(rt.Real().Now) }
+
+// NewRegistryOn builds an empty registry clocked by now — the Now of
+// the rt.Runtime its stack runs on, so every timestamp and duration it
+// records is virtual time inside the simulator.
+func NewRegistryOn(now func() time.Duration) *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		now:      func() time.Duration { return time.Since(start) },
+		now:      now,
 	}
 	r.trace = NewTrace(DefaultTraceCapacity, r.Now)
 	return r
 }
 
-// SetClock replaces the registry's monotonic clock (virtual time inside
-// the simulator). The trace ring timestamps with the same clock.
-func (r *Registry) SetClock(now func() time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.now = now
-}
-
 // Now reads the registry's monotonic clock.
-func (r *Registry) Now() time.Duration {
-	r.mu.RLock()
-	now := r.now
-	r.mu.RUnlock()
-	return now()
-}
+func (r *Registry) Now() time.Duration { return r.now() }
 
 // Counter returns (creating on first use) the counter named name.
 func (r *Registry) Counter(name string) *Counter {

@@ -219,9 +219,7 @@ func TestScope(t *testing.T) {
 }
 
 func TestRegistryClock(t *testing.T) {
-	r := NewRegistry()
-	var virt time.Duration = 5 * time.Minute
-	r.SetClock(func() time.Duration { return virt })
+	r := NewRegistryOn(func() time.Duration { return 5 * time.Minute })
 	if r.Now() != 5*time.Minute {
 		t.Fatalf("Now = %v", r.Now())
 	}

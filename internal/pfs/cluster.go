@@ -8,6 +8,7 @@ import (
 	"lsmio/internal/netsim"
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -17,6 +18,7 @@ import (
 // ComputeNodes+j.
 type Cluster struct {
 	k      *sim.Kernel
+	clk    rt.Clock // k's virtual clock: retry backoffs, the registry
 	cfg    Config
 	fabric *netsim.Fabric
 
@@ -73,13 +75,6 @@ func (c *Cluster) SetIOScheduler(s *iosched.Scheduler) { c.iosched = s }
 func (c *Cluster) scrubAcquire(n int64) {
 	c.iosched.Acquire(iosched.Scrub, n)
 }
-
-// procClock adapts the calling simulation process to resil.Clock, so
-// policy backoffs are charged on the virtual clock.
-type procClock struct{ p *sim.Proc }
-
-func (c procClock) Now() time.Duration    { return c.p.Now().Duration() }
-func (c procClock) Sleep(d time.Duration) { c.p.Sleep(d) }
 
 // retryPolicy builds the cluster's RPC retry discipline from the Config
 // knobs. Both the read and the write path run every OST attempt under
@@ -226,12 +221,12 @@ func (o *ost) matchStream(fileID uint64, objOff, n, window int64, cacheSize int)
 func NewCluster(k *sim.Kernel, cfg Config) *Cluster {
 	c := &Cluster{
 		k:       k,
+		clk:     rt.Sim(k),
 		cfg:     cfg.withDefaults(),
 		store:   vfs.NewMemFS(),
 		layouts: make(map[string]*layout),
-		reg:     obs.NewRegistry(),
 	}
-	c.reg.SetClock(func() time.Duration { return k.Now().Duration() })
+	c.reg = obs.NewRegistryOn(c.clk.Now)
 	c.m = newPFSMetrics(c.reg)
 	c.fabric = netsim.New(k, netsim.Config{
 		Nodes:     c.cfg.ComputeNodes + c.cfg.NumOSSs,
@@ -521,7 +516,7 @@ func (c *Cluster) writeRun(p *sim.Proc, client int, l *layout, r run, allowHedge
 	}
 	var done sim.Time
 	attempts := 0
-	err := c.retryPolicy().Do(nil, procClock{p}, c.retrySeed(r.ostIdx), func(attempt int) error {
+	err := c.retryPolicy().Do(nil, c.clk, c.retrySeed(r.ostIdx), func(attempt int) error {
 		attempts = attempt + 1
 		c.m.writeOps.Inc()
 		p.Sleep(c.cfg.ClientRPCOverhead)
@@ -604,7 +599,7 @@ func (c *Cluster) chargeRead(p *sim.Proc, client int, l *layout, off, n int64) e
 // immediately.
 func (c *Cluster) readRun(p *sim.Proc, client int, l *layout, r run) error {
 	attempts := 0
-	err := c.retryPolicy().Do(nil, procClock{p}, c.retrySeed(r.ostIdx), func(attempt int) error {
+	err := c.retryPolicy().Do(nil, c.clk, c.retrySeed(r.ostIdx), func(attempt int) error {
 		attempts = attempt + 1
 		c.m.readOps.Inc()
 		p.Sleep(c.cfg.ClientRPCOverhead)

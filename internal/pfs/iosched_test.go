@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lsmio/internal/iosched"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -35,6 +36,7 @@ func TestScrubThrottledDoesNotDegradeCommitP99(t *testing.T) {
 	// run returns the p99 commit latency with the given scrub/throttle mix.
 	run := func(withScrub, throttled bool) time.Duration {
 		k := sim.NewKernel()
+		rtm := rt.Sim(k)
 		c := NewCluster(k, cfg)
 		c.EnableResilience(Resilience{Parity: true})
 		var sched *iosched.Scheduler
@@ -42,7 +44,7 @@ func TestScrubThrottledDoesNotDegradeCommitP99(t *testing.T) {
 			// Budget ≈ the bandwidth one striped writer can reach (2
 			// OSTs' worth); scrub's 5% share only matters while the
 			// foreground class holds unexpired claims.
-			sched = iosched.New(iosched.Config{BytesPerSec: 2 * cfg.OSTSeqWriteBW, Kernel: k})
+			sched = iosched.New(iosched.Config{BytesPerSec: 2 * cfg.OSTSeqWriteBW, Clock: rtm})
 			c.SetIOScheduler(sched)
 		}
 		if withScrub {

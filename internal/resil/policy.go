@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"lsmio/internal/rt"
 )
 
 // Policy is the single retry/timeout discipline shared by every storage
@@ -27,29 +29,13 @@ type Policy struct {
 	// overflow protection).
 	MaxDelay time.Duration
 	// Timeout bounds one whole Do call — attempts plus backoffs — on
-	// the injected clock. Zero means no deadline. Expiry surfaces as an
+	// the caller's clock. Zero means no deadline. Expiry surfaces as an
 	// error wrapping context.DeadlineExceeded.
 	Timeout time.Duration
 	// OnRetry, when set, observes each retry decision just before the
 	// backoff sleep (attempt is the 0-based attempt that failed).
 	OnRetry func(attempt int, err error)
 }
-
-// Clock is the monotonic time source a Policy runs on: virtual time
-// inside the simulator (a sim.Proc adapter), wall time outside. Sleep
-// must charge the backoff to the calling process.
-type Clock interface {
-	Now() time.Duration
-	Sleep(d time.Duration)
-}
-
-type wallClock struct{ epoch time.Time }
-
-func (c wallClock) Now() time.Duration    { return time.Since(c.epoch) }
-func (c wallClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// WallClock returns a real-time Clock (used outside the simulator).
-func WallClock() Clock { return wallClock{epoch: time.Now()} }
 
 // Class is the failure classification every tier shares. Markers are
 // method interfaces (TransientFault / TargetDown), so classification
@@ -175,9 +161,9 @@ func (p Policy) Backoff(attempt int, seed uint64) time.Duration {
 // flight is never interrupted), and Timeout bounds the whole call on
 // clk. op receives the 0-based attempt number; the last attempt's error
 // is returned on exhaustion.
-func (p Policy) Do(ctx context.Context, clk Clock, seed uint64, op func(attempt int) error) error {
+func (p Policy) Do(ctx context.Context, clk rt.Clock, seed uint64, op func(attempt int) error) error {
 	if clk == nil {
-		clk = WallClock()
+		clk = rt.Real()
 	}
 	var deadline time.Duration
 	hasDeadline := p.Timeout > 0

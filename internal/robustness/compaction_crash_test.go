@@ -112,7 +112,7 @@ func TestCompactionCrashSweep(t *testing.T) {
 			}
 			o := reopenOpts
 			o.FS = state
-			o.Platform = nil
+			o.Runtime = nil
 			db2, err := lsm.Open("db", o)
 			if err != nil {
 				if acked > 0 {

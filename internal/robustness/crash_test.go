@@ -8,6 +8,7 @@ package robustness
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"lsmio/ckpt"
@@ -91,19 +92,33 @@ func TestLSMCrashSweep(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Phase 4: reopen. Open writes a fresh manifest, switches CURRENT to
+	// it and sweeps the superseded one; a crash at any boundary in there
+	// must leave a store that opens with everything acknowledged above.
+	reopenAt := ffs.Boundaries()
+	if db, err = lsm.Open("db", opts); err != nil {
+		t.Fatal(err)
+	}
+	put("reopened", "post-reopen")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
 	ffs.StopRecording()
 
 	pts := ffs.CrashPoints()
 	if len(pts) < 20 {
 		t.Fatalf("workload crossed only %d boundaries; sweep too weak", len(pts))
 	}
-	var sawSync, sawRename bool
+	var sawSync, sawRename, sawManifestSweep bool
 	for _, pt := range pts {
 		sawSync = sawSync || pt.Op == faultfs.OpSync
 		sawRename = sawRename || pt.Op == faultfs.OpRename
+		sawManifestSweep = sawManifestSweep || (pt.Boundary > reopenAt &&
+			pt.Op == faultfs.OpRemove && strings.Contains(pt.Path, "MANIFEST-"))
 	}
-	if !sawSync || !sawRename {
-		t.Fatalf("sweep misses op classes: sync=%v rename=%v", sawSync, sawRename)
+	if !sawSync || !sawRename || !sawManifestSweep {
+		t.Fatalf("sweep misses op classes: sync=%v rename=%v manifest-sweep-on-reopen=%v",
+			sawSync, sawRename, sawManifestSweep)
 	}
 
 	reopenOpts := opts
@@ -129,7 +144,7 @@ func TestLSMCrashSweep(t *testing.T) {
 			}
 			o := reopenOpts
 			o.FS = state
-			o.Platform = nil
+			o.Runtime = nil
 			db2, err := lsm.Open("db", o)
 			if err != nil {
 				if acked > 0 {

@@ -11,9 +11,9 @@ import (
 	"lsmio/internal/burst"
 	"lsmio/internal/core"
 	"lsmio/internal/faultfs"
-	"lsmio/internal/lsm"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -68,6 +68,7 @@ type degRun struct {
 func runDegradedCheckpoints(t *testing.T, hedge bool, slowFactor float64, killMidRun bool) *degRun {
 	t.Helper()
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, degClusterConfig())
 	dumpTraceOnFailure(t, "", cluster.Obs())
 	cluster.EnableResilience(pfs.Resilience{
@@ -93,11 +94,10 @@ func runDegradedCheckpoints(t *testing.T, hedge bool, slowFactor float64, killMi
 				mgr, err := core.NewManager(fmt.Sprintf("deg/rank%03d", rank), core.ManagerOptions{
 					Store: core.StoreOptions{
 						FS:              cluster.ResilientClient(rank),
-						Platform:        lsm.SimPlatform(k),
 						Async:           true,
 						WriteBufferSize: 256 << 10,
 					},
-					Kernel: k,
+					Runtime: rtm,
 				})
 				if err != nil {
 					return err
@@ -285,21 +285,22 @@ func TestDegradedSlowOSTHedgedTail(t *testing.T) {
 // burstOverCluster stages into a MemFS-backed store and drains into a
 // cluster-backed durable store, inline (no worker) for determinism.
 func burstOverCluster(k *sim.Kernel, durableFS vfs.FS) (*burst.Tier, *core.Manager, *core.Manager, error) {
+	rtm := rt.Sim(k)
 	smgr, err := core.NewManager("stage", core.ManagerOptions{
-		Store:  core.StoreOptions{FS: vfs.NewMemFS(), Platform: lsm.SimPlatform(k), WriteBufferSize: 64 << 10},
-		Kernel: k,
+		Store:   core.StoreOptions{FS: vfs.NewMemFS(), WriteBufferSize: 64 << 10},
+		Runtime: rtm,
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	dmgr, err := core.NewManager("app", core.ManagerOptions{
-		Store:  core.StoreOptions{FS: durableFS, Platform: lsm.SimPlatform(k), WriteBufferSize: 64 << 10},
-		Kernel: k,
+		Store:   core.StoreOptions{FS: durableFS, WriteBufferSize: 64 << 10},
+		Runtime: rtm,
 	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tier := burst.New(ckpt.New(smgr, ckpt.Options{}), ckpt.New(dmgr, ckpt.Options{}), burst.Options{Kernel: k})
+	tier := burst.New(ckpt.New(smgr, ckpt.Options{}), ckpt.New(dmgr, ckpt.Options{}), burst.Options{Runtime: rtm})
 	return tier, smgr, dmgr, nil
 }
 

@@ -127,7 +127,7 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 			}
 			o := opts
 			o.FS = state
-			o.Platform = nil
+			o.Runtime = nil
 			anythingPromised := false
 			for w := 0; w < writers; w++ {
 				if a := ackedAt[w][1]; a != 0 && a <= pt.Boundary {

@@ -9,8 +9,8 @@ import (
 
 	"lsmio/ckpt"
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/pfs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -58,6 +58,7 @@ type chaosOutcome struct {
 func runRestoreChaos(t *testing.T, crashAt int) chaosOutcome {
 	t.Helper()
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	cluster := pfs.NewCluster(k, chaosClusterConfig())
 	dumpTraceOnFailure(t, fmt.Sprintf("crash%02d", crashAt), cluster.Obs())
 	cluster.EnableResilience(pfs.Resilience{Hedge: true, Parity: true})
@@ -69,12 +70,11 @@ func runRestoreChaos(t *testing.T, crashAt int) chaosOutcome {
 			mgr, err := core.NewManager("chaos/rank000", core.ManagerOptions{
 				Store: core.StoreOptions{
 					FS:              cluster.ResilientClient(0),
-					Platform:        lsm.SimPlatform(k),
 					Async:           true,
 					WriteBufferSize: 256 << 10,
 				},
-				Kernel: k,
-				Obs:    cluster.Obs(),
+				Runtime: rtm,
+				Obs:     cluster.Obs(),
 			})
 			if err != nil {
 				return err

@@ -10,11 +10,11 @@ import (
 
 	"lsmio/internal/core"
 	"lsmio/internal/faultfs"
-	"lsmio/internal/lsm"
 	"lsmio/internal/netsim"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/svc"
 	"lsmio/internal/vfs"
@@ -226,8 +226,8 @@ func TestServiceChaosRebalancePhaseCrash(t *testing.T) {
 func TestServiceChaosPartitionMidCommit(t *testing.T) {
 	const shards, tenants, steps, blocks = 3, 3, 5, 8
 	k := sim.NewKernel()
-	reg := obs.NewRegistry()
-	reg.SetClock(func() time.Duration { return k.Now().Duration() })
+	rtm := rt.Sim(k)
+	reg := obs.NewRegistryOn(rtm.Now)
 	dumpTraceOnFailure(t, "", reg)
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(tenants+shards))
 
@@ -256,16 +256,15 @@ func TestServiceChaosPartitionMidCommit(t *testing.T) {
 			OpenShard: func(i int) (*core.Manager, error) {
 				return core.NewManager(fmt.Sprintf("svc/shard%03d", i), core.ManagerOptions{
 					Store: core.StoreOptions{
-						FS:       cluster.Client(tenants + i),
-						Platform: lsm.SimPlatform(k),
-						Async:    true,
+						FS:    cluster.Client(tenants + i),
+						Async: true,
 					},
-					Kernel: k,
-					Obs:    reg,
+					Runtime: rtm,
+					Obs:     reg,
 				})
 			},
-			Kernel: k,
-			Obs:    reg,
+			Runtime: rtm,
+			Obs:     reg,
 		})
 		if setupErr != nil {
 			return

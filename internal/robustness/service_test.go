@@ -8,10 +8,10 @@ import (
 	"time"
 
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/svc"
 )
@@ -32,6 +32,7 @@ const (
 // on a Lustre-like cluster, fronted over its fabric.
 type svcHarness struct {
 	k       *sim.Kernel
+	rt      rt.Runtime
 	cluster *pfs.Cluster
 	reg     *obs.Registry
 	s       *svc.Service
@@ -43,9 +44,10 @@ type svcHarness struct {
 // many shards, starting with `shards`).
 func newSvcHarness(t *testing.T, shards, shardSlots int, adm svc.AdmissionConfig) *svcHarness {
 	t.Helper()
-	h := &svcHarness{k: sim.NewKernel(), reg: obs.NewRegistry()}
+	h := &svcHarness{k: sim.NewKernel()}
+	rtm := rt.Sim(h.k)
+	h.rt, h.reg = rtm, obs.NewRegistryOn(rtm.Now)
 	h.cluster = pfs.NewCluster(h.k, pfs.VikingConfig(svcTenants+shardSlots))
-	h.reg.SetClock(func() time.Duration { return h.k.Now().Duration() })
 	var err error
 	h.k.Spawn("setup", func(p *sim.Proc) {
 		h.s, err = svc.New(svc.Options{
@@ -53,15 +55,14 @@ func newSvcHarness(t *testing.T, shards, shardSlots int, adm svc.AdmissionConfig
 			OpenShard: func(i int) (*core.Manager, error) {
 				return core.NewManager(fmt.Sprintf("svc/shard%03d", i), core.ManagerOptions{
 					Store: core.StoreOptions{
-						FS:       h.cluster.Client(svcTenants + i),
-						Platform: lsm.SimPlatform(h.k),
-						Async:    true,
+						FS:    h.cluster.Client(svcTenants + i),
+						Async: true,
 					},
-					Kernel: h.k,
-					Obs:    h.reg,
+					Runtime: rtm,
+					Obs:     h.reg,
 				})
 			},
-			Kernel:    h.k,
+			Runtime:   rtm,
 			Obs:       h.reg,
 			Admission: adm,
 		})
@@ -263,12 +264,6 @@ func TestServiceRebalanceUnderLoad(t *testing.T) {
 	}
 }
 
-// procClk adapts a simulation process to resil.Clock.
-type procClk struct{ p *sim.Proc }
-
-func (c procClk) Now() time.Duration    { return c.p.Now().Duration() }
-func (c procClk) Sleep(d time.Duration) { c.p.Sleep(d) }
-
 // TestServiceQuotaExhaustionRetry floods a tightly capped tenant until
 // admission rejects, then shows the rejection is a typed, transient,
 // retryable error: resil.Classify maps it to ClassTransient, RetryAfter
@@ -306,7 +301,7 @@ func TestServiceQuotaExhaustionRetry(t *testing.T) {
 		// The unified retry policy turns the advertised backoff into an
 		// eventual admit without any service-specific handling.
 		pol := resil.Policy{MaxRetries: 64, BaseDelay: qe.RetryAfter, MaxDelay: qe.RetryAfter}
-		retryErr = pol.Do(nil, procClk{p}, 1, func(attempt int) error {
+		retryErr = pol.Do(nil, h.rt, 1, func(attempt int) error {
 			if attempt > 0 {
 				retries = attempt
 			}

@@ -397,15 +397,6 @@ func (c *Client) proc() *sim.Proc {
 	return p
 }
 
-// simClock adapts the calling simulation process to resil.Clock so the
-// retry policy's deadline and backoff run on virtual time.
-type simClock struct{ p *sim.Proc }
-
-func (c simClock) Now() time.Duration    { return c.p.Now().Duration() }
-func (c simClock) Sleep(d time.Duration) { c.p.Sleep(d) }
-
-func (c *Client) clock() resil.Clock { return simClock{p: c.proc()} }
-
 // admit runs client-side admission, sleeping out any fair-share delay.
 func (c *Client) admit(nBytes, nOps int) error {
 	s := c.f.s
@@ -495,7 +486,7 @@ func (c *Client) roundTrip(mk func() frontReq, payload int64) (frontRep, error) 
 	var rep frontRep
 	var appErr error
 	pol := c.f.opts.Retry
-	err := pol.Do(nil, c.clock(), fnv64a(c.ts.name), func(attempt int) error {
+	err := pol.Do(nil, c.f.s.rt, fnv64a(c.ts.name), func(attempt int) error {
 		if attempt > 0 {
 			c.f.cRetries.Inc()
 		}
@@ -528,7 +519,7 @@ func (c *Client) Put(key string, value []byte) error {
 	nsk := nsKey(c.ts.name, key)
 	val := append([]byte(nil), value...)
 	pol := c.f.opts.Retry
-	err := pol.Do(nil, c.clock(), fnv64a(nsk), func(attempt int) error {
+	err := pol.Do(nil, c.f.s.rt, fnv64a(nsk), func(attempt int) error {
 		if attempt > 0 {
 			c.f.cRetries.Inc()
 		}
@@ -555,7 +546,7 @@ func (c *Client) Del(key string) error {
 	}
 	nsk := nsKey(c.ts.name, key)
 	pol := c.f.opts.Retry
-	err := pol.Do(nil, c.clock(), fnv64a(nsk)+1, func(attempt int) error {
+	err := pol.Do(nil, c.f.s.rt, fnv64a(nsk)+1, func(attempt int) error {
 		if attempt > 0 {
 			c.f.cRetries.Inc()
 		}

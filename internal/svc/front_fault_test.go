@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/netsim"
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -19,9 +19,9 @@ import (
 // fault plan installed and explicit FrontOptions. Must be called from a
 // simulation process. Client node 0; shard nodes 1..shards.
 func newFaultFront(t *testing.T, k *sim.Kernel, shards int, fo FrontOptions, sup SupervisorConfig) (*Service, *Front, *netsim.Plan) {
+	rtm := rt.Sim(k)
 	t.Helper()
-	reg := obs.NewRegistry()
-	reg.SetClock(func() time.Duration { return k.Now().Duration() })
+	reg := obs.NewRegistryOn(rtm.Now)
 	fabric := netsim.New(k, netsim.DefaultConfig(1+shards))
 	plan := netsim.NewPlan()
 	fabric.SetPlan(plan)
@@ -30,15 +30,14 @@ func newFaultFront(t *testing.T, k *sim.Kernel, shards int, fo FrontOptions, sup
 		OpenShard: func(i int) (*core.Manager, error) {
 			return core.NewManager("store", core.ManagerOptions{
 				Store: core.StoreOptions{
-					FS:       vfs.NewMemFS(),
-					Platform: lsm.SimPlatform(k),
-					Async:    true,
+					FS:    vfs.NewMemFS(),
+					Async: true,
 				},
-				Kernel: k,
-				Obs:    reg,
+				Runtime: rtm,
+				Obs:     reg,
 			})
 		},
-		Kernel:     k,
+		Runtime:    rtm,
 		Obs:        reg,
 		Supervisor: sup,
 	})

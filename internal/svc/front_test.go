@@ -8,10 +8,10 @@ import (
 	"time"
 
 	"lsmio/internal/core"
-	"lsmio/internal/lsm"
 	"lsmio/internal/netsim"
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -20,24 +20,23 @@ import (
 // client nodes [0, clients), shard nodes [clients, clients+shardSlots).
 // Must be called from a simulation process.
 func newSimService(t *testing.T, k *sim.Kernel, shards, clients, shardSlots int, adm AdmissionConfig) (*Service, *Front) {
+	rtm := rt.Sim(k)
 	t.Helper()
-	reg := obs.NewRegistry()
-	reg.SetClock(func() time.Duration { return k.Now().Duration() })
+	reg := obs.NewRegistryOn(rtm.Now)
 	fabric := netsim.New(k, netsim.DefaultConfig(clients+shardSlots))
 	s, err := New(Options{
 		Shards: shards,
 		OpenShard: func(i int) (*core.Manager, error) {
 			return core.NewManager("store", core.ManagerOptions{
 				Store: core.StoreOptions{
-					FS:       vfs.NewMemFS(),
-					Platform: lsm.SimPlatform(k),
-					Async:    true,
+					FS:    vfs.NewMemFS(),
+					Async: true,
 				},
-				Kernel: k,
-				Obs:    reg,
+				Runtime: rtm,
+				Obs:     reg,
 			})
 		},
-		Kernel:    k,
+		Runtime:   rtm,
 		Obs:       reg,
 		Admission: adm,
 	})
@@ -152,28 +151,28 @@ func (stallErr) TransientFault() bool { return true }
 // (as a resil.ClassError), not collapsed into a generic failure.
 func TestFrontErrorClassRoundTrip(t *testing.T) {
 	k := sim.NewKernel()
+	rtm := rt.Sim(k)
 	k.Spawn("main", func(p *sim.Proc) {
-		reg := obs.NewRegistry()
-		reg.SetClock(func() time.Duration { return k.Now().Duration() })
+		reg := obs.NewRegistryOn(rtm.Now)
 		fabric := netsim.New(k, netsim.DefaultConfig(2))
 		var faulty *faultyBarrierStore
 		s, err := New(Options{
 			Shards: 1,
 			OpenShard: func(i int) (*core.Manager, error) {
 				st, err := core.OpenStore("store", core.StoreOptions{
-					FS:       vfs.NewMemFS(),
-					Platform: lsm.SimPlatform(k),
-					Async:    true,
-					Obs:      reg,
+					FS:      vfs.NewMemFS(),
+					Runtime: rtm,
+					Async:   true,
+					Obs:     reg,
 				})
 				if err != nil {
 					return nil, err
 				}
 				faulty = &faultyBarrierStore{Store: st}
-				return core.NewManager("", core.ManagerOptions{Kernel: k, Remote: faulty, Obs: reg})
+				return core.NewManager("", core.ManagerOptions{Runtime: rtm, Remote: faulty, Obs: reg})
 			},
-			Kernel: k,
-			Obs:    reg,
+			Runtime: rtm,
+			Obs:     reg,
 		})
 		if err != nil {
 			t.Fatal(err)

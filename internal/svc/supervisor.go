@@ -8,7 +8,7 @@ import (
 
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
-	"lsmio/internal/sim"
+	"lsmio/internal/rt"
 )
 
 // The shard supervisor: per-shard health tracking (request-outcome
@@ -83,7 +83,11 @@ type supervisor struct {
 
 	stopOnce sync.Once
 	stopC    chan struct{}
-	wg       sync.WaitGroup
+	probe    sync.WaitGroup // the goroutine-only heartbeat prober
+	// workers counts live restart workers (guarded by s.pauseMu); stop
+	// waits on idle for it to reach zero.
+	workers int
+	idle    rt.Cond
 
 	cKicks    *obs.Counter
 	cRestarts *obs.Counter
@@ -97,6 +101,7 @@ func newSupervisor(s *Service, cfg SupervisorConfig) *supervisor {
 		s:         s,
 		cfg:       cfg.withDefaults(),
 		stopC:     make(chan struct{}),
+		idle:      s.pauseMu.NewCond(),
 		cKicks:    s.reg.Counter("svc.supervisor.kicks"),
 		cRestarts: s.reg.Counter("svc.supervisor.restarts"),
 		cFails:    s.reg.Counter("svc.supervisor.restart_failures"),
@@ -116,24 +121,30 @@ func (u *supervisor) newTracker() *resil.Tracker {
 // retryHint is the backoff suggested to callers hitting a down shard.
 func (u *supervisor) retryHint() time.Duration { return u.cfg.RestartBackoff }
 
-// start launches the goroutine-mode heartbeat prober.
+// start launches the heartbeat prober — on the real runtime only: a
+// free-running periodic task would hold virtual time open forever.
 func (u *supervisor) start() {
 	if u.cfg.Disabled || u.s.kern != nil {
 		return
 	}
-	u.wg.Add(1)
+	u.probe.Add(1)
 	go u.probeLoop()
 }
 
-// stop halts the prober and waits for in-flight restart workers
-// (goroutine mode; simulator restart procs abort via isClosed).
+// stop halts the prober and waits for in-flight restart workers, which
+// abort at their next isClosed check.
 func (u *supervisor) stop() {
 	u.stopOnce.Do(func() { close(u.stopC) })
-	u.wg.Wait()
+	u.probe.Wait()
+	u.s.pauseMu.Lock()
+	for u.workers > 0 {
+		u.idle.Wait()
+	}
+	u.s.pauseMu.Unlock()
 }
 
 func (u *supervisor) probeLoop() {
-	defer u.wg.Done()
+	defer u.probe.Done()
 	t := time.NewTicker(u.cfg.HeartbeatInterval)
 	defer t.Stop()
 	for {
@@ -184,27 +195,25 @@ func (u *supervisor) kick(sh *shard, cause error) {
 }
 
 func (u *supervisor) spawnRestart(sh *shard) {
-	if u.s.kern != nil {
-		u.s.kern.Spawn(fmt.Sprintf("svc-restart-%d", sh.idx), func(p *sim.Proc) {
-			u.restart(p, sh)
-		})
-		return
-	}
-	u.wg.Add(1)
-	go func() {
-		defer u.wg.Done()
-		u.restart(nil, sh)
-	}()
+	s := u.s
+	s.pauseMu.Lock()
+	u.workers++
+	s.pauseMu.Unlock()
+	s.rt.Go(fmt.Sprintf("svc-restart-%d", sh.idx), false, func() {
+		u.restart(sh)
+		s.pauseMu.Lock()
+		u.workers--
+		s.pauseMu.Unlock()
+		u.idle.Broadcast()
+	})
 }
 
-// sleepIn charges a restart backoff: virtual time in the simulator,
-// stop-interruptible wall time outside.
-func (u *supervisor) sleepIn(p *sim.Proc, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if p != nil {
-		p.Sleep(d)
+// backoff charges a restart backoff: virtual time in the simulator,
+// stop-interruptible wall time on the real runtime (so Close does not
+// sit out a 640 ms backoff).
+func (u *supervisor) backoff(d time.Duration) {
+	if u.s.kern != nil {
+		u.s.rt.Sleep(d)
 		return
 	}
 	select {
@@ -216,8 +225,8 @@ func (u *supervisor) sleepIn(p *sim.Proc, d time.Duration) {
 // restart is one shard's crash-restart worker: reap the dead manager,
 // reopen the store with backoff (LSM recovery replays everything up to
 // the last synced state), probe it, then swap it in under the write
-// fence. Runs as a simulation process (p != nil) or a goroutine.
-func (u *supervisor) restart(p *sim.Proc, sh *shard) {
+// fence.
+func (u *supervisor) restart(sh *shard) {
 	s := u.s
 	// Tear down whatever is left of the failed manager first: two
 	// managers must never be open over one shard directory. CrashShard
@@ -236,7 +245,7 @@ func (u *supervisor) restart(p *sim.Proc, sh *shard) {
 			s.reg.Trace().Emitf("svc.shard.gaveup", "shard %d: %d failed restart attempts", sh.idx, attempt)
 			return
 		}
-		u.sleepIn(p, backoff<<uint(min(attempt, 6)))
+		u.backoff(backoff << uint(min(attempt, 6)))
 		if s.isClosed() {
 			return
 		}

@@ -9,6 +9,7 @@ import (
 	"lsmio/internal/core"
 	"lsmio/internal/faultfs"
 	"lsmio/internal/obs"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -140,13 +141,14 @@ func TestSupervisorBreakerRestart(t *testing.T) {
 // down, and the restart process brings it back on virtual time.
 func TestSupervisorCrashShardSim(t *testing.T) {
 	kern := sim.NewKernel()
+	rtm := rt.Sim(kern)
 	fss := []vfs.FS{vfs.NewMemFS(), vfs.NewMemFS()}
 	var s *Service
 	kern.Spawn("main", func(p *sim.Proc) {
 		var err error
 		s, err = New(Options{
-			Shards: 2,
-			Kernel: kern,
+			Shards:  2,
+			Runtime: rtm,
 			OpenShard: func(i int) (*core.Manager, error) {
 				return core.NewManager("store", core.ManagerOptions{
 					Store: core.StoreOptions{FS: fss[i], Async: true},

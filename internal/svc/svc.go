@@ -44,6 +44,7 @@ import (
 	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -80,11 +81,13 @@ type Options struct {
 	// deployment it opens dir/ShardDirName(i); tests and the simulator
 	// back shards with memory or pfs filesystems.
 	OpenShard func(shard int) (*core.Manager, error)
-	// Kernel must be set when the service runs inside the simulator;
-	// nil means goroutine mode (real time, real concurrency).
-	Kernel *sim.Kernel
+	// Runtime is what the service waits, sleeps and spawns restart
+	// workers on: the stack's rt.Sim inside the simulator, rt.Real()
+	// (real time, real concurrency) when nil. The OpenShard closure
+	// passes the same value to the shard managers it builds.
+	Runtime rt.Runtime
 	// Obs is the shared metrics registry (`svc.` prefix). Nil creates
-	// one, clocked on the kernel's virtual time when Kernel is set.
+	// one clocked by Runtime.
 	Obs *obs.Registry
 	// Admission configures fair-share admission control.
 	Admission AdmissionConfig
@@ -127,8 +130,7 @@ func shardStateName(st int32) string {
 }
 
 // shard is one slot of the pool: a Manager plus its serialization lock
-// (goroutine mode only; in the simulator the per-shard server process
-// and cooperative scheduling serialize access).
+// (real runtime only; see Service.lock).
 type shard struct {
 	idx int
 	mgr *core.Manager
@@ -137,8 +139,7 @@ type shard struct {
 
 	// Supervisor state. state/restarts/downAt are atomics so request
 	// paths can fail fast without locks; mgr and health are swapped only
-	// under the shard lock (goroutine mode) / cooperative scheduling
-	// (simulator), with writers fenced.
+	// under the shard lock, with writers fenced.
 	state    atomic.Int32
 	restarts atomic.Int64
 	downAt   atomic.Int64 // reg.Now() ns at which the shard went down
@@ -148,7 +149,8 @@ type shard struct {
 
 // Service is the multi-tenant sharded checkpoint service.
 type Service struct {
-	kern  *sim.Kernel
+	rt    rt.Runtime
+	kern  *sim.Kernel // rt.Kernel(): non-nil selects the simulator-only paths
 	reg   *obs.Registry
 	open  func(int) (*core.Manager, error)
 	mfs   vfs.FS
@@ -168,19 +170,18 @@ type Service struct {
 	phaseHook   func(phase string) // test hook, fired at rebalance phases
 
 	// Write fencing: pauseMu guards paused, the in-flight write count,
-	// and cutover ownership; writers wait on pauseCond (goroutine mode)
-	// or pauseSig (simulator), the fence holder waits for inflight to
-	// drain on pauseCond / fenceSig. Both a rebalance flip and a shard
-	// restart need the pause gate, so they first take cutover ownership
-	// (gateSig / pauseCond).
-	pauseMu   sync.Mutex
+	// cutover ownership and the restart-worker count, each with its own
+	// wait channel: writers wait on pauseCond, the fence holder waits
+	// for inflight to drain on fenceCond, and both a rebalance flip and
+	// a shard restart need the pause gate, so they first take cutover
+	// ownership on gateCond.
+	pauseMu   rt.Mutex
 	paused    bool
 	cutover   bool
 	inflight  int
-	pauseCond *sync.Cond
-	pauseSig  *sim.Signal
-	fenceSig  *sim.Signal
-	gateSig   *sim.Signal
+	pauseCond rt.Cond
+	fenceCond rt.Cond
+	gateCond  rt.Cond
 
 	gShards     *obs.Gauge
 	gEpoch      *obs.Gauge
@@ -202,15 +203,18 @@ func New(opts Options) (*Service, error) {
 	if n <= 0 {
 		n = 1
 	}
+	rtm := opts.Runtime
+	if rtm == nil {
+		rtm = rt.Real()
+	}
 	reg := opts.Obs
 	if reg == nil {
-		reg = obs.NewRegistry()
-		if k := opts.Kernel; k != nil {
-			reg.SetClock(func() time.Duration { return k.Now().Duration() })
-		}
+		reg = obs.NewRegistryOn(rtm.Now)
 	}
 	s := &Service{
-		kern:        opts.Kernel,
+		rt:          rtm,
+		kern:        rtm.Kernel(),
+		pauseMu:     rtm.NewMutex(),
 		reg:         reg,
 		open:        opts.OpenShard,
 		mfs:         opts.ManifestFS,
@@ -225,12 +229,9 @@ func New(opts Options) (*Service, error) {
 		cPasses:     reg.Counter("svc.rebalance.passes"),
 		cApplyErrs:  reg.Counter("svc.apply_errors"),
 	}
-	s.pauseCond = sync.NewCond(&s.pauseMu)
-	if s.kern != nil {
-		s.pauseSig = sim.NewSignal(s.kern)
-		s.fenceSig = sim.NewSignal(s.kern)
-		s.gateSig = sim.NewSignal(s.kern)
-	}
+	s.pauseCond = s.pauseMu.NewCond()
+	s.fenceCond = s.pauseMu.NewCond()
+	s.gateCond = s.pauseMu.NewCond()
 	s.sup = newSupervisor(s, opts.Supervisor)
 	for i := 0; i < n; i++ {
 		sh, err := s.openShard(i)
@@ -268,9 +269,6 @@ func (s *Service) openShard(i int) (*shard, error) {
 
 // Obs returns the service's metrics registry.
 func (s *Service) Obs() *obs.Registry { return s.reg }
-
-// Kernel returns the simulation kernel, nil in goroutine mode.
-func (s *Service) Kernel() *sim.Kernel { return s.kern }
 
 // IOScheduler returns the shared bandwidth scheduler the shard stores
 // draw from, nil when scheduling is disabled.
@@ -335,19 +333,6 @@ func (s *Service) TenantNames() []string {
 // application must be balanced by exitWrite (at apply completion, which
 // for the fabric front happens on the shard server).
 func (s *Service) enterWrites(n int) {
-	if s.kern != nil {
-		p := s.kern.Current()
-		for {
-			s.pauseMu.Lock()
-			if !s.paused {
-				s.inflight += n
-				s.pauseMu.Unlock()
-				return
-			}
-			s.pauseMu.Unlock()
-			s.pauseSig.Wait(p)
-		}
-	}
 	s.pauseMu.Lock()
 	for s.paused {
 		s.pauseCond.Wait()
@@ -366,11 +351,7 @@ func (s *Service) exitWrite() {
 	drained := s.inflight == 0
 	s.pauseMu.Unlock()
 	if drained {
-		if s.kern != nil {
-			s.fenceSig.Broadcast()
-		} else {
-			s.pauseCond.Broadcast()
-		}
+		s.fenceCond.Broadcast()
 	}
 }
 
@@ -380,11 +361,7 @@ func (s *Service) setPaused(on bool) {
 	s.paused = on
 	s.pauseMu.Unlock()
 	if !on {
-		if s.kern != nil {
-			s.pauseSig.Broadcast()
-		} else {
-			s.pauseCond.Broadcast()
-		}
+		s.pauseCond.Broadcast()
 	}
 }
 
@@ -392,21 +369,9 @@ func (s *Service) setPaused(on bool) {
 // applied. Callers set the pause gate first, so the count can only
 // drain.
 func (s *Service) fenceWrites() {
-	if s.kern != nil {
-		p := s.kern.Current()
-		for {
-			s.pauseMu.Lock()
-			n := s.inflight
-			s.pauseMu.Unlock()
-			if n == 0 {
-				return
-			}
-			s.fenceSig.Wait(p)
-		}
-	}
 	s.pauseMu.Lock()
 	for s.inflight > 0 {
-		s.pauseCond.Wait()
+		s.fenceCond.Wait()
 	}
 	s.pauseMu.Unlock()
 }
@@ -416,22 +381,9 @@ func (s *Service) fenceWrites() {
 // writers; ownership serializes them so neither can resume the other's
 // pause mid-swap.
 func (s *Service) acquireCutover() {
-	if s.kern != nil {
-		p := s.kern.Current()
-		for {
-			s.pauseMu.Lock()
-			if !s.cutover {
-				s.cutover = true
-				s.pauseMu.Unlock()
-				return
-			}
-			s.pauseMu.Unlock()
-			s.gateSig.Wait(p)
-		}
-	}
 	s.pauseMu.Lock()
 	for s.cutover {
-		s.pauseCond.Wait()
+		s.gateCond.Wait()
 	}
 	s.cutover = true
 	s.pauseMu.Unlock()
@@ -441,11 +393,7 @@ func (s *Service) releaseCutover() {
 	s.pauseMu.Lock()
 	s.cutover = false
 	s.pauseMu.Unlock()
-	if s.kern != nil {
-		s.gateSig.Broadcast()
-	} else {
-		s.pauseCond.Broadcast()
-	}
+	s.gateCond.Broadcast()
 }
 
 // dupWrite registers one extra in-flight write application without
@@ -458,19 +406,11 @@ func (s *Service) dupWrite() {
 	s.pauseMu.Unlock()
 }
 
-// sleep charges an admission delay to the caller: virtual time inside
-// the simulator, wall time outside.
+// sleep charges an admission delay to the caller.
 func (s *Service) sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		s.rt.Sleep(d)
 	}
-	if s.kern != nil {
-		if p := s.kern.Current(); p != nil {
-			p.Sleep(d)
-			return
-		}
-	}
-	time.Sleep(d)
 }
 
 // ---- routing ----------------------------------------------------------
@@ -533,10 +473,12 @@ func (s *Service) snapshotRing() (*Ring, []*shard) {
 
 // ---- shard application ------------------------------------------------
 
-// lock serializes direct shard access in goroutine mode. Inside the
+// lock serializes direct shard access on the real runtime. Inside the
 // simulator the cooperative scheduler plus the one-server-per-shard
-// front provide the serialization, and holding a sync.Mutex across a
-// virtual-time park could deadlock the kernel, so the lock is skipped.
+// front provide the serialization and the lock is skipped: taken as an
+// rt mutex it would be held across store I/O that parks in virtual
+// time, queueing requests the calibrated figures let overlap
+// (DESIGN.md §5).
 func (s *Service) lock(sh *shard) {
 	if s.kern == nil {
 		sh.mu.Lock()
@@ -805,9 +747,8 @@ func (s *Service) Close() error {
 	s.closed = true
 	shards := s.shards
 	s.mu.Unlock()
-	// Stop the prober and wait for goroutine-mode restart workers so a
-	// restart cannot install a fresh manager after we close the pool
-	// (simulator restart procs abort on the isClosed checks instead).
+	// Stop the prober and wait for restart workers so a restart cannot
+	// install a fresh manager after we close the pool.
 	s.sup.stop()
 	s.fenceWrites()
 	var first error
