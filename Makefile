@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench figures restore-chaos svc-smoke svc-chaos perf-smoke
+.PHONY: build test check race vet bench figures fuzz restore-chaos svc-smoke svc-chaos perf-smoke
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,18 @@ race:
 # Full gate: vet + the complete test suite (including the crash-point
 # enumeration sweeps in internal/robustness) under the race detector,
 # plus the extension figures regenerated, shape-checked and compared
-# with their versioned JSON.
-check: vet race restore-chaos svc-chaos svc-smoke figures
+# with their versioned JSON, and each fuzz target run for a bounded time.
+check: vet race restore-chaos svc-chaos svc-smoke figures fuzz
+
+# Bounded fuzzing of the parsers that read on-disk bytes: each native
+# fuzz target runs for FUZZTIME. A failing input is written under
+# internal/lsm/testdata/fuzz/ and replays under plain `go test` from then
+# on.
+FUZZTIME ?= 10s
+fuzz:
+	@for f in FuzzParseBlock FuzzWALReader FuzzSnappyDecode FuzzBatchDecode; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/lsm || exit 1; \
+	done
 
 # Multi-tenant service smoke: a simulated lsmiod session with four
 # behaved tenants beside a flooding noisy neighbor must keep the

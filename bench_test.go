@@ -200,30 +200,6 @@ func BenchmarkAblationMMap(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCollective compares per-rank stores with the §5.1
-// collective mode (a group's ranks forwarding to one leader-hosted
-// store), on the simulated cluster.
-func BenchmarkAblationCollective(b *testing.B) {
-	run := func(b *testing.B, collective bool, groupSize int) {
-		const nodes = 8
-		for i := 0; i < b.N; i++ {
-			cluster := pfs.NewCluster(sim.NewKernel(), pfs.VikingConfig(nodes))
-			p := ior.DefaultParams(ior.APILSMIO, 64<<10, 16)
-			p.WriteBufferSize = 512 << 10
-			p.LSMIOCollective = collective
-			p.LSMIOGroupSize = groupSize
-			res, err := ior.Run(cluster, nodes, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.WriteBW/1e6, "agg_MB/s")
-		}
-	}
-	b.Run("per-rank", func(b *testing.B) { run(b, false, 0) })
-	b.Run("collective-group4", func(b *testing.B) { run(b, true, 4) })
-	b.Run("collective-all", func(b *testing.B) { run(b, true, 0) })
-}
-
 // BenchmarkAblationBatchRead compares the paper's current read path
 // (synchronous point lookups, §4.5) with the §5.1 batch-read proposal
 // (one sequential sweep), on the simulated cluster.

@@ -29,7 +29,6 @@ commands:
   get <key>           print a key's value
   del <key>           delete a key
   scan [prefix]       list keys (and printable values) in order
-  rscan [prefix]      list keys in reverse order
   stats               Manager counters and engine statistics; on a service
                       directory (SERVICE.json), the aggregate across all shards
   tenants             shard layout and tenant quota table of a service directory
@@ -188,7 +187,7 @@ func main() {
 		if err := db.Flush(); err != nil {
 			die(err)
 		}
-	case "scan", "rscan":
+	case "scan":
 		var lower, upper []byte
 		if len(args) > 0 && args[0] != "" {
 			lower = []byte(args[0])
@@ -200,18 +199,9 @@ func main() {
 		}
 		defer it.Close()
 		n := 0
-		emit := func() {
+		for it.SeekToFirst(); it.Valid(); it.Next() {
 			fmt.Printf("%-40s %s\n", it.Key(), printable(it.Value()))
 			n++
-		}
-		if cmd == "scan" {
-			for it.SeekToFirst(); it.Valid(); it.Next() {
-				emit()
-			}
-		} else {
-			for it.SeekToLast(); it.Valid(); it.Prev() {
-				emit()
-			}
 		}
 		fmt.Printf("(%d keys)\n", n)
 	case "compact":

@@ -53,7 +53,7 @@ type Counters struct {
 	BytesPut    int64
 	BytesGot    int64
 	BarrierTime time.Duration
-	RemoteOps   int64 // operations forwarded to a collective leader
+	RemoteOps   int64 // puts made through ManagerOptions.Remote
 }
 
 // ManagerOptions configures a Manager.
@@ -70,8 +70,9 @@ type ManagerOptions struct {
 	// MPI attaches an MPI rank; WriteBarrier then also performs an MPI
 	// barrier so all ranks' checkpoints complete together (§3.1.3).
 	MPI *mpisim.Rank
-	// Remote, when non-nil, replaces the local store with a connection to
-	// a collective-I/O leader (§5.1 future work, implemented here).
+	// Remote, when non-nil, replaces the local store: the manager runs
+	// over this Store, which it does not own (Close leaves it open). It is
+	// the seam for decorating a store, e.g. with timing or injected faults.
 	Remote Store
 	// Obs is the metrics/trace registry the manager records into, under
 	// the `core.` prefix. Nil creates one clocked by Runtime. The same
@@ -313,16 +314,10 @@ func (m *Manager) EngineStats() lsm.Stats { return m.store.EngineStats() }
 // Store exposes the underlying local store (the paper's internal K/V API).
 func (m *Manager) Store() Store { return m.store }
 
-// Close flushes and releases the manager's store. Remote (collective)
-// managers do not own the leader's store: a member's connection is
-// released (subsequent use returns ErrClosed), while a leader-side
-// manager handed the shared local store directly leaves it open for
-// the service.
+// Close flushes and releases the manager's store. A store handed in as
+// ManagerOptions.Remote belongs to the caller and stays open.
 func (m *Manager) Close() error {
 	if m.remote {
-		if rs, ok := m.store.(*RemoteStore); ok {
-			return rs.Close()
-		}
 		return nil
 	}
 	return m.store.Close()

@@ -311,3 +311,36 @@ func TestManagerReadBatch(t *testing.T) {
 		t.Fatalf("gets = %d", c.Gets)
 	}
 }
+
+// TestManagerOverRemoteStoreLeavesItOpen: a store handed in as
+// ManagerOptions.Remote belongs to the caller. The manager runs over it,
+// counts its puts as remote_ops, and leaves it open on Close, so the
+// caller can keep reading it and closes it itself.
+func TestManagerOverRemoteStoreLeavesItOpen(t *testing.T) {
+	st, err := OpenStore("store", StoreOptions{FS: vfs.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewManager("", ManagerOptions{Remote: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	if c := m.Counters(); c.Puts != 1 || c.RemoteOps != 1 {
+		t.Fatalf("counters %+v, want one put, made remotely", c)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := st.Get("k"); err != nil || string(v) != "v" {
+		t.Fatalf("store after Manager.Close: %q, %v", v, err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("the caller's own Close: %v", err)
+	}
+}

@@ -20,7 +20,7 @@ type mgrMetrics struct {
 	bytesGot *obs.Counter
 
 	barrierNanos *obs.Counter // cumulative WriteBarrier time
-	remoteOps    *obs.Counter // operations forwarded to a collective leader
+	remoteOps    *obs.Counter // puts made through ManagerOptions.Remote
 
 	putLatency     *obs.Histogram
 	getLatency     *obs.Histogram

@@ -395,10 +395,6 @@ func (b *lsmioBackend) dir() string {
 }
 
 func (b *lsmioBackend) key(off int64) string {
-	if b.e.p.LSMIOCollective {
-		// Group members share one store: qualify keys by rank.
-		return fmt.Sprintf("ior/r%06d/%016d", b.e.rank.Rank(), off)
-	}
 	return fmt.Sprintf("ior/%016d", off)
 }
 
@@ -414,9 +410,6 @@ func (b *lsmioBackend) storeOptions() core.StoreOptions {
 }
 
 func (b *lsmioBackend) setupWrite() error {
-	if b.e.p.LSMIOCollective {
-		return b.setupCollective()
-	}
 	mgr, err := core.NewManager(b.dir(), core.ManagerOptions{
 		Store:   b.storeOptions(),
 		Runtime: b.e.rt,
@@ -425,48 +418,6 @@ func (b *lsmioBackend) setupWrite() error {
 		return err
 	}
 	b.mgr = mgr
-	return nil
-}
-
-// setupCollective wires the §5.1 collective mode: the first rank of each
-// group opens the group's store and hosts a K/V service; the others
-// connect as remote stores. Keys carry the rank, so one shared store
-// holds the whole group's data.
-func (b *lsmioBackend) setupCollective() error {
-	group := b.e.p.LSMIOGroupSize
-	if group <= 0 || group > b.e.nodes {
-		group = b.e.nodes
-	}
-	leader := (b.e.rank.Rank() / group) * group
-	if b.e.rank.Rank() == leader {
-		st, err := core.OpenStore(fmt.Sprintf("%s.lsmio.group%08d", b.e.p.TestFile, leader),
-			b.storeOptions())
-		if err != nil {
-			return err
-		}
-		svc := core.NewKVService(b.e.rt.Kernel(), b.e.cluster.Fabric(), leader, st)
-		b.e.shared.kvServices[leader] = svc
-		mgr, err := core.NewManager("", core.ManagerOptions{Runtime: b.e.rt, Remote: st})
-		if err != nil {
-			return err
-		}
-		b.mgr = mgr
-	}
-	b.e.rank.Barrier() // leaders publish their services before members connect
-	if b.e.rank.Rank() != leader {
-		svc := b.e.shared.kvServices[leader]
-		if svc == nil {
-			return fmt.Errorf("ior: no collective service for leader %d", leader)
-		}
-		mgr, err := core.NewManager("", core.ManagerOptions{
-			Runtime: b.e.rt,
-			Remote:  svc.Connect(b.e.rank.Rank()),
-		})
-		if err != nil {
-			return err
-		}
-		b.mgr = mgr
-	}
 	return nil
 }
 

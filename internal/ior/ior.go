@@ -63,11 +63,6 @@ type Params struct {
 	WriteBufferSize int
 	// LSMIOBackend picks the rocks- or level-style local store.
 	LSMIOBackend core.Backend
-	// LSMIOCollective enables the paper's §5.1 collective mode: one
-	// leader-hosted store per group of LSMIOGroupSize ranks (0 = one
-	// group spanning all ranks), members forwarding K/V operations.
-	LSMIOCollective bool
-	LSMIOGroupSize  int
 	// LSMIOBatchRead reads back via one sequential batch sweep instead of
 	// per-key point lookups (the paper's §5.1 read optimization).
 	LSMIOBatchRead bool
@@ -146,21 +141,11 @@ type backend interface {
 
 // env is what a backend needs from the harness.
 type env struct {
-	p       *Params
-	rank    *mpisim.Rank
-	cluster *pfs.Cluster
-	fs      *pfs.ClientFS
-	rt      rt.Runtime // the run's one rt.Sim: every store and engine runs on it
-	nodes   int
-	shared  *sharedState
-}
-
-// sharedState is cross-rank rendezvous state for one Run (the simulation
-// is cooperatively scheduled, so plain fields suffice; ranks synchronize
-// access with barriers).
-type sharedState struct {
-	// kvServices maps a group-leader rank to its collective K/V service.
-	kvServices map[int]*core.KVService
+	p     *Params
+	rank  *mpisim.Rank
+	fs    *pfs.ClientFS
+	rt    rt.Runtime // the run's one rt.Sim: every store and engine runs on it
+	nodes int
 }
 
 // fileOffset computes where (seg, transfer t) of this rank lands.
@@ -208,16 +193,13 @@ func Run(cluster *pfs.Cluster, nodes int, p Params) (Result, error) {
 		}
 	}
 
-	shared := &sharedState{kvServices: make(map[int]*core.KVService)}
 	world.Launch(func(r *mpisim.Rank) {
 		e := &env{
-			p:       &p,
-			rank:    r,
-			cluster: cluster,
-			fs:      cluster.Client(r.Rank()),
-			rt:      rtm,
-			nodes:   nodes,
-			shared:  shared,
+			p:     &p,
+			rank:  r,
+			fs:    cluster.Client(r.Rank()),
+			rt:    rtm,
+			nodes: nodes,
 		}
 		b, err := newBackend(e)
 		if err != nil {

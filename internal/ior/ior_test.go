@@ -163,24 +163,6 @@ func TestLSMIOBeatsBaselinePastStripeCount(t *testing.T) {
 	}
 }
 
-func TestCollectiveLSMIOSharedStore(t *testing.T) {
-	for _, group := range []int{0, 2} {
-		t.Run(fmt.Sprintf("group%d", group), func(t *testing.T) {
-			cluster := smallCluster(4)
-			p := smallParams(APILSMIO)
-			p.LSMIOCollective = true
-			p.LSMIOGroupSize = group
-			res, err := Run(cluster, 4, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.WriteBW <= 0 || res.ReadBW <= 0 {
-				t.Fatalf("bandwidths: %+v", res)
-			}
-		})
-	}
-}
-
 func TestLSMIOBatchRead(t *testing.T) {
 	cluster := smallCluster(4)
 	p := smallParams(APILSMIO)

@@ -135,15 +135,14 @@ func parseBlock(raw []byte) (*block, error) {
 	return &block{data: raw[:restartStart], restarts: restarts, numRestarts: numRestarts}, nil
 }
 
-// blockIterator walks a block's entries in order (both directions).
+// blockIterator walks a block's entries in order.
 type blockIterator struct {
-	b        *block
-	off      int // offset of the NEXT entry to decode
-	curStart int // offset where the current entry began
-	key      []byte
-	value    []byte
-	valid    bool
-	err      error
+	b     *block
+	off   int // offset of the NEXT entry to decode
+	key   []byte
+	value []byte
+	valid bool
+	err   error
 }
 
 func (b *block) iterator() *blockIterator { return &blockIterator{b: b} }
@@ -155,7 +154,6 @@ func (it *blockIterator) decodeNext() bool {
 		it.valid = false
 		return false
 	}
-	it.curStart = it.off
 	data := it.b.data[it.off:]
 	shared, n1 := binary.Uvarint(data)
 	if n1 <= 0 {
@@ -260,49 +258,6 @@ func (b *block) keyAtRestart(off int) ([]byte, bool) {
 func (it *blockIterator) Next() {
 	if it.valid {
 		it.decodeNext()
-	}
-}
-
-// SeekToLast positions at the final entry.
-func (it *blockIterator) SeekToLast() {
-	if it.b.numRestarts == 0 || len(it.b.data) == 0 {
-		it.valid = false
-		return
-	}
-	it.scanForward(int(it.b.restarts[it.b.numRestarts-1]), len(it.b.data))
-}
-
-// Prev positions at the entry preceding the current one.
-func (it *blockIterator) Prev() {
-	if !it.valid {
-		return
-	}
-	target := it.curStart
-	if target == 0 {
-		it.valid = false
-		return
-	}
-	// Find the last restart strictly before the current entry, then scan
-	// forward to the entry that ends at target.
-	idx := sort.Search(it.b.numRestarts, func(i int) bool {
-		return int(it.b.restarts[i]) >= target
-	})
-	start := 0
-	if idx > 0 {
-		start = int(it.b.restarts[idx-1])
-	}
-	it.scanForward(start, target)
-}
-
-// scanForward decodes entries from a restart offset until the entry whose
-// successor starts at stop (or the last decodable entry before stop).
-func (it *blockIterator) scanForward(start, stop int) {
-	it.off = start
-	it.key = it.key[:0]
-	for it.decodeNext() {
-		if it.off >= stop {
-			return
-		}
 	}
 }
 

@@ -50,11 +50,27 @@ func (db *DB) needsCompactionLocked() bool {
 		return false
 	}
 	v := db.vs.current
-	if len(v.levels[0]) >= db.opts.L0CompactionTrigger {
+	if db.l0Due(v) {
 		return true
 	}
 	for l := 1; l < numLevels-1; l++ {
 		if v.levelBytes(l) > db.maxBytesForLevel(l) {
+			return true
+		}
+	}
+	return false
+}
+
+// l0Due reports whether L0 must be compacted: it holds
+// L0CompactionTrigger tables, or one a flush wrote mostly of tombstones.
+// The second rule makes a dropped checkpoint step's bytes go away at its
+// own flush instead of whenever L0 next happens to fill up.
+func (db *DB) l0Due(v *version) bool {
+	if len(v.levels[0]) >= db.opts.L0CompactionTrigger {
+		return true
+	}
+	for _, f := range v.levels[0] {
+		if f.reclaim {
 			return true
 		}
 	}
@@ -169,7 +185,7 @@ func (db *DB) pickAndClaimLocked() *compactionJob {
 // running compactions. Called with the lock held.
 func (db *DB) pickCompaction() (level int, inputs, overlaps []*fileMeta) {
 	v := db.vs.current
-	if len(v.levels[0]) >= db.opts.L0CompactionTrigger {
+	if db.l0Due(v) {
 		// Take every L0 file (they may all overlap) plus the L1 files
 		// their combined range touches. At most one L0 compaction runs at
 		// a time — a second candidate's span always collides with it.
@@ -326,7 +342,9 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 			break
 		}
 	}
-	smallestSnapshot := db.smallestSnapshotLocked()
+	// Every entry at or below the last published sequence is visible to
+	// new readers; older versions of a key under it are not.
+	lastSeq := db.vs.lastSeq
 	shards := db.planSubcompactions(all)
 	compactStart := db.rt.Now()
 	// The number of output tables is unknown up front, so the merge
@@ -345,10 +363,10 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 	var err error
 	if len(shards) <= 1 {
 		db.mu.Unlock()
-		metas, err = db.mergeTables(all, shardRange{}, dropTombstones, smallestSnapshot, alloc)
+		metas, err = db.mergeTables(all, shardRange{}, dropTombstones, lastSeq, alloc)
 		db.mu.Lock()
 	} else {
-		metas, err = db.runSubcompactionsLocked(all, shards, dropTombstones, smallestSnapshot, alloc)
+		metas, err = db.runSubcompactionsLocked(all, shards, dropTombstones, lastSeq, alloc)
 	}
 	defer func() {
 		for _, n := range outNums {
@@ -409,7 +427,7 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 // the output level's sort invariant). Called with the lock held; the lock
 // is released around the merges. Any shard error fails the whole
 // compaction — the caller deletes every allocated output.
-func (db *DB) runSubcompactionsLocked(all []*fileMeta, shards []shardRange, dropTombstones bool, smallestSnapshot seqNum, alloc func() uint64) ([]tableMeta, error) {
+func (db *DB) runSubcompactionsLocked(all []*fileMeta, shards []shardRange, dropTombstones bool, lastSeq seqNum, alloc func() uint64) ([]tableMeta, error) {
 	metas := make([][]tableMeta, len(shards))
 	errs := make([]error, len(shards))
 	pending := len(shards) - 1
@@ -418,7 +436,7 @@ func (db *DB) runSubcompactionsLocked(all []*fileMeta, shards []shardRange, drop
 		i := i
 		db.rt.Go("lsm-subcompact", false, func() {
 			metas[i], errs[i] = db.mergeTables(
-				filesForShard(all, shards[i]), shards[i], dropTombstones, smallestSnapshot, alloc)
+				filesForShard(all, shards[i]), shards[i], dropTombstones, lastSeq, alloc)
 			db.mu.Lock()
 			pending--
 			db.cond.Broadcast()
@@ -427,7 +445,7 @@ func (db *DB) runSubcompactionsLocked(all []*fileMeta, shards []shardRange, drop
 	}
 	db.mu.Unlock()
 	metas[0], errs[0] = db.mergeTables(
-		filesForShard(all, shards[0]), shards[0], dropTombstones, smallestSnapshot, alloc)
+		filesForShard(all, shards[0]), shards[0], dropTombstones, lastSeq, alloc)
 	db.mu.Lock()
 	for pending > 0 {
 		db.cond.Wait()
@@ -443,8 +461,8 @@ func (db *DB) runSubcompactionsLocked(all []*fileMeta, shards []shardRange, drop
 }
 
 // mergeTables merge-sorts the input tables into new output tables,
-// keeping the newest entry per user key plus any older versions still
-// visible to a snapshot at or above smallestSnapshot. Only user keys
+// keeping only the newest entry at or below lastSeq per user key (and
+// dropping it too when it is a droppable tombstone). Only user keys
 // inside shard are emitted (the zero shardRange is unbounded). Called
 // without the lock.
 //
@@ -452,7 +470,7 @@ func (db *DB) runSubcompactionsLocked(all []*fileMeta, shards []shardRange, drop
 // iterators are closed if table opening fails midway, the in-progress
 // output file is closed and deleted, and the merging iterator's own
 // close error is propagated rather than swallowed.
-func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones bool, smallestSnapshot seqNum, allocNum func() uint64) (metas []tableMeta, err error) {
+func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones bool, lastSeq seqNum, allocNum func() uint64) (metas []tableMeta, err error) {
 	children := make([]internalIterator, 0, len(inputs))
 	for _, fm := range inputs {
 		t, terr := db.getTable(fm.num)
@@ -557,13 +575,13 @@ func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones b
 			lastSeqForKey = maxSeq
 		}
 		drop := false
-		if lastSeqForKey <= smallestSnapshot {
-			// A newer version of this key is already visible at the
-			// oldest snapshot: nothing can observe this one.
+		if lastSeqForKey <= lastSeq {
+			// A newer version of this key is already visible: no new
+			// reader can observe this one.
 			drop = true
-		} else if ik.kind() == kindDelete && dropTombstones && ik.seq() <= smallestSnapshot {
-			// Tombstone at the bottom of the tree, invisible to all
-			// snapshots once shadowing is resolved.
+		} else if ik.kind() == kindDelete && dropTombstones && ik.seq() <= lastSeq {
+			// Tombstone at the bottom of the tree: nothing is left for it
+			// to shadow.
 			drop = true
 		}
 		lastSeqForKey = ik.seq()

@@ -117,9 +117,6 @@ type DB struct {
 	// instrument handles so hot paths never hash instrument names.
 	reg *obs.Registry
 	m   dbMetrics
-	// snapshots are the live Snapshot handles; compaction keeps entry
-	// versions the oldest of them can still observe.
-	snapshots []*Snapshot
 }
 
 // Open opens (creating if necessary) a database in dir.
@@ -682,9 +679,12 @@ func (db *DB) flushOneLocked() error {
 		NextFileNum: &next,
 		LastSeq:     &last,
 	}
-	if _, err := db.vs.apply(edit); err != nil {
+	nv, err := db.vs.apply(edit)
+	if err != nil {
 		return err
 	}
+	// apply prepends to L0, so the new table is nv.levels[0][0].
+	nv.levels[0][0].reclaim = meta.mostlyTombstones()
 	if err := db.vs.logEdit(edit); err != nil {
 		return err
 	}
@@ -725,21 +725,13 @@ func (db *DB) buildTable(m *memtable, num uint64) (tableMeta, error) {
 
 // Get returns the newest value for key, or ErrNotFound.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	return db.getAtSeq(key, maxSeq)
-}
-
-// getAtSeq returns the newest value for key visible at snapshot seq
-// (maxSeq = latest).
-func (db *DB) getAtSeq(key []byte, seq seqNum) ([]byte, error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
 		return nil, ErrClosed
 	}
 	db.m.gets.Inc()
-	if seq > db.vs.lastSeq {
-		seq = db.vs.lastSeq
-	}
+	seq := db.vs.lastSeq
 	mem := db.mem
 	imms := append([]*memtable(nil), db.imm...)
 	ver := db.refCurrentLocked()
@@ -1057,6 +1049,50 @@ func (db *DB) NumTableFiles() [numLevels]int {
 		out[l] = len(files)
 	}
 	return out
+}
+
+// Property names understood by GetProperty.
+const (
+	PropNumFilesAtLevelPrefix = "lsmio.num-files-at-level" // + N
+	PropLevelBytesPrefix      = "lsmio.level-bytes"        // + N
+	PropMemtableSize          = "lsmio.memtable-size"
+	PropImmutableCount        = "lsmio.immutable-memtables"
+	PropLastSeq               = "lsmio.last-sequence"
+	PropTableFiles            = "lsmio.table-files"
+)
+
+// GetProperty returns engine internals by name, mirroring RocksDB's
+// GetProperty surface. The lsmioctl `prop` command exposes it.
+func (db *DB) GetProperty(name string) (string, bool) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return "", false
+	}
+	switch {
+	case strings.HasPrefix(name, PropNumFilesAtLevelPrefix):
+		var l int
+		if _, err := fmt.Sscan(strings.TrimPrefix(name, PropNumFilesAtLevelPrefix), &l); err != nil || l < 0 || l >= numLevels {
+			return "", false
+		}
+		return fmt.Sprint(len(db.vs.current.levels[l])), true
+	case strings.HasPrefix(name, PropLevelBytesPrefix):
+		var l int
+		if _, err := fmt.Sscan(strings.TrimPrefix(name, PropLevelBytesPrefix), &l); err != nil || l < 0 || l >= numLevels {
+			return "", false
+		}
+		return fmt.Sprint(db.vs.current.levelBytes(l)), true
+	case name == PropMemtableSize:
+		return fmt.Sprint(db.mem.approximateSize()), true
+	case name == PropImmutableCount:
+		return fmt.Sprint(len(db.imm)), true
+	case name == PropLastSeq:
+		return fmt.Sprint(uint64(db.vs.lastSeq)), true
+	case name == PropTableFiles:
+		return fmt.Sprint(db.vs.current.numFiles()), true
+	default:
+		return "", false
+	}
 }
 
 // Close waits for background work and releases all files. With the WAL

@@ -255,6 +255,113 @@ func TestIteratorOrderAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestSnapshotSurvivesFlushAndCompaction: an iterator is a snapshot. One
+// opened before every key is overwritten and the tree fully compacted
+// still reads the values of its creation, because its version pins the
+// tables the compaction replaced and its sequence hides the newer
+// versions in the memtable.
+func TestSnapshotSurvivesFlushAndCompaction(t *testing.T) {
+	db := openTestDB(t, vfs.NewMemFS(), func(o *Options) {
+		o.WriteBufferSize = 8 << 10
+		o.L0CompactionTrigger = 2
+	})
+	defer db.Close()
+	for i := 0; i < 100; i++ {
+		db.Put([]byte(fmt.Sprintf("s%03d", i)), bytes.Repeat([]byte("a"), 100))
+	}
+	it, err := db.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	for i := 0; i < 100; i++ {
+		db.Put([]byte(fmt.Sprintf("s%03d", i)), bytes.Repeat([]byte("b"), 100))
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		if it.Value()[0] != 'a' {
+			t.Fatalf("iterator saw %q at %q, written after it was opened", it.Value()[:1], it.Key())
+		}
+		n++
+	}
+	if n != 100 {
+		t.Fatalf("iterator saw %d of 100 keys across the compaction", n)
+	}
+	if v, err := db.Get([]byte("s013")); err != nil || v[0] != 'b' {
+		t.Fatalf("live read after compaction = %q, %v", v, err)
+	}
+}
+
+// TestRetiredKeysReclaimedAtTheirFlush: deleting every key and flushing
+// frees their bytes at once. The flush's table is all tombstones, which
+// makes L0 due for compaction although it holds one table, far below
+// L0CompactionTrigger; the merge then drops the values and the tombstones
+// together. Before the rule, whether a checkpoint's retired steps were
+// reclaimed depended on whether their flush happened to be L0's
+// trigger-th table.
+func TestRetiredKeysReclaimedAtTheirFlush(t *testing.T) {
+	db := openTestDB(t, vfs.NewMemFS(), nil)
+	defer db.Close()
+	for i := 0; i < 200; i++ {
+		db.Put([]byte(fmt.Sprintf("step/%04d", i)), bytes.Repeat([]byte{byte(i)}, 1000))
+	}
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		db.Delete([]byte(fmt.Sprintf("step/%04d", i)))
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WaitBackground(); err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	db.mu.Lock()
+	for l := 0; l < numLevels; l++ {
+		total += db.vs.current.levelBytes(l)
+	}
+	db.mu.Unlock()
+	if files := db.NumTableFiles(); files[0] != 0 || total != 0 {
+		t.Fatalf("after deleting every key: tables per level %v, %d table bytes; want L0 empty and 0 bytes", files, total)
+	}
+}
+
+func TestGetProperty(t *testing.T) {
+	db := openTestDB(t, vfs.NewMemFS(), nil)
+	defer db.Close()
+	db.Put([]byte("p"), []byte("v"))
+	if v, ok := db.GetProperty(PropMemtableSize); !ok || v == "0" {
+		t.Fatalf("memtable-size = %q %v", v, ok)
+	}
+	db.Flush()
+	if v, ok := db.GetProperty(PropNumFilesAtLevelPrefix + "0"); !ok || v != "1" {
+		t.Fatalf("files at L0 = %q %v", v, ok)
+	}
+	if v, ok := db.GetProperty(PropLevelBytesPrefix + "0"); !ok || v == "0" {
+		t.Fatalf("level bytes = %q %v", v, ok)
+	}
+	if v, ok := db.GetProperty(PropLastSeq); !ok || v != "1" {
+		t.Fatalf("last seq = %q %v", v, ok)
+	}
+	if v, ok := db.GetProperty(PropTableFiles); !ok || v != "1" {
+		t.Fatalf("table files = %q %v", v, ok)
+	}
+	if v, ok := db.GetProperty(PropImmutableCount); !ok || v != "0" {
+		t.Fatalf("immutables = %q %v", v, ok)
+	}
+	if _, ok := db.GetProperty("lsmio.nonsense"); ok {
+		t.Fatal("unknown property matched")
+	}
+	if _, ok := db.GetProperty(PropNumFilesAtLevelPrefix + "99"); ok {
+		t.Fatal("out-of-range level matched")
+	}
+}
+
 func TestIteratorSeek(t *testing.T) {
 	db := openTestDB(t, vfs.NewMemFS(), nil)
 	defer db.Close()

@@ -35,14 +35,39 @@ func FuzzParseBlock(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Walk forward, noting where each entry starts.
 		it := blk.iterator()
-		n := 0
-		for it.SeekToFirst(); it.Valid() && n < 10000; it.Next() {
-			n++
+		var keys []internalKey
+		entryAt := map[int]int{}
+		start := 0
+		for it.SeekToFirst(); it.Valid() && len(keys) < 10000; it.Next() {
+			entryAt[start] = len(keys)
+			keys = append(keys, append(internalKey(nil), it.IKey()...))
+			start = it.off
 		}
-		it.Seek(makeIKey([]byte("q"), 1, kindValue))
-		if it.Valid() {
-			it.Prev()
+		target := makeIKey([]byte("q"), 1, kindValue)
+		if it.Seek(target); it.Valid() && compareIKeys(it.IKey(), target) < 0 {
+			t.Fatalf("Seek(%s) landed before its target, on %s", target, it.IKey())
+		}
+		// A well-formed block (keys in order, each restart point an entry
+		// with its whole key, restarts ascending) must Seek to every key
+		// the walk saw.
+		for i := 1; i < len(keys); i++ {
+			if compareIKeys(keys[i-1], keys[i]) >= 0 {
+				return
+			}
+		}
+		for i, r := range blk.restarts {
+			e, ok := entryAt[int(r)]
+			k, whole := blk.keyAtRestart(int(r))
+			if !ok || !whole || !bytes.Equal(k, keys[e]) || (i > 0 && r <= blk.restarts[i-1]) {
+				return
+			}
+		}
+		for _, k := range keys {
+			if it.Seek(k); !it.Valid() || compareIKeys(it.IKey(), k) != 0 {
+				t.Fatalf("Seek(%s) missed a key of a well-formed block", k)
+			}
 		}
 	})
 }

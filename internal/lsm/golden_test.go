@@ -1,0 +1,102 @@
+package lsm
+
+import (
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"math/rand"
+	"os"
+	"sort"
+	"strings"
+	"testing"
+
+	"lsmio/internal/rt"
+	"lsmio/internal/sim"
+	"lsmio/internal/vfs"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/compaction.sha256 from this build")
+
+// TestCompactionTablesMatchGolden pins what compaction writes. A seeded
+// program of puts and overwrites runs with compaction on, on the
+// deterministic simulator, and ends in CompactAll; the SHA-256 of every
+// table must match testdata/compaction.sha256. The program deletes
+// nothing, so no flush is mostly tombstones and only the L0 table count
+// schedules merges: the file pins the rule that drops shadowed versions,
+// the merge schedule and the table format. A deliberate change to any of
+// them is a reviewed diff of that file (go test -run Golden -update).
+func TestCompactionTablesMatchGolden(t *testing.T) {
+	fs := vfs.NewMemFS()
+	k := sim.NewKernel()
+	k.Spawn("writer", func(p *sim.Proc) {
+		opts := DefaultOptions(fs)
+		opts.Runtime = rt.Sim(k)
+		opts.WriteBufferSize = 16 << 10
+		opts.L0CompactionTrigger = 2
+		opts.BaseLevelSize = 48 << 10
+		opts.LevelSizeMultiplier = 2
+		db, err := Open("db", opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		rng := rand.New(rand.NewSource(26))
+		for i := 0; i < 4000; i++ {
+			key := fmt.Sprintf("ckpt/%04d", rng.Intn(600))
+			value := []byte(strings.Repeat(fmt.Sprintf("%s@%d;", key, i), 4+rng.Intn(24)))
+			if err := db.Put([]byte(key), value); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+		}
+		if err := db.CompactAll(); err != nil {
+			t.Error(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		return
+	}
+	names, err := fs.List("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	var got strings.Builder
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".sst") {
+			continue
+		}
+		f, err := fs.Open("db/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := vfs.ReadAll(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(data), name)
+	}
+	const golden = "testdata/compaction.sha256"
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("compaction wrote different tables:\n got:\n%s want (%s):\n%s", got.String(), golden, want)
+	}
+}

@@ -90,46 +90,6 @@ func (m *memtable) findGreaterOrEqual(key internalKey, prev []*skipNode) *skipNo
 	}
 }
 
-// findLessThan returns the last node with ikey < key, or nil if none.
-func (m *memtable) findLessThan(key internalKey) *skipNode {
-	x := m.head
-	level := m.height.Load() - 1
-	for {
-		next := x.next[level].Load()
-		if next != nil && compareIKeys(next.ikey, key) < 0 {
-			x = next
-			continue
-		}
-		if level == 0 {
-			if x == m.head {
-				return nil
-			}
-			return x
-		}
-		level--
-	}
-}
-
-// findLast returns the last node, or nil when empty.
-func (m *memtable) findLast() *skipNode {
-	x := m.head
-	level := m.height.Load() - 1
-	for {
-		next := x.next[level].Load()
-		if next != nil {
-			x = next
-			continue
-		}
-		if level == 0 {
-			if x == m.head {
-				return nil
-			}
-			return x
-		}
-		level--
-	}
-}
-
 // carve returns n fresh elements from *slab, starting a new slab when
 // the current one cannot hold them.
 func carve[T any](slab *[]T, n, slabLen int) []T {
@@ -212,15 +172,9 @@ type memIterator struct {
 }
 
 func (it *memIterator) SeekToFirst()        { it.n = it.m.head.next[0].Load() }
-func (it *memIterator) SeekToLast()         { it.n = it.m.findLast() }
 func (it *memIterator) Seek(ik internalKey) { it.n = it.m.findGreaterOrEqual(ik, nil) }
 func (it *memIterator) Next()               { it.n = it.n.next[0].Load() }
-func (it *memIterator) Prev() {
-	if it.n != nil {
-		it.n = it.m.findLessThan(it.n.ikey)
-	}
-}
-func (it *memIterator) Valid() bool       { return it.n != nil }
-func (it *memIterator) IKey() internalKey { return it.n.ikey }
-func (it *memIterator) Value() []byte     { return it.n.value }
-func (it *memIterator) Close() error      { return nil }
+func (it *memIterator) Valid() bool         { return it.n != nil }
+func (it *memIterator) IKey() internalKey   { return it.n.ikey }
+func (it *memIterator) Value() []byte       { return it.n.value }
+func (it *memIterator) Close() error        { return nil }

@@ -60,12 +60,17 @@ func decodeHandle(b []byte) (blockHandle, error) {
 
 // tableMeta describes a finished table.
 type tableMeta struct {
-	fileNum  uint64
-	size     int64
-	smallest internalKey
-	largest  internalKey
-	entries  int
+	fileNum    uint64
+	size       int64
+	smallest   internalKey
+	largest    internalKey
+	entries    int
+	tombstones int // entries that are deletions
 }
+
+// mostlyTombstones reports whether at least half the table's entries
+// are deletions: the flush of a retired checkpoint step.
+func (m tableMeta) mostlyTombstones() bool { return 2*m.tombstones >= m.entries }
 
 // tableWriter builds a table by streaming sorted internal entries.
 //
@@ -196,6 +201,9 @@ func (w *tableWriter) add(ik internalKey, value []byte) {
 		w.userKeys = append(w.userKeys, append([]byte(nil), ik.userKey()...))
 	}
 	w.meta.entries++
+	if ik.kind() == kindDelete {
+		w.meta.tombstones++
+	}
 	if len(value) >= w.opts.BlockSize && w.opts.DisableCompression {
 		// The entry ends its block whatever came before it, so the value
 		// need not pass through the builder: only its header does, and
@@ -661,37 +669,6 @@ func (it *tableIterator) Next() {
 	}
 	it.data.Next()
 	it.skipEmpty()
-}
-
-// SeekToLast positions at the table's final entry.
-func (it *tableIterator) SeekToLast() {
-	it.idx.SeekToLast()
-	it.loadData()
-	if it.data != nil {
-		it.data.SeekToLast()
-	}
-	it.skipEmptyBack()
-}
-
-// Prev positions at the preceding entry, crossing block boundaries.
-func (it *tableIterator) Prev() {
-	if it.data == nil {
-		return
-	}
-	it.data.Prev()
-	it.skipEmptyBack()
-}
-
-// skipEmptyBack walks to the previous data block while the current one is
-// exhausted backwards.
-func (it *tableIterator) skipEmptyBack() {
-	for it.err == nil && it.data != nil && !it.data.Valid() {
-		it.idx.Prev()
-		it.loadData()
-		if it.data != nil {
-			it.data.SeekToLast()
-		}
-	}
 }
 
 func (it *tableIterator) Valid() bool {

@@ -20,6 +20,10 @@ type fileMeta struct {
 	size     int64
 	smallest internalKey
 	largest  internalKey
+	// reclaim marks an L0 table a flush wrote mostly of tombstones: it
+	// makes L0 due for compaction whatever its table count. It lives in
+	// memory only; the manifest never records it.
+	reclaim bool
 }
 
 // overlaps reports whether the file's key range intersects [lo, hi]

@@ -15,8 +15,8 @@ import (
 // Front is the simulated-fabric transport for a Service: one server
 // process per shard slot, each draining a FIFO request queue, with
 // clients on compute nodes paying netsim transfer costs for requests
-// and replies. It generalizes the single-store core.KVService loop to
-// the sharded, multi-tenant case; admission control runs client-side
+// and replies. It is the sharded, multi-tenant form of the paper's §5.1
+// group store; admission control runs client-side
 // (modelling credit-based flow control), so a throttled tenant's
 // requests never occupy fabric or shard-queue capacity.
 //
@@ -227,7 +227,7 @@ func (e *attemptTimeoutError) TransientFault() bool { return true }
 type timeoutSentinel struct{}
 
 // frontOpCost models the per-request CPU the shard server spends on
-// decode/dispatch, matching the collective-I/O leader's cost.
+// decode/dispatch.
 const frontOpCost = 3 * time.Microsecond
 
 // NewFront starts shard server processes over fabric with default
@@ -373,7 +373,7 @@ func (f *Front) Connect(tenant string, node int) *Client {
 // Client is the fabric-transport tenant client. It mirrors Tenant's
 // semantics with every operation paying fabric transfer and shard
 // queueing costs. A Client is bound to one simulation process at a
-// time (like core.RemoteStore).
+// time.
 type Client struct {
 	f      *Front
 	ts     *tenantState

@@ -1,7 +1,7 @@
 // Package svc is the multi-tenant checkpoint service: a long-running
 // front-end that multiplexes many tenants over a pool of sharded
-// core.Manager stores. It generalizes the single-store collective-I/O
-// request loop (internal/core/collective.go) into a real service:
+// core.Manager stores, the generalisation of the paper's §5.1 idea of
+// one store serving a group of ranks:
 //
 //   - Sharding. Keys are namespaced per tenant ("t/<tenant>/<key>") and
 //     routed over a consistent-hash Ring of shards, each shard backed by

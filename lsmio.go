@@ -6,9 +6,9 @@
 // Parallel File Systems Using LSM-Trees", SC-W 2023), including every
 // subsystem the paper builds on: the LSM-tree storage engine itself (in
 // the role of RocksDB), the three public interfaces (K/V Manager,
-// IOStream-like FStream, and an ADIOS2 storage plugin), the collective
-// I/O extension, and a simulated Lustre cluster + IOR benchmark that
-// regenerate the paper's evaluation figures.
+// IOStream-like FStream, and an ADIOS2 storage plugin), and a simulated
+// Lustre cluster + IOR benchmark that regenerate the paper's evaluation
+// figures.
 //
 // # Quick start
 //
@@ -26,7 +26,7 @@
 // configuration.
 //
 // Packages under internal/ hold the implementation: internal/lsm (the
-// storage engine), internal/core (manager, stores, fstream, collective),
+// storage engine), internal/core (manager, stores, fstream),
 // internal/pfs + internal/sim (the simulated Lustre cluster), and
 // internal/ior + internal/bench (the paper's evaluation).
 package lsmio
@@ -84,8 +84,6 @@ type (
 	Batch = lsm.Batch
 	// Iterator walks a DB snapshot in key order.
 	Iterator = lsm.Iterator
-	// DBSnapshot is a consistent point-in-time read view of a DB.
-	DBSnapshot = lsm.Snapshot
 
 	// MetricsRegistry is the unified metrics/trace registry every layer
 	// records into (internal/obs). A Manager's registry covers the
