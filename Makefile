@@ -22,14 +22,17 @@ race:
 # with their versioned JSON, and each fuzz target run for a bounded time.
 check: vet race restore-chaos svc-chaos svc-smoke figures fuzz
 
-# Bounded fuzzing of the parsers that read on-disk bytes: each native
-# fuzz target runs for FUZZTIME. A failing input is written under
-# internal/lsm/testdata/fuzz/ and replays under plain `go test` from then
-# on.
+# Bounded fuzzing of the parsers that read on-disk bytes and of the
+# encoder that writes them: each native fuzz target, named as
+# package:target, runs for FUZZTIME. A failing input is written under the
+# package's testdata/fuzz/ and replays under plain `go test` from then on.
 FUZZTIME ?= 10s
+FUZZ_TARGETS = ./internal/lsm:FuzzParseBlock ./internal/lsm:FuzzWALReader \
+	./internal/lsm:FuzzSnappyDecode ./internal/lsm:FuzzBatchDecode \
+	./internal/snappy:FuzzSnappyEncode
 fuzz:
-	@for f in FuzzParseBlock FuzzWALReader FuzzSnappyDecode FuzzBatchDecode; do \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) ./internal/lsm || exit 1; \
+	@for t in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}" || exit 1; \
 	done
 
 # Multi-tenant service smoke: a simulated lsmiod session with four

@@ -2,7 +2,9 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,6 +58,55 @@ func TestRepairRebuildsLostManifest(t *testing.T) {
 	}
 	if err := db2.VerifyChecksums(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A manifest cut inside its first record says nothing about the store,
+// not that the store is empty: Open must refuse it with ErrCorruption and
+// leave every file as it was, and Repair must bring the data back.
+func TestTornManifestFailsOpenUntilRepair(t *testing.T) {
+	fs := vfs.NewMemFS()
+	db := openTestDB(t, fs, nil)
+	db.Put([]byte("a"), []byte("1"))
+	db.Put([]byte("b"), []byte("2"))
+	if err := db.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var manifest string
+	for _, n := range mustList(t, fs, "db") {
+		if strings.HasPrefix(n, "MANIFEST-") {
+			manifest = "db/" + n
+		}
+	}
+	f, err := fs.Open(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Truncate(10); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before := mustList(t, fs, "db")
+
+	if _, err := Open("db", DefaultOptions(fs)); !errors.Is(err, ErrCorruption) {
+		t.Fatalf("Open of a torn manifest: %v, want ErrCorruption", err)
+	}
+	if after := mustList(t, fs, "db"); !slices.Equal(after, before) {
+		t.Fatalf("failed Open changed the directory: %v -> %v", before, after)
+	}
+
+	if _, err := Repair("db", DefaultOptions(fs)); err != nil {
+		t.Fatal(err)
+	}
+	db2 := openTestDB(t, fs, nil)
+	defer db2.Close()
+	for k, want := range map[string]string{"a": "1", "b": "2"} {
+		if v, err := db2.Get([]byte(k)); err != nil || string(v) != want {
+			t.Fatalf("after repair %s = %q, %v; want %q", k, v, err, want)
+		}
 	}
 }
 

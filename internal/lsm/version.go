@@ -385,8 +385,16 @@ func (vs *versionSet) recover() (logNum uint64, err error) {
 		mf.Close()
 		return 0, err
 	}
-	for {
+	for first := true; ; first = false {
 		rec, err := reader.next()
+		if err == io.EOF && first {
+			// Every manifest starts with the edit written before CURRENT
+			// names it; without that edit the manifest is torn, and
+			// replaying nothing would open the store as empty.
+			mf.Close()
+			return 0, fmt.Errorf("lsm: manifest %s has no complete first record: %w; run lsmioctl repair",
+				manifestName, ErrCorruption)
+		}
 		if err == io.EOF {
 			break
 		}
@@ -398,6 +406,11 @@ func (vs *versionSet) recover() (logNum uint64, err error) {
 		if err := json.Unmarshal(rec, &edit); err != nil {
 			mf.Close()
 			return 0, fmt.Errorf("lsm: manifest: %w", err)
+		}
+		if first && edit.NextFileNum == nil {
+			mf.Close()
+			return 0, fmt.Errorf("lsm: manifest %s does not start with a snapshot edit: %w; run lsmioctl repair",
+				manifestName, ErrCorruption)
 		}
 		if _, err := vs.apply(&edit); err != nil {
 			mf.Close()

@@ -4,6 +4,13 @@
 // implementation's hash-table strategy; the decoder accepts any valid
 // Snappy block stream.
 //
+// The encoder's 64 KiB hash table comes from a sync.Pool and is not
+// cleared between calls: each entry records a position offset by a
+// running base, so entries left by earlier calls read as empty, and
+// encoding a small block costs nothing per table entry. Which matches
+// are found, and so the emitted bytes, are those of an encoder that
+// clears its table on every call; a differential test pins them to it.
+//
 // Format (https://github.com/google/snappy/blob/main/format_description.txt):
 //
 //	block  := uvarint(uncompressedLen) element*
@@ -16,7 +23,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Errors returned by Decode.
@@ -46,6 +56,40 @@ func MaxEncodedLen(srcLen int) int {
 	return 32 + srcLen + srcLen/6
 }
 
+// tableBits sizes the encoder's hash table of candidate positions for
+// 4-byte sequences. The size and the hash decide which matches are
+// found, so changing either changes the emitted bytes.
+const tableBits = 14
+
+// encTable is the encoder's hash table, reused across calls through
+// tables. An entry holds base+s for position s of the call that stored
+// it; base grows by each call's input length, so every entry below the
+// current base is from an earlier call and counts as empty. The table is
+// cleared only when base would overflow int32, not once per call.
+type encTable struct {
+	pos  [1 << tableBits]int32
+	base int32
+}
+
+var tables = sync.Pool{New: func() any { return &encTable{base: 1} }}
+
+// acquire returns the base to store positions of an n-byte input from,
+// clearing the table first if base+n would overflow. Base starts at 1,
+// so a zeroed entry is empty too.
+func (t *encTable) acquire(n int) int32 {
+	if int64(t.base)+int64(n) > math.MaxInt32 {
+		clear(t.pos[:])
+		t.base = 1
+	}
+	b := t.base
+	t.base += int32(n)
+	return b
+}
+
+func hash(u uint32) uint32 {
+	return (u * 0x1e35a7bd) >> (32 - tableBits)
+}
+
 // Encode compresses src, appending to dst (which may be nil).
 func Encode(dst, src []byte) []byte {
 	// Sized once for the worst case, so the appends below never regrow.
@@ -59,43 +103,46 @@ func Encode(dst, src []byte) []byte {
 		return emitLiteral(dst, src)
 	}
 
-	// Hash table of candidate positions for 4-byte sequences.
-	const tableBits = 14
-	var table [1 << tableBits]int32
-	for i := range table {
-		table[i] = -1
-	}
-	hash := func(u uint32) uint32 {
-		return (u * 0x1e35a7bd) >> (32 - tableBits)
-	}
-	load32 := func(i int) uint32 {
-		return binary.LittleEndian.Uint32(src[i:])
-	}
+	t := tables.Get().(*encTable)
+	dst = t.encode(dst, src)
+	tables.Put(t)
+	return dst
+}
 
+// encode appends the elements of src (at least 16 bytes) to dst.
+func (t *encTable) encode(dst, src []byte) []byte {
+	base := int(t.acquire(len(src)))
 	var litStart int
 	s := 0
 	limit := len(src) - 4
 	for s <= limit {
-		h := hash(load32(s))
-		candidate := table[h]
-		table[h] = int32(s)
-		if candidate >= 0 && s-int(candidate) <= 65535 && load32(int(candidate)) == load32(s) {
-			// Emit pending literals, then extend the match.
-			dst = emitLiteral(dst, src[litStart:s])
-			base := s
-			matched := 4
-			s += 4
-			c := int(candidate) + 4
-			for s < len(src) && c < len(src) && src[s] == src[c] {
-				s++
-				c++
-				matched++
-			}
-			dst = emitCopy(dst, base-int(candidate), matched)
-			litStart = s
+		cur := binary.LittleEndian.Uint32(src[s:])
+		h := hash(cur)
+		candidate := int(t.pos[h]) - base
+		t.pos[h] = int32(base + s)
+		if candidate < 0 || s-candidate > 65535 || binary.LittleEndian.Uint32(src[candidate:]) != cur {
+			s++
 			continue
 		}
-		s++
+		// Emit pending literals, then extend the match 8 bytes at a
+		// time: the first differing byte is the lowest set byte of the
+		// XOR of the two words.
+		dst = emitLiteral(dst, src[litStart:s])
+		start, offset := s, s-candidate
+		s += 4
+		for s+8 <= len(src) {
+			x := binary.LittleEndian.Uint64(src[s:]) ^ binary.LittleEndian.Uint64(src[s-offset:])
+			if x != 0 {
+				s += bits.TrailingZeros64(x) >> 3
+				break
+			}
+			s += 8
+		}
+		for s < len(src) && src[s] == src[s-offset] {
+			s++
+		}
+		dst = emitCopy(dst, offset, s-start)
+		litStart = s
 	}
 	return emitLiteral(dst, src[litStart:])
 }
@@ -268,14 +315,18 @@ func Decode(dst, src []byte) ([]byte, error) {
 }
 
 // copyBack appends length bytes starting offset bytes before the end of
-// out (overlapping copies are byte-at-a-time, per the format).
+// out. A copy longer than its offset repeats the last offset bytes; it
+// is appended in spans that double, each a copy of bytes already
+// written, which gives the format's byte-at-a-time result.
 func copyBack(out []byte, base, offset, length int) ([]byte, error) {
 	if offset <= 0 || length <= 0 || offset > len(out)-base {
 		return nil, ErrCorrupt
 	}
 	pos := len(out) - offset
-	for i := 0; i < length; i++ {
-		out = append(out, out[pos+i])
+	for length > offset {
+		out = append(out, out[pos:pos+offset]...)
+		length -= offset
+		offset *= 2
 	}
-	return out, nil
+	return append(out, out[pos:pos+length]...), nil
 }

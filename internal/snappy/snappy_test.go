@@ -3,6 +3,7 @@ package snappy
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -188,25 +189,243 @@ func TestNilDstIsSizedOnce(t *testing.T) {
 	}
 }
 
+// encodeReference is the encoder as it was before the pooled table and
+// the word-at-a-time match extension (it shares the element emitters,
+// which did not change): the bytes Encode emits are pinned to it.
+func encodeReference(dst, src []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(src)))
+	if len(src) == 0 {
+		return dst
+	}
+	if len(src) < 16 {
+		return emitLiteral(dst, src)
+	}
+	const tableBits = 14
+	var table [1 << tableBits]int32
+	for i := range table {
+		table[i] = -1
+	}
+	hash := func(u uint32) uint32 {
+		return (u * 0x1e35a7bd) >> (32 - tableBits)
+	}
+	load32 := func(i int) uint32 {
+		return binary.LittleEndian.Uint32(src[i:])
+	}
+	var litStart int
+	s := 0
+	limit := len(src) - 4
+	for s <= limit {
+		h := hash(load32(s))
+		candidate := table[h]
+		table[h] = int32(s)
+		if candidate >= 0 && s-int(candidate) <= 65535 && load32(int(candidate)) == load32(s) {
+			dst = emitLiteral(dst, src[litStart:s])
+			base := s
+			matched := 4
+			s += 4
+			c := int(candidate) + 4
+			for s < len(src) && c < len(src) && src[s] == src[c] {
+				s++
+				c++
+				matched++
+			}
+			dst = emitCopy(dst, base-int(candidate), matched)
+			litStart = s
+			continue
+		}
+		s++
+	}
+	return emitLiteral(dst, src[litStart:])
+}
+
+// engineBlock is a 4 KiB block as the engine compresses it on the
+// benchmark's compressible payload: every 64 random bytes are followed
+// by a copy of themselves.
+func engineBlock(rng *rand.Rand) []byte {
+	b := make([]byte, 4<<10)
+	for off := 0; off < len(b); off += 128 {
+		rng.Read(b[off : off+64])
+		copy(b[off+64:], b[off:off+64])
+	}
+	return b
+}
+
+// differentialCorpus is a seeded set of inputs covering what the engine
+// compresses and the encoder's edge cases.
+func differentialCorpus() [][]byte {
+	rng := rand.New(rand.NewSource(28))
+	var corpus [][]byte
+	for i := 0; i < 64; i++ {
+		corpus = append(corpus, engineBlock(rng))
+	}
+	for _, n := range []int{16, 100, 4 << 10, 70 << 10} {
+		b := make([]byte, n)
+		rng.Read(b)
+		corpus = append(corpus, b)
+	}
+	for _, n := range []int{20, 4 << 10, 100 << 10} {
+		corpus = append(corpus, bytes.Repeat([]byte{byte(n)}, n))
+	}
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	for i := 0; i < 100; i++ {
+		var b []byte
+		n := rng.Intn(20000)
+		for len(b) < n {
+			b = append(b, words[rng.Intn(len(words))]...)
+			if rng.Intn(4) == 0 {
+				b = append(b, byte(rng.Intn(256)))
+			}
+		}
+		corpus = append(corpus, b)
+	}
+	for n := 0; n <= 17; n++ {
+		b := make([]byte, n)
+		rng.Read(b)
+		corpus = append(corpus, b, bytes.Repeat([]byte{'a'}, n))
+	}
+	// Larger than 64 KiB with long-range repeats: a candidate beyond the
+	// 65535-byte offset limit must be passed over.
+	far := make([]byte, 200<<10)
+	rng.Read(far[:1<<10])
+	for off := 1 << 10; off < len(far); off += 1 << 10 {
+		if rng.Intn(3) == 0 {
+			rng.Read(far[off : off+1<<10])
+		} else {
+			src := rng.Intn(off/(1<<10)) << 10
+			copy(far[off:off+1<<10], far[src:src+1<<10])
+		}
+	}
+	return append(corpus, far)
+}
+
+func TestEncodeMatchesReference(t *testing.T) {
+	for i, src := range differentialCorpus() {
+		want := encodeReference(nil, src)
+		if got := Encode(nil, src); !bytes.Equal(got, want) {
+			t.Fatalf("input %d (%d bytes): Encode emitted %d bytes, the reference %d", i, len(src), len(got), len(want))
+		}
+		roundTrip(t, src)
+	}
+}
+
+// A table whose base is about to overflow is cleared and restarts; the
+// entries of the calls before the wrap must not be taken for positions
+// of the calls after it.
+func TestEncodeAcrossTableWrap(t *testing.T) {
+	corpus := differentialCorpus()
+	tab := &encTable{base: math.MaxInt32 - 3*(4<<10)}
+	wrapped := false
+	for i, src := range corpus {
+		if len(src) < 16 {
+			continue
+		}
+		before := tab.base
+		want := encodeReference(nil, src)
+		got := tab.encode(binary.AppendUvarint(nil, uint64(len(src))), src)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("input %d (%d bytes) at base %d: encode differs from the reference", i, len(src), before)
+		}
+		wrapped = wrapped || tab.base < before
+	}
+	if !wrapped {
+		t.Fatal("the corpus never wrapped the table's base")
+	}
+}
+
+func FuzzSnappyEncode(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	f.Add(engineBlock(rng))
+	f.Add([]byte(strings.Repeat("checkpoint ", 50)))
+	f.Add([]byte("0123456789abcdef"))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		enc := Encode(nil, src)
+		if want := encodeReference(nil, src); !bytes.Equal(enc, want) {
+			t.Fatalf("Encode differs from the reference on %d bytes", len(src))
+		}
+		dec, err := Decode(nil, enc)
+		if err != nil || !bytes.Equal(dec, src) {
+			t.Fatalf("round trip of %d bytes: %v", len(src), err)
+		}
+	})
+}
+
+// Once the pool holds a table, encoding into a dst with room allocates
+// nothing.
+func TestEncodeDoesNotAllocate(t *testing.T) {
+	src := engineBlock(rand.New(rand.NewSource(3)))
+	dst := make([]byte, 0, MaxEncodedLen(len(src)))
+	Encode(dst, src)
+	if n := testing.AllocsPerRun(100, func() { Encode(dst[:0], src) }); n != 0 {
+		t.Errorf("Encode into a sized dst allocates %v times per call, want 0", n)
+	}
+}
+
+// Overlapping copies (offset < length) decode to what the format's
+// byte-at-a-time definition gives.
+func TestDecodeOverlappingCopies(t *testing.T) {
+	prefix := []byte("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ!?")
+	for _, offset := range []int{1, 2, 3, 7, 63} {
+		for length := 1; length <= 64; length++ {
+			enc := binary.AppendUvarint(nil, uint64(len(prefix)+length))
+			enc = emitLiteral(enc, prefix)
+			enc = append(enc, byte(length-1)<<2|tagCopy2, byte(offset), byte(offset>>8))
+			want := append([]byte(nil), prefix...)
+			for i := 0; i < length; i++ {
+				want = append(want, want[len(want)-offset])
+			}
+			got, err := Decode(nil, enc)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("offset %d length %d: got %q, %v; want %q", offset, length, got[len(prefix):], err, want[len(prefix):])
+			}
+		}
+	}
+}
+
+// benchInputs are the encoder benchmarks' inputs: the 4 KiB blocks the
+// engine compresses on a compressible and on an incompressible payload,
+// and a long repetitive text.
+func benchInputs() []struct {
+	name string
+	src  []byte
+} {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, 4<<10)
+	rng.Read(random)
+	return []struct {
+		name string
+		src  []byte
+	}{
+		{"4KiB-compressible", engineBlock(rng)},
+		{"4KiB-incompressible", random},
+		{"300KB-repetitive", bytes.Repeat([]byte("checkpoint field data 3.14159 "), 10000)},
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
-	src := bytes.Repeat([]byte("checkpoint field data 3.14159 "), 10000)
-	b.SetBytes(int64(len(src)))
-	var dst []byte
-	for i := 0; i < b.N; i++ {
-		dst = Encode(dst[:0], src)
+	for _, in := range benchInputs() {
+		b.Run(in.name, func(b *testing.B) {
+			b.SetBytes(int64(len(in.src)))
+			var dst []byte
+			for i := 0; i < b.N; i++ {
+				dst = Encode(dst[:0], in.src)
+			}
+		})
 	}
 }
 
 func BenchmarkDecode(b *testing.B) {
-	src := bytes.Repeat([]byte("checkpoint field data 3.14159 "), 10000)
-	enc := Encode(nil, src)
-	b.SetBytes(int64(len(src)))
-	var dst []byte
-	for i := 0; i < b.N; i++ {
-		var err error
-		dst, err = Decode(dst[:0], enc)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, in := range benchInputs() {
+		b.Run(in.name, func(b *testing.B) {
+			enc := Encode(nil, in.src)
+			b.SetBytes(int64(len(in.src)))
+			var dst []byte
+			for i := 0; i < b.N; i++ {
+				var err error
+				dst, err = Decode(dst[:0], enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
