@@ -29,7 +29,7 @@ check: vet race restore-chaos svc-chaos svc-smoke figures fuzz
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/lsm:FuzzParseBlock ./internal/lsm:FuzzWALReader \
 	./internal/lsm:FuzzSnappyDecode ./internal/lsm:FuzzBatchDecode \
-	./internal/snappy:FuzzSnappyEncode
+	./internal/snappy:FuzzSnappyEncode ./internal/vfs:FuzzMemFSOps
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}" || exit 1; \

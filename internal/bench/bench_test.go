@@ -132,6 +132,28 @@ func TestChecksEvaluate(t *testing.T) {
 	}
 }
 
+// BenchmarkSimIORSweep is one Fig. 5 + Fig. 10 sweep at the benchmark
+// harness's sim-ior scale, after the same reduced warm-up sweep. Profile
+// the simulator with
+//
+//	go test -run '^$' -bench SimIORSweep -cpuprofile cpu.out ./internal/bench
+func BenchmarkSimIORSweep(b *testing.B) {
+	figs := []Figure{Fig5(), Fig10()}
+	sweep := func(scale Scale) {
+		for _, f := range figs {
+			if _, err := RunFigure(f, scale, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	sweep(Scale{Nodes: []int{4}, PerRankBytes: 1 << 20, BufferSize: 256 << 10})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep(Scale{Nodes: []int{16}, PerRankBytes: 4 << 20, BufferSize: 1 << 20})
+	}
+}
+
 func TestScalesAreSane(t *testing.T) {
 	p := PaperScale()
 	if p.Nodes[len(p.Nodes)-1] != 48 {

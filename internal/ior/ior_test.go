@@ -2,6 +2,8 @@ package ior
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"lsmio/internal/pfs"
@@ -173,6 +175,77 @@ func TestLSMIOBatchRead(t *testing.T) {
 	}
 	if res.ReadBW <= 0 {
 		t.Fatalf("read bandwidth: %+v", res)
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}
+
+// TestCollectiveWriteAllocationRatchet: a collective posix N-to-1 write
+// (8 ranks x 4 MiB in 1 MiB transfers) allocates at most a stated
+// multiple of its payload. The floor is the same run with 1 KiB
+// transfers, measured in the same build: it has the same ranks, messages
+// and I/O calls, so it carries the per-operation cost and leaves the
+// per-byte cost to be compared. Measured: 1.75 B/B, which is each page of
+// the simulated file once (1), the pieces the exchange sends (0.5:
+// ranks 4-7 ship theirs to aggregators 0-3) and the ranks' transfer
+// buffers (0.25).
+func TestCollectiveWriteAllocationRatchet(t *testing.T) {
+	const nodes, segments, limit = 8, 4, 2.0
+	run := func(xfer int64) float64 {
+		cluster := smallCluster(nodes)
+		p := DefaultParams(APIPosix, xfer, segments)
+		p.Collective = true
+		return allocated(func() {
+			if _, err := Run(cluster, nodes, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	floor := run(1 << 10)
+	payload := float64(nodes * segments << 20)
+	perByte := (run(1<<20) - floor) / payload
+	t.Logf("%d ranks x %d MiB in 1 MiB transfers: %.3f B allocated per payload byte beyond the 1 KiB run's %.0f B",
+		nodes, segments, perByte, floor)
+	if perByte > limit {
+		t.Errorf("%.3f B allocated per payload byte, limit %.2f: a copy is back on the simulated data path", perByte, float64(limit))
+	}
+}
+
+// TestVerifyCatchesCorruption is the mutation check of Verify: one byte
+// of the stored file flipped between the write and the read phase must
+// fail the read-back.
+func TestVerifyCatchesCorruption(t *testing.T) {
+	const nodes = 4
+	cluster := smallCluster(nodes)
+	p := smallParams(APIPosix)
+	p.DoRead = false
+	if _, err := Run(cluster, nodes, p); err != nil {
+		t.Fatal(err)
+	}
+	f, err := cluster.Store().Open(p.TestFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, 1)
+	off := int64(3*p.BlockSize + 1000) // rank 3, segment 0
+	if _, err := f.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x40
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	p.DoWrite, p.DoRead = false, true
+	_, err = Run(cluster, nodes, p)
+	if err == nil || !strings.Contains(err.Error(), "rank 3 seg 0: data verification failed") {
+		t.Fatalf("read-back of a corrupted file: %v, want rank 3's verification error", err)
 	}
 }
 

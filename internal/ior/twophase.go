@@ -17,10 +17,16 @@ import (
 
 const tagTwoPhase = 7
 
+// twoPhasePiece is one piece in flight to its aggregator. It carries its
+// own copy of the bytes: the sender reuses its buffer before the
+// aggregator reads them.
 type twoPhasePiece struct {
 	off  int64
 	data []byte
 }
+
+// span is [off, off+n) of the file.
+type span struct{ off, n int64 }
 
 type twoPhase struct {
 	e        *env
@@ -28,6 +34,7 @@ type twoPhase struct {
 	// writeRaw is the aggregator's bulk write path (posix WriteAt or the
 	// HDF5 raw data channel).
 	writeRaw func(data []byte, off int64) error
+	spans    []span // splitByStripe's result, reused
 }
 
 func newTwoPhase(e *env, writeRaw func(data []byte, off int64) error) *twoPhase {
@@ -46,22 +53,18 @@ func (tp *twoPhase) owner(fileOff int64) int {
 	return int((fileOff / tp.e.p.StripeSize) % int64(tp.aggCount))
 }
 
-// splitByStripe cuts [off, off+n) at stripe boundaries.
-func (tp *twoPhase) splitByStripe(off, n int64) []twoPhasePiece {
-	var pieces []twoPhasePiece
+// splitByStripe cuts [off, off+n) at stripe boundaries. The result is
+// valid until the next call.
+func (tp *twoPhase) splitByStripe(off, n int64) []span {
+	tp.spans = tp.spans[:0]
 	ss := tp.e.p.StripeSize
 	for n > 0 {
-		within := off % ss
-		take := ss - within
-		if take > n {
-			take = n
-		}
-		pieces = append(pieces, twoPhasePiece{off: off, data: nil})
-		pieces[len(pieces)-1].data = make([]byte, take) // filled by caller
+		take := min(ss-off%ss, n)
+		tp.spans = append(tp.spans, span{off, take})
 		off += take
 		n -= take
 	}
-	return pieces
+	return tp.spans
 }
 
 // write performs the exchange + I/O phases for this rank's transfer
@@ -75,40 +78,36 @@ func (tp *twoPhase) write(seg, t int, off int64, data []byte,
 	r := tp.e.rank
 	me := r.Rank()
 
-	// Exchange phase: ship my pieces to their owners (copies, since the
-	// caller reuses its buffer).
-	var mine []twoPhasePiece
-	pos := int64(0)
-	for _, pc := range tp.splitByStripe(off, int64(len(data))) {
-		copy(pc.data, data[pos:pos+int64(len(pc.data))])
-		pos += int64(len(pc.data))
-		owner := tp.owner(pc.off)
-		if owner == me {
-			mine = append(mine, pc)
-			continue
+	// Exchange phase: ship my pieces to their owners. Only a sent piece
+	// is copied: the caller reuses its buffer before the owner reads it.
+	for _, s := range tp.splitByStripe(off, int64(len(data))) {
+		if owner := tp.owner(s.off); owner != me {
+			pc := twoPhasePiece{off: s.off, data: append([]byte(nil), data[s.off-off:][:s.n]...)}
+			r.Send(owner, tagTwoPhase, pc, s.n+16)
 		}
-		r.Send(owner, tagTwoPhase, pc, int64(len(pc.data))+16)
 	}
 
 	// I/O phase: aggregators collect every piece of this round and write
-	// them in rank order (ascending object offsets per OST).
+	// them in rank order (ascending object offsets per OST). My own
+	// pieces are written from data, which is mine until write returns.
 	if me < tp.aggCount {
-		myIdx := 0
 		for src := 0; src < tp.e.nodes; src++ {
 			srcOff := fileOffsetOf(src, seg, t)
-			for _, pc := range tp.splitByStripe(srcOff, int64(len(data))) {
-				if tp.owner(pc.off) != me {
+			if src == me && srcOff != off {
+				return fmt.Errorf("ior: two-phase protocol error: my transfer is at %d, not %d", off, srcOff)
+			}
+			for _, s := range tp.splitByStripe(srcOff, int64(len(data))) {
+				if tp.owner(s.off) != me {
 					continue
 				}
 				var piece twoPhasePiece
 				if src == me {
-					piece = mine[myIdx]
-					myIdx++
+					piece = twoPhasePiece{off: s.off, data: data[s.off-off:][:s.n]}
 				} else {
 					piece = r.Recv(src, tagTwoPhase).(twoPhasePiece)
 				}
-				if piece.off != pc.off {
-					return fmt.Errorf("ior: two-phase protocol error: expected piece at %d, got %d", pc.off, piece.off)
+				if piece.off != s.off {
+					return fmt.Errorf("ior: two-phase protocol error: expected piece at %d, got %d", s.off, piece.off)
 				}
 				if err := tp.writeRaw(piece.data, piece.off); err != nil {
 					return err

@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -44,24 +43,54 @@ type event struct {
 	p   *Proc
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) before(f *event) bool {
+	if e.at != f.at {
+		return e.at < f.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < f.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events by value, so scheduling
+// allocates nothing once the slice has grown. (at, seq) is a total
+// order, so the pop order is the same as any other heap's.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !s[i].before(&s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s[last] = event{}
+	s = s[:last]
+	for i := 0; ; {
+		c := 2*i + 1 // the earlier of i's children
+		if c >= len(s) {
+			break
+		}
+		if c+1 < len(s) && s[c+1].before(&s[c]) {
+			c++
+		}
+		if !s[c].before(&s[i]) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // Kernel owns the virtual clock, the event queue, and every process.
@@ -118,7 +147,7 @@ func (k *Kernel) schedule(at Time, p *Proc) {
 	if at < k.now {
 		at = k.now
 	}
-	heap.Push(&k.events, &event{at: at, seq: k.nextSeq(), p: p})
+	k.events.push(event{at: at, seq: k.nextSeq(), p: p})
 }
 
 // Proc is a simulated process. All blocking methods (Sleep, Signal.Wait,
@@ -129,7 +158,7 @@ type Proc struct {
 	id      int
 	name    string
 	resume  chan struct{}
-	state   string // for deadlock diagnostics: "" running, else what it waits on
+	state   parkState // for deadlock diagnostics
 	done    bool
 	daemon  bool
 	doneSig *Signal // lazily created by Join
@@ -188,14 +217,47 @@ func (k *Kernel) Spawn(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
+// parkKind is what a parked process waits on.
+type parkKind uint8
+
+const (
+	running parkKind = iota
+	parkedSleep
+	parkedSignal
+	parkedAcquire
+	parkedRecv
+)
+
+// parkState records what a process waits on. Only the deadlock report
+// formats it, so parking allocates nothing.
+type parkState struct {
+	kind parkKind
+	d    time.Duration // parkedSleep: the sleep's length
+	name string        // parkedAcquire, parkedRecv: the resource or queue
+}
+
+func (s parkState) String() string {
+	switch s.kind {
+	case parkedSleep:
+		return "sleep " + s.d.String()
+	case parkedSignal:
+		return "signal"
+	case parkedAcquire:
+		return "acquire " + s.name
+	case parkedRecv:
+		return "recv " + s.name
+	}
+	return ""
+}
+
 // park suspends the calling process until it is rescheduled. The caller must
 // have arranged (event, signal wait list, resource queue) for a future
 // resumption before parking.
-func (p *Proc) park(state string) {
+func (p *Proc) park(state parkState) {
 	p.state = state
 	p.k.yield <- struct{}{}
 	<-p.resume
-	p.state = ""
+	p.state = parkState{}
 }
 
 // Sleep advances the process's virtual clock by d (negative d counts as 0).
@@ -204,7 +266,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	p.k.schedule(p.k.now.Add(d), p)
-	p.park(fmt.Sprintf("sleep %v", d))
+	p.park(parkState{kind: parkedSleep, d: d})
 }
 
 // Yield gives other processes scheduled at the same instant a chance to run.
@@ -232,7 +294,7 @@ func (k *Kernel) Run() error {
 	k.running = true
 	defer func() { k.running = false }()
 	for len(k.events) > 0 {
-		e := heap.Pop(&k.events).(*event)
+		e := k.events.pop()
 		if e.p.done {
 			continue
 		}
@@ -264,7 +326,7 @@ func (k *Kernel) parkedSummary() string {
 		if p.daemon {
 			continue
 		}
-		names = append(names, fmt.Sprintf("%s(%s)", p.name, p.state))
+		names = append(names, p.name+"("+p.state.String()+")")
 	}
 	sort.Strings(names)
 	s := ""

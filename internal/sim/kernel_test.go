@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -160,6 +161,70 @@ func TestDeadlockDetected(t *testing.T) {
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
+	}
+}
+
+// The deadlock report names what each parked process waits on; the
+// state is formatted only there, so this pins its text.
+func TestDeadlockReportNamesParkStates(t *testing.T) {
+	k := NewKernel()
+	s := NewSignal(k)
+	disk := NewResource(k, "disk", 1)
+	mb := NewQueue(k, "mb")
+	k.Spawn("a", func(p *Proc) { p.Sleep(5 * time.Millisecond) })
+	k.Spawn("b", func(p *Proc) { s.Wait(p) })
+	k.Spawn("c", func(p *Proc) {
+		disk.Acquire(p, 1)
+		disk.Acquire(p, 1)
+	})
+	k.Spawn("d", func(p *Proc) { mb.Recv(p) })
+	var atZero string
+	k.Spawn("reporter", func(p *Proc) { atZero = k.parkedSummary() }).SetDaemon(true)
+	err := k.Run()
+	if want := "a(sleep 5ms), b(signal), c(acquire disk), d(recv mb)"; atZero != want {
+		t.Errorf("parked at 0: %q, want %q", atZero, want)
+	}
+	want := "sim: deadlock at 5ms: 3 process(es) parked: b(signal), c(acquire disk), d(recv mb)"
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %q", err, want)
+	}
+}
+
+// The event heap pops in (at, seq) order: FIFO among equal times.
+func TestEventHeapOrder(t *testing.T) {
+	var h eventHeap
+	rng := rand.New(rand.NewSource(1))
+	for seq := int64(1); seq <= 500; seq++ {
+		h.push(event{at: Time(rng.Intn(20)), seq: seq})
+		if rng.Intn(3) == 0 {
+			h.pop()
+		}
+	}
+	last := event{at: -1}
+	for len(h) > 0 {
+		e := h.pop()
+		if !last.before(&e) {
+			t.Fatalf("popped (%v, %d) after (%v, %d)", e.at, e.seq, last.at, last.seq)
+		}
+		last = e
+	}
+}
+
+// BenchmarkSleepSwitch: two processes alternating Sleep, one switch per
+// op. It reports allocations, which scheduling an event must not add.
+func BenchmarkSleepSwitch(b *testing.B) {
+	k := NewKernel()
+	for range 2 {
+		k.Spawn("pinger", func(p *Proc) {
+			for i := 0; i < b.N/2; i++ {
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -16,7 +16,7 @@ func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
 // Wait parks p until the next Broadcast.
 func (s *Signal) Wait(p *Proc) {
 	s.waiters = append(s.waiters, p)
-	p.park("signal")
+	p.park(parkState{kind: parkedSignal})
 }
 
 // Broadcast wakes every waiting process at the current virtual time, in the
@@ -67,7 +67,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 		return
 	}
 	r.queue = append(r.queue, resWaiter{p, n})
-	p.park("acquire " + r.name)
+	p.park(parkState{kind: parkedAcquire, name: r.name})
 }
 
 // Release returns n units and admits queued processes in FIFO order.
@@ -122,7 +122,7 @@ func (q *Queue) Send(v any) {
 func (q *Queue) Recv(p *Proc) any {
 	for len(q.items) == 0 {
 		q.waiters = append(q.waiters, p)
-		p.park("recv " + q.name)
+		p.park(parkState{kind: parkedRecv, name: q.name})
 	}
 	v := q.items[0]
 	q.items = q.items[1:]

@@ -18,9 +18,95 @@ type MemFS struct {
 	dirs  map[string]bool
 }
 
+// memPageSize is the unit a memNode stores its bytes in. A file grows a
+// page at a time, so growing it copies at most one page, never the file.
+const memPageSize = 1 << 20
+
+// memNode is one file's bytes. Page i holds the file's bytes from
+// i*memPageSize, up to its length; a nil or short page reads as zeros up
+// to size. Invariant: a page's bytes between its length and its capacity
+// are zero, so extending a page within its capacity exposes only zeros
+// (a shrinking Truncate clears what it cuts off).
 type memNode struct {
-	mu   sync.Mutex
-	data []byte
+	mu    sync.Mutex
+	size  int64
+	pages [][]byte
+}
+
+// readAt copies the bytes at [off, off+len(p)) ∩ [0, size) into p and
+// returns how many it copied. off must be below size.
+func (n *memNode) readAt(p []byte, off int64) int {
+	if avail := n.size - off; int64(len(p)) > avail {
+		p = p[:avail]
+	}
+	for done := 0; done < len(p); {
+		i, in := int(off/memPageSize), int(off%memPageSize)
+		dst := p[done:min(len(p), done+memPageSize-in)]
+		c := 0
+		if i < len(n.pages) && in < len(n.pages[i]) {
+			c = copy(dst, n.pages[i][in:])
+		}
+		clear(dst[c:])
+		done += len(dst)
+		off += int64(len(dst))
+	}
+	return len(p)
+}
+
+// writeAt stores p at off, growing the file as needed.
+func (n *memNode) writeAt(p []byte, off int64) {
+	end := off + int64(len(p))
+	if last := int((end + memPageSize - 1) / memPageSize); last > len(n.pages) {
+		n.pages = append(n.pages, make([][]byte, last-len(n.pages))...)
+	}
+	for len(p) > 0 {
+		i, in := int(off/memPageSize), int(off%memPageSize)
+		chunk := min(len(p), memPageSize-in)
+		pg := n.pages[i]
+		if need := in + chunk; need > len(pg) {
+			if need > cap(pg) {
+				pg = growPage(pg, need)
+			}
+			pg = pg[:need]
+			n.pages[i] = pg
+		}
+		copy(pg[in:], p[:chunk])
+		p = p[chunk:]
+		off += int64(chunk)
+	}
+	if end > n.size {
+		n.size = end
+	}
+}
+
+// growPage returns pg with capacity for need bytes. A page grows by
+// doubling from 1 KiB up to memPageSize, so a small file, or a file's
+// partly written last page, costs about what it holds.
+func growPage(pg []byte, need int) []byte {
+	c := max(cap(pg), 1024)
+	for c < need {
+		c *= 2
+	}
+	c = min(c, memPageSize)
+	grown := make([]byte, len(pg), c)
+	copy(grown, pg)
+	return grown
+}
+
+// truncate sets the file's size. Growing adds a hole, which reads as
+// zeros; shrinking drops the pages past the end and clears the cut-off
+// tail of the last one, keeping the zero invariant.
+func (n *memNode) truncate(size int64) {
+	if keep := int((size + memPageSize - 1) / memPageSize); size < n.size && keep <= len(n.pages) {
+		clear(n.pages[keep:])
+		n.pages = n.pages[:keep]
+		if in := int(size % memPageSize); in > 0 && in < len(n.pages[keep-1]) {
+			pg := n.pages[keep-1]
+			clear(pg[in:])
+			n.pages[keep-1] = pg[:in]
+		}
+	}
+	n.size = size
 }
 
 // NewMemFS returns an empty in-memory filesystem.
@@ -162,7 +248,7 @@ func (m *MemFS) Stat(name string) (int64, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return int64(len(n.data)), nil
+	return n.size, nil
 }
 
 // Exists implements FS.
@@ -183,7 +269,7 @@ func (m *MemFS) TotalBytes() int64 {
 	var total int64
 	for _, n := range m.files {
 		n.mu.Lock()
-		total += int64(len(n.data))
+		total += n.size
 		n.mu.Unlock()
 	}
 	return total
@@ -211,10 +297,10 @@ func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
 	}
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	if off >= int64(len(f.node.data)) {
+	if off >= f.node.size {
 		return 0, io.EOF
 	}
-	n := copy(p, f.node.data[off:])
+	n := f.node.readAt(p, off)
 	if n < len(p) {
 		return n, io.EOF
 	}
@@ -233,25 +319,7 @@ func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
 	}
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(f.node.data)) {
-		if end <= int64(cap(f.node.data)) {
-			f.node.data = f.node.data[:end]
-		} else {
-			// Amortized doubling so sequential appends are O(n) overall.
-			newCap := int64(cap(f.node.data))
-			if newCap < 1024 {
-				newCap = 1024
-			}
-			for newCap < end {
-				newCap *= 2
-			}
-			grown := make([]byte, end, newCap)
-			copy(grown, f.node.data)
-			f.node.data = grown
-		}
-	}
-	copy(f.node.data[off:end], p)
+	f.node.writeAt(p, off)
 	return len(p), nil
 }
 
@@ -267,7 +335,7 @@ func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 		base = f.pos
 	case io.SeekEnd:
 		f.node.mu.Lock()
-		base = int64(len(f.node.data))
+		base = f.node.size
 		f.node.mu.Unlock()
 	default:
 		return 0, fmt.Errorf("seek %s: bad whence %d", f.name, whence)
@@ -286,7 +354,7 @@ func (f *memFile) Size() (int64, error) {
 	}
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	return int64(len(f.node.data)), nil
+	return f.node.size, nil
 }
 
 func (f *memFile) Sync() error {
@@ -302,13 +370,7 @@ func (f *memFile) Truncate(size int64) error {
 	}
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	if size < int64(len(f.node.data)) {
-		f.node.data = f.node.data[:size]
-	} else {
-		grown := make([]byte, size)
-		copy(grown, f.node.data)
-		f.node.data = grown
-	}
+	f.node.truncate(size)
 	return nil
 }
 

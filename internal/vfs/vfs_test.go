@@ -2,7 +2,9 @@ package vfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 	"testing/quick"
@@ -220,39 +222,183 @@ func TestClosedFileRejectsIO(t *testing.T) {
 	}
 }
 
-// Property: for any sequence of (offset, data) writes, reading the whole
-// file back matches an in-memory reference model.
-func TestQuickWriteAtMatchesModel(t *testing.T) {
-	fn := func(ops []struct {
-		Off  uint16
-		Data []byte
-	}) bool {
-		fsys := NewMemFS()
-		f, _ := fsys.Create("f")
-		defer f.Close()
-		var model []byte
-		for _, op := range ops {
-			off := int64(op.Off % 4096)
-			end := off + int64(len(op.Data))
-			if end > int64(len(model)) {
-				grown := make([]byte, end)
-				copy(grown, model)
-				model = grown
+// A shrinking Truncate discards the bytes it cuts off: a later write past
+// the new end leaves a hole that reads as zeros, as POSIX requires.
+func TestShrinkThenWriteLeavesZeroHole(t *testing.T) {
+	for name, fsys := range fsUnderTest(t) {
+		t.Run(name, func(t *testing.T) {
+			f, err := fsys.Create("f")
+			if err != nil {
+				t.Fatal(err)
 			}
-			copy(model[off:end], op.Data)
-			if _, err := f.WriteAt(op.Data, off); err != nil {
-				return false
+			defer f.Close()
+			if _, err := f.WriteAt(bytes.Repeat([]byte{0xAA}, 4096), 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Truncate(100); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte{1}, 2000); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 2001)
+			if n, err := f.ReadAt(buf, 0); n != len(buf) || (err != nil && err != io.EOF) {
+				t.Fatalf("ReadAt = %d, %v", n, err)
+			}
+			want := append(append(bytes.Repeat([]byte{0xAA}, 100), make([]byte, 1900)...), 1)
+			if i := firstDiff(buf, want); i >= 0 {
+				t.Fatalf("byte %d = %#x, want %#x", i, buf[i], want[i])
+			}
+		})
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or -1.
+func firstDiff(a, b []byte) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+// memOp is one step of a MemFS model program: a WriteAt, a Truncate or a
+// ReadAt (Kind%3), at an offset below three pages. Half the ops are
+// centred on a page boundary.
+type memOp struct {
+	Kind uint8
+	Off  uint32
+	Len  uint16
+	Fill byte
+}
+
+func (op memOp) offset() int64 {
+	off := int64(op.Off>>2) % (3 * memPageSize)
+	if op.Off&1 == 0 {
+		off = max(0, (off/memPageSize+1)*memPageSize-int64(op.Len/2))
+	}
+	return off
+}
+
+// decodeMemOps reads a program from fuzz bytes, eight bytes per op.
+func decodeMemOps(b []byte) []memOp {
+	var ops []memOp
+	for ; len(b) >= 8; b = b[8:] {
+		ops = append(ops, memOp{
+			Kind: b[0],
+			Off:  binary.LittleEndian.Uint32(b[1:]),
+			Len:  binary.LittleEndian.Uint16(b[5:]),
+			Fill: b[7],
+		})
+	}
+	return ops
+}
+
+// checkMemFSOps runs ops on a MemFS file and on a flat-slice model, and
+// reports the first difference: in size, in a read's bytes, n or io.EOF,
+// or in the final contents.
+func checkMemFSOps(ops []memOp) error {
+	f, err := NewMemFS().Create("f")
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	var model []byte
+	for i, op := range ops {
+		off := op.offset()
+		switch op.Kind % 3 {
+		case 0:
+			data := make([]byte, op.Len)
+			for j := range data {
+				data[j] = op.Fill + byte(j)
+			}
+			if end := off + int64(len(data)); end > int64(len(model)) {
+				model = append(model, make([]byte, end-int64(len(model)))...)
+			}
+			copy(model[off:], data)
+			if n, err := f.WriteAt(data, off); n != len(data) || err != nil {
+				return fmt.Errorf("op %d: WriteAt(%d B, %d) = %d, %v", i, len(data), off, n, err)
+			}
+		case 1:
+			if off < int64(len(model)) {
+				model = model[:off]
+			} else {
+				model = append(model, make([]byte, off-int64(len(model)))...)
+			}
+			if err := f.Truncate(off); err != nil {
+				return fmt.Errorf("op %d: Truncate(%d): %v", i, off, err)
+			}
+		case 2:
+			buf := make([]byte, op.Len)
+			n, err := f.ReadAt(buf, off)
+			var want []byte
+			if off < int64(len(model)) {
+				want = model[off:min(int64(len(model)), off+int64(len(buf)))]
+			}
+			wantEOF := off >= int64(len(model)) || len(want) < len(buf)
+			if n != len(want) || (err == io.EOF) != wantEOF || (err != nil && err != io.EOF) {
+				return fmt.Errorf("op %d: ReadAt(%d B, %d) of %d B = %d, %v; want %d, EOF %v",
+					i, len(buf), off, len(model), n, err, len(want), wantEOF)
+			}
+			if j := firstDiff(buf[:n], want); j >= 0 {
+				return fmt.Errorf("op %d: ReadAt(%d B, %d): byte %d differs", i, len(buf), off, j)
 			}
 		}
-		got, err := ReadAll(f)
-		if err != nil {
+		if size, _ := f.Size(); size != int64(len(model)) {
+			return fmt.Errorf("op %d: size %d, model %d", i, size, len(model))
+		}
+	}
+	got, err := ReadAll(f)
+	if err != nil {
+		return err
+	}
+	if j := firstDiff(got, model); j >= 0 {
+		return fmt.Errorf("final contents differ at byte %d", j)
+	}
+	return nil
+}
+
+// Property: for any program of writes, truncations and reads, MemFS
+// matches a flat-slice reference model.
+func TestQuickWriteAtMatchesModel(t *testing.T) {
+	fn := func(ops []memOp) bool {
+		if err := checkMemFSOps(ops); err != nil {
+			t.Log(err)
 			return false
 		}
-		return bytes.Equal(got, model)
+		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func FuzzMemFSOps(f *testing.F) {
+	op := func(kind uint8, off uint32, n uint16, fill byte) []byte {
+		b := []byte{kind, 0, 0, 0, 0, 0, 0, fill}
+		binary.LittleEndian.PutUint32(b[1:], off)
+		binary.LittleEndian.PutUint16(b[5:], n)
+		return b
+	}
+	// The hole sequence of TestShrinkThenWriteLeavesZeroHole, then a
+	// write across a page boundary and a read across one and past EOF.
+	f.Add(bytes.Join([][]byte{
+		op(0, 0<<2|1, 4096, 0xAA),
+		op(1, 100<<2|1, 0, 0),
+		op(0, 2000<<2|1, 1, 1),
+		op(2, 0<<2|1, 4096, 0),
+		op(0, (2*memPageSize-7)<<2|1, 60000, 3),
+		op(2, (3*memPageSize-5)<<2|1, 65535, 0),
+	}, nil))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if err := checkMemFSOps(decodeMemOps(b)); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestMemFSTotalBytes(t *testing.T) {
