@@ -39,6 +39,44 @@ func restorePayloads(n int) map[string][]byte {
 	return vars
 }
 
+// TestRestoredStateIsTheCallers: an application that restores and then
+// works on its state in place (the point of restoring it) must not
+// change the checkpoint it came from. Large variables are the blocks the
+// store read, handed over without a copy; small ones are copies.
+func TestRestoredStateIsTheCallers(t *testing.T) {
+	s, mgr := newStore(t, 0)
+	defer mgr.Close()
+	vars := restorePayloads(4)
+	vars["weights"] = bytes.Repeat([]byte{7}, 300<<10)
+	commitVars(t, s, 3, vars)
+	for round, restore := range []func() (map[string][]byte, error){
+		func() (map[string][]byte, error) {
+			_, state, _, err := s.Restore(RestoreOptions{Parallel: 2})
+			return state, err
+		},
+		func() (map[string][]byte, error) { return s.ReadAll(3) },
+	} {
+		state, err := restore()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		for _, data := range state {
+			for i := range data {
+				data[i]++
+			}
+		}
+		_, again, err := s.RestoreLatest()
+		if err != nil {
+			t.Fatalf("round %d: restore after the state was modified: %v", round, err)
+		}
+		for name, want := range vars {
+			if !bytes.Equal(again[name], want) {
+				t.Fatalf("round %d: %s changed with the restored copy", round, name)
+			}
+		}
+	}
+}
+
 func TestParallelRestoreMatchesSerial(t *testing.T) {
 	s, mgr := newStore(t, 0)
 	defer mgr.Close()

@@ -145,7 +145,8 @@ func (m *Manager) Get(key string) ([]byte, error) {
 // ReadBatch loads every key under prefix in one sequential sweep of the
 // LSM-tree, in key order — the batch-read optimization the paper's §5.1
 // proposes instead of random point lookups per key. The per-entry CPU
-// cost is a fraction of a point get's (no per-key index descent).
+// cost is a fraction of a point get's (no per-key index descent). Each
+// value is fn's to keep (Store.Scan).
 func (m *Manager) ReadBatch(prefix string, fn func(key string, value []byte) bool) error {
 	return m.store.Scan(prefix, func(key string, value []byte) bool {
 		m.m.gets.Inc()

@@ -55,7 +55,8 @@ type Store interface {
 	StartBatch() error
 	// StopBatch ends aggregation and applies buffered writes.
 	StopBatch() error
-	// Get returns the value for key, always synchronously.
+	// Get returns the value for key, always synchronously. The value is
+	// the caller's to keep and modify (lsm.DB.Get: copied at most once).
 	Get(key string) ([]byte, error)
 	// Put writes key; with sync it blocks until durable.
 	Put(key string, value []byte, sync bool) error
@@ -69,7 +70,8 @@ type Store interface {
 	// Scan visits every live key with the given prefix in key order,
 	// reading the tree sequentially — the batch-read path the paper's
 	// §5.1 proposes to fix the synchronous point-lookup read penalty.
-	// Returning false from fn stops the scan early.
+	// Returning false from fn stops the scan early. Each value is fn's
+	// to keep and modify (lsm.Iterator.OwnValue: copied at most once).
 	Scan(prefix string, fn func(key string, value []byte) bool) error
 	// Close releases the store. Buffered writes are flushed first.
 	Close() error
@@ -248,7 +250,7 @@ func scanDB(db *lsm.DB, prefix string, fn func(key string, value []byte) bool) e
 		if !strings.HasPrefix(key, prefix) {
 			break
 		}
-		if !fn(key, append([]byte(nil), it.Value()...)) {
+		if !fn(key, it.OwnValue()) {
 			break
 		}
 	}

@@ -276,6 +276,64 @@ func TestStoreScan(t *testing.T) {
 	}
 }
 
+// TestStoreReadsAreTheCallers keeps every value Get and Scan hand out,
+// overwrites them all, and reads the store again: the values are the
+// caller's, whether they came from the memtable, a pending batch or a
+// table, and whether or not the engine handed over the block it read.
+func TestStoreReadsAreTheCallers(t *testing.T) {
+	value := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 100<<i) } // 100 B .. 100 KiB
+	const n = 11
+	for _, b := range backends() {
+		t.Run(string(b), func(t *testing.T) {
+			st := openTestStore(t, vfs.NewMemFS(), b)
+			defer st.Close()
+			st.StartBatch()
+			for i := 0; i < n; i++ {
+				if err := st.Put(fmt.Sprintf("own/%02d", i), value(i), false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, where := range []string{"before the barrier", "after the barrier"} {
+				var kept [][]byte
+				for i := 0; i < n; i++ {
+					v, err := st.Get(fmt.Sprintf("own/%02d", i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					kept = append(kept, v)
+				}
+				if err := st.Scan("own/", func(_ string, v []byte) bool {
+					kept = append(kept, v)
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				for _, v := range kept {
+					for j := range v {
+						v[j] = '!'
+					}
+				}
+				i := 0
+				if err := st.Scan("own/", func(k string, v []byte) bool {
+					if !bytes.Equal(v, value(i)) {
+						t.Errorf("%s: %s reads %d bytes changed by a caller's write", where, k, len(v))
+					}
+					i++
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if i != n {
+					t.Fatalf("%s: scan saw %d keys, want %d", where, i, n)
+				}
+				if err := st.WriteBarrier(true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestLevelStoreScanSeesBatchedWrites(t *testing.T) {
 	st := openTestStore(t, vfs.NewMemFS(), BackendLevel)
 	defer st.Close()

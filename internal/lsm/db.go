@@ -724,11 +724,42 @@ func (db *DB) buildTable(m *memtable, num uint64) (tableMeta, error) {
 }
 
 // Get returns the newest value for key, or ErrNotFound.
+//
+// Ownership: the value is the caller's, to keep and to modify; nothing
+// the caller does to it reaches the store. It is copied at most once on
+// the way out. A value read from a table with the block cache off is
+// the block that read brought in (the one pread, no copy), unless it is
+// a small part of that block; a value in the memtable or in a cached
+// block, which later reads see too, is copied.
 func (db *DB) Get(key []byte) ([]byte, error) {
+	v, own, err := db.get(key)
+	if err != nil || own {
+		return v, err
+	}
+	return append([]byte(nil), v...), nil
+}
+
+// Has reports whether key has a live value.
+func (db *DB) Has(key []byte) (bool, error) {
+	_, _, err := db.get(key)
+	if err == ErrNotFound {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
+// get finds key's newest value where it lies. own reports whether the
+// caller may keep the slice as its own (tableReader.get); when false it
+// is shared with the memtable or the block cache and must not be
+// modified.
+func (db *DB) get(key []byte) (value []byte, own bool, err error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
 	db.m.gets.Inc()
 	seq := db.vs.lastSeq
@@ -745,47 +776,35 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 
 	if v, found, deleted := mem.get(key, seq); found {
 		if deleted {
-			return nil, ErrNotFound
+			return nil, false, ErrNotFound
 		}
-		return v, nil
+		return v, false, nil
 	}
 	for i := len(imms) - 1; i >= 0; i-- {
 		if v, found, deleted := imms[i].get(key, seq); found {
 			if deleted {
-				return nil, ErrNotFound
+				return nil, false, ErrNotFound
 			}
-			return v, nil
+			return v, false, nil
 		}
 	}
 	for _, fm := range ver.filesForKey(key) {
 		t, err := db.getTable(fm.num)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		v, found, deleted, err := t.get(key, seq)
+		v, own, found, deleted, err := t.get(key, seq)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if found {
 			if deleted {
-				return nil, ErrNotFound
+				return nil, false, ErrNotFound
 			}
-			return v, nil
+			return v, own, nil
 		}
 	}
-	return nil, ErrNotFound
-}
-
-// Has reports whether key has a live value.
-func (db *DB) Has(key []byte) (bool, error) {
-	_, err := db.Get(key)
-	if err == ErrNotFound {
-		return false, nil
-	}
-	if err != nil {
-		return false, err
-	}
-	return true, nil
+	return nil, false, ErrNotFound
 }
 
 // refCurrentLocked pins the current version for a reader.

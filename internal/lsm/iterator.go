@@ -109,6 +109,7 @@ type Iterator struct {
 	upper []byte
 
 	key   []byte
+	skip  []byte // a user key whose remaining versions settle passes over
 	value []byte
 	valid bool
 }
@@ -120,7 +121,7 @@ func (it *Iterator) SeekToFirst() {
 	} else {
 		it.merge.SeekToFirst()
 	}
-	it.settle(nil)
+	it.settle(false)
 }
 
 // Seek positions at the first live user key >= key (clamped to the
@@ -130,7 +131,7 @@ func (it *Iterator) Seek(key []byte) {
 		key = it.lower
 	}
 	it.merge.Seek(lookupKey(key, it.seq))
-	it.settle(nil)
+	it.settle(false)
 }
 
 // Next advances to the next live user key.
@@ -138,14 +139,17 @@ func (it *Iterator) Next() {
 	if !it.valid {
 		return
 	}
-	prev := append([]byte(nil), it.key...)
+	// The current key becomes the one to pass over, and the buffer that
+	// held the last one takes the next: no key is copied to move on.
+	it.key, it.skip = it.skip, it.key
 	it.merge.Next()
-	it.settle(prev)
+	it.settle(true)
 }
 
-// settle finds the newest visible entry for the next user key after skip,
-// skipping shadowed versions, invisible sequence numbers and deletions.
-func (it *Iterator) settle(skip []byte) {
+// settle finds the newest visible entry for the next user key (after
+// it.skip when skipping), passing over shadowed versions, invisible
+// sequence numbers and deletions.
+func (it *Iterator) settle(skipping bool) {
 	for it.merge.Valid() {
 		ik := it.merge.IKey()
 		if ik.seq() > it.seq {
@@ -153,12 +157,13 @@ func (it *Iterator) settle(skip []byte) {
 			continue
 		}
 		uk := ik.userKey()
-		if skip != nil && bytes.Equal(uk, skip) {
+		if skipping && bytes.Equal(uk, it.skip) {
 			it.merge.Next()
 			continue
 		}
 		if ik.kind() == kindDelete {
-			skip = append(skip[:0], uk...)
+			it.skip = append(it.skip[:0], uk...)
+			skipping = true
 			it.merge.Next()
 			continue
 		}
@@ -167,7 +172,7 @@ func (it *Iterator) settle(skip []byte) {
 			return
 		}
 		it.key = append(it.key[:0], uk...)
-		it.value = append(it.value[:0], it.merge.Value()...)
+		it.value = it.merge.Value()
 		it.valid = true
 		return
 	}
@@ -180,8 +185,26 @@ func (it *Iterator) Valid() bool { return it.valid }
 // Key returns the current user key; valid until the next positioning call.
 func (it *Iterator) Key() []byte { return it.key }
 
-// Value returns the current value; valid until the next positioning call.
+// Value returns the current value where it lies, without a copy: in the
+// memtable or in a block the iterator read. It is read-only and valid
+// until the next positioning call. OwnValue is the form to keep.
 func (it *Iterator) Value() []byte { return it.value }
+
+// OwnValue returns the current value as a slice the caller may keep and
+// modify, copied at most once: when no one else can see the block it
+// lies in (a table read with the block cache off), it is handed over as
+// it lies, and then it keeps that block's memory alive while it is
+// kept; a value in the memtable or in a cached block is copied. Call it
+// at most once per position.
+func (it *Iterator) OwnValue() []byte {
+	if !it.valid {
+		return nil
+	}
+	if t, ok := it.merge.h[0].(*tableIterator); ok && t.t.cache == nil {
+		return it.value[:len(it.value):len(it.value)]
+	}
+	return append([]byte(nil), it.value...)
+}
 
 // Close releases the iterator's snapshot.
 func (it *Iterator) Close() error {

@@ -215,7 +215,7 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, ik := range keys {
-						v, found, deleted, err := tr.get(ik.userKey(), maxSeq)
+						v, _, found, deleted, err := tr.get(ik.userKey(), maxSeq)
 						if err != nil || !found || deleted || !bytes.Equal(v, values[i]) {
 							t.Fatalf("get %s: %d bytes, found=%v deleted=%v err=%v", ik, len(v), found, deleted, err)
 						}

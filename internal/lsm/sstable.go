@@ -564,38 +564,45 @@ func (t *tableReader) readBlock(h blockHandle, scratch *[]byte) (*block, error) 
 	return b, nil
 }
 
-// get finds the newest entry for userKey at snapshot seq within this table.
-func (t *tableReader) get(userKey []byte, seq seqNum) (value []byte, found, deleted bool, err error) {
+// get finds the newest entry for userKey at snapshot seq within this
+// table. The value lies in the block the lookup read; own reports
+// whether the caller may keep it as its own: true when no one else can
+// see that block (the cache is off) and the value is most of it, so
+// that handing it out keeps little else alive. Otherwise the caller
+// copies it.
+func (t *tableReader) get(userKey []byte, seq seqNum) (value []byte, own, found, deleted bool, err error) {
 	if t.filter != nil && !bloomMayContain(t.filter, userKey) {
-		return nil, false, false, nil
+		return nil, false, false, false, nil
 	}
 	target := lookupKey(userKey, seq)
 	idxIter := t.index.iterator()
 	idxIter.Seek(target)
 	if !idxIter.Valid() {
-		return nil, false, false, idxIter.Close()
+		return nil, false, false, false, idxIter.Close()
 	}
 	h, err := decodeHandle(idxIter.Value())
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, false, false, err
 	}
 	b, err := t.readBlock(h, new([]byte))
 	if err != nil {
-		return nil, false, false, err
+		return nil, false, false, false, err
 	}
 	it := b.iterator()
 	it.Seek(target)
 	if !it.Valid() {
-		return nil, false, false, it.Close()
+		return nil, false, false, false, it.Close()
 	}
 	ik := it.IKey()
 	if !bytes.Equal(ik.userKey(), userKey) {
-		return nil, false, false, it.Close()
+		return nil, false, false, false, it.Close()
 	}
 	if ik.kind() == kindDelete {
-		return nil, true, true, it.Close()
+		return nil, false, true, true, it.Close()
 	}
-	return append([]byte(nil), it.Value()...), true, false, it.Close()
+	v := it.Value()
+	own = t.cache == nil && 2*len(v) >= len(b.data)
+	return v[:len(v):len(v)], own, true, false, it.Close()
 }
 
 // iterator returns an ordered iterator over the whole table.

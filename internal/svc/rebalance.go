@@ -220,7 +220,7 @@ func (s *Service) migratePass() (int, error) {
 		if err == nil {
 			err = src.mgr.ReadBatch(nsRoot, func(k string, v []byte) bool {
 				if target.Route(k) != src.idx {
-					pending = append(pending, Pair{Key: k, Value: append([]byte(nil), v...)})
+					pending = append(pending, Pair{Key: k, Value: v})
 				}
 				return true
 			})

@@ -592,7 +592,7 @@ func (s *Service) scanShard(r *Ring, sh *shard, nsPrefix string) ([]Pair, error)
 	var out []Pair
 	err := sh.mgr.ReadBatch(nsPrefix, func(k string, v []byte) bool {
 		if r.Route(k) == sh.idx {
-			out = append(out, Pair{Key: k, Value: append([]byte(nil), v...)})
+			out = append(out, Pair{Key: k, Value: v})
 		}
 		return true
 	})
