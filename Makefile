@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench figures fuzz restore-chaos svc-smoke svc-chaos perf-smoke
+.PHONY: build test check race vet bench bench-once figures fuzz restore-chaos svc-smoke svc-chaos perf-smoke
 
 build:
 	$(GO) build ./...
@@ -19,8 +19,9 @@ race:
 # Full gate: vet + the complete test suite (including the crash-point
 # enumeration sweeps in internal/robustness) under the race detector,
 # plus the extension figures regenerated, shape-checked and compared
-# with their versioned JSON, and each fuzz target run for a bounded time.
-check: vet race restore-chaos svc-chaos svc-smoke figures fuzz
+# with their versioned JSON, each fuzz target run for a bounded time and
+# the codec and engine benchmarks run once.
+check: vet race restore-chaos svc-chaos svc-smoke figures fuzz bench-once
 
 # Bounded fuzzing of the parsers that read on-disk bytes and of the
 # encoder that writes them: each native fuzz target, named as
@@ -79,6 +80,12 @@ figures:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+
+# One iteration of every codec and engine benchmark: tests never run
+# them, so without this a benchmark that panics or no longer builds its
+# inputs goes unnoticed until someone measures with it. About a second.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/snappy ./internal/lsm
 
 # Wall-clock smoke of the checkpoint write path: one short round of the
 # repository benchmark's paper-configuration workload on the real

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -20,11 +21,14 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/compaction.sha25
 // TestCompactionTablesMatchGolden pins what compaction writes. A seeded
 // program of puts and overwrites runs with compaction on, on the
 // deterministic simulator, and ends in CompactAll; the SHA-256 of every
-// table must match testdata/compaction.sha256. The program deletes
-// nothing, so no flush is mostly tombstones and only the L0 table count
-// schedules merges: the file pins the rule that drops shadowed versions,
-// the merge schedule and the table format. A deliberate change to any of
-// them is a reviewed diff of that file (go test -run Golden -update).
+// table, and of the entries it decodes to, must match
+// testdata/compaction.sha256. The program deletes nothing, so no flush is
+// mostly tombstones and only the L0 table count schedules merges: the
+// file pins the rule that drops shadowed versions, the merge schedule and
+// the table format. A deliberate change to any of them is a reviewed diff
+// of that file (go test -run Golden -update); one that changes only how
+// blocks are encoded, such as the codec's, moves a table's digest and
+// leaves its entries' digest as it was.
 func TestCompactionTablesMatchGolden(t *testing.T) {
 	fs := vfs.NewMemFS()
 	k := sim.NewKernel()
@@ -82,6 +86,7 @@ func TestCompactionTablesMatchGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(data), name)
+		fmt.Fprintf(&got, "%x  %s entries\n", entriesDigest(t, fs, "db/"+name), name)
 	}
 	const golden = "testdata/compaction.sha256"
 	if *updateGolden {
@@ -99,4 +104,34 @@ func TestCompactionTablesMatchGolden(t *testing.T) {
 	if got.String() != string(want) {
 		t.Fatalf("compaction wrote different tables:\n got:\n%s want (%s):\n%s", got.String(), golden, want)
 	}
+}
+
+// entriesDigest is the SHA-256 of the entries a table decodes to, in
+// order: each entry's internal key (user key, sequence number and kind)
+// and value, each prefixed with its length.
+func entriesDigest(t *testing.T, fs vfs.FS, name string) []byte {
+	t.Helper()
+	f, err := fs.Open(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions(fs)
+	r, err := openTable(f, &opts, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	h := sha256.New()
+	var n [binary.MaxVarintLen64]byte
+	it := r.iterator()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		for _, b := range [][]byte{it.IKey(), it.Value()} {
+			h.Write(n[:binary.PutUvarint(n[:], uint64(len(b)))])
+			h.Write(b)
+		}
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return h.Sum(nil)
 }

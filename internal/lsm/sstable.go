@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
 
 	"lsmio/internal/iosched"
 	"lsmio/internal/snappy"
@@ -126,8 +127,41 @@ func newTableWriter(f vfs.File, opts *Options, fileNum uint64, m *dbMetrics) *ta
 	}
 	if opts.EncodeWorkers > 0 && opts.Runtime != nil {
 		w.pipe = newTablePipeline(w, opts.EncodeWorkers)
+	} else {
+		select {
+		case b := <-keptBlockBufs:
+			w.dataBlock.buf, w.cbuf = b.block, b.comp
+		default:
+		}
 	}
 	return w
+}
+
+// blockBufs are the serial writer's two block buffers: the block being
+// built and its compressed form. They grow to the largest block of the
+// table, a value's size where values are larger than a block, so a
+// writer that started from empty ones would grow them again, doubling,
+// for every flush and every merge output. They are kept between tables
+// instead, up to one pair per P, and dropped when a block larger than
+// maxKeptBlockBuf grew them.
+type blockBufs struct{ block, comp []byte }
+
+var keptBlockBufs = make(chan blockBufs, runtime.GOMAXPROCS(0))
+
+const maxKeptBlockBuf = 1 << 20
+
+// keepBlockBufs hands the serial writer's block buffers on to the next
+// table. The writer builds no more data blocks after it.
+func (w *tableWriter) keepBlockBufs() {
+	b := blockBufs{w.dataBlock.buf[:0], w.cbuf[:0]}
+	w.dataBlock.buf, w.cbuf = nil, nil
+	if cap(b.block) > maxKeptBlockBuf || cap(b.comp) > maxKeptBlockBuf {
+		return
+	}
+	select {
+	case keptBlockBufs <- b:
+	default:
+	}
 }
 
 // writeRaw appends p through the coalescing buffer, returning the write
@@ -409,6 +443,7 @@ func (w *tableWriter) finish() (tableMeta, error) {
 	if w.opts.BitsPerKey > 0 && len(w.userKeys) > 0 {
 		filterHandle = w.writeBlock(rawBlock{buf: buildBloom(w.userKeys, w.opts.BitsPerKey)}, false)
 	}
+	w.keepBlockBufs()
 	if w.err != nil {
 		return tableMeta{}, w.err
 	}

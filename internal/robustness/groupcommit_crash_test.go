@@ -34,12 +34,12 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-point enumeration sweep skipped in -short mode")
 	}
-	// Forty-eight generations: even if every cohort held all four writers
+	// Ninety-six generations: even if every cohort held all four writers
 	// there would be one log append and one log sync per generation, so
-	// the workload always crosses at least the six Open boundaries plus 48
+	// the workload always crosses at least the six Open boundaries plus 96
 	// log syncs. How many more it crosses depends on how cohorts form, so
-	// only the subtests past boundary 054 vary from run to run.
-	const writers, gens = 4, 48
+	// only the subtests past boundary 102 vary from run to run.
+	const writers, gens = 4, 96
 
 	ffs := faultfs.New(vfs.NewMemFS())
 	if err := ffs.StartRecording(); err != nil {

@@ -1,15 +1,16 @@
 // Package snappy implements the Snappy block format (the compression
 // RocksDB uses by default) from scratch: an LZ77-family byte-oriented
 // codec favouring speed over ratio. The encoder uses the reference
-// implementation's hash-table strategy; the decoder accepts any valid
-// Snappy block stream.
+// implementation's strategy: a hash table sized to the input and a
+// lookup step that grows over incompressible stretches. The decoder
+// accepts any valid Snappy block stream.
 //
-// The encoder's 64 KiB hash table comes from a sync.Pool and is not
-// cleared between calls: each entry records a position offset by a
-// running base, so entries left by earlier calls read as empty, and
-// encoding a small block costs nothing per table entry. Which matches
-// are found, and so the emitted bytes, are those of an encoder that
-// clears its table on every call; a differential test pins them to it.
+// The encoder's hash table is kept between calls and not cleared: each
+// entry records a position offset by a running base, so entries left by
+// earlier calls read as empty, and encoding a small block costs nothing
+// per table entry. Which matches are found, and so
+// the emitted bytes, are those of an encoder that clears its table on
+// every call; a test pins them to one.
 //
 // Format (https://github.com/google/snappy/blob/main/format_description.txt):
 //
@@ -25,8 +26,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"slices"
-	"sync"
 )
 
 // Errors returned by Decode.
@@ -56,22 +57,42 @@ func MaxEncodedLen(srcLen int) int {
 	return 32 + srcLen + srcLen/6
 }
 
-// tableBits sizes the encoder's hash table of candidate positions for
-// 4-byte sequences. The size and the hash decide which matches are
-// found, so changing either changes the emitted bytes.
-const tableBits = 14
+// The encoder's hash table of candidate positions for 4-byte sequences
+// has two entries per input byte, rounded up to a power of two, within
+// these bounds. A table smaller than the input fills with positions of
+// the same call, and then almost every lookup costs a load and compare
+// that fails. The sizes and the hash decide which matches are found, so
+// changing either changes the emitted bytes.
+const (
+	minTableBits = 8
+	maxTableBits = 17
+)
+
+// tableBits returns the table size, as a power of two, for n input bytes.
+func tableBits(n int) int {
+	return min(max(bits.Len(uint(n-1))+1, minTableBits), maxTableBits)
+}
 
 // encTable is the encoder's hash table, reused across calls through
-// tables. An entry holds base+s for position s of the call that stored
-// it; base grows by each call's input length, so every entry below the
-// current base is from an earlier call and counts as empty. The table is
-// cleared only when base would overflow int32, not once per call.
+// tables; a call uses the first 1<<tableBits(len(src)) entries. An entry
+// holds base+s for position s of the call that stored it; base grows by
+// each call's input length, so every entry below the current base is from
+// an earlier call and counts as empty. The table is cleared only when
+// base would overflow int32, not once per call.
 type encTable struct {
-	pos  [1 << tableBits]int32
+	pos  [1 << maxTableBits]int32
 	base int32
 }
 
-var tables = sync.Pool{New: func() any { return &encTable{base: 1} }}
+// tables keeps encoder tables between calls. It is not a sync.Pool,
+// which the garbage collector empties: a table is 512 KiB, and building
+// one again after a collection costs more than encoding a 4 KiB block,
+// and more garbage than the block's own buffers. An encoder uses the CPU
+// from start to end, so no more encoders run at once than there are Ps
+// (the simulator runs one at a time), and a table is kept for each. A
+// table is built only when more encoders than that run at once, which
+// takes an encoder preempted mid-call; it is dropped when it comes back.
+var tables = make(chan *encTable, runtime.GOMAXPROCS(0))
 
 // acquire returns the base to store positions of an n-byte input from,
 // clearing the table first if base+n would overflow. Base starts at 1,
@@ -86,8 +107,11 @@ func (t *encTable) acquire(n int) int32 {
 	return b
 }
 
-func hash(u uint32) uint32 {
-	return (u * 0x1e35a7bd) >> (32 - tableBits)
+// hash maps u to an index into a table of 1<<(32-shift) entries. The
+// masks tell the compiler that the shift is below 32 and the index within
+// encTable.pos, so neither is checked at run time.
+func hash(u uint32, shift uint) uint32 {
+	return (u * 0x1e35a7bd) >> (shift & 31) & (1<<maxTableBits - 1)
 }
 
 // Encode compresses src, appending to dst (which may be nil).
@@ -103,48 +127,84 @@ func Encode(dst, src []byte) []byte {
 		return emitLiteral(dst, src)
 	}
 
-	t := tables.Get().(*encTable)
+	var t *encTable
+	select {
+	case t = <-tables:
+	default:
+		t = &encTable{base: 1}
+	}
 	dst = t.encode(dst, src)
-	tables.Put(t)
+	select {
+	case tables <- t:
+	default:
+	}
 	return dst
 }
 
 // encode appends the elements of src (at least 16 bytes) to dst.
 func (t *encTable) encode(dst, src []byte) []byte {
+	shift := uint(32 - tableBits(len(src)))
 	base := int(t.acquire(len(src)))
 	var litStart int
 	s := 0
-	limit := len(src) - 4
-	for s <= limit {
-		cur := binary.LittleEndian.Uint32(src[s:])
-		h := hash(cur)
-		candidate := int(t.pos[h]) - base
-		t.pos[h] = int32(base + s)
-		if candidate < 0 || s-candidate > 65535 || binary.LittleEndian.Uint32(src[candidate:]) != cur {
-			s++
-			continue
+	for {
+		var candidate int
+		if s, candidate = t.match(src, s, base, shift); candidate < 0 {
+			return emitLiteral(dst, src[litStart:])
 		}
-		// Emit pending literals, then extend the match 8 bytes at a
-		// time: the first differing byte is the lowest set byte of the
-		// XOR of the two words.
 		dst = emitLiteral(dst, src[litStart:s])
 		start, offset := s, s-candidate
-		s += 4
-		for s+8 <= len(src) {
-			x := binary.LittleEndian.Uint64(src[s:]) ^ binary.LittleEndian.Uint64(src[s-offset:])
-			if x != 0 {
-				s += bits.TrailingZeros64(x) >> 3
-				break
-			}
-			s += 8
-		}
-		for s < len(src) && src[s] == src[s-offset] {
-			s++
-		}
+		s = extend(src, s+4, offset)
 		dst = emitCopy(dst, offset, s-start)
 		litStart = s
+		// Positions inside a match are not looked up. As in the reference
+		// implementation, the one just before its end is stored, so the
+		// bytes straddling the end can be matched when they repeat.
+		if s <= len(src)-3 {
+			t.pos[hash(binary.LittleEndian.Uint32(src[s-1:]), shift)] = int32(base + s - 1)
+		}
 	}
-	return emitLiteral(dst, src[litStart:])
+}
+
+// extend returns the end of the match that has reached s in src and
+// repeats the bytes offset before it. It compares 8 bytes at a time: the
+// first differing byte is the lowest set byte of the XOR of the two words.
+func extend(src []byte, s, offset int) int {
+	for s+8 <= len(src) {
+		x := binary.LittleEndian.Uint64(src[s:]) ^ binary.LittleEndian.Uint64(src[s-offset:])
+		if x != 0 {
+			return s + bits.TrailingZeros64(x)>>3
+		}
+		s += 8
+	}
+	for s < len(src) && src[s] == src[s-offset] {
+		s++
+	}
+	return s
+}
+
+// match looks up positions of src from s on and returns the first whose
+// 4 bytes were seen before, with the earlier position (candidate), or a
+// negative candidate if no position is left. Positions looked up are
+// stored, as base+position. The first 32 lookups are one byte apart;
+// each further 32 misses make the step one byte longer, so an
+// incompressible stretch costs ever fewer lookups per byte, at the price
+// of a match that starts between two lookups. Kept out of encode, the
+// loop holds its variables in registers; written inline there, it
+// reloaded them from the stack and 4 KiB blocks encoded ~8% slower.
+func (t *encTable) match(src []byte, s, base int, shift uint) (int, int) {
+	limit := len(src) - 4
+	for skip := 32; s <= limit; skip++ {
+		cur := binary.LittleEndian.Uint32(src[s:])
+		h := hash(cur, shift)
+		candidate := int(t.pos[h]) - base
+		t.pos[h] = int32(base + s)
+		if candidate >= 0 && s-candidate <= 65535 && binary.LittleEndian.Uint32(src[candidate:]) == cur {
+			return s, candidate
+		}
+		s += skip >> 5
+	}
+	return s, -1
 }
 
 // emitLiteral appends a literal element for lit.
