@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench bench-once figures fuzz restore-chaos svc-smoke svc-chaos perf-smoke
+.PHONY: build test check race vet bench bench-once figures fuzz restore-chaos svc-smoke svc-chaos perf-smoke loc
 
 build:
 	$(GO) build ./...
@@ -98,3 +98,23 @@ perf-smoke:
 	echo "$$out" | tail -n 2; \
 	[ $$rc -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
 		{ echo "perf-smoke: the round failed or its last line does not report \"correct\":true" >&2; exit 1; }
+
+# Size of the program, counted one way for every change: non-test Go
+# lines outside benchmark/, in total, per top-level directory and per
+# package under internal/; then the fields of each options struct a
+# caller sets (one per name, so `A, B int` is two).
+LOC_OPTIONS = internal/lsm/options.go:Options internal/core/store.go:StoreOptions \
+	internal/svc/svc.go:Options internal/burst/burst.go:Options
+loc:
+	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
+	xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); top = (n == 2 ? "." : p[2]); \
+		c[top] += $$1; t += $$1; if (top == "internal" && n > 3) c["internal/" p[3]] += $$1 } \
+		END { printf "non-test Go lines outside benchmark/: %d\n", t; for (d in c) print d, c[d] | "sort" }' | \
+	awk 'NR == 1 { print; next } { printf "  %-22s %6d\n", $$1, $$2 }'
+	@for spec in $(LOC_OPTIONS); do \
+		f=$${spec%%:*}; ty=$${spec##*:}; pkg=$$(basename $$(dirname $$f)); \
+		awk -v ty=$$ty -v name=$$pkg.$$ty '$$0 ~ "^type " ty " struct" { in_ = 1; next } \
+			in_ && /^}/ { printf "fields of %-20s %3d\n", name, n; exit } \
+			in_ && match($$0, /^\t[A-Za-z_][A-Za-z0-9_.]*(, *[A-Za-z_][A-Za-z0-9_]*)*/) { \
+				s = substr($$0, RSTART, RLENGTH); n += gsub(/,/, ",", s) + 1 }' $$f; \
+	done

@@ -81,11 +81,11 @@ func main() {
 
 	// --- counters -------------------------------------------------------
 	c := mgr.Counters()
-	es := mgr.EngineStats()
+	engine := mgr.Obs().Snapshot().Counters
 	fmt.Printf("counters:   puts=%d gets=%d appends=%d barriers=%d bytes=%d\n",
 		c.Puts, c.Gets, c.Appends, c.Barriers, c.BytesPut)
 	fmt.Printf("engine:     flushes=%d bytesFlushed=%d walBytes=%d\n",
-		es.Flushes, es.BytesFlushed, es.WALBytes)
+		engine["lsm.flush.count"], engine["lsm.flush.bytes"], engine["lsm.wal.bytes"])
 	if err := mgr.Close(); err != nil {
 		log.Fatal(err)
 	}

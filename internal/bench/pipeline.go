@@ -384,11 +384,10 @@ func runPipelineWAL(scale Scale, grouped bool) (time.Duration, float64, obs.Snap
 				finished++
 				if finished == pipeWALWriters {
 					total = p.Now().Duration()
-					stats := db.Stats()
-					if stats.WALSyncs > 0 {
-						meanCohort = float64(stats.Puts) / float64(stats.WALSyncs)
-					}
 					snap = db.Obs().Snapshot()
+					if syncs := snap.Counters["lsm.wal.syncs"]; syncs > 0 {
+						meanCohort = float64(snap.Counters["lsm.puts"]) / float64(syncs)
+					}
 					if err := db.Close(); err != nil && runErr == nil {
 						runErr = err
 					}

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"lsmio/internal/lsm"
 	"lsmio/internal/mpisim"
 	"lsmio/internal/obs"
 	"lsmio/internal/rt"
@@ -308,9 +307,6 @@ func (m *Manager) ResetCounters() { m.reg.ResetPrefix("core.") }
 // Runtime returns what the manager runs on. Layers above (the ckpt
 // restore pool, its retry backoff) run their workers and sleeps on it.
 func (m *Manager) Runtime() rt.Runtime { return m.rt }
-
-// EngineStats exposes the LSM engine's counters.
-func (m *Manager) EngineStats() lsm.Stats { return m.store.EngineStats() }
 
 // Store exposes the underlying local store (the paper's internal K/V API).
 func (m *Manager) Store() Store { return m.store }

@@ -75,8 +75,6 @@ type Store interface {
 	Scan(prefix string, fn func(key string, value []byte) bool) error
 	// Close releases the store. Buffered writes are flushed first.
 	Close() error
-	// EngineStats exposes the underlying LSM engine counters.
-	EngineStats() lsm.Stats
 }
 
 // StoreOptions configures a local store.
@@ -290,8 +288,6 @@ func (s *rocksStore) Close() error {
 	return s.db.Close()
 }
 
-func (s *rocksStore) EngineStats() lsm.Stats { return s.db.Stats() }
-
 // levelStore emulates LevelDB: the WAL cannot be disabled, so writes are
 // aggregated in a WriteBatch (which the WAL then sees as one record per
 // barrier instead of one per put).
@@ -414,5 +410,3 @@ func (s *levelStore) Close() error {
 	}
 	return s.db.Close()
 }
-
-func (s *levelStore) EngineStats() lsm.Stats { return s.db.Stats() }

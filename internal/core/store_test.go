@@ -6,20 +6,32 @@ import (
 	"fmt"
 	"testing"
 
+	"lsmio/internal/obs"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/vfs"
 )
 
 func openTestStore(t *testing.T, fs vfs.FS, backend Backend) Store {
 	t.Helper()
+	st, _ := openTestStoreObs(t, fs, backend)
+	return st
+}
+
+// openTestStoreObs is openTestStore that also returns the registry the
+// engine records into.
+func openTestStoreObs(t *testing.T, fs vfs.FS, backend Backend) (Store, *obs.Registry) {
+	t.Helper()
+	reg := obs.NewRegistry()
 	st, err := OpenStore("store", StoreOptions{
 		Backend:         backend,
 		FS:              fs,
 		WriteBufferSize: 64 << 10,
+		Obs:             reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return st, reg
 }
 
 func backends() []Backend { return []Backend{BackendRocks, BackendLevel} }
@@ -147,21 +159,21 @@ func TestStoreBarrierDurability(t *testing.T) {
 }
 
 func TestRocksBackendWritesNoWAL(t *testing.T) {
-	st := openTestStore(t, vfs.NewMemFS(), BackendRocks)
+	st, reg := openTestStoreObs(t, vfs.NewMemFS(), BackendRocks)
 	defer st.Close()
 	st.Put("k", bytes.Repeat([]byte("v"), 1024), false)
 	st.WriteBarrier(false)
-	if s := st.EngineStats(); s.WALBytes != 0 {
-		t.Fatalf("rocks backend wrote %d WAL bytes", s.WALBytes)
+	if n := obstest.Counter(t, reg, "lsm.wal.bytes"); n != 0 {
+		t.Fatalf("rocks backend wrote %d WAL bytes", n)
 	}
 }
 
 func TestLevelBackendAlwaysWritesWAL(t *testing.T) {
-	st := openTestStore(t, vfs.NewMemFS(), BackendLevel)
+	st, reg := openTestStoreObs(t, vfs.NewMemFS(), BackendLevel)
 	defer st.Close()
 	st.Put("k", bytes.Repeat([]byte("v"), 1024), false)
 	st.WriteBarrier(false)
-	if s := st.EngineStats(); s.WALBytes == 0 {
+	if obstest.Counter(t, reg, "lsm.wal.bytes") == 0 {
 		t.Fatal("level backend must write the WAL (LevelDB cannot disable it)")
 	}
 }
@@ -170,7 +182,7 @@ func TestLevelBatchingAmortizesWAL(t *testing.T) {
 	// One WAL record per barrier (batched) must produce fewer WAL bytes
 	// than one per put: the paper's reason for using WriteBatch.
 	walBytes := func(batched bool) int64 {
-		st := openTestStore(t, vfs.NewMemFS(), BackendLevel)
+		st, reg := openTestStoreObs(t, vfs.NewMemFS(), BackendLevel)
 		defer st.Close()
 		if batched {
 			st.StartBatch()
@@ -182,7 +194,7 @@ func TestLevelBatchingAmortizesWAL(t *testing.T) {
 			st.StopBatch()
 		}
 		st.WriteBarrier(false)
-		return st.EngineStats().WALBytes
+		return obstest.Counter(t, reg, "lsm.wal.bytes")
 	}
 	unbatched, batched := walBytes(false), walBytes(true)
 	if batched >= unbatched {

@@ -484,53 +484,35 @@ func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones b
 	}
 	merge := newMergingIterator(children)
 
+	// w is the output being built; pendings are sealed outputs whose
+	// tail write + fsync may still be in flight (piped builds): the merge
+	// keeps encoding the next table while the previous one syncs, and
+	// collects results in file order.
 	var w *tableWriter
-	var outFile interface{ Close() error }
-	var outName string
-	// pendings are sealed outputs whose tail write + fsync may still be in
-	// flight (pipelined builds): the merge keeps encoding the next table
-	// while the previous one syncs, and collects results in file order.
-	type pendingOut struct {
-		pt   *pendingTable
-		f    interface{ Close() error }
-		name string
-	}
-	var pendings []pendingOut
+	var pendings []*tableWriter
 	defer func() {
 		if cerr := merge.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 		if err != nil {
 			if w != nil {
-				// A pipelined build may still have tasks running against the
-				// output file; drain them before closing and deleting it.
 				w.abort()
-				outFile.Close()
-				db.fs.Remove(outName)
 			}
-			for _, po := range pendings {
-				po.pt.wait()
-				po.f.Close()
-				db.fs.Remove(po.name)
+			for _, pw := range pendings {
+				pw.abort()
 			}
 			metas = nil
 		}
 	}()
 
-	// collectOldest resolves the oldest pending output: wait for its sync,
-	// close it, and append its metadata (or clean up on failure).
+	// collectOldest waits for the oldest pending output and appends its
+	// metadata.
 	collectOldest := func() error {
-		po := pendings[0]
+		pw := pendings[0]
 		pendings = pendings[1:]
-		meta, werr := po.pt.wait()
+		meta, werr := pw.wait()
 		if werr != nil {
-			po.f.Close()
-			db.fs.Remove(po.name)
 			return werr
-		}
-		if cerr := po.f.Close(); cerr != nil {
-			db.fs.Remove(po.name)
-			return cerr
 		}
 		metas = append(metas, meta)
 		return nil
@@ -547,11 +529,12 @@ func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones b
 		if w == nil {
 			return nil
 		}
-		pendings = append(pendings, pendingOut{pt: w.finishAsync(), f: outFile, name: outName})
+		w.seal()
+		pendings = append(pendings, w)
 		w = nil
 		// Let exactly one sealed output's fsync overlap the next table's
 		// encoding; beyond that, collect in order (bounds open files and
-		// memory, and in serial mode degenerates to the old inline finish).
+		// memory; an inline build is already synced when sealed).
 		for len(pendings) > 1 {
 			if err := collectOldest(); err != nil {
 				return err
@@ -590,14 +573,9 @@ func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones b
 		}
 		if w == nil {
 			num := allocNum()
-			name := tableFileName(db.dir, num)
-			f, ferr := db.fs.Create(name)
-			if ferr != nil {
-				return nil, ferr
+			if w, err = newTableWriter(&db.opts, tableFileName(db.dir, num), num, &db.m, iosched.Compaction); err != nil {
+				return nil, err
 			}
-			w = newTableWriter(f, &db.opts, num, &db.m)
-			w.ioClass = iosched.Compaction
-			outFile, outName = f, name
 		}
 		w.add(ik, merge.Value())
 		if w.estimatedSize() >= target {

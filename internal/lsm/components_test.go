@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
 	"lsmio/internal/vfs"
 )
@@ -458,8 +459,10 @@ func TestSSTableWriteRead(t *testing.T) {
 			case "flate":
 				opts.Compression = CompressionFlate
 			}
-			f, _ := fs.Create("t.sst")
-			w := newTableWriter(f, &opts, 1, nil)
+			w, err := newTableWriter(&opts, "t.sst", 1, nil, iosched.Flush)
+			if err != nil {
+				t.Fatal(err)
+			}
 			const n = 3000
 			for i := 0; i < n; i++ {
 				ik := makeIKey([]byte(fmt.Sprintf("key-%06d", i)), seqNum(i+1), kindValue)
@@ -470,7 +473,6 @@ func TestSSTableWriteRead(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.Close()
 			if meta.entries != n {
 				t.Fatalf("entries = %d", meta.entries)
 			}
@@ -520,15 +522,16 @@ func TestSSTableWriteRead(t *testing.T) {
 func TestSSTableSeek(t *testing.T) {
 	fs := vfs.NewMemFS()
 	opts := DefaultOptions(fs)
-	f, _ := fs.Create("t.sst")
-	w := newTableWriter(f, &opts, 1, nil)
+	w, err := newTableWriter(&opts, "t.sst", 1, nil, iosched.Flush)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 1000; i += 2 {
 		w.add(makeIKey([]byte(fmt.Sprintf("k%06d", i)), 1, kindValue), []byte("v"))
 	}
 	if _, err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
 	g, _ := fs.Open("t.sst")
 	r, err := openTable(g, &opts, 1, nil)
 	if err != nil {
@@ -549,8 +552,10 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 	fs := vfs.NewMemFS()
 	opts := DefaultOptions(fs)
 	opts.DisableCompression = true
-	f, _ := fs.Create("t.sst")
-	w := newTableWriter(f, &opts, 1, nil)
+	w, err := newTableWriter(&opts, "t.sst", 1, nil, iosched.Flush)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 500; i++ {
 		w.add(makeIKey([]byte(fmt.Sprintf("k%06d", i)), 1, kindValue), bytes.Repeat([]byte("v"), 50))
 	}
@@ -558,6 +563,10 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt a byte early in the first data block.
+	f, err := fs.Open("t.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.WriteAt([]byte{0xAA}, 20)
 	f.Close()
 	g, _ := fs.Open("t.sst")

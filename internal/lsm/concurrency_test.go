@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"lsmio/internal/faultfs"
+	"lsmio/internal/obs"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
@@ -77,8 +79,7 @@ func TestParallelCompactionStress(t *testing.T) {
 	if err := db.WaitBackground(); err != nil {
 		t.Fatal(err)
 	}
-	s := db.Stats()
-	if s.Compactions == 0 {
+	if obstest.Counter(t, db.Obs(), "lsm.compaction.count") == 0 {
 		t.Fatal("stress workload never compacted; tree shaping too weak")
 	}
 	// Every last-written value must be readable after the dust settles.
@@ -99,7 +100,7 @@ func TestParallelCompactionStress(t *testing.T) {
 // into key-range shards when the job pool allows, and that the stitched
 // result is byte-equal to the single-job merge of the same workload.
 func TestSubcompactionsShardWideMerges(t *testing.T) {
-	run := func(jobs int) (map[string]string, Stats) {
+	run := func(jobs int) (map[string]string, int64) {
 		db := openTestDB(t, vfs.NewMemFS(), func(o *Options) {
 			smallTreeOpts(o)
 			o.MaxBackgroundJobs = jobs
@@ -131,15 +132,15 @@ func TestSubcompactionsShardWideMerges(t *testing.T) {
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			out[string(it.Key())] = string(it.Value())
 		}
-		return out, db.Stats()
+		return out, obstest.Counter(t, db.Obs(), "lsm.compaction.subcompactions")
 	}
 
-	single, s1 := run(1)
-	multi, s4 := run(4)
-	if s1.Subcompactions != 0 {
-		t.Fatalf("single-job mode ran %d subcompactions; must be the serial path", s1.Subcompactions)
+	single, sub1 := run(1)
+	multi, sub4 := run(4)
+	if sub1 != 0 {
+		t.Fatalf("single-job mode ran %d subcompactions; must be the serial path", sub1)
 	}
-	if s4.Subcompactions == 0 {
+	if sub4 == 0 {
 		t.Fatal("4-job CompactAll of a wide L0 never sharded the merge")
 	}
 	if len(single) != len(multi) {
@@ -229,7 +230,7 @@ func (f *delayFile) Write(p []byte) (int, error) {
 // compaction signals all broadcast) violates this on the same workload.
 func TestStallEpisodeAccounting(t *testing.T) {
 	k := sim.NewKernel()
-	var got Stats
+	var reg *obs.Registry
 	k.Spawn("writer", func(p *sim.Proc) {
 		opts := DefaultOptions(&delayFS{FS: vfs.NewMemFS(), k: k, d: 2 * time.Millisecond})
 		opts.Runtime = rt.Sim(k)
@@ -254,7 +255,7 @@ func TestStallEpisodeAccounting(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		got = db.Stats()
+		reg = db.Obs()
 		if err := db.Close(); err != nil {
 			t.Error(err)
 		}
@@ -262,14 +263,15 @@ func TestStallEpisodeAccounting(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got.StallWaits == 0 {
+	stalls, flushes := obstest.Counter(t, reg, "lsm.stall.episodes"), obstest.Counter(t, reg, "lsm.flush.count")
+	if stalls == 0 {
 		t.Fatal("expected write stalls with a 1-deep immutable queue and slow flushes")
 	}
-	if got.StallWaits > got.Flushes {
-		t.Fatalf("StallWaits %d > Flushes %d: episodes are being multi-counted per wakeup",
-			got.StallWaits, got.Flushes)
+	if stalls > flushes {
+		t.Fatalf("%d stall episodes > %d flushes: episodes are being multi-counted per wakeup",
+			stalls, flushes)
 	}
-	if got.StallMicros == 0 {
+	if obstest.Counter(t, reg, "lsm.stall.micros") == 0 {
 		t.Fatal("stall episodes recorded but no stall duration")
 	}
 }
@@ -296,11 +298,10 @@ func TestSlowdownSmoothing(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s := db.Stats()
-	if s.SlowdownWaits == 0 {
+	if obstest.Counter(t, db.Obs(), "lsm.slowdown.count") == 0 {
 		t.Fatal("soft slowdown tier never engaged with L0SlowdownTrigger=1")
 	}
-	if s.SlowdownMicros == 0 {
+	if obstest.Counter(t, db.Obs(), "lsm.slowdown.micros") == 0 {
 		t.Fatal("slowdown waits recorded but no slowdown duration")
 	}
 }
@@ -327,12 +328,12 @@ func TestSlowdownDisabledForPaperConfig(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	s := db.Stats()
-	if s.SlowdownWaits != 0 || s.SlowdownMicros != 0 {
-		t.Fatalf("slowdown tier fired (%d waits) with compaction disabled", s.SlowdownWaits)
+	waits, micros := obstest.Counter(t, db.Obs(), "lsm.slowdown.count"), obstest.Counter(t, db.Obs(), "lsm.slowdown.micros")
+	if waits != 0 || micros != 0 {
+		t.Fatalf("slowdown tier fired (%d waits) with compaction disabled", waits)
 	}
-	if s.Subcompactions != 0 {
-		t.Fatalf("subcompactions ran (%d) with compaction disabled", s.Subcompactions)
+	if sub := obstest.Counter(t, db.Obs(), "lsm.compaction.subcompactions"); sub != 0 {
+		t.Fatalf("subcompactions ran (%d) with compaction disabled", sub)
 	}
 }
 

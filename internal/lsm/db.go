@@ -30,45 +30,6 @@ var (
 	ErrCorruption = errors.New("corruption")
 )
 
-// Stats are cumulative engine counters, used by the benchmarks and the
-// LSMIO performance counters. Since the obs refactor this struct is a
-// thin snapshot view over the engine's `lsm.*` instruments in its obs
-// registry (DB.Obs); it exists for API compatibility, and the registry
-// is the single source of truth.
-type Stats struct {
-	Puts           int64
-	Deletes        int64
-	Gets           int64
-	Flushes        int64
-	Compactions    int64
-	BytesFlushed   int64
-	BytesCompacted int64
-	WALBytes       int64
-	// WALSyncs counts physical log fsyncs; WALGroupCommits counts
-	// group-commit leader rounds. With Options.Sync set, syncs well below
-	// the write count is the group-commit amortization at work.
-	WALSyncs        int64
-	WALGroupCommits int64
-	// StallWaits counts hard write-stall EPISODES: contiguous periods a
-	// writer spent blocked on the flush backlog or the L0 stop trigger.
-	// (It used to count condvar wakeups, which inflated one episode by
-	// the number of Broadcast deliveries.)
-	StallWaits int64
-	// StallMicros is the cumulative duration of those episodes, in
-	// microseconds (virtual time on the simulated runtime).
-	StallMicros int64
-	// SlowdownWaits counts writes delayed by the soft admission-control
-	// tier (L0SlowdownTrigger / SoftPendingCompactionBytes), and
-	// SlowdownMicros their cumulative delay in microseconds.
-	SlowdownWaits  int64
-	SlowdownMicros int64
-	// Subcompactions counts key-range shards executed by split merges
-	// (0 unless MaxBackgroundJobs > 1).
-	Subcompactions int64
-	CacheHits      int64
-	CacheMisses    int64
-}
-
 // DB is a log-structured merge-tree database over a vfs.FS directory.
 //
 // Concurrency: DB methods may be called from multiple goroutines (or
@@ -144,7 +105,7 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	db.m = newDBMetrics(db.reg)
 	if !o.DisableCache {
-		db.cache = newBlockCache(int64(o.CacheSize), db.m.cacheHits, db.m.cacheMisses)
+		db.cache = newBlockCache(cacheSize, db.m.cacheHits, db.m.cacheMisses)
 	}
 	if db.fs.Exists(currentFileName(db.dir)) {
 		if err := db.recover(); err != nil {
@@ -701,26 +662,15 @@ func (db *DB) flushOneLocked() error {
 // buildTable writes a memtable out as an SSTable with the pre-allocated
 // file number. Called without the lock.
 func (db *DB) buildTable(m *memtable, num uint64) (tableMeta, error) {
-	f, err := db.fs.Create(tableFileName(db.dir, num))
+	w, err := newTableWriter(&db.opts, tableFileName(db.dir, num), num, &db.m, iosched.Flush)
 	if err != nil {
 		return tableMeta{}, err
 	}
-	w := newTableWriter(f, &db.opts, num, &db.m)
 	it := m.iterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		w.add(it.IKey(), it.Value())
 	}
-	meta, err := w.finish()
-	if err != nil {
-		f.Close()
-		db.fs.Remove(tableFileName(db.dir, num))
-		return tableMeta{}, err
-	}
-	if err := f.Close(); err != nil {
-		db.fs.Remove(tableFileName(db.dir, num))
-		return tableMeta{}, err
-	}
-	return meta, nil
+	return w.finish()
 }
 
 // Get returns the newest value for key, or ErrNotFound.
@@ -1022,31 +972,6 @@ func (db *DB) NewRangeIterator(start, limit []byte) (*Iterator, error) {
 		lower: append([]byte(nil), start...),
 		upper: append([]byte(nil), limit...),
 	}, nil
-}
-
-// Stats returns a snapshot of the engine counters — a legacy view
-// assembled from the `lsm.*` instruments in the obs registry.
-func (db *DB) Stats() Stats {
-	m := &db.m
-	return Stats{
-		Puts:            m.puts.Load(),
-		Deletes:         m.deletes.Load(),
-		Gets:            m.gets.Load(),
-		Flushes:         m.flushes.Load(),
-		Compactions:     m.compactions.Load(),
-		BytesFlushed:    m.bytesFlushed.Load(),
-		BytesCompacted:  m.bytesCompacted.Load(),
-		WALBytes:        m.walBytes.Load(),
-		WALSyncs:        m.walSyncs.Load(),
-		WALGroupCommits: m.walGroupCommits.Load(),
-		StallWaits:      m.stallWaits.Load(),
-		StallMicros:     m.stallUS.Load(),
-		SlowdownWaits:   m.slowdownWaits.Load(),
-		SlowdownMicros:  m.slowdownUS.Load(),
-		Subcompactions:  m.subcompactions.Load(),
-		CacheHits:       m.cacheHits.Load(),
-		CacheMisses:     m.cacheMisses.Load(),
-	}
 }
 
 // Obs returns the registry backing the engine's instruments. When

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/vfs"
 )
 
@@ -106,8 +107,8 @@ func TestAutomaticMemtableRotation(t *testing.T) {
 			t.Fatalf("k%04d: err=%v", i, err)
 		}
 	}
-	if s := db.Stats(); s.Flushes < 3 || s.BytesFlushed == 0 {
-		t.Fatalf("stats: %+v", s)
+	if flushes, n := obstest.Counter(t, db.Obs(), "lsm.flush.count"), obstest.Counter(t, db.Obs(), "lsm.flush.bytes"); flushes < 3 || n == 0 {
+		t.Fatalf("stats: %d flushes of %d bytes", flushes, n)
 	}
 }
 
@@ -426,8 +427,7 @@ func TestCompactionPreservesData(t *testing.T) {
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	s := db.Stats()
-	if s.Compactions == 0 {
+	if obstest.Counter(t, db.Obs(), "lsm.compaction.count") == 0 {
 		t.Fatal("expected at least one compaction")
 	}
 	files := db.NumTableFiles()
@@ -500,7 +500,7 @@ func TestDisableCompactionLeavesL0Alone(t *testing.T) {
 	if files[0] < 4 {
 		t.Fatalf("expected many L0 files with compaction off, got %d", files[0])
 	}
-	if db.Stats().Compactions != 0 {
+	if obstest.Counter(t, db.Obs(), "lsm.compaction.count") != 0 {
 		t.Fatal("compaction ran despite being disabled")
 	}
 }
@@ -529,8 +529,8 @@ func TestCheckpointOptionsEndToEnd(t *testing.T) {
 			t.Fatalf("ck-%04d: %v", i, err)
 		}
 	}
-	if s := db.Stats(); s.WALBytes != 0 {
-		t.Fatalf("WAL was written despite DisableWAL: %d bytes", s.WALBytes)
+	if n := obstest.Counter(t, db.Obs(), "lsm.wal.bytes"); n != 0 {
+		t.Fatalf("WAL was written despite DisableWAL: %d bytes", n)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -861,29 +861,22 @@ func TestObsRegistryAndResetStats(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
-	if st.Puts != 200 || st.Flushes == 0 {
-		t.Fatalf("stats before reset: puts=%d flushes=%d", st.Puts, st.Flushes)
-	}
-	// The legacy Stats view and the registry snapshot must agree.
-	snap := db.Obs().Snapshot()
-	if got := snap.Counters["lsm.puts"]; got != 200 {
-		t.Fatalf("registry lsm.puts = %d, want 200", got)
-	}
-	if got := snap.Counters["lsm.flush.count"]; got != int64(st.Flushes) {
-		t.Fatalf("registry lsm.flush.count = %d, Stats().Flushes = %d", got, st.Flushes)
+	reg := db.Obs()
+	if puts, flushes := obstest.Counter(t, reg, "lsm.puts"), obstest.Counter(t, reg, "lsm.flush.count"); puts != 200 || flushes == 0 {
+		t.Fatalf("stats before reset: puts=%d flushes=%d", puts, flushes)
 	}
 	db.ResetStats()
-	st = db.Stats()
-	if st.Puts != 0 || st.Flushes != 0 || st.BytesFlushed != 0 {
-		t.Fatalf("stats after reset: %+v", st)
+	for _, name := range []string{"lsm.puts", "lsm.flush.count", "lsm.flush.bytes"} {
+		if n := obstest.Counter(t, reg, name); n != 0 {
+			t.Fatalf("%s after reset = %d", name, n)
+		}
 	}
 	// Handles stay live after reset: new work is counted from zero.
 	if err := db.Put([]byte("after"), []byte("reset")); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.Stats(); st.Puts != 1 {
-		t.Fatalf("puts after reset = %d, want 1", st.Puts)
+	if n := obstest.Counter(t, reg, "lsm.puts"); n != 1 {
+		t.Fatalf("puts after reset = %d, want 1", n)
 	}
 }
 

@@ -6,8 +6,7 @@ import (
 
 // dbMetrics holds the engine's obs instrument handles, resolved once at
 // Open so the hot paths never touch the registry map. All instruments
-// live under the `lsm.` prefix; the legacy Stats struct is a thin
-// snapshot view over them (see DB.Stats).
+// live under the `lsm.` prefix; callers read them from DB.Obs().
 type dbMetrics struct {
 	puts    *obs.Counter
 	deletes *obs.Counter

@@ -36,6 +36,16 @@ const (
 	CompressionFlate CompressionCodec = "flate"
 )
 
+// Fixed sizes no caller sets.
+const (
+	// blockRestartInterval is the number of keys between restart points
+	// of a data block.
+	blockRestartInterval = 16
+	// cacheSize is the block cache capacity in bytes, when the cache is
+	// enabled.
+	cacheSize = 8 << 20
+)
+
 // Options configures a DB. The zero value is not usable; start from
 // DefaultOptions.
 type Options struct {
@@ -64,8 +74,6 @@ type Options struct {
 	WriteBufferSize int
 	// BlockSize is the uncompressed size of an SSTable data block.
 	BlockSize int
-	// BlockRestartInterval is the number of keys between restart points.
-	BlockRestartInterval int
 	// BitsPerKey sizes the per-table bloom filter; 0 disables filters.
 	BitsPerKey int
 
@@ -99,10 +107,6 @@ type Options struct {
 	// granularity; it exists because the paper exposes it.
 	UseMMap bool
 
-	// CacheSize is the block cache capacity in bytes (used when the cache
-	// is enabled).
-	CacheSize int
-
 	// MaxImmutableMemtables bounds the flush backlog in async mode;
 	// writers stall when it is reached (RocksDB's write stall).
 	MaxImmutableMemtables int
@@ -124,12 +128,13 @@ type Options struct {
 	// knob only matters for the general-workload/ablation paths.
 	MaxBackgroundJobs int
 
-	// EncodeWorkers splits every table build (flush and compaction output)
-	// into a compute stage and an I/O stage: that many encoder tasks
+	// EncodeWorkers runs the two stages of every table build (flush and
+	// compaction output) on tasks of their own: that many encoder tasks
 	// compress and checksum data blocks (and build the bloom filter) out
 	// of order, feeding one sequential writer task that owns the file
-	// offset and index construction. 0 (the default) keeps the fully
-	// serial writer; the output bytes are identical either way.
+	// offset and index construction. 0 (the default) runs both stages
+	// inline in the building task; the output bytes are identical either
+	// way.
 	EncodeWorkers int
 	// EncodeCostPerMB charges the runtime's Compute clock for block
 	// encoding (compression + CRC + bloom hashing), per MiB of raw block
@@ -177,10 +182,8 @@ func DefaultOptions(fs vfs.FS) Options {
 		Runtime:               rt.Real(),
 		WriteBufferSize:       4 << 20,
 		BlockSize:             4 << 10,
-		BlockRestartInterval:  16,
 		BitsPerKey:            10,
 		Compression:           CompressionSnappy,
-		CacheSize:             8 << 20,
 		MaxImmutableMemtables: 2,
 		L0CompactionTrigger:   4,
 		LevelSizeMultiplier:   10,
@@ -214,12 +217,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.BlockSize <= 0 {
 		out.BlockSize = 4 << 10
-	}
-	if out.BlockRestartInterval <= 0 {
-		out.BlockRestartInterval = 16
-	}
-	if out.CacheSize <= 0 {
-		out.CacheSize = 8 << 20
 	}
 	if out.MaxImmutableMemtables <= 0 {
 		out.MaxImmutableMemtables = 2

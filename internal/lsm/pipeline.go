@@ -7,14 +7,14 @@ import (
 	"lsmio/internal/rt"
 )
 
-// Table-build pipeline: when Options.EncodeWorkers > 0 every output table
-// is built by a two-stage pipeline instead of one serial loop. The
-// producer (flush or compaction) cuts raw blocks and submits them to a
-// bounded job queue; EncodeWorkers encoder tasks compress and checksum
-// blocks out of order (this is where the CPU goes — Pome's observation is
-// that this stage, run inline, starves the disk); one writer task drains
-// finished blocks in submission order and owns the file offset and index
-// construction, so the bytes on disk are identical to the serial writer's.
+// Table-build pipeline: with Options.EncodeWorkers > 0 a tableWriter
+// runs its two stages on tasks of their own. The producer (flush or
+// compaction) cuts raw blocks and submits them to a bounded job queue;
+// EncodeWorkers encoder tasks run tableWriter.encode on them out of
+// order (this is where the CPU goes: Pome's observation is that this
+// stage, run inline, starves the disk); one writer task runs
+// tableWriter.place on them in submission order and then writes the
+// tail, so the bytes on disk are those of an inline build.
 //
 // Locking: each pipeline has its own rt mutex + cond, independent of the
 // engine lock. Pipeline tasks never touch the engine lock, and pipeline
@@ -24,33 +24,6 @@ import (
 // errPipelineAborted poisons a pipeline whose table build was abandoned
 // (e.g. the merge iterator failed); tasks drain and exit.
 var errPipelineAborted = errors.New("lsm: table pipeline aborted")
-
-type blockKind uint8
-
-const (
-	blkData blockKind = iota
-	blkFilter
-)
-
-// encodeJob is one unit of compute-stage work: a raw data block to
-// compress+checksum, or the bloom-filter build (raw nil; the keys come
-// from the tableWriter, which stops appending before the job is queued).
-type encodeJob struct {
-	seq           int
-	kind          blockKind
-	raw           rawBlock
-	indexKey      internalKey // data blocks: separator key for the index
-	allowCompress bool
-}
-
-// encodedBlock is the compute stage's output: encoded payload + trailer,
-// ready to be appended to the file verbatim.
-type encodedBlock struct {
-	kind       blockKind
-	enc        rawBlock
-	payloadLen int
-	indexKey   internalKey
-}
 
 // tablePipeline coordinates the encoder pool and the writer task for one
 // output table. All fields below mu are guarded by mu; c is its one
@@ -63,10 +36,10 @@ type tablePipeline struct {
 
 	mu         rt.Mutex
 	c          rt.Cond
-	jobs       []encodeJob
+	jobs       []tableBlock
 	nextSeq    int // seq assigned to the next submitted job
-	ready      map[int]encodedBlock
-	writeSeq   int // next seq the writer will emit
+	ready      map[int]tableBlock
+	writeSeq   int // next seq the writer will place
 	closed     bool
 	err        error
 	encoders   int
@@ -81,7 +54,7 @@ func newTablePipeline(w *tableWriter, workers int) *tablePipeline {
 		m:        w.m,
 		depth:    2 * workers,
 		mu:       w.opts.Runtime.NewMutex(),
-		ready:    make(map[int]encodedBlock),
+		ready:    make(map[int]tableBlock),
 		encoders: workers,
 	}
 	p.c = p.mu.NewCond()
@@ -92,9 +65,9 @@ func newTablePipeline(w *tableWriter, workers int) *tablePipeline {
 	return p
 }
 
-// submit queues one job for the compute stage, blocking while the queue
-// is at its depth bound. Returns the pipeline error, if any.
-func (p *tablePipeline) submit(j encodeJob) error {
+// submit queues one block for the compute stage, blocking while the
+// queue is at its depth bound. Returns the pipeline error, if any.
+func (p *tablePipeline) submit(b tableBlock) error {
 	p.mu.Lock()
 	for p.err == nil && len(p.jobs) >= p.depth {
 		p.c.Wait()
@@ -104,9 +77,9 @@ func (p *tablePipeline) submit(j encodeJob) error {
 		p.mu.Unlock()
 		return err
 	}
-	j.seq = p.nextSeq
+	b.seq = p.nextSeq
 	p.nextSeq++
-	p.jobs = append(p.jobs, j)
+	p.jobs = append(p.jobs, b)
 	p.m.pipeQueueDepth.Observe(int64(len(p.jobs)))
 	p.c.Broadcast()
 	p.mu.Unlock()
@@ -114,7 +87,7 @@ func (p *tablePipeline) submit(j encodeJob) error {
 }
 
 // closeSubmit marks the job stream complete (carrying any producer error)
-// so the stages can drain and the writer can emit the table tail.
+// so the stages can drain and the writer can write the table tail.
 func (p *tablePipeline) closeSubmit(perr error) {
 	p.mu.Lock()
 	if perr != nil && p.err == nil {
@@ -125,24 +98,37 @@ func (p *tablePipeline) closeSubmit(perr error) {
 	p.mu.Unlock()
 }
 
-// abort poisons the pipeline and blocks until every task has exited, so
-// the caller may close and delete the output file underneath it.
+// wait blocks until the writer task has exited, the table written and
+// synced or the build failed, and returns the build's error.
+func (p *tablePipeline) wait() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for !p.writerDone {
+		p.c.Wait()
+	}
+	return p.err
+}
+
+// abort poisons a pipeline that is still being fed (a sealed one is left
+// to write its tail) and blocks until every task has exited, so the
+// caller may close and delete the output file underneath it.
 func (p *tablePipeline) abort() {
 	p.mu.Lock()
-	if p.err == nil {
-		p.err = errPipelineAborted
+	if !p.closed {
+		if p.err == nil {
+			p.err = errPipelineAborted
+		}
+		p.closed = true
+		p.c.Broadcast()
 	}
-	p.closed = true
-	p.c.Broadcast()
 	for !p.writerDone || p.encoders > 0 {
 		p.c.Wait()
 	}
 	p.mu.Unlock()
 }
 
-// encoderLoop is the compute stage: pop a job, encode it outside the
-// pipeline lock (compression, CRC, bloom hashing — and the simulated CPU
-// charge), and deliver the result to the reorder buffer.
+// encoderLoop is the compute stage: pop a block, encode it outside the
+// pipeline lock, and deliver it to the reorder buffer.
 func (p *tablePipeline) encoderLoop() {
 	p.mu.Lock()
 	for {
@@ -152,20 +138,20 @@ func (p *tablePipeline) encoderLoop() {
 		if p.err != nil || len(p.jobs) == 0 {
 			break
 		}
-		job := p.jobs[0]
+		b := p.jobs[0]
 		p.jobs = p.jobs[1:]
 		p.c.Broadcast() // queue space freed: unblock the producer
 		p.mu.Unlock()
 
 		start := p.rt.Now()
-		eb := p.encode(job)
+		p.w.encode(&b, new([]byte))
 		d := p.rt.Now() - start
 
 		p.mu.Lock()
 		p.m.pipeBlocks.Inc()
 		p.m.pipeEncodeBusyUS.Add(int64(d / time.Microsecond))
 		p.m.pipeEncodeDur.ObserveDuration(d)
-		p.ready[job.seq] = eb
+		p.ready[b.seq] = b
 		p.c.Broadcast()
 	}
 	p.encoders--
@@ -173,119 +159,50 @@ func (p *tablePipeline) encoderLoop() {
 	p.mu.Unlock()
 }
 
-// encode runs one job's compute work. Called without the pipeline lock.
-func (p *tablePipeline) encode(job encodeJob) encodedBlock {
-	raw := job.raw
-	allowCompress := job.allowCompress
-	if job.kind == blkFilter {
-		raw = rawBlock{buf: buildBloom(p.w.userKeys, p.w.opts.BitsPerKey)}
-		allowCompress = false // random bits don't compress
-	}
-	chargeEncodeCost(p.w.opts, raw.size())
-	enc, payloadLen := encodeBlock(p.w.opts, raw, allowCompress, new([]byte))
-	return encodedBlock{
-		kind:       job.kind,
-		enc:        enc,
-		payloadLen: payloadLen,
-		indexKey:   job.indexKey,
-	}
-}
-
-// writerLoop is the I/O stage: emit encoded blocks in submission order,
-// owning the file offset and index construction, then write the table
-// tail (index block, footer) and fsync. In piped mode the writer task is
-// the sole owner of w.offset, w.index, the coalescing buffer, and the
-// file handle; the producer's own error state (w.err) is never touched
-// here, so the two sides share no unsynchronized fields.
+// writerLoop is the I/O stage: place encoded blocks in submission order,
+// then write the table tail. The writer task is the place side of the
+// tableWriter; it never touches the producer's error state (w.err), so
+// the two sides share no unsynchronized fields.
 func (p *tablePipeline) writerLoop() {
-	w := p.w
-	var filterHandle blockHandle
-	var werr error
 	p.mu.Lock()
 	for p.err == nil {
-		eb, ok := p.ready[p.writeSeq]
+		b, ok := p.ready[p.writeSeq]
 		if !ok {
 			if p.closed && p.writeSeq >= p.nextSeq {
-				break // stream complete and fully written
+				break // stream complete and fully placed
 			}
 			p.c.Wait()
 			continue
 		}
 		delete(p.ready, p.writeSeq)
 		p.writeSeq++
-		p.mu.Unlock()
-
-		start := p.rt.Now()
-		h := blockHandle{offset: w.offset, length: int64(eb.payloadLen)}
-		werr = w.emit(eb.enc)
-		w.offset += int64(eb.payloadLen) + blockTrailerLen
-		switch eb.kind {
-		case blkData:
-			w.index.add(eb.indexKey, encodeHandle(h))
-		case blkFilter:
-			filterHandle = h
-		}
-		d := p.rt.Now() - start
-
-		p.mu.Lock()
-		p.m.pipeWriteBusyUS.Add(int64(d / time.Microsecond))
-		p.m.pipeWriteDur.ObserveDuration(d)
-		if werr != nil && p.err == nil {
-			p.err = werr
-		}
+		p.write(func() error {
+			_, err := p.w.place(&b)
+			return err
+		})
 	}
-	finishTail := p.err == nil
-	p.mu.Unlock()
-
-	if finishTail {
-		start := p.rt.Now()
-		err := w.writeTail(filterHandle)
-		d := p.rt.Now() - start
-		p.mu.Lock()
-		p.m.pipeWriteBusyUS.Add(int64(d / time.Microsecond))
-		p.m.pipeWriteDur.ObserveDuration(d)
-		if err != nil && p.err == nil {
-			p.err = err
-		}
-	} else {
-		p.mu.Lock()
+	if p.err == nil {
+		p.write(p.w.writeTail)
 	}
 	p.writerDone = true
 	p.c.Broadcast()
 	p.mu.Unlock()
 }
 
-// pendingTable is a handle to a table whose tail write and fsync may
-// still be in flight; wait blocks until the table is durable (or failed).
-// Compactions use it to overlap one output's fsync with the next output's
-// encoding; the serial writer resolves it immediately.
-type pendingTable struct {
-	p    *tablePipeline
-	meta tableMeta
-	err  error
-	done bool
-}
-
-// wait blocks until the table is fully written and synced, returning its
-// metadata.
-func (pt *pendingTable) wait() (tableMeta, error) {
-	if pt.done {
-		return pt.meta, pt.err
-	}
-	p := pt.p
-	p.mu.Lock()
-	for !p.writerDone {
-		p.c.Wait()
-	}
-	err := p.err
+// write runs one step of the writer task outside the lock, adds its
+// time to the write stage's busy counters and latches its error. Called
+// with p.mu held; returns with it held.
+func (p *tablePipeline) write(step func() error) {
 	p.mu.Unlock()
-	pt.done = true
-	if err != nil {
-		pt.err = err
-		return tableMeta{}, err
+	start := p.rt.Now()
+	err := step()
+	d := p.rt.Now() - start
+	p.mu.Lock()
+	p.m.pipeWriteBusyUS.Add(int64(d / time.Microsecond))
+	p.m.pipeWriteDur.ObserveDuration(d)
+	if err != nil && p.err == nil {
+		p.err = err
 	}
-	pt.meta = p.w.meta
-	return pt.meta, nil
 }
 
 // chargeEncodeCost bills the runtime's Compute clock for encoding

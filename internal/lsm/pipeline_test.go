@@ -114,7 +114,7 @@ func TestPipelinedTableBytesIdentical(t *testing.T) {
 // which is the format a table must have however its bytes were moved.
 func referenceTable(opts *Options, keys []internalKey, values [][]byte) (image []byte, dataBlocks int) {
 	var file []byte
-	data, index := newBlockBuilder(opts.BlockRestartInterval), newBlockBuilder(1)
+	data, index := newBlockBuilder(blockRestartInterval), newBlockBuilder(1)
 	emit := func(raw []byte) blockHandle {
 		enc, n := encodeBlock(opts, rawBlock{buf: append([]byte(nil), raw...)}, false, new([]byte))
 		h := blockHandle{offset: int64(len(file)), length: int64(n)}
@@ -184,11 +184,10 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 						opts.IOSched = iosched.New(iosched.Config{BytesPerSec: 1 << 40})
 					}
 					opts = opts.withDefaults()
-					f, err := fs.Create("t.sst")
+					w, err := newTableWriter(&opts, "t.sst", 1, nil, iosched.Flush)
 					if err != nil {
 						t.Fatal(err)
 					}
-					w := newTableWriter(f, &opts, 1, nil)
 					for i, ik := range keys {
 						w.add(ik, values[i])
 					}
@@ -210,6 +209,10 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 						}
 					}
 
+					f, err := fs.Open("t.sst")
+					if err != nil {
+						t.Fatal(err)
+					}
 					tr, err := openTable(f, &opts, 1, nil)
 					if err != nil {
 						t.Fatal(err)

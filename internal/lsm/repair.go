@@ -2,11 +2,11 @@ package lsm
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
 
+	"lsmio/internal/iosched"
 	"lsmio/internal/vfs"
 )
 
@@ -84,12 +84,11 @@ func Repair(dir string, opts Options) (RepairSummary, error) {
 	mem := newMemtable()
 	maxSeqSeen := seqNum(0)
 	for _, num := range logs {
-		entries, lastSeq := salvageLog(fs, dir, num)
-		sum.LogRecordsRecovered += entries
+		records, lastSeq := salvageLog(fs, dir, num, mem)
+		sum.LogRecordsRecovered += records
 		if lastSeq > maxSeqSeen {
 			maxSeqSeen = lastSeq
 		}
-		_ = salvageLogInto(fs, dir, num, mem)
 	}
 
 	// The database's sequence must exceed every recovered entry's, so
@@ -107,21 +106,18 @@ func Repair(dir string, opts Options) (RepairSummary, error) {
 	// The WAL salvage becomes one more L0 table (the newest).
 	if !mem.empty() {
 		num := vs.newFileNum()
-		f, err := fs.Create(tableFileName(dir, num))
+		w, err := newTableWriter(&o, tableFileName(dir, num), num, nil, iosched.Flush)
 		if err != nil {
 			return sum, err
 		}
-		w := newTableWriter(f, &o, num, nil)
 		it := mem.iterator()
 		for it.SeekToFirst(); it.Valid(); it.Next() {
 			w.add(it.IKey(), it.Value())
 		}
 		meta, err := w.finish()
 		if err != nil {
-			f.Close()
 			return sum, err
 		}
-		f.Close()
 		tables = append(tables, salvaged{meta: meta})
 		sum.TablesRecovered++
 	}
@@ -252,8 +248,11 @@ func inspectTable(fs vfs.FS, dir string, num uint64, opts *Options) (tableMeta, 
 	return meta, tableMaxSeq, nil
 }
 
-// salvageLog counts the intact records of a WAL file.
-func salvageLog(fs vfs.FS, dir string, num uint64) (records int, lastSeq seqNum) {
+// salvageLog replays the intact prefix of a WAL file into mem: every
+// record up to the first one that is torn, fails its checksum or does
+// not decode. It returns how many records it replayed and the sequence
+// number just past the last entry they hold.
+func salvageLog(fs vfs.FS, dir string, num uint64, mem *memtable) (records int, lastSeq seqNum) {
 	f, err := fs.Open(logFileName(dir, num))
 	if err != nil {
 		return 0, 0
@@ -265,13 +264,17 @@ func salvageLog(fs vfs.FS, dir string, num uint64) (records int, lastSeq seqNum)
 	}
 	for {
 		rec, err := r.next()
-		if err == io.EOF {
-			return records, lastSeq
+		if err != nil {
+			return records, lastSeq // EOF or torn tail: keep what we have
 		}
+		b, err := decodeBatch(rec)
 		if err != nil {
 			return records, lastSeq
 		}
-		b, err := decodeBatch(rec)
+		err = b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
+			mem.add(seq, kind, key, value)
+			return nil
+		})
 		if err != nil {
 			return records, lastSeq
 		}
@@ -279,32 +282,5 @@ func salvageLog(fs vfs.FS, dir string, num uint64) (records int, lastSeq seqNum)
 		if end := b.seq() + seqNum(b.Count()); end > lastSeq {
 			lastSeq = end
 		}
-	}
-}
-
-// salvageLogInto replays a WAL file's intact prefix into mem.
-func salvageLogInto(fs vfs.FS, dir string, num uint64, mem *memtable) error {
-	f, err := fs.Open(logFileName(dir, num))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	r, err := newWALReader(f)
-	if err != nil {
-		return err
-	}
-	for {
-		rec, err := r.next()
-		if err != nil {
-			return nil // EOF or torn tail: keep what we have
-		}
-		b, err := decodeBatch(rec)
-		if err != nil {
-			return nil
-		}
-		_ = b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
-			mem.add(seq, kind, key, value)
-			return nil
-		})
 	}
 }

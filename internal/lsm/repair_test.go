@@ -254,18 +254,14 @@ func TestSalvageLogTruncatedTail(t *testing.T) {
 	}
 	f.Close()
 
-	records, lastSeq := salvageLog(fs, "db", 7)
+	// One pass replays exactly the complete records and counts them.
+	mem := newMemtable()
+	records, lastSeq := salvageLog(fs, "db", 7, mem)
 	if records != complete {
 		t.Fatalf("salvaged %d records, want %d", records, complete)
 	}
 	if want := seqNum(complete + 1); lastSeq != want {
 		t.Fatalf("lastSeq = %d, want %d", lastSeq, want)
-	}
-
-	// The replay keeps exactly the complete records.
-	mem := newMemtable()
-	if err := salvageLogInto(fs, "db", 7, mem); err != nil {
-		t.Fatal(err)
 	}
 	for i := 0; i < complete; i++ {
 		k := []byte(fmt.Sprintf("key%02d", i))
@@ -276,6 +272,25 @@ func TestSalvageLogTruncatedTail(t *testing.T) {
 	}
 	if _, found, _ := mem.get([]byte("tail"), maxSeq); found {
 		t.Fatal("torn record's key survived salvage")
+	}
+
+	// Repair reports the records it replayed, and the store holds them.
+	sum, err := Repair("db", DefaultOptions(fs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.LogRecordsRecovered != complete {
+		t.Fatalf("LogRecordsRecovered = %d, want %d", sum.LogRecordsRecovered, complete)
+	}
+	db := openTestDB(t, fs, nil)
+	defer db.Close()
+	for i := 0; i < complete; i++ {
+		if _, err := db.Get([]byte(fmt.Sprintf("key%02d", i))); err != nil {
+			t.Fatalf("key%02d after repair: %v", i, err)
+		}
+	}
+	if _, err := db.Get([]byte("tail")); err != ErrNotFound {
+		t.Fatalf("torn record's key after repair: %v", err)
 	}
 }
 

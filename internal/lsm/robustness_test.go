@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/vfs"
 )
 
@@ -226,7 +227,7 @@ func TestWriteStallEngages(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s := db.Stats(); s.StallWaits == 0 {
+	if obstest.Counter(t, db.Obs(), "lsm.stall.episodes") == 0 {
 		t.Fatal("expected write stalls with a 1-deep immutable queue")
 	}
 }

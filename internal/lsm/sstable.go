@@ -73,49 +73,72 @@ type tableMeta struct {
 // are deletions: the flush of a retired checkpoint step.
 func (m tableMeta) mostlyTombstones() bool { return 2*m.tombstones >= m.entries }
 
-// tableWriter builds a table by streaming sorted internal entries.
+// tableWriter builds one table file, from its Create to its Close. The
+// producer adds sorted entries and cuts them into blocks; encode
+// (compress, checksum, bloom) and place (write, advance the offset,
+// record the block in the index or for the footer) turn each block into
+// file bytes; seal ends the stream with the filter and sets off the
+// tail (index, footer, fsync); wait returns the metadata and closes the
+// file. A build that fails or is aborted removes its file.
 //
-// With Options.EncodeWorkers > 0 the build runs as a two-stage pipeline
-// (see pipeline.go): the producer side (add, finishDataBlock, finishAsync)
-// owns dataBlock, userKeys, lastIKey, approxSize and err; the pipeline's
-// writer task owns f, buf, offset, index and meta.size. In serial mode
-// (pipe == nil) one caller owns everything, exactly as before.
+// With Options.EncodeWorkers 0 the producer runs encode and place
+// itself, in the caller's task. Otherwise the same two functions run on
+// the pipeline of pipeline.go: encoder tasks encode, one writer task
+// places and writes the tail. The producer side (add, seal) owns
+// dataBlock, userKeys, lastIKey, approxSize, err and meta but its size;
+// the place side owns the file's writes, buf, offset, index,
+// filterHandle and meta.size.
+//
+// Ownership: a block that crosses to another task takes the builder's
+// buffer with it (blockBuilder.take) and a copy of its index key; an
+// inline block borrows both, because it is placed before the producer
+// touches them again. A value kept out of the builder (add) must stay
+// unchanged until the table is sealed.
 type tableWriter struct {
 	f    vfs.File
+	name string
 	opts *Options
 	m    *dbMetrics
-
 	// ioClass is the scheduler class this build's bytes are charged to:
-	// Flush for memtable flushes (the default), Compaction for
-	// compaction outputs. Unused when opts.IOSched is nil.
+	// Flush for memtable flushes, Compaction for compaction outputs.
+	// Unused when opts.IOSched is nil.
 	ioClass iosched.Class
+	pipe    *tablePipeline // nil: no encode workers, the build runs inline
 
-	buf        bytes.Buffer // pending bytes when coalescing writes
-	cbuf       []byte       // serial mode: the compressed form of the block being written
-	coalesce   int          // flush granularity for buf; 0 = write-through
-	offset     int64
+	// Producer side.
 	dataBlock  *blockBuilder
-	index      *blockBuilder
 	userKeys   [][]byte // for the bloom filter
-	meta       tableMeta
 	lastIKey   internalKey
+	meta       tableMeta
 	err        error
-	pipe       *tablePipeline
-	approxSize int64 // producer-side size estimate (piped mode)
+	approxSize int64  // bytes cut so far, before encoding
+	cbuf       []byte // inline builds: the compressed form of the block being placed
+
+	// Place side.
+	buf          bytes.Buffer // pending bytes when coalescing writes
+	coalesce     int          // flush granularity for buf; 0 = write-through
+	offset       int64
+	index        *blockBuilder
+	filterHandle blockHandle
 }
 
-// newTableWriter starts a table on f. With UseMMap the writer models
-// mmap-style I/O by coalescing block writes into large segments (one
-// write per ~1 MB region); otherwise each block is written as produced.
-// m may be nil (standalone/repair use); EncodeWorkers > 0 starts the
-// two-stage build pipeline.
-func newTableWriter(f vfs.File, opts *Options, fileNum uint64, m *dbMetrics) *tableWriter {
+// newTableWriter creates the table file name and starts a build on it.
+// With UseMMap the writer models mmap-style I/O by coalescing block
+// writes into large segments (one write per ~1 MB region); otherwise
+// each block is written as produced. m may be nil (repair, tests);
+// EncodeWorkers > 0 starts the build pipeline.
+func newTableWriter(opts *Options, name string, fileNum uint64, m *dbMetrics, ioClass iosched.Class) (*tableWriter, error) {
+	f, err := opts.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
 	w := &tableWriter{
 		f:         f,
+		name:      name,
 		opts:      opts,
 		m:         m,
-		ioClass:   iosched.Flush,
-		dataBlock: newBlockBuilder(opts.BlockRestartInterval),
+		ioClass:   ioClass,
+		dataBlock: newBlockBuilder(blockRestartInterval),
 		index:     newBlockBuilder(1),
 	}
 	w.meta.fileNum = fileNum
@@ -134,10 +157,10 @@ func newTableWriter(f vfs.File, opts *Options, fileNum uint64, m *dbMetrics) *ta
 		default:
 		}
 	}
-	return w
+	return w, nil
 }
 
-// blockBufs are the serial writer's two block buffers: the block being
+// blockBufs are an inline build's two block buffers: the block being
 // built and its compressed form. They grow to the largest block of the
 // table, a value's size where values are larger than a block, so a
 // writer that started from empty ones would grow them again, doubling,
@@ -150,7 +173,7 @@ var keptBlockBufs = make(chan blockBufs, runtime.GOMAXPROCS(0))
 
 const maxKeptBlockBuf = 1 << 20
 
-// keepBlockBufs hands the serial writer's block buffers on to the next
+// keepBlockBufs hands an inline build's block buffers on to the next
 // table. The writer builds no more data blocks after it.
 func (w *tableWriter) keepBlockBufs() {
 	b := blockBufs{w.dataBlock.buf[:0], w.cbuf[:0]}
@@ -165,8 +188,8 @@ func (w *tableWriter) keepBlockBufs() {
 }
 
 // writeRaw appends p through the coalescing buffer, returning the write
-// error instead of latching it — the pipeline's writer task keeps its own
-// error state so it never races the producer's w.err.
+// error instead of latching it: on a piped build the writer task keeps
+// its own error state so it never races the producer's w.err.
 func (w *tableWriter) writeRaw(p []byte) error {
 	if w.coalesce == 0 {
 		return w.writeScheduled(p)
@@ -217,7 +240,7 @@ func (w *tableWriter) writeScheduled(pieces ...[]byte) error {
 
 // add appends an entry; keys must arrive in increasing internal-key order.
 // value is not copied when it is at least a block long and blocks are
-// stored raw: it must stay unchanged until the table is finished, which
+// stored raw: it must stay unchanged until the table is sealed, which
 // memtable entries and parsed blocks (the two sources) guarantee.
 func (w *tableWriter) add(ik internalKey, value []byte) {
 	if w.err != nil {
@@ -253,41 +276,55 @@ func (w *tableWriter) add(ik internalKey, value []byte) {
 	}
 }
 
-func (w *tableWriter) finishDataBlock() {
-	if !w.dataBlock.empty() {
-		w.cutDataBlock(nil)
-	}
-}
-
-// cutDataBlock ends the block under construction and sends it on its
-// way. A non-nil value belongs to the block's last entry, whose header
-// is the last thing in the builder.
+// cutDataBlock ends the block under construction and submits it. A
+// non-nil value belongs to the block's last entry, whose header is the
+// last thing in the builder.
 func (w *tableWriter) cutDataBlock(value []byte) {
 	if w.err != nil {
 		return
 	}
-	b := rawBlock{value: value}
+	b := tableBlock{kind: blkData, data: rawBlock{value: value}, indexKey: w.lastIKey}
 	if value != nil {
-		b.split = len(w.dataBlock.buf)
+		b.data.split = len(w.dataBlock.buf)
 	}
+	if w.pipe == nil {
+		b.data.buf = w.dataBlock.finish()
+	} else {
+		b.data.buf = w.dataBlock.take(value == nil)
+		b.indexKey = append(internalKey(nil), w.lastIKey...)
+	}
+	w.approxSize += int64(b.data.size()) + blockTrailerLen
+	w.submit(&b)
+	w.dataBlock.reset()
+}
+
+// submit sends a cut block on to encode and place: inline, both run
+// before it returns; piped, the block joins the pipeline's queue.
+func (w *tableWriter) submit(b *tableBlock) {
 	if w.pipe != nil {
-		// The builder's buffer crosses into the compute stage, so the
-		// builder gets a new one.
-		b.buf = w.dataBlock.take(value == nil)
-		w.approxSize += int64(b.size()) + blockTrailerLen
-		w.err = w.pipe.submit(encodeJob{
-			kind:          blkData,
-			raw:           b,
-			indexKey:      append(internalKey(nil), w.lastIKey...),
-			allowCompress: !w.opts.DisableCompression,
-		})
-		w.dataBlock.reset()
+		w.err = w.pipe.submit(*b)
 		return
 	}
-	b.buf = w.dataBlock.finish()
-	handle := w.writeBlock(b, !w.opts.DisableCompression)
-	w.dataBlock.reset()
-	w.index.add(w.lastIKey, encodeHandle(handle))
+	w.encode(b, &w.cbuf)
+	_, w.err = w.place(b)
+}
+
+type blockKind uint8
+
+const (
+	blkData blockKind = iota
+	blkFilter
+	blkIndex
+)
+
+// tableBlock is one block on its way into the file: its bytes as cut
+// (a filter block has none until encode builds them), then as encoded.
+type tableBlock struct {
+	kind       blockKind
+	seq        int // position in a piped build's stream
+	data       rawBlock
+	payloadLen int         // set by encode: the stored length, trailer excluded
+	indexKey   internalKey // data blocks: the separator key for the index
 }
 
 // rawBlock is a block's bytes in file order: buf, or, when the block ends
@@ -303,14 +340,45 @@ type rawBlock struct {
 
 func (b rawBlock) size() int { return len(b.buf) + len(b.value) }
 
+// encode is the compute stage: it builds a filter block's bloom filter
+// (from the producer's keys, complete once seal submits the filter),
+// then charges the simulated CPU for the block, compresses it (data and
+// index blocks, when enabled) and appends its checksum trailer. The
+// compressed bytes are built in *scratch.
+func (w *tableWriter) encode(b *tableBlock, scratch *[]byte) {
+	allowCompress := !w.opts.DisableCompression
+	if b.kind == blkFilter {
+		b.data = rawBlock{buf: buildBloom(w.userKeys, w.opts.BitsPerKey)}
+		allowCompress = false // random bits do not compress
+	}
+	chargeEncodeCost(w.opts, b.data.size())
+	b.data, b.payloadLen = encodeBlock(w.opts, b.data, allowCompress, scratch)
+}
+
+// place is the I/O stage: it appends an encoded block at the current
+// offset and records where it went, in the index for a data block and
+// for the footer for the filter. It returns the block's handle.
+func (w *tableWriter) place(b *tableBlock) (blockHandle, error) {
+	h := blockHandle{offset: w.offset, length: int64(b.payloadLen)}
+	err := w.emit(b.data)
+	w.offset += int64(b.payloadLen) + blockTrailerLen
+	switch b.kind {
+	case blkData:
+		w.index.add(b.indexKey, encodeHandle(h))
+	case blkFilter:
+		w.filterHandle = h
+	}
+	return h, err
+}
+
 // encodeBlock compresses raw per opts (when allowed and the compressed
 // form is >12.5% smaller) and appends the 5-byte block trailer, in place
 // when raw.buf has the room (blockBuilder.finish leaves it). Returns the
 // bytes to append to the file and the payload length (trailer excluded).
-// Pure function of (opts, raw), so the pipelined and serial writers
-// produce identical files. The compressed bytes are built in *scratch: a
-// caller that is done with one encoded block before it encodes the next
-// (the serial writer) passes the same one every time.
+// A pure function of (opts, raw), so a table's bytes do not depend on
+// which task encoded which block. The compressed bytes are built in
+// *scratch: a caller that is done with one encoded block before it
+// encodes the next (an inline build) passes the same one every time.
 func encodeBlock(opts *Options, raw rawBlock, allowCompress bool, scratch *[]byte) (enc rawBlock, payloadLen int) {
 	blockType := byte(compressionNone)
 	enc = raw
@@ -369,23 +437,9 @@ func (w *tableWriter) emit(b rawBlock) error {
 	return err
 }
 
-// writeBlock encodes raw and emits it at the current offset, returning
-// its handle. Serial path only (the pipeline splits the same work across
-// its encoder and writer stages).
-func (w *tableWriter) writeBlock(raw rawBlock, allowCompress bool) blockHandle {
-	chargeEncodeCost(w.opts, raw.size())
-	enc, payloadLen := encodeBlock(w.opts, raw, allowCompress, &w.cbuf)
-	h := blockHandle{offset: w.offset, length: int64(payloadLen)}
-	if w.err == nil {
-		w.err = w.emit(enc)
-	}
-	w.offset += int64(payloadLen) + blockTrailerLen
-	return h
-}
-
 // estimatedSize is the producer-visible output size, used for the
-// compaction split heuristic: the exact offset in serial mode, the sum
-// of raw block sizes in piped mode (the writer task owns the real
+// compaction split heuristic: the exact offset of an inline build, the
+// bytes cut so far on a piped one (the writer task owns the real
 // offset; compression only shrinks it, so splits err slightly early).
 func (w *tableWriter) estimatedSize() int64 {
 	if w.pipe != nil {
@@ -394,22 +448,42 @@ func (w *tableWriter) estimatedSize() int64 {
 	return w.offset
 }
 
-// writeTail emits the index block and footer, drains the coalescing
-// buffer and fsyncs — the common epilogue of both build modes. It uses
-// the error-returning write path so the pipeline's writer task can call
-// it without touching the producer's w.err.
-func (w *tableWriter) writeTail(filterHandle blockHandle) error {
-	indexRaw := rawBlock{buf: w.index.finish()}
-	chargeEncodeCost(w.opts, indexRaw.size())
-	enc, payloadLen := encodeBlock(w.opts, indexRaw, !w.opts.DisableCompression, new([]byte))
-	indexHandle := blockHandle{offset: w.offset, length: int64(payloadLen)}
-	if err := w.emit(enc); err != nil {
+// seal ends the producer side (the last data block, then the bloom
+// filter) and sets off the tail: an inline build writes it now, a piped
+// one once its writer task has placed every block. wait collects the
+// result.
+func (w *tableWriter) seal() {
+	if !w.dataBlock.empty() {
+		w.cutDataBlock(nil)
+	}
+	if w.err == nil && w.opts.BitsPerKey > 0 && len(w.userKeys) > 0 {
+		w.submit(&tableBlock{kind: blkFilter})
+	}
+	w.meta.largest = append(internalKey(nil), w.lastIKey...)
+	if w.pipe != nil {
+		w.pipe.closeSubmit(w.err)
+		return
+	}
+	w.keepBlockBufs()
+	if w.err == nil {
+		w.err = w.writeTail()
+	}
+}
+
+// writeTail ends the seal path once every other block is placed: the
+// index block, the footer, the coalesced bytes still buffered, and the
+// fsync. It runs on the place side and returns its error rather than
+// latching it.
+func (w *tableWriter) writeTail() error {
+	index := tableBlock{kind: blkIndex, data: rawBlock{buf: w.index.finish()}}
+	w.encode(&index, new([]byte))
+	indexHandle, err := w.place(&index)
+	if err != nil {
 		return err
 	}
-	w.offset += int64(payloadLen) + blockTrailerLen
 	var footer [footerLen]byte
-	binary.LittleEndian.PutUint64(footer[0:], uint64(filterHandle.offset))
-	binary.LittleEndian.PutUint64(footer[8:], uint64(filterHandle.length))
+	binary.LittleEndian.PutUint64(footer[0:], uint64(w.filterHandle.offset))
+	binary.LittleEndian.PutUint64(footer[8:], uint64(w.filterHandle.length))
 	binary.LittleEndian.PutUint64(footer[16:], uint64(indexHandle.offset))
 	binary.LittleEndian.PutUint64(footer[24:], uint64(indexHandle.length))
 	binary.LittleEndian.PutUint64(footer[32:], tableMagic)
@@ -431,55 +505,46 @@ func (w *tableWriter) writeTail(filterHandle blockHandle) error {
 	return nil
 }
 
-// finish completes the table and returns its metadata, waiting for the
-// pipeline when one is running.
-func (w *tableWriter) finish() (tableMeta, error) {
+// wait returns the sealed table's metadata once its bytes are durable,
+// and closes its file. A build that failed removes the file and
+// returns the error.
+func (w *tableWriter) wait() (tableMeta, error) {
+	err := w.err
 	if w.pipe != nil {
-		return w.finishAsync().wait()
+		err = w.pipe.wait()
 	}
-	w.finishDataBlock()
-	// Filter block (never compressed: it is random bits).
-	var filterHandle blockHandle
-	if w.opts.BitsPerKey > 0 && len(w.userKeys) > 0 {
-		filterHandle = w.writeBlock(rawBlock{buf: buildBloom(w.userKeys, w.opts.BitsPerKey)}, false)
+	if err != nil {
+		w.discard()
+		return tableMeta{}, err
 	}
-	w.keepBlockBufs()
-	if w.err != nil {
-		return tableMeta{}, w.err
-	}
-	w.meta.largest = append(internalKey(nil), w.lastIKey...)
-	if err := w.writeTail(filterHandle); err != nil {
+	if err := w.f.Close(); err != nil {
+		w.opts.FS.Remove(w.name)
 		return tableMeta{}, err
 	}
 	return w.meta, nil
 }
 
-// finishAsync seals the producer side of the build — trailing data
-// block, bloom-filter job, metadata — and returns a handle whose wait
-// resolves when the writer task has written the tail and fsynced. The
-// caller may start encoding its next output table while this one syncs.
-// In serial mode the build completes inline and wait returns immediately.
-func (w *tableWriter) finishAsync() *pendingTable {
-	if w.pipe == nil {
-		meta, err := w.finish()
-		return &pendingTable{meta: meta, err: err, done: true}
-	}
-	w.finishDataBlock()
-	if w.err == nil && w.opts.BitsPerKey > 0 && len(w.userKeys) > 0 {
-		w.err = w.pipe.submit(encodeJob{kind: blkFilter})
-	}
-	w.meta.largest = append(internalKey(nil), w.lastIKey...)
-	w.pipe.closeSubmit(w.err)
-	return &pendingTable{p: w.pipe}
+// finish completes the table and returns its metadata.
+func (w *tableWriter) finish() (tableMeta, error) {
+	w.seal()
+	return w.wait()
 }
 
-// abort tears down a build that will not be finished (error paths): the
-// pipeline tasks are drained so the caller may close and delete the
-// output file. Safe to call in serial mode (no-op) and after finish.
+// abort abandons a build that will not be collected (error paths),
+// sealed or not: its pipeline's tasks are drained, and its file is
+// closed and removed.
 func (w *tableWriter) abort() {
 	if w.pipe != nil {
 		w.pipe.abort()
 	}
+	w.discard()
+}
+
+// discard closes and removes the table file. Their errors change
+// nothing: the build has already failed or been given up.
+func (w *tableWriter) discard() {
+	w.f.Close()
+	w.opts.FS.Remove(w.name)
 }
 
 // tableReader serves point lookups and scans from one table file.

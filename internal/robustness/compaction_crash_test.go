@@ -20,27 +20,48 @@ import (
 // write — compaction rearranges files, never logical content, so no
 // version/manifest state it leaves behind may lose data.
 //
-// This variant pins the order of the concurrent file operations, so the
-// boundary numbering (and so the subtest names) is the same on every run;
-// TestCompactionCrashSweepRacing runs the same workload free.
-func TestCompactionCrashSweep(t *testing.T) { compactionCrashSweep(t, true) }
+// This variant pins the order of the concurrent file operations with the
+// background merge landing early, between two flushes, so the boundary
+// numbering (and so the subtest names) is the same on every run.
+func TestCompactionCrashSweep(t *testing.T) { compactionCrashSweep(t, mergeEarly) }
 
-// TestCompactionCrashSweepRacing runs the sweep with nothing held: the
-// background merge races the foreground writes and the manual merge's two
-// shards interleave their creates and syncs, so it enumerates crash states
-// the pinned order never produces. Its boundary numbering, and so its
-// subtest names, vary from run to run.
-func TestCompactionCrashSweepRacing(t *testing.T) { compactionCrashSweep(t, false) }
+// TestCompactionCrashSweepRacing pins the background merge late: it
+// starts writing only after the third flush, and one foreground write's
+// log sync lands between its output create and its input removes, so a
+// crash catches a merge in flight beside a newer L0 table and a newer log.
+// Its subtest names repeat too.
+func TestCompactionCrashSweepRacing(t *testing.T) { compactionCrashSweep(t, mergeLate) }
+
+// TestCompactionCrashSweepFree runs the same workload with nothing held:
+// the background merge races the foreground writes and the manual merge's
+// two shards may interleave their creates and syncs, so it enumerates
+// crash states the pinned orders never produce. Its boundary numbering
+// varies from run to run, so it checks every crash point in one test
+// rather than one subtest per boundary.
+func TestCompactionCrashSweepFree(t *testing.T) { compactionCrashSweep(t, free) }
+
+// sweepOrder says how compactionCrashSweep orders the concurrent file
+// operations of its workload.
+type sweepOrder int
+
+const (
+	free       sweepOrder = iota // nothing held
+	mergeEarly                   // background merge before the third flush
+	mergeLate                    // background merge after the third flush
+)
 
 // compactionCrashSweep records the workload's boundaries and crashes at
-// each. With pinned set, two holds fix the order of the concurrent file
+// each. In the pinned orders, holds fix the order of the concurrent file
 // operations. The background merge the second flush schedules is held at
-// its output create until thirteen more writes are acknowledged, then
-// drained before the next one; left free, it lands anywhere in that
-// window. The manual merge's second shard is held at its output create
-// until the first shard's output is synced; left free, the two shards'
-// creates and syncs interleave.
-func compactionCrashSweep(t *testing.T, pinned bool) {
+// its output create: until thirteen more writes are acknowledged and then
+// drained before the next one (mergeEarly), or until the write that
+// rotates the memtable a third time is acknowledged, then held again at
+// its output sync until exactly one more write's log sync has landed
+// (mergeLate). The manual merge's second shard is held at its output
+// create until the first shard's output is synced. Left free, the merge
+// lands anywhere in that window and the shards' creates and syncs
+// interleave.
+func compactionCrashSweep(t *testing.T, order sweepOrder) {
 	if testing.Short() {
 		t.Skip("crash-point enumeration sweep skipped in -short mode")
 	}
@@ -49,27 +70,39 @@ func compactionCrashSweep(t *testing.T, pinned bool) {
 		t.Fatal(err)
 	}
 	// Tables are created in this order: two flushes, the first merge's
-	// output, two more flushes, then the manual merge's two shard outputs.
-	// Each hold is a delay rule whose length names it to the sleeper.
-	const holdMerge, holdShard = time.Nanosecond, 2 * time.Nanosecond
-	gate := make(chan struct{})
+	// output, two more flushes, then the manual merge's two shard outputs
+	// (mergeLate creates the third flush's table before the merge's output,
+	// but the merge's create call is made, and held, first). Each hold is a
+	// delay rule whose length names it to the sleeper.
+	const holdMerge, holdShard, holdMergeSync = time.Nanosecond, 2 * time.Nanosecond, 3 * time.Nanosecond
+	held, gate := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release()
-	var shardAfter atomic.Int64 // boundary count the second shard waits for
-	if pinned {
+	// waitFor polls until the recording has crossed n boundaries.
+	waitFor := func(n int64, what string) bool {
+		deadline := time.Now().Add(10 * time.Second)
+		for int64(ffs.Boundaries()) < n {
+			if time.Now().After(deadline) {
+				t.Errorf("%s: %d boundaries, want %d", what, ffs.Boundaries(), n)
+				return false
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		return true
+	}
+	var shardAfter atomic.Int64     // boundary count the second shard waits for
+	var mergeSyncAfter atomic.Int64 // boundary count the late merge's sync waits for
+	wantHolds := 0
+	if order != free {
 		ffs.SetSleeper(func(d time.Duration) {
 			switch d {
 			case holdMerge:
+				close(held)
 				<-gate
 			case holdShard:
-				deadline := time.Now().Add(10 * time.Second)
-				for int64(ffs.Boundaries()) < shardAfter.Load() {
-					if time.Now().After(deadline) {
-						t.Errorf("first shard never synced: %d boundaries, want %d", ffs.Boundaries(), shardAfter.Load())
-						return
-					}
-					time.Sleep(20 * time.Microsecond)
-				}
+				waitFor(shardAfter.Load(), "first shard never synced")
+			case holdMergeSync:
+				waitFor(mergeSyncAfter.Load(), "no write landed inside the merge")
 			}
 		})
 		ffs.AddRule(&faultfs.Rule{
@@ -82,6 +115,16 @@ func compactionCrashSweep(t *testing.T, pinned bool) {
 			Nth:   7,
 			Delay: holdShard, DelayOnly: true,
 		})
+		wantHolds = 2
+	}
+	if order == mergeLate {
+		// Table syncs: the two flushes, the third flush, then the merge.
+		ffs.AddRule(&faultfs.Rule{
+			Op: faultfs.OpSync, Path: ".sst",
+			Nth:   4,
+			Delay: holdMergeSync, DelayOnly: true,
+		})
+		wantHolds = 3
 	}
 
 	opts := lsm.DefaultOptions(ffs)
@@ -119,7 +162,7 @@ func compactionCrashSweep(t *testing.T, pinned bool) {
 	// background pool start merging L0 while writes continue.
 	for i := 0; i < 48; i++ {
 		put(fmt.Sprintf("c%03d", i%24), fmt.Sprintf("gen1-%02d-%s", i, pad(180)))
-		if pinned && i == 46 {
+		if order == mergeEarly && i == 46 {
 			release()
 			if err := db.WaitBackground(); err != nil {
 				t.Fatal(err)
@@ -128,9 +171,33 @@ func compactionCrashSweep(t *testing.T, pinned bool) {
 	}
 	del("c005")
 	del("c017")
-	// Phase 2: overwrite a band, then force a wide sharded merge.
+	if order == mergeLate {
+		// The create held must be the merge's, not the next flush's.
+		select {
+		case <-held:
+		case <-time.After(10 * time.Second):
+			t.Fatal("background merge never reached its output create")
+		}
+	}
+	// Phase 2: overwrite a band, then force a wide sharded merge. The
+	// fourth write rotates the memtable, flushing it.
 	for i := 0; i < 12; i++ {
+		if order == mergeLate && i == 4 {
+			// Let the merge create its output, then write once: the merge
+			// syncs that output only after this write's log sync.
+			created := int64(ffs.Boundaries()) + 1
+			mergeSyncAfter.Store(created + 1)
+			release()
+			if !waitFor(created, "merge never created its output") {
+				return
+			}
+		}
 		put(fmt.Sprintf("c%03d", i), fmt.Sprintf("gen2-%02d-%s", i, pad(180)))
+		if order == mergeLate && i == 4 {
+			if err := db.WaitBackground(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	// CompactAll's flush crosses five boundaries (table create, log create,
 	// two syncs, log remove); the first shard's create and sync follow.
@@ -148,8 +215,11 @@ func compactionCrashSweep(t *testing.T, pinned bool) {
 		t.Fatal(err)
 	}
 	ffs.StopRecording()
-	if got := ffs.Delayed(); pinned && got != 2 {
-		t.Fatalf("%d holds fired, want 2: the table creates no longer run in the expected order", got)
+	if t.Failed() {
+		return
+	}
+	if got := ffs.Delayed(); got != wantHolds {
+		t.Fatalf("%d holds fired, want %d: the table creates and syncs no longer run in the expected order", got, wantHolds)
 	}
 
 	pts := ffs.CrashPoints()
@@ -164,45 +234,57 @@ func compactionCrashSweep(t *testing.T, pinned bool) {
 		t.Fatal("sweep never crossed a manifest/rename boundary")
 	}
 
-	reopenOpts := opts
+	recoverAt := func(t *testing.T, pt faultfs.CrashPoint) {
+		defer func() {
+			if t.Failed() {
+				t.Logf("crash at boundary %d (%s %s) did not recover", pt.Boundary, pt.Op, pt.Path)
+			}
+		}()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panic recovering at boundary %d (%s %s): %v",
+					pt.Boundary, pt.Op, pt.Path, r)
+			}
+		}()
+		state, err := ffs.StateAfter(pt.Boundary)
+		if err != nil {
+			t.Fatalf("StateAfter: %v", err)
+		}
+		acked := 0
+		for acked < len(ops) && ops[acked].after <= pt.Boundary {
+			acked++
+		}
+		o := opts
+		o.FS = state
+		o.Runtime = nil
+		db2, err := lsm.Open("db", o)
+		if err != nil {
+			if acked > 0 {
+				t.Fatalf("reopen failed with %d acked writes: %v", acked, err)
+			}
+			if _, rerr := lsm.Repair("db", o); rerr != nil {
+				t.Fatalf("repair after early-crash open error (%v): %v", err, rerr)
+			}
+			db2, err = lsm.Open("db", o)
+			if err != nil {
+				t.Fatalf("open after repair: %v", err)
+			}
+		}
+		defer db2.Close()
+		checkLSMModel(t, db2, ops, acked)
+		if err := db2.VerifyChecksums(); err != nil {
+			t.Errorf("checksum verification after crash at boundary %d: %v", pt.Boundary, err)
+		}
+	}
 	for _, pt := range pts {
 		pt := pt
-		t.Run(fmt.Sprintf("boundary%03d_%s", pt.Boundary, pt.Op), func(t *testing.T) {
-			defer func() {
-				if r := recover(); r != nil {
-					t.Fatalf("panic recovering at boundary %d (%s %s): %v",
-						pt.Boundary, pt.Op, pt.Path, r)
-				}
-			}()
-			state, err := ffs.StateAfter(pt.Boundary)
-			if err != nil {
-				t.Fatalf("StateAfter: %v", err)
+		if order == free {
+			// The numbering varies from run to run: no subtest per boundary.
+			if recoverAt(t, pt); t.Failed() {
+				return
 			}
-			acked := 0
-			for acked < len(ops) && ops[acked].after <= pt.Boundary {
-				acked++
-			}
-			o := reopenOpts
-			o.FS = state
-			o.Runtime = nil
-			db2, err := lsm.Open("db", o)
-			if err != nil {
-				if acked > 0 {
-					t.Fatalf("reopen failed with %d acked writes: %v", acked, err)
-				}
-				if _, rerr := lsm.Repair("db", o); rerr != nil {
-					t.Fatalf("repair after early-crash open error (%v): %v", err, rerr)
-				}
-				db2, err = lsm.Open("db", o)
-				if err != nil {
-					t.Fatalf("open after repair: %v", err)
-				}
-			}
-			defer db2.Close()
-			checkLSMModel(t, db2, ops, acked)
-			if err := db2.VerifyChecksums(); err != nil {
-				t.Errorf("checksum verification after crash at boundary %d: %v", pt.Boundary, err)
-			}
-		})
+			continue
+		}
+		t.Run(fmt.Sprintf("boundary%03d_%s", pt.Boundary, pt.Op), func(t *testing.T) { recoverAt(t, pt) })
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"lsmio/internal/faultfs"
 	"lsmio/internal/lsm"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/vfs"
 )
 
@@ -34,12 +35,13 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-point enumeration sweep skipped in -short mode")
 	}
-	// Ninety-six generations: even if every cohort held all four writers
-	// there would be one log append and one log sync per generation, so
-	// the workload always crosses at least the six Open boundaries plus 96
-	// log syncs. How many more it crosses depends on how cohorts form, so
-	// only the subtests past boundary 102 vary from run to run.
-	const writers, gens = 4, 96
+	// A hundred and sixty generations: even if every cohort held all four
+	// writers there would be one log append and one log sync per
+	// generation, so the workload always crosses at least the six Open
+	// boundaries plus 160 log syncs. How many more it crosses depends on
+	// how cohorts form, so only the subtests past boundary 166 vary from
+	// run to run.
+	const writers, gens = 4, 160
 
 	ffs := faultfs.New(vfs.NewMemFS())
 	if err := ffs.StartRecording(); err != nil {
@@ -97,16 +99,16 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	stats := db.Stats()
+	groupCommits := obstest.Counter(t, db.Obs(), "lsm.wal.group_commits")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	ffs.StopRecording()
 	ffs.ClearRules()
 
-	if stats.WALGroupCommits >= int64(writers*gens) {
+	if groupCommits >= int64(writers*gens) {
 		t.Fatalf("no coalescing happened (%d leader rounds for %d batches); the sweep would not cover shared records",
-			stats.WALGroupCommits, writers*gens)
+			groupCommits, writers*gens)
 	}
 
 	pts := ffs.CrashPoints()

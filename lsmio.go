@@ -75,8 +75,6 @@ type (
 	// EngineOptions exposes the LSM engine's full option set for direct
 	// engine use.
 	EngineOptions = lsm.Options
-	// EngineStats are the LSM engine's counters.
-	EngineStats = lsm.Stats
 	// DB is the underlying LSM-tree database, usable directly as a
 	// general-purpose embedded store.
 	DB = lsm.DB

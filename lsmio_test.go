@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lsmio"
+	"lsmio/internal/obs/obstest"
 )
 
 // The facade tests exercise the public API exactly as a downstream user
@@ -147,8 +148,8 @@ func TestPublicCountersAndStats(t *testing.T) {
 		t.Fatalf("counters: %+v", c)
 	}
 	mgr.WriteBarrier()
-	if s := mgr.EngineStats(); s.Flushes == 0 {
-		t.Fatalf("engine stats: %+v", s)
+	if n := obstest.Counter(t, mgr.Obs(), "lsm.flush.count"); n == 0 {
+		t.Fatalf("engine flushes: %d", n)
 	}
 }
 
