@@ -10,8 +10,12 @@ build:
 test:
 	$(GO) build ./... && $(GO) test -short ./...
 
+# gofmt prints the name of every file whose layout differs from its own;
+# any name fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); [ -z "$$unformatted" ] || \
+		{ echo "vet: gofmt -l lists files to format:" >&2; echo "$$unformatted" >&2; exit 1; }
 
 race:
 	$(GO) test -race ./...

@@ -22,12 +22,10 @@ import (
 	"sync"
 	"time"
 
+	"lsmio/internal/bench"
 	"lsmio/internal/core"
 	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
-	"lsmio/internal/pfs"
-	"lsmio/internal/rt"
-	"lsmio/internal/sim"
 	"lsmio/internal/svc"
 	"lsmio/internal/vfs"
 )
@@ -58,17 +56,12 @@ reporting:
 	os.Exit(2)
 }
 
-// dutyFactor is compute time per step in solo-p99 units; it matches the
-// ext-service bench so lsmiod sessions and the figure agree on load
-// shape.
-const dutyFactor = 12
-
 type tenantReport struct {
-	Name    string  `json:"name"`
-	P99Ms   float64 `json:"p99_ms,omitempty"` // behaved tenants only
-	Ops     int64   `json:"ops"`
-	Bytes   int64   `json:"bytes"`
-	Rejects int64   `json:"quota_rejects"`
+	Name        string  `json:"name"`
+	WorstStepMs float64 `json:"worst_step_ms,omitempty"` // behaved tenants only
+	Ops         int64   `json:"ops"`
+	Bytes       int64   `json:"bytes"`
+	Rejects     int64   `json:"quota_rejects"`
 }
 
 type report struct {
@@ -83,14 +76,6 @@ type report struct {
 	Tenant        []tenantReport    `json:"tenant"`
 	ShardRestarts int64             `json:"shard_restarts"`
 	ShardHealth   []svc.ShardStatus `json:"shard_health,omitempty"`
-}
-
-type sessionResult struct {
-	p99      time.Duration
-	stalls   map[string]time.Duration // per-tenant worst step
-	makespan time.Duration
-	snap     obs.Snapshot
-	health   []svc.ShardStatus // supervisor view at session end
 }
 
 func main() {
@@ -117,63 +102,30 @@ func main() {
 		usage()
 	}
 
-	var rep report
-	var solo time.Duration
-	var res sessionResult
+	sess := bench.ServiceSession{
+		Shards:     *shards,
+		Tenants:    *tenants,
+		Steps:      *steps,
+		Blocks:     *blocks,
+		BlockBytes: *blockBytes,
+		BufferSize: 1 << 20,
+		Noisy:      *noisy,
+		Fair:       *fair,
+		IOSchedBW:  *ioBW,
+	}
+	mode := "sim"
+	var res bench.ServiceResult
+	var err error
 	if *simMode {
-		// Solo probe calibrates the load shape and the fairness
-		// baseline: one tenant, no neighbor, no admission limits.
-		probe, err := runSim(*shards, 1, *steps, *blocks, *blockBytes, false, svc.AdmissionConfig{}, 0, 0, *ioBW)
-		if err != nil {
-			die(err)
-		}
-		solo = probe.p99
-		stepBytes := int64(*blocks) * *blockBytes
-		compute := dutyFactor * solo
-		demand := float64(stepBytes) / (compute + solo).Seconds()
-		capacity := 2 * demand * float64(*tenants+1)
-		adm := svc.AdmissionConfig{Disabled: !*fair, CapacityBytesPerSec: capacity, MaxWait: solo / 4}
-		res, err = runSim(*shards, *tenants, *steps, *blocks, *blockBytes, *noisy, adm, compute, capacity, *ioBW)
-		if err != nil {
-			die(err)
-		}
-		rep.Mode = "sim"
+		res, err = sess.Run()
 	} else {
-		var err error
-		res, err = runDir(*dir, *shards, *tenants, *steps, *blocks, *blockBytes, *fair, *ioBW)
-		if err != nil {
-			die(err)
-		}
-		rep.Mode = "dir"
+		mode = "dir"
+		res, err = runDir(*dir, sess)
 	}
-
-	rep.Shards, rep.Tenants, rep.Noisy, rep.Fair = *shards, *tenants, *noisy, *fair
-	rep.SoloP99Ms = float64(solo) / 1e6
-	rep.P99Ms = float64(res.p99) / 1e6
-	total := float64(*tenants) * float64(*steps) * float64(*blocks) * float64(*blockBytes)
-	rep.AggBytesSec = total / res.makespan.Seconds()
-	names := make([]string, 0, len(res.stalls))
-	for n := range res.stalls {
-		names = append(names, n)
+	if err != nil {
+		die(err)
 	}
-	sort.Strings(names)
-	if *noisy {
-		names = append(names, "noisy")
-	}
-	for _, n := range names {
-		tr := tenantReport{
-			Name:    n,
-			Ops:     res.snap.Counters["svc.tenant."+n+".ops"],
-			Bytes:   res.snap.Counters["svc.tenant."+n+".bytes_in"],
-			Rejects: res.snap.Counters["svc.tenant."+n+".quota_rejects"],
-		}
-		if st, ok := res.stalls[n]; ok {
-			tr.P99Ms = float64(st) / 1e6
-		}
-		rep.Tenant = append(rep.Tenant, tr)
-	}
-	rep.ShardRestarts = res.snap.Counters["svc.supervisor.restarts"]
-	rep.ShardHealth = res.health
+	rep := newReport(mode, sess, res)
 
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
@@ -184,18 +136,18 @@ func main() {
 	} else {
 		fmt.Printf("lsmiod: %s service, %d shard(s), %d tenant(s)%s, fair-share %v\n",
 			rep.Mode, rep.Shards, rep.Tenants, map[bool]string{true: " + noisy", false: ""}[rep.Noisy], rep.Fair)
-		if solo > 0 {
-			fmt.Printf("  solo p99 %v\n", solo.Round(time.Microsecond))
+		if res.Solo > 0 {
+			fmt.Printf("  solo p99 %v\n", res.Solo.Round(time.Microsecond))
 		}
 		fmt.Printf("  %-12s %12s %8s %12s %8s\n", "tenant", "worst step", "ops", "bytes", "rejects")
 		for _, tr := range rep.Tenant {
 			stall := "-"
-			if tr.P99Ms > 0 {
-				stall = fmt.Sprintf("%.3fms", tr.P99Ms)
+			if tr.WorstStepMs > 0 {
+				stall = fmt.Sprintf("%.3fms", tr.WorstStepMs)
 			}
 			fmt.Printf("  %-12s %12s %8d %12d %8d\n", tr.Name, stall, tr.Ops, tr.Bytes, tr.Rejects)
 		}
-		fmt.Printf("  behaved p99 %v, aggregate %.1f MB/s\n", res.p99.Round(time.Microsecond), rep.AggBytesSec/1e6)
+		fmt.Printf("  behaved p99 %v, aggregate %.1f MB/s\n", res.P99().Round(time.Microsecond), rep.AggBytesSec/1e6)
 		if rep.ShardRestarts > 0 {
 			fmt.Printf("  supervisor: %d shard restart(s)\n", rep.ShardRestarts)
 			for _, sh := range rep.ShardHealth {
@@ -212,179 +164,76 @@ func main() {
 		if !*simMode || !*noisy || !*fair {
 			die(fmt.Errorf("-assert-fair needs -sim -noisy -fair"))
 		}
+		p99, solo := res.P99(), res.Solo
 		bound := time.Duration(*assertFair * float64(solo))
-		if res.p99 > bound {
+		if p99 > bound {
 			die(fmt.Errorf("fair-share bound violated: behaved p99 %v > %.1f x solo %v",
-				res.p99.Round(time.Microsecond), *assertFair, solo.Round(time.Microsecond)))
+				p99.Round(time.Microsecond), *assertFair, solo.Round(time.Microsecond)))
 		}
 		fmt.Printf("fair-share OK: behaved p99 %v <= %.1f x solo %v\n",
-			res.p99.Round(time.Microsecond), *assertFair, solo.Round(time.Microsecond))
+			p99.Round(time.Microsecond), *assertFair, solo.Round(time.Microsecond))
 	}
 }
 
-// runSim executes one simulated session: behaved tenants checkpoint
-// over the fabric front on a staggered compute/commit cadence; a noisy
-// tenant, when present, offers un-barriered puts at the full advertised
-// capacity until the behaved tenants finish.
-func runSim(shards, tenants, steps, blocks int, blockBytes int64, noisy bool, adm svc.AdmissionConfig, compute time.Duration, noisyRate float64, ioBW float64) (sessionResult, error) {
-	k := sim.NewKernel()
-	rtm := rt.Sim(k)
-	clients := tenants + 1
-	cluster := pfs.NewCluster(k, pfs.VikingConfig(clients+shards))
-	reg := obs.NewRegistryOn(rtm.Now)
-
-	// One scheduler instance covers every shard's engine I/O and the
-	// cluster's scrubber; disabled (nil-equivalent) when ioBW is 0 so the
-	// calibrated fairness gate is measured on the unscheduled baseline.
-	var sched *iosched.Scheduler
-	if ioBW > 0 {
-		sched = iosched.New(iosched.Config{BytesPerSec: ioBW, Clock: rtm, Obs: reg})
-		cluster.SetIOScheduler(sched)
+// newReport summarises a session: the behaved tenants' p99 step stall
+// over all their steps, and per tenant its worst step and the service's
+// counters.
+func newReport(mode string, sess bench.ServiceSession, res bench.ServiceResult) report {
+	rep := report{
+		Mode:          mode,
+		Shards:        sess.Shards,
+		Tenants:       sess.Tenants,
+		Noisy:         sess.Noisy,
+		Fair:          sess.Fair,
+		SoloP99Ms:     float64(res.Solo) / 1e6,
+		P99Ms:         float64(res.P99()) / 1e6,
+		AggBytesSec:   res.Aggregate,
+		ShardRestarts: res.Metrics.Counters["svc.supervisor.restarts"],
+		ShardHealth:   res.Shards,
 	}
-
-	var s *svc.Service
-	var front *svc.Front
-	var setupErr error
-	k.Spawn("setup", func(p *sim.Proc) {
-		s, setupErr = svc.New(svc.Options{
-			Shards: shards,
-			OpenShard: func(i int) (*core.Manager, error) {
-				return core.NewManager(svc.ShardDirName(i), core.ManagerOptions{
-					Store: core.StoreOptions{
-						FS:              cluster.Client(clients + i),
-						Async:           true,
-						WriteBufferSize: 1 << 20,
-						IOSched:         sched,
-					},
-					Runtime: rtm,
-					Obs:     reg,
-				})
-			},
-			Runtime:   rtm,
-			Obs:       reg,
-			Admission: adm,
-			IOSched:   sched,
-		})
-		if setupErr != nil {
-			return
+	names := make([]string, 0, len(res.Steps))
+	for n := range res.Steps {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	if sess.Noisy {
+		names = append(names, "noisy")
+	}
+	for _, n := range names {
+		tr := tenantReport{
+			Name:    n,
+			Ops:     res.Metrics.Counters["svc.tenant."+n+".ops"],
+			Bytes:   res.Metrics.Counters["svc.tenant."+n+".bytes_in"],
+			Rejects: res.Metrics.Counters["svc.tenant."+n+".quota_rejects"],
 		}
-		nodes := make([]int, shards)
-		for i := range nodes {
-			nodes[i] = clients + i
-		}
-		front = svc.NewFront(s, cluster.Fabric(), nodes)
-		cfg := svc.TenantConfig{Weight: 1, BurstBytes: float64(int64(blocks) * blockBytes)}
-		for t := 0; t < tenants; t++ {
-			if _, err := s.RegisterTenant(fmt.Sprintf("tenant%02d", t), cfg); err != nil {
-				setupErr = err
-				return
+		for _, d := range res.Steps[n] {
+			if ms := float64(d) / 1e6; ms > tr.WorstStepMs {
+				tr.WorstStepMs = ms
 			}
 		}
-		if noisy {
-			if _, err := s.RegisterTenant("noisy", cfg); err != nil {
-				setupErr = err
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		return sessionResult{}, err
+		rep.Tenant = append(rep.Tenant, tr)
 	}
-	if setupErr != nil {
-		return sessionResult{}, setupErr
-	}
-
-	res := sessionResult{stalls: make(map[string]time.Duration)}
-	block := make([]byte, blockBytes)
-	errs := make([]error, tenants+1)
-	remaining := tenants
-	for t := 0; t < tenants; t++ {
-		t := t
-		name := fmt.Sprintf("tenant%02d", t)
-		k.Spawn(name, func(p *sim.Proc) {
-			defer func() { remaining-- }()
-			c := front.Connect(name, t)
-			if off := compute * time.Duration(t) / time.Duration(tenants); off > 0 {
-				p.Sleep(off)
-			}
-			for step := 0; step < steps; step++ {
-				if compute > 0 {
-					p.Sleep(compute)
-				}
-				start := p.Now()
-				for b := 0; b < blocks; b++ {
-					if err := c.Put(fmt.Sprintf("step%03d/block%03d", step, b), block); err != nil {
-						errs[t] = err
-						return
-					}
-				}
-				if err := c.Barrier(); err != nil {
-					errs[t] = err
-					return
-				}
-				if d := p.Now().Sub(start); d > res.stalls[name] {
-					res.stalls[name] = d
-				}
-			}
-			if end := p.Now().Duration(); end > res.makespan {
-				res.makespan = end
-			}
-		})
-	}
-	if noisy {
-		gap := time.Duration(float64(blockBytes) / noisyRate * float64(time.Second))
-		k.Spawn("noisy", func(p *sim.Proc) {
-			c := front.Connect("noisy", tenants)
-			for sent := int64(0); remaining > 0; {
-				err := c.Put(fmt.Sprintf("junk%08d", sent), block)
-				if err != nil {
-					if qe, ok := err.(*svc.QuotaError); ok {
-						p.Sleep(qe.RetryAfter)
-						continue
-					}
-					errs[tenants] = err
-					return
-				}
-				sent += blockBytes
-				p.Sleep(gap)
-			}
-		})
-	}
-	if err := k.Run(); err != nil {
-		return sessionResult{}, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return sessionResult{}, err
-		}
-	}
-	for _, d := range res.stalls {
-		if d > res.p99 {
-			res.p99 = d
-		}
-	}
-	res.health = s.ShardStatuses()
-	res.snap = cluster.Obs().Snapshot().Merge(reg.Snapshot())
-	return res, nil
+	return rep
 }
 
 // runDir hosts the service over a real directory and drives one short
 // session per tenant through the in-process transport. The layout —
 // shard-NNN stores plus SERVICE.json — is what lsmioctl's service mode
 // inspects.
-func runDir(dir string, shards, tenants, steps, blocks int, blockBytes int64, fair bool, ioBW float64) (sessionResult, error) {
+func runDir(dir string, sess bench.ServiceSession) (bench.ServiceResult, error) {
 	fs, err := vfs.NewOSFS(dir)
 	if err != nil {
-		return sessionResult{}, err
+		return bench.ServiceResult{}, err
 	}
 	reg := obs.NewRegistry()
 	var sched *iosched.Scheduler
-	if ioBW > 0 {
+	if sess.IOSchedBW > 0 {
 		// Wall-clock mode: every shard's engine paces against the same
 		// real-time budget.
-		sched = iosched.New(iosched.Config{BytesPerSec: ioBW, Obs: reg})
+		sched = iosched.New(iosched.Config{BytesPerSec: sess.IOSchedBW, Obs: reg})
 	}
 	s, err := svc.New(svc.Options{
-		Shards: shards,
+		Shards: sess.Shards,
 		OpenShard: func(i int) (*core.Manager, error) {
 			return core.NewManager(svc.ShardDirName(i), core.ManagerOptions{
 				Store: core.StoreOptions{FS: fs, Async: true, IOSched: sched},
@@ -392,32 +241,32 @@ func runDir(dir string, shards, tenants, steps, blocks int, blockBytes int64, fa
 			})
 		},
 		Obs:        reg,
-		Admission:  svc.AdmissionConfig{Disabled: !fair},
+		Admission:  svc.AdmissionConfig{Disabled: !sess.Fair},
 		ManifestFS: fs,
 		IOSched:    sched,
 	})
 	if err != nil {
-		return sessionResult{}, err
+		return bench.ServiceResult{}, err
 	}
-	res := sessionResult{stalls: make(map[string]time.Duration)}
-	block := make([]byte, blockBytes)
-	errs := make([]error, tenants)
+	res := bench.ServiceResult{Steps: make(map[string][]time.Duration)}
+	block := make([]byte, sess.BlockBytes)
+	errs := make([]error, sess.Tenants)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	start := time.Now()
-	for t := 0; t < tenants; t++ {
+	for t := 0; t < sess.Tenants; t++ {
 		name := fmt.Sprintf("tenant%02d", t)
 		tn, err := s.RegisterTenant(name, svc.TenantConfig{Weight: 1})
 		if err != nil {
-			return sessionResult{}, err
+			return bench.ServiceResult{}, err
 		}
 		wg.Add(1)
 		t := t
 		go func() {
 			defer wg.Done()
-			for step := 0; step < steps; step++ {
+			for step := 0; step < sess.Steps; step++ {
 				stepStart := time.Now()
-				for b := 0; b < blocks; b++ {
+				for b := 0; b < sess.Blocks; b++ {
 					if err := tn.Put(fmt.Sprintf("step%03d/block%03d", step, b), block); err != nil {
 						errs[t] = err
 						return
@@ -428,29 +277,24 @@ func runDir(dir string, shards, tenants, steps, blocks int, blockBytes int64, fa
 					return
 				}
 				mu.Lock()
-				if d := time.Since(stepStart); d > res.stalls[name] {
-					res.stalls[name] = d
-				}
+				res.Steps[name] = append(res.Steps[name], time.Since(stepStart))
 				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	res.makespan = time.Since(start)
+	res.Makespan = time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return sessionResult{}, err
+			return bench.ServiceResult{}, err
 		}
 	}
-	for _, d := range res.stalls {
-		if d > res.p99 {
-			res.p99 = d
-		}
-	}
-	res.health = s.ShardStatuses()
+	total := float64(sess.Tenants) * float64(sess.Steps) * float64(int64(sess.Blocks)*sess.BlockBytes)
+	res.Aggregate = total / res.Makespan.Seconds()
+	res.Shards = s.ShardStatuses()
 	if err := s.Close(); err != nil {
-		return sessionResult{}, err
+		return bench.ServiceResult{}, err
 	}
-	res.snap = reg.Snapshot()
+	res.Metrics = reg.Snapshot()
 	return res, nil
 }

@@ -80,12 +80,11 @@ func main() {
 	fmt.Printf("FStream:    %q\n", content)
 
 	// --- counters -------------------------------------------------------
-	c := mgr.Counters()
-	engine := mgr.Obs().Snapshot().Counters
+	c := mgr.Obs().Snapshot().Counters
 	fmt.Printf("counters:   puts=%d gets=%d appends=%d barriers=%d bytes=%d\n",
-		c.Puts, c.Gets, c.Appends, c.Barriers, c.BytesPut)
+		c["core.puts"], c["core.gets"], c["core.appends"], c["core.barriers"], c["core.bytes_put"])
 	fmt.Printf("engine:     flushes=%d bytesFlushed=%d walBytes=%d\n",
-		engine["lsm.flush.count"], engine["lsm.flush.bytes"], engine["lsm.wal.bytes"])
+		c["lsm.flush.count"], c["lsm.flush.bytes"], c["lsm.wal.bytes"])
 	if err := mgr.Close(); err != nil {
 		log.Fatal(err)
 	}

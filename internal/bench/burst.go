@@ -9,7 +9,6 @@ import (
 	"lsmio/internal/core"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
-	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -62,7 +61,7 @@ func ExtBurst() Figure {
 }
 
 func runBurstFigure(f Figure, scale Scale, progress func(string)) (*FigureResult, error) {
-	fr := &FigureResult{Figure: f}
+	e := newEmitter(f, progress)
 	for _, nodes := range scale.Nodes {
 		// Calibrate the compute phase per node count: 1.2× the probe's
 		// per-step synchronous stall, so compute roughly covers a
@@ -81,8 +80,8 @@ func runBurstFigure(f Figure, scale Scale, progress func(string)) (*FigureResult
 		if err != nil {
 			return nil, fmt.Errorf("ext-burst staged n=%d: %w", nodes, err)
 		}
-		fr.addMetrics("sync", syncSnap)
-		fr.addMetrics("burst", stagedSnap)
+		e.fr.addMetrics("sync", syncSnap)
+		e.fr.addMetrics("burst", stagedSnap)
 
 		bytes := float64(int64(nodes) * scale.PerRankBytes * burstSteps)
 		for _, m := range []struct {
@@ -97,41 +96,39 @@ func runBurstFigure(f Figure, scale Scale, progress func(string)) (*FigureResult
 			if m.d <= 0 {
 				return nil, fmt.Errorf("ext-burst %s n=%d: zero latency", m.series, nodes)
 			}
-			fr.Points = append(fr.Points, Point{
-				Series:      m.series,
-				Transfer:    kb64,
-				StripeCount: 4,
-				Nodes:       nodes,
-				BW:          bytes / m.d.Seconds(),
-			})
-			if progress != nil {
-				progress(fmt.Sprintf("%s %-13s n=%-2d  %10v  (%9.1f MB/s effective)",
-					f.ID, m.series, nodes, m.d.Round(time.Microsecond), bytes/m.d.Seconds()/1e6))
-			}
+			e.point(m.series, nodes, bytes/m.d.Seconds(), "%-13s n=%-2d  %10v  (%9.1f MB/s effective)",
+				m.series, nodes, m.d.Round(time.Microsecond), bytes/m.d.Seconds()/1e6)
 		}
 	}
-	return fr, nil
+	return e.fr, nil
 }
 
-// writeBurstStep writes one checkpoint step's variables through any
-// two-phase writer and commits it, returning the time the caller was
-// blocked (write + commit, excluding compute).
-func writeBurstStep(p *sim.Proc, tp ckpt.TwoPhase, step int64, perRank int64) (time.Duration, error) {
+// burstRank runs one rank's checkpoint cadence through tp — compute,
+// then burstVars variables written and committed, burstSteps times —
+// and returns the time the rank was blocked in writes and commits.
+func burstRank(p *sim.Proc, tp ckpt.TwoPhase, perRank int64, compute time.Duration) (time.Duration, error) {
 	payload := make([]byte, perRank/burstVars)
-	start := p.Now()
-	w, err := tp.Begin(step)
-	if err != nil {
-		return 0, err
-	}
-	for v := 0; v < burstVars; v++ {
-		if err := w.Write(fmt.Sprintf("var%02d", v), payload); err != nil {
+	var stalled time.Duration
+	for step := int64(1); step <= burstSteps; step++ {
+		if compute > 0 {
+			p.Sleep(compute)
+		}
+		start := p.Now()
+		w, err := tp.Begin(step)
+		if err != nil {
 			return 0, err
 		}
+		for v := 0; v < burstVars; v++ {
+			if err := w.Write(fmt.Sprintf("var%02d", v), payload); err != nil {
+				return 0, err
+			}
+		}
+		if err := w.Commit(); err != nil {
+			return 0, err
+		}
+		stalled += p.Now().Sub(start)
 	}
-	if err := w.Commit(); err != nil {
-		return 0, err
-	}
-	return p.Now().Sub(start), nil
+	return stalled, nil
 }
 
 // runBurstSync runs the synchronous baseline: every rank checkpoints
@@ -139,54 +136,26 @@ func writeBurstStep(p *sim.Proc, tp ckpt.TwoPhase, step int64, perRank int64) (t
 // commit stall, the end-to-end completion time and the cluster's
 // registry snapshot.
 func runBurstSync(nodes int, scale Scale, compute time.Duration) (time.Duration, time.Duration, obs.Snapshot, error) {
-	k := sim.NewKernel()
-	rtm := rt.Sim(k)
-	cluster := pfs.NewCluster(k, pfs.VikingConfig(nodes))
+	s := newSimRun(pfs.VikingConfig(nodes))
 	stalls := make([]time.Duration, nodes)
-	errs := make([]error, nodes)
 	var total time.Duration
-	for r := 0; r < nodes; r++ {
-		r := r
-		k.Spawn(fmt.Sprintf("sync-rank%02d", r), func(p *sim.Proc) {
-			errs[r] = func() error {
-				mgr, err := core.NewManager(fmt.Sprintf("sync/rank%03d", r), core.ManagerOptions{
-					Store: core.StoreOptions{
-						FS:              cluster.Client(r),
-						Async:           true,
-						WriteBufferSize: scale.BufferSize,
-					},
-					Runtime: rtm,
-				})
-				if err != nil {
-					return err
-				}
-				tp := ckpt.Direct{Store: ckpt.New(mgr, ckpt.Options{})}
-				for step := int64(1); step <= burstSteps; step++ {
-					if compute > 0 {
-						p.Sleep(compute)
-					}
-					stall, err := writeBurstStep(p, tp, step, scale.PerRankBytes)
-					if err != nil {
-						return err
-					}
-					stalls[r] += stall
-				}
-				if end := p.Now().Duration(); end > total {
-					total = end
-				}
-				return mgr.Close()
-			}()
-		})
-	}
-	if err := k.Run(); err != nil {
+	s.ranks("sync-rank", nodes, func(p *sim.Proc, r int) error {
+		mgr, err := s.manager(fmt.Sprintf("sync/rank%03d", r), s.cluster.Client(r), scale.BufferSize, nil, nil)
+		if err != nil {
+			return err
+		}
+		if stalls[r], err = burstRank(p, ckpt.Direct{Store: ckpt.New(mgr, ckpt.Options{})}, scale.PerRankBytes, compute); err != nil {
+			return err
+		}
+		if end := p.Now().Duration(); end > total {
+			total = end
+		}
+		return mgr.Close()
+	})
+	if err := s.run(); err != nil {
 		return 0, 0, obs.Snapshot{}, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, obs.Snapshot{}, err
-		}
-	}
-	return maxDuration(stalls), total, cluster.Obs().Snapshot(), nil
+	return maxDuration(stalls), total, s.cluster.Obs().Snapshot(), nil
 }
 
 // runBurstStaged runs the staging tier: every rank checkpoints into an
@@ -196,82 +165,54 @@ func runBurstSync(nodes int, scale Scale, compute time.Duration) (time.Duration,
 // run's registry snapshot (the cluster's `pfs.*` instruments merged
 // with the ranks' shared `burst.*` tier instruments).
 func runBurstStaged(nodes int, scale Scale, compute time.Duration) (time.Duration, time.Duration, obs.Snapshot, error) {
-	k := sim.NewKernel()
-	rtm := rt.Sim(k)
-	cluster := pfs.NewCluster(k, pfs.VikingConfig(nodes))
+	s := newSimRun(pfs.VikingConfig(nodes))
 	// One registry shared by every rank's tier, so the drain counters and
 	// lag histogram aggregate across the whole run.
-	tierReg := obs.NewRegistryOn(rtm.Now)
+	tierReg := obs.NewRegistryOn(s.rtm.Now)
 	stalls := make([]time.Duration, nodes)
-	errs := make([]error, nodes)
 	var durable time.Duration
-	for r := 0; r < nodes; r++ {
-		r := r
-		k.Spawn(fmt.Sprintf("burst-rank%02d", r), func(p *sim.Proc) {
-			errs[r] = func() error {
-				smgr, err := core.NewManager(fmt.Sprintf("stage/rank%03d", r), core.ManagerOptions{
-					Store: core.StoreOptions{
-						FS:              vfs.NewMemFS(),
-						WriteBufferSize: scale.BufferSize,
-					},
-					Runtime: rtm,
-				})
-				if err != nil {
-					return err
-				}
-				dmgr, err := core.NewManager(fmt.Sprintf("burst/rank%03d", r), core.ManagerOptions{
-					Store: core.StoreOptions{
-						FS:              cluster.Client(r),
-						Async:           true,
-						WriteBufferSize: scale.BufferSize,
-					},
-					Runtime: rtm,
-				})
-				if err != nil {
-					return err
-				}
-				tier := burst.New(
-					ckpt.New(smgr, ckpt.Options{}),
-					ckpt.New(dmgr, ckpt.Options{}),
-					burst.Options{StagingBudget: 4 * scale.PerRankBytes, Runtime: rtm, Obs: tierReg},
-				)
-				tier.StartWorker()
-				tp := tier.TwoPhase()
-				for step := int64(1); step <= burstSteps; step++ {
-					if compute > 0 {
-						p.Sleep(compute)
-					}
-					stall, err := writeBurstStep(p, tp, step, scale.PerRankBytes)
-					if err != nil {
-						return err
-					}
-					stalls[r] += stall
-				}
-				if err := tier.Sync(); err != nil {
-					return err
-				}
-				if end := p.Now().Duration(); end > durable {
-					durable = end
-				}
-				if err := tier.Close(); err != nil {
-					return err
-				}
-				if err := smgr.Close(); err != nil {
-					return err
-				}
-				return dmgr.Close()
-			}()
+	s.ranks("burst-rank", nodes, func(p *sim.Proc, r int) error {
+		smgr, err := core.NewManager(fmt.Sprintf("stage/rank%03d", r), core.ManagerOptions{
+			Store: core.StoreOptions{
+				FS:              vfs.NewMemFS(),
+				WriteBufferSize: scale.BufferSize,
+			},
+			Runtime: s.rtm,
 		})
-	}
-	if err := k.Run(); err != nil {
+		if err != nil {
+			return err
+		}
+		dmgr, err := s.manager(fmt.Sprintf("burst/rank%03d", r), s.cluster.Client(r), scale.BufferSize, nil, nil)
+		if err != nil {
+			return err
+		}
+		tier := burst.New(
+			ckpt.New(smgr, ckpt.Options{}),
+			ckpt.New(dmgr, ckpt.Options{}),
+			burst.Options{StagingBudget: 4 * scale.PerRankBytes, Runtime: s.rtm, Obs: tierReg},
+		)
+		tier.StartWorker()
+		if stalls[r], err = burstRank(p, tier.TwoPhase(), scale.PerRankBytes, compute); err != nil {
+			return err
+		}
+		if err := tier.Sync(); err != nil {
+			return err
+		}
+		if end := p.Now().Duration(); end > durable {
+			durable = end
+		}
+		if err := tier.Close(); err != nil {
+			return err
+		}
+		if err := smgr.Close(); err != nil {
+			return err
+		}
+		return dmgr.Close()
+	})
+	if err := s.run(); err != nil {
 		return 0, 0, obs.Snapshot{}, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return 0, 0, obs.Snapshot{}, err
-		}
-	}
-	return maxDuration(stalls), durable, cluster.Obs().Snapshot().Merge(tierReg.Snapshot()), nil
+	return maxDuration(stalls), durable, s.cluster.Obs().Snapshot().Merge(tierReg.Snapshot()), nil
 }
 
 func maxDuration(ds []time.Duration) time.Duration {

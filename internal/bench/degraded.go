@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
-	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -84,7 +82,7 @@ type degradedMode struct {
 }
 
 func runDegradedFigure(f Figure, scale Scale, progress func(string)) (*FigureResult, error) {
-	fr := &FigureResult{Figure: f}
+	e := newEmitter(f, progress)
 	modes := []degradedMode{
 		{name: "healthy", hedge: true},
 		{name: "dead-1", dead: true, hedge: true},
@@ -97,38 +95,20 @@ func runDegradedFigure(f Figure, scale Scale, progress func(string)) (*FigureRes
 			if err != nil {
 				return nil, fmt.Errorf("ext-degraded %s n=%d: %w", m.name, nodes, err)
 			}
-			fr.addMetrics(m.name, snap)
+			e.fr.addMetrics(m.name, snap)
 			if total <= 0 || p99 <= 0 {
 				return nil, fmt.Errorf("ext-degraded %s n=%d: zero latency", m.name, nodes)
 			}
 			bytes := float64(int64(nodes) * scale.PerRankBytes * degradedSteps)
-			fr.Points = append(fr.Points, Point{
-				Series:      m.name,
-				Transfer:    kb64,
-				StripeCount: 4,
-				Nodes:       nodes,
-				BW:          bytes / total.Seconds(),
-			})
-			if progress != nil {
-				progress(fmt.Sprintf("%s %-14s n=%-2d  %10v  (%9.1f MB/s effective)",
-					f.ID, m.name, nodes, total.Round(time.Microsecond), bytes/total.Seconds()/1e6))
-			}
+			e.point(m.name, nodes, bytes/total.Seconds(), "%-14s n=%-2d  %10v  (%9.1f MB/s effective)",
+				m.name, nodes, total.Round(time.Microsecond), bytes/total.Seconds()/1e6)
 			if m.name == "healthy" || m.name == "slow-1" {
-				fr.Points = append(fr.Points, Point{
-					Series:      m.name + "-p99",
-					Transfer:    kb64,
-					StripeCount: 4,
-					Nodes:       nodes,
-					BW:          float64(scale.PerRankBytes) / p99.Seconds(),
-				})
-				if progress != nil {
-					progress(fmt.Sprintf("%s %-14s n=%-2d  %10v  (p99 commit)",
-						f.ID, m.name+"-p99", nodes, p99.Round(time.Microsecond)))
-				}
+				e.point(m.name+"-p99", nodes, float64(scale.PerRankBytes)/p99.Seconds(), "%-14s n=%-2d  %10v  (p99 commit)",
+					m.name+"-p99", nodes, p99.Round(time.Microsecond))
 			}
 		}
 	}
-	return fr, nil
+	return e.fr, nil
 }
 
 // degradedClusterConfig shrinks the Viking cluster so one OST is a
@@ -148,9 +128,8 @@ func degradedClusterConfig(nodes int) pfs.Config {
 // RestoreLatest on every rank's store (degraded reads), a scrub that
 // rebuilds the lost stripes onto spares, and a clean re-read after.
 func runDegradedMode(nodes int, scale Scale, m degradedMode) (time.Duration, time.Duration, obs.Snapshot, error) {
-	k := sim.NewKernel()
-	rtm := rt.Sim(k)
-	cluster := pfs.NewCluster(k, degradedClusterConfig(nodes))
+	s := newSimRun(degradedClusterConfig(nodes))
+	cluster := s.cluster
 	cluster.EnableResilience(pfs.Resilience{
 		Hedge:  m.hedge,
 		Parity: true,
@@ -163,83 +142,50 @@ func runDegradedMode(nodes int, scale Scale, m degradedMode) (time.Duration, tim
 		cluster.SetOSTHealth(degradedVictim, pfs.OSTDegraded, degradedSlowdown)
 	}
 
-	errs := make([]error, nodes)
 	mgrs := make([]*core.Manager, nodes)
 	stores := make([]*ckpt.Store, nodes)
 	var commits []time.Duration
 	var total time.Duration
-	for r := 0; r < nodes; r++ {
-		r := r
-		k.Spawn(fmt.Sprintf("deg-rank%02d", r), func(p *sim.Proc) {
-			errs[r] = func() error {
-				mgr, err := core.NewManager(fmt.Sprintf("deg/rank%03d", r), core.ManagerOptions{
-					Store: core.StoreOptions{
-						FS:              cluster.ResilientClient(r),
-						Async:           true,
-						WriteBufferSize: scale.BufferSize,
-					},
-					Runtime: rtm,
-				})
-				if err != nil {
-					return err
-				}
-				mgrs[r] = mgr
-				stores[r] = ckpt.New(mgr, ckpt.Options{})
-				tp := ckpt.Direct{Store: stores[r]}
-				for step := int64(1); step <= degradedSteps; step++ {
-					start := p.Now()
-					if err := writeDegradedStep(tp, step, scale.PerRankBytes); err != nil {
-						return fmt.Errorf("rank %d step %d: %w", r, step, err)
-					}
-					commits = append(commits, p.Now().Sub(start))
-					if m.dead && r == 0 && step == degradedSteps/2 {
-						cluster.SetOSTHealth(degradedVictim, pfs.OSTDead, 0)
-					}
-				}
-				if end := p.Now().Duration(); end > total {
-					total = end
-				}
-				return nil
-			}()
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, 0, obs.Snapshot{}, err
-	}
-	for _, err := range errs {
+	s.ranks("deg-rank", nodes, func(p *sim.Proc, r int) error {
+		mgr, err := s.manager(fmt.Sprintf("deg/rank%03d", r), cluster.ResilientClient(r), scale.BufferSize, nil, nil)
 		if err != nil {
-			return 0, 0, obs.Snapshot{}, err
+			return err
 		}
+		mgrs[r] = mgr
+		stores[r] = ckpt.New(mgr, ckpt.Options{})
+		for step := int64(1); step <= degradedSteps; step++ {
+			start := p.Now()
+			if err := writeStep(stores[r], step, degradedVars, scale.PerRankBytes); err != nil {
+				return fmt.Errorf("rank %d step %d: %w", r, step, err)
+			}
+			commits = append(commits, p.Now().Sub(start))
+			if m.dead && r == 0 && step == degradedSteps/2 {
+				cluster.SetOSTHealth(degradedVictim, pfs.OSTDead, 0)
+			}
+		}
+		if end := p.Now().Duration(); end > total {
+			total = end
+		}
+		return nil
+	})
+	if err := s.run(); err != nil {
+		return 0, 0, obs.Snapshot{}, err
 	}
 	// Snapshot the measured window before validation/teardown I/O runs.
 	snap := cluster.Obs().Snapshot()
 
 	// Validation and teardown run in a second simulation pass so they
 	// never pollute the measured window.
-	var vErr error
-	k.Spawn("deg-validate", func(p *sim.Proc) {
-		vErr = func() error {
-			if m.dead {
-				if err := validateDegradedRecovery(cluster, stores, scale); err != nil {
-					return err
-				}
+	s.spawn("deg-validate", func(p *sim.Proc) error {
+		if m.dead {
+			if err := validateDegradedRecovery(cluster, stores, scale); err != nil {
+				return err
 			}
-			for _, mgr := range mgrs {
-				if mgr == nil {
-					continue
-				}
-				if err := mgr.Close(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
+		}
+		return closeAll(mgrs)
 	})
-	if err := k.Run(); err != nil {
+	if err := s.run(); err != nil {
 		return 0, 0, obs.Snapshot{}, err
-	}
-	if vErr != nil {
-		return 0, 0, obs.Snapshot{}, vErr
 	}
 	return total, quantileDuration(commits, 0.99), snap, nil
 }
@@ -273,40 +219,7 @@ func checkDegradedRestore(store *ckpt.Store, rank int, scale Scale) error {
 	if err != nil {
 		return fmt.Errorf("rank %d restore: %w", rank, err)
 	}
-	if step != degradedSteps {
-		return fmt.Errorf("rank %d restored step %d, want %d", rank, step, degradedSteps)
-	}
-	for v := 0; v < degradedVars; v++ {
-		name := fmt.Sprintf("var%02d", v)
-		want := degradedPayload(step, v, scale.PerRankBytes/degradedVars)
-		if !bytes.Equal(state[name], want) {
-			return fmt.Errorf("rank %d step %d %s corrupted after degradation", rank, step, name)
-		}
-	}
-	return nil
-}
-
-// writeDegradedStep commits one checkpoint step of patterned payloads
-// (so restore validation detects corruption, not just presence).
-func writeDegradedStep(tp ckpt.TwoPhase, step int64, perRank int64) error {
-	w, err := tp.Begin(step)
-	if err != nil {
-		return err
-	}
-	for v := 0; v < degradedVars; v++ {
-		if err := w.Write(fmt.Sprintf("var%02d", v), degradedPayload(step, v, perRank/degradedVars)); err != nil {
-			return err
-		}
-	}
-	return w.Commit()
-}
-
-func degradedPayload(step int64, v int, n int64) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte(int64(i) + step*31 + int64(v)*7)
-	}
-	return b
+	return checkStep(rank, step, degradedSteps, state, degradedVars, scale.PerRankBytes)
 }
 
 func quantileDuration(ds []time.Duration, q float64) time.Duration {

@@ -7,7 +7,6 @@ import (
 	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
-	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -135,20 +134,12 @@ func ExtPipeline() Figure {
 }
 
 func runPipelineFigure(f Figure, scale Scale, progress func(string)) (*FigureResult, error) {
-	fr := &FigureResult{Figure: f}
-	emit := func(series string, nodes int, bw float64, note string) {
-		fr.Points = append(fr.Points, Point{
-			Series:      series,
-			Transfer:    pipeValueSize,
-			StripeCount: 4,
-			Nodes:       nodes,
-			BW:          bw,
-		})
-		if progress != nil {
-			progress(fmt.Sprintf("%s %-14s nodes=%d  %s", f.ID, series, nodes, note))
-		}
+	e := newEmitter(f, progress)
+	// timed emits a point moving bytes in d.
+	timed := func(series string, nodes int, bytes int64, d time.Duration) {
+		bw := float64(bytes) / d.Seconds()
+		e.point(series, nodes, bw, "%-14s nodes=%d  %10v  (%9.1f MB/s)", series, nodes, d.Round(time.Microsecond), bw/1e6)
 	}
-	mbs := func(bytes int64, d time.Duration) float64 { return float64(bytes) / d.Seconds() }
 
 	// Flush: serial baseline, then the encoder-worker sweep.
 	flushBytes := scale.PerRankBytes
@@ -156,19 +147,17 @@ func runPipelineFigure(f Figure, scale Scale, progress func(string)) (*FigureRes
 	if err != nil {
 		return nil, fmt.Errorf("ext-pipeline flush serial: %w", err)
 	}
-	fr.addMetrics("flush-serial", snap)
-	emit("flush-serial", 1, mbs(flushBytes, serialDur),
-		fmt.Sprintf("%10v  (%9.1f MB/s)", serialDur.Round(time.Microsecond), mbs(flushBytes, serialDur)/1e6))
+	e.fr.addMetrics("flush-serial", snap)
+	timed("flush-serial", 1, flushBytes, serialDur)
 	for _, workers := range []int{1, 2, pipeEncodeWorkers} {
 		dur, ioBusy, snap, err := runPipelineFlush(scale, workers)
 		if err != nil {
 			return nil, fmt.Errorf("ext-pipeline flush workers=%d: %w", workers, err)
 		}
-		fr.addMetrics(fmt.Sprintf("flush-piped-%d", workers), snap)
-		emit("flush-piped", workers, mbs(flushBytes, dur),
-			fmt.Sprintf("%10v  (%9.1f MB/s)", dur.Round(time.Microsecond), mbs(flushBytes, dur)/1e6))
+		e.fr.addMetrics(fmt.Sprintf("flush-piped-%d", workers), snap)
+		timed("flush-piped", workers, flushBytes, dur)
 		if workers == pipeEncodeWorkers {
-			emit("io-busy", workers, ioBusy, fmt.Sprintf("write stage busy %4.1f%% of flush", 100*ioBusy))
+			e.point("io-busy", workers, ioBusy, "%-14s nodes=%d  write stage busy %4.1f%% of flush", "io-busy", workers, 100*ioBusy)
 		}
 	}
 
@@ -185,9 +174,8 @@ func runPipelineFigure(f Figure, scale Scale, progress func(string)) (*FigureRes
 		if err != nil {
 			return nil, fmt.Errorf("ext-pipeline %s: %w", c.series, err)
 		}
-		fr.addMetrics(c.series, snap)
-		emit(c.series, 4, mbs(compactBytes, dur),
-			fmt.Sprintf("%10v  (%9.1f MB/s)", dur.Round(time.Microsecond), mbs(compactBytes, dur)/1e6))
+		e.fr.addMetrics(c.series, snap)
+		timed(c.series, 4, compactBytes, dur)
 	}
 
 	// WAL: 8 concurrent Sync writers, per-write fsync vs group commit.
@@ -196,20 +184,17 @@ func runPipelineFigure(f Figure, scale Scale, progress func(string)) (*FigureRes
 	if err != nil {
 		return nil, fmt.Errorf("ext-pipeline wal solo: %w", err)
 	}
-	fr.addMetrics("wal-solo", snap)
-	emit("wal-solo", pipeWALWriters, mbs(walBytes, soloDur),
-		fmt.Sprintf("%10v  (%9.1f MB/s)", soloDur.Round(time.Microsecond), mbs(walBytes, soloDur)/1e6))
+	e.fr.addMetrics("wal-solo", snap)
+	timed("wal-solo", pipeWALWriters, walBytes, soloDur)
 	groupDur, meanCohort, snap, err := runPipelineWAL(scale, true)
 	if err != nil {
 		return nil, fmt.Errorf("ext-pipeline wal grouped: %w", err)
 	}
-	fr.addMetrics("wal-grouped", snap)
-	emit("wal-grouped", pipeWALWriters, mbs(walBytes, groupDur),
-		fmt.Sprintf("%10v  (%9.1f MB/s)", groupDur.Round(time.Microsecond), mbs(walBytes, groupDur)/1e6))
-	emit("wal-group-size", pipeWALWriters, meanCohort,
-		fmt.Sprintf("%5.1f writes per fsync", meanCohort))
+	e.fr.addMetrics("wal-grouped", snap)
+	timed("wal-grouped", pipeWALWriters, walBytes, groupDur)
+	e.point("wal-group-size", pipeWALWriters, meanCohort, "%-14s nodes=%d  %5.1f writes per fsync", "wal-group-size", pipeWALWriters, meanCohort)
 
-	return fr, nil
+	return e.fr, nil
 }
 
 // pipelineFill writes a deterministic incompressible payload (xorshift),
@@ -229,132 +214,79 @@ func pipelineFill(p []byte, seed uint64) {
 // a single flush on the simulated cluster, returning the flush's virtual
 // duration and the fraction of it the pipeline's writer stage was busy.
 func runPipelineFlush(scale Scale, workers int) (time.Duration, float64, obs.Snapshot, error) {
-	k := sim.NewKernel()
-	cluster := pfs.NewCluster(k, pfs.VikingConfig(1))
+	s := newSimRun(pfs.VikingConfig(1))
 	totalPuts := int(scale.PerRankBytes / pipeValueSize)
 
 	var dur time.Duration
 	var ioBusy float64
 	var snap obs.Snapshot
-	var runErr error
-	k.Spawn("pipe-flush", func(p *sim.Proc) {
-		runErr = func() error {
-			opts := lsm.DefaultOptions(cluster.Client(0))
-			opts.Runtime = rt.Sim(k)
-			opts.DisableWAL = true
-			opts.DisableCompaction = true
-			opts.WriteBufferSize = int(2 * scale.PerRankBytes)
-			opts.BlockSize = 64 << 10
-			opts.BitsPerKey = 10
-			opts.EncodeWorkers = workers
-			opts.EncodeCostPerMB = pipeEncodeCostPerMB
-			db, err := lsm.Open("lsmdb", opts)
-			if err != nil {
+	s.spawn("pipe-flush", func(p *sim.Proc) error {
+		opts := lsm.DefaultOptions(s.cluster.Client(0))
+		opts.Runtime = s.rtm
+		opts.DisableWAL = true
+		opts.DisableCompaction = true
+		opts.WriteBufferSize = int(2 * scale.PerRankBytes)
+		opts.BlockSize = 64 << 10
+		opts.BitsPerKey = 10
+		opts.EncodeWorkers = workers
+		opts.EncodeCostPerMB = pipeEncodeCostPerMB
+		db, err := lsm.Open("lsmdb", opts)
+		if err != nil {
+			return err
+		}
+		payload := make([]byte, pipeValueSize-24)
+		for i := 0; i < totalPuts; i++ {
+			pipelineFill(payload, uint64(i)+1)
+			if err := db.Put([]byte(fmt.Sprintf("key%08d", i)), payload); err != nil {
 				return err
 			}
-			payload := make([]byte, pipeValueSize-24)
-			for i := 0; i < totalPuts; i++ {
-				pipelineFill(payload, uint64(i)+1)
-				if err := db.Put([]byte(fmt.Sprintf("key%08d", i)), payload); err != nil {
-					return err
-				}
-			}
-			start := p.Now()
-			if err := db.Flush(); err != nil {
-				return err
-			}
-			dur = p.Now().Sub(start)
-			snap = db.Obs().Snapshot()
-			if dur > 0 {
-				ioBusy = float64(snap.Counters["lsm.pipeline.write.busy_micros"]) /
-					float64(dur/time.Microsecond)
-			}
-			return db.Close()
-		}()
+		}
+		start := p.Now()
+		if err := db.Flush(); err != nil {
+			return err
+		}
+		dur = p.Now().Sub(start)
+		snap = db.Obs().Snapshot()
+		if dur > 0 {
+			ioBusy = float64(snap.Counters["lsm.pipeline.write.busy_micros"]) /
+				float64(dur/time.Microsecond)
+		}
+		return db.Close()
 	})
-	if err := k.Run(); err != nil {
+	if err := s.run(); err != nil {
 		return 0, 0, obs.Snapshot{}, err
 	}
-	return dur, ioBusy, snap, runErr
+	return dur, ioBusy, snap, nil
 }
 
 // runPipelineCompaction drives the overwrite workload from the
-// ext-compaction experiment at 4 background jobs and measures the whole
-// run (writes + background drain), with serial or piped table writers.
+// ext-compaction experiment at 4 background jobs with incompressible
+// values and measures the whole run (writes + background drain), with
+// serial or piped table writers.
 func runPipelineCompaction(scale Scale, workers int) (time.Duration, obs.Snapshot, error) {
-	k := sim.NewKernel()
-	cluster := pfs.NewCluster(k, pfs.VikingConfig(1))
-	buf := 64 * pipeValueSize
-	totalPuts := int(4 * scale.PerRankBytes / pipeValueSize)
-	keyspace := totalPuts / 2
-
-	var total time.Duration
-	var snap obs.Snapshot
-	var runErr error
-	k.Spawn("pipe-compact", func(p *sim.Proc) {
-		runErr = func() error {
-			opts := lsm.DefaultOptions(cluster.Client(0))
-			opts.Runtime = rt.Sim(k)
-			opts.AsyncFlush = true
-			opts.MaxBackgroundJobs = 4
-			opts.MaxImmutableMemtables = 4
-			opts.WriteBufferSize = buf
-			opts.L0CompactionTrigger = 4
-			opts.BaseLevelSize = int64(4 * buf)
-			opts.LevelSizeMultiplier = 4
-			opts.BitsPerKey = 0
-			opts.DisableCompression = true
-			opts.L0SlowdownTrigger = 6
-			opts.SlowdownDelay = 2 * time.Millisecond
-			opts.SoftPendingCompactionBytes = int64(16 * buf)
-			opts.L0StopTrigger = 12
-			opts.EncodeWorkers = workers
-			opts.EncodeCostPerMB = pipeEncodeCostPerMB
-			db, err := lsm.Open("lsmdb", opts)
-			if err != nil {
-				return err
-			}
-			payload := make([]byte, pipeValueSize-24)
-			pipelineFill(payload, 42)
-			for i := 0; i < totalPuts; i++ {
-				key := fmt.Sprintf("key%08d", i%keyspace)
-				if err := db.Put([]byte(key), payload); err != nil {
-					return err
-				}
-			}
-			if err := db.Flush(); err != nil {
-				return err
-			}
-			if err := db.WaitBackground(); err != nil {
-				return err
-			}
-			total = p.Now().Duration()
-			snap = db.Obs().Snapshot()
-			return db.Close()
-		}()
+	payload := make([]byte, pipeValueSize-24)
+	pipelineFill(payload, 42)
+	total, _, snap, err := runOverwrite(scale, 4, true, payload, func(o *lsm.Options) {
+		o.EncodeWorkers = workers
+		o.EncodeCostPerMB = pipeEncodeCostPerMB
 	})
-	if err := k.Run(); err != nil {
-		return 0, obs.Snapshot{}, err
-	}
-	return total, snap, runErr
+	return total, snap, err
 }
 
 // runPipelineWAL runs 8 concurrent Sync writers against one store and
 // measures the virtual time until the last write is acknowledged,
 // returning also the mean cohort size (writes per fsync).
 func runPipelineWAL(scale Scale, grouped bool) (time.Duration, float64, obs.Snapshot, error) {
-	k := sim.NewKernel()
-	cluster := pfs.NewCluster(k, pfs.VikingConfig(1))
+	s := newSimRun(pfs.VikingConfig(1))
 	totalPuts := int(scale.PerRankBytes / pipeWALValueSize)
 	perWriter := totalPuts / pipeWALWriters
 
 	var total time.Duration
 	var meanCohort float64
 	var snap obs.Snapshot
-	var runErr error
-	k.Spawn("wal-setup", func(p *sim.Proc) {
-		opts := lsm.DefaultOptions(cluster.Client(0))
-		opts.Runtime = rt.Sim(k)
+	s.spawn("wal-setup", func(p *sim.Proc) error {
+		opts := lsm.DefaultOptions(s.cluster.Client(0))
+		opts.Runtime = s.rtm
 		opts.Sync = true
 		opts.DisableWALGroupCommit = !grouped
 		opts.DisableCompaction = true
@@ -363,40 +295,38 @@ func runPipelineWAL(scale Scale, grouped bool) (time.Duration, float64, obs.Snap
 		opts.WriteBufferSize = int(4 * scale.PerRankBytes)
 		db, err := lsm.Open("lsmdb", opts)
 		if err != nil {
-			runErr = err
-			return
+			return err
 		}
 		finished := 0
-		for w := 0; w < pipeWALWriters; w++ {
-			w := w
-			k.Spawn(fmt.Sprintf("wal-writer%d", w), func(p *sim.Proc) {
+		s.ranks("wal-writer", pipeWALWriters, func(p *sim.Proc, w int) error {
+			err := func() error {
 				payload := make([]byte, pipeWALValueSize-32)
 				pipelineFill(payload, uint64(w)+7)
 				for i := 0; i < perWriter; i++ {
 					key := fmt.Sprintf("w%02dk%06d", w, i)
 					if err := db.Put([]byte(key), payload); err != nil {
-						if runErr == nil {
-							runErr = fmt.Errorf("writer %d: %w", w, err)
-						}
-						break
+						return fmt.Errorf("writer %d: %w", w, err)
 					}
 				}
-				finished++
-				if finished == pipeWALWriters {
-					total = p.Now().Duration()
-					snap = db.Obs().Snapshot()
-					if syncs := snap.Counters["lsm.wal.syncs"]; syncs > 0 {
-						meanCohort = float64(snap.Counters["lsm.puts"]) / float64(syncs)
-					}
-					if err := db.Close(); err != nil && runErr == nil {
-						runErr = err
-					}
+				return nil
+			}()
+			finished++
+			if finished == pipeWALWriters {
+				total = p.Now().Duration()
+				snap = db.Obs().Snapshot()
+				if syncs := snap.Counters["lsm.wal.syncs"]; syncs > 0 {
+					meanCohort = float64(snap.Counters["lsm.puts"]) / float64(syncs)
 				}
-			})
-		}
+				if cerr := db.Close(); err == nil {
+					err = cerr
+				}
+			}
+			return err
+		})
+		return nil
 	})
-	if err := k.Run(); err != nil {
+	if err := s.run(); err != nil {
 		return 0, 0, obs.Snapshot{}, err
 	}
-	return total, meanCohort, snap, runErr
+	return total, meanCohort, snap, nil
 }

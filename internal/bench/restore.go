@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"lsmio/internal/core"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
-	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -97,7 +95,7 @@ type restoreMode struct {
 }
 
 func runRestoreFigure(f Figure, scale Scale, progress func(string)) (*FigureResult, error) {
-	fr := &FigureResult{Figure: f}
+	e := newEmitter(f, progress)
 	modes := []restoreMode{
 		{name: "serial", parallel: 1},
 		{name: "parallel-4", parallel: 4},
@@ -110,25 +108,16 @@ func runRestoreFigure(f Figure, scale Scale, progress func(string)) (*FigureResu
 			if err != nil {
 				return nil, fmt.Errorf("ext-restore %s n=%d: %w", m.name, nodes, err)
 			}
-			fr.addMetrics(m.name, snap)
+			e.fr.addMetrics(m.name, snap)
 			if elapsed <= 0 {
 				return nil, fmt.Errorf("ext-restore %s n=%d: zero restore time", m.name, nodes)
 			}
 			bytes := float64(int64(nodes) * scale.PerRankBytes)
-			fr.Points = append(fr.Points, Point{
-				Series:      m.name,
-				Transfer:    kb64,
-				StripeCount: 4,
-				Nodes:       nodes,
-				BW:          bytes / elapsed.Seconds(),
-			})
-			if progress != nil {
-				progress(fmt.Sprintf("%s %-11s n=%-2d  %10v  (%9.1f MB/s effective)",
-					f.ID, m.name, nodes, elapsed.Round(time.Microsecond), bytes/elapsed.Seconds()/1e6))
-			}
+			e.point(m.name, nodes, bytes/elapsed.Seconds(), "%-11s n=%-2d  %10v  (%9.1f MB/s effective)",
+				m.name, nodes, elapsed.Round(time.Microsecond), bytes/elapsed.Seconds()/1e6)
 		}
 	}
-	return fr, nil
+	return e.fr, nil
 }
 
 // runRestoreMode writes restoreSteps checkpoints per rank, optionally
@@ -136,58 +125,28 @@ func runRestoreFigure(f Figure, scale Scale, progress func(string)) (*FigureResu
 // pipeline and returns the restore phase's virtual elapsed time plus a
 // metrics snapshot (pfs + ckpt restore latency quantiles).
 func runRestoreMode(nodes int, scale Scale, m restoreMode) (time.Duration, obs.Snapshot, error) {
-	k := sim.NewKernel()
-	rtm := rt.Sim(k)
-	cluster := pfs.NewCluster(k, degradedClusterConfig(nodes))
+	s := newSimRun(degradedClusterConfig(nodes))
+	cluster := s.cluster
 	cluster.EnableResilience(pfs.Resilience{Hedge: true, Parity: true})
 
-	errs := make([]error, nodes)
 	mgrs := make([]*core.Manager, nodes)
 	stores := make([]*ckpt.Store, nodes)
-	for r := 0; r < nodes; r++ {
-		r := r
-		k.Spawn(fmt.Sprintf("res-write%02d", r), func(p *sim.Proc) {
-			errs[r] = func() error {
-				mgr, err := core.NewManager(fmt.Sprintf("res/rank%03d", r), core.ManagerOptions{
-					Store: core.StoreOptions{
-						FS:              cluster.ResilientClient(r),
-						Async:           true,
-						WriteBufferSize: scale.BufferSize,
-					},
-					Runtime: rtm,
-					Obs:     cluster.Obs(),
-				})
-				if err != nil {
-					return err
-				}
-				mgrs[r] = mgr
-				stores[r] = ckpt.New(mgr, ckpt.Options{})
-				for step := int64(1); step <= restoreSteps; step++ {
-					w, err := stores[r].Begin(step)
-					if err != nil {
-						return err
-					}
-					for v := 0; v < restoreVars; v++ {
-						name := fmt.Sprintf("var%02d", v)
-						if err := w.Write(name, degradedPayload(step, v, scale.PerRankBytes/restoreVars)); err != nil {
-							return err
-						}
-					}
-					if err := w.Commit(); err != nil {
-						return err
-					}
-				}
-				return nil
-			}()
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, obs.Snapshot{}, err
-	}
-	for _, err := range errs {
+	s.ranks("res-write", nodes, func(p *sim.Proc, r int) error {
+		mgr, err := s.manager(fmt.Sprintf("res/rank%03d", r), cluster.ResilientClient(r), scale.BufferSize, cluster.Obs(), nil)
 		if err != nil {
-			return 0, obs.Snapshot{}, err
+			return err
 		}
+		mgrs[r] = mgr
+		stores[r] = ckpt.New(mgr, ckpt.Options{})
+		for step := int64(1); step <= restoreSteps; step++ {
+			if err := writeStep(stores[r], step, restoreVars, scale.PerRankBytes); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err := s.run(); err != nil {
+		return 0, obs.Snapshot{}, err
 	}
 
 	if m.dead {
@@ -195,70 +154,40 @@ func runRestoreMode(nodes int, scale Scale, m restoreMode) (time.Duration, obs.S
 	}
 
 	// Restore phase: measured from here to the last rank's completion.
-	base := k.Now().Duration()
+	base := s.k.Now().Duration()
 	var latest time.Duration
-	for r := 0; r < nodes; r++ {
-		r := r
-		k.Spawn(fmt.Sprintf("res-restore%02d", r), func(p *sim.Proc) {
-			errs[r] = func() error {
-				opts := ckpt.RestoreOptions{Parallel: m.parallel}
-				if m.delta {
-					opts.Local = make(map[string][]byte, restoreVars/2)
-					for v := 0; v < restoreVars/2; v++ {
-						opts.Local[fmt.Sprintf("var%02d", v)] =
-							degradedPayload(restoreSteps, v, scale.PerRankBytes/restoreVars)
-					}
-				}
-				step, state, rep, err := stores[r].Restore(opts)
-				if err != nil {
-					return fmt.Errorf("rank %d restore: %w", r, err)
-				}
-				if step != restoreSteps {
-					return fmt.Errorf("rank %d restored step %d, want %d", r, step, restoreSteps)
-				}
-				for v := 0; v < restoreVars; v++ {
-					name := fmt.Sprintf("var%02d", v)
-					want := degradedPayload(step, v, scale.PerRankBytes/restoreVars)
-					if !bytes.Equal(state[name], want) {
-						return fmt.Errorf("rank %d %s corrupted after restore", r, name)
-					}
-				}
-				if m.delta && rep.DeltaVars != restoreVars/2 {
-					return fmt.Errorf("rank %d delta reuse: %d vars, want %d", r, rep.DeltaVars, restoreVars/2)
-				}
-				if end := p.Now().Duration(); end > latest {
-					latest = end
-				}
-				return nil
-			}()
-		})
-	}
-	if err := k.Run(); err != nil {
-		return 0, obs.Snapshot{}, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return 0, obs.Snapshot{}, err
+	s.ranks("res-restore", nodes, func(p *sim.Proc, r int) error {
+		opts := ckpt.RestoreOptions{Parallel: m.parallel}
+		if m.delta {
+			opts.Local = make(map[string][]byte, restoreVars/2)
+			for v := 0; v < restoreVars/2; v++ {
+				opts.Local[fmt.Sprintf("var%02d", v)] =
+					stepPayload(restoreSteps, v, scale.PerRankBytes/restoreVars)
+			}
 		}
+		step, state, rep, err := stores[r].Restore(opts)
+		if err != nil {
+			return fmt.Errorf("rank %d restore: %w", r, err)
+		}
+		if err := checkStep(r, step, restoreSteps, state, restoreVars, scale.PerRankBytes); err != nil {
+			return err
+		}
+		if m.delta && rep.DeltaVars != restoreVars/2 {
+			return fmt.Errorf("rank %d delta reuse: %d vars, want %d", r, rep.DeltaVars, restoreVars/2)
+		}
+		if end := p.Now().Duration(); end > latest {
+			latest = end
+		}
+		return nil
+	})
+	if err := s.run(); err != nil {
+		return 0, obs.Snapshot{}, err
 	}
 	snap := cluster.Obs().Snapshot()
 
-	var cErr error
-	k.Spawn("res-close", func(p *sim.Proc) {
-		for _, mgr := range mgrs {
-			if mgr == nil {
-				continue
-			}
-			if err := mgr.Close(); err != nil && cErr == nil {
-				cErr = err
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
+	s.spawn("res-close", func(p *sim.Proc) error { return closeAll(mgrs) })
+	if err := s.run(); err != nil {
 		return 0, obs.Snapshot{}, err
-	}
-	if cErr != nil {
-		return 0, obs.Snapshot{}, cErr
 	}
 	return latest - base, snap, nil
 }

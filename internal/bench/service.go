@@ -7,10 +7,10 @@ import (
 	"time"
 
 	"lsmio/internal/core"
+	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
-	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/svc"
 )
@@ -161,426 +161,364 @@ func ratioVsSolo(series string) func(*FigureResult) (float64, error) {
 	}
 }
 
-// svcRunResult is one service run's measurements.
-type svcRunResult struct {
-	p99      time.Duration // behaved tenants' p99 per-step commit stall
-	agg      float64       // behaved committed bytes per second of makespan
-	snapshot obs.Snapshot
-}
-
 func runServiceFigure(f Figure, scale Scale, progress func(string)) (*FigureResult, error) {
-	fr := &FigureResult{Figure: f}
-	stepBytes := scale.PerRankBytes
+	e := newEmitter(f, progress)
+	stepBytes := float64(scale.PerRankBytes)
+	sess := ServiceSession{
+		Shards:     svcShards,
+		Tenants:    1,
+		Steps:      svcSteps,
+		Blocks:     svcBlocks,
+		BlockBytes: stepBlockSize(scale),
+		BufferSize: scale.BufferSize,
+	}
 
 	// Solo baseline: one behaved tenant, no noisy neighbor, no caps.
-	solo, err := runServiceRun(scale, 1, false, svc.AdmissionConfig{}, 0, 0)
+	solo, err := sess.run(serviceLoad{})
 	if err != nil {
 		return nil, fmt.Errorf("ext-service solo: %w", err)
 	}
-	fr.addMetrics("solo", solo.snapshot)
-	fr.Points = append(fr.Points, Point{
-		Series: "solo-p99", Transfer: kb64, StripeCount: 4, Nodes: 1,
-		BW: float64(stepBytes) / solo.p99.Seconds(),
-	})
-	if progress != nil {
-		progress(fmt.Sprintf("%s %-16s       p99=%10v", f.ID, "solo", solo.p99.Round(time.Microsecond)))
-	}
+	soloP99 := solo.P99()
+	e.fr.addMetrics("solo", solo.Metrics)
+	e.point("solo-p99", 1, stepBytes/soloP99.Seconds(), "%-16s       p99=%10v", "solo", soloP99.Round(time.Microsecond))
 
-	// Calibrate the load shape off the solo probe: a low duty cycle
-	// keeps the behaved tenants' aggregate demand under the pool's
-	// capacity, and the advertised service capacity grants every tenant
-	// (the noisy one included) a fair share of twice its sustained
-	// demand — enough headroom for bursts, tight enough that the noisy
-	// tenant's flood hits its quota.
-	compute := svcDutyFactor * solo.p99
-	demand := float64(stepBytes) / (compute + solo.p99).Seconds()
-
+	sess.Noisy = true
 	for _, tenants := range scale.Nodes {
-		capacity := 2 * demand * float64(tenants+1)
-		// MaxWait sits below one block's token time at a tenant's share
-		// (~0.4× the solo p99), so a tenant pushing past its share gets
-		// typed QuotaError rejections to back off on, not just smoothing
-		// delays.
-		adm := svc.AdmissionConfig{
-			CapacityBytesPerSec: capacity,
-			MaxWait:             solo.p99 / 4,
-		}
-		fair, err := runServiceRun(scale, tenants, true, adm, compute, capacity)
+		sess.Tenants = tenants
+		load := sess.calibrate(soloP99)
+		fair, err := sess.run(load)
 		if err != nil {
 			return nil, fmt.Errorf("ext-service fair n=%d: %w", tenants, err)
 		}
-		nofair, err := runServiceRun(scale, tenants, true, svc.AdmissionConfig{Disabled: true}, compute, capacity)
+		load.adm.Disabled = true
+		nofair, err := sess.run(load)
 		if err != nil {
 			return nil, fmt.Errorf("ext-service nofair n=%d: %w", tenants, err)
 		}
-		fr.addMetrics("fair", fair.snapshot)
-		fr.addMetrics("nofair", nofair.snapshot)
-		for _, m := range []struct {
-			series string
-			bw     float64
-		}{
-			{"fair-aggregate", fair.agg},
-			{"nofair-aggregate", nofair.agg},
-			{"victim-fair", float64(stepBytes) / fair.p99.Seconds()},
-			{"victim-nofair", float64(stepBytes) / nofair.p99.Seconds()},
-		} {
-			fr.Points = append(fr.Points, Point{
-				Series: m.series, Transfer: kb64, StripeCount: 4, Nodes: tenants, BW: m.bw,
-			})
-		}
-		if progress != nil {
-			progress(fmt.Sprintf("%s n=%-2d  fair agg=%9.1f MB/s p99=%10v   nofair agg=%9.1f MB/s p99=%10v",
-				f.ID, tenants, fair.agg/1e6, fair.p99.Round(time.Microsecond),
-				nofair.agg/1e6, nofair.p99.Round(time.Microsecond)))
-		}
+		e.fr.addMetrics("fair", fair.Metrics)
+		e.fr.addMetrics("nofair", nofair.Metrics)
+		e.point("fair-aggregate", tenants, fair.Aggregate, "")
+		e.point("nofair-aggregate", tenants, nofair.Aggregate, "")
+		e.point("victim-fair", tenants, stepBytes/fair.P99().Seconds(), "")
+		e.point("victim-nofair", tenants, stepBytes/nofair.P99().Seconds(), "")
+		e.log("n=%-2d  fair agg=%9.1f MB/s p99=%10v   nofair agg=%9.1f MB/s p99=%10v",
+			tenants, fair.Aggregate/1e6, fair.P99().Round(time.Microsecond),
+			nofair.Aggregate/1e6, nofair.P99().Round(time.Microsecond))
 	}
 
 	// Under-fault panel: rerun the max tenant count with fair admission
 	// and the shard supervisor enabled, crash one shard as the first
 	// commit wave lands, and measure per-request availability while the
 	// supervisor restarts it.
-	maxTenants := scale.Nodes[len(scale.Nodes)-1]
-	adm := svc.AdmissionConfig{
-		CapacityBytesPerSec: 2 * demand * float64(maxTenants+1),
-		MaxWait:             solo.p99 / 4,
-	}
-	fault, err := runServiceFaultRun(scale, maxTenants, adm, compute)
+	sess.Tenants, sess.Noisy = scale.Nodes[len(scale.Nodes)-1], false
+	load := sess.calibrate(soloP99)
+	load.fault = true
+	fault, err := sess.run(load)
 	if err != nil {
-		return nil, fmt.Errorf("ext-service fault n=%d: %w", maxTenants, err)
+		return nil, fmt.Errorf("ext-service fault n=%d: %w", sess.Tenants, err)
 	}
-	fr.addMetrics("fault", fault.snapshot)
-	fr.Points = append(fr.Points, Point{
-		Series: "fault-aggregate", Transfer: kb64, StripeCount: 4, Nodes: maxTenants, BW: fault.agg,
-	})
-	if progress != nil {
-		total := fault.snapshot.Counters["svc.bench.sla_total"]
-		ok := fault.snapshot.Counters["svc.bench.sla_ok"]
-		avail := 0.0
-		if total > 0 {
-			avail = float64(ok) / float64(total)
-		}
-		progress(fmt.Sprintf("%s n=%-2d fault agg=%9.1f MB/s avail=%6.2f%% restarts=%d",
-			f.ID, maxTenants, fault.agg/1e6, 100*avail,
-			fault.snapshot.Counters["svc.supervisor.restarts"]))
+	e.fr.addMetrics("fault", fault.Metrics)
+	total := fault.Metrics.Counters["svc.bench.sla_total"]
+	avail := 0.0
+	if total > 0 {
+		avail = float64(fault.Metrics.Counters["svc.bench.sla_ok"]) / float64(total)
 	}
-	return fr, nil
+	e.point("fault-aggregate", sess.Tenants, fault.Aggregate, "n=%-2d fault agg=%9.1f MB/s avail=%6.2f%% restarts=%d",
+		sess.Tenants, fault.Aggregate/1e6, 100*avail, fault.Metrics.Counters["svc.supervisor.restarts"])
+	return e.fr, nil
 }
 
-// runServiceRun executes one service configuration: `behaved` tenants
-// on a compute/commit cadence (plus, when noisy is set, one tenant
-// offering un-barriered puts at noisyRate bytes/s — the full advertised
-// service capacity, several times its fair share — for as long as any
-// behaved tenant is still running, retrying quota rejections after the
-// advertised delay) over a svcShards-shard pool hosted on the
-// simulated cluster.
-func runServiceRun(scale Scale, behaved int, noisy bool, adm svc.AdmissionConfig, compute time.Duration, noisyRate float64) (svcRunResult, error) {
-	k := sim.NewKernel()
-	rtm := rt.Sim(k)
-	clients := behaved + 1 // the last client node hosts the noisy tenant
-	cluster := pfs.NewCluster(k, pfs.VikingConfig(clients+svcShards))
-	reg := obs.NewRegistryOn(rtm.Now)
+// ServiceSession is the shape of one simulated session of the
+// checkpoint service (internal/svc): Tenants behaved tenants each commit
+// Steps steps of Blocks puts of BlockBytes, then a barrier, through the
+// fabric front onto a pool of Shards shards hosted on the simulated
+// cluster, each shard's store with a BufferSize-byte memtable.
+type ServiceSession struct {
+	Shards     int
+	Tenants    int
+	Steps      int
+	Blocks     int
+	BlockBytes int64
+	BufferSize int
+	// Noisy adds a tenant offering un-barriered puts at the advertised
+	// service capacity — several times its fair share — for as long as
+	// any behaved tenant is still running, retrying quota rejections
+	// after the advertised delay.
+	Noisy bool
+	// Fair turns fair-share admission on.
+	Fair bool
+	// IOSchedBW, when positive, is the budget in bytes/s of one I/O
+	// scheduler that paces every shard's engine I/O and the cluster's
+	// scrubber.
+	IOSchedBW float64
+}
 
-	var s *svc.Service
+// ServiceResult is what one session measured.
+type ServiceResult struct {
+	// Solo is the solo probe's p99 step stall (set by Run).
+	Solo time.Duration
+	// Steps holds each behaved tenant's per-step commit stalls, by
+	// tenant name.
+	Steps    map[string][]time.Duration
+	Makespan time.Duration
+	// Aggregate is the behaved tenants' committed bytes per second of
+	// makespan.
+	Aggregate float64
+	Metrics   obs.Snapshot
+	// Shards is the supervisor's view of the shards at the end.
+	Shards []svc.ShardStatus
+}
+
+// P99 is the behaved tenants' p99 step stall over all their steps: the
+// ⌈0.99·n⌉-th smallest of n.
+func (r ServiceResult) P99() time.Duration {
+	var all []time.Duration
+	for _, st := range r.Steps {
+		all = append(all, st...)
+	}
+	if len(all) == 0 {
+		return 0
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	return all[(len(all)*99+99)/100-1]
+}
+
+// Run calibrates the session on a solo probe — one tenant, no noisy
+// neighbor, no admission limits — and then runs it at the calibrated
+// load.
+func (s ServiceSession) Run() (ServiceResult, error) {
+	probe := s
+	probe.Tenants, probe.Noisy = 1, false
+	solo, err := probe.run(serviceLoad{})
+	if err != nil {
+		return ServiceResult{}, fmt.Errorf("solo probe: %w", err)
+	}
+	load := s.calibrate(solo.P99())
+	load.adm.Disabled = !s.Fair
+	res, err := s.run(load)
+	res.Solo = solo.P99()
+	return res, err
+}
+
+// serviceLoad is the load a session offers.
+type serviceLoad struct {
+	compute   time.Duration // a behaved tenant's compute time before each step
+	adm       svc.AdmissionConfig
+	noisyRate float64 // the noisy tenant's offered bytes/s
+	// fault supervises the shards, crashes shard 0 mid-run and accounts
+	// each request's availability (see run).
+	fault bool
+}
+
+// calibrate derives the load from the solo probe's p99 stall: a low
+// duty cycle keeps the behaved tenants' aggregate demand under the
+// pool's capacity, and the advertised service capacity grants every
+// tenant (the noisy one included) a fair share of twice its sustained
+// demand — enough headroom for bursts, tight enough that the noisy
+// tenant's flood hits its quota. MaxWait sits below one block's token
+// time at a tenant's share (~0.4× the solo p99), so a tenant pushing
+// past its share gets typed QuotaError rejections to back off on, not
+// just smoothing delays.
+func (s ServiceSession) calibrate(solo time.Duration) serviceLoad {
+	compute := svcDutyFactor * solo
+	demand := float64(int64(s.Blocks)*s.BlockBytes) / (compute + solo).Seconds()
+	capacity := 2 * demand * float64(s.Tenants+1)
+	return serviceLoad{
+		compute:   compute,
+		adm:       svc.AdmissionConfig{CapacityBytesPerSec: capacity, MaxWait: solo / 4},
+		noisyRate: capacity,
+	}
+}
+
+// run executes one session at the given load. Behaved tenants start
+// staggered across one compute period and then alternate compute and a
+// committed step.
+//
+// Under fault, the shard supervisor runs with a tight restart backoff
+// and a chaos proc crashes shard 0 in the middle of the first commit
+// wave. Tenants retry typed transient failures (ShardDownError while the
+// supervisor restarts the shard, quota smoothing, fabric hiccups), and a
+// request counts toward availability when it completes within one
+// compute period of its first attempt — a latency SLO about 12x the
+// solo p99, so only fault-induced stalls miss it. A barrier that reports
+// asynchronous write loss makes the tenant replay the whole step,
+// mirroring how a real checkpoint client must re-offer data the service
+// never made durable.
+func (s ServiceSession) run(load serviceLoad) (ServiceResult, error) {
+	clients := s.Tenants + 1 // the last client node hosts the noisy tenant
+	r := newSimRun(pfs.VikingConfig(clients + s.Shards))
+	reg := obs.NewRegistryOn(r.rtm.Now)
+	stepBytes := int64(s.Blocks) * s.BlockBytes
+
+	var sched *iosched.Scheduler
+	if s.IOSchedBW > 0 {
+		sched = iosched.New(iosched.Config{BytesPerSec: s.IOSchedBW, Clock: r.rtm, Obs: reg})
+		r.cluster.SetIOScheduler(sched)
+	}
+	opts := svc.Options{
+		Shards: s.Shards,
+		OpenShard: func(i int) (*core.Manager, error) {
+			return r.manager(svc.ShardDirName(i), r.cluster.Client(clients+i), s.BufferSize, reg, sched)
+		},
+		Runtime:   r.rtm,
+		Obs:       reg,
+		Admission: load.adm,
+		IOSched:   sched,
+	}
+	if load.fault {
+		opts.Supervisor = svc.SupervisorConfig{RestartBackoff: 500 * time.Microsecond}
+	}
+	var service *svc.Service
 	var front *svc.Front
-	var setupErr error
-	k.Spawn("svc-setup", func(p *sim.Proc) {
-		s, setupErr = svc.New(svc.Options{
-			Shards: svcShards,
-			OpenShard: func(i int) (*core.Manager, error) {
-				return core.NewManager(fmt.Sprintf("svc/shard%03d", i), core.ManagerOptions{
-					Store: core.StoreOptions{
-						FS:              cluster.Client(clients + i),
-						Async:           true,
-						WriteBufferSize: scale.BufferSize,
-					},
-					Runtime: rtm,
-					Obs:     reg,
-				})
-			},
-			Runtime:   rtm,
-			Obs:       reg,
-			Admission: adm,
-		})
-		if setupErr != nil {
-			return
+	r.spawn("svc-setup", func(p *sim.Proc) error {
+		var err error
+		if service, err = svc.New(opts); err != nil {
+			return err
 		}
-		nodes := make([]int, svcShards)
+		nodes := make([]int, s.Shards)
 		for i := range nodes {
 			nodes[i] = clients + i
 		}
-		front = svc.NewFront(s, cluster.Fabric(), nodes)
+		front = svc.NewFront(service, r.cluster.Fabric(), nodes)
 		// Every tenant gets weight 1 and a burst allowance of one full
 		// checkpoint step, so a behaved tenant's commit burst is admitted
 		// without delay while a sustained flood runs into its share.
-		cfg := svc.TenantConfig{Weight: 1, BurstBytes: float64(scale.PerRankBytes)}
-		for t := 0; t < behaved; t++ {
-			if _, err := s.RegisterTenant(fmt.Sprintf("tenant%02d", t), cfg); err != nil {
-				setupErr = err
-				return
+		cfg := svc.TenantConfig{Weight: 1, BurstBytes: float64(stepBytes)}
+		for t := 0; t < s.Tenants; t++ {
+			if _, err := service.RegisterTenant(fmt.Sprintf("tenant%02d", t), cfg); err != nil {
+				return err
 			}
 		}
-		if noisy {
-			if _, err := s.RegisterTenant("noisy", cfg); err != nil {
-				setupErr = err
-			}
+		if s.Noisy {
+			_, err = service.RegisterTenant("noisy", cfg)
 		}
+		return err
 	})
-	if err := k.Run(); err != nil {
-		return svcRunResult{}, err
-	}
-	if setupErr != nil {
-		return svcRunResult{}, setupErr
+	if err := r.run(); err != nil {
+		return ServiceResult{}, err
 	}
 
-	block := make([]byte, stepBlockSize(scale))
-	stalls := make([]time.Duration, 0, behaved*svcSteps)
-	errs := make([]error, behaved+1)
-	var makespan time.Duration
+	// request issues one request; under fault it retries typed transient
+	// failures with a short pause and counts the request as available
+	// when it succeeds within the SLO of its first attempt. Write-loss
+	// reports are returned to the caller (the step must be replayed, not
+	// the barrier); non-typed errors abort the run.
+	request := func(p *sim.Proc, op func() error) error { return op() }
+	if load.fault {
+		slo := load.compute
+		slaTotal := reg.Counter("svc.bench.sla_total")
+		slaOK := reg.Counter("svc.bench.sla_ok")
+		request = func(p *sim.Proc, op func() error) error {
+			slaTotal.Inc()
+			start := p.Now().Duration()
+			for {
+				err := op()
+				elapsed := p.Now().Duration() - start
+				if err == nil {
+					if elapsed <= slo {
+						slaOK.Inc()
+					}
+					return nil
+				}
+				var wl *svc.WriteLossError
+				if errors.As(err, &wl) {
+					return err
+				}
+				if resil.Classify(err) != resil.ClassTransient || elapsed > 2*time.Second {
+					return err
+				}
+				p.Sleep(200 * time.Microsecond)
+			}
+		}
+	}
+
+	block := make([]byte, s.BlockBytes)
+	res := ServiceResult{Steps: make(map[string][]time.Duration, s.Tenants)}
 	// remaining counts behaved tenants still running; the simulator is
 	// cooperative, so plain shared variables are race-free.
-	remaining := behaved
-	for t := 0; t < behaved; t++ {
-		t := t
-		k.Spawn(fmt.Sprintf("svc-tenant%02d", t), func(p *sim.Proc) {
-			defer func() { remaining-- }()
-			c := front.Connect(fmt.Sprintf("tenant%02d", t), t)
-			// Stagger starts across one compute period: real jobs do not
-			// checkpoint in lockstep, and a synchronized barrier herd
-			// would measure queueing the service cannot influence.
-			if off := compute * time.Duration(t) / time.Duration(behaved); off > 0 {
-				p.Sleep(off)
+	remaining := s.Tenants
+	r.ranks("svc-tenant", s.Tenants, func(p *sim.Proc, t int) error {
+		defer func() { remaining-- }()
+		name := fmt.Sprintf("tenant%02d", t)
+		c := front.Connect(name, t)
+		// Stagger starts across one compute period: real jobs do not
+		// checkpoint in lockstep, and a synchronized barrier herd
+		// would measure queueing the service cannot influence.
+		if off := load.compute * time.Duration(t) / time.Duration(s.Tenants); off > 0 {
+			p.Sleep(off)
+		}
+		for step := 0; step < s.Steps; step++ {
+			if load.compute > 0 {
+				p.Sleep(load.compute)
 			}
-			for step := 0; step < svcSteps; step++ {
-				if compute > 0 {
-					p.Sleep(compute)
-				}
-				start := p.Now()
-				for b := 0; b < svcBlocks; b++ {
-					if err := c.Put(fmt.Sprintf("step%03d/block%03d", step, b), block); err != nil {
-						errs[t] = err
-						return
+			start := p.Now()
+			for {
+				for b := 0; b < s.Blocks; b++ {
+					key := fmt.Sprintf("step%03d/block%03d", step, b)
+					if err := request(p, func() error { return c.Put(key, block) }); err != nil {
+						return err
 					}
 				}
-				if err := c.Barrier(); err != nil {
-					errs[t] = err
-					return
+				err := request(p, c.Barrier)
+				var wl *svc.WriteLossError
+				if load.fault && errors.As(err, &wl) {
+					continue
 				}
-				stalls = append(stalls, p.Now().Sub(start))
+				if err != nil {
+					return err
+				}
+				break
 			}
-			if end := p.Now().Duration(); end > makespan {
-				makespan = end
-			}
-		})
-	}
-	if noisy {
+			res.Steps[name] = append(res.Steps[name], p.Now().Sub(start))
+		}
+		if end := p.Now().Duration(); end > res.Makespan {
+			res.Makespan = end
+		}
+		return nil
+	})
+	if s.Noisy {
 		// The noisy tenant paces itself to its offered rate so the
 		// no-admission arm models a greedy-but-finite client rather than
 		// an unbounded queue.
-		gap := time.Duration(float64(len(block)) / noisyRate * float64(time.Second))
-		k.Spawn("svc-noisy", func(p *sim.Proc) {
-			c := front.Connect("noisy", behaved)
+		gap := time.Duration(float64(s.BlockBytes) / load.noisyRate * float64(time.Second))
+		r.spawn("svc-noisy", func(p *sim.Proc) error {
+			c := front.Connect("noisy", s.Tenants)
 			for sent := int64(0); remaining > 0; {
 				err := c.Put(fmt.Sprintf("junk%08d", sent), block)
-				if err != nil {
-					if qe, ok := err.(*svc.QuotaError); ok {
-						p.Sleep(qe.RetryAfter)
-						continue
-					}
-					errs[behaved] = err
-					return
+				if qe, ok := err.(*svc.QuotaError); ok {
+					p.Sleep(qe.RetryAfter)
+					continue
 				}
-				sent += int64(len(block))
+				if err != nil {
+					return err
+				}
+				sent += s.BlockBytes
 				p.Sleep(gap)
 			}
+			return nil
 		})
 	}
-	if err := k.Run(); err != nil {
-		return svcRunResult{}, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return svcRunResult{}, err
-		}
-	}
-	if len(stalls) == 0 || makespan <= 0 {
-		return svcRunResult{}, fmt.Errorf("bench: service run measured nothing")
-	}
-	sort.Slice(stalls, func(i, j int) bool { return stalls[i] < stalls[j] })
-	p99 := stalls[(len(stalls)*99+99)/100-1]
-	committed := float64(behaved) * float64(svcSteps) * float64(scale.PerRankBytes)
-	return svcRunResult{
-		p99:      p99,
-		agg:      committed / makespan.Seconds(),
-		snapshot: cluster.Obs().Snapshot().Merge(reg.Snapshot()),
-	}, nil
-}
-
-// runServiceFaultRun executes the under-fault arm of the service
-// figure: `behaved` tenants on the usual compute/commit cadence, fair
-// admission on, no noisy neighbor, and the shard supervisor enabled
-// with a tight restart backoff. A chaos proc crashes shard 0 in the
-// middle of the first commit wave; tenants retry typed transient
-// failures (ShardDownError while the supervisor restarts the shard,
-// quota smoothing, fabric hiccups) and a request counts toward
-// availability when it completes within one compute period of its
-// first attempt — a latency SLO about 12x the solo p99, so only
-// fault-induced stalls miss it. A barrier that reports asynchronous
-// write loss makes the tenant replay the whole step, mirroring how a
-// real checkpoint client must re-offer data the service never made
-// durable.
-func runServiceFaultRun(scale Scale, behaved int, adm svc.AdmissionConfig, compute time.Duration) (svcRunResult, error) {
-	k := sim.NewKernel()
-	rtm := rt.Sim(k)
-	clients := behaved + 1
-	cluster := pfs.NewCluster(k, pfs.VikingConfig(clients+svcShards))
-	reg := obs.NewRegistryOn(rtm.Now)
-
-	var s *svc.Service
-	var front *svc.Front
-	var setupErr error
-	k.Spawn("svc-setup", func(p *sim.Proc) {
-		s, setupErr = svc.New(svc.Options{
-			Shards: svcShards,
-			OpenShard: func(i int) (*core.Manager, error) {
-				return core.NewManager(fmt.Sprintf("svc/shard%03d", i), core.ManagerOptions{
-					Store: core.StoreOptions{
-						FS:              cluster.Client(clients + i),
-						Async:           true,
-						WriteBufferSize: scale.BufferSize,
-					},
-					Runtime: rtm,
-					Obs:     reg,
-				})
-			},
-			Runtime:    rtm,
-			Obs:        reg,
-			Admission:  adm,
-			Supervisor: svc.SupervisorConfig{RestartBackoff: 500 * time.Microsecond},
-		})
-		if setupErr != nil {
-			return
-		}
-		nodes := make([]int, svcShards)
-		for i := range nodes {
-			nodes[i] = clients + i
-		}
-		front = svc.NewFront(s, cluster.Fabric(), nodes)
-		cfg := svc.TenantConfig{Weight: 1, BurstBytes: float64(scale.PerRankBytes)}
-		for t := 0; t < behaved; t++ {
-			if _, err := s.RegisterTenant(fmt.Sprintf("tenant%02d", t), cfg); err != nil {
-				setupErr = err
-				return
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		return svcRunResult{}, err
-	}
-	if setupErr != nil {
-		return svcRunResult{}, setupErr
-	}
-
-	if compute <= 0 {
-		compute = time.Millisecond
-	}
-	slo := compute
-	slaTotal := reg.Counter("svc.bench.sla_total")
-	slaOK := reg.Counter("svc.bench.sla_ok")
-	// slaOp issues one logical request: retry typed transient failures
-	// with a short pause, count the request as available when it
-	// succeeds within the SLO of its first attempt. Write-loss reports
-	// are returned to the caller (the step must be replayed, not the
-	// barrier); non-typed errors abort the run.
-	slaOp := func(p *sim.Proc, op func() error) error {
-		slaTotal.Inc()
-		start := p.Now().Duration()
-		for {
-			err := op()
-			elapsed := p.Now().Duration() - start
-			if err == nil {
-				if elapsed <= slo {
-					slaOK.Inc()
-				}
-				return nil
-			}
-			var wl *svc.WriteLossError
-			if errors.As(err, &wl) {
-				return err
-			}
-			if resil.Classify(err) != resil.ClassTransient || elapsed > 2*time.Second {
-				return err
-			}
-			p.Sleep(200 * time.Microsecond)
-		}
-	}
-
-	block := make([]byte, stepBlockSize(scale))
-	stalls := make([]time.Duration, 0, behaved*svcSteps)
-	errs := make([]error, behaved+1)
-	var makespan time.Duration
-	for t := 0; t < behaved; t++ {
-		t := t
-		k.Spawn(fmt.Sprintf("svc-tenant%02d", t), func(p *sim.Proc) {
-			c := front.Connect(fmt.Sprintf("tenant%02d", t), t)
-			if off := compute * time.Duration(t) / time.Duration(behaved); off > 0 {
-				p.Sleep(off)
-			}
-			for step := 0; step < svcSteps; step++ {
-				p.Sleep(compute)
-				start := p.Now()
-			replay:
-				for {
-					for b := 0; b < svcBlocks; b++ {
-						key := fmt.Sprintf("step%03d/block%03d", step, b)
-						if err := slaOp(p, func() error { return c.Put(key, block) }); err != nil {
-							errs[t] = err
-							return
-						}
-					}
-					err := slaOp(p, c.Barrier)
-					var wl *svc.WriteLossError
-					if errors.As(err, &wl) {
-						continue replay
-					}
-					if err != nil {
-						errs[t] = err
-						return
-					}
-					break
-				}
-				stalls = append(stalls, p.Now().Sub(start))
-			}
-			if end := p.Now().Duration(); end > makespan {
-				makespan = end
-			}
+	if load.fault {
+		// The chaos proc crashes shard 0 when the staggered commit waves
+		// are in full swing (tenant t commits around
+		// compute*(1+t/Tenants), so 1.5 compute periods lands
+		// mid-spread) and the supervisor must recover it while requests
+		// are arriving.
+		r.spawn("svc-bench-chaos", func(p *sim.Proc) error {
+			p.Sleep(load.compute + load.compute/2)
+			return service.CrashShard(0)
 		})
 	}
-	// The chaos proc crashes shard 0 when the staggered commit waves are
-	// in full swing (tenant t commits around compute*(1+t/behaved), so
-	// 1.5 compute periods lands mid-spread) and the supervisor must
-	// recover it while requests are arriving.
-	k.Spawn("svc-bench-chaos", func(p *sim.Proc) {
-		p.Sleep(compute + compute/2)
-		errs[behaved] = s.CrashShard(0)
-	})
-	if err := k.Run(); err != nil {
-		return svcRunResult{}, err
+	if err := r.run(); err != nil {
+		return ServiceResult{}, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return svcRunResult{}, err
-		}
+	if len(res.Steps) == 0 || res.Makespan <= 0 {
+		return ServiceResult{}, fmt.Errorf("bench: service run measured nothing")
 	}
-	if len(stalls) == 0 || makespan <= 0 {
-		return svcRunResult{}, fmt.Errorf("bench: service fault run measured nothing")
-	}
-	sort.Slice(stalls, func(i, j int) bool { return stalls[i] < stalls[j] })
-	committed := float64(behaved) * float64(svcSteps) * float64(scale.PerRankBytes)
-	return svcRunResult{
-		p99:      stalls[(len(stalls)*99+99)/100-1],
-		agg:      committed / makespan.Seconds(),
-		snapshot: cluster.Obs().Snapshot().Merge(reg.Snapshot()),
-	}, nil
+	res.Aggregate = float64(s.Tenants) * float64(s.Steps) * float64(stepBytes) / res.Makespan.Seconds()
+	res.Shards = service.ShardStatuses()
+	res.Metrics = r.cluster.Obs().Snapshot().Merge(reg.Snapshot())
+	return res, nil
 }
 
 func stepBlockSize(scale Scale) int64 {

@@ -11,7 +11,6 @@ import (
 	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
-	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
 
@@ -100,7 +99,7 @@ type stabStats struct {
 }
 
 func runStabilityFigure(f Figure, scale Scale, progress func(string)) (*FigureResult, error) {
-	fr := &FigureResult{Figure: f}
+	e := newEmitter(f, progress)
 	on, err := runStabilityWorkload(scale, true)
 	if err != nil {
 		return nil, fmt.Errorf("ext-stability sched-on: %w", err)
@@ -109,8 +108,8 @@ func runStabilityFigure(f Figure, scale Scale, progress func(string)) (*FigureRe
 	if err != nil {
 		return nil, fmt.Errorf("ext-stability sched-off: %w", err)
 	}
-	fr.addMetrics("sched-on", on.snap)
-	fr.addMetrics("sched-off", off.snap)
+	e.fr.addMetrics("sched-on", on.snap)
+	e.fr.addMetrics("sched-off", off.snap)
 	for _, m := range []struct {
 		series string
 		value  float64
@@ -122,23 +121,12 @@ func runStabilityFigure(f Figure, scale Scale, progress func(string)) (*FigureRe
 		{"storm-p99-on", stabValueSize / on.stormP99.Seconds()},
 		{"storm-p99-off", stabValueSize / off.stormP99.Seconds()},
 	} {
-		fr.Points = append(fr.Points, Point{
-			Series:      m.series,
-			Transfer:    stabValueSize,
-			StripeCount: stabStripe,
-			Nodes:       1,
-			BW:          m.value,
-		})
-		if progress != nil {
-			progress(fmt.Sprintf("%s %-14s %14.3f", f.ID, m.series, m.value))
-		}
+		e.point(m.series, 1, m.value, "%-14s %14.3f", m.series, m.value)
 	}
-	if progress != nil {
-		progress(fmt.Sprintf("%s storm p99: on=%v off=%v  stalls: on=%d off=%d",
-			f.ID, on.stormP99.Round(time.Microsecond), off.stormP99.Round(time.Microsecond),
-			on.stalls, off.stalls))
-	}
-	return fr, nil
+	e.log("storm p99: on=%v off=%v  stalls: on=%d off=%d",
+		on.stormP99.Round(time.Microsecond), off.stormP99.Round(time.Microsecond),
+		on.stalls, off.stalls)
+	return e.fr, nil
 }
 
 // stabDurations maps the sweep scale to the run's virtual-time span:
@@ -171,12 +159,11 @@ func runStabilityWorkload(scale Scale, withSched bool) (stabStats, error) {
 	end := 3 * phaseDur
 	stormStart := 2 * phaseDur
 
-	k := sim.NewKernel()
-	rtm := rt.Sim(k)
-	cluster := pfs.NewCluster(k, cfg)
+	s := newSimRun(cfg)
+	cluster := s.cluster
 	cluster.EnableResilience(pfs.Resilience{Parity: true})
 
-	reg := obs.NewRegistryOn(rtm.Now)
+	reg := obs.NewRegistryOn(s.rtm.Now)
 	commitBytes := reg.Counter("stab.commit.bytes")
 	commitLat := reg.Histogram("stab.commit.lat")
 
@@ -185,138 +172,112 @@ func runStabilityWorkload(scale Scale, withSched bool) (stabStats, error) {
 		// Budget slightly under the device aggregate (4 OSTs × 20 MB/s),
 		// so queueing happens at the scheduler — where class priorities
 		// apply — instead of at the OSTs, where they cannot.
-		sched = iosched.New(iosched.Config{BytesPerSec: 0.75 * 4 * cfg.OSTSeqWriteBW, Clock: rtm, Obs: reg})
+		sched = iosched.New(iosched.Config{BytesPerSec: 0.75 * 4 * cfg.OSTSeqWriteBW, Clock: s.rtm, Obs: reg})
 		cluster.SetIOScheduler(sched)
 	}
 
 	// Setup phase: the parity files the storm-phase scrubbers sweep are
 	// laid down before measurement starts.
 	const scrubbers = 2
-	var prepErr error
-	k.Spawn("stab-prep", func(p *sim.Proc) {
+	s.spawn("stab-prep", func(p *sim.Proc) error {
 		rfs := cluster.ResilientClient(2)
-		for s := 0; s < scrubbers; s++ {
-			prepErr = func() error {
-				f, err := rfs.CreateStriped(fmt.Sprintf("scrub%d/par.dat", s), stabStripe, 64<<10)
-				if err != nil {
-					return err
-				}
-				if _, err := f.Write(bytes.Repeat([]byte{0x5a}, 2<<20)); err != nil {
-					return err
-				}
-				if err := f.Sync(); err != nil {
-					return err
-				}
-				return f.Close()
-			}()
-			if prepErr != nil {
-				return
+		for i := 0; i < scrubbers; i++ {
+			f, err := rfs.CreateStriped(fmt.Sprintf("scrub%d/par.dat", i), stabStripe, 64<<10)
+			if err != nil {
+				return err
+			}
+			if _, err := f.Write(bytes.Repeat([]byte{0x5a}, 2<<20)); err != nil {
+				return err
+			}
+			if err := f.Sync(); err != nil {
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
 			}
 		}
+		return nil
 	})
-	if err := k.Run(); err != nil {
+	if err := s.run(); err != nil {
 		return stabStats{}, err
-	}
-	if prepErr != nil {
-		return stabStats{}, prepErr
 	}
 
 	lsmOpts := func(client int, buf int) lsm.Options {
-		opts := lsm.DefaultOptions(cluster.Client(client))
-		opts.Runtime = rt.Sim(k)
-		opts.AsyncFlush = true
-		opts.MaxBackgroundJobs = 2
-		opts.MaxImmutableMemtables = 4
-		opts.WriteBufferSize = buf
-		opts.L0CompactionTrigger = 4
-		opts.BaseLevelSize = int64(4 * buf)
-		opts.LevelSizeMultiplier = 4
-		opts.BitsPerKey = 0
-		opts.DisableCompression = true
+		opts := overwriteOptions(cluster.Client(client), s.rtm, 2, buf)
 		opts.Obs = reg
 		opts.IOSched = sched
 		return opts
 	}
 
 	// Foreground committer: one value per step, cadence per phase.
-	var commitErr error
-	k.Spawn("stab-committer", func(p *sim.Proc) {
-		commitErr = func() error {
-			db, err := lsm.Open("fg", lsmOpts(0, 32*stabValueSize))
-			if err != nil {
+	s.spawn("stab-committer", func(p *sim.Proc) error {
+		db, err := lsm.Open("fg", lsmOpts(0, 32*stabValueSize))
+		if err != nil {
+			return err
+		}
+		payload := make([]byte, stabValueSize-24)
+		for i := 0; p.Now().Duration() < end; i++ {
+			start := p.Now()
+			if err := db.Put([]byte(fmt.Sprintf("step%010d", i)), payload); err != nil {
 				return err
 			}
-			payload := make([]byte, stabValueSize-24)
-			for i := 0; p.Now().Duration() < end; i++ {
-				start := p.Now()
-				if err := db.Put([]byte(fmt.Sprintf("step%010d", i)), payload); err != nil {
-					return err
-				}
-				commitLat.ObserveDuration(p.Now().Sub(start))
-				commitBytes.Add(stabValueSize)
-				now := p.Now().Duration()
-				switch {
-				case now >= phaseDur && now < stormStart && i%8 == 7:
-					// Bursty phase: eight back-to-back commits, then idle.
-					p.Sleep(32 * time.Millisecond)
-				case now >= phaseDur && now < stormStart:
-					p.Sleep(500 * time.Microsecond)
-				default:
-					// Steady cadence (also used under the storm, so the
-					// storm-phase latency shift is workload-for-workload).
-					p.Sleep(4 * time.Millisecond)
-				}
+			commitLat.ObserveDuration(p.Now().Sub(start))
+			commitBytes.Add(stabValueSize)
+			now := p.Now().Duration()
+			switch {
+			case now >= phaseDur && now < stormStart && i%8 == 7:
+				// Bursty phase: eight back-to-back commits, then idle.
+				p.Sleep(32 * time.Millisecond)
+			case now >= phaseDur && now < stormStart:
+				p.Sleep(500 * time.Microsecond)
+			default:
+				// Steady cadence (also used under the storm, so the
+				// storm-phase latency shift is workload-for-workload).
+				p.Sleep(4 * time.Millisecond)
 			}
-			if err := db.Flush(); err != nil {
-				return err
-			}
-			if err := db.WaitBackground(); err != nil {
-				return err
-			}
-			return db.Close()
-		}()
+		}
+		if err := db.Flush(); err != nil {
+			return err
+		}
+		if err := db.WaitBackground(); err != nil {
+			return err
+		}
+		return db.Close()
 	})
 
 	// Compaction storm: an overwrite-heavy bulk writer with a tiny
 	// memtable, switched on for the final phase only.
-	var stormErr error
-	k.Spawn("stab-storm", func(p *sim.Proc) {
-		stormErr = func() error {
-			p.Sleep(stormStart)
-			db, err := lsm.Open("bulk", lsmOpts(1, 8*stabValueSize))
-			if err != nil {
+	s.spawn("stab-storm", func(p *sim.Proc) error {
+		p.Sleep(stormStart)
+		db, err := lsm.Open("bulk", lsmOpts(1, 8*stabValueSize))
+		if err != nil {
+			return err
+		}
+		payload := make([]byte, stabValueSize-24)
+		const keyspace = 256 // every key overwritten many times: compaction debt
+		for i := 0; p.Now().Duration() < end; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("bulk%04d", i%keyspace)), payload); err != nil {
 				return err
 			}
-			payload := make([]byte, stabValueSize-24)
-			const keyspace = 256 // every key overwritten many times: compaction debt
-			for i := 0; p.Now().Duration() < end; i++ {
-				if err := db.Put([]byte(fmt.Sprintf("bulk%04d", i%keyspace)), payload); err != nil {
-					return err
-				}
-				p.Sleep(200 * time.Microsecond)
-			}
-			if err := db.WaitBackground(); err != nil {
-				return err
-			}
-			return db.Close()
-		}()
+			p.Sleep(200 * time.Microsecond)
+		}
+		if err := db.WaitBackground(); err != nil {
+			return err
+		}
+		return db.Close()
 	})
 
 	// Scrub repair sweeps beside the storm, drawing from the lowest class.
-	scrubErrs := make([]error, scrubbers)
-	for s := 0; s < scrubbers; s++ {
-		s := s
-		k.Spawn(fmt.Sprintf("stab-scrub%d", s), func(p *sim.Proc) {
-			p.Sleep(stormStart)
-			rfs := cluster.ResilientClient(2)
-			for p.Now().Duration() < end {
-				if _, err := rfs.Scrub(fmt.Sprintf("scrub%d", s)); err != nil {
-					scrubErrs[s] = err
-					return
-				}
+	s.ranks("stab-scrub", scrubbers, func(p *sim.Proc, i int) error {
+		p.Sleep(stormStart)
+		rfs := cluster.ResilientClient(2)
+		for p.Now().Duration() < end {
+			if _, err := rfs.Scrub(fmt.Sprintf("scrub%d", i)); err != nil {
+				return err
 			}
-		})
-	}
+		}
+		return nil
+	})
 
 	// Windower: periodic delta snapshots — the satellite's windowed views
 	// in action. Each window's committer bytes and latency histogram feed
@@ -326,27 +287,17 @@ func runStabilityWorkload(scale Scale, withSched bool) (stabStats, error) {
 		delta obs.Snapshot
 	}
 	var wins []window
-	k.Spawn("stab-windows", func(p *sim.Proc) {
+	s.spawn("stab-windows", func(p *sim.Proc) error {
 		w := obs.NewWindow(reg)
 		for p.Now().Duration() < end {
 			p.Sleep(winDur)
 			wins = append(wins, window{endT: p.Now().Duration(), delta: w.Advance()})
 		}
+		return nil
 	})
 
-	if err := k.Run(); err != nil {
+	if err := s.run(); err != nil {
 		return stabStats{}, err
-	}
-	if commitErr != nil {
-		return stabStats{}, commitErr
-	}
-	if stormErr != nil {
-		return stabStats{}, stormErr
-	}
-	for _, err := range scrubErrs {
-		if err != nil {
-			return stabStats{}, err
-		}
 	}
 	if len(wins) < 6 {
 		return stabStats{}, fmt.Errorf("ext-stability: only %d windows measured", len(wins))

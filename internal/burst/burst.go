@@ -81,35 +81,6 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// Counters are the tier's cumulative performance counters.
-type Counters struct {
-	StagedSteps  int64 // steps acknowledged staged-consistent
-	StagedBytes  int64 // payload bytes of those steps
-	DrainedSteps int64 // steps copied to the durable store
-	DrainedBytes int64
-	DrainErrors  int64 // failed drain attempts (step left staged)
-	// DrainErrors broken down by failure class: DrainTransient counts
-	// attempts whose error marked itself retryable (TransientFault) —
-	// the PFS retry budget was exhausted on a flaky target — while
-	// DrainTargetDown counts attempts refused by a down storage target
-	// (TargetDown, e.g. a dead OST behind a breakered route). The
-	// distinction tells operators whether to wait or to re-stripe.
-	DrainTransient  int64
-	DrainTargetDown int64
-	// DrainCanceled counts drains failed by DrainCtx cancellation or a
-	// DrainPolicy.Timeout deadline; DrainRetries counts policy-level
-	// retry decisions (whole drainStep re-runs, not pfs RPC retries).
-	DrainCanceled int64
-	DrainRetries  int64
-	PendingSteps  int64 // staged, not yet drained
-	PendingBytes  int64
-	HighWater     int64         // max PendingBytes ever observed
-	StallTime     time.Duration // Commit time blocked on the staging budget
-	ThrottleTime  time.Duration // drain time spent waiting for Drain-class tokens
-	DrainLag      time.Duration // staged→durable latency of the last drain
-	MaxDrainLag   time.Duration
-}
-
 // stagedStep is one committed step queued for draining.
 type stagedStep struct {
 	step     int64
@@ -140,7 +111,8 @@ type Tier struct {
 
 	// pendingBytes is the authoritative backpressure accounting (it
 	// drives admission control and must survive a counter reset); the
-	// burst.pending.bytes gauge mirrors it for observability.
+	// burst.pending.bytes gauge mirrors it, and burst.pending.steps the
+	// queued and in-flight steps, for observability (notePending).
 	pendingBytes int64
 
 	reg *obs.Registry
@@ -172,31 +144,6 @@ func New(staging, durable *ckpt.Store, opts Options) *Tier {
 	return t
 }
 
-// Counters returns a snapshot of the tier's counters. It is a legacy
-// view over the tier's `burst.` instruments in the obs registry.
-func (t *Tier) Counters() Counters {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return Counters{
-		StagedSteps:     t.m.stagedSteps.Load(),
-		StagedBytes:     t.m.stagedBytes.Load(),
-		DrainedSteps:    t.m.drainedSteps.Load(),
-		DrainedBytes:    t.m.drainedBytes.Load(),
-		DrainErrors:     t.m.drainErrors.Load(),
-		DrainTransient:  t.m.drainTransient.Load(),
-		DrainTargetDown: t.m.drainTargetDown.Load(),
-		DrainCanceled:   t.m.drainCanceled.Load(),
-		DrainRetries:    t.m.drainRetries.Load(),
-		PendingSteps:    int64(len(t.queue) + t.inFlight),
-		PendingBytes:    t.pendingBytes,
-		HighWater:       t.m.highWater.Load(),
-		StallTime:       time.Duration(t.m.stallNanos.Load()),
-		ThrottleTime:    time.Duration(t.m.throttleNanos.Load()),
-		DrainLag:        time.Duration(t.m.lagNanos.Load()),
-		MaxDrainLag:     time.Duration(t.m.maxLagNanos.Load()),
-	}
-}
-
 // Obs returns the tier's metrics/trace registry (the injected one when
 // Options.Obs was set, a private one otherwise).
 func (t *Tier) Obs() *obs.Registry { return t.reg }
@@ -209,8 +156,16 @@ func (t *Tier) ResetCounters() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.reg.ResetPrefix("burst.")
-	t.m.pendingBytes.Set(t.pendingBytes)
+	t.notePending()
 	t.m.highWater.SetMax(t.pendingBytes)
+}
+
+// notePending mirrors the pending steps and bytes into their gauges.
+// Call it with mu held wherever pendingBytes changes; moving a step from
+// the queue to in flight leaves both unchanged.
+func (t *Tier) notePending() {
+	t.m.pendingBytes.Set(t.pendingBytes)
+	t.m.pendingSteps.Set(int64(len(t.queue) + t.inFlight))
 }
 
 // Checkpoint is an in-progress staged checkpoint; Commit acknowledges
@@ -264,7 +219,7 @@ func (c *Checkpoint) Commit() error {
 	t.m.stagedSteps.Inc()
 	t.m.stagedBytes.Add(c.bytes)
 	t.pendingBytes += c.bytes
-	t.m.pendingBytes.Set(t.pendingBytes)
+	t.notePending()
 	t.m.highWater.SetMax(t.pendingBytes)
 	t.mu.Unlock()
 	t.m.trace.Emitf("burst.stage", "step=%d bytes=%d", c.step, c.bytes)

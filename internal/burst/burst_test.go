@@ -8,6 +8,7 @@ import (
 
 	"lsmio/ckpt"
 	"lsmio/internal/core"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/vfs"
 )
 
@@ -69,12 +70,15 @@ func TestInlineStageDrain(t *testing.T) {
 	for step := int64(1); step <= 3; step++ {
 		want[step] = commitStep(t, tier, step, 512)
 	}
-	c := tier.Counters()
-	if c.StagedSteps != 3 || c.PendingSteps != 3 {
-		t.Fatalf("after staging: %+v", c)
+	reg := tier.Obs()
+	if staged, pending := obstest.Counter(t, reg, "burst.staged.steps"), obstest.Gauge(t, reg, "burst.pending.steps"); staged != 3 || pending != 3 {
+		t.Fatalf("after staging: %d steps staged, %d pending, want 3 and 3", staged, pending)
 	}
-	if c.StagedBytes == 0 || c.PendingBytes != c.StagedBytes || c.HighWater != c.PendingBytes {
-		t.Fatalf("byte accounting off: %+v", c)
+	stagedBytes := obstest.Counter(t, reg, "burst.staged.bytes")
+	pendingBytes := obstest.Gauge(t, reg, "burst.pending.bytes")
+	highWater := obstest.Gauge(t, reg, "burst.pending.high_water")
+	if stagedBytes == 0 || pendingBytes != stagedBytes || highWater != pendingBytes {
+		t.Fatalf("byte accounting off: staged %d, pending %d, high water %d", stagedBytes, pendingBytes, highWater)
 	}
 	// Nothing may be durable before a drain.
 	if _, err := durable.Latest(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
@@ -98,12 +102,12 @@ func TestInlineStageDrain(t *testing.T) {
 	if steps, _ := staging.Steps(); len(steps) != 0 {
 		t.Fatalf("staging not emptied after drain: %v", steps)
 	}
-	c = tier.Counters()
-	if c.DrainedSteps != 3 || c.PendingSteps != 0 || c.PendingBytes != 0 {
-		t.Fatalf("after drain: %+v", c)
+	drained := obstest.Counter(t, reg, "burst.drained.steps")
+	if pending, pendingBytes := obstest.Gauge(t, reg, "burst.pending.steps"), obstest.Gauge(t, reg, "burst.pending.bytes"); drained != 3 || pending != 0 || pendingBytes != 0 {
+		t.Fatalf("after drain: %d steps drained, %d (%d bytes) pending, want 3 and none", drained, pending, pendingBytes)
 	}
-	if c.DrainedBytes != c.StagedBytes {
-		t.Fatalf("drained %d bytes, staged %d", c.DrainedBytes, c.StagedBytes)
+	if drainedBytes := obstest.Counter(t, reg, "burst.drained.bytes"); drainedBytes != stagedBytes {
+		t.Fatalf("drained %d bytes, staged %d", drainedBytes, stagedBytes)
 	}
 }
 
@@ -116,11 +120,10 @@ func TestBudgetBackpressureInlineReclaim(t *testing.T) {
 	for step := int64(1); step <= 4; step++ {
 		commitStep(t, tier, step, 1024)
 	}
-	c := tier.Counters()
-	if c.HighWater > tier.opts.StagingBudget {
-		t.Fatalf("high-water %d exceeded budget %d", c.HighWater, tier.opts.StagingBudget)
+	if hw := obstest.Gauge(t, tier.Obs(), "burst.pending.high_water"); hw > tier.opts.StagingBudget {
+		t.Fatalf("high-water %d exceeded budget %d", hw, tier.opts.StagingBudget)
 	}
-	if c.DrainedSteps == 0 {
+	if obstest.Counter(t, tier.Obs(), "burst.drained.steps") == 0 {
 		t.Fatal("backpressure never triggered an inline drain")
 	}
 	if err := tier.Sync(); err != nil {
@@ -160,9 +163,8 @@ func TestWorkerDrainsConcurrently(t *testing.T) {
 	if s, _ := staging.Steps(); len(s) != 0 {
 		t.Fatalf("staging not drained: %v", s)
 	}
-	c := tier.Counters()
-	if c.DrainedSteps != steps || c.PendingSteps != 0 {
-		t.Fatalf("counters after close: %+v", c)
+	if drained, pending := obstest.Counter(t, tier.Obs(), "burst.drained.steps"), obstest.Gauge(t, tier.Obs(), "burst.pending.steps"); drained != steps || pending != 0 {
+		t.Fatalf("after close: %d steps drained, %d pending, want %d and 0", drained, pending, steps)
 	}
 }
 
@@ -234,8 +236,8 @@ func TestDrainFailureIsStickyAndStepStaysStaged(t *testing.T) {
 	if _, err := durable.Latest(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		t.Fatal("corrupt step leaked into the durable store")
 	}
-	if c := tier.Counters(); c.DrainErrors != 1 || c.DrainedSteps != 0 {
-		t.Fatalf("counters: %+v", c)
+	if errs, drained := obstest.Counter(t, tier.Obs(), "burst.drain.errors"), obstest.Counter(t, tier.Obs(), "burst.drained.steps"); errs != 1 || drained != 0 {
+		t.Fatalf("%d drain errors, %d steps drained, want 1 and 0", errs, drained)
 	}
 }
 
@@ -287,8 +289,8 @@ func TestRecoverRequeuesVerifiedAndQuarantinesCorrupt(t *testing.T) {
 	} else if _, ok := q[3]; !ok {
 		t.Fatalf("quarantined = %v, want step 3", q)
 	}
-	if c := tier2.Counters(); c.PendingSteps != 1 {
-		t.Fatalf("recover queued %d steps, want 1 (step 2)", c.PendingSteps)
+	if n := obstest.Gauge(t, tier2.Obs(), "burst.pending.steps"); n != 1 {
+		t.Fatalf("recover queued %d steps, want 1 (step 2)", n)
 	}
 	// RestoreLatest must skip the quarantined staged step 3 and prefer
 	// the verified staged step 2 over durable step 1.
@@ -387,12 +389,12 @@ func TestCountersSnapshotIsolated(t *testing.T) {
 	tier, _, _, done := newMemTier(t, 0, Options{})
 	defer done()
 	commitStep(t, tier, 1, 100)
-	before := tier.Counters()
-	before.StagedSteps = 99 // mutating the snapshot must not leak back
-	if tier.Counters().StagedSteps != 1 {
-		t.Fatal("Counters returned shared state")
+	before := tier.Obs().Snapshot()
+	before.Counters["burst.staged.steps"] = 99 // mutating the snapshot must not leak back
+	if obstest.Counter(t, tier.Obs(), "burst.staged.steps") != 1 {
+		t.Fatal("Snapshot returned shared state")
 	}
-	if before.StallTime != 0 {
-		t.Fatalf("unbudgeted tier recorded stall time %v", before.StallTime)
+	if stall := before.Counters["burst.commit.stall_nanos"]; stall != 0 {
+		t.Fatalf("unbudgeted tier recorded stall time %dns", stall)
 	}
 }

@@ -114,7 +114,7 @@ func (t *Tier) finish(item stagedStep, err error) {
 	t.inFlight--
 	delete(t.pending, item.step)
 	t.pendingBytes -= item.bytes
-	t.m.pendingBytes.Set(t.pendingBytes)
+	t.notePending()
 	if err != nil {
 		t.failed[item.step] = err
 		if t.lastErr == nil {
@@ -267,7 +267,7 @@ func (t *Tier) Recover() error {
 			t.queue = append(t.queue, stagedStep{step: step, bytes: size, stagedAt: t.rt.Now()})
 			t.pending[step] = true
 			t.pendingBytes += size
-			t.m.pendingBytes.Set(t.pendingBytes)
+			t.notePending()
 			t.m.highWater.SetMax(t.pendingBytes)
 			requeued = true
 			t.mu.Unlock()

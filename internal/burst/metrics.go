@@ -5,9 +5,8 @@ import (
 )
 
 // tierMetrics holds the tier's obs instrument handles under the `burst.`
-// prefix, resolved once at New. The legacy Counters struct is a snapshot
-// view over these (Tier.Counters). Durations are recorded as nanosecond
-// counters/gauges so the legacy view round-trips exactly.
+// prefix, resolved once at New. Durations are recorded as nanosecond
+// counters and gauges.
 type tierMetrics struct {
 	stagedSteps  *obs.Counter
 	stagedBytes  *obs.Counter
@@ -22,9 +21,11 @@ type tierMetrics struct {
 
 	// pendingBytes mirrors the tier's internal backpressure accounting
 	// (the authoritative field also drives admission control); highWater
-	// is its maximum ever observed.
+	// is its maximum ever observed. pendingSteps counts the steps staged
+	// and not yet drained.
 	pendingBytes *obs.Gauge
 	highWater    *obs.Gauge
+	pendingSteps *obs.Gauge
 
 	stallNanos *obs.Counter // Commit time blocked on the staging budget
 	// throttleNanos is drain time spent waiting for Drain-class tokens
@@ -55,6 +56,7 @@ func newTierMetrics(reg *obs.Registry) tierMetrics {
 
 		pendingBytes: s.Gauge("pending.bytes"),
 		highWater:    s.Gauge("pending.high_water"),
+		pendingSteps: s.Gauge("pending.steps"),
 
 		stallNanos:    s.Counter("commit.stall_nanos"),
 		throttleNanos: s.Counter("drain.throttle_nanos"),

@@ -9,6 +9,8 @@ import (
 	"lsmio/ckpt"
 	"lsmio/internal/core"
 	"lsmio/internal/faultfs"
+	"lsmio/internal/obs"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
 	"lsmio/internal/rt"
@@ -54,10 +56,12 @@ func TestDrainPolicyRetriesTransientReadFaults(t *testing.T) {
 	cfg.RetryMaxDelay = 4 * time.Millisecond
 	k := sim.NewKernel()
 	cluster := pfs.NewCluster(k, cfg)
+	var reg *obs.Registry
 	k.Spawn("app", func(p *sim.Proc) {
 		tier, smgr, dmgr := pfsStagingTier(t, k, cluster.Client(0), Options{
 			DrainPolicy: resil.Policy{MaxRetries: 2, BaseDelay: time.Millisecond},
 		})
+		reg = tier.Obs()
 		c, err := tier.Begin(1)
 		if err != nil {
 			t.Errorf("begin: %v", err)
@@ -86,10 +90,6 @@ func TestDrainPolicyRetriesTransientReadFaults(t *testing.T) {
 			t.Errorf("drain with policy retry failed: %v", err)
 			return
 		}
-		cnt := tier.Counters()
-		if cnt.DrainRetries == 0 || cnt.DrainedSteps != 1 || cnt.DrainErrors != 0 {
-			t.Errorf("counters: %+v", cnt)
-		}
 		if _, err := tier.durable.Manifest(1); err != nil {
 			t.Errorf("step not durable after retried drain: %v", err)
 		}
@@ -100,6 +100,11 @@ func TestDrainPolicyRetriesTransientReadFaults(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	retries := obstest.Counter(t, reg, "burst.drain.retries")
+	drained := obstest.Counter(t, reg, "burst.drained.steps")
+	if errs := obstest.Counter(t, reg, "burst.drain.errors"); retries == 0 || drained != 1 || errs != 0 {
+		t.Errorf("%d drain retries, %d steps drained, %d drain errors; want some, 1 and 0", retries, drained, errs)
 	}
 }
 
@@ -114,6 +119,7 @@ func TestDrainPolicyTimeoutFailsStep(t *testing.T) {
 	cfg.RetryMaxDelay = 4 * time.Millisecond
 	k := sim.NewKernel()
 	cluster := pfs.NewCluster(k, cfg)
+	var reg *obs.Registry
 	k.Spawn("app", func(p *sim.Proc) {
 		tier, smgr, dmgr := pfsStagingTier(t, k, cluster.Client(0), Options{
 			DrainPolicy: resil.Policy{
@@ -122,6 +128,7 @@ func TestDrainPolicyTimeoutFailsStep(t *testing.T) {
 				Timeout:    10 * time.Millisecond,
 			},
 		})
+		reg = tier.Obs()
 		c, _ := tier.Begin(1)
 		if err := c.Write("state", make([]byte, 64<<10)); err != nil {
 			t.Errorf("write: %v", err)
@@ -148,10 +155,6 @@ func TestDrainPolicyTimeoutFailsStep(t *testing.T) {
 		if elapsed := p.Now().Sub(start); elapsed > 100*time.Millisecond {
 			t.Errorf("timed-out drain took %v of virtual time", elapsed)
 		}
-		cnt := tier.Counters()
-		if cnt.DrainErrors != 1 || cnt.DrainCanceled != 1 || cnt.DrainTransient != 0 {
-			t.Errorf("counters: %+v", cnt)
-		}
 		// Failed step stays staged for a later re-queue (Recover).
 		cluster.InjectFaults(nil)
 		if _, err := tier.staging.Manifest(1); err != nil {
@@ -162,6 +165,11 @@ func TestDrainPolicyTimeoutFailsStep(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	errs := obstest.Counter(t, reg, "burst.drain.errors")
+	canceled := obstest.Counter(t, reg, "burst.drain.canceled")
+	if transient := obstest.Counter(t, reg, "burst.drain.transient"); errs != 1 || canceled != 1 || transient != 0 {
+		t.Errorf("%d drain errors, %d canceled, %d transient; want 1, 1 and 0", errs, canceled, transient)
 	}
 }
 
@@ -181,9 +189,8 @@ func TestDrainCtxCancellation(t *testing.T) {
 	if err := tier.Sync(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Sync sticky error = %v", err)
 	}
-	cnt := tier.Counters()
-	if cnt.DrainCanceled != 1 || cnt.DrainedSteps != 0 {
-		t.Fatalf("counters: %+v", cnt)
+	if canceled, drained := obstest.Counter(t, tier.Obs(), "burst.drain.canceled"), obstest.Counter(t, tier.Obs(), "burst.drained.steps"); canceled != 1 || drained != 0 {
+		t.Fatalf("%d drains canceled, %d steps drained, want 1 and 0", canceled, drained)
 	}
 	if _, err := staging.Manifest(1); err != nil {
 		t.Fatalf("staged copy lost after canceled drain: %v", err)

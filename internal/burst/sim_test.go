@@ -8,6 +8,8 @@ import (
 	"lsmio/internal/core"
 	"lsmio/internal/faultfs"
 	"lsmio/internal/iosched"
+	"lsmio/internal/obs"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/pfs"
 	"lsmio/internal/rt"
 	"lsmio/internal/sim"
@@ -59,8 +61,10 @@ func TestSimWorkerHidesDrainLatency(t *testing.T) {
 	k := sim.NewKernel()
 	cluster := pfs.NewCluster(k, slowPFSConfig())
 	var stagedStall, durableAt time.Duration
+	var reg *obs.Registry
 	k.Spawn("app", func(p *sim.Proc) {
 		tier, smgr, dmgr := simTier(t, k, cluster.Client(0), Options{})
+		reg = tier.Obs()
 		tier.StartWorker()
 		payload := make([]byte, 1<<20)
 		for step := int64(1); step <= 3; step++ {
@@ -89,14 +93,14 @@ func TestSimWorkerHidesDrainLatency(t *testing.T) {
 		if err := tier.Close(); err != nil {
 			t.Errorf("close: %v", err)
 		}
-		if c := tier.Counters(); c.DrainedSteps != 3 || c.MaxDrainLag == 0 {
-			t.Errorf("counters: %+v", c)
-		}
 		smgr.Close()
 		dmgr.Close()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if drained, lag := obstest.Counter(t, reg, "burst.drained.steps"), obstest.Gauge(t, reg, "burst.drain.max_lag_nanos"); drained != 3 || lag == 0 {
+		t.Errorf("%d steps drained, max drain lag %dns; want 3 and some", drained, lag)
 	}
 	// 3 MB through a ~10 MB/s durable tier costs ≥ ~300 ms of virtual
 	// time; the staged stalls must be far below that.
@@ -115,7 +119,7 @@ func TestSimWorkerHidesDrainLatency(t *testing.T) {
 func TestSimDrainRateLimit(t *testing.T) {
 	k := sim.NewKernel()
 	var end time.Duration
-	var counters Counters
+	var reg *obs.Registry
 	k.Spawn("app", func(p *sim.Proc) {
 		// Both tiers in memory: the only time cost is the pacing.
 		sched := iosched.New(iosched.Config{BytesPerSec: 1e6, Clock: rt.Sim(k)})
@@ -137,7 +141,7 @@ func TestSimDrainRateLimit(t *testing.T) {
 			return
 		}
 		end = p.Now().Duration()
-		counters = tier.Counters()
+		reg = tier.Obs()
 		tier.Close()
 		smgr.Close()
 		dmgr.Close()
@@ -149,7 +153,7 @@ func TestSimDrainRateLimit(t *testing.T) {
 	if want := 2 * time.Second; end < want {
 		t.Fatalf("rate-limited drain finished at %v, want ≥ %v", end, want)
 	}
-	if counters.ThrottleTime == 0 {
+	if obstest.Counter(t, reg, "burst.drain.throttle_nanos") == 0 {
 		t.Fatal("throttle time not accounted")
 	}
 }
@@ -160,7 +164,7 @@ func TestSimDrainRateLimit(t *testing.T) {
 func TestSimBudgetBackpressureBlocks(t *testing.T) {
 	k := sim.NewKernel()
 	cluster := pfs.NewCluster(k, slowPFSConfig())
-	var counters Counters
+	var reg *obs.Registry
 	k.Spawn("app", func(p *sim.Proc) {
 		// Budget below two steps: step N+1 must wait for step N's drain.
 		tier, smgr, dmgr := simTier(t, k, cluster.Client(0), Options{StagingBudget: 3 << 20})
@@ -180,7 +184,7 @@ func TestSimBudgetBackpressureBlocks(t *testing.T) {
 			t.Errorf("sync: %v", err)
 			return
 		}
-		counters = tier.Counters()
+		reg = tier.Obs()
 		tier.Close()
 		smgr.Close()
 		dmgr.Close()
@@ -188,14 +192,14 @@ func TestSimBudgetBackpressureBlocks(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if counters.StallTime == 0 {
+	if obstest.Counter(t, reg, "burst.commit.stall_nanos") == 0 {
 		t.Fatal("full staging budget never stalled a commit")
 	}
-	if counters.HighWater > 3<<20 {
-		t.Fatalf("high-water %d exceeded budget", counters.HighWater)
+	if hw := obstest.Gauge(t, reg, "burst.pending.high_water"); hw > 3<<20 {
+		t.Fatalf("high-water %d exceeded budget", hw)
 	}
-	if counters.DrainedSteps != 3 {
-		t.Fatalf("counters: %+v", counters)
+	if drained := obstest.Counter(t, reg, "burst.drained.steps"); drained != 3 {
+		t.Fatalf("%d steps drained, want 3", drained)
 	}
 }
 

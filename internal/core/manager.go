@@ -42,19 +42,6 @@ func (c CostProfile) getCost(n int) time.Duration {
 	return c.GetFixed + time.Duration(c.GetPerByte*float64(n))
 }
 
-// Counters are LSMIO's performance counters (§3.1.4).
-type Counters struct {
-	Puts        int64
-	Gets        int64
-	Appends     int64
-	Dels        int64
-	Barriers    int64
-	BytesPut    int64
-	BytesGot    int64
-	BarrierTime time.Duration
-	RemoteOps   int64 // puts made through ManagerOptions.Remote
-}
-
 // ManagerOptions configures a Manager.
 type ManagerOptions struct {
 	// Store configures the local store (ignored when Remote is set).
@@ -275,23 +262,6 @@ func (m *Manager) WriteBarrier() error {
 	m.m.barrierNanos.Add(int64(elapsed))
 	m.m.barrierLatency.ObserveDuration(elapsed)
 	return nil
-}
-
-// Counters returns a snapshot of the performance counters. It is a
-// legacy view over the manager's `core.` instruments in the obs
-// registry.
-func (m *Manager) Counters() Counters {
-	return Counters{
-		Puts:        m.m.puts.Load(),
-		Gets:        m.m.gets.Load(),
-		Appends:     m.m.appends.Load(),
-		Dels:        m.m.dels.Load(),
-		Barriers:    m.m.barriers.Load(),
-		BytesPut:    m.m.bytesPut.Load(),
-		BytesGot:    m.m.bytesGot.Load(),
-		BarrierTime: time.Duration(m.m.barrierNanos.Load()),
-		RemoteOps:   m.m.remoteOps.Load(),
-	}
 }
 
 // Obs returns the manager's metrics/trace registry. For a local store

@@ -7,6 +7,7 @@ import (
 	"io"
 	"testing"
 
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/vfs"
 )
 
@@ -75,12 +76,13 @@ func TestManagerCounters(t *testing.T) {
 	m.Append("a", []byte("y"))
 	m.Del("b")
 	m.WriteBarrier()
-	c := m.Counters()
-	if c.Puts != 2 || c.Gets != 1 || c.Appends != 1 || c.Dels != 1 || c.Barriers != 1 {
-		t.Fatalf("counters: %+v", c)
-	}
-	if c.BytesPut != 151 || c.BytesGot != 100 {
-		t.Fatalf("byte counters: %+v", c)
+	for name, want := range map[string]int64{
+		"core.puts": 2, "core.gets": 1, "core.appends": 1, "core.dels": 1, "core.barriers": 1,
+		"core.bytes_put": 151, "core.bytes_got": 100,
+	} {
+		if got := obstest.Counter(t, m.Obs(), name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -307,8 +309,8 @@ func TestManagerReadBatch(t *testing.T) {
 		}
 	}
 	// Counters account the batch as gets.
-	if c := m.Counters(); c.Gets < 50 {
-		t.Fatalf("gets = %d", c.Gets)
+	if n := obstest.Counter(t, m.Obs(), "core.gets"); n < 50 {
+		t.Fatalf("gets = %d", n)
 	}
 }
 
@@ -331,8 +333,8 @@ func TestManagerOverRemoteStoreLeavesItOpen(t *testing.T) {
 	if err := m.WriteBarrier(); err != nil {
 		t.Fatal(err)
 	}
-	if c := m.Counters(); c.Puts != 1 || c.RemoteOps != 1 {
-		t.Fatalf("counters %+v, want one put, made remotely", c)
+	if puts, remote := obstest.Counter(t, m.Obs(), "core.puts"), obstest.Counter(t, m.Obs(), "core.remote_ops"); puts != 1 || remote != 1 {
+		t.Fatalf("puts %d, remote ops %d, want one put, made remotely", puts, remote)
 	}
 	if err := m.Close(); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@ import (
 )
 
 // mgrMetrics holds the Manager's obs instrument handles under the
-// `core.` prefix, resolved once at NewManager. The legacy Counters
-// struct is a snapshot view over these (Manager.Counters). The latency
+// `core.` prefix, resolved once at NewManager (§3.1.4's performance
+// counters; callers read them from Manager.Obs). The latency
 // histograms use the registry clock — virtual time inside the
 // simulator, wall time outside — so quantiles are meaningful in both
 // modes.

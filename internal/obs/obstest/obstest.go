@@ -18,3 +18,14 @@ func Counter(t testing.TB, r *obs.Registry, name string) int64 {
 	}
 	return v
 }
+
+// Gauge returns the value of the gauge named name in r. It fails the
+// test when r has no such gauge.
+func Gauge(t testing.TB, r *obs.Registry, name string) int64 {
+	t.Helper()
+	v, ok := r.Snapshot().Gauges[name]
+	if !ok {
+		t.Fatalf("obs: the registry has no gauge %q", name)
+	}
+	return v
+}

@@ -11,6 +11,8 @@ import (
 	"lsmio/internal/burst"
 	"lsmio/internal/core"
 	"lsmio/internal/faultfs"
+	"lsmio/internal/obs"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
 	"lsmio/internal/rt"
@@ -335,7 +337,7 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 		k := sim.NewKernel()
 		cluster := pfs.NewCluster(k, cfg)
 		dumpTraceOnFailure(t, "", cluster.Obs())
-		var cnt burst.Counters
+		var reg *obs.Registry
 		k.Spawn("main", func(*sim.Proc) {
 			tier, _, _, err := burstOverCluster(k, cluster.Client(0))
 			if err != nil {
@@ -352,13 +354,13 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 			if err := tier.Sync(); err == nil {
 				t.Error("drain into a dead cluster reported success")
 			}
-			cnt = tier.Counters()
+			reg = tier.Obs()
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if cnt.DrainTargetDown == 0 || cnt.DrainTransient != 0 {
-			t.Fatalf("counters = %+v, want the failure classified target-down", cnt)
+		if down, transient := obstest.Counter(t, reg, "burst.drain.target_down"), obstest.Counter(t, reg, "burst.drain.transient"); down == 0 || transient != 0 {
+			t.Fatalf("%d target-down and %d transient drain failures, want the failure classified target-down", down, transient)
 		}
 	})
 
@@ -366,7 +368,7 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 		k := sim.NewKernel()
 		cluster := pfs.NewCluster(k, cfg)
 		dumpTraceOnFailure(t, "", cluster.Obs())
-		var cnt burst.Counters
+		var reg *obs.Registry
 		k.Spawn("main", func(*sim.Proc) {
 			tier, _, _, err := burstOverCluster(k, cluster.Client(0))
 			if err != nil {
@@ -383,13 +385,13 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 			if err := tier.Sync(); err == nil {
 				t.Error("drain with exhausted retries reported success")
 			}
-			cnt = tier.Counters()
+			reg = tier.Obs()
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if cnt.DrainTransient == 0 || cnt.DrainTargetDown != 0 {
-			t.Fatalf("counters = %+v, want the failure classified transient", cnt)
+		if down, transient := obstest.Counter(t, reg, "burst.drain.target_down"), obstest.Counter(t, reg, "burst.drain.transient"); transient == 0 || down != 0 {
+			t.Fatalf("%d target-down and %d transient drain failures, want the failure classified transient", down, transient)
 		}
 	})
 
@@ -398,7 +400,7 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 		cluster := pfs.NewCluster(k, cfg)
 		dumpTraceOnFailure(t, "", cluster.Obs())
 		cluster.EnableResilience(pfs.Resilience{Parity: true})
-		var cnt burst.Counters
+		var reg *obs.Registry
 		k.Spawn("main", func(*sim.Proc) {
 			tier, _, dmgr, err := burstOverCluster(k, cluster.ResilientClient(0))
 			if err != nil {
@@ -414,7 +416,7 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 				t.Errorf("parity-striped drain failed with one dead OST: %v", err)
 				return
 			}
-			cnt = tier.Counters()
+			reg = tier.Obs()
 			step, state, err := ckpt.New(dmgr, ckpt.Options{}).RestoreLatest()
 			if err != nil || step != 1 {
 				t.Errorf("durable restore = step %d, %v", step, err)
@@ -427,8 +429,8 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if cnt.DrainErrors != 0 || cnt.DrainedSteps != 1 {
-			t.Fatalf("counters = %+v, want one clean drain", cnt)
+		if errs, drained := obstest.Counter(t, reg, "burst.drain.errors"), obstest.Counter(t, reg, "burst.drained.steps"); errs != 0 || drained != 1 {
+			t.Fatalf("%d drain errors, %d steps drained, want one clean drain", errs, drained)
 		}
 	})
 }

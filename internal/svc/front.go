@@ -22,8 +22,8 @@ import (
 //
 // Under a netsim fault plan the front is the layer that keeps requests
 // alive: every client operation carries an optional end-to-end deadline
-// (FrontOptions.RequestTimeout) and a bounded hedged retry driven by
-// resil.Policy, so a dropped message, a timed-out reply, or a request
+// (FrontOptions.RequestTimeout) and a bounded sequential retry driven
+// by resil.Policy, so a dropped message, a timed-out reply, or a request
 // that raced a shard restart is retried once before the typed transient
 // error surfaces — and never after the caller's deadline has passed
 // (deadline expiry classifies as resil.ClassCanceled).
@@ -55,17 +55,17 @@ type FrontOptions struct {
 	// RequestTimeout bounds one client operation end to end — attempts
 	// plus backoff — on virtual time. Expiry surfaces as an error
 	// wrapping context.DeadlineExceeded (resil.ClassCanceled: the
-	// caller gave up, so hedged retries never fire past it). Zero means
+	// caller gave up, so retries never fire past it). Zero means
 	// no deadline.
 	RequestTimeout time.Duration
 	// AttemptTimeout bounds one reply wait. A timed-out attempt counts
-	// as a transient transport fault and is hedge-retried. Zero
+	// as a transient transport fault and is retried. Zero
 	// defaults to RequestTimeout/2 (no per-attempt bound when both are
 	// zero).
 	AttemptTimeout time.Duration
-	// Retry is the hedged-retry policy for transport faults: dropped
+	// Retry is the retry policy for transport faults: dropped
 	// messages, attempt timeouts, and shard-down rejections. Zero
-	// MaxRetries defaults to 1 (one hedged retry); zero BaseDelay to
+	// MaxRetries defaults to 1 (one retry); zero BaseDelay to
 	// 50µs. Retry.Timeout is overwritten with RequestTimeout.
 	Retry resil.Policy
 }
@@ -195,8 +195,8 @@ type WriteLossError struct {
 	// Seq is the two-phase-ack token: the tenant's next barrier to this
 	// shard echoes it (Client does so automatically), proving the report
 	// was delivered before the server clears its loss ledger. Without
-	// it, a refusal reply lost to a timeout or drop would let the hedged
-	// barrier retry find an emptied ledger and falsely acknowledge the
+	// it, a refusal reply lost to a timeout or drop would let the
+	// barrier's retry find an emptied ledger and falsely acknowledge the
 	// commit.
 	Seq uint64
 }
@@ -210,8 +210,8 @@ func (e *WriteLossError) Error() string {
 func (e *WriteLossError) TransientFault() bool { return true }
 
 // attemptTimeoutError reports one reply wait exceeding AttemptTimeout.
-// Transient: the reply may be stuck behind a dying shard, and a hedged
-// retry on a fresh reply queue can still win.
+// Transient: the reply may be stuck behind a dying shard, and a retry
+// on a fresh reply queue can still win.
 type attemptTimeoutError struct {
 	shard int
 	d     time.Duration
@@ -310,7 +310,7 @@ func (f *Front) serve(p *sim.Proc, idx int) {
 				// only by a barrier echoing the loss sequence (the
 				// two-phase ack): the refusal reply itself can be lost
 				// to a drop or attempt timeout, and at-least-once
-				// request delivery would then hedge-retry the barrier —
+				// request delivery would then retry the barrier —
 				// a delete-on-read ledger would let that retry falsely
 				// succeed.
 				if e := f.lost[idx][req.tenant]; e.n > 0 {
@@ -477,7 +477,7 @@ func (c *Client) sendOnce(req frontReq, payload int64, sync bool) (frontRep, err
 	return rep, nil
 }
 
-// roundTrip runs a synchronous request under the hedged-retry policy.
+// roundTrip runs a synchronous request under the retry policy.
 // Transport faults and shard-down rejections are retried (the shard
 // may be back after its restart backoff); every other server-side
 // error — including WriteLossError, which only the tenant can resolve
@@ -509,7 +509,7 @@ func (c *Client) roundTrip(mk func() frontReq, payload int64) (frontRep, error) 
 
 // Put stores key (asynchronous; durable at the next Barrier). The
 // value is copied before transmission. A transfer dropped by the fault
-// plan is hedge-retried with a fresh write slot per attempt.
+// plan is retried with a fresh write slot per attempt.
 func (c *Client) Put(key string, value []byte) error {
 	s := c.f.s
 	start := s.reg.Now()

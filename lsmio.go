@@ -59,8 +59,6 @@ type (
 	Manager = core.Manager
 	// ManagerOptions configures a Manager.
 	ManagerOptions = core.ManagerOptions
-	// Counters are the Manager's performance counters.
-	Counters = core.Counters
 	// CostProfile is the simulation CPU cost model (ignored on real
 	// filesystems).
 	CostProfile = core.CostProfile

@@ -143,9 +143,8 @@ func TestPublicCountersAndStats(t *testing.T) {
 	defer mgr.Close()
 	mgr.Put("k", []byte("v"))
 	mgr.Get("k")
-	c := mgr.Counters()
-	if c.Puts != 1 || c.Gets != 1 {
-		t.Fatalf("counters: %+v", c)
+	if puts, gets := obstest.Counter(t, mgr.Obs(), "core.puts"), obstest.Counter(t, mgr.Obs(), "core.gets"); puts != 1 || gets != 1 {
+		t.Fatalf("puts %d, gets %d, want 1 and 1", puts, gets)
 	}
 	mgr.WriteBarrier()
 	if n := obstest.Counter(t, mgr.Obs(), "lsm.flush.count"); n == 0 {
