@@ -85,11 +85,12 @@ figures:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# One iteration of every codec and engine benchmark: tests never run
-# them, so without this a benchmark that panics or no longer builds its
-# inputs goes unnoticed until someone measures with it. About a second.
+# One iteration of every codec and engine benchmark and of the root
+# package's knob ablations: tests never run them, so without this a
+# benchmark that panics or no longer builds its inputs goes unnoticed
+# until someone measures with it. A few seconds.
 bench-once:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/snappy ./internal/lsm
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/snappy ./internal/lsm
 
 # Wall-clock smoke of the checkpoint write path: one short round of the
 # repository benchmark's paper-configuration workload on the real

@@ -243,7 +243,6 @@ func runDir(dir string, sess bench.ServiceSession) (bench.ServiceResult, error) 
 		Obs:        reg,
 		Admission:  svc.AdmissionConfig{Disabled: !sess.Fair},
 		ManifestFS: fs,
-		IOSched:    sched,
 	})
 	if err != nil {
 		return bench.ServiceResult{}, err

@@ -363,7 +363,6 @@ func (s ServiceSession) run(load serviceLoad) (ServiceResult, error) {
 		Runtime:   r.rtm,
 		Obs:       reg,
 		Admission: load.adm,
-		IOSched:   sched,
 	}
 	if load.fault {
 		opts.Supervisor = svc.SupervisorConfig{RestartBackoff: 500 * time.Microsecond}

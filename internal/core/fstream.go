@@ -104,7 +104,14 @@ func (s *FStreamSystem) Open(name string, mode OpenMode) (*FStream, error) {
 			f.size = sz
 		}
 		if mode == ModeWrite {
-			f.size = 0 // truncate
+			// Truncate. The old chunks go too, so that no byte written
+			// before the reopen shows through a hole in the new contents.
+			for idx := int64(0); idx*s.chunkSize < f.size; idx++ {
+				if err := s.mgr.Del(s.chunkKey(name, idx)); err != nil {
+					return nil, err
+				}
+			}
+			f.size = 0
 		}
 	case errors.Is(err, ErrNotFound):
 		if mode == ModeRead {
@@ -295,59 +302,6 @@ func (f *FStream) Read(p []byte) (int, error) {
 		return 0, io.EOF
 	}
 	return n, nil
-}
-
-// Truncate changes the stream length. Growing exposes a zero-filled
-// hole; shrinking masks (but does not eagerly delete) stored chunks
-// beyond the new size.
-func (f *FStream) Truncate(size int64) error {
-	if f.closed {
-		return errors.New("lsmio: fstream: truncate on closed stream")
-	}
-	if size < 0 {
-		return errors.New("lsmio: fstream: negative truncate")
-	}
-	if f.curValid {
-		// Trim or invalidate the cached chunk if it straddles the cut.
-		chunkStart := f.curIdx * f.sys.chunkSize
-		switch {
-		case chunkStart >= size:
-			f.curValid = false
-			f.curDirty = false
-		case chunkStart+int64(len(f.curData)) > size:
-			f.curData = f.curData[:size-chunkStart]
-			f.curDirty = true
-		}
-	}
-	if size < f.size {
-		// Delete stored chunks beyond the cut so a later re-grow reads
-		// zeros, not stale bytes. The chunk containing the cut is kept
-		// (its tail is masked by size and zero-filled on re-grow via the
-		// cached-chunk path).
-		cs := f.sys.chunkSize
-		firstDead := (size + cs - 1) / cs
-		oldChunks := (f.size + cs - 1) / cs
-		for idx := firstDead; idx < oldChunks; idx++ {
-			if err := f.sys.mgr.Del(f.sys.chunkKey(f.name, idx)); err != nil {
-				return err
-			}
-		}
-		// Trim the boundary chunk in the store too, if it is not the
-		// cached one.
-		if bIdx := size / cs; size%cs != 0 && (!f.curValid || f.curIdx != bIdx) {
-			if err := f.loadChunk(bIdx); err == nil {
-				if within := size % cs; within < int64(len(f.curData)) {
-					f.curData = f.curData[:within]
-					f.curDirty = true
-				}
-			}
-		}
-	}
-	f.size = size
-	if f.pos > size {
-		f.pos = size
-	}
-	return nil
 }
 
 // Flush writes buffered data and metadata into the store (iostream

@@ -104,8 +104,9 @@ type StoreOptions struct {
 	EnableCompression bool
 	EnableCache       bool
 	EnableCompaction  bool
-	// Codec selects the block codec when compression is enabled
-	// (default snappy).
+	// Codec names the block codec used when compression is enabled.
+	// Snappy (the default) is the only one; OpenStore refuses any other
+	// name.
 	Codec lsm.CompressionCodec
 	// Obs is the metrics/trace registry handed to the LSM engine (its
 	// instruments live under the `lsm.` prefix there). Nil lets the

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"lsmio/internal/lsm"
 	"lsmio/internal/obs"
 	"lsmio/internal/obs/obstest"
 	"lsmio/internal/vfs"
@@ -221,6 +223,12 @@ func TestOpenStoreValidation(t *testing.T) {
 	}
 	if _, err := OpenStore("x", StoreOptions{FS: vfs.NewMemFS(), Backend: "bogus"}); err == nil {
 		t.Fatal("unknown backend should error")
+	}
+	for _, codec := range []lsm.CompressionCodec{"flate", "zstd"} {
+		_, err := OpenStore("x", StoreOptions{FS: vfs.NewMemFS(), EnableCompression: true, Codec: codec})
+		if err == nil || !strings.Contains(err.Error(), string(codec)) {
+			t.Errorf("codec %q: %v, want an error naming it", codec, err)
+		}
 	}
 }
 

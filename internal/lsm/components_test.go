@@ -446,7 +446,7 @@ func TestBlockCacheShardedConcurrent(t *testing.T) {
 }
 
 func TestSSTableWriteRead(t *testing.T) {
-	for _, codec := range []string{"raw", "snappy", "flate"} {
+	for _, codec := range []string{"raw", "snappy"} {
 		codec := codec
 		t.Run(codec, func(t *testing.T) {
 			fs := vfs.NewMemFS()
@@ -456,8 +456,6 @@ func TestSSTableWriteRead(t *testing.T) {
 				opts.DisableCompression = true
 			case "snappy":
 				opts.Compression = CompressionSnappy
-			case "flate":
-				opts.Compression = CompressionFlate
 			}
 			w, err := newTableWriter(&opts, "t.sst", 1, nil, iosched.Flush)
 			if err != nil {
@@ -466,7 +464,7 @@ func TestSSTableWriteRead(t *testing.T) {
 			const n = 3000
 			for i := 0; i < n; i++ {
 				ik := makeIKey([]byte(fmt.Sprintf("key-%06d", i)), seqNum(i+1), kindValue)
-				// Compressible values so flate actually engages.
+				// Compressible values so the codec actually engages.
 				w.add(ik, bytes.Repeat([]byte{byte('a' + i%26)}, 64))
 			}
 			meta, err := w.finish()

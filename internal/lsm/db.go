@@ -83,8 +83,8 @@ type DB struct {
 // Open opens (creating if necessary) a database in dir.
 func Open(dir string, opts Options) (*DB, error) {
 	o := opts.withDefaults()
-	if o.FS == nil {
-		return nil, fmt.Errorf("lsm: Options.FS is required")
+	if err := o.check(); err != nil {
+		return nil, err
 	}
 	db := &DB{
 		opts:           o,

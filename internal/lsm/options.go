@@ -16,6 +16,7 @@
 package lsm
 
 import (
+	"fmt"
 	"time"
 
 	"lsmio/internal/iosched"
@@ -32,8 +33,6 @@ const (
 	// CompressionSnappy is the LZ77-family codec RocksDB defaults to
 	// (implemented from scratch in internal/snappy).
 	CompressionSnappy CompressionCodec = "snappy"
-	// CompressionFlate is DEFLATE at the fastest level.
-	CompressionFlate CompressionCodec = "flate"
 )
 
 // Fixed sizes no caller sets.
@@ -83,9 +82,9 @@ type Options struct {
 	DisableWAL bool
 	// DisableCompression stores blocks raw (the paper disables compression).
 	DisableCompression bool
-	// Compression selects the block codec when compression is enabled:
-	// CompressionSnappy (default, RocksDB's default codec) or
-	// CompressionFlate (better ratio, slower).
+	// Compression names the block codec used when compression is
+	// enabled. CompressionSnappy (RocksDB's default) is the only one;
+	// Open refuses any other name.
 	Compression CompressionCodec
 	// DisableCache bypasses the block cache (the paper disables caching).
 	DisableCache bool
@@ -205,6 +204,17 @@ func CheckpointOptions(fs vfs.FS) Options {
 	o.WriteBufferSize = 32 << 20
 	o.BlockSize = 64 << 10
 	return o
+}
+
+// check reports a defaulted option set that Open and Repair refuse.
+func (o *Options) check() error {
+	if o.FS == nil {
+		return fmt.Errorf("lsm: Options.FS is required")
+	}
+	if o.Compression != CompressionSnappy {
+		return fmt.Errorf("lsm: unknown compression codec %q", o.Compression)
+	}
+	return nil
 }
 
 func (o *Options) withDefaults() Options {

@@ -116,7 +116,7 @@ func referenceTable(opts *Options, keys []internalKey, values [][]byte) (image [
 	var file []byte
 	data, index := newBlockBuilder(blockRestartInterval), newBlockBuilder(1)
 	emit := func(raw []byte) blockHandle {
-		enc, n := encodeBlock(opts, rawBlock{buf: append([]byte(nil), raw...)}, false, new([]byte))
+		enc, n := encodeBlock(rawBlock{buf: append([]byte(nil), raw...)}, false, new([]byte))
 		h := blockHandle{offset: int64(len(file)), length: int64(n)}
 		file = append(file, enc.buf...)
 		return h

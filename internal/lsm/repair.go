@@ -21,8 +21,8 @@ import (
 // new MANIFEST and CURRENT are written and the database opens normally.
 func Repair(dir string, opts Options) (RepairSummary, error) {
 	o := opts.withDefaults()
-	if o.FS == nil {
-		return RepairSummary{}, fmt.Errorf("lsm: Options.FS is required")
+	if err := o.check(); err != nil {
+		return RepairSummary{}, err
 	}
 	fs := o.FS
 	dir = strings.TrimSuffix(dir, "/")

@@ -2,9 +2,13 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -119,6 +123,76 @@ func TestOpenRejectsCorruptManifest(t *testing.T) {
 	f.Close()
 	if _, err := Open("db", DefaultOptions(fs)); err == nil {
 		t.Fatal("open with corrupt manifest should fail")
+	}
+}
+
+// TestOpenRejectsUnknownCodec: snappy is the only block codec, so any
+// other name fails Open and Repair instead of silently writing snappy.
+func TestOpenRejectsUnknownCodec(t *testing.T) {
+	for _, codec := range []CompressionCodec{"flate", "zstd"} {
+		opts := DefaultOptions(vfs.NewMemFS())
+		opts.Compression = codec
+		if _, err := Open("db", opts); err == nil || !strings.Contains(err.Error(), string(codec)) {
+			t.Errorf("Open with codec %q: %v, want an error naming it", codec, err)
+		}
+		if _, err := Repair("db", opts); err == nil || !strings.Contains(err.Error(), string(codec)) {
+			t.Errorf("Repair with codec %q: %v, want an error naming it", codec, err)
+		}
+	}
+}
+
+// TestUnknownBlockTypeIsCorruption: a block whose type byte names no
+// codec of this build reads as ErrCorruption, even under a valid
+// checksum. Type 1 is the removed DEFLATE codec's, which a table written
+// by an older build can still carry.
+func TestUnknownBlockTypeIsCorruption(t *testing.T) {
+	fs := vfs.NewMemFS()
+	db := openTestDB(t, fs, func(o *Options) { o.DisableCompression = true })
+	db.Put([]byte("k"), []byte("v"))
+	db.Flush()
+	db.Close()
+
+	names, _ := fs.List("db")
+	var table string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".sst") {
+			table = "db/" + n
+		}
+	}
+	f, err := fs.Open(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := vfs.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The index's first handle locates the first data block.
+	footer := image[len(image)-footerLen:]
+	indexOff, indexLen := binary.LittleEndian.Uint64(footer[16:]), binary.LittleEndian.Uint64(footer[24:])
+	index, err := parseBlock(image[indexOff : indexOff+indexLen])
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := index.iterator()
+	it.SeekToFirst()
+	h, err := decodeHandle(it.Value())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Retype the block and reseal its checksum: only the type is wrong.
+	typ := h.offset + h.length
+	image[typ] = 1
+	binary.LittleEndian.PutUint32(image[typ+1:], crc32.Checksum(image[h.offset:typ+1], crcTable))
+	f, _ = fs.Create(table)
+	f.Write(image)
+	f.Close()
+
+	db = openTestDB(t, fs, nil)
+	defer db.Close()
+	if _, err := db.Get([]byte("k")); !errors.Is(err, ErrCorruption) {
+		t.Fatalf("Get through a block of type 1: %v, want ErrCorruption", err)
 	}
 }
 

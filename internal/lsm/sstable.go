@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -29,8 +28,10 @@ const (
 	footerLen       = 40
 	blockTrailerLen = 5
 
+	// Block types. Never reuse type 1: tables of earlier builds may hold
+	// DEFLATE blocks under it, which read as corruption, like any type
+	// not listed here.
 	compressionNone   = 0
-	compressionFlate  = 1
 	compressionSnappy = 2
 )
 
@@ -352,7 +353,7 @@ func (w *tableWriter) encode(b *tableBlock, scratch *[]byte) {
 		allowCompress = false // random bits do not compress
 	}
 	chargeEncodeCost(w.opts, b.data.size())
-	b.data, b.payloadLen = encodeBlock(w.opts, b.data, allowCompress, scratch)
+	b.data, b.payloadLen = encodeBlock(b.data, allowCompress, scratch)
 }
 
 // place is the I/O stage: it appends an encoded block at the current
@@ -371,36 +372,24 @@ func (w *tableWriter) place(b *tableBlock) (blockHandle, error) {
 	return h, err
 }
 
-// encodeBlock compresses raw per opts (when allowed and the compressed
-// form is >12.5% smaller) and appends the 5-byte block trailer, in place
-// when raw.buf has the room (blockBuilder.finish leaves it). Returns the
-// bytes to append to the file and the payload length (trailer excluded).
-// A pure function of (opts, raw), so a table's bytes do not depend on
-// which task encoded which block. The compressed bytes are built in
-// *scratch: a caller that is done with one encoded block before it
-// encodes the next (an inline build) passes the same one every time.
-func encodeBlock(opts *Options, raw rawBlock, allowCompress bool, scratch *[]byte) (enc rawBlock, payloadLen int) {
+// encodeBlock compresses raw with snappy (when allowed and the
+// compressed form is >12.5% smaller) and appends the 5-byte block
+// trailer, in place when raw.buf has the room (blockBuilder.finish leaves
+// it). Returns the bytes to append to the file and the payload length
+// (trailer excluded). A pure function of its arguments, so a table's
+// bytes do not depend on which task encoded which block. The compressed
+// bytes are built in *scratch: a caller that is done with one encoded
+// block before it encodes the next (an inline build) passes the same one
+// every time.
+func encodeBlock(raw rawBlock, allowCompress bool, scratch *[]byte) (enc rawBlock, payloadLen int) {
 	blockType := byte(compressionNone)
 	enc = raw
 	if allowCompress {
-		switch opts.Compression {
-		case CompressionFlate:
-			var cbuf bytes.Buffer
-			fw, err := flate.NewWriter(&cbuf, flate.BestSpeed)
-			if err == nil {
-				if _, err = fw.Write(raw.buf); err == nil && fw.Close() == nil &&
-					cbuf.Len() < len(raw.buf)-len(raw.buf)/8 {
-					enc.buf = cbuf.Bytes()
-					blockType = compressionFlate
-				}
-			}
-		default: // CompressionSnappy (and unset)
-			c := snappy.Encode((*scratch)[:0], raw.buf)
-			*scratch = c
-			if len(c) < len(raw.buf)-len(raw.buf)/8 {
-				enc.buf = c
-				blockType = compressionSnappy
-			}
+		c := snappy.Encode((*scratch)[:0], raw.buf)
+		*scratch = c
+		if len(c) < len(raw.buf)-len(raw.buf)/8 {
+			enc.buf = c
+			blockType = compressionSnappy
 		}
 	}
 	payloadLen = enc.size()
@@ -624,13 +613,6 @@ func (t *tableReader) readRawBlock(h blockHandle, scratch *[]byte) ([]byte, erro
 	case compressionNone:
 		*scratch = nil
 		return data, nil
-	case compressionFlate:
-		fr := flate.NewReader(bytes.NewReader(data))
-		out, err := io.ReadAll(fr)
-		if err != nil {
-			return nil, fmt.Errorf("lsm: block at %d: decompress: %w", h.offset, err)
-		}
-		return out, fr.Close()
 	case compressionSnappy:
 		out, err := snappy.Decode(nil, data)
 		if err != nil {
@@ -638,7 +620,7 @@ func (t *tableReader) readRawBlock(h blockHandle, scratch *[]byte) ([]byte, erro
 		}
 		return out, nil
 	default:
-		return nil, fmt.Errorf("lsm: block at %d: unknown type %d", h.offset, blockType)
+		return nil, fmt.Errorf("lsm: block at %d: unknown type %d: %w", h.offset, blockType, ErrCorruption)
 	}
 }
 

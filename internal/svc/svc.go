@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"lsmio/internal/core"
-	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
 	"lsmio/internal/rt"
@@ -99,14 +98,6 @@ type Options struct {
 	// Supervisor configures per-shard health tracking and
 	// crash-restart (on by default; see SupervisorConfig).
 	Supervisor SupervisorConfig
-	// IOSched is the shared bandwidth scheduler the shard stores draw
-	// from. The service front-end never acquires tokens itself — the
-	// shard managers do, through the StoreOptions their OpenShard
-	// closure builds — but the service keeps the reference so one
-	// instance demonstrably covers every shard and operator tooling
-	// (lsmioctl stats) can surface per-class scheduler state alongside
-	// service metrics. Nil when scheduling is disabled.
-	IOSched *iosched.Scheduler
 }
 
 // Shard supervisor states (also the value of the per-shard state
@@ -149,14 +140,13 @@ type shard struct {
 
 // Service is the multi-tenant sharded checkpoint service.
 type Service struct {
-	rt    rt.Runtime
-	kern  *sim.Kernel // rt.Kernel(): non-nil selects the simulator-only paths
-	reg   *obs.Registry
-	open  func(int) (*core.Manager, error)
-	mfs   vfs.FS
-	adm   *admission
-	sup   *supervisor
-	iosch *iosched.Scheduler
+	rt   rt.Runtime
+	kern *sim.Kernel // rt.Kernel(): non-nil selects the simulator-only paths
+	reg  *obs.Registry
+	open func(int) (*core.Manager, error)
+	mfs  vfs.FS
+	adm  *admission
+	sup  *supervisor
 
 	// mu guards the routing state. It is never held across a blocking
 	// store operation, so taking it from a simulation process is safe.
@@ -218,7 +208,6 @@ func New(opts Options) (*Service, error) {
 		reg:         reg,
 		open:        opts.OpenShard,
 		mfs:         opts.ManifestFS,
-		iosch:       opts.IOSched,
 		adm:         newAdmission(opts.Admission, reg),
 		ring:        NewRing(n),
 		gShards:     reg.Gauge("svc.shards"),
@@ -269,10 +258,6 @@ func (s *Service) openShard(i int) (*shard, error) {
 
 // Obs returns the service's metrics registry.
 func (s *Service) Obs() *obs.Registry { return s.reg }
-
-// IOScheduler returns the shared bandwidth scheduler the shard stores
-// draw from, nil when scheduling is disabled.
-func (s *Service) IOScheduler() *iosched.Scheduler { return s.iosch }
 
 // Shards reports the current shard count.
 func (s *Service) Shards() int {

@@ -102,8 +102,6 @@ const (
 	// CompressionSnappy is the RocksDB-default codec (from-scratch
 	// implementation in internal/snappy).
 	CompressionSnappy = lsm.CompressionSnappy
-	// CompressionFlate is DEFLATE at the fastest level.
-	CompressionFlate = lsm.CompressionFlate
 )
 
 // Backend choices (paper §3.1.2).
@@ -149,13 +147,6 @@ func GetManager(dir string, opts ManagerOptions) (*Manager, error) {
 
 // ReleaseManager closes and unregisters a factory-created Manager.
 func ReleaseManager(dir string) error { return core.ReleaseManager(dir) }
-
-// StoreFS adapts an LSMIO store as an FS: byte-oriented formats run
-// unmodified on top of the LSM-tree, PLFS-style.
-type StoreFS = core.StoreFS
-
-// NewStoreFS wraps a Manager as a filesystem.
-func NewStoreFS(mgr *Manager) *StoreFS { return core.NewStoreFS(mgr) }
 
 // NewFStreamSystem wraps a Manager with the FStream API.
 func NewFStreamSystem(mgr *Manager) *FStreamSystem {
