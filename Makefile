@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench bench-once figures fuzz restore-chaos svc-smoke svc-chaos perf-smoke loc
+.PHONY: build test check race vet bench bench-once figures fuzz restore-chaos svc-smoke svc-chaos perf-smoke loc pairs
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,17 @@ perf-smoke:
 	echo "$$out" | tail -n 2; \
 	[ $$rc -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
 		{ echo "perf-smoke: the round failed or its last line does not report \"correct\":true" >&2; exit 1; }
+
+# Paired wall-clock comparison against a base revision: BASE is checked
+# out as a git worktree under .bench_scratch/, and N rounds of WORKLOAD
+# run in each tree, alternating, with the order swapped every pair. Prints
+# both medians and IQRs, the ratio, the pairs won and a verdict against
+# the bound of every end-to-end metric in BENCHMARK.json. Manual: a pair
+# of 20 s rounds takes about a minute.
+N ?= 10
+pairs:
+	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make pairs BASE=<rev> WORKLOAD=<name> [N=10]" >&2; exit 2; }
+	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -n $(N)
 
 # Size of the program, counted one way for every change: non-test Go
 # lines outside benchmark/, in total, per top-level directory and per

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"lsmio/internal/bench"
@@ -81,16 +82,7 @@ func main() {
 					status = "FAIL"
 					failed++
 				}
-				band := fmt.Sprintf(">= %.2g", o.Min)
-				if o.Max > 0 {
-					band = fmt.Sprintf("%.2g..%.2g", o.Min, o.Max)
-				}
-				if o.Err != nil {
-					fmt.Printf("  [%s] %-62s %v\n", status, o.Desc, o.Err)
-				} else {
-					fmt.Printf("  [%s] %-62s paper %.1fx band %s got %.2fx\n",
-						status, o.Desc, o.Paper, band, o.Got)
-				}
+				fmt.Println(outcomeLine(status, o))
 			}
 			fmt.Println()
 		}
@@ -131,4 +123,23 @@ func main() {
 	if *figFlag == "all" || strings.HasPrefix(*figFlag, "fig") || *figFlag != "1" {
 		fmt.Println("all requested figures completed")
 	}
+}
+
+// outcomeLine formats one shape check's result. Bounds print at their
+// own precision (a 1.15 floor is not "1.1"), and a check the paper gives
+// no value for says so instead of "0.0x".
+func outcomeLine(status string, o bench.CheckOutcome) string {
+	if o.Err != nil {
+		return fmt.Sprintf("  [%s] %-62s %v", status, o.Desc, o.Err)
+	}
+	num := func(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+	band := ">= " + num(o.Min)
+	if o.Max > 0 {
+		band = num(o.Min) + ".." + num(o.Max)
+	}
+	paper := "–"
+	if o.Paper != 0 {
+		paper = fmt.Sprintf("%.1fx", o.Paper)
+	}
+	return fmt.Sprintf("  [%s] %-62s paper %s band %s got %.2fx", status, o.Desc, paper, band, o.Got)
 }

@@ -16,10 +16,10 @@ import (
 //
 //	lsm-jobs       sustained write throughput (workload bytes over the
 //	               virtual time until all background work has drained)
-//	put-p99-smooth p99 Put latency with write-stall smoothing on,
+//	put-p99-smooth p99 Put latency with paced admission on,
 //	               expressed as effective bandwidth (value bytes / p99)
-//	put-p99-hard   p99 Put latency with the soft tier disabled, so
-//	               writers run full speed into the hard stall
+//	put-p99-hard   p99 Put latency with pacing disabled, so writers
+//	               run full speed into the hard stall
 //
 // Latencies are inverted into effective bandwidths so the harness's
 // ratio checks compare them the right way up: smooth/hard ≥ 2 encodes

@@ -199,8 +199,8 @@ func overwriteOptions(fs vfs.FS, rtm rt.Runtime, jobs, buf int) lsm.Options {
 // compValueSize puts (payload plus key) over a keyspace half that many
 // keys, so every key is overwritten about twice, then a flush and a full
 // background drain. A fixed 64 puts per memtable keeps the stall
-// frequency scale-invariant. smooth selects write-stall smoothing or the
-// bare hard stall; tune, when set, adjusts the options further. It
+// frequency scale-invariant. smooth selects paced admission or the bare
+// hard stall; tune, when set, adjusts the options further. It
 // returns the end-to-end virtual time, every Put's latency and the
 // engine's registry snapshot.
 func runOverwrite(scale Scale, jobs int, smooth bool, payload []byte, tune func(*lsm.Options)) (time.Duration, []time.Duration, obs.Snapshot, error) {
@@ -215,14 +215,8 @@ func runOverwrite(scale Scale, jobs int, smooth bool, payload []byte, tune func(
 	s.spawn("lsm-writer", func(p *sim.Proc) error {
 		opts := overwriteOptions(s.cluster.Client(0), s.rtm, jobs, buf)
 		opts.L0StopTrigger = 12
-		if smooth {
-			opts.L0SlowdownTrigger = 6
-			opts.SlowdownDelay = 2 * time.Millisecond
-			opts.SoftPendingCompactionBytes = int64(16 * buf)
-		} else {
+		if !smooth {
 			opts.L0SlowdownTrigger = -1
-			opts.SlowdownDelay = -1
-			opts.SoftPendingCompactionBytes = -1
 		}
 		if tune != nil {
 			tune(&opts)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
+	"time"
 
 	"lsmio/internal/iosched"
 )
@@ -77,24 +78,79 @@ func (db *DB) l0Due(v *version) bool {
 	return false
 }
 
-// compactionDebtLocked estimates the pending compaction backlog: bytes
-// above each level's size target plus the L0 bytes beyond the trigger.
-// The slowdown tier compares it against SoftPendingCompactionBytes.
-func (db *DB) compactionDebtLocked() int64 {
+// minPaceWait is the paced debt a writer may run up before it waits:
+// below it a sleep would cost more in wake-up than it paces.
+const minPaceWait = time.Millisecond
+
+// paceRateLocked is the rate, in bytes per second, at which writers are
+// admitted, or 0 when they are not paced. It is the L0 headroom — the
+// bytes that may still reach L0, memtables included, before it holds
+// L0StopTrigger tables — over the time the L0→L1 merge in flight still
+// needs at the measured merge rate (or the whole of a merge of the
+// present L0 when none is running): a writer at that rate fills the
+// headroom just as the merge frees it. Nothing is paced with compaction
+// off, with pacing or the L0 stop disabled, below L0SlowdownTrigger,
+// before a merge has been measured, or once the headroom is gone (the
+// hard stall takes over there). Called with the lock held.
+func (db *DB) paceRateLocked() float64 {
+	if db.opts.DisableCompaction || db.opts.L0SlowdownTrigger < 0 ||
+		db.opts.L0StopTrigger <= 0 || db.mergeBps == 0 {
+		return 0
+	}
 	v := db.vs.current
-	var debt int64
-	if extra := len(v.levels[0]) - db.opts.L0CompactionTrigger; extra > 0 {
-		files := v.levels[0]
-		for _, f := range files[:extra] {
-			debt += f.size
+	l0 := len(v.levels[0])
+	if l0 < db.opts.L0SlowdownTrigger {
+		return 0
+	}
+	headroom := int64(db.opts.L0StopTrigger-l0-len(db.imm))*int64(db.opts.WriteBufferSize) -
+		db.mem.approximateSize()
+	if headroom <= 0 {
+		return 0
+	}
+	work, elapsed := db.l0MergeBytes, time.Duration(0)
+	if work > 0 {
+		elapsed = db.rt.Now() - db.l0MergeStart
+	} else {
+		lo, hi := keyRange(v.levels[0])
+		for _, f := range append(v.overlapping(1, lo, hi), v.levels[0]...) {
+			work += f.size
 		}
 	}
-	for l := 1; l < numLevels-1; l++ {
-		if over := v.levelBytes(l) - db.maxBytesForLevel(l); over > 0 {
-			debt += over
-		}
+	left := float64(work)/db.mergeBps - elapsed.Seconds()
+	if left <= 0 {
+		return 0
 	}
-	return debt
+	return float64(headroom) / left
+}
+
+// chargePaceLocked adds a committed cohort's bytes to the writers' paced
+// debt, or forgets the debt when writes are not paced. Debt drains in
+// real time, so a writer under the rate never accumulates minPaceWait of
+// it. Called with the lock held.
+func (db *DB) chargePaceLocked(bytes int) {
+	rate := db.paceRateLocked()
+	if rate == 0 {
+		db.paceUntil = 0
+		return
+	}
+	if now := db.rt.Now(); db.paceUntil < now {
+		db.paceUntil = now
+	}
+	db.paceUntil += time.Duration(float64(bytes) / rate * float64(time.Second))
+}
+
+// recordMergeRateLocked folds one merge's input rate into mergeBps
+// (an exponentially weighted mean, a quarter weight per merge).
+func (db *DB) recordMergeRateLocked(inputBytes int64, d time.Duration) {
+	if d <= 0 {
+		return
+	}
+	bps := float64(inputBytes) / d.Seconds()
+	if db.mergeBps == 0 {
+		db.mergeBps = bps
+	} else {
+		db.mergeBps += (bps - db.mergeBps) / 4
+	}
 }
 
 // compactionJob is one unit of background work handed to a worker, with
@@ -347,6 +403,14 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 	lastSeq := db.vs.lastSeq
 	shards := db.planSubcompactions(all)
 	compactStart := db.rt.Now()
+	var inputBytes int64
+	for _, f := range all {
+		inputBytes += f.size
+	}
+	if level == 0 {
+		db.l0MergeBytes, db.l0MergeStart = inputBytes, compactStart
+		defer func() { db.l0MergeBytes = 0 }()
+	}
 	// The number of output tables is unknown up front, so the merge
 	// re-takes the lock briefly for each file-number allocation and marks
 	// each output pending so the obsolete-file sweep leaves it alone.
@@ -412,6 +476,7 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 	db.m.compactions.Inc()
 	db.m.bytesCompacted.Add(totalOut)
 	db.m.compactionDur.ObserveDuration(db.rt.Now() - compactStart)
+	db.recordMergeRateLocked(inputBytes, db.rt.Now()-compactStart)
 	db.m.trace.EmitSpan("lsm.compaction",
 		fmt.Sprintf("L%d->L%d in=%d out_bytes=%d shards=%d", level, outLevel, len(all), totalOut, max(len(shards), 1)),
 		compactStart)
@@ -480,7 +545,7 @@ func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones b
 			}
 			return nil, terr
 		}
-		children = append(children, t.iterator())
+		children = append(children, t.mergeIterator(!db.opts.DisableCompression))
 	}
 	merge := newMergingIterator(children)
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -393,6 +394,109 @@ func TestBlockCacheLRU(t *testing.T) {
 	}
 	if hits.Load() == 0 || misses.Load() == 0 {
 		t.Fatalf("stats: hits=%d misses=%d", hits.Load(), misses.Load())
+	}
+}
+
+// cachedBlocks lists the blocks a cache holds.
+func cachedBlocks(c *blockCache) map[cacheKey]bool {
+	out := make(map[cacheKey]bool)
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		for k := range s.items {
+			out[k] = true
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// TestMergeReadsBypassCache: a merge takes its inputs' blocks from the
+// cache when they are there but inserts none, and what it writes does not
+// depend on which of them were cached. Two stores get the same writes;
+// one has every other key read into its cache before CompactAll, with an
+// iterator open so the merged tables stay live and their blocks are not
+// evicted. Raw and compressed tables take different read paths (only
+// the latter reuses a merge's decode buffers), so both are covered.
+func TestMergeReadsBypassCache(t *testing.T) {
+	for _, raw := range []bool{true, false} {
+		t.Run(fmt.Sprintf("raw=%v", raw), func(t *testing.T) {
+			fss := [2]*vfs.MemFS{vfs.NewMemFS(), vfs.NewMemFS()}
+			var dbs [2]*DB
+			for i, fs := range fss {
+				dbs[i] = openTestDB(t, fs, func(o *Options) {
+					o.WriteBufferSize = 64 << 10
+					o.L0CompactionTrigger = 100 // only CompactAll merges
+					o.DisableCompression = raw
+				})
+				defer dbs[i].Close()
+			}
+			warm := dbs[1] // dbs[0] merges with a cold cache
+			rng := rand.New(rand.NewSource(7))
+			for round := 0; round < 4; round++ {
+				for i := 0; i < 300; i++ {
+					key := []byte(fmt.Sprintf("bypass%04d", rng.Intn(600)))
+					value := bytes.Repeat([]byte{byte(round), byte(i)}, 40+rng.Intn(400))
+					for _, db := range dbs {
+						if err := db.Put(key, value); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, db := range dbs {
+					if err := db.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for i := 0; i < 600; i += 2 {
+				if _, err := warm.Get([]byte(fmt.Sprintf("bypass%04d", i))); err != nil && err != ErrNotFound {
+					t.Fatal(err)
+				}
+			}
+			before := cachedBlocks(warm.cache)
+			if len(before) == 0 {
+				t.Fatal("reads cached no block")
+			}
+			it, err := warm.NewIterator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, db := range dbs {
+				if err := db.CompactAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := cachedBlocks(warm.cache)
+			if err := it.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if len(after) != len(before) {
+				t.Fatalf("CompactAll changed the cache from %d blocks to %d", len(before), len(after))
+			}
+			for k := range after {
+				if !before[k] {
+					t.Fatalf("CompactAll cached block %+v", k)
+				}
+			}
+			names, err := fss[0].List("db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables := 0
+			for _, name := range names {
+				if !strings.HasSuffix(name, ".sst") {
+					continue
+				}
+				tables++
+				if !bytes.Equal(readWholeFile(t, fss[0], "db/"+name), readWholeFile(t, fss[1], "db/"+name)) {
+					t.Fatalf("%s differs between the cold and the warm merge", name)
+				}
+			}
+			if tables == 0 {
+				t.Fatal("no tables after CompactAll")
+			}
+		})
 	}
 }
 

@@ -42,7 +42,6 @@ func TestParallelCompactionStress(t *testing.T) {
 		smallTreeOpts(o)
 		o.AsyncFlush = true
 		o.MaxBackgroundJobs = 4
-		o.SlowdownDelay = 50 * time.Microsecond
 	})
 	defer db.Close()
 
@@ -238,7 +237,7 @@ func TestStallEpisodeAccounting(t *testing.T) {
 		opts.AsyncFlush = true
 		opts.MaxImmutableMemtables = 1
 		opts.MaxBackgroundJobs = 2
-		opts.SlowdownDelay = -1 // isolate the hard-stall tier
+		opts.L0SlowdownTrigger = -1 // isolate the hard-stall tier
 		db, err := Open("db", opts)
 		if err != nil {
 			t.Error(err)
@@ -276,33 +275,119 @@ func TestStallEpisodeAccounting(t *testing.T) {
 	}
 }
 
-// TestSlowdownSmoothing checks the soft tier engages ahead of the hard
-// stall and meters its delays.
-func TestSlowdownSmoothing(t *testing.T) {
-	db := openTestDB(t, vfs.NewMemFS(), func(o *Options) {
-		smallTreeOpts(o)
-		// Synchronous flush and a high compaction trigger make the L0
-		// count grow deterministically past the slowdown threshold.
-		o.L0CompactionTrigger = 100
-		o.L0SlowdownTrigger = 2
-		o.L0StopTrigger = 50
-		o.SlowdownDelay = 100 * time.Microsecond
-	})
-	defer db.Close()
-	payload := bytes.Repeat([]byte("x"), 400)
-	for i := 0; i < 300; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("sd%04d", i)), payload); err != nil {
-			t.Fatal(err)
-		}
+// slowReadFS charges the simulator perMB of virtual time for every MiB
+// read from a table: merges, which read their inputs, are slow, while
+// flushes, which only write, take no time.
+type slowReadFS struct {
+	vfs.FS
+	k     *sim.Kernel
+	perMB time.Duration
+}
+
+type slowReadFile struct {
+	vfs.File
+	fs *slowReadFS
+}
+
+func (s *slowReadFS) Open(name string) (vfs.File, error) {
+	f, err := s.FS.Open(name)
+	if err != nil || !strings.HasSuffix(name, ".sst") {
+		return f, err
 	}
-	if err := db.Flush(); err != nil {
+	return &slowReadFile{File: f, fs: s}, nil
+}
+
+func (f *slowReadFile) ReadAt(p []byte, off int64) (int, error) {
+	f.fs.k.Compute(time.Duration(int64(f.fs.perMB) * int64(len(p)) >> 20))
+	return f.File.ReadAt(p, off)
+}
+
+// runPacedProgram writes total bytes as puts of valueSize bytes on the
+// deterministic simulator, where the writer and the flushes take no time
+// and merges are charged for what they read. With pacing false the L0
+// trigger turns the paced tier off. It returns the engine's registry
+// after a final flush.
+func runPacedProgram(t *testing.T, total, valueSize int, pacing bool) *obs.Registry {
+	t.Helper()
+	k := sim.NewKernel()
+	var reg *obs.Registry
+	k.Spawn("writer", func(p *sim.Proc) {
+		opts := DefaultOptions(&slowReadFS{FS: vfs.NewMemFS(), k: k, perMB: 40 * time.Millisecond})
+		opts.Runtime = rt.Sim(k)
+		opts.AsyncFlush = true
+		opts.WriteBufferSize = 256 << 10
+		opts.BaseLevelSize = 1 << 20
+		opts.DisableCompression = true
+		opts.BitsPerKey = 0
+		if !pacing {
+			opts.L0SlowdownTrigger = -1
+		}
+		db, err := Open("db", opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		value := bytes.Repeat([]byte("v"), valueSize)
+		for i := 0; i < total/valueSize; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("pace%07d", i)), value); err != nil {
+				t.Errorf("put: %v", err)
+				return
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Error(err)
+			return
+		}
+		reg = db.Obs()
+		if err := db.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if obstest.Counter(t, db.Obs(), "lsm.slowdown.count") == 0 {
-		t.Fatal("soft slowdown tier never engaged with L0SlowdownTrigger=1")
+	if t.Failed() {
+		t.FailNow()
 	}
-	if obstest.Counter(t, db.Obs(), "lsm.slowdown.micros") == 0 {
-		t.Fatal("slowdown waits recorded but no slowdown duration")
+	return reg
+}
+
+// TestSlowdownSmoothing: with merges slower than the writer, the paced
+// tier engages ahead of the hard stall, and every wait it meters pays off
+// at least minPaceWait of debt.
+func TestSlowdownSmoothing(t *testing.T) {
+	reg := runPacedProgram(t, 8<<20, 4<<10, true)
+	waits, micros := obstest.Counter(t, reg, "lsm.slowdown.count"), obstest.Counter(t, reg, "lsm.slowdown.micros")
+	if waits == 0 {
+		t.Fatal("paced tier never engaged with merges slower than the writer")
+	}
+	if least := waits * int64(minPaceWait/time.Microsecond); micros < least {
+		t.Fatalf("%d paced waits took %dµs, under %v each", waits, micros, minPaceWait)
+	}
+}
+
+// TestPacedTimeFollowsBytes: the same bytes written as 4 KiB and as
+// 64 KiB puts are paced for about the same time. A per-write delay would
+// pace the small puts sixteen times as long. The program is long enough
+// (some sixty merges) that where the merges happen to fall evens out.
+func TestPacedTimeFollowsBytes(t *testing.T) {
+	small := obstest.Counter(t, runPacedProgram(t, 32<<20, 4<<10, true), "lsm.slowdown.micros")
+	large := obstest.Counter(t, runPacedProgram(t, 32<<20, 64<<10, true), "lsm.slowdown.micros")
+	if small == 0 || large == 0 {
+		t.Fatalf("paced %dµs at 4 KiB, %dµs at 64 KiB: pacing never engaged", small, large)
+	}
+	if ratio := float64(max(small, large)) / float64(min(small, large)); ratio > 1.5 {
+		t.Fatalf("paced %dµs at 4 KiB against %dµs at 64 KiB (%.2fx apart, want <= 1.5x)", small, large, ratio)
+	}
+}
+
+// TestPacingAvoidsHardStalls: the program that pacing spreads out runs
+// into the hard stall more often with pacing switched off.
+func TestPacingAvoidsHardStalls(t *testing.T) {
+	on := obstest.Counter(t, runPacedProgram(t, 8<<20, 4<<10, true), "lsm.stall.episodes")
+	off := obstest.Counter(t, runPacedProgram(t, 8<<20, 4<<10, false), "lsm.stall.episodes")
+	if off <= on {
+		t.Fatalf("%d hard-stall episodes with pacing off, %d with it on: want more off", off, on)
 	}
 }
 

@@ -74,6 +74,14 @@ type DB struct {
 	// on it.
 	writeQ  []*pendingWrite
 	logging bool
+	// Paced admission (paceRateLocked). mergeBps is the smoothed input
+	// rate of the merges run so far, 0 until one is measured; l0MergeBytes
+	// is the input of the L0→L1 merge in flight (0: none), started at
+	// l0MergeStart; paceUntil is when the writers' paced debt is paid.
+	mergeBps     float64
+	l0MergeBytes int64
+	l0MergeStart time.Duration
+	paceUntil    time.Duration
 	// reg is the obs registry backing every engine counter; m caches the
 	// instrument handles so hot paths never hash instrument names.
 	reg *obs.Registry
@@ -323,7 +331,7 @@ func (db *DB) commitCohortLocked() {
 	}
 	// Build the cohort: the leader plus writers queued behind it, up to
 	// the group byte cap. makeRoomForWrite may have released the lock
-	// (slowdown, stall, inline flush), so the queue can be longer now
+	// (paced wait, stall, inline flush), so the queue can be longer now
 	// than when this leader was elected — that is the point: the longer
 	// the WAL I/O ahead of us took, the more writes one sync amortizes.
 	cohort := db.writeQ[:1]
@@ -342,10 +350,11 @@ func (db *DB) commitCohortLocked() {
 	// memtable yet, and a failed WAL write must leave no sequence gap
 	// for later successful writes to sit above.
 	seq := db.vs.lastSeq + 1
-	total := 0
+	total, size := 0, 0
 	for _, pw := range cohort {
 		pw.b.setSeq(seq + seqNum(total))
 		total += pw.b.Count()
+		size += pw.b.Size()
 	}
 	if !db.opts.DisableWAL {
 		rec := encodeGroupRecord(cohort)
@@ -409,6 +418,7 @@ func (db *DB) commitCohortLocked() {
 		return
 	}
 	db.vs.lastSeq += seqNum(total)
+	db.chargePaceLocked(size)
 	db.finishCohortLocked(cohort, nil)
 }
 
@@ -449,14 +459,13 @@ func encodeGroupRecord(cohort []*pendingWrite) []byte {
 }
 
 // makeRoomForWrite rotates a full memtable, admission-controlling the
-// writer against the background backlog. Two tiers: a soft slowdown (one
-// bounded delay per write once L0 or the compaction debt crosses its soft
-// threshold) smooths the approach, and the hard stall (flush backlog at
-// its limit, or L0 at the stop trigger) blocks until background work
-// drains. Stall episodes are counted once and their duration metered.
-// Called with the lock held.
+// writer against the background backlog. Two tiers: writes are paced at
+// the rate the merges absorb (a writer whose paced debt has reached
+// minPaceWait pays it off, lock released), and the hard stall (flush
+// backlog at its limit, or L0 at the stop trigger) blocks until
+// background work drains. Stall episodes are counted once and their
+// duration metered. Called with the lock held.
 func (db *DB) makeRoomForWrite() error {
-	allowDelay := !db.opts.DisableCompaction && db.opts.SlowdownDelay > 0
 	var stallStart time.Duration
 	stalled := false
 	endStall := func() {
@@ -473,17 +482,19 @@ func (db *DB) makeRoomForWrite() error {
 			endStall()
 			return db.bgErr
 		}
-		if allowDelay && db.writerShouldSlowdownLocked() {
-			// Soft tier: pay one small delay (without the lock, so the
-			// background workers and other writers keep moving) instead
-			// of running full speed into the hard stall. At most once per
-			// write, LevelDB-style, so a single writer is throttled, not
-			// parked.
-			allowDelay = false
+		if debt := db.paceUntil - db.rt.Now(); debt >= minPaceWait {
+			if db.paceRateLocked() == 0 {
+				// The merge that set the pace is done: the debt is void.
+				db.paceUntil = 0
+				continue
+			}
+			// Paced tier: wait without the lock, so the background
+			// workers keep moving and other writers queue up behind
+			// this leader for one cohort.
 			db.m.slowdownWaits.Inc()
 			start := db.rt.Now()
 			db.mu.Unlock()
-			db.rt.Sleep(db.opts.SlowdownDelay)
+			db.rt.Sleep(debt)
 			db.mu.Lock()
 			d := db.rt.Now() - start
 			db.m.slowdownUS.Add(int64(d / time.Microsecond))
@@ -521,26 +532,6 @@ func (db *DB) makeRoomForWrite() error {
 			}
 		}
 	}
-}
-
-// writerShouldSlowdownLocked reports whether the soft admission-control
-// tier is engaged: the flush backlog one memtable short of its hard
-// limit, L0 close to its stop trigger, or the estimated compaction debt
-// above the soft threshold.
-func (db *DB) writerShouldSlowdownLocked() bool {
-	if db.opts.MaxImmutableMemtables > 1 &&
-		len(db.imm) >= db.opts.MaxImmutableMemtables-1 {
-		return true
-	}
-	if db.opts.L0SlowdownTrigger > 0 &&
-		len(db.vs.current.levels[0]) >= db.opts.L0SlowdownTrigger {
-		return true
-	}
-	if db.opts.SoftPendingCompactionBytes > 0 &&
-		db.compactionDebtLocked() >= db.opts.SoftPendingCompactionBytes {
-		return true
-	}
-	return false
 }
 
 // writerMustStopLocked reports whether L0 has reached the hard stop

@@ -149,28 +149,24 @@ type Options struct {
 	// Exists for the ext-pipeline A/B and for bisection.
 	DisableWALGroupCommit bool
 
-	// The write path has two admission-control tiers in front of the hard
-	// stall (the MaxImmutableMemtables backlog wait). Both only engage
-	// when compaction is enabled — with compaction off nothing would ever
-	// drain L0, so slowing writers for it would be pure loss.
+	// Writers are admitted at the rate the merges absorb, in front of the
+	// hard stall. Pacing only engages with compaction enabled — with
+	// compaction off nothing would ever drain L0, so slowing writers for
+	// it would be pure loss — and only once a merge has been measured.
+	// The rate is the L0 headroom left before L0StopTrigger over the time
+	// the L0→L1 merge still needs at the measured merge rate; a writer
+	// under it never waits, a faster one waits for its bytes (see
+	// DESIGN.md §9).
 	//
-	// L0SlowdownTrigger is the L0 table count at which each write is
-	// delayed by SlowdownDelay once, smoothing the approach to the stall
-	// cliff (LevelDB's kL0_SlowdownWritesTrigger). 0 picks the default
-	// (8); negative disables the slowdown tier.
+	// L0SlowdownTrigger is the L0 table count from which writes are
+	// paced. 0 picks L0CompactionTrigger; negative disables pacing,
+	// leaving only the hard stall.
 	L0SlowdownTrigger int
 	// L0StopTrigger is the L0 table count at which writers block until
 	// compaction catches up (LevelDB's kL0_StopWritesTrigger). 0 picks
-	// the default (12); negative disables the L0 hard stop.
+	// the default (12); negative disables the L0 hard stop, and with it
+	// pacing, which is measured against it.
 	L0StopTrigger int
-	// SlowdownDelay is the per-write pause applied in the slowdown tier.
-	// 0 picks the default (1ms); negative disables delays.
-	SlowdownDelay time.Duration
-	// SoftPendingCompactionBytes additionally engages the slowdown tier
-	// when the estimated compaction debt (bytes above each level's size
-	// target) exceeds it. 0 picks the default (64 MB); negative disables
-	// the debt-based slowdown.
-	SoftPendingCompactionBytes int64
 }
 
 // DefaultOptions returns options resembling LevelDB/RocksDB defaults, on
@@ -250,16 +246,10 @@ func (o *Options) withDefaults() Options {
 		out.EncodeWorkers = 0
 	}
 	if out.L0SlowdownTrigger == 0 {
-		out.L0SlowdownTrigger = 8
+		out.L0SlowdownTrigger = out.L0CompactionTrigger
 	}
 	if out.L0StopTrigger == 0 {
 		out.L0StopTrigger = 12
-	}
-	if out.SlowdownDelay == 0 {
-		out.SlowdownDelay = time.Millisecond
-	}
-	if out.SoftPendingCompactionBytes == 0 {
-		out.SoftPendingCompactionBytes = 64 << 20
 	}
 	return out
 }

@@ -572,7 +572,7 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 		offset: int64(binary.LittleEndian.Uint64(footer[16:])),
 		length: int64(binary.LittleEndian.Uint64(footer[24:])),
 	}
-	rawIndex, err := t.readRawBlock(indexHandle, new([]byte))
+	rawIndex, err := t.readRawBlock(indexHandle, new([]byte), nil)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: table %d index: %w", fileNum, err)
 	}
@@ -580,7 +580,7 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 		return nil, err
 	}
 	if filterHandle.length > 0 {
-		if t.filter, err = t.readRawBlock(filterHandle, new([]byte)); err != nil {
+		if t.filter, err = t.readRawBlock(filterHandle, new([]byte), nil); err != nil {
 			return nil, fmt.Errorf("lsm: table %d filter: %w", fileNum, err)
 		}
 	}
@@ -589,10 +589,13 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 
 // readRawBlock reads, verifies and decompresses one block (no cache).
 // The stored bytes are read into *scratch, which grows by doubling
-// (blocks that get larger in key order must not each outgrow it); a block
-// that was stored raw is returned as read, so it takes the buffer with it
-// and *scratch is left nil.
-func (t *tableReader) readRawBlock(h blockHandle, scratch *[]byte) ([]byte, error) {
+// (blocks that get larger in key order must not each outgrow it). With
+// decoded nil, a block that was stored raw is returned as read, so it
+// takes the buffer with it and *scratch is left nil, and a compressed one
+// decodes into a new slice. Otherwise both buffers stay the caller's to
+// reuse: a raw block is returned in *scratch, and a compressed one is
+// decoded into *decoded.
+func (t *tableReader) readRawBlock(h blockHandle, scratch, decoded *[]byte) ([]byte, error) {
 	n := int(h.length) + blockTrailerLen
 	if cap(*scratch) < n {
 		*scratch = make([]byte, n, max(n, 2*cap(*scratch)))
@@ -611,12 +614,21 @@ func (t *tableReader) readRawBlock(h blockHandle, scratch *[]byte) ([]byte, erro
 	}
 	switch blockType {
 	case compressionNone:
-		*scratch = nil
+		if decoded == nil {
+			*scratch = nil
+		}
 		return data, nil
 	case compressionSnappy:
-		out, err := snappy.Decode(nil, data)
+		var dst []byte
+		if decoded != nil {
+			dst = (*decoded)[:0]
+		}
+		out, err := snappy.Decode(dst, data)
 		if err != nil {
 			return nil, fmt.Errorf("lsm: block at %d: decompress: %w", h.offset, err)
+		}
+		if decoded != nil {
+			*decoded = out
 		}
 		return out, nil
 	default:
@@ -632,7 +644,7 @@ func (t *tableReader) readBlock(h blockHandle, scratch *[]byte) (*block, error) 
 			return b, nil
 		}
 	}
-	raw, err := t.readRawBlock(h, scratch)
+	raw, err := t.readRawBlock(h, scratch, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -644,6 +656,23 @@ func (t *tableReader) readBlock(h blockHandle, scratch *[]byte) (*block, error) 
 		t.cache.put(t.fileNum, h.offset, b, int64(len(raw)))
 	}
 	return b, nil
+}
+
+// readMergeBlock is readBlock for a merge's input: a block the cache
+// holds is taken from it, but one read from the file is not inserted —
+// the merge's output replaces the table, and its blocks would only push
+// out the ones readers use. decoded is readRawBlock's.
+func (t *tableReader) readMergeBlock(h blockHandle, scratch, decoded *[]byte) (*block, error) {
+	if t.cache != nil {
+		if b, ok := t.cache.get(t.fileNum, h.offset); ok {
+			return b, nil
+		}
+	}
+	raw, err := t.readRawBlock(h, scratch, decoded)
+	if err != nil {
+		return nil, err
+	}
+	return parseBlock(raw)
 }
 
 // get finds the newest entry for userKey at snapshot seq within this
@@ -692,6 +721,21 @@ func (t *tableReader) iterator() *tableIterator {
 	return &tableIterator{t: t, idx: t.index.iterator()}
 }
 
+// mergeIterator returns an iterator for a merge's input, which reads past
+// the block cache (readMergeBlock). With reuse, every block it reads is
+// decoded into the same buffers, so an entry stays valid only until the
+// iterator next moves: the merge may reuse them only when the output
+// copies what it is given, which tableWriter.add does unless blocks are
+// stored raw.
+func (t *tableReader) mergeIterator(reuse bool) *tableIterator {
+	it := t.iterator()
+	it.merge = true
+	if reuse {
+		it.decoded = new([]byte)
+	}
+	return it
+}
+
 // close releases the underlying file.
 func (t *tableReader) close() error { return t.f.Close() }
 
@@ -701,7 +745,11 @@ type tableIterator struct {
 	idx    *blockIterator
 	data   *blockIterator
 	stored []byte // the last compressed block as read, reused for the next
-	err    error
+	// merge marks a merge's input (mergeIterator); decoded, when set, is
+	// the buffer every block it reads is decoded into.
+	merge   bool
+	decoded *[]byte
+	err     error
 }
 
 func (it *tableIterator) loadData() {
@@ -714,7 +762,12 @@ func (it *tableIterator) loadData() {
 		it.err = err
 		return
 	}
-	b, err := it.t.readBlock(h, &it.stored)
+	var b *block
+	if it.merge {
+		b, err = it.t.readMergeBlock(h, &it.stored, it.decoded)
+	} else {
+		b, err = it.t.readBlock(h, &it.stored)
+	}
 	if err != nil {
 		it.err = err
 		return

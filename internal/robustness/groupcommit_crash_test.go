@@ -35,13 +35,13 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash-point enumeration sweep skipped in -short mode")
 	}
-	// A hundred and sixty generations: even if every cohort held all four
-	// writers there would be one log append and one log sync per
-	// generation, so the workload always crosses at least the six Open
-	// boundaries plus 160 log syncs. How many more it crosses depends on
-	// how cohorts form, so only the subtests past boundary 166 vary from
-	// run to run.
-	const writers, gens = 4, 160
+	// The sweep checks the first sweepPoints boundaries, so its subtest
+	// names repeat from run to run. Two hundred and sixty-six generations
+	// guarantee them: even if every cohort held all four writers there
+	// would be one log append and one log sync per generation, so the
+	// workload always crosses at least the six Open boundaries plus 266
+	// log syncs. How many more it crosses depends on how cohorts form.
+	const writers, gens, sweepPoints = 4, 266, 272
 
 	ffs := faultfs.New(vfs.NewMemFS())
 	if err := ffs.StartRecording(); err != nil {
@@ -112,11 +112,11 @@ func TestGroupCommitCrashSweep(t *testing.T) {
 	}
 
 	pts := ffs.CrashPoints()
-	if len(pts) < 20 {
-		t.Fatalf("workload crossed only %d boundaries; sweep too weak", len(pts))
+	if len(pts) < sweepPoints {
+		t.Fatalf("workload crossed only %d boundaries, want %d", len(pts), sweepPoints)
 	}
 
-	for _, pt := range pts {
+	for _, pt := range pts[:sweepPoints] {
 		pt := pt
 		t.Run(fmt.Sprintf("boundary%03d_%s", pt.Boundary, pt.Op), func(t *testing.T) {
 			defer func() {
