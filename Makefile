@@ -27,14 +27,16 @@ race:
 # the codec and engine benchmarks run once.
 check: vet race restore-chaos svc-chaos svc-smoke figures fuzz bench-once
 
-# Bounded fuzzing of the parsers that read on-disk bytes and of the
-# encoder that writes them: each native fuzz target, named as
+# Bounded fuzzing of the parsers that read on-disk bytes, of the
+# encoder that writes them and of the in-memory and crash filesystem
+# models the tests run on: each native fuzz target, named as
 # package:target, runs for FUZZTIME. A failing input is written under the
 # package's testdata/fuzz/ and replays under plain `go test` from then on.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/lsm:FuzzParseBlock ./internal/lsm:FuzzWALReader \
 	./internal/lsm:FuzzSnappyDecode ./internal/lsm:FuzzBatchDecode \
-	./internal/snappy:FuzzSnappyEncode ./internal/vfs:FuzzMemFSOps
+	./internal/snappy:FuzzSnappyEncode ./internal/vfs:FuzzMemFSOps \
+	./internal/faultfs:FuzzFaultFSModel
 fuzz:
 	@for t in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${t#*:}\$$" -fuzztime $(FUZZTIME) "$${t%%:*}" || exit 1; \
@@ -120,7 +122,9 @@ pairs:
 # package under internal/; then the fields of each options struct a
 # caller sets (one per name, so `A, B int` is two).
 LOC_OPTIONS = internal/lsm/options.go:Options internal/core/store.go:StoreOptions \
-	internal/svc/svc.go:Options internal/burst/burst.go:Options
+	internal/svc/svc.go:Options internal/burst/burst.go:Options \
+	internal/iosched/iosched.go:Config internal/svc/supervisor.go:SupervisorConfig \
+	internal/svc/admission.go:TenantConfig internal/svc/admission.go:AdmissionConfig
 loc:
 	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
 	xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); top = (n == 2 ? "." : p[2]); \

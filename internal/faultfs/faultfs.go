@@ -9,24 +9,29 @@
 //   - Crash simulation: Crash() discards every byte not covered by a
 //     completed Sync (or Barrier), modeling loss of the page cache, and
 //     kills all open handles.
-//   - Crash-point enumeration: with recording enabled the wrapper keeps an
-//     op journal and can materialize, for every durability boundary the
-//     workload crossed, the exact filesystem image a crash at that boundary
-//     would leave behind (journal.go) — crashmonkey-style.
+//   - Crash-point enumeration: with recording enabled the wrapper keeps,
+//     for every durability boundary the workload crossed, the durable
+//     image a crash at that boundary would leave behind, and materializes
+//     it on demand (crashpoints.go) — crashmonkey-style.
 //
 // Fault model (see also README.md in this package): namespace operations
 // (Create, Remove, Rename, MkdirAll) are atomic and immediately durable, in
 // order, as on a journaled file system with ordered metadata. File *data*
-// is volatile until the handle completes a Sync (or the filesystem-level
-// Barrier, on backends that have one). Rename moves a file's durable bytes
-// with its name. This is exactly the contract the LSM engine's
-// WAL/SSTable/manifest protocol assumes of its underlying file system.
+// is volatile until a Sync on a handle of the file (or the filesystem-level
+// Barrier) completes. Rename moves a file's durable bytes with its name. This
+// is exactly the contract the LSM engine's WAL/SSTable/manifest protocol
+// assumes of its underlying file system.
+//
+// There is one model behind both Crash and StateAfter: a name table from
+// paths to files, each file holding its own durable bytes. A Sync reaches
+// the file its handle was opened on, under whatever name it has now, and a
+// removed file's bytes can no longer reach the namespace.
 package faultfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"path"
 	"strings"
 	"sync"
@@ -200,27 +205,51 @@ type FS struct {
 	sleeper  func(time.Duration)
 	gen      int // bumped by Crash(); stale handles die
 
-	// durable holds the last synced image of every path touched through
-	// the wrapper (the bytes a crash preserves). Presence in the map means
-	// the file durably exists.
-	durable map[string][]byte
-	dirs    map[string]bool
+	// names is the name table: every file that durably exists, by path.
+	// dirs holds every directory, with the order it was made in.
+	names map[string]*node
+	dirs  map[string]int
 
-	// Journal state (journal.go).
+	// Crash-point recording (crashpoints.go).
 	recording  bool
-	journal    []journalOp
-	base       map[string][]byte
-	baseDirs   []string
+	images     []image
 	boundaries int
 }
 
+// node is one file of the model. durable is the content a crash keeps.
+// Its bytes are never modified once set (capture may only append past
+// them), so recorded images share them.
+type node struct{ durable []byte }
+
 // New wraps inner. Files already present in inner are treated as fully
-// durable.
+// durable: New reads every one of them into the model.
 func New(inner vfs.FS) *FS {
-	return &FS{
-		inner:   inner,
-		durable: make(map[string][]byte),
-		dirs:    make(map[string]bool),
+	f := &FS{
+		inner: inner,
+		names: make(map[string]*node),
+		dirs:  make(map[string]int),
+	}
+	f.walk(".")
+	return f
+}
+
+// walk adds the files and directories under dir in the inner FS to the
+// model. An entry that cannot be listed or read is left out.
+func (f *FS) walk(dir string) {
+	entries, err := f.inner.List(dir)
+	if err != nil {
+		return
+	}
+	for _, e := range entries {
+		p := path.Join(dir, e)
+		if _, err := f.inner.Stat(p); err != nil {
+			f.dirs[p] = len(f.dirs)
+			f.walk(p)
+			continue
+		}
+		if data, err := f.readInner(p); err == nil {
+			f.names[p] = &node{durable: data}
+		}
 	}
 }
 
@@ -333,19 +362,14 @@ func (f *FS) Delayed() int {
 	return f.delayed
 }
 
-// snapshotInner reads a file's current bytes from the inner FS (used to
-// establish the durable baseline of pre-existing files).
-func (f *FS) snapshotInner(p string) []byte {
+// readInner reads a file's current bytes from the inner FS.
+func (f *FS) readInner(p string) ([]byte, error) {
 	h, err := f.inner.Open(p)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	defer h.Close()
-	data, err := vfs.ReadAll(h)
-	if err != nil {
-		return nil
-	}
-	return data
+	return vfs.ReadAll(h)
 }
 
 var _ vfs.FS = (*FS)(nil)
@@ -361,12 +385,13 @@ func (f *FS) Create(name string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
+	nd := &node{}
 	f.mu.Lock()
-	f.durable[name] = []byte{}
-	f.noteLocked(journalOp{op: OpCreate, path: name}, true)
+	f.names[name] = nd
+	f.noteLocked(OpCreate, name)
 	gen := f.gen
 	f.mu.Unlock()
-	return &file{fs: f, inner: inner, path: name, gen: gen}, nil
+	return &file{fs: f, inner: inner, path: name, node: nd, gen: gen}, nil
 }
 
 // Open implements vfs.FS.
@@ -380,22 +405,9 @@ func (f *FS) Open(name string) (vfs.File, error) {
 		return nil, err
 	}
 	f.mu.Lock()
-	tracked := false
-	if _, ok := f.durable[name]; ok {
-		tracked = true
-	}
-	gen := f.gen
+	nd, gen := f.names[name], f.gen
 	f.mu.Unlock()
-	if !tracked {
-		// Pre-existing file: what is on disk now is durable.
-		data := f.snapshotInner(name)
-		f.mu.Lock()
-		if _, ok := f.durable[name]; !ok {
-			f.durable[name] = data
-		}
-		f.mu.Unlock()
-	}
-	return &file{fs: f, inner: inner, path: name, gen: gen}, nil
+	return &file{fs: f, inner: inner, path: name, node: nd, gen: gen}, nil
 }
 
 // Remove implements vfs.FS. Removal is a durability boundary.
@@ -408,8 +420,8 @@ func (f *FS) Remove(name string) error {
 		return err
 	}
 	f.mu.Lock()
-	delete(f.durable, name)
-	f.noteLocked(journalOp{op: OpRemove, path: name}, true)
+	delete(f.names, name)
+	f.noteLocked(OpRemove, name)
 	f.mu.Unlock()
 	return nil
 }
@@ -421,23 +433,18 @@ func (f *FS) Rename(oldName, newName string) error {
 	if err := f.check(OpRename, oldName); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	_, tracked := f.durable[oldName]
-	f.mu.Unlock()
-	var base []byte
-	if !tracked {
-		base = f.snapshotInner(oldName)
-	}
 	if err := f.inner.Rename(oldName, newName); err != nil {
 		return err
 	}
 	f.mu.Lock()
-	if d, ok := f.durable[oldName]; ok {
-		base = d
+	nd, ok := f.names[oldName]
+	delete(f.names, oldName)
+	if ok {
+		f.names[newName] = nd
+	} else {
+		delete(f.names, newName)
 	}
-	delete(f.durable, oldName)
-	f.durable[newName] = base
-	f.noteLocked(journalOp{op: OpRename, path: oldName, to: newName}, true)
+	f.noteLocked(OpRename, oldName)
 	f.mu.Unlock()
 	return nil
 }
@@ -453,8 +460,12 @@ func (f *FS) MkdirAll(dir string) error {
 		return err
 	}
 	f.mu.Lock()
-	f.dirs[dir] = true
-	f.noteLocked(journalOp{op: OpMkdirAll, path: dir}, false)
+	if _, ok := f.dirs[dir]; !ok {
+		f.dirs[dir] = len(f.dirs)
+	}
+	if f.recording {
+		f.images[len(f.images)-1].dirs = len(f.dirs)
+	}
 	f.mu.Unlock()
 	return nil
 }
@@ -484,9 +495,9 @@ func (f *FS) Exists(name string) bool {
 }
 
 // Barrier implements the optional barrier hook (core.barrierFS) when the
-// inner filesystem has one, and on success marks every tracked file's
-// current content durable — a storage-level write barrier makes all
-// previously issued writes stable.
+// inner filesystem has one, and on success marks every file's current
+// content durable — a storage-level write barrier makes all previously
+// issued writes stable.
 func (f *FS) Barrier() error {
 	if err := f.check(OpBarrier, ""); err != nil {
 		return err
@@ -497,26 +508,38 @@ func (f *FS) Barrier() error {
 		}
 	}
 	f.mu.Lock()
-	paths := make([]string, 0, len(f.durable))
-	for p := range f.durable {
-		paths = append(paths, p)
+	files := make(map[string]*node, len(f.names))
+	for p, nd := range f.names {
+		files[p] = nd
 	}
 	f.mu.Unlock()
-	for _, p := range paths {
-		data := f.snapshotInner(p)
+	for p, nd := range files {
+		data, err := f.readInner(p)
 		f.mu.Lock()
-		if _, ok := f.durable[p]; ok {
-			f.durable[p] = data
+		if err == nil && f.names[p] == nd {
+			nd.capture(data)
 		}
 		f.mu.Unlock()
 	}
 	f.mu.Lock()
-	f.noteLocked(journalOp{op: OpBarrier}, true)
+	f.noteLocked(OpBarrier, "")
 	f.mu.Unlock()
 	return nil
 }
 
-// Crash simulates losing the node: every byte not covered by a completed
+// capture makes data the file's durable content. Content that extends
+// the durable bytes is appended to them: the images taken before keep
+// their shorter view of the same array, so a file that only grows, like
+// a log, costs each image only what it added. Callers hold the FS's mu.
+func (nd *node) capture(data []byte) {
+	if n := len(nd.durable); n > 0 && len(data) >= n && bytes.Equal(data[:n], nd.durable) {
+		nd.durable = append(nd.durable, data[n:]...)
+	} else {
+		nd.durable = data
+	}
+}
+
+// Crash simulates losing the machine: every byte not covered by a completed
 // Sync/Barrier is discarded from the inner filesystem, and every handle
 // opened through the wrapper is dead (operations return ErrCrashed). The
 // wrapper itself remains usable — reopening files afterwards models the
@@ -524,9 +547,9 @@ func (f *FS) Barrier() error {
 func (f *FS) Crash() error {
 	f.mu.Lock()
 	f.gen++
-	restore := make(map[string][]byte, len(f.durable))
-	for p, d := range f.durable {
-		restore[p] = d
+	restore := make(map[string][]byte, len(f.names))
+	for p, nd := range f.names {
+		restore[p] = nd.durable
 	}
 	f.mu.Unlock()
 	for p, data := range restore {
@@ -547,11 +570,14 @@ func (f *FS) Crash() error {
 	return nil
 }
 
-// file wraps one open handle.
+// file wraps one open handle. node is the file it was opened on; nil when
+// the file appeared in the inner FS without passing through the wrapper,
+// which puts it outside the model.
 type file struct {
 	fs    *FS
 	inner vfs.File
 	path  string
+	node  *node
 	gen   int
 }
 
@@ -591,22 +617,18 @@ func (fl *file) Write(p []byte) (int, error) {
 	if err := fl.alive(); err != nil {
 		return 0, err
 	}
-	off, err := fl.inner.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return 0, err
-	}
-	return fl.write(p, off, func(q []byte) (int, error) { return fl.inner.Write(q) })
+	return fl.write(p, func(q []byte) (int, error) { return fl.inner.Write(q) })
 }
 
 func (fl *file) WriteAt(p []byte, off int64) (int, error) {
 	if err := fl.alive(); err != nil {
 		return 0, err
 	}
-	return fl.write(p, off, func(q []byte) (int, error) { return fl.inner.WriteAt(q, off) })
+	return fl.write(p, func(q []byte) (int, error) { return fl.inner.WriteAt(q, off) })
 }
 
 // write applies injection (including torn writes) around one inner write.
-func (fl *file) write(p []byte, off int64, inner func([]byte) (int, error)) (int, error) {
+func (fl *file) write(p []byte, inner func([]byte) (int, error)) (int, error) {
 	keep, ferr := fl.fs.checkWrite(fl.path)
 	if ferr != nil {
 		if keep > int64(len(p)) {
@@ -615,25 +637,10 @@ func (fl *file) write(p []byte, off int64, inner func([]byte) (int, error)) (int
 		n := 0
 		if keep > 0 {
 			n, _ = inner(p[:keep])
-			fl.fs.noteWrite(fl.path, off, p[:n])
 		}
 		return n, ferr
 	}
-	n, err := inner(p)
-	if n > 0 {
-		fl.fs.noteWrite(fl.path, off, p[:n])
-	}
-	return n, err
-}
-
-func (f *FS) noteWrite(p string, off int64, data []byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.recording {
-		return
-	}
-	f.noteLocked(journalOp{op: OpWrite, path: p, off: off,
-		data: append([]byte(nil), data...)}, false)
+	return inner(p)
 }
 
 func (fl *file) Seek(offset int64, whence int) (int64, error) {
@@ -652,7 +659,8 @@ func (fl *file) Size() (int64, error) {
 
 // Sync implements vfs.File: on success the file's current content becomes
 // its durable image — the only way (besides Barrier) file data survives a
-// Crash.
+// Crash. The durable image is the file's, not the name's: it follows the
+// file through a Rename, and a removed file's stays out of the namespace.
 func (fl *file) Sync() error {
 	if err := fl.alive(); err != nil {
 		return err
@@ -663,13 +671,18 @@ func (fl *file) Sync() error {
 	if err := fl.inner.Sync(); err != nil {
 		return err
 	}
-	data, err := vfs.ReadAll(fl.inner)
-	if err != nil {
-		return fmt.Errorf("faultfs: sync snapshot %s: %w", fl.path, err)
+	var data []byte
+	if fl.node != nil {
+		var err error
+		if data, err = vfs.ReadAll(fl.inner); err != nil {
+			return fmt.Errorf("faultfs: sync snapshot %s: %w", fl.path, err)
+		}
 	}
 	fl.fs.mu.Lock()
-	fl.fs.durable[fl.path] = data
-	fl.fs.noteLocked(journalOp{op: OpSync, path: fl.path}, true)
+	if fl.node != nil {
+		fl.node.capture(data)
+	}
+	fl.fs.noteLocked(OpSync, fl.path)
 	fl.fs.mu.Unlock()
 	return nil
 }
@@ -681,15 +694,7 @@ func (fl *file) Truncate(size int64) error {
 	if err := fl.fs.check(OpTruncate, fl.path); err != nil {
 		return err
 	}
-	if err := fl.inner.Truncate(size); err != nil {
-		return err
-	}
-	fl.fs.mu.Lock()
-	if f := fl.fs; f.recording {
-		f.noteLocked(journalOp{op: OpTruncate, path: fl.path, size: size}, false)
-	}
-	fl.fs.mu.Unlock()
-	return nil
+	return fl.inner.Truncate(size)
 }
 
 func (fl *file) Close() error {

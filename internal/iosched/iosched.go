@@ -31,8 +31,8 @@
 //     deficit counts with twice its weight until the backlog it
 //     accumulated has drained, so a class starved through a storm
 //     catches up instead of being perpetually out-bid.
-//   - A burst allowance: an idle class may fall at most Config.Burst
-//     behind the current time, so a freshly woken class gets one
+//   - A burst allowance: an idle class may fall at most 50 ms behind
+//     the current time, so a freshly woken class gets one
 //     burst's worth of free tokens rather than an unbounded backlog.
 //
 // All methods are nil-receiver safe and free when the scheduler is
@@ -84,9 +84,16 @@ func (c Class) String() string {
 	return classNames[c]
 }
 
-// DefaultShares is the default bandwidth split, in weight units
-// (foreground > flush > drain = compaction > scrub).
-var DefaultShares = [NumClasses]float64{40, 25, 15, 15, 5}
+// shares is the bandwidth split, in weight units (foreground > flush >
+// drain = compaction > scrub). They sum to totalShare.
+var shares = [NumClasses]float64{40, 25, 15, 15, 5}
+
+const (
+	totalShare = 100
+	// burst bounds the free-token backlog an idle class accumulates,
+	// expressed as device time.
+	burst = 50 * time.Millisecond
+)
 
 // Config configures a Scheduler.
 type Config struct {
@@ -94,13 +101,6 @@ type Config struct {
 	// or negative disables the scheduler: every Acquire returns
 	// immediately (the pass-through used for A/B baselines).
 	BytesPerSec float64
-	// Shares are the per-class weights; an all-zero array picks
-	// DefaultShares, and any non-positive entry is floored at 1 so no
-	// class can be configured into total starvation.
-	Shares [NumClasses]float64
-	// Burst bounds the free-token backlog an idle class accumulates
-	// (expressed as device time). 0 picks the default, 50ms.
-	Burst time.Duration
 	// Clock is what grants are timed and paced on: the stack's
 	// rt.Runtime (virtual time under the simulator, so grant timelines
 	// are deterministic) or a test's fake. Nil means rt.Real().
@@ -115,13 +115,10 @@ type Config struct {
 // flush + compaction, burst drain, parity scrub) plus the foreground
 // WAL path; see New.
 type Scheduler struct {
-	rate       float64
-	share      [NumClasses]float64
-	totalShare float64
-	burst      time.Duration
-	clk        rt.Clock
-	reg        *obs.Registry
-	m          schedMetrics
+	rate float64
+	clk  rt.Clock
+	reg  *obs.Registry
+	m    schedMetrics
 
 	mu sync.Mutex
 	// next is each class's virtual next-free time: the moment its
@@ -141,38 +138,13 @@ type Scheduler struct {
 // New builds a scheduler from cfg. The zero Config is valid and yields
 // a disabled scheduler (all acquires free).
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{
-		rate:  cfg.BytesPerSec,
-		burst: cfg.Burst,
-		clk:   cfg.Clock,
-	}
+	s := &Scheduler{rate: cfg.BytesPerSec, clk: cfg.Clock}
 	if s.clk == nil {
 		s.clk = rt.Real()
 	}
-	if s.burst <= 0 {
-		s.burst = 50 * time.Millisecond
-	}
-	shares := cfg.Shares
-	allZero := true
-	for _, v := range shares {
-		if v > 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		shares = DefaultShares
-	}
-	for c := range shares {
-		if shares[c] <= 0 {
-			shares[c] = 1
-		}
-		s.totalShare += shares[c]
-	}
-	s.share = shares
 	if s.rate > 0 {
 		for c := Class(0); c < NumClasses; c++ {
-			s.deficitCap[c] = int64(s.rate * s.share[c] / s.totalShare)
+			s.deficitCap[c] = int64(s.rate * shares[c] / totalShare)
 		}
 	}
 	s.reg = cfg.Obs
@@ -276,7 +248,7 @@ func (s *Scheduler) reserve(class Class, n int64) time.Duration {
 	}
 	// Burst allowance: an idle class's token bucket holds at most one
 	// burst of credit.
-	if floor := now - s.burst; s.next[class] < floor {
+	if floor := now - burst; s.next[class] < floor {
 		s.next[class] = floor
 	}
 	// Work-conserving effective rate: divide the device over the active
@@ -300,7 +272,7 @@ func (s *Scheduler) reserve(class Class, n int64) time.Duration {
 		wait = 0
 	}
 	if wait > 0 {
-		reserved := s.rate * s.share[class] / s.totalShare
+		reserved := s.rate * shares[class] / totalShare
 		s.deficit[class] += int64(reserved * wait.Seconds())
 		if s.deficit[class] > s.deficitCap[class] {
 			s.deficit[class] = s.deficitCap[class]
@@ -321,7 +293,7 @@ func (s *Scheduler) reserve(class Class, n int64) time.Duration {
 
 // weight is a class's live share: doubled while it carries a deficit.
 func (s *Scheduler) weight(c Class) float64 {
-	w := s.share[c]
+	w := shares[c]
 	if s.deficit[c] > 0 {
 		w *= 2
 	}

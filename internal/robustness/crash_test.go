@@ -41,7 +41,7 @@ func TestLSMCrashSweep(t *testing.T) {
 
 	opts := lsm.DefaultOptions(ffs)
 	opts.Sync = true              // every acked write is WAL-synced
-	opts.AsyncFlush = false       // deterministic journal order
+	opts.AsyncFlush = false       // deterministic boundary order
 	opts.DisableCompaction = true // compaction driven explicitly below
 	opts.WriteBufferSize = 4 << 10
 	opts.BitsPerKey = 0

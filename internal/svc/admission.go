@@ -10,19 +10,18 @@ import (
 )
 
 // QuotaError reports a request rejected by fair-share admission: the
-// tenant's token debt is so deep that admitting the request would mean
-// waiting longer than the configured MaxWait. It is retryable —
+// tenant's byte-token debt is so deep that admitting the request would
+// mean waiting longer than the configured MaxWait. It is retryable —
 // resil.Classify maps it to ClassTransient — and RetryAfter tells the
 // client how long the bucket needs to drain before the request would
 // be admitted.
 type QuotaError struct {
 	Tenant     string
-	Resource   string // "bytes" or "ops"
 	RetryAfter time.Duration
 }
 
 func (e *QuotaError) Error() string {
-	return fmt.Sprintf("svc: tenant %q over %s quota (retry after %v)", e.Tenant, e.Resource, e.RetryAfter)
+	return fmt.Sprintf("svc: tenant %q over bytes quota (retry after %v)", e.Tenant, e.RetryAfter)
 }
 
 // TransientFault marks the rejection retryable for resil.Classify.
@@ -37,15 +36,13 @@ type TenantConfig struct {
 	// the service capacity is Weight over the sum of all registered
 	// weights. Zero or negative means 1.
 	Weight float64
-	// BytesPerSec / OpsPerSec are hard per-tenant rate caps applied on
-	// top of the weighted share. Zero means no cap.
+	// BytesPerSec is a hard per-tenant rate cap applied on top of the
+	// weighted share. Zero means no cap.
 	BytesPerSec float64
-	OpsPerSec   float64
-	// BurstBytes / BurstOps size the tenant's token buckets (how far a
-	// tenant may run ahead of its sustained rate). Zero picks a default
-	// of a quarter second at the tenant's rate.
+	// BurstBytes sizes the tenant's token bucket (how far a tenant may
+	// run ahead of its sustained rate). Zero picks a default of a
+	// quarter second at the tenant's rate.
 	BurstBytes float64
-	BurstOps   float64
 }
 
 // AdmissionConfig configures the service-wide fair-share admission
@@ -57,10 +54,9 @@ type AdmissionConfig struct {
 	// straight to the shards); used as the control arm of the
 	// ext-service experiment.
 	Disabled bool
-	// CapacityBytesPerSec / CapacityOpsPerSec are the aggregate service
-	// capacity split between tenants by weight. Zero means unlimited.
+	// CapacityBytesPerSec is the aggregate service capacity split
+	// between tenants by weight. Zero means unlimited.
 	CapacityBytesPerSec float64
-	CapacityOpsPerSec   float64
 	// MaxWait bounds how long a request may be delayed by admission
 	// before it is rejected with a QuotaError instead (default 2s).
 	MaxWait time.Duration
@@ -111,13 +107,12 @@ func (g *gcra) commit(now time.Duration, n float64) {
 	g.tat += unitsDur(n, g.rate)
 }
 
-// tenantState is one tenant's admission buckets plus its cached
+// tenantState is one tenant's admission bucket plus its cached
 // instrument handles.
 type tenantState struct {
 	name   string
 	cfg    TenantConfig
 	bytesB gcra
-	opsB   gcra
 
 	ops     *obs.Counter
 	bytesIn *obs.Counter
@@ -134,7 +129,7 @@ func (ts *tenantState) weight() float64 {
 }
 
 // admission is the service-wide fair-share admission controller: one
-// weighted GCRA pair (bytes, ops) per tenant, with rates recomputed
+// weighted byte GCRA per tenant, with rates recomputed
 // whenever the tenant set or a weight changes.
 type admission struct {
 	cfg AdmissionConfig
@@ -188,7 +183,7 @@ func (a *admission) tenant(name string, cfg *TenantConfig) *tenantState {
 	return ts
 }
 
-// recomputeLocked re-derives every tenant's bucket rates from the
+// recomputeLocked re-derives every tenant's bucket rate from the
 // capacity split by weight, intersected with the tenant's hard caps.
 func (a *admission) recomputeLocked() {
 	var sumW float64
@@ -196,16 +191,12 @@ func (a *admission) recomputeLocked() {
 		sumW += ts.weight()
 	}
 	for _, ts := range a.tenants {
-		share := func(capacity float64) float64 {
-			if capacity <= 0 || sumW <= 0 {
-				return 0
-			}
-			return capacity * ts.weight() / sumW
+		var share float64
+		if a.cfg.CapacityBytesPerSec > 0 && sumW > 0 {
+			share = a.cfg.CapacityBytesPerSec * ts.weight() / sumW
 		}
-		ts.bytesB.rate = combineRate(ts.cfg.BytesPerSec, share(a.cfg.CapacityBytesPerSec))
-		ts.opsB.rate = combineRate(ts.cfg.OpsPerSec, share(a.cfg.CapacityOpsPerSec))
+		ts.bytesB.rate = combineRate(ts.cfg.BytesPerSec, share)
 		ts.bytesB.burst = burstOr(ts.cfg.BurstBytes, ts.bytesB.rate, 64<<10)
-		ts.opsB.burst = burstOr(ts.cfg.BurstOps, ts.opsB.rate, 16)
 	}
 }
 
@@ -251,19 +242,13 @@ func (a *admission) admit(ts *tenantState, nBytes, nOps int) (time.Duration, err
 		return 0, nil
 	}
 	now := a.reg.Now()
-	wb := ts.bytesB.need(now, float64(nBytes))
-	wo := ts.opsB.need(now, float64(nOps))
-	wait, resource := wb, "bytes"
-	if wo > wait {
-		wait, resource = wo, "ops"
-	}
+	wait := ts.bytesB.need(now, float64(nBytes))
 	if wait > a.cfg.MaxWait {
 		ts.rejects.Inc()
 		a.mu.Unlock()
-		return 0, &QuotaError{Tenant: ts.name, Resource: resource, RetryAfter: wait}
+		return 0, &QuotaError{Tenant: ts.name, RetryAfter: wait}
 	}
 	ts.bytesB.commit(now, float64(nBytes))
-	ts.opsB.commit(now, float64(nOps))
 	a.mu.Unlock()
 	ts.admWait.ObserveDuration(wait)
 	return wait, nil

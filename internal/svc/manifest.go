@@ -36,7 +36,6 @@ type ManifestTenant struct {
 	Name        string  `json:"name"`
 	Weight      float64 `json:"weight"`
 	BytesPerSec float64 `json:"bytes_per_sec,omitempty"`
-	OpsPerSec   float64 `json:"ops_per_sec,omitempty"`
 }
 
 // Manifest returns the service's current layout description.
@@ -50,7 +49,6 @@ func (s *Service) Manifest() Manifest {
 			Name:        name,
 			Weight:      ts.weight(),
 			BytesPerSec: ts.cfg.BytesPerSec,
-			OpsPerSec:   ts.cfg.OpsPerSec,
 		})
 	}
 	s.adm.mu.Unlock()

@@ -42,37 +42,33 @@ func (e *ShardDownError) TransientFault() bool { return true }
 // migration; the probe expects ErrNotFound (a healthy miss).
 const probeKey = "\x00svc/probe"
 
+const (
+	// heartbeatInterval is the goroutine-mode prober period. The
+	// simulator runs no free-running prober — a periodic daemon would
+	// hold virtual time open forever — so detection there is driven by
+	// request outcomes and explicit CrashShard injection.
+	heartbeatInterval = 25 * time.Millisecond
+	// maxRestarts bounds consecutive failed restart attempts before the
+	// shard is left permanently down.
+	maxRestarts = 16
+)
+
 // SupervisorConfig tunes per-shard health tracking and crash-restart.
-// The zero value enables supervision with the defaults below.
+// The zero value enables supervision with the defaults below. Each
+// shard's request-outcome breaker takes the resil.Options defaults (3
+// consecutive errors trip it).
 type SupervisorConfig struct {
 	// Disabled turns supervision off: no health breaker, no prober,
 	// and a crashed shard stays down until the service is restarted.
 	Disabled bool
-	// HeartbeatInterval is the goroutine-mode prober period (default
-	// 25ms). The simulator runs no free-running prober — a periodic
-	// daemon would hold virtual time open forever — so detection there
-	// is driven by request outcomes and explicit CrashShard injection.
-	HeartbeatInterval time.Duration
 	// RestartBackoff is the delay before the first restart attempt
 	// (default 10ms); each failed attempt doubles it, capped at 64x.
 	RestartBackoff time.Duration
-	// MaxRestarts bounds consecutive failed restart attempts before the
-	// shard is left permanently down (default 16).
-	MaxRestarts int
-	// Breaker tunes the per-shard request-outcome breaker; zero fields
-	// take the resil.Options defaults (3 consecutive errors trip it).
-	Breaker resil.Options
 }
 
 func (c SupervisorConfig) withDefaults() SupervisorConfig {
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 25 * time.Millisecond
-	}
 	if c.RestartBackoff <= 0 {
 		c.RestartBackoff = 10 * time.Millisecond
-	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 16
 	}
 	return c
 }
@@ -115,7 +111,7 @@ func (u *supervisor) newTracker() *resil.Tracker {
 	if u.cfg.Disabled {
 		return nil
 	}
-	return resil.New(1, u.s.reg.Now, u.cfg.Breaker)
+	return resil.New(1, u.s.reg.Now, resil.Options{})
 }
 
 // retryHint is the backoff suggested to callers hitting a down shard.
@@ -145,7 +141,7 @@ func (u *supervisor) stop() {
 
 func (u *supervisor) probeLoop() {
 	defer u.probe.Done()
-	t := time.NewTicker(u.cfg.HeartbeatInterval)
+	t := time.NewTicker(heartbeatInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -240,7 +236,7 @@ func (u *supervisor) restart(sh *shard) {
 	}
 	backoff := u.cfg.RestartBackoff
 	for attempt := 0; ; attempt++ {
-		if attempt >= u.cfg.MaxRestarts {
+		if attempt >= maxRestarts {
 			u.cGaveUp.Inc()
 			s.reg.Trace().Emitf("svc.shard.gaveup", "shard %d: %d failed restart attempts", sh.idx, attempt)
 			return
