@@ -124,7 +124,9 @@ pairs:
 LOC_OPTIONS = internal/lsm/options.go:Options internal/core/store.go:StoreOptions \
 	internal/svc/svc.go:Options internal/burst/burst.go:Options \
 	internal/iosched/iosched.go:Config internal/svc/supervisor.go:SupervisorConfig \
-	internal/svc/admission.go:TenantConfig internal/svc/admission.go:AdmissionConfig
+	internal/svc/admission.go:TenantConfig internal/svc/admission.go:AdmissionConfig \
+	internal/core/manager.go:ManagerOptions internal/adios2/adios2.go:Config \
+	internal/svc/front.go:FrontOptions
 loc:
 	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
 	xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); top = (n == 2 ? "." : p[2]); \

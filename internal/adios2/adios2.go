@@ -43,38 +43,26 @@ const (
 	Sync
 )
 
-// CostModel is the CPU cost model for the ADIOS2 data path, charged to
-// simulation processes (no-ops outside the simulator). The defaults
-// reflect the overheads the paper attributes to ADIOS2 versus LSMIO's raw
-// byte-array path: strong typing and element-wise marshalling, buffer
-// management, and per-variable metadata handling.
-type CostModel struct {
-	MarshalPerByte   float64       // ns per payload byte at PerformPuts
-	PutFixed         time.Duration // per-Put bookkeeping
-	VarMetaCost      time.Duration // per variable per step metadata build
-	UnmarshalPerByte float64       // ns per payload byte on Get
-}
-
-// DefaultCostModel returns the calibrated cost model. The marshal rate is
-// set so that per-rank ADIOS2 write throughput lands where the paper's
-// ratios put it (≈50 MB/s per rank at 48 nodes: 2.4x below a
-// ceiling-bound LSMIO and 10.7x above the collapsed IOR baseline);
-// EXPERIMENTS.md records the calibration.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		MarshalPerByte:   17.5,
-		PutFixed:         1 * time.Microsecond,
-		VarMetaCost:      8 * time.Microsecond,
-		UnmarshalPerByte: 0.55,
-	}
-}
+// The CPU cost model for the ADIOS2 data path, charged to simulation
+// processes (no-ops outside the simulator). It reflects the overheads the
+// paper attributes to ADIOS2 versus LSMIO's raw byte-array path: strong
+// typing and element-wise marshalling, buffer management, and per-variable
+// metadata handling. The marshal rate is set so that per-rank ADIOS2 write
+// throughput lands where the paper's ratios put it (≈50 MB/s per rank at
+// 48 nodes: 2.4x below a ceiling-bound LSMIO and 10.7x above the collapsed
+// IOR baseline); EXPERIMENTS.md records the calibration.
+const (
+	marshalPerByte   = 17.5                 // ns per payload byte at PerformPuts
+	putFixed         = 1 * time.Microsecond // per-Put bookkeeping
+	varMetaCost      = 8 * time.Microsecond // per variable per step metadata build
+	unmarshalPerByte = 0.55                 // ns per payload byte on Get
+)
 
 // Config configures an Adios instance (one per rank, like adios2::ADIOS).
 type Config struct {
 	FS      vfs.FS
 	Runtime rt.Runtime   // nil: rt.Real(); inside the simulator, the stack's rt.Sim
 	Rank    *mpisim.Rank // nil for serial use; enables metadata aggregation
-	Cost    CostModel    // zero value: defaults
 }
 
 // Adios is the top-level factory object (adios2::ADIOS).
@@ -85,9 +73,6 @@ type Adios struct {
 
 // New creates an ADIOS2 instance.
 func New(cfg Config) *Adios {
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCostModel()
-	}
 	if cfg.Runtime == nil {
 		cfg.Runtime = rt.Real()
 	}

@@ -105,7 +105,7 @@ func (e *bpEngine) Put(v *Variable, data []byte, mode PutMode) error {
 	if e.mode != ModeWrite {
 		return fmt.Errorf("adios2: Put on a read engine")
 	}
-	e.compute(e.io.a.cfg.Cost.PutFixed)
+	e.compute(putFixed)
 	if mode == Sync {
 		return e.marshal(v, data)
 	}
@@ -127,8 +127,7 @@ func (e *bpEngine) PerformPuts() error {
 // marshal serializes one variable block into the chunk buffer, spilling
 // full chunks to the subfile.
 func (e *bpEngine) marshal(v *Variable, data []byte) error {
-	cost := e.io.a.cfg.Cost
-	e.compute(time.Duration(cost.MarshalPerByte * float64(len(data))))
+	e.compute(time.Duration(marshalPerByte * float64(len(data))))
 	e.meta = append(e.meta, metaRecord{
 		Var:    v.Name,
 		Step:   e.step,
@@ -136,7 +135,7 @@ func (e *bpEngine) marshal(v *Variable, data []byte) error {
 		Offset: e.offset + int64(len(e.buf)),
 		Length: int64(len(data)),
 	})
-	e.compute(cost.VarMetaCost)
+	e.compute(varMetaCost)
 	for len(data) > 0 {
 		space := e.bufCap - int64(len(e.buf))
 		take := int64(len(data))
@@ -182,7 +181,7 @@ func (e *bpEngine) Get(v *Variable, dst []byte) error {
 			if _, err := e.dataFile.ReadAt(dst[:rec.Length], rec.Offset); err != nil && err != io.EOF {
 				return err
 			}
-			e.compute(time.Duration(e.io.a.cfg.Cost.UnmarshalPerByte * float64(rec.Length)))
+			e.compute(time.Duration(unmarshalPerByte * float64(rec.Length)))
 			return nil
 		}
 	}

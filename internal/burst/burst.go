@@ -148,18 +148,6 @@ func New(staging, durable *ckpt.Store, opts Options) *Tier {
 // Options.Obs was set, a private one otherwise).
 func (t *Tier) Obs() *obs.Registry { return t.reg }
 
-// ResetCounters zeroes every `burst.` instrument (the trace ring is
-// kept). The authoritative backpressure accounting is unaffected; the
-// pending.bytes gauge is immediately restored from it so the snapshot
-// view stays coherent.
-func (t *Tier) ResetCounters() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.reg.ResetPrefix("burst.")
-	t.notePending()
-	t.m.highWater.SetMax(t.pendingBytes)
-}
-
 // notePending mirrors the pending steps and bytes into their gauges.
 // Call it with mu held wherever pendingBytes changes; moving a step from
 // the queue to in flight leaves both unchanged.

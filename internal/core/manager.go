@@ -12,34 +12,25 @@ import (
 	"lsmio/internal/rt"
 )
 
-// CostProfile is the CPU cost model charged to simulation processes for
-// LSMIO's client-side work (key encoding, memtable insertion, table
-// building amortized per operation). Outside the simulator the charges are
-// no-ops — real CPU time is really spent.
-type CostProfile struct {
-	PutFixed   time.Duration // per-put fixed cost
-	PutPerByte float64       // ns per value byte on the put path
-	GetFixed   time.Duration // per-get fixed cost
-	GetPerByte float64       // ns per value byte on the get path
+// The CPU cost model charged to simulation processes for LSMIO's
+// client-side work (key encoding, memtable insertion, table building
+// amortized per operation). Outside the simulator the charges are no-ops —
+// real CPU time is really spent. The values reflect measured LSM-engine
+// overheads (skiplist insert ~2 µs; block/filter/index building ~0.35 ns/B
+// end-to-end).
+const (
+	putFixed   = 2 * time.Microsecond // per-put fixed cost
+	putPerByte = 0.35                 // ns per value byte on the put path
+	getFixed   = 3 * time.Microsecond // per-get fixed cost
+	getPerByte = 0.40                 // ns per value byte on the get path
+)
+
+func putCost(n int) time.Duration {
+	return putFixed + time.Duration(putPerByte*float64(n))
 }
 
-// DefaultCostProfile reflects measured LSM-engine overheads (skiplist
-// insert ~2 µs; block/filter/index building ~0.35 ns/B end-to-end).
-func DefaultCostProfile() CostProfile {
-	return CostProfile{
-		PutFixed:   2 * time.Microsecond,
-		PutPerByte: 0.35,
-		GetFixed:   3 * time.Microsecond,
-		GetPerByte: 0.40,
-	}
-}
-
-func (c CostProfile) putCost(n int) time.Duration {
-	return c.PutFixed + time.Duration(c.PutPerByte*float64(n))
-}
-
-func (c CostProfile) getCost(n int) time.Duration {
-	return c.GetFixed + time.Duration(c.GetPerByte*float64(n))
+func getCost(n int) time.Duration {
+	return getFixed + time.Duration(getPerByte*float64(n))
 }
 
 // ManagerOptions configures a Manager.
@@ -51,8 +42,6 @@ type ManagerOptions struct {
 	// manager charges its CPU cost model. It is forwarded to the store
 	// (unless Store.Runtime names one) and clocks the default registry.
 	Runtime rt.Runtime
-	// Cost is the client-side CPU cost model (zero value: defaults).
-	Cost CostProfile
 	// MPI attaches an MPI rank; WriteBarrier then also performs an MPI
 	// barrier so all ranks' checkpoints complete together (§3.1.3).
 	MPI *mpisim.Rank
@@ -72,7 +61,6 @@ type ManagerOptions struct {
 type Manager struct {
 	store  Store
 	rt     rt.Runtime
-	cost   CostProfile
 	mpi    *mpisim.Rank
 	remote bool
 	reg    *obs.Registry
@@ -82,10 +70,6 @@ type Manager struct {
 // NewManager opens a manager over a local store in dir (or over the
 // remote store when opts.Remote is set).
 func NewManager(dir string, opts ManagerOptions) (*Manager, error) {
-	cost := opts.Cost
-	if cost == (CostProfile{}) {
-		cost = DefaultCostProfile()
-	}
 	rtm := opts.Runtime
 	if rtm == nil {
 		rtm = rt.Real()
@@ -94,7 +78,7 @@ func NewManager(dir string, opts ManagerOptions) (*Manager, error) {
 	if reg == nil {
 		reg = obs.NewRegistryOn(rtm.Now)
 	}
-	m := &Manager{rt: rtm, cost: cost, mpi: opts.MPI, reg: reg, m: newMgrMetrics(reg)}
+	m := &Manager{rt: rtm, mpi: opts.MPI, reg: reg, m: newMgrMetrics(reg)}
 	if opts.Remote != nil {
 		m.store = opts.Remote
 		m.remote = true
@@ -122,7 +106,7 @@ func (m *Manager) Get(key string) ([]byte, error) {
 	if err == nil {
 		m.m.gets.Inc()
 		m.m.bytesGot.Add(int64(len(v)))
-		m.rt.Compute(m.cost.getCost(len(v)))
+		m.rt.Compute(getCost(len(v)))
 		m.m.getLatency.ObserveDuration(m.reg.Now() - start)
 	}
 	return v, err
@@ -137,7 +121,7 @@ func (m *Manager) ReadBatch(prefix string, fn func(key string, value []byte) boo
 	return m.store.Scan(prefix, func(key string, value []byte) bool {
 		m.m.gets.Inc()
 		m.m.bytesGot.Add(int64(len(value)))
-		m.rt.Compute(time.Duration(m.cost.GetPerByte * float64(len(value)) / 2))
+		m.rt.Compute(time.Duration(getPerByte * float64(len(value)) / 2))
 		return fn(key, value)
 	})
 }
@@ -168,7 +152,7 @@ func (m *Manager) PutSync(key string, value []byte) error {
 
 func (m *Manager) putInternal(key string, value []byte, sync bool) error {
 	start := m.reg.Now()
-	m.rt.Compute(m.cost.putCost(len(value)))
+	m.rt.Compute(putCost(len(value)))
 	if err := m.store.Put(key, value, sync); err != nil {
 		return err
 	}
@@ -183,7 +167,7 @@ func (m *Manager) putInternal(key string, value []byte, sync bool) error {
 
 // Append extends key's value (creating it when absent).
 func (m *Manager) Append(key string, value []byte) error {
-	m.rt.Compute(m.cost.putCost(len(value)))
+	m.rt.Compute(putCost(len(value)))
 	if err := m.store.Append(key, value, false); err != nil {
 		return err
 	}
@@ -268,11 +252,6 @@ func (m *Manager) WriteBarrier() error {
 // it also carries the engine's `lsm.` instruments, so one snapshot
 // covers the whole stack.
 func (m *Manager) Obs() *obs.Registry { return m.reg }
-
-// ResetCounters zeroes every `core.` instrument (the engine's `lsm.`
-// instruments and the trace ring are kept; use Obs().Reset() to clear
-// everything).
-func (m *Manager) ResetCounters() { m.reg.ResetPrefix("core.") }
 
 // Runtime returns what the manager runs on. Layers above (the ckpt
 // restore pool, its retry backoff) run their workers and sleeps on it.

@@ -160,14 +160,6 @@ func New(cfg Config) *Scheduler {
 // and configured with a positive device rate).
 func (s *Scheduler) Enabled() bool { return s != nil && s.rate > 0 }
 
-// Rate returns the configured device bandwidth in bytes per second.
-func (s *Scheduler) Rate() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.rate
-}
-
 // Obs returns the registry the scheduler records into.
 func (s *Scheduler) Obs() *obs.Registry {
 	if s == nil {

@@ -158,9 +158,6 @@ func (f *ClientFS) Barrier() error {
 	return firstErr
 }
 
-// NodeID returns the fabric endpoint this client is bound to.
-func (f *ClientFS) NodeID() int { return f.nodeID }
-
 // pfsFile is an open file on the simulated PFS. Contiguous writes on one
 // handle coalesce in a client write-back extent (Lustre dirty pages) and
 // hit the wire as RPCs of up to MaxRPCSize; non-contiguous writes flush

@@ -90,9 +90,6 @@ func (c *Cluster) SetOSTHealth(idx int, h OSTHealth, slowFactor float64) {
 	o.slow = slowFactor
 }
 
-// OSTHealthState returns the fail-stop model state of OST idx.
-func (c *Cluster) OSTHealthState(idx int) OSTHealth { return c.osts[idx].health }
-
 // Resilience configures the cluster's degraded-mode machinery.
 type Resilience struct {
 	// Hedge enables hedged stripe writes: when a run's predicted device

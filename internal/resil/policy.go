@@ -106,15 +106,6 @@ type ClassError struct {
 	Msg string
 }
 
-// NewClassError re-types err for transport: the returned error carries
-// err's message and Classify(err). A nil err returns nil.
-func NewClassError(err error) *ClassError {
-	if err == nil {
-		return nil
-	}
-	return &ClassError{C: Classify(err), Msg: err.Error()}
-}
-
 func (e *ClassError) Error() string { return e.Msg }
 
 // Class returns the carried classification.

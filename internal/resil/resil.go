@@ -159,9 +159,6 @@ func New(n int, now func() time.Duration, opts Options) *Tracker {
 	return tr
 }
 
-// Targets returns how many targets are tracked.
-func (tr *Tracker) Targets() int { return len(tr.t) }
-
 // ObserveOK records a successful request against target i with the given
 // served latency. It resets the error streak, closes a half-open breaker
 // whose probe this was, and applies the sustained-slowness trip.

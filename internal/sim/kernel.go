@@ -269,9 +269,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.park(parkState{kind: parkedSleep, d: d})
 }
 
-// Yield gives other processes scheduled at the same instant a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Join blocks until q has finished. Joining a finished process returns
 // immediately.
 func (p *Proc) Join(q *Proc) {

@@ -92,9 +92,6 @@ func (r *Resource) Use(p *Proc, n int64, d time.Duration) {
 	r.Release(n)
 }
 
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int64 { return r.inUse }
-
 // Queue is an unbounded FIFO mailbox between processes. Send never blocks;
 // Recv blocks until an item is available. It is the building block for
 // simulated message passing.

@@ -228,13 +228,13 @@ func burstOr(cfg, rate, min float64) float64 {
 	return b
 }
 
-// admit decides one request of nBytes/nOps for tenant ts. It returns
+// admit decides one request of nBytes for tenant ts. It returns
 // the admission delay the caller must sleep before proceeding, or a
 // QuotaError when the delay would exceed MaxWait. Counters are charged
 // on admission (the request will run); rejects are counted separately.
-func (a *admission) admit(ts *tenantState, nBytes, nOps int) (time.Duration, error) {
+func (a *admission) admit(ts *tenantState, nBytes int) (time.Duration, error) {
 	a.mu.Lock()
-	ts.ops.Add(int64(nOps))
+	ts.ops.Inc()
 	ts.bytesIn.Add(int64(nBytes))
 	if a.cfg.Disabled {
 		a.mu.Unlock()

@@ -3,7 +3,6 @@ package svc
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"lsmio/internal/netsim"
@@ -84,32 +83,6 @@ func (o FrontOptions) withDefaults() FrontOptions {
 	return o
 }
 
-type frontOp int
-
-const (
-	fopPut frontOp = iota
-	fopDel
-	fopGet
-	fopScan
-	fopBarrier
-	fopStop
-)
-
-type frontReq struct {
-	op     frontOp
-	shard  int
-	tenant string
-	key    string // namespaced key (or scan prefix)
-	value  []byte
-	write  bool // registered via enterWrites; server must exitWrite
-	dup    bool // fault-plan duplicated delivery of an already-sent request
-	// lossAck (barriers only) echoes the Seq of the latest WriteLossError
-	// the client observed for this shard — the two-phase ack that lets
-	// the server clear its loss ledger.
-	lossAck uint64
-	reply   *sim.Queue
-}
-
 // lossEntry is one tenant's outstanding lost-write record on a shard:
 // how many accepted-but-lost async writes, and the slot's sequence
 // number at the latest loss. The sequence is the two-phase-ack token —
@@ -121,64 +94,28 @@ type lossEntry struct {
 	seq uint64
 }
 
-// frontRep is a reply as it would cross the wire: values, flags, and
-// plain-old-data error payloads (the typed errors the client must be
-// able to reconstruct — sentinels, shard-down, write-loss — travel as
-// data; everything else degrades to a resil class + message).
-type frontRep struct {
-	value    []byte
-	pairs    []Pair
-	notFound bool
-	closed   bool
-	down     *ShardDownError
-	loss     *WriteLossError
-	errClass resil.Class
-	errMsg   string
-}
-
-func (rep *frontRep) encodeErr(err error) {
-	if err == nil {
-		return
-	}
-	if errors.Is(err, ErrNotFound) {
-		rep.notFound = true
-		return
-	}
-	if errors.Is(err, ErrClosed) {
-		rep.closed = true
-		return
-	}
+// overWire returns err as the client rebuilds it from a reply that
+// crossed the fabric: the sentinels and the typed shard-down and
+// write-loss errors travel as data; anything else arrives as its resil
+// class and message.
+func overWire(err error) error {
 	var sde *ShardDownError
-	if errors.As(err, &sde) {
-		rep.down = sde
-		return
-	}
 	var wle *WriteLossError
-	if errors.As(err, &wle) {
-		rep.loss = wle
-		return
-	}
-	rep.errClass = resil.Classify(err)
-	rep.errMsg = err.Error()
-}
-
-func (rep *frontRep) decodeErr() error {
 	switch {
-	case rep.notFound:
+	case err == nil:
+		return nil
+	case errors.Is(err, ErrNotFound):
 		return ErrNotFound
-	case rep.closed:
+	case errors.Is(err, ErrClosed):
 		return ErrClosed
-	case rep.down != nil:
-		d := *rep.down
+	case errors.As(err, &sde):
+		d := *sde
 		return &d
-	case rep.loss != nil:
-		l := *rep.loss
+	case errors.As(err, &wle):
+		l := *wle
 		return &l
 	}
-	if rep.errMsg == "" && rep.errClass == resil.ClassOK {
-		return nil
-	}
-	return &resil.ClassError{C: rep.errClass, Msg: rep.errMsg}
+	return &resil.ClassError{C: resil.Classify(err), Msg: err.Error()}
 }
 
 // WriteLossError reports asynchronous writes a shard server accepted
@@ -274,61 +211,34 @@ func NewFrontOpts(s *Service, fabric *netsim.Fabric, shardNodes []int, opts Fron
 func (f *Front) serve(p *sim.Proc, idx int) {
 	s := f.s
 	for {
-		req := f.queues[idx].Recv(p).(frontReq)
-		if req.op == fopStop {
-			if req.reply != nil {
-				req.reply.Send(frontRep{})
+		req := f.queues[idx].Recv(p).(request)
+		if req.op == opStop {
+			if req.replyTo != nil {
+				req.replyTo.Send(reply{})
 			}
 			return
 		}
 		f.qDepth[idx].SetMax(int64(f.queues[idx].Len() + 1))
 		p.Sleep(frontOpCost)
-		var rep frontRep
-		var err error
-		sh := s.shardAt(req.shard)
-		if sh == nil {
-			// Routed by a ring the client saw before a shrink flip:
-			// transient, the retry re-routes under the new ring.
-			err = &resil.ClassError{C: resil.ClassTransient,
-				Msg: fmt.Sprintf("svc: shard %d not in pool", req.shard)}
+		var rep reply
+		if e := f.lost[idx][req.tenant]; req.op == opBarrier && e.n > 0 && req.lossAck < e.seq {
+			// A barrier acknowledges every earlier write on this shard —
+			// refuse it while accepted-but-lost writes are outstanding
+			// for the tenant, so the client never acks a commit the
+			// crash ate. The ledger entry is cleared only by a barrier
+			// echoing the loss sequence (the two-phase ack): the refusal
+			// reply itself can be lost to a drop or attempt timeout, and
+			// at-least-once request delivery would then retry the
+			// barrier — a delete-on-read ledger would let that retry
+			// falsely succeed.
+			rep.err = &WriteLossError{Shard: idx, Tenant: req.tenant, Lost: e.n, Seq: e.seq}
 		} else {
-			switch req.op {
-			case fopPut:
-				err = s.applyPut(sh, req.key, req.value)
-			case fopDel:
-				err = s.applyDel(sh, req.key)
-			case fopGet:
-				rep.value, err = s.applyGet(sh, req.key)
-			case fopScan:
-				ring, _ := s.snapshotRing()
-				rep.pairs, err = s.scanShard(ring, sh, req.key)
-			case fopBarrier:
-				// A barrier acknowledges every earlier write on this
-				// shard — refuse it while accepted-but-lost writes are
-				// outstanding for the tenant, so the client never acks
-				// a commit the crash ate. The ledger entry is cleared
-				// only by a barrier echoing the loss sequence (the
-				// two-phase ack): the refusal reply itself can be lost
-				// to a drop or attempt timeout, and at-least-once
-				// request delivery would then retry the barrier —
-				// a delete-on-read ledger would let that retry falsely
-				// succeed.
-				if e := f.lost[idx][req.tenant]; e.n > 0 {
-					if req.lossAck >= e.seq {
-						delete(f.lost[idx], req.tenant)
-						err = s.applyBarrier(sh)
-					} else {
-						err = &WriteLossError{Shard: idx, Tenant: req.tenant, Lost: e.n, Seq: e.seq}
-					}
-				} else {
-					err = s.applyBarrier(sh)
-				}
+			if req.op == opBarrier {
+				delete(f.lost[idx], req.tenant)
 			}
+			rep = s.apply(req)
 		}
-		if req.write {
-			s.exitWrite()
-		}
-		if err != nil && req.reply == nil && !req.dup {
+		if rep.err != nil && req.replyTo == nil && !req.dup {
 			// Asynchronous writes have no reply to carry the error:
 			// record the loss against the tenant so its next Barrier
 			// fails instead of falsely acknowledging the step. A
@@ -345,9 +255,9 @@ func (f *Front) serve(p *sim.Proc, idx int) {
 				f.lost[idx][req.tenant] = e
 			}
 		}
-		rep.encodeErr(err)
-		if req.reply != nil {
-			req.reply.Send(rep)
+		if req.replyTo != nil {
+			rep.err = overWire(rep.err)
+			req.replyTo.Send(rep)
 		}
 	}
 }
@@ -356,310 +266,93 @@ func (f *Front) serve(p *sim.Proc, idx int) {
 // are daemons and do not hold the simulation open).
 func (f *Front) Stop(p *sim.Proc) {
 	for _, q := range f.queues {
-		reply := sim.NewQueue(f.s.kern, "svc-stop")
-		q.Send(frontReq{op: fopStop, reply: reply})
-		reply.Recv(p)
+		done := sim.NewQueue(f.s.kern, "svc-stop")
+		q.Send(request{op: opStop, replyTo: done})
+		done.Recv(p)
 	}
 }
 
-// Connect opens a tenant client at the given fabric endpoint,
-// registering the tenant on first use.
+// Connect opens a fabric-transport client for tenant at the given
+// fabric endpoint, registering the tenant on first use.
 func (f *Front) Connect(tenant string, node int) *Client {
 	f.s.gConns.Add(1)
-	return &Client{f: f, ts: f.s.adm.tenant(tenant, nil), node: node,
-		lossAck: make(map[int]uint64)}
+	return f.s.newClient(f.s.adm.tenant(tenant, nil), fabricConn{f: f, node: node},
+		f.opts.Retry, f.cRetries)
 }
 
-// Client is the fabric-transport tenant client. It mirrors Tenant's
-// semantics with every operation paying fabric transfer and shard
-// queueing costs. A Client is bound to one simulation process at a
-// time.
-type Client struct {
-	f      *Front
-	ts     *tenantState
-	node   int
-	closed bool
-	// lossAck holds, per shard, the Seq of the latest WriteLossError
-	// this client observed: the two-phase-ack token its next barrier
-	// echoes so the server knows the loss report was delivered before
-	// clearing the ledger.
-	lossAck map[int]uint64
+// fabricConn is one Client's fabric transport: requests and replies
+// pay netsim transfer costs between the client's node and the shard's.
+type fabricConn struct {
+	f    *Front
+	node int
 }
 
-// Tenant returns the tenant name the client is bound to.
-func (c *Client) Tenant() string { return c.ts.name }
-
-func (c *Client) proc() *sim.Proc {
-	p := c.f.s.kern.Current()
-	if p == nil {
-		panic("svc: fabric Client used outside a simulation process")
-	}
-	return p
-}
-
-// admit runs client-side admission, sleeping out any fair-share delay.
-func (c *Client) admit(nBytes, nOps int) error {
-	s := c.f.s
-	if c.closed || s.isClosed() {
-		return ErrClosed
-	}
-	wait, err := s.adm.admit(c.ts, nBytes, nOps)
-	if err != nil {
-		return err
-	}
-	if wait > 0 {
-		c.proc().Sleep(wait)
-	}
-	return nil
-}
-
-// sendOnce ships one attempt: the request transfer under the fabric's
+// send ships one attempt: the request transfer under the fabric's
 // fault plan, queueing, and — when sync — the reply wait plus return
 // transfer. Transport faults (fabric drop, attempt timeout) come back
-// as transient errors; server-side outcomes ride in the reply.
+// as transient errors; server-side outcomes ride in the reply. A put's
+// value is copied first, since the server applies it after send has
+// returned.
 //
 // When AttemptTimeout is set, a daemon timer process bounds the whole
 // attempt — including fault-plan delay — by injecting a sentinel into
 // the reply queue; each attempt uses a fresh queue, so a late real
 // reply lands in an abandoned one and is harmless.
-func (c *Client) sendOnce(req frontReq, payload int64, sync bool) (frontRep, error) {
-	p := c.proc()
+func (t fabricConn) send(req request, payload int64, sync bool) (reply, error) {
+	f := t.f
+	p := f.s.kern.Current()
+	if p == nil {
+		panic("svc: fabric Client used outside a simulation process")
+	}
+	req.value = append([]byte(nil), req.value...)
 	// settled is written by this (client) proc and read by the attempt
 	// timer proc with no synchronization. That is safe only because
 	// NewFront requires simulator mode, where procs are cooperatively
-	// scheduled and never run concurrently; goroutine-mode reuse of this
-	// pattern would need an atomic.Bool.
+	// scheduled and never run concurrently.
 	settled := false
 	if sync {
-		req.reply = sim.NewQueue(c.f.s.kern, "svc-reply")
-		if d := c.f.opts.AttemptTimeout; d > 0 {
-			c.f.s.kern.Spawn("svc-attempt-timer", func(tp *sim.Proc) {
+		req.replyTo = sim.NewQueue(f.s.kern, "svc-reply")
+		if d := f.opts.AttemptTimeout; d > 0 {
+			f.s.kern.Spawn("svc-attempt-timer", func(tp *sim.Proc) {
 				tp.Sleep(d)
 				if !settled {
-					req.reply.Send(timeoutSentinel{})
+					req.replyTo.Send(timeoutSentinel{})
 				}
 			}).SetDaemon(true)
 		}
 	}
-	dup, err := c.f.fabric.TryTransfer(p, c.node, c.f.shardNodes[req.shard], payload+64)
+	dup, err := f.fabric.TryTransfer(p, t.node, f.shardNodes[req.shard], payload+64)
 	if err != nil {
 		settled = true
-		return frontRep{}, err // dropped; the caller releases any write slot
+		return reply{}, err // dropped; the caller releases any write slot
 	}
-	c.f.queues[req.shard].Send(req)
+	f.queues[req.shard].Send(req)
 	if dup {
 		// Duplicated delivery: the server applies (and, for writes,
 		// exitWrites) twice, so register the extra in-flight slot. Both
 		// deliveries reply; the first wins, the stale one dies with the
 		// queue. Applies are idempotent (put/del/barrier re-apply).
 		if req.write {
-			c.f.s.dupWrite()
+			f.s.dupWrite()
 		}
 		dreq := req
 		dreq.dup = true
-		c.f.queues[req.shard].Send(dreq)
+		f.queues[req.shard].Send(dreq)
 	}
 	if !sync {
-		return frontRep{}, nil
+		return reply{}, nil
 	}
-	v := req.reply.Recv(p)
+	v := req.replyTo.Recv(p)
 	settled = true
 	if _, ok := v.(timeoutSentinel); ok {
-		c.f.cTimeouts.Inc()
-		return frontRep{}, &attemptTimeoutError{shard: req.shard, d: c.f.opts.AttemptTimeout}
+		f.cTimeouts.Inc()
+		return reply{}, &attemptTimeoutError{shard: req.shard, d: f.opts.AttemptTimeout}
 	}
-	rep := v.(frontRep)
+	rep := v.(reply)
 	size := int64(len(rep.value)) + 32
 	for _, pr := range rep.pairs {
 		size += int64(len(pr.Key) + len(pr.Value) + 16)
 	}
-	c.f.fabric.Transfer(p, c.f.shardNodes[req.shard], c.node, size)
+	f.fabric.Transfer(p, f.shardNodes[req.shard], t.node, size)
 	return rep, nil
-}
-
-// roundTrip runs a synchronous request under the retry policy.
-// Transport faults and shard-down rejections are retried (the shard
-// may be back after its restart backoff); every other server-side
-// error — including WriteLossError, which only the tenant can resolve
-// by replaying the step — surfaces without an internal retry.
-func (c *Client) roundTrip(mk func() frontReq, payload int64) (frontRep, error) {
-	var rep frontRep
-	var appErr error
-	pol := c.f.opts.Retry
-	err := pol.Do(nil, c.f.s.rt, fnv64a(c.ts.name), func(attempt int) error {
-		if attempt > 0 {
-			c.f.cRetries.Inc()
-		}
-		r, err := c.sendOnce(mk(), payload, true)
-		if err != nil {
-			return err
-		}
-		rep, appErr = r, r.decodeErr()
-		var sde *ShardDownError
-		if errors.As(appErr, &sde) {
-			return appErr
-		}
-		return nil
-	})
-	if err != nil {
-		return rep, err
-	}
-	return rep, appErr
-}
-
-// Put stores key (asynchronous; durable at the next Barrier). The
-// value is copied before transmission. A transfer dropped by the fault
-// plan is retried with a fresh write slot per attempt.
-func (c *Client) Put(key string, value []byte) error {
-	s := c.f.s
-	start := s.reg.Now()
-	if err := c.admit(len(value), 1); err != nil {
-		return err
-	}
-	nsk := nsKey(c.ts.name, key)
-	val := append([]byte(nil), value...)
-	pol := c.f.opts.Retry
-	err := pol.Do(nil, c.f.s.rt, fnv64a(nsk), func(attempt int) error {
-		if attempt > 0 {
-			c.f.cRetries.Inc()
-		}
-		s.enterWrites(1)
-		req := frontReq{op: fopPut, shard: s.routeIdx(nsk), tenant: c.ts.name,
-			key: nsk, value: val, write: true}
-		_, err := c.sendOnce(req, int64(len(nsk)+len(val)), false)
-		if err != nil {
-			s.exitWrite() // the message never reached a server
-		}
-		return err
-	})
-	c.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return err
-}
-
-// Del removes key, shadowing the delete onto the rebalance-target
-// shard when a migration is in flight.
-func (c *Client) Del(key string) error {
-	s := c.f.s
-	start := s.reg.Now()
-	if err := c.admit(0, 1); err != nil {
-		return err
-	}
-	nsk := nsKey(c.ts.name, key)
-	pol := c.f.opts.Retry
-	err := pol.Do(nil, c.f.s.rt, fnv64a(nsk)+1, func(attempt int) error {
-		if attempt > 0 {
-			c.f.cRetries.Inc()
-		}
-		// Register both slots before routing (so a ring flip cannot
-		// slip between routing and shipping). Each attempt registers
-		// its own slots: a retry must never hold a slot across the
-		// backoff sleep, which could deadlock a cutover fence.
-		s.enterWrites(2)
-		idx := s.routeIdx(nsk)
-		shadow := s.shadowIdx(nsk)
-		if _, err := c.sendOnce(frontReq{op: fopDel, shard: idx, tenant: c.ts.name,
-			key: nsk, write: true}, int64(len(nsk)), false); err != nil {
-			s.exitWrite()
-			s.exitWrite()
-			return err
-		}
-		if shadow < 0 {
-			s.exitWrite() // the shadow slot went unused
-			return nil
-		}
-		_, err := c.sendOnce(frontReq{op: fopDel, shard: shadow, tenant: c.ts.name,
-			key: nsk, write: true}, int64(len(nsk)), false)
-		if err != nil {
-			s.exitWrite() // lost in the fabric; the retry re-deletes both
-		}
-		return err
-	})
-	c.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return err
-}
-
-// Get fetches the tenant's value for key: a synchronous round trip to
-// the owning shard (re-routed on every retry attempt).
-func (c *Client) Get(key string) ([]byte, error) {
-	s := c.f.s
-	start := s.reg.Now()
-	if err := c.admit(0, 1); err != nil {
-		return nil, err
-	}
-	nsk := nsKey(c.ts.name, key)
-	rep, err := c.roundTrip(func() frontReq {
-		return frontReq{op: fopGet, shard: s.routeIdx(nsk), tenant: c.ts.name, key: nsk}
-	}, int64(len(nsk)))
-	c.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return rep.value, err
-}
-
-// Scan streams the tenant's keys under prefix in key order (namespace
-// stripped), merging per-shard sweeps client-side.
-func (c *Client) Scan(prefix string, fn func(key string, value []byte) bool) error {
-	s := c.f.s
-	if err := c.admit(0, 1); err != nil {
-		return err
-	}
-	ns := nsKey(c.ts.name, prefix)
-	strip := len(nsKey(c.ts.name, ""))
-	var all []Pair
-	for idx := 0; idx < s.Shards(); idx++ {
-		idx := idx
-		rep, err := c.roundTrip(func() frontReq {
-			return frontReq{op: fopScan, shard: idx, tenant: c.ts.name, key: ns}
-		}, int64(len(ns)))
-		if err != nil {
-			return err
-		}
-		all = append(all, rep.pairs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	for _, pr := range all {
-		if !fn(pr.Key[strip:], pr.Value) {
-			break
-		}
-	}
-	return nil
-}
-
-// Barrier flushes every shard: the tenant's commit point. A barrier
-// refused because the crash ate earlier async writes surfaces as a
-// WriteLossError — the tenant must replay the step, so the front never
-// retries it internally. Observing the error records its Seq as the
-// ack token the next barrier carries, which is what lets the server
-// clear the loss ledger (two-phase ack: the server keeps refusing
-// until the client provably saw a report).
-func (c *Client) Barrier() error {
-	s := c.f.s
-	start := s.reg.Now()
-	if c.closed || s.isClosed() {
-		return ErrClosed
-	}
-	for idx := 0; idx < s.Shards(); idx++ {
-		idx := idx
-		if _, err := c.roundTrip(func() frontReq {
-			return frontReq{op: fopBarrier, shard: idx, tenant: c.ts.name,
-				lossAck: c.lossAck[idx]}
-		}, 0); err != nil {
-			var wle *WriteLossError
-			if errors.As(err, &wle) {
-				c.lossAck[wle.Shard] = wle.Seq
-			}
-			return err
-		}
-	}
-	c.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return nil
-}
-
-// Close releases the client's connection; later calls return
-// ErrClosed.
-func (c *Client) Close() error {
-	if c.closed {
-		return ErrClosed
-	}
-	c.closed = true
-	c.f.s.gConns.Add(-1)
-	return nil
 }

@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -125,7 +126,7 @@ func (s *Service) Rebalance(n int) error {
 	receivers := append([]*shard(nil), s.shards...)
 	s.mu.RUnlock()
 	for _, sh := range receivers {
-		if err := s.applyBarrier(sh); err != nil {
+		if err := s.applyTo(sh, request{op: opBarrier}).err; err != nil {
 			return abortCutover(err)
 		}
 	}
@@ -237,7 +238,7 @@ func (s *Service) migratePass() (int, error) {
 				return moved, err
 			}
 			cur, err := dst.mgr.Get(pr.Key)
-			if err == nil && keyEqual(cur, pr.Value) {
+			if err == nil && bytes.Equal(cur, pr.Value) {
 				s.unlock(dst)
 				continue
 			}

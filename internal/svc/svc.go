@@ -16,11 +16,14 @@
 //     tenant cannot inflate everyone else's tail latency. Requests that
 //     would wait longer than MaxWait fail fast with a retryable
 //     QuotaError.
-//   - Transports. The same Service core serves two fronts: an
-//     in-process client (Service.Tenant, goroutine mode, used by lsmiod
-//     against a real filesystem) and a simulated-fabric front (Front /
-//     Client, one server process per shard over netsim, used by the
-//     ext-service experiment).
+//   - One client, two transports. Client writes each tenant operation
+//     once (admission, write fence, routing, rebalance shadow deletes,
+//     request latency, the scan merge) and sends its requests over a
+//     transport: in-process (Service.Tenant, used by lsmiod against a
+//     real filesystem), which applies each request on the caller, or the
+//     simulated fabric (Front.Connect, one server process per shard over
+//     netsim, used by the ext-service experiment). Both dispatch a
+//     request through the same Service.apply.
 //
 // Every layer records into internal/obs under the `svc.` prefix:
 // per-tenant op/byte counters, admission-wait and request-latency
@@ -31,10 +34,8 @@
 package svc
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -290,25 +291,13 @@ func (s *Service) RegisterTenant(name string, cfg TenantConfig) (*Tenant, error)
 	if err := s.writeManifest(); err != nil {
 		return nil, err
 	}
-	return &Tenant{s: s, ts: ts}, nil
+	return s.newTenant(ts), nil
 }
 
 // Tenant returns the named tenant's in-process client, registering the
 // tenant with default settings (weight 1, no caps) on first use.
 func (s *Service) Tenant(name string) *Tenant {
-	return &Tenant{s: s, ts: s.adm.tenant(name, nil)}
-}
-
-// TenantNames returns the registered tenants, sorted.
-func (s *Service) TenantNames() []string {
-	s.adm.mu.Lock()
-	defer s.adm.mu.Unlock()
-	names := make([]string, 0, len(s.adm.tenants))
-	for n := range s.adm.tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return s.newTenant(s.adm.tenant(name, nil))
 }
 
 // ---- write fencing ----------------------------------------------------
@@ -391,30 +380,7 @@ func (s *Service) dupWrite() {
 	s.pauseMu.Unlock()
 }
 
-// sleep charges an admission delay to the caller.
-func (s *Service) sleep(d time.Duration) {
-	if d > 0 {
-		s.rt.Sleep(d)
-	}
-}
-
 // ---- routing ----------------------------------------------------------
-
-// routeWrite returns the authoritative shard for a namespaced key and,
-// during a rebalance, the shadow shard under the target ring (for
-// deletes, which must erase any migrated copy too).
-func (s *Service) routeWrite(nsk string) (dst, shadow *shard) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	i := s.ring.Route(nsk)
-	dst = s.shards[i]
-	if s.next != nil {
-		if j := s.next.Route(nsk); j != i {
-			shadow = s.shards[j]
-		}
-	}
-	return dst, shadow
-}
 
 // routeIdx returns the authoritative shard index for a namespaced key.
 func (s *Service) routeIdx(nsk string) int {
@@ -519,202 +485,105 @@ func (s *Service) observe(sh *shard, start time.Duration, err error) error {
 	return err
 }
 
-func (s *Service) applyPut(sh *shard, nsk string, value []byte) error {
-	s.lock(sh)
-	defer s.unlock(sh)
-	if err := s.shardUp(sh); err != nil {
-		return err
-	}
-	sh.ops.Inc()
-	start := s.reg.Now()
-	return s.observe(sh, start, sh.mgr.Put(nsk, value))
+// request is one tenant operation addressed to a shard: what the
+// in-process transport hands to apply on the caller, and what the fabric
+// carries to the shard's server process.
+type request struct {
+	op     reqOp
+	shard  int
+	tenant string
+	key    string // namespaced key (or scan prefix)
+	value  []byte
+	write  bool // registered via enterWrites; apply calls exitWrite
+	dup    bool // fault-plan duplicated delivery of an already-sent request
+	// lossAck (barriers only) echoes the Seq of the latest WriteLossError
+	// the client observed for this shard — the two-phase ack that lets
+	// the fabric server clear its loss ledger.
+	lossAck uint64
+	replyTo *sim.Queue // fabric only: where a synchronous request's reply goes
 }
 
-func (s *Service) applyDel(sh *shard, nsk string) error {
-	s.lock(sh)
-	defer s.unlock(sh)
-	if err := s.shardUp(sh); err != nil {
-		return err
-	}
-	sh.ops.Inc()
-	start := s.reg.Now()
-	return s.observe(sh, start, sh.mgr.Del(nsk))
+type reqOp int
+
+const (
+	opPut reqOp = iota
+	opDel
+	opGet
+	opScan
+	opBarrier
+	opStop // fabric only: stops the shard's server process
+)
+
+// reply is the outcome of one applied request.
+type reply struct {
+	value []byte
+	pairs []Pair
+	err   error
 }
 
-func (s *Service) applyGet(sh *shard, nsk string) ([]byte, error) {
-	s.lock(sh)
-	defer s.unlock(sh)
-	if err := s.shardUp(sh); err != nil {
-		return nil, err
+// apply executes req on its shard: the one dispatch behind both
+// transports, run on the caller in-process and on the shard's server
+// process over the fabric. A write's in-flight slot is released once it
+// is applied.
+func (s *Service) apply(req request) reply {
+	var rep reply
+	if sh := s.shardAt(req.shard); sh == nil {
+		// Routed by a ring the client saw before a shrink flip:
+		// transient, the retry re-routes under the new ring.
+		rep.err = &resil.ClassError{C: resil.ClassTransient,
+			Msg: fmt.Sprintf("svc: shard %d not in pool", req.shard)}
+	} else {
+		rep = s.applyTo(sh, req)
 	}
-	sh.ops.Inc()
-	start := s.reg.Now()
-	v, err := sh.mgr.Get(nsk)
-	return v, s.observe(sh, start, err)
+	if req.write {
+		s.exitWrite()
+	}
+	return rep
 }
 
-func (s *Service) applyBarrier(sh *shard) error {
+// applyTo runs req against sh's store under the shard lock. A scan keeps
+// only the keys the ring routes to sh, dropping not-yet-cleaned
+// migration leftovers.
+func (s *Service) applyTo(sh *shard, req request) (rep reply) {
+	var ring *Ring
+	if req.op == opScan {
+		ring, _ = s.snapshotRing()
+	}
 	s.lock(sh)
 	defer s.unlock(sh)
-	if err := s.shardUp(sh); err != nil {
-		return err
+	if rep.err = s.shardUp(sh); rep.err != nil {
+		return rep
 	}
 	sh.ops.Inc()
 	start := s.reg.Now()
-	return s.observe(sh, start, sh.mgr.WriteBarrier())
-}
-
-// scanShard sweeps shard i for keys under nsPrefix that the ring
-// actually routes to i, dropping not-yet-cleaned migration leftovers.
-func (s *Service) scanShard(r *Ring, sh *shard, nsPrefix string) ([]Pair, error) {
-	s.lock(sh)
-	defer s.unlock(sh)
-	if err := s.shardUp(sh); err != nil {
-		return nil, err
+	var err error
+	switch req.op {
+	case opPut:
+		err = sh.mgr.Put(req.key, req.value)
+	case opDel:
+		err = sh.mgr.Del(req.key)
+	case opGet:
+		rep.value, err = sh.mgr.Get(req.key)
+	case opScan:
+		var pairs []Pair
+		err = sh.mgr.ReadBatch(req.key, func(k string, v []byte) bool {
+			if ring.Route(k) == sh.idx {
+				pairs = append(pairs, Pair{Key: k, Value: v})
+			}
+			return true
+		})
+		rep.pairs = pairs
+	case opBarrier:
+		err = sh.mgr.WriteBarrier()
 	}
-	sh.ops.Inc()
-	start := s.reg.Now()
-	var out []Pair
-	err := sh.mgr.ReadBatch(nsPrefix, func(k string, v []byte) bool {
-		if r.Route(k) == sh.idx {
-			out = append(out, Pair{Key: k, Value: v})
-		}
-		return true
-	})
-	return out, s.observe(sh, start, err)
+	rep.err = s.observe(sh, start, err)
+	return rep
 }
 
 // Pair is one key/value from a Scan.
 type Pair struct {
 	Key   string
 	Value []byte
-}
-
-// ---- in-process client (the thin client library) ----------------------
-
-// Tenant is a tenant-scoped in-process client for the service: the
-// goroutine-mode transport lsmiod uses, and the reference semantics the
-// fabric Client mirrors. All methods are safe for concurrent use.
-type Tenant struct {
-	s  *Service
-	ts *tenantState
-}
-
-// Name returns the tenant name.
-func (t *Tenant) Name() string { return t.ts.name }
-
-// Put stores key for this tenant (asynchronous; durable at the next
-// Barrier). Fair-share admission may delay or reject it.
-func (t *Tenant) Put(key string, value []byte) error {
-	s := t.s
-	if s.isClosed() {
-		return ErrClosed
-	}
-	start := s.reg.Now()
-	wait, err := s.adm.admit(t.ts, len(value), 1)
-	if err != nil {
-		return err
-	}
-	s.sleep(wait)
-	s.enterWrites(1)
-	dst, _ := s.routeWrite(nsKey(t.ts.name, key))
-	err = s.applyPut(dst, nsKey(t.ts.name, key), value)
-	s.exitWrite()
-	t.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return err
-}
-
-// Del removes key. During a rebalance the delete also lands on the
-// target-ring shard so no migrated copy can resurrect the key.
-func (t *Tenant) Del(key string) error {
-	s := t.s
-	if s.isClosed() {
-		return ErrClosed
-	}
-	start := s.reg.Now()
-	wait, err := s.adm.admit(t.ts, 0, 1)
-	if err != nil {
-		return err
-	}
-	s.sleep(wait)
-	s.enterWrites(1)
-	nsk := nsKey(t.ts.name, key)
-	dst, shadow := s.routeWrite(nsk)
-	err = s.applyDel(dst, nsk)
-	if err == nil && shadow != nil {
-		err = s.applyDel(shadow, nsk)
-	}
-	s.exitWrite()
-	t.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return err
-}
-
-// Get returns the tenant's value for key.
-func (t *Tenant) Get(key string) ([]byte, error) {
-	s := t.s
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	start := s.reg.Now()
-	wait, err := s.adm.admit(t.ts, 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	s.sleep(wait)
-	nsk := nsKey(t.ts.name, key)
-	dst, _ := s.routeWrite(nsk)
-	v, err := s.applyGet(dst, nsk)
-	t.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return v, err
-}
-
-// Scan calls fn for every tenant key with the given prefix, in key
-// order, with the namespace stripped. Scans concurrent with a
-// rebalance are best-effort.
-func (t *Tenant) Scan(prefix string, fn func(key string, value []byte) bool) error {
-	s := t.s
-	if s.isClosed() {
-		return ErrClosed
-	}
-	if _, err := s.adm.admit(t.ts, 0, 1); err != nil {
-		return err
-	}
-	ns := nsKey(t.ts.name, prefix)
-	strip := len(nsKey(t.ts.name, ""))
-	ring, shards := s.snapshotRing()
-	var all []Pair
-	for _, sh := range shards {
-		pairs, err := s.scanShard(ring, sh, ns)
-		if err != nil {
-			return err
-		}
-		all = append(all, pairs...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	for _, pr := range all {
-		if !fn(pr.Key[strip:], pr.Value) {
-			break
-		}
-	}
-	return nil
-}
-
-// Barrier flushes every shard, making all of the tenant's earlier puts
-// durable (the end-of-checkpoint commit point).
-func (t *Tenant) Barrier() error {
-	s := t.s
-	if s.isClosed() {
-		return ErrClosed
-	}
-	start := s.reg.Now()
-	_, shards := s.snapshotRing()
-	for _, sh := range shards {
-		if err := s.applyBarrier(sh); err != nil {
-			return err
-		}
-	}
-	t.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return nil
 }
 
 // ---- lifecycle --------------------------------------------------------
@@ -751,6 +620,3 @@ func (s *Service) Close() error {
 	}
 	return first
 }
-
-// keyEqual reports whether two values are byte-identical.
-func keyEqual(a, b []byte) bool { return bytes.Equal(a, b) }

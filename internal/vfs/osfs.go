@@ -24,9 +24,6 @@ func NewOSFS(dir string) (*OSFS, error) {
 	return &OSFS{root: dir}, nil
 }
 
-// Root returns the root directory.
-func (o *OSFS) Root() string { return o.root }
-
 func (o *OSFS) path(name string) string {
 	return filepath.Join(o.root, filepath.FromSlash(clean(name)))
 }

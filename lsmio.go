@@ -59,9 +59,6 @@ type (
 	Manager = core.Manager
 	// ManagerOptions configures a Manager.
 	ManagerOptions = core.ManagerOptions
-	// CostProfile is the simulation CPU cost model (ignored on real
-	// filesystems).
-	CostProfile = core.CostProfile
 
 	// FStream is the C++ IOStream-like API (paper Table 3).
 	FStream = core.FStream
