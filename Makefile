@@ -126,7 +126,8 @@ LOC_OPTIONS = internal/lsm/options.go:Options internal/core/store.go:StoreOption
 	internal/iosched/iosched.go:Config internal/svc/supervisor.go:SupervisorConfig \
 	internal/svc/admission.go:TenantConfig internal/svc/admission.go:AdmissionConfig \
 	internal/core/manager.go:ManagerOptions internal/adios2/adios2.go:Config \
-	internal/svc/front.go:FrontOptions
+	internal/svc/front.go:FrontOptions internal/pfs/resilience.go:Resilience \
+	internal/bench/service.go:ServiceSession
 loc:
 	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
 	xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); top = (n == 2 ? "." : p[2]); \

@@ -8,9 +8,10 @@
 //	    non-zero unless the behaved tenants' p99 commit latency stays
 //	    within R times the solo baseline
 //	lsmiod -dir /srv/ckpt -tenants 2
-//	    host the service over a real directory (in-process transport),
-//	    drive one short session per tenant and write SERVICE.json, so
-//	    `lsmioctl tenants` / `lsmioctl stats` can inspect the layout
+//	    run the same session flat out over a real directory
+//	    (in-process transport) and write SERVICE.json, so
+//	    `lsmioctl tenants` / `lsmioctl stats` can inspect the layout;
+//	    -noisy and -assert-fair need -sim
 package main
 
 import (
@@ -19,15 +20,10 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"lsmio/internal/bench"
-	"lsmio/internal/core"
-	"lsmio/internal/iosched"
-	"lsmio/internal/obs"
 	"lsmio/internal/svc"
-	"lsmio/internal/vfs"
 )
 
 func usage() {
@@ -98,7 +94,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lsmiod:", err)
 		os.Exit(1)
 	}
-	if (*simMode == (*dir != "")) || *tenants < 1 || *shards < 1 {
+	if (*simMode == (*dir != "")) || *tenants < 1 || *shards < 1 || (*noisy && !*simMode) {
 		usage()
 	}
 
@@ -120,7 +116,7 @@ func main() {
 		res, err = sess.Run()
 	} else {
 		mode = "dir"
-		res, err = runDir(*dir, sess)
+		res, err = sess.RunDir(*dir)
 	}
 	if err != nil {
 		die(err)
@@ -214,86 +210,4 @@ func newReport(mode string, sess bench.ServiceSession, res bench.ServiceResult) 
 		rep.Tenant = append(rep.Tenant, tr)
 	}
 	return rep
-}
-
-// runDir hosts the service over a real directory and drives one short
-// session per tenant through the in-process transport. The layout —
-// shard-NNN stores plus SERVICE.json — is what lsmioctl's service mode
-// inspects.
-func runDir(dir string, sess bench.ServiceSession) (bench.ServiceResult, error) {
-	fs, err := vfs.NewOSFS(dir)
-	if err != nil {
-		return bench.ServiceResult{}, err
-	}
-	reg := obs.NewRegistry()
-	var sched *iosched.Scheduler
-	if sess.IOSchedBW > 0 {
-		// Wall-clock mode: every shard's engine paces against the same
-		// real-time budget.
-		sched = iosched.New(iosched.Config{BytesPerSec: sess.IOSchedBW, Obs: reg})
-	}
-	s, err := svc.New(svc.Options{
-		Shards: sess.Shards,
-		OpenShard: func(i int) (*core.Manager, error) {
-			return core.NewManager(svc.ShardDirName(i), core.ManagerOptions{
-				Store: core.StoreOptions{FS: fs, Async: true, IOSched: sched},
-				Obs:   reg,
-			})
-		},
-		Obs:        reg,
-		Admission:  svc.AdmissionConfig{Disabled: !sess.Fair},
-		ManifestFS: fs,
-	})
-	if err != nil {
-		return bench.ServiceResult{}, err
-	}
-	res := bench.ServiceResult{Steps: make(map[string][]time.Duration)}
-	block := make([]byte, sess.BlockBytes)
-	errs := make([]error, sess.Tenants)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for t := 0; t < sess.Tenants; t++ {
-		name := fmt.Sprintf("tenant%02d", t)
-		tn, err := s.RegisterTenant(name, svc.TenantConfig{Weight: 1})
-		if err != nil {
-			return bench.ServiceResult{}, err
-		}
-		wg.Add(1)
-		t := t
-		go func() {
-			defer wg.Done()
-			for step := 0; step < sess.Steps; step++ {
-				stepStart := time.Now()
-				for b := 0; b < sess.Blocks; b++ {
-					if err := tn.Put(fmt.Sprintf("step%03d/block%03d", step, b), block); err != nil {
-						errs[t] = err
-						return
-					}
-				}
-				if err := tn.Barrier(); err != nil {
-					errs[t] = err
-					return
-				}
-				mu.Lock()
-				res.Steps[name] = append(res.Steps[name], time.Since(stepStart))
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	res.Makespan = time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return bench.ServiceResult{}, err
-		}
-	}
-	total := float64(sess.Tenants) * float64(sess.Steps) * float64(int64(sess.Blocks)*sess.BlockBytes)
-	res.Aggregate = total / res.Makespan.Seconds()
-	res.Shards = s.ShardStatuses()
-	if err := s.Close(); err != nil {
-		return bench.ServiceResult{}, err
-	}
-	res.Metrics = reg.Snapshot()
-	return res, nil
 }

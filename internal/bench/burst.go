@@ -140,7 +140,7 @@ func runBurstSync(nodes int, scale Scale, compute time.Duration) (time.Duration,
 	stalls := make([]time.Duration, nodes)
 	var total time.Duration
 	s.ranks("sync-rank", nodes, func(p *sim.Proc, r int) error {
-		mgr, err := s.manager(fmt.Sprintf("sync/rank%03d", r), s.cluster.Client(r), scale.BufferSize, nil, nil)
+		mgr, err := manager(fmt.Sprintf("sync/rank%03d", r), s.cluster.Client(r), s.rtm, scale.BufferSize, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -182,7 +182,7 @@ func runBurstStaged(nodes int, scale Scale, compute time.Duration) (time.Duratio
 		if err != nil {
 			return err
 		}
-		dmgr, err := s.manager(fmt.Sprintf("burst/rank%03d", r), s.cluster.Client(r), scale.BufferSize, nil, nil)
+		dmgr, err := manager(fmt.Sprintf("burst/rank%03d", r), s.cluster.Client(r), s.rtm, scale.BufferSize, nil, nil)
 		if err != nil {
 			return err
 		}

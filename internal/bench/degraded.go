@@ -147,7 +147,7 @@ func runDegradedMode(nodes int, scale Scale, m degradedMode) (time.Duration, tim
 	var commits []time.Duration
 	var total time.Duration
 	s.ranks("deg-rank", nodes, func(p *sim.Proc, r int) error {
-		mgr, err := s.manager(fmt.Sprintf("deg/rank%03d", r), cluster.ResilientClient(r), scale.BufferSize, nil, nil)
+		mgr, err := manager(fmt.Sprintf("deg/rank%03d", r), cluster.ResilientClient(r), s.rtm, scale.BufferSize, nil, nil)
 		if err != nil {
 			return err
 		}

@@ -67,10 +67,11 @@ func (s *simRun) run() error {
 	return nil
 }
 
-// manager opens a rank's asynchronous checkpoint manager on fs with a
-// bufferSize memtable, on the run's runtime, recording into reg (nil: a
-// registry of its own) and drawing I/O from sched (nil: unscheduled).
-func (s *simRun) manager(name string, fs vfs.FS, bufferSize int, reg *obs.Registry, sched *iosched.Scheduler) (*core.Manager, error) {
+// manager opens an asynchronous checkpoint manager on fs with a
+// bufferSize memtable (0: the engine's default), on rtm, recording into
+// reg (nil: a registry of its own) and drawing I/O from sched (nil:
+// unscheduled).
+func manager(name string, fs vfs.FS, rtm rt.Runtime, bufferSize int, reg *obs.Registry, sched *iosched.Scheduler) (*core.Manager, error) {
 	return core.NewManager(name, core.ManagerOptions{
 		Store: core.StoreOptions{
 			FS:              fs,
@@ -78,7 +79,7 @@ func (s *simRun) manager(name string, fs vfs.FS, bufferSize int, reg *obs.Regist
 			WriteBufferSize: bufferSize,
 			IOSched:         sched,
 		},
-		Runtime: s.rtm,
+		Runtime: rtm,
 		Obs:     reg,
 	})
 }

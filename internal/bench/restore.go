@@ -132,7 +132,7 @@ func runRestoreMode(nodes int, scale Scale, m restoreMode) (time.Duration, obs.S
 	mgrs := make([]*core.Manager, nodes)
 	stores := make([]*ckpt.Store, nodes)
 	s.ranks("res-write", nodes, func(p *sim.Proc, r int) error {
-		mgr, err := s.manager(fmt.Sprintf("res/rank%03d", r), cluster.ResilientClient(r), scale.BufferSize, cluster.Obs(), nil)
+		mgr, err := manager(fmt.Sprintf("res/rank%03d", r), cluster.ResilientClient(r), s.rtm, scale.BufferSize, cluster.Obs(), nil)
 		if err != nil {
 			return err
 		}

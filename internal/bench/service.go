@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"lsmio/internal/core"
@@ -11,8 +13,10 @@ import (
 	"lsmio/internal/obs"
 	"lsmio/internal/pfs"
 	"lsmio/internal/resil"
+	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/svc"
+	"lsmio/internal/vfs"
 )
 
 // The ext-service experiment drives the multi-tenant sharded service
@@ -330,39 +334,50 @@ func (s ServiceSession) calibrate(solo time.Duration) serviceLoad {
 	}
 }
 
-// run executes one session at the given load. Behaved tenants start
-// staggered across one compute period and then alternate compute and a
-// committed step.
-//
-// Under fault, the shard supervisor runs with a tight restart backoff
-// and a chaos proc crashes shard 0 in the middle of the first commit
-// wave. Tenants retry typed transient failures (ShardDownError while the
-// supervisor restarts the shard, quota smoothing, fabric hiccups), and a
-// request counts toward availability when it completes within one
-// compute period of its first attempt — a latency SLO about 12x the
-// solo p99, so only fault-induced stalls miss it. A barrier that reports
-// asynchronous write loss makes the tenant replay the whole step,
-// mirroring how a real checkpoint client must re-offer data the service
-// never made durable.
+// options is the service both setups open on rtm: s.Shards shards,
+// shard i's asynchronous store on shardFS(i) with a bufferSize memtable
+// (0: the engine's default), one registry, and one I/O scheduler when
+// IOSchedBW is positive.
+func (s ServiceSession) options(rtm rt.Runtime, adm svc.AdmissionConfig, bufferSize int, shardFS func(int) vfs.FS) (svc.Options, *iosched.Scheduler) {
+	reg := obs.NewRegistryOn(rtm.Now)
+	var sched *iosched.Scheduler
+	if s.IOSchedBW > 0 {
+		sched = iosched.New(iosched.Config{BytesPerSec: s.IOSchedBW, Clock: rtm, Obs: reg})
+	}
+	return svc.Options{
+		Shards: s.Shards,
+		OpenShard: func(i int) (*core.Manager, error) {
+			return manager(svc.ShardDirName(i), shardFS(i), rtm, bufferSize, reg, sched)
+		},
+		Runtime:   rtm,
+		Obs:       reg,
+		Admission: adm,
+	}, sched
+}
+
+// serviceHost is what a session's setup builds for the body to run on:
+// connect opens a tenant's client at a client node, the makespan counts
+// from origin, spawn queues a task and wait runs the queued tasks to
+// completion and returns their failure; metrics is taken last.
+type serviceHost struct {
+	rtm     rt.Runtime
+	service *svc.Service
+	connect func(tenant string, node int) *svc.Client
+	origin  time.Duration
+	spawn   func(name string, body func() error)
+	wait    func() error
+	metrics func() (obs.Snapshot, error)
+}
+
+// run executes one session at the given load on a fresh simulated
+// cluster: the shards live on cluster clients behind the fabric front,
+// and the makespan counts from virtual time 0.
 func (s ServiceSession) run(load serviceLoad) (ServiceResult, error) {
 	clients := s.Tenants + 1 // the last client node hosts the noisy tenant
 	r := newSimRun(pfs.VikingConfig(clients + s.Shards))
-	reg := obs.NewRegistryOn(r.rtm.Now)
-	stepBytes := int64(s.Blocks) * s.BlockBytes
-
-	var sched *iosched.Scheduler
-	if s.IOSchedBW > 0 {
-		sched = iosched.New(iosched.Config{BytesPerSec: s.IOSchedBW, Clock: r.rtm, Obs: reg})
+	opts, sched := s.options(r.rtm, load.adm, s.BufferSize, func(i int) vfs.FS { return r.cluster.Client(clients + i) })
+	if sched != nil {
 		r.cluster.SetIOScheduler(sched)
-	}
-	opts := svc.Options{
-		Shards: s.Shards,
-		OpenShard: func(i int) (*core.Manager, error) {
-			return r.manager(svc.ShardDirName(i), r.cluster.Client(clients+i), s.BufferSize, reg, sched)
-		},
-		Runtime:   r.rtm,
-		Obs:       reg,
-		Admission: load.adm,
 	}
 	if load.fault {
 		opts.Supervisor = svc.SupervisorConfig{RestartBackoff: 500 * time.Microsecond}
@@ -379,22 +394,90 @@ func (s ServiceSession) run(load serviceLoad) (ServiceResult, error) {
 			nodes[i] = clients + i
 		}
 		front = svc.NewFront(service, r.cluster.Fabric(), nodes)
-		// Every tenant gets weight 1 and a burst allowance of one full
-		// checkpoint step, so a behaved tenant's commit burst is admitted
-		// without delay while a sustained flood runs into its share.
-		cfg := svc.TenantConfig{Weight: 1, BurstBytes: float64(stepBytes)}
-		for t := 0; t < s.Tenants; t++ {
-			if _, err := service.RegisterTenant(fmt.Sprintf("tenant%02d", t), cfg); err != nil {
-				return err
-			}
-		}
-		if s.Noisy {
-			_, err = service.RegisterTenant("noisy", cfg)
-		}
-		return err
+		return nil
 	})
 	if err := r.run(); err != nil {
 		return ServiceResult{}, err
+	}
+	return s.drive(load, serviceHost{
+		rtm: r.rtm, service: service, connect: front.Connect,
+		spawn: func(name string, body func() error) { r.spawn(name, func(*sim.Proc) error { return body() }) },
+		wait:  r.run,
+		metrics: func() (obs.Snapshot, error) {
+			return r.cluster.Obs().Snapshot().Merge(opts.Obs.Snapshot()), nil
+		},
+	})
+}
+
+// RunDir runs the session flat out on the real runtime — no solo probe,
+// no compute, admission off unless Fair — with in-process tenants and
+// the shards (engine-default memtables; BufferSize is the simulator's)
+// and SERVICE.json under dir. The makespan counts from the tenants'
+// launch. Noisy is simulator-only: the noisy tenant's rate is
+// calibrated on a solo probe, which needs a fresh store.
+func (s ServiceSession) RunDir(dir string) (ServiceResult, error) {
+	if s.Noisy {
+		return ServiceResult{}, errors.New("bench: a noisy tenant needs the simulator's calibration probe")
+	}
+	fs, err := vfs.NewOSFS(dir)
+	if err != nil {
+		return ServiceResult{}, err
+	}
+	rtm := rt.Real()
+	opts, _ := s.options(rtm, svc.AdmissionConfig{Disabled: !s.Fair}, 0, func(int) vfs.FS { return fs })
+	opts.ManifestFS = fs
+	service, err := svc.New(opts)
+	if err != nil {
+		return ServiceResult{}, err
+	}
+	var tasks []func() error
+	return s.drive(serviceLoad{}, serviceHost{
+		rtm: rtm, service: service, origin: rtm.Now(),
+		connect: func(tenant string, _ int) *svc.Client { return service.Tenant(tenant) },
+		spawn:   func(_ string, body func() error) { tasks = append(tasks, body) },
+		wait: func() error {
+			errs := make([]error, len(tasks))
+			rtm.Parallel("svc", len(tasks), func(i int) { errs[i] = tasks[i]() })
+			return errors.Join(errs...)
+		},
+		metrics: func() (obs.Snapshot, error) {
+			err := service.Close()
+			return opts.Obs.Snapshot(), err
+		},
+	})
+}
+
+// drive registers the tenants and runs the session body on h: the
+// behaved tenants, the noisy neighbor and, under fault, the chaos task;
+// then it assembles the result. Behaved tenants start staggered across
+// one compute period and then alternate compute and a committed step.
+//
+// Under fault, the shard supervisor runs with a tight restart backoff
+// and a chaos task crashes shard 0 in the middle of the first commit
+// wave. Tenants retry typed transient failures (ShardDownError while the
+// supervisor restarts the shard, quota smoothing, fabric hiccups), and a
+// request counts toward availability when it completes within one
+// compute period of its first attempt — a latency SLO about 12x the
+// solo p99, so only fault-induced stalls miss it. A barrier that reports
+// asynchronous write loss makes the tenant replay the whole step,
+// mirroring how a real checkpoint client must re-offer data the service
+// never made durable.
+func (s ServiceSession) drive(load serviceLoad, h serviceHost) (ServiceResult, error) {
+	rtm, reg := h.rtm, h.service.Obs()
+	stepBytes := int64(s.Blocks) * s.BlockBytes
+	// Every tenant gets weight 1 and a burst allowance of one full
+	// checkpoint step, so a behaved tenant's commit burst is admitted
+	// without delay while a sustained flood runs into its share.
+	cfg := svc.TenantConfig{Weight: 1, BurstBytes: float64(stepBytes)}
+	for t := 0; t < s.Tenants; t++ {
+		if _, err := h.service.RegisterTenant(fmt.Sprintf("tenant%02d", t), cfg); err != nil {
+			return ServiceResult{}, err
+		}
+	}
+	if s.Noisy {
+		if _, err := h.service.RegisterTenant("noisy", cfg); err != nil {
+			return ServiceResult{}, err
+		}
 	}
 
 	// request issues one request; under fault it retries typed transient
@@ -402,17 +485,17 @@ func (s ServiceSession) run(load serviceLoad) (ServiceResult, error) {
 	// when it succeeds within the SLO of its first attempt. Write-loss
 	// reports are returned to the caller (the step must be replayed, not
 	// the barrier); non-typed errors abort the run.
-	request := func(p *sim.Proc, op func() error) error { return op() }
+	request := func(op func() error) error { return op() }
 	if load.fault {
 		slo := load.compute
 		slaTotal := reg.Counter("svc.bench.sla_total")
 		slaOK := reg.Counter("svc.bench.sla_ok")
-		request = func(p *sim.Proc, op func() error) error {
+		request = func(op func() error) error {
 			slaTotal.Inc()
-			start := p.Now().Duration()
+			start := rtm.Now()
 			for {
 				err := op()
-				elapsed := p.Now().Duration() - start
+				elapsed := rtm.Now() - start
 				if err == nil {
 					if elapsed <= slo {
 						slaOK.Inc()
@@ -426,98 +509,103 @@ func (s ServiceSession) run(load serviceLoad) (ServiceResult, error) {
 				if resil.Classify(err) != resil.ClassTransient || elapsed > 2*time.Second {
 					return err
 				}
-				p.Sleep(200 * time.Microsecond)
+				rtm.Sleep(200 * time.Microsecond)
 			}
 		}
 	}
 
+	// mu guards res and is never held across a blocking call; done
+	// counts the behaved tenants that have finished.
 	block := make([]byte, s.BlockBytes)
 	res := ServiceResult{Steps: make(map[string][]time.Duration, s.Tenants)}
-	// remaining counts behaved tenants still running; the simulator is
-	// cooperative, so plain shared variables are race-free.
-	remaining := s.Tenants
-	r.ranks("svc-tenant", s.Tenants, func(p *sim.Proc, t int) error {
-		defer func() { remaining-- }()
+	var mu sync.Mutex
+	var done atomic.Int64
+	for t := 0; t < s.Tenants; t++ {
 		name := fmt.Sprintf("tenant%02d", t)
-		c := front.Connect(name, t)
-		// Stagger starts across one compute period: real jobs do not
-		// checkpoint in lockstep, and a synchronized barrier herd
-		// would measure queueing the service cannot influence.
-		if off := load.compute * time.Duration(t) / time.Duration(s.Tenants); off > 0 {
-			p.Sleep(off)
-		}
-		for step := 0; step < s.Steps; step++ {
-			if load.compute > 0 {
-				p.Sleep(load.compute)
+		h.spawn("svc-"+name, func() error {
+			defer done.Add(1)
+			c := h.connect(name, t)
+			// Stagger starts across one compute period: real jobs do not
+			// checkpoint in lockstep, and a synchronized barrier herd
+			// would measure queueing the service cannot influence.
+			if off := load.compute * time.Duration(t) / time.Duration(s.Tenants); off > 0 {
+				rtm.Sleep(off)
 			}
-			start := p.Now()
-			for {
-				for b := 0; b < s.Blocks; b++ {
-					key := fmt.Sprintf("step%03d/block%03d", step, b)
-					if err := request(p, func() error { return c.Put(key, block) }); err != nil {
+			for step := 0; step < s.Steps; step++ {
+				if load.compute > 0 {
+					rtm.Sleep(load.compute)
+				}
+				start := rtm.Now()
+				for {
+					for b := 0; b < s.Blocks; b++ {
+						key := fmt.Sprintf("step%03d/block%03d", step, b)
+						if err := request(func() error { return c.Put(key, block) }); err != nil {
+							return err
+						}
+					}
+					err := request(c.Barrier)
+					var wl *svc.WriteLossError
+					if load.fault && errors.As(err, &wl) {
+						continue
+					}
+					if err != nil {
 						return err
 					}
+					break
 				}
-				err := request(p, c.Barrier)
-				var wl *svc.WriteLossError
-				if load.fault && errors.As(err, &wl) {
-					continue
-				}
-				if err != nil {
-					return err
-				}
-				break
+				now := rtm.Now()
+				mu.Lock()
+				res.Steps[name] = append(res.Steps[name], now-start)
+				res.Makespan = max(res.Makespan, now-h.origin)
+				mu.Unlock()
 			}
-			res.Steps[name] = append(res.Steps[name], p.Now().Sub(start))
-		}
-		if end := p.Now().Duration(); end > res.Makespan {
-			res.Makespan = end
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 	if s.Noisy {
 		// The noisy tenant paces itself to its offered rate so the
 		// no-admission arm models a greedy-but-finite client rather than
 		// an unbounded queue.
 		gap := time.Duration(float64(s.BlockBytes) / load.noisyRate * float64(time.Second))
-		r.spawn("svc-noisy", func(p *sim.Proc) error {
-			c := front.Connect("noisy", s.Tenants)
-			for sent := int64(0); remaining > 0; {
+		h.spawn("svc-noisy", func() error {
+			c := h.connect("noisy", s.Tenants)
+			for sent := int64(0); done.Load() < int64(s.Tenants); {
 				err := c.Put(fmt.Sprintf("junk%08d", sent), block)
 				if qe, ok := err.(*svc.QuotaError); ok {
-					p.Sleep(qe.RetryAfter)
+					rtm.Sleep(qe.RetryAfter)
 					continue
 				}
 				if err != nil {
 					return err
 				}
 				sent += s.BlockBytes
-				p.Sleep(gap)
+				rtm.Sleep(gap)
 			}
 			return nil
 		})
 	}
 	if load.fault {
-		// The chaos proc crashes shard 0 when the staggered commit waves
+		// The chaos task crashes shard 0 when the staggered commit waves
 		// are in full swing (tenant t commits around
 		// compute*(1+t/Tenants), so 1.5 compute periods lands
 		// mid-spread) and the supervisor must recover it while requests
 		// are arriving.
-		r.spawn("svc-bench-chaos", func(p *sim.Proc) error {
-			p.Sleep(load.compute + load.compute/2)
-			return service.CrashShard(0)
+		h.spawn("svc-bench-chaos", func() error {
+			rtm.Sleep(load.compute + load.compute/2)
+			return h.service.CrashShard(0)
 		})
 	}
-	if err := r.run(); err != nil {
+	if err := h.wait(); err != nil {
 		return ServiceResult{}, err
 	}
 	if len(res.Steps) == 0 || res.Makespan <= 0 {
 		return ServiceResult{}, fmt.Errorf("bench: service run measured nothing")
 	}
 	res.Aggregate = float64(s.Tenants) * float64(s.Steps) * float64(stepBytes) / res.Makespan.Seconds()
-	res.Shards = service.ShardStatuses()
-	res.Metrics = r.cluster.Obs().Snapshot().Merge(reg.Snapshot())
-	return res, nil
+	res.Shards = h.service.ShardStatuses()
+	var err error
+	res.Metrics, err = h.metrics()
+	return res, err
 }
 
 func stepBlockSize(scale Scale) int64 {

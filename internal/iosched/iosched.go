@@ -31,9 +31,8 @@
 //     deficit counts with twice its weight until the backlog it
 //     accumulated has drained, so a class starved through a storm
 //     catches up instead of being perpetually out-bid.
-//   - A burst allowance: an idle class may fall at most 50 ms behind
-//     the current time, so a freshly woken class gets one
-//     burst's worth of free tokens rather than an unbounded backlog.
+//   - No banked credit. A grant starts no earlier than now, so an idle
+//     class wakes with no free tokens, however long it slept.
 //
 // All methods are nil-receiver safe and free when the scheduler is
 // disabled (BytesPerSec <= 0), so call sites thread one optional
@@ -88,12 +87,7 @@ func (c Class) String() string {
 // drain = compaction > scrub). They sum to totalShare.
 var shares = [NumClasses]float64{40, 25, 15, 15, 5}
 
-const (
-	totalShare = 100
-	// burst bounds the free-token backlog an idle class accumulates,
-	// expressed as device time.
-	burst = 50 * time.Millisecond
-)
+const totalShare = 100
 
 // Config configures a Scheduler.
 type Config struct {
@@ -238,11 +232,6 @@ func (s *Scheduler) reserve(class Class, n int64) time.Duration {
 		s.m.waitHist[class].ObserveDuration(0)
 		return 0
 	}
-	// Burst allowance: an idle class's token bucket holds at most one
-	// burst of credit.
-	if floor := now - burst; s.next[class] < floor {
-		s.next[class] = floor
-	}
 	// Work-conserving effective rate: divide the device over the active
 	// classes (unexpired claims), weighting deficit-carrying classes
 	// double so they catch up.
@@ -260,9 +249,6 @@ func (s *Scheduler) reserve(class Class, n int64) time.Duration {
 	dur := time.Duration(float64(n) / eff * float64(time.Second))
 	s.next[class] = start + dur
 	wait := start - now
-	if wait < 0 {
-		wait = 0
-	}
 	if wait > 0 {
 		reserved := s.rate * shares[class] / totalShare
 		s.deficit[class] += int64(reserved * wait.Seconds())

@@ -56,6 +56,16 @@ func TestWorkConservationIdleBudgetBorrowable(t *testing.T) {
 	if elapsed < 85*time.Millisecond || elapsed > 105*time.Millisecond {
 		t.Fatalf("lone scrub class not work-conserving: elapsed %v, want ~94ms", elapsed)
 	}
+	// An idle class banks no credit: after a gap longer than 50 ms its
+	// next grant starts at now and occupies the device for its full
+	// duration.
+	f.now = s.State(Scrub).NextFree + 200*time.Millisecond
+	if w := s.Acquire(Scrub, 1<<20); w != 0 {
+		t.Fatalf("grant after an idle gap waited %v, want 0", w)
+	}
+	if got, want := s.State(Scrub).NextFree-f.now, time.Duration(float64(1<<20)/100e6*float64(time.Second)); got != want {
+		t.Fatalf("grant after an idle gap ends %v after now, want %v", got, want)
+	}
 }
 
 // Borrowing reverts once another class activates: with compaction

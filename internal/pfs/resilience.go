@@ -96,12 +96,6 @@ type Resilience struct {
 	// completion lags the issue time by more than the hedge delay, the
 	// run is duplicated to a spare OST and the first completion wins.
 	Hedge bool
-	// HedgeFactor scales the recent median observed write latency into
-	// the hedge delay (default 1.5), clamped to [HedgeMinDelay,
-	// HedgeMaxDelay] (defaults 1ms, 500ms).
-	HedgeFactor   float64
-	HedgeMinDelay time.Duration
-	HedgeMaxDelay time.Duration
 	// Parity makes clients obtained via ResilientClient create K+1
 	// XOR-parity layouts (one extra dedicated parity OST per file).
 	Parity bool
@@ -109,18 +103,13 @@ type Resilience struct {
 	Tracker resil.Options
 }
 
-func (r Resilience) withDefaults() Resilience {
-	if r.HedgeFactor <= 0 {
-		r.HedgeFactor = 1.5
-	}
-	if r.HedgeMinDelay <= 0 {
-		r.HedgeMinDelay = time.Millisecond
-	}
-	if r.HedgeMaxDelay <= 0 {
-		r.HedgeMaxDelay = 500 * time.Millisecond
-	}
-	return r
-}
+// The hedge delay is hedgeFactor × the recent median observed write
+// latency, clamped to [hedgeMinDelay, hedgeMaxDelay].
+const (
+	hedgeFactor   = 1.5
+	hedgeMinDelay = time.Millisecond
+	hedgeMaxDelay = 500 * time.Millisecond
+)
 
 // EnableResilience turns on health tracking (and, per r, hedging and
 // parity striping for resilient clients). The tracker's breaker timers
@@ -129,7 +118,7 @@ func (r Resilience) withDefaults() Resilience {
 // records, the tracker reads), and breaker life-cycle events land in
 // the cluster's trace ring.
 func (c *Cluster) EnableResilience(r Resilience) {
-	c.res = r.withDefaults()
+	c.res = r
 	topts := c.res.Tracker
 	if topts.Latency == nil {
 		topts.Latency = c.m.writeLatency
@@ -169,20 +158,20 @@ func (c *Cluster) observeErr(ostIdx int) {
 	}
 }
 
-// hedgeDelay is the straggler threshold: HedgeFactor × the median recent
-// observed write latency, clamped. Zero (no observations yet) disables
-// hedging for the request.
+// hedgeDelay is the straggler threshold: hedgeFactor × the median
+// recent observed write latency, clamped. Zero (no observations yet)
+// disables hedging for the request.
 func (c *Cluster) hedgeDelay() time.Duration {
 	med := c.tracker.Quantile(0.5)
 	if med == 0 {
 		return 0
 	}
-	d := time.Duration(float64(med) * c.res.HedgeFactor)
-	if d < c.res.HedgeMinDelay {
-		d = c.res.HedgeMinDelay
+	d := time.Duration(float64(med) * hedgeFactor)
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
-	if d > c.res.HedgeMaxDelay {
-		d = c.res.HedgeMaxDelay
+	if d > hedgeMaxDelay {
+		d = hedgeMaxDelay
 	}
 	return d
 }

@@ -3,6 +3,7 @@ package svc
 import (
 	"errors"
 	"sort"
+	"sync/atomic"
 
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
@@ -22,8 +23,9 @@ type transport interface {
 }
 
 // inProcess applies each request inline on the caller, on whatever
-// runtime the service runs on. Values are not copied: the request is
-// applied before send returns.
+// runtime the service runs on, so errors — an asynchronous Put's
+// included — return synchronously. Values are not copied: the request
+// is applied before send returns.
 type inProcess struct{ s *Service }
 
 func (t inProcess) send(req request, _ int64, _ bool) (reply, error) {
@@ -35,8 +37,9 @@ func (t inProcess) send(req request, _ int64, _ bool) (reply, error) {
 // request-latency accounting — is written once here and runs over the
 // client's transport: the simulated fabric for a Client from
 // Front.Connect, where every operation pays fabric transfer and shard
-// queueing costs, and in-process behind Service.Tenant. A fabric Client
-// is bound to one simulation process at a time.
+// queueing costs, and in-process from Service.Tenant, where every
+// method is safe for concurrent use. A fabric Client is bound to one
+// simulation process at a time.
 type Client struct {
 	s  *Service
 	ts *tenantState
@@ -46,7 +49,7 @@ type Client struct {
 	// counts the attempts after the first, is nil there.
 	retry   resil.Policy
 	retries *obs.Counter
-	closed  bool
+	closed  atomic.Bool
 	// lossAck holds, per shard, the Seq of the latest WriteLossError
 	// this client observed: the two-phase-ack token its next barrier
 	// echoes so the server knows the loss report was delivered before
@@ -65,7 +68,7 @@ func (c *Client) Tenant() string { return c.ts.name }
 // admit runs fair-share admission, sleeping out any delay it imposes.
 func (c *Client) admit(nBytes int) error {
 	s := c.s
-	if c.closed || s.isClosed() {
+	if c.closed.Load() || s.isClosed() {
 		return ErrClosed
 	}
 	wait, err := s.adm.admit(c.ts, nBytes)
@@ -233,7 +236,7 @@ func (c *Client) Scan(prefix string, fn func(key string, value []byte) bool) err
 func (c *Client) Barrier() error {
 	s := c.s
 	start := s.reg.Now()
-	if c.closed || s.isClosed() {
+	if c.closed.Load() || s.isClosed() {
 		return ErrClosed
 	}
 	for idx := 0; idx < s.Shards(); idx++ {
@@ -253,44 +256,17 @@ func (c *Client) Barrier() error {
 }
 
 // Close releases the client's connection; later calls return
-// ErrClosed.
+// ErrClosed. Only Front.Connect counts a connection in svc.conns.
 func (c *Client) Close() error {
-	if c.closed {
+	if c.closed.Swap(true) {
 		return ErrClosed
 	}
-	c.closed = true
-	c.s.gConns.Add(-1)
+	if _, fabric := c.tr.(fabricConn); fabric {
+		c.s.gConns.Add(-1)
+	}
 	return nil
 }
 
-// Tenant is a tenant's in-process client: the transport lsmiod uses
-// against a real filesystem. Each request is applied on the caller, so
-// errors — an asynchronous Put's included — return synchronously. All
-// methods are safe for concurrent use.
-type Tenant struct{ c *Client }
-
-func (s *Service) newTenant(ts *tenantState) *Tenant {
-	return &Tenant{c: s.newClient(ts, inProcess{s}, resil.Policy{}, nil)}
-}
-
-// Name returns the tenant name.
-func (t *Tenant) Name() string { return t.c.ts.name }
-
-// Put stores key (asynchronous; durable at the next Barrier); see
-// Client.Put.
-func (t *Tenant) Put(key string, value []byte) error { return t.c.Put(key, value) }
-
-// Del removes key; see Client.Del.
-func (t *Tenant) Del(key string) error { return t.c.Del(key) }
-
-// Get returns the tenant's value for key; see Client.Get.
-func (t *Tenant) Get(key string) ([]byte, error) { return t.c.Get(key) }
-
-// Scan calls fn for every tenant key under prefix in key order; see
-// Client.Scan.
-func (t *Tenant) Scan(prefix string, fn func(key string, value []byte) bool) error {
-	return t.c.Scan(prefix, fn)
-}
-
-// Barrier makes the tenant's earlier puts durable; see Client.Barrier.
-func (t *Tenant) Barrier() error { return t.c.Barrier() }
+// Tenant is Client by the name in-process callers use: the client
+// Service.Tenant and RegisterTenant return.
+type Tenant = Client

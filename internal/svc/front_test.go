@@ -60,6 +60,12 @@ func TestFrontBasic(t *testing.T) {
 		if got := s.reg.Gauge("svc.conns").Load(); got != 2 {
 			t.Errorf("svc.conns = %d, want 2", got)
 		}
+		if err := s.Tenant("app-a").Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.reg.Gauge("svc.conns").Load(); got != 2 {
+			t.Errorf("svc.conns = %d after closing an in-process client, want 2", got)
+		}
 		for i := 0; i < 40; i++ {
 			key := fmt.Sprintf("step000/block%03d", i)
 			if err := a.Put(key, []byte(fmt.Sprintf("a%03d", i))); err != nil {

@@ -283,7 +283,7 @@ func (s *Service) isClosed() bool {
 // RegisterTenant declares a tenant's weight and quotas, recomputing
 // every tenant's fair share. Registering an existing tenant updates
 // its configuration in place.
-func (s *Service) RegisterTenant(name string, cfg TenantConfig) (*Tenant, error) {
+func (s *Service) RegisterTenant(name string, cfg TenantConfig) (*Client, error) {
 	if s.isClosed() {
 		return nil, ErrClosed
 	}
@@ -291,13 +291,13 @@ func (s *Service) RegisterTenant(name string, cfg TenantConfig) (*Tenant, error)
 	if err := s.writeManifest(); err != nil {
 		return nil, err
 	}
-	return s.newTenant(ts), nil
+	return s.newClient(ts, inProcess{s}, resil.Policy{}, nil), nil
 }
 
 // Tenant returns the named tenant's in-process client, registering the
 // tenant with default settings (weight 1, no caps) on first use.
-func (s *Service) Tenant(name string) *Tenant {
-	return s.newTenant(s.adm.tenant(name, nil))
+func (s *Service) Tenant(name string) *Client {
+	return s.newClient(s.adm.tenant(name, nil), inProcess{s}, resil.Policy{}, nil)
 }
 
 // ---- write fencing ----------------------------------------------------
