@@ -56,11 +56,11 @@ svc-smoke:
 restore-chaos:
 	$(GO) test -race -run TestRestoreChaosCombinedFaults -v ./internal/robustness/
 
-# End-to-end service chaos: crash a shard at every rebalance phase,
-# partition the fabric mid-commit, and kill-and-restart the whole
-# daemon — all under the race detector. The invariant is that every
-# client-acknowledged commit is restorable and tenants only ever see
-# typed retryable errors. Failures dump the obs trace ring plus the
+# End-to-end service chaos: crash one shard early or late, or two at
+# once, while tenants commit, partition the fabric mid-commit, and
+# kill-and-restart the whole daemon — all under the race detector. The
+# invariant is that every client-acknowledged commit is restorable and
+# tenants only ever see typed retryable errors. Failures dump the obs trace ring plus the
 # full metrics table (TRACE_*.txt) for CI to upload.
 svc-chaos:
 	$(GO) test -race -run TestServiceChaos -v ./internal/robustness/

@@ -14,20 +14,17 @@ import (
 	"lsmio/internal/vfs"
 )
 
-// statsCmd implements `lsmioctl stats [-json] [-interval d [-count n]]`.
-// The default is one aligned text table over every instrument in the
-// store's unified registry; -json emits the same snapshot as a nested
-// object (histograms as count/mean/quantile summaries); -interval keeps
-// the manager open and prints the delta between consecutive snapshots
-// every period, which is how an operator watches a live store that
-// another process is not holding locked.
+// statsCmd implements `lsmioctl stats [-json]`: one aligned text table
+// over every instrument in the registry of a manager that lsmioctl opens
+// on the store; -json emits the same snapshot as a nested object
+// (histograms as count/mean/quantile summaries). The session is
+// lsmioctl's own, so the counters describe opening the store (recovery,
+// the engine's on-disk state), not another process's activity.
 func statsCmd(fsys lsmio.FS, args []string) {
 	fset := flag.NewFlagSet("stats", flag.ExitOnError)
 	asJSON := fset.Bool("json", false, "emit the snapshot as JSON")
-	interval := fset.Duration("interval", 0, "watch mode: print deltas every interval")
-	count := fset.Int("count", 0, "watch mode: stop after N reports (0 = forever)")
 	fset.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: lsmioctl -dir <store> stats [-json] [-interval <dur> [-count <n>]]")
+		fmt.Fprintln(os.Stderr, "usage: lsmioctl -dir <store> stats [-json]")
 		fset.PrintDefaults()
 		os.Exit(2)
 	}
@@ -58,43 +55,28 @@ func statsCmd(fsys lsmio.FS, args []string) {
 		}
 	}()
 
-	emit := func(snap lsmio.MetricsSnapshot) {
-		if *asJSON {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(snap.Tree()); err != nil {
-				fmt.Fprintln(os.Stderr, "lsmioctl:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := snap.WriteTable(os.Stdout); err != nil {
+	snap := mgr.Obs().Snapshot()
+	if *asJSON {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(snap.Tree()); err != nil {
 			fmt.Fprintln(os.Stderr, "lsmioctl:", err)
 			os.Exit(1)
 		}
-		writeIOSchedSection(os.Stdout, snap)
-	}
-
-	prev := mgr.Obs().Snapshot()
-	emit(prev)
-	if *interval <= 0 {
 		return
 	}
-	for n := 1; *count == 0 || n < *count; n++ {
-		time.Sleep(*interval)
-		cur := mgr.Obs().Snapshot()
-		delta := cur.Delta(prev)
-		prev = cur
-		fmt.Printf("--- delta @ %v ---\n", cur.At)
-		emit(delta)
+	if err := snap.WriteTable(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "lsmioctl:", err)
+		os.Exit(1)
 	}
+	writeIOSchedSection(os.Stdout, snap)
 }
 
 // serviceStats opens every shard store named by the manifest, merges
-// their snapshots (counters add, histograms merge bucket-wise) with the
-// service-level registry persisted in each, and prints one aggregate
-// view: what an operator reads to see the whole service's counters and
-// per-tenant admission stats in one place.
+// the snapshots of those fresh sessions (counters add, histograms merge
+// bucket-wise) and prints one aggregate view beside the manifest's
+// layout and tenant table. No service-level (`svc.`) instrument is
+// persisted, so none of the live service's counters appear.
 func serviceStats(fsys lsmio.FS, m svc.Manifest, asJSON bool) {
 	die := func(err error) {
 		fmt.Fprintln(os.Stderr, "lsmioctl:", err)
@@ -129,8 +111,8 @@ func serviceStats(fsys lsmio.FS, m svc.Manifest, asJSON bool) {
 		}
 		return
 	}
-	fmt.Printf("service: %d shard(s), epoch %d, %d tenant(s); aggregate across shards:\n",
-		m.Shards, m.Epoch, len(m.Tenants))
+	fmt.Printf("service: %d shard(s), %d tenant(s); aggregate across shards:\n",
+		m.Shards, len(m.Tenants))
 	if err := agg.WriteTable(os.Stdout); err != nil {
 		die(err)
 	}

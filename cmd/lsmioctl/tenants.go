@@ -40,7 +40,7 @@ func tenantsCmd(fs lsmio.FS, args []string) {
 		}
 		return
 	}
-	fmt.Printf("service: %d shard(s), epoch %d, %d tenant(s)\n", m.Shards, m.Epoch, len(m.Tenants))
+	fmt.Printf("service: %d shard(s), %d tenant(s)\n", m.Shards, len(m.Tenants))
 	fmt.Printf("%-24s %8s %14s\n", "TENANT", "WEIGHT", "BYTES/S")
 	for _, t := range m.Tenants {
 		fmt.Printf("%-24s %8.2f %14s\n", t.Name, t.Weight, rateOrDash(t.BytesPerSec))

@@ -21,8 +21,8 @@ import (
 )
 
 // service_chaos_test.go is the end-to-end service chaos sweep
-// (`make svc-chaos`): shard crashes injected at every rebalance phase,
-// a fabric partition dropped onto live commits, and a whole-daemon
+// (`make svc-chaos`): shard crashes injected while tenants commit, a
+// fabric partition dropped onto live commits, and a whole-daemon
 // kill-and-restart. Two invariants hold throughout:
 //
 //  1. Every client-acknowledged commit (a Barrier that returned nil) is
@@ -56,6 +56,9 @@ type chaosTenant struct {
 	name  string
 	acked []int // step numbers whose Barrier returned nil
 	fatal error // first non-typed error observed (invariant breach)
+	// beforeOp, when set, runs before every operation attempt: the
+	// fault-injection point of the crash sweeps.
+	beforeOp func()
 }
 
 func (ct *chaosTenant) run(tn *svc.Tenant, steps, blocks int, pause func()) {
@@ -79,6 +82,9 @@ func (ct *chaosTenant) run(tn *svc.Tenant, steps, blocks int, pause func()) {
 // error) or on retry exhaustion.
 func (ct *chaosTenant) retry(op func() error, pause func()) bool {
 	for attempt := 0; attempt < 4000; attempt++ {
+		if ct.beforeOp != nil {
+			ct.beforeOp()
+		}
 		err := op()
 		if err == nil {
 			return true
@@ -93,22 +99,30 @@ func (ct *chaosTenant) retry(op func() error, pause func()) bool {
 	return false
 }
 
-// rebalancePhases mirrors the hook points fired by Service.Rebalance.
-var rebalancePhases = []string{"open", "warm", "fence", "delta", "flip", "cleanup"}
-
-// TestServiceChaosRebalancePhaseCrash crashes shard 0 at every
-// rebalance phase in turn (one fresh deployment per phase), with
-// tenants committing throughout. The rebalance may abort — it is
-// retried once the shard recovers — but acknowledged commits survive
-// and only typed errors ever surface.
-func TestServiceChaosRebalancePhaseCrash(t *testing.T) {
-	const shards, target, tenants, steps, blocks = 3, 4, 3, 4, 6
-	for _, phase := range rebalancePhases {
-		phase := phase
-		t.Run(phase, func(t *testing.T) {
+// TestServiceChaosShardCrashUnderLoad crashes shards while tenants
+// commit on the real runtime: once tenant0 has issued a given number of
+// operations its goroutine crashes the victims (CrashShard, then the
+// shard filesystem, so unbarriered bytes are really gone when the
+// supervisor's reopen recovers them). Crashing two shards at once runs
+// two restart swaps through the write gate together. Acknowledged
+// commits survive, only typed errors surface, and every victim is
+// restarted.
+func TestServiceChaosShardCrashUnderLoad(t *testing.T) {
+	const shards, tenants, steps, blocks = 3, 3, 4, 6
+	for _, tc := range []struct {
+		name    string
+		victims []int
+		afterOp int64 // tenant0's svc.tenant.tenant0.ops count that fires the crash
+	}{
+		{"one-early", []int{0}, 3},
+		{"one-late", []int{0}, 15},
+		{"two-at-once", []int{0, 1}, 8},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			dumpTraceOnFailure(t, "", reg)
-			ffs := make([]*faultfs.FS, target)
+			ffs := make([]*faultfs.FS, shards)
 			for i := range ffs {
 				ffs[i] = faultfs.New(vfs.NewMemFS())
 			}
@@ -128,29 +142,30 @@ func TestServiceChaosRebalancePhaseCrash(t *testing.T) {
 			}
 			defer s.Close()
 
-			// Crash shard 0 the first time the rebalance reaches the
-			// target phase: detach it first (typed errors from then on),
-			// then crash its filesystem so unbarriered bytes are really
-			// gone when the supervisor's reopen recovers it.
-			var once sync.Once
-			s.SetRebalanceHook(func(p string) {
-				if p != phase {
+			ops := reg.Counter("svc.tenant.tenant0.ops")
+			fired := false
+			crash := func() {
+				if fired || ops.Load() < tc.afterOp {
 					return
 				}
-				once.Do(func() {
-					if err := s.CrashShard(0); err != nil {
-						t.Errorf("CrashShard: %v", err)
+				fired = true
+				for _, v := range tc.victims {
+					if err := s.CrashShard(v); err != nil {
+						t.Errorf("CrashShard(%d): %v", v, err)
 					}
-					if err := ffs[0].Crash(); err != nil {
-						t.Errorf("fs crash: %v", err)
+					if err := ffs[v].Crash(); err != nil {
+						t.Errorf("fs crash %d: %v", v, err)
 					}
-				})
-			})
+				}
+			}
 
 			cts := make([]*chaosTenant, tenants)
 			var wg sync.WaitGroup
 			for i := 0; i < tenants; i++ {
 				ct := &chaosTenant{name: fmt.Sprintf("tenant%d", i)}
+				if i == 0 {
+					ct.beforeOp = crash
+				}
 				cts[i] = ct
 				wg.Add(1)
 				go func() {
@@ -159,46 +174,20 @@ func TestServiceChaosRebalancePhaseCrash(t *testing.T) {
 						func() { time.Sleep(500 * time.Microsecond) })
 				}()
 			}
-
-			// Rebalance concurrently; an abort (the crashed shard is a
-			// typed failure inside the migration) is retried after the
-			// supervisor brings the shard back.
-			wg.Add(1)
-			var rebErr error
-			go func() {
-				defer wg.Done()
-				for attempt := 0; attempt < 400; attempt++ {
-					err := s.Rebalance(target)
-					if err == nil {
-						return
-					}
-					if !typedSvcError(err) {
-						rebErr = fmt.Errorf("rebalance: non-typed error: %w", err)
-						return
-					}
-					time.Sleep(2 * time.Millisecond)
-				}
-				rebErr = errors.New("rebalance never completed")
-			}()
 			wg.Wait()
-			if rebErr != nil {
-				t.Fatal(rebErr)
-			}
-			for _, ct := range cts {
-				if ct.fatal != nil {
-					t.Fatal(ct.fatal)
-				}
-			}
-			if got := s.Shards(); got != target {
-				t.Fatalf("pool at %d shards after rebalance, want %d", got, target)
+			if !fired {
+				t.Fatal("the crash never fired")
 			}
 
 			// Every acknowledged commit is restorable, byte-exact.
 			for _, ct := range cts {
-				tn := s.Tenant(ct.name)
+				if ct.fatal != nil {
+					t.Fatal(ct.fatal)
+				}
 				if len(ct.acked) != steps {
 					t.Fatalf("%s acked %d/%d steps", ct.name, len(ct.acked), steps)
 				}
+				tn := s.Tenant(ct.name)
 				for _, step := range ct.acked {
 					for b := 0; b < blocks; b++ {
 						v, err := tn.Get(svcKey(step, b))
@@ -211,8 +200,12 @@ func TestServiceChaosRebalancePhaseCrash(t *testing.T) {
 					}
 				}
 			}
-			if phase != "cleanup" && reg.Snapshot().Counters["svc.supervisor.restarts"] == 0 {
-				t.Error("supervisor never restarted the crashed shard")
+			// Close waits for the restart workers, so the count is final.
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Snapshot().Counters["svc.supervisor.restarts"]; got < int64(len(tc.victims)) {
+				t.Errorf("supervisor restarted %d shard(s), want >= %d", got, len(tc.victims))
 			}
 		})
 	}

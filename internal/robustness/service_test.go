@@ -18,9 +18,8 @@ import (
 
 // service_test.go is the multi-tenant service robustness sweep: a
 // tenant crashing mid-commit must not hurt its neighbors or its own
-// committed checkpoints, a shard rebalance under live load must not
-// lose an acknowledged write, and quota exhaustion must surface as a
-// typed retryable error the shared resil policy can drive to success.
+// committed checkpoints, and quota exhaustion must surface as a typed
+// retryable error the shared resil policy can drive to success.
 
 const (
 	svcTenants = 3
@@ -39,15 +38,14 @@ type svcHarness struct {
 	front   *svc.Front
 }
 
-// newSvcHarness builds the service on a fresh cluster: tenants client
-// nodes, shardSlots server nodes (the pool may rebalance up to that
-// many shards, starting with `shards`).
-func newSvcHarness(t *testing.T, shards, shardSlots int, adm svc.AdmissionConfig) *svcHarness {
+// newSvcHarness builds the service on a fresh cluster: svcTenants
+// client nodes and one server node per shard.
+func newSvcHarness(t *testing.T, shards int, adm svc.AdmissionConfig) *svcHarness {
 	t.Helper()
 	h := &svcHarness{k: sim.NewKernel()}
 	rtm := rt.Sim(h.k)
 	h.rt, h.reg = rtm, obs.NewRegistryOn(rtm.Now)
-	h.cluster = pfs.NewCluster(h.k, pfs.VikingConfig(svcTenants+shardSlots))
+	h.cluster = pfs.NewCluster(h.k, pfs.VikingConfig(svcTenants+shards))
 	var err error
 	h.k.Spawn("setup", func(p *sim.Proc) {
 		h.s, err = svc.New(svc.Options{
@@ -69,7 +67,7 @@ func newSvcHarness(t *testing.T, shards, shardSlots int, adm svc.AdmissionConfig
 		if err != nil {
 			return
 		}
-		nodes := make([]int, shardSlots)
+		nodes := make([]int, shards)
 		for i := range nodes {
 			nodes[i] = svcTenants + i
 		}
@@ -101,7 +99,7 @@ func svcKey(step, block int) string {
 // the victim's own earlier barriered step must survive, and a
 // reconnected client for the crashed tenant must be able to resume.
 func TestServiceTenantCrashMidCommit(t *testing.T) {
-	h := newSvcHarness(t, 3, 3, svc.AdmissionConfig{})
+	h := newSvcHarness(t, 3, svc.AdmissionConfig{})
 	errs := make([]error, svcTenants)
 	for tn := 0; tn < svcTenants; tn++ {
 		tn := tn
@@ -188,89 +186,13 @@ func TestServiceTenantCrashMidCommit(t *testing.T) {
 	}
 }
 
-// TestServiceRebalanceUnderLoad grows the shard pool from 2 to 4 while
-// three tenants commit continuously over the fabric; every write that
-// was acknowledged before the run ended must read back exactly.
-func TestServiceRebalanceUnderLoad(t *testing.T) {
-	h := newSvcHarness(t, 2, 4, svc.AdmissionConfig{})
-	type acked struct{ tenant, step, block int }
-	var log []acked
-	errs := make([]error, svcTenants+1)
-	for tn := 0; tn < svcTenants; tn++ {
-		tn := tn
-		h.k.Spawn(fmt.Sprintf("tenant%d", tn), func(p *sim.Proc) {
-			c := h.front.Connect(fmt.Sprintf("tenant%d", tn), tn)
-			for step := 0; step < 4; step++ {
-				for b := 0; b < svcBlocks; b++ {
-					if err := c.Put(svcKey(step, b), svcPayload(tn, step, b)); err != nil {
-						errs[tn] = err
-						return
-					}
-				}
-				if err := c.Barrier(); err != nil {
-					errs[tn] = err
-					return
-				}
-				for b := 0; b < svcBlocks; b++ {
-					log = append(log, acked{tn, step, b})
-				}
-			}
-		})
-	}
-	h.k.Spawn("rebalancer", func(p *sim.Proc) {
-		p.Sleep(2 * time.Millisecond)
-		errs[svcTenants] = h.s.Rebalance(4)
-	})
-	if err := h.k.Run(); err != nil {
-		t.Fatalf("load run: %v", err)
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("proc %d: %v", i, err)
-		}
-	}
-	if got := h.s.Shards(); got != 4 {
-		t.Fatalf("shard count after rebalance = %d, want 4", got)
-	}
-	snap := h.reg.Snapshot()
-	if snap.Counters["svc.rebalances"] != 1 {
-		t.Fatalf("rebalances counter = %d, want 1", snap.Counters["svc.rebalances"])
-	}
-
-	var verifyErr error
-	h.k.Spawn("verify", func(p *sim.Proc) {
-		clients := make([]*svc.Client, svcTenants)
-		for tn := range clients {
-			clients[tn] = h.front.Connect(fmt.Sprintf("tenant%d", tn), tn)
-		}
-		for _, a := range log {
-			v, err := clients[a.tenant].Get(svcKey(a.step, a.block))
-			if err != nil {
-				verifyErr = fmt.Errorf("tenant %d %s lost after rebalance: %w", a.tenant, svcKey(a.step, a.block), err)
-				return
-			}
-			if !bytes.Equal(v, svcPayload(a.tenant, a.step, a.block)) {
-				verifyErr = fmt.Errorf("tenant %d %s corrupt after rebalance", a.tenant, svcKey(a.step, a.block))
-				return
-			}
-		}
-		verifyErr = h.s.Close()
-	})
-	if err := h.k.Run(); err != nil {
-		t.Fatalf("verify run: %v", err)
-	}
-	if verifyErr != nil {
-		t.Fatal(verifyErr)
-	}
-}
-
 // TestServiceQuotaExhaustionRetry floods a tightly capped tenant until
 // admission rejects, then shows the rejection is a typed, transient,
 // retryable error: resil.Classify maps it to ClassTransient, RetryAfter
 // is advertised, and the shared retry policy drives the same request to
 // success once the bucket drains.
 func TestServiceQuotaExhaustionRetry(t *testing.T) {
-	h := newSvcHarness(t, 2, 2, svc.AdmissionConfig{
+	h := newSvcHarness(t, 2, svc.AdmissionConfig{
 		CapacityBytesPerSec: 4 << 20,
 		MaxWait:             time.Millisecond,
 	})

@@ -33,13 +33,13 @@ func (t inProcess) send(req request, _ int64, _ bool) (reply, error) {
 }
 
 // Client is a tenant-scoped client of the service. Each operation —
-// admission, the write fence, routing, the rebalance shadow delete and
-// request-latency accounting — is written once here and runs over the
-// client's transport: the simulated fabric for a Client from
-// Front.Connect, where every operation pays fabric transfer and shard
-// queueing costs, and in-process from Service.Tenant, where every
-// method is safe for concurrent use. A fabric Client is bound to one
-// simulation process at a time.
+// admission, the write fence, routing and request-latency accounting —
+// is written once here and runs over the client's transport: the
+// simulated fabric for a Client from Front.Connect, where every
+// operation pays fabric transfer and shard queueing costs, and
+// in-process from Service.Tenant, where every method is safe for
+// concurrent use. A fabric Client is bound to one simulation process
+// at a time.
 type Client struct {
 	s  *Service
 	ts *tenantState
@@ -96,10 +96,10 @@ func (c *Client) do(seed uint64, attempt func() error) error {
 // may be back after its restart backoff); every other error —
 // including WriteLossError, which only the tenant can resolve by
 // replaying the step — surfaces without an internal retry.
-func (c *Client) roundTrip(mk func() request, payload int64) (reply, error) {
+func (c *Client) roundTrip(req request, payload int64) (reply, error) {
 	var rep reply
 	err := c.do(fnv64a(c.ts.name), func() error {
-		r, err := c.tr.send(mk(), payload, true)
+		r, err := c.tr.send(req, payload, true)
 		if err != nil {
 			return err
 		}
@@ -120,16 +120,28 @@ func (c *Client) roundTrip(mk func() request, payload int64) (reply, error) {
 // fabric the value is copied before transmission, and a transfer
 // dropped by the fault plan is retried with a fresh write slot per
 // attempt.
-func (c *Client) Put(key string, value []byte) error {
+func (c *Client) Put(key string, value []byte) error { return c.write(opPut, key, value) }
+
+// Del removes key: asynchronous, like Put.
+func (c *Client) Del(key string) error { return c.write(opDel, key, nil) }
+
+// write sends one asynchronous Put or Del to the key's shard. Each
+// attempt registers its own write slot: a retry must never hold one
+// across the backoff sleep, which could deadlock a restart swap's fence.
+func (c *Client) write(op reqOp, key string, value []byte) error {
 	s := c.s
 	start := s.reg.Now()
 	if err := c.admit(len(value)); err != nil {
 		return err
 	}
 	nsk := nsKey(c.ts.name, key)
-	err := c.do(fnv64a(nsk), func() error {
+	seed := fnv64a(nsk)
+	if op == opDel {
+		seed++ // a Del's retry jitter is not its Put's
+	}
+	err := c.do(seed, func() error {
 		s.enterWrites(1)
-		rep, err := c.tr.send(request{op: opPut, shard: s.routeIdx(nsk), tenant: c.ts.name,
+		rep, err := c.tr.send(request{op: op, shard: s.ring.Route(nsk), tenant: c.ts.name,
 			key: nsk, value: value, write: true}, int64(len(nsk)+len(value)), false)
 		if err != nil {
 			s.exitWrite() // the request never reached a shard
@@ -141,48 +153,8 @@ func (c *Client) Put(key string, value []byte) error {
 	return err
 }
 
-// Del removes key. During a rebalance the delete also lands on the
-// target-ring shard so no migrated copy can resurrect the key.
-func (c *Client) Del(key string) error {
-	s := c.s
-	start := s.reg.Now()
-	if err := c.admit(0); err != nil {
-		return err
-	}
-	nsk := nsKey(c.ts.name, key)
-	err := c.do(fnv64a(nsk)+1, func() error {
-		// Register both slots before routing (so a ring flip cannot
-		// slip between routing and shipping). Each attempt registers
-		// its own slots: a retry must never hold a slot across the
-		// backoff sleep, which could deadlock a cutover fence.
-		s.enterWrites(2)
-		idx := s.routeIdx(nsk)
-		shadow := s.shadowIdx(nsk)
-		rep, err := c.tr.send(request{op: opDel, shard: idx, tenant: c.ts.name,
-			key: nsk, write: true}, int64(len(nsk)), false)
-		if err != nil {
-			s.exitWrite() // the request never reached a shard
-		} else {
-			err = rep.err
-		}
-		if err != nil || shadow < 0 {
-			s.exitWrite() // the shadow slot went unused
-			return err
-		}
-		rep, err = c.tr.send(request{op: opDel, shard: shadow, tenant: c.ts.name,
-			key: nsk, write: true}, int64(len(nsk)), false)
-		if err != nil {
-			s.exitWrite() // lost in the fabric; the retry re-deletes both
-			return err
-		}
-		return rep.err
-	})
-	c.ts.reqLat.ObserveDuration(s.reg.Now() - start)
-	return err
-}
-
 // Get returns the tenant's value for key: a synchronous request to the
-// owning shard, re-routed on every retry attempt.
+// owning shard.
 func (c *Client) Get(key string) ([]byte, error) {
 	s := c.s
 	start := s.reg.Now()
@@ -190,16 +162,15 @@ func (c *Client) Get(key string) ([]byte, error) {
 		return nil, err
 	}
 	nsk := nsKey(c.ts.name, key)
-	rep, err := c.roundTrip(func() request {
-		return request{op: opGet, shard: s.routeIdx(nsk), tenant: c.ts.name, key: nsk}
-	}, int64(len(nsk)))
+	rep, err := c.roundTrip(request{op: opGet, shard: s.ring.Route(nsk), tenant: c.ts.name, key: nsk},
+		int64(len(nsk)))
 	c.ts.reqLat.ObserveDuration(s.reg.Now() - start)
 	return rep.value, err
 }
 
 // Scan calls fn for every tenant key with the given prefix, in key
 // order, with the namespace stripped, merging the per-shard sweeps
-// client-side. Scans concurrent with a rebalance are best-effort.
+// client-side.
 func (c *Client) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	s := c.s
 	if err := c.admit(0); err != nil {
@@ -209,9 +180,8 @@ func (c *Client) Scan(prefix string, fn func(key string, value []byte) bool) err
 	strip := len(nsKey(c.ts.name, ""))
 	var all []Pair
 	for idx := 0; idx < s.Shards(); idx++ {
-		rep, err := c.roundTrip(func() request {
-			return request{op: opScan, shard: idx, tenant: c.ts.name, key: ns}
-		}, int64(len(ns)))
+		rep, err := c.roundTrip(request{op: opScan, shard: idx, tenant: c.ts.name, key: ns},
+			int64(len(ns)))
 		if err != nil {
 			return err
 		}
@@ -240,10 +210,8 @@ func (c *Client) Barrier() error {
 		return ErrClosed
 	}
 	for idx := 0; idx < s.Shards(); idx++ {
-		if _, err := c.roundTrip(func() request {
-			return request{op: opBarrier, shard: idx, tenant: c.ts.name,
-				lossAck: c.lossAck[idx]}
-		}, 0); err != nil {
+		if _, err := c.roundTrip(request{op: opBarrier, shard: idx, tenant: c.ts.name,
+			lossAck: c.lossAck[idx]}, 0); err != nil {
 			var wle *WriteLossError
 			if errors.As(err, &wle) {
 				c.lossAck[wle.Shard] = wle.Seq

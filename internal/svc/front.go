@@ -168,9 +168,9 @@ type timeoutSentinel struct{}
 const frontOpCost = 3 * time.Microsecond
 
 // NewFront starts shard server processes over fabric with default
-// options. shardNodes maps shard index to fabric endpoint and must be
-// sized for the largest shard count the service will ever rebalance
-// to. Requires a service running inside the simulator.
+// options, one per entry of shardNodes, which maps shard index to
+// fabric endpoint and must cover every shard. Requires a service
+// running inside the simulator.
 func NewFront(s *Service, fabric *netsim.Fabric, shardNodes []int) *Front {
 	return NewFrontOpts(s, fabric, shardNodes, FrontOptions{})
 }

@@ -2,6 +2,7 @@ package svc
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -22,7 +23,6 @@ func ShardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 type Manifest struct {
 	Version int              `json:"version"`
 	Shards  int              `json:"shards"`
-	Epoch   int              `json:"epoch"`
 	Tenants []ManifestTenant `json:"tenants,omitempty"`
 	// ShardStatus is the supervisor's per-shard view (state, restart
 	// count, breaker) at the time the manifest was written; offline
@@ -40,9 +40,7 @@ type ManifestTenant struct {
 
 // Manifest returns the service's current layout description.
 func (s *Service) Manifest() Manifest {
-	s.mu.RLock()
-	m := Manifest{Version: 1, Shards: len(s.shards), Epoch: s.epoch}
-	s.mu.RUnlock()
+	m := Manifest{Version: 1, Shards: len(s.shards)}
 	s.adm.mu.Lock()
 	for name, ts := range s.adm.tenants {
 		m.Tenants = append(m.Tenants, ManifestTenant{
@@ -104,4 +102,26 @@ func ReadManifest(fs vfs.FS) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("svc: parse %s: %w", ManifestName, err)
 	}
 	return m, nil
+}
+
+// checkShardCount refuses to open a service directory with a shard
+// count other than the one its SERVICE.json records: the ring would
+// route keys to shards that do not hold them, hiding acknowledged
+// values. An absent manifest is a new directory.
+func checkShardCount(fs vfs.FS, n int) error {
+	if fs == nil {
+		return nil
+	}
+	m, err := ReadManifest(fs)
+	if errors.Is(err, vfs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if m.Shards != n {
+		return fmt.Errorf("svc: %s records %d shard(s), not %d: a service directory keeps its shard count for life",
+			ManifestName, m.Shards, n)
+	}
+	return nil
 }

@@ -13,11 +13,10 @@ const ringVnodes = 64
 
 // Ring is a consistent-hash routing table over a contiguous set of
 // shards [0, Shards). Each shard owns the arc between its predecessor
-// point and each of its virtual points, so growing the ring from N to
-// N+1 shards moves only the keys that land on the new shard's points —
-// every key that stays owned keeps its previous owner. A Ring is
-// immutable after construction; the Service swaps whole rings when it
-// rebalances.
+// point and each of its virtual points, so the ring for N+1 shards
+// differs from the ring for N only in the keys that land on the new
+// shard's points. A Ring is immutable after construction, and a
+// Service routes over one Ring for its whole life.
 type Ring struct {
 	shards int
 	points []ringPoint // sorted by (hash, shard)

@@ -85,9 +85,8 @@ func TestRingSingleShard(t *testing.T) {
 }
 
 // TestRingZeroShards: a ring cannot route over nothing — construction
-// must panic rather than build a table that routes into thin air, and
-// the service-level entry point (Rebalance) must refuse n <= 0 with an
-// error instead of reaching that panic.
+// must panic rather than build a table that routes into thin air (New
+// turns a shard count <= 0 into 1 before it builds one).
 func TestRingZeroShards(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -95,20 +94,6 @@ func TestRingZeroShards(t *testing.T) {
 		}
 	}()
 	NewRing(0)
-}
-
-func TestRebalanceToZeroShards(t *testing.T) {
-	s := newLocalService(t, 2, AdmissionConfig{}, nil)
-	defer s.Close()
-	if err := s.Rebalance(0); err == nil {
-		t.Fatal("Rebalance(0) succeeded; the last shard must not be removable")
-	}
-	if err := s.Rebalance(-3); err == nil {
-		t.Fatal("Rebalance(-3) succeeded")
-	}
-	if s.Shards() != 2 {
-		t.Fatalf("failed rebalance changed the pool to %d shards", s.Shards())
-	}
 }
 
 // TestRingReAddDroppedShard: dropping a shard and re-adding it must

@@ -38,8 +38,8 @@ func (e *ShardDownError) Error() string {
 func (e *ShardDownError) TransientFault() bool { return true }
 
 // probeKey is the heartbeat read target. It lives outside the tenant
-// namespace root ("t/"), so probes are invisible to scans and
-// migration; the probe expects ErrNotFound (a healthy miss).
+// namespace root ("t/"), so probes are invisible to scans; the probe
+// expects ErrNotFound (a healthy miss).
 const probeKey = "\x00svc/probe"
 
 const (
@@ -152,8 +152,7 @@ func (u *supervisor) probeLoop() {
 		if u.s.isClosed() {
 			return
 		}
-		_, shards := u.s.snapshotRing()
-		for _, sh := range shards {
+		for _, sh := range u.s.shards {
 			if sh.state.Load() == shardUp {
 				u.s.probeShard(sh)
 			}
@@ -267,20 +266,13 @@ func (u *supervisor) restart(sh *shard) {
 			mgr.Close()
 			return
 		}
-		if s.shardAt(sh.idx) != sh {
-			mgr.Close() // the slot was removed by a shrink while down
-			return
-		}
 		// Swap under the write fence: after the fence drains, no write
 		// admitted before the crash is still in flight, so everything
 		// the new manager recovered plus everything applied after the
 		// swap is the complete admitted history.
-		s.acquireCutover()
-		s.setPaused(true)
-		s.fenceWrites()
+		s.pauseWrites()
 		if s.isClosed() {
-			s.setPaused(false)
-			s.releaseCutover()
+			s.resumeWrites()
 			mgr.Close()
 			return
 		}
@@ -290,8 +282,7 @@ func (u *supervisor) restart(sh *shard) {
 		s.unlock(sh)
 		sh.state.Store(shardUp)
 		sh.gState.Set(int64(shardUp))
-		s.setPaused(false)
-		s.releaseCutover()
+		s.resumeWrites()
 		sh.restarts.Add(1)
 		u.cRestarts.Inc()
 		mttr := s.reg.Now() - time.Duration(sh.downAt.Load())
@@ -313,10 +304,10 @@ func (u *supervisor) restart(sh *shard) {
 // the fault-injection entry point for the chaos sweeps and the
 // under-fault benchmark panel.
 func (s *Service) CrashShard(i int) error {
-	sh := s.shardAt(i)
-	if sh == nil {
+	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("svc: crash: shard %d not in pool", i)
 	}
+	sh := s.shards[i]
 	if !sh.state.CompareAndSwap(shardUp, shardDown) {
 		return nil // already down or restarting
 	}
@@ -350,9 +341,8 @@ type ShardStatus struct {
 // ShardStatuses reports every shard's supervisor state, restart count,
 // and breaker status (lsmioctl tenants -health renders it).
 func (s *Service) ShardStatuses() []ShardStatus {
-	_, shards := s.snapshotRing()
-	out := make([]ShardStatus, 0, len(shards))
-	for _, sh := range shards {
+	out := make([]ShardStatus, 0, len(s.shards))
+	for _, sh := range s.shards {
 		st := ShardStatus{
 			Shard:    sh.idx,
 			State:    shardStateName(sh.state.Load()),

@@ -49,7 +49,7 @@ func shardKeys(s *Service, tenant string) []string {
 	found := 0
 	for n := 0; found < len(keys); n++ {
 		k := fmt.Sprintf("probe%04d", n)
-		idx := s.routeIdx(nsKey(tenant, k))
+		idx := s.ring.Route(nsKey(tenant, k))
 		if keys[idx] == "" {
 			keys[idx] = k
 			found++
@@ -237,4 +237,50 @@ func TestCrashShardBadIndex(t *testing.T) {
 	if err := s.CrashShard(7); err == nil {
 		t.Fatal("CrashShard(7) on a 1-shard pool succeeded")
 	}
+}
+
+// TestRestartSwapsShareTheWriteGate: a restart swap waits while another
+// holder has the write gate, and so does a writer. The test takes the
+// gate itself and crashes two shards; neither shard comes back and no
+// put lands until it lets go, and then both swaps take the gate in turn.
+func TestRestartSwapsShareTheWriteGate(t *testing.T) {
+	s, _ := newCrashableService(t, 3, SupervisorConfig{RestartBackoff: time.Millisecond})
+	defer s.Close()
+	ten := s.Tenant("app")
+	keys := shardKeys(s, "app")
+
+	s.pauseWrites()
+	for _, i := range []int{0, 1} {
+		if err := s.CrashShard(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := make(chan error, 1)
+	go func() { put <- ten.Put(keys[2], []byte("x")) }()
+	// Both workers are past their backoff once they report restarting;
+	// the reopen is quick, so they soon wait for the gate.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.ShardStatuses()[0].State == "down" || s.ShardStatuses()[1].State == "down" {
+		if time.Now().After(deadline) {
+			t.Fatalf("restart workers never started: %+v", s.ShardStatuses())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	for _, i := range []int{0, 1} {
+		if st := s.ShardStatuses()[i]; st.State == "up" {
+			t.Fatalf("shard %d swapped in while the gate was held", i)
+		}
+	}
+	select {
+	case err := <-put:
+		t.Fatalf("a put landed while the gate was held (err %v)", err)
+	default:
+	}
+	s.resumeWrites()
+	if err := <-put; err != nil {
+		t.Fatal(err)
+	}
+	waitShardUp(t, s, 0)
+	waitShardUp(t, s, 1)
 }

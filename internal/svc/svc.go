@@ -5,32 +5,31 @@
 //
 //   - Sharding. Keys are namespaced per tenant ("t/<tenant>/<key>") and
 //     routed over a consistent-hash Ring of shards, each shard backed by
-//     its own core.Manager (and therefore its own LSM store). Growing or
-//     shrinking the pool is a Rebalance: a background copy pass while
-//     writes keep flowing, a brief write fence, a delta pass, an atomic
-//     ring flip, then cleanup — no acknowledged write is ever dropped.
+//     its own core.Manager (and therefore its own LSM store). The shard
+//     count is fixed when New returns; a service directory's SERVICE.json
+//     keeps it fixed across restarts.
 //   - Fair-share admission. A weighted GCRA token bucket per tenant
-//     (bytes and ops), layered above the LSM engine's slowdown/stall
+//     (bytes), layered above the LSM engine's slowdown/stall
 //     ladder: the engine ladder protects the store, admission divides
 //     the service's front-door capacity between tenants so one noisy
 //     tenant cannot inflate everyone else's tail latency. Requests that
 //     would wait longer than MaxWait fail fast with a retryable
 //     QuotaError.
 //   - One client, two transports. Client writes each tenant operation
-//     once (admission, write fence, routing, rebalance shadow deletes,
-//     request latency, the scan merge) and sends its requests over a
-//     transport: in-process (Service.Tenant, used by lsmiod against a
-//     real filesystem), which applies each request on the caller, or the
-//     simulated fabric (Front.Connect, one server process per shard over
-//     netsim, used by the ext-service experiment). Both dispatch a
-//     request through the same Service.apply.
+//     once (admission, write fence, routing, request latency, the scan
+//     merge) and sends its requests over a transport: in-process
+//     (Service.Tenant, used by lsmiod against a real filesystem), which
+//     applies each request on the caller, or the simulated fabric
+//     (Front.Connect, one server process per shard over netsim, used by
+//     the ext-service experiment). Both dispatch a request through the
+//     same Service.apply.
 //
 // Every layer records into internal/obs under the `svc.` prefix:
 // per-tenant op/byte counters, admission-wait and request-latency
-// histograms, per-shard op counters, and shard/epoch gauges.
+// histograms, per-shard op counters, and a shard-count gauge.
 //
-// DESIGN.md §12 documents the sharding and rebalance protocol and how
-// admission interacts with the engine's stall ladder.
+// DESIGN.md §12 documents the sharding and how admission interacts with
+// the engine's stall ladder.
 package svc
 
 import (
@@ -57,10 +56,6 @@ var ErrClosed = core.ErrClosed
 // ErrNotFound re-exports the store miss sentinel for svc callers.
 var ErrNotFound = core.ErrNotFound
 
-// ErrRebalancing reports a Rebalance attempted while another one is
-// still running.
-var ErrRebalancing = errors.New("svc: rebalance already in progress")
-
 // nsRoot prefixes every tenant key in the shard stores.
 const nsRoot = "t/"
 
@@ -75,7 +70,8 @@ func nsKey(tenant, key string) string {
 
 // Options configures a Service.
 type Options struct {
-	// Shards is the initial shard count (default 1).
+	// Shards is the shard count (default 1), fixed for the service's
+	// life. With ManifestFS set it must match an existing SERVICE.json.
 	Shards int
 	// OpenShard opens the store behind shard i. Required. For a real
 	// deployment it opens dir/ShardDirName(i); tests and the simulator
@@ -149,38 +145,24 @@ type Service struct {
 	adm  *admission
 	sup  *supervisor
 
-	// mu guards the routing state. It is never held across a blocking
-	// store operation, so taking it from a simulation process is safe.
-	mu          sync.RWMutex
-	shards      []*shard
-	ring        *Ring // authoritative routing table
-	next        *Ring // rebalance target, nil outside a rebalance
-	epoch       int
-	closed      bool
-	rebalancing bool
-	phaseHook   func(phase string) // test hook, fired at rebalance phases
+	// shards and ring are fixed when New returns and never change.
+	shards []*shard
+	ring   *Ring
+	closed atomic.Bool
 
-	// Write fencing: pauseMu guards paused, the in-flight write count,
-	// cutover ownership and the restart-worker count, each with its own
-	// wait channel: writers wait on pauseCond, the fence holder waits
-	// for inflight to drain on fenceCond, and both a rebalance flip and
-	// a shard restart need the pause gate, so they first take cutover
-	// ownership on gateCond.
+	// Write fencing: pauseMu guards the write gate (paused), the
+	// in-flight write count and the restart-worker count. Writers and
+	// restart swaps waiting for the gate wait on pauseCond; the gate
+	// holder waits for inflight to drain on fenceCond.
 	pauseMu   rt.Mutex
 	paused    bool
-	cutover   bool
 	inflight  int
 	pauseCond rt.Cond
 	fenceCond rt.Cond
-	gateCond  rt.Cond
 
-	gShards     *obs.Gauge
-	gEpoch      *obs.Gauge
-	gConns      *obs.Gauge
-	cRebalances *obs.Counter
-	cMoved      *obs.Counter
-	cPasses     *obs.Counter
-	cApplyErrs  *obs.Counter
+	gShards    *obs.Gauge
+	gConns     *obs.Gauge
+	cApplyErrs *obs.Counter
 }
 
 // New opens the shard pool and starts the service. Inside the
@@ -202,26 +184,24 @@ func New(opts Options) (*Service, error) {
 	if reg == nil {
 		reg = obs.NewRegistryOn(rtm.Now)
 	}
+	if err := checkShardCount(opts.ManifestFS, n); err != nil {
+		return nil, err
+	}
 	s := &Service{
-		rt:          rtm,
-		kern:        rtm.Kernel(),
-		pauseMu:     rtm.NewMutex(),
-		reg:         reg,
-		open:        opts.OpenShard,
-		mfs:         opts.ManifestFS,
-		adm:         newAdmission(opts.Admission, reg),
-		ring:        NewRing(n),
-		gShards:     reg.Gauge("svc.shards"),
-		gEpoch:      reg.Gauge("svc.epoch"),
-		gConns:      reg.Gauge("svc.conns"),
-		cRebalances: reg.Counter("svc.rebalances"),
-		cMoved:      reg.Counter("svc.rebalance.moved_keys"),
-		cPasses:     reg.Counter("svc.rebalance.passes"),
-		cApplyErrs:  reg.Counter("svc.apply_errors"),
+		rt:         rtm,
+		kern:       rtm.Kernel(),
+		pauseMu:    rtm.NewMutex(),
+		reg:        reg,
+		open:       opts.OpenShard,
+		mfs:        opts.ManifestFS,
+		adm:        newAdmission(opts.Admission, reg),
+		ring:       NewRing(n),
+		gShards:    reg.Gauge("svc.shards"),
+		gConns:     reg.Gauge("svc.conns"),
+		cApplyErrs: reg.Counter("svc.apply_errors"),
 	}
 	s.pauseCond = s.pauseMu.NewCond()
 	s.fenceCond = s.pauseMu.NewCond()
-	s.gateCond = s.pauseMu.NewCond()
 	s.sup = newSupervisor(s, opts.Supervisor)
 	for i := 0; i < n; i++ {
 		sh, err := s.openShard(i)
@@ -260,25 +240,10 @@ func (s *Service) openShard(i int) (*shard, error) {
 // Obs returns the service's metrics registry.
 func (s *Service) Obs() *obs.Registry { return s.reg }
 
-// Shards reports the current shard count.
-func (s *Service) Shards() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.shards)
-}
+// Shards reports the shard count.
+func (s *Service) Shards() int { return len(s.shards) }
 
-// Epoch reports how many rebalances have completed.
-func (s *Service) Epoch() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.epoch
-}
-
-func (s *Service) isClosed() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.closed
-}
+func (s *Service) isClosed() bool { return s.closed.Load() }
 
 // RegisterTenant declares a tenant's weight and quotas, recomputing
 // every tenant's fair share. Registering an existing tenant updates
@@ -302,8 +267,8 @@ func (s *Service) Tenant(name string) *Client {
 
 // ---- write fencing ----------------------------------------------------
 
-// enterWrites blocks while writes are paused by a rebalance cutover,
-// then registers n in-flight write applications. Every registered
+// enterWrites blocks while a restart swap holds the write gate, then
+// registers n in-flight write applications. Every registered
 // application must be balanced by exitWrite (at apply completion, which
 // for the fabric front happens on the shard server).
 func (s *Service) enterWrites(n int) {
@@ -329,19 +294,31 @@ func (s *Service) exitWrite() {
 	}
 }
 
-// setPaused flips the write gate. Resuming wakes every blocked writer.
-func (s *Service) setPaused(on bool) {
+// pauseWrites takes the write gate, waiting while another restart swap
+// holds it, then fences: on return no write is in flight and none is
+// admitted until resumeWrites.
+func (s *Service) pauseWrites() {
 	s.pauseMu.Lock()
-	s.paused = on
-	s.pauseMu.Unlock()
-	if !on {
-		s.pauseCond.Broadcast()
+	for s.paused {
+		s.pauseCond.Wait()
 	}
+	s.paused = true
+	s.pauseMu.Unlock()
+	s.fenceWrites()
+}
+
+// resumeWrites releases the write gate, waking blocked writers and any
+// restart swap waiting for the gate.
+func (s *Service) resumeWrites() {
+	s.pauseMu.Lock()
+	s.paused = false
+	s.pauseMu.Unlock()
+	s.pauseCond.Broadcast()
 }
 
 // fenceWrites waits until every in-flight write application has been
-// applied. Callers set the pause gate first, so the count can only
-// drain.
+// applied. Callers hold the write gate or have closed the service, so
+// the count can only drain.
 func (s *Service) fenceWrites() {
 	s.pauseMu.Lock()
 	for s.inflight > 0 {
@@ -350,76 +327,14 @@ func (s *Service) fenceWrites() {
 	s.pauseMu.Unlock()
 }
 
-// acquireCutover takes exclusive ownership of the pause gate. A
-// rebalance flip and a shard-restart swap both need to pause and fence
-// writers; ownership serializes them so neither can resume the other's
-// pause mid-swap.
-func (s *Service) acquireCutover() {
-	s.pauseMu.Lock()
-	for s.cutover {
-		s.gateCond.Wait()
-	}
-	s.cutover = true
-	s.pauseMu.Unlock()
-}
-
-func (s *Service) releaseCutover() {
-	s.pauseMu.Lock()
-	s.cutover = false
-	s.pauseMu.Unlock()
-	s.gateCond.Broadcast()
-}
-
 // dupWrite registers one extra in-flight write application without
 // checking the pause gate: a fault-plan duplicated delivery re-applies
 // a write that was already admitted through enterWrites, and blocking
-// here could deadlock against a cutover that is already fencing.
+// here could deadlock against a restart swap that is already fencing.
 func (s *Service) dupWrite() {
 	s.pauseMu.Lock()
 	s.inflight++
 	s.pauseMu.Unlock()
-}
-
-// ---- routing ----------------------------------------------------------
-
-// routeIdx returns the authoritative shard index for a namespaced key.
-func (s *Service) routeIdx(nsk string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ring.Route(nsk)
-}
-
-// shadowIdx returns the rebalance-target shard index for a namespaced
-// key when it differs from the authoritative one, else -1.
-func (s *Service) shadowIdx(nsk string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.next == nil {
-		return -1
-	}
-	i, j := s.ring.Route(nsk), s.next.Route(nsk)
-	if i == j {
-		return -1
-	}
-	return j
-}
-
-// shardAt returns shard i, or nil when the index is out of range
-// (possible transiently after a shrink).
-func (s *Service) shardAt(i int) *shard {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if i < 0 || i >= len(s.shards) {
-		return nil
-	}
-	return s.shards[i]
-}
-
-// snapshotRing returns the authoritative ring and shard slice.
-func (s *Service) snapshotRing() (*Ring, []*shard) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ring, append([]*shard(nil), s.shards...)
 }
 
 // ---- shard application ------------------------------------------------
@@ -523,32 +438,13 @@ type reply struct {
 
 // apply executes req on its shard: the one dispatch behind both
 // transports, run on the caller in-process and on the shard's server
-// process over the fabric. A write's in-flight slot is released once it
-// is applied.
-func (s *Service) apply(req request) reply {
-	var rep reply
-	if sh := s.shardAt(req.shard); sh == nil {
-		// Routed by a ring the client saw before a shrink flip:
-		// transient, the retry re-routes under the new ring.
-		rep.err = &resil.ClassError{C: resil.ClassTransient,
-			Msg: fmt.Sprintf("svc: shard %d not in pool", req.shard)}
-	} else {
-		rep = s.applyTo(sh, req)
-	}
+// process over the fabric, under the shard lock. A write's in-flight
+// slot is released once it is applied.
+func (s *Service) apply(req request) (rep reply) {
 	if req.write {
-		s.exitWrite()
+		defer s.exitWrite()
 	}
-	return rep
-}
-
-// applyTo runs req against sh's store under the shard lock. A scan keeps
-// only the keys the ring routes to sh, dropping not-yet-cleaned
-// migration leftovers.
-func (s *Service) applyTo(sh *shard, req request) (rep reply) {
-	var ring *Ring
-	if req.op == opScan {
-		ring, _ = s.snapshotRing()
-	}
+	sh := s.shards[req.shard]
 	s.lock(sh)
 	defer s.unlock(sh)
 	if rep.err = s.shardUp(sh); rep.err != nil {
@@ -565,14 +461,10 @@ func (s *Service) applyTo(sh *shard, req request) (rep reply) {
 	case opGet:
 		rep.value, err = sh.mgr.Get(req.key)
 	case opScan:
-		var pairs []Pair
 		err = sh.mgr.ReadBatch(req.key, func(k string, v []byte) bool {
-			if ring.Route(k) == sh.idx {
-				pairs = append(pairs, Pair{Key: k, Value: v})
-			}
+			rep.pairs = append(rep.pairs, Pair{Key: k, Value: v})
 			return true
 		})
-		rep.pairs = pairs
 	case opBarrier:
 		err = sh.mgr.WriteBarrier()
 	}
@@ -593,20 +485,15 @@ type Pair struct {
 // returning nil — while all other post-close operations return
 // ErrClosed.
 func (s *Service) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.closed.Swap(true) {
 		return nil
 	}
-	s.closed = true
-	shards := s.shards
-	s.mu.Unlock()
 	// Stop the prober and wait for restart workers so a restart cannot
 	// install a fresh manager after we close the pool.
 	s.sup.stop()
 	s.fenceWrites()
 	var first error
-	for _, sh := range shards {
+	for _, sh := range s.shards {
 		s.lock(sh)
 		mgr := sh.mgr
 		sh.mgr = nil

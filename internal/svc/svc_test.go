@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,11 +115,44 @@ func TestLocalBasic(t *testing.T) {
 	}
 }
 
-func TestLocalRebalance(t *testing.T) {
-	s := newLocalService(t, 1, AdmissionConfig{}, nil)
-	defer s.Close()
+func writeFile(fs vfs.FS, name string, data []byte) error {
+	f, err := fs.Create(name)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// TestReopenWithOtherShardCountRefused: a service directory keeps the
+// shard count its SERVICE.json records. Under another count the ring
+// routes keys to shards that do not hold them, so New must refuse it,
+// while reopening with the recorded count reads every key back. A
+// manifest that still carries the old "epoch" field reads; one that
+// does not parse is an error.
+func TestReopenWithOtherShardCountRefused(t *testing.T) {
+	mfs := vfs.NewMemFS()
+	shardFS := []vfs.FS{vfs.NewMemFS(), vfs.NewMemFS(), vfs.NewMemFS()}
+	open := func(n int) (*Service, error) {
+		return New(Options{
+			Shards: n,
+			OpenShard: func(i int) (*core.Manager, error) {
+				return core.NewManager("store", core.ManagerOptions{
+					Store: core.StoreOptions{FS: shardFS[i], Async: true},
+				})
+			},
+			ManifestFS: mfs,
+		})
+	}
+	s, err := open(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tn := s.Tenant("app")
-	const n = 300
+	const n = 200
 	for i := 0; i < n; i++ {
 		if err := tn.Put(fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("v%04d", i))); err != nil {
 			t.Fatal(err)
@@ -127,43 +161,42 @@ func TestLocalRebalance(t *testing.T) {
 	if err := tn.Barrier(); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	if err := s.Rebalance(4); err != nil {
+	if s, err := open(3); err == nil {
+		s.Close()
+		t.Fatal("reopening a 2-shard directory with 3 shards succeeded")
+	} else if !strings.Contains(err.Error(), "2 shard") || !strings.Contains(err.Error(), "3") {
+		t.Fatalf("refusal does not name both shard counts: %v", err)
+	}
+
+	old := []byte(`{"version": 1, "shards": 2, "epoch": 0}`)
+	if err := writeFile(mfs, ManifestName, old); err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 4 || s.Epoch() != 1 {
-		t.Fatalf("after grow: shards=%d epoch=%d", s.Shards(), s.Epoch())
+	s, err = open(2)
+	if err != nil {
+		t.Fatalf("reopen with the recorded count: %v", err)
 	}
-	if moved := s.reg.Counter("svc.rebalance.moved_keys").Load(); moved == 0 {
-		t.Fatal("grow to 4 shards moved no keys")
-	}
-	count := 0
-	if err := tn.Scan("", func(k string, v []byte) bool { count++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if count != n {
-		t.Fatalf("after grow: scan found %d keys, want %d", count, n)
-	}
-	for i := 0; i < n; i += 17 {
+	tn = s.Tenant("app")
+	for i := 0; i < n; i++ {
 		v, err := tn.Get(fmt.Sprintf("k%04d", i))
 		if err != nil || string(v) != fmt.Sprintf("v%04d", i) {
-			t.Fatalf("k%04d after grow: %q %v", i, v, err)
+			t.Fatalf("k%04d after reopen: %q %v", i, v, err)
 		}
 	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Shrink back down: removed shards' keys must come home.
-	if err := s.Rebalance(2); err != nil {
+	if err := writeFile(mfs, ManifestName, []byte("{")); err != nil {
 		t.Fatal(err)
 	}
-	if s.Shards() != 2 || s.Epoch() != 2 {
-		t.Fatalf("after shrink: shards=%d epoch=%d", s.Shards(), s.Epoch())
-	}
-	count = 0
-	if err := tn.Scan("", func(k string, v []byte) bool { count++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if count != n {
-		t.Fatalf("after shrink: scan found %d keys, want %d", count, n)
+	if s, err := open(2); err == nil {
+		s.Close()
+		t.Fatal("an unparseable SERVICE.json was accepted")
 	}
 }
 
@@ -212,59 +245,6 @@ func TestConcurrentTenants(t *testing.T) {
 		}
 		if count != puts {
 			t.Fatalf("tenant %d has %d keys, want %d", ti, count, puts)
-		}
-	}
-}
-
-// TestConcurrentRebalance commits from several tenants while the pool
-// grows underneath them: no acknowledged write may be lost.
-func TestConcurrentRebalance(t *testing.T) {
-	s := newLocalService(t, 2, AdmissionConfig{}, nil)
-	defer s.Close()
-	const tenants, puts = 4, 200
-	var wg sync.WaitGroup
-	errs := make(chan error, tenants+1)
-	for ti := 0; ti < tenants; ti++ {
-		ti := ti
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tn := s.Tenant(fmt.Sprintf("tenant%d", ti))
-			for i := 0; i < puts; i++ {
-				if err := tn.Put(fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("%d-%04d", ti, i))); err != nil {
-					errs <- err
-					return
-				}
-			}
-			if err := tn.Barrier(); err != nil {
-				errs <- err
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(time.Millisecond)
-		if err := s.Rebalance(5); err != nil {
-			errs <- err
-		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if s.Shards() != 5 {
-		t.Fatalf("shards=%d after rebalance", s.Shards())
-	}
-	for ti := 0; ti < tenants; ti++ {
-		tn := s.Tenant(fmt.Sprintf("tenant%d", ti))
-		for i := 0; i < puts; i++ {
-			want := fmt.Sprintf("%d-%04d", ti, i)
-			v, err := tn.Get(fmt.Sprintf("k%04d", i))
-			if err != nil || string(v) != want {
-				t.Fatalf("tenant %d k%04d after rebalance: %q %v", ti, i, v, err)
-			}
 		}
 	}
 }
@@ -392,8 +372,5 @@ func TestServiceClosed(t *testing.T) {
 	}
 	if _, err := s.RegisterTenant("late", TenantConfig{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("RegisterTenant after Close = %v, want ErrClosed", err)
-	}
-	if err := s.Rebalance(3); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Rebalance after Close = %v, want ErrClosed", err)
 	}
 }
