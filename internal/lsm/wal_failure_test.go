@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"time"
 
 	"lsmio/internal/faultfs"
 	"lsmio/internal/vfs"
@@ -208,6 +209,65 @@ func TestWALAppendFailurePoisonsDB(t *testing.T) {
 	for _, k := range []string{"torn", "after"} {
 		if _, err := db2.Get([]byte(k)); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("%s visible after its write failed: %v", k, err)
+		}
+	}
+}
+
+// TestFlushKeepsTheQueuedMemtablesLog is the regression test for a flush
+// that retired the log of the memtable queued behind it: the install
+// edit recorded the live WAL as the oldest log still needed, the sweep
+// then unlinked the log of the second immutable memtable, and a crash
+// before that memtable's flush lost writes acknowledged with Sync. The
+// first table's create is held until k3 is in, so two memtables wait;
+// the second table's create fails, so the crash comes after the first
+// flush has installed and before the second one could.
+func TestFlushKeepsTheQueuedMemtablesLog(t *testing.T) {
+	ffs := faultfs.New(vfs.NewMemFS())
+	held, gate := make(chan struct{}), make(chan struct{})
+	ffs.SetSleeper(func(time.Duration) {
+		close(held)
+		<-gate
+	})
+	ffs.AddRule(&faultfs.Rule{Op: faultfs.OpCreate, Path: ".sst", Nth: 1, Delay: time.Nanosecond, DelayOnly: true})
+	ffs.AddRule(&faultfs.Rule{Op: faultfs.OpCreate, Path: ".sst", Nth: 2})
+	db := openTestDB(t, ffs, func(o *Options) {
+		o.Sync = true
+		o.AsyncFlush = true
+		o.WriteBufferSize = 64 << 10
+		o.DisableCompaction = true
+	})
+	val := func(k string) []byte { return bytes.Repeat([]byte(k), 70<<10/len(k)) }
+	for i, k := range []string{"k1", "k2", "k3"} {
+		if err := db.Put([]byte(k), val(k)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			<-held // the first flush is at its table's create
+		}
+	}
+	close(gate)
+	for deadline := time.Now().Add(10 * time.Second); ffs.Injected() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second flush never reached its table's create")
+		}
+	}
+	names, err := ffs.List("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs.Crash()
+	db.Close() // its handles died with the crash
+	ffs.ClearRules()
+
+	db2, err := Open("db", DefaultOptions(ffs))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer db2.Close()
+	for _, k := range []string{"k1", "k2", "k3"} {
+		if v, err := db2.Get([]byte(k)); err != nil || !bytes.Equal(v, val(k)) {
+			t.Errorf("%s, acked with Sync, lost after the crash (%d bytes, %v); directory before the crash: %v",
+				k, len(v), err, names)
 		}
 	}
 }
