@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench bench-once figures fuzz restore-chaos svc-smoke svc-chaos perf-smoke loc pairs
+.PHONY: build test check race vet bench bench-once figures fuzz restore-chaos svc-smoke svc-chaos restart perf-smoke loc pairs
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,7 @@ race:
 # plus the extension figures regenerated, shape-checked and compared
 # with their versioned JSON, each fuzz target run for a bounded time and
 # the codec and engine benchmarks run once.
-check: vet race restore-chaos svc-chaos svc-smoke figures fuzz bench-once
+check: vet race restore-chaos svc-chaos svc-smoke restart figures fuzz bench-once
 
 # Bounded fuzzing of the parsers that read on-disk bytes, of the
 # encoder that writes them and of the in-memory and crash filesystem
@@ -55,6 +55,13 @@ svc-smoke:
 # restore regression is named in the gate output, not buried in `race`.
 restore-chaos:
 	$(GO) test -race -run TestRestoreChaosCombinedFaults -v ./internal/robustness/
+
+# Retention on the real filesystem, end to end: the restart example
+# commits under Keep: 2 on OSFS in a fresh temporary directory, restarts,
+# restores, rolls back its torn step and fails unless the store's table
+# files hold no more than the kept steps.
+restart:
+	@d=$$(mktemp -d) && { $(GO) run ./examples/restart $$d/demo; rc=$$?; rm -rf $$d; exit $$rc; }
 
 # End-to-end service chaos: crash one shard early or late, or two at
 # once, while tenants commit, partition the fabric mid-commit, and

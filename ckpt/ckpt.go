@@ -173,22 +173,14 @@ func (c *Checkpoint) Commit() error {
 	return c.s.prune()
 }
 
-// Abort discards an uncommitted checkpoint's data.
+// Abort discards an uncommitted checkpoint's data with one prefix
+// delete, which frees the tables the step's writes filled whole.
 func (c *Checkpoint) Abort() error {
 	if c.committed {
 		return fmt.Errorf("ckpt: abort after commit")
 	}
 	c.committed = true
-	return c.s.deleteStepData(c.step, c.vars)
-}
-
-func (s *Store) deleteStepData(step int64, vars []varEntry) error {
-	for _, v := range vars {
-		if err := s.mgr.Del(s.dataKey(step, v.Name)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.s.mgr.DeletePrefix(c.s.dataPrefix(c.step))
 }
 
 // Steps lists committed checkpoint steps in ascending order.
@@ -357,21 +349,24 @@ func (s *Store) Size(step int64) (int64, error) {
 	return total, nil
 }
 
-// Drop removes a committed checkpoint entirely.
+// Drop removes a committed checkpoint entirely. The manifest and digest
+// deletes are queued first; the prefix delete of the step's data then
+// makes them durable in the same manifest edit that frees the step's
+// tables whole (a commit barrier ends a step's last table, so no table
+// holds keys of two steps). With the WAL off, a crash before that edit
+// leaves the step restorable and a crash after it leaves nothing of it;
+// no crash leaves a manifest whose data is gone.
 func (s *Store) Drop(step int64) error {
-	m, err := s.loadManifest(step)
-	if err != nil {
+	if _, err := s.loadManifest(step); err != nil {
 		return err
 	}
-	// Delete the manifest first so a crash mid-drop cannot leave a
-	// manifest pointing at missing data.
 	if err := s.mgr.Del(s.manifestKey(step)); err != nil {
 		return err
 	}
 	if err := s.mgr.Del(s.digestKey(step)); err != nil {
 		return err
 	}
-	return s.deleteStepData(step, m.Vars)
+	return s.mgr.DeletePrefix(s.dataPrefix(step))
 }
 
 // prune enforces the retention policy.

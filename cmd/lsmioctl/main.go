@@ -19,6 +19,7 @@ import (
 
 	"lsmio"
 	"lsmio/ckpt"
+	"lsmio/internal/lsm"
 )
 
 func usage() {
@@ -191,7 +192,7 @@ func main() {
 		var lower, upper []byte
 		if len(args) > 0 && args[0] != "" {
 			lower = []byte(args[0])
-			upper = prefixSuccessor(lower)
+			upper = lsm.PrefixSuccessor(lower)
 		}
 		it, err := db.NewRangeIterator(lower, upper)
 		if err != nil {
@@ -226,17 +227,4 @@ func main() {
 	default:
 		usage()
 	}
-}
-
-// prefixSuccessor returns the smallest key greater than every key with
-// the given prefix (nil for an all-0xff prefix).
-func prefixSuccessor(prefix []byte) []byte {
-	out := append([]byte(nil), prefix...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xff {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
 }

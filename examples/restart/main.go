@@ -5,7 +5,10 @@
 // The program simulates an application that checkpoints every few steps,
 // "crashes" mid-checkpoint (data written, manifest not yet committed),
 // and then restarts — recovering the last *committed* step, never the
-// torn one.
+// torn one. Retention keeps two steps, and a dropped or aborted step's
+// tables are freed whole: after the restart the program checks that the
+// store's table files hold no more than the kept steps, and exits
+// non-zero when they do.
 //
 //	go run ./examples/restart [dir]
 package main
@@ -15,6 +18,8 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"lsmio"
 	"lsmio/ckpt"
@@ -66,7 +71,6 @@ func main() {
 
 	// --- second life: restart -----------------------------------------
 	store2, mgr2 := openStore(dir)
-	defer mgr2.Close()
 
 	steps, err := store2.Steps()
 	if err != nil {
@@ -89,4 +93,50 @@ func main() {
 		latest, len(all), len(all["field"]))
 	fmt.Printf("meta: %s\n", all["meta"])
 	fmt.Println("\nthe torn checkpoint 40 is invisible: its manifest was never committed.")
+
+	// The application resumes from the recovered step and rolls the torn
+	// one back: Abort frees the table its data went to.
+	if torn, err = store2.Begin(40); err == nil {
+		err = torn.Abort()
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	var live int64
+	for _, step := range steps {
+		n, err := store2.Size(step)
+		if err != nil {
+			log.Fatal(err)
+		}
+		live += n
+	}
+	if err := mgr2.Close(); err != nil { // lets the flusher finish its unlinks
+		log.Fatal(err)
+	}
+	stored := tableBytes(filepath.Join(dir, "store"))
+	fmt.Printf("table files hold %d bytes for %d bytes of kept checkpoints (%.3f)\n",
+		stored, live, float64(stored)/float64(live))
+	if float64(stored) > 1.05*float64(live) {
+		log.Fatal("the dropped checkpoints' tables were not freed")
+	}
+}
+
+// tableBytes sums the sizes of the .sst files in dir.
+func tableBytes(dir string) int64 {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var total int64
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".sst") {
+			continue
+		}
+		info, err := e.Info()
+		if err != nil {
+			log.Fatal(err)
+		}
+		total += info.Size()
+	}
+	return total
 }

@@ -185,6 +185,17 @@ func (m *Manager) Del(key string) error {
 	return nil
 }
 
+// DeletePrefix removes every key with the given prefix and returns once
+// that is durable; tables holding only such keys are freed whole. It
+// counts as one delete.
+func (m *Manager) DeletePrefix(prefix string) error {
+	if err := m.store.DeletePrefix(prefix); err != nil {
+		return err
+	}
+	m.m.dels.Inc()
+	return nil
+}
+
 // Typed puts, the convenience layer the paper's Manager offers for
 // different data types.
 

@@ -64,6 +64,11 @@ type Store interface {
 	Append(key string, value []byte, sync bool) error
 	// Del removes key.
 	Del(key string) error
+	// DeletePrefix removes every key with the given prefix. It returns
+	// once the deletion, and every write before it, is in synced tables
+	// and a synced manifest edit; tables that hold only such keys are
+	// freed whole (lsm.DB.DeletePrefix).
+	DeletePrefix(prefix string) error
 	// WriteBarrier flushes all buffered writes to disk and, when sync,
 	// blocks until they are on stable storage.
 	WriteBarrier(sync bool) error
@@ -228,6 +233,8 @@ func (s *rocksStore) Append(key string, value []byte, sync bool) error {
 
 func (s *rocksStore) Del(key string) error { return s.db.Delete([]byte(key)) }
 
+func (s *rocksStore) DeletePrefix(prefix string) error { return s.db.DeletePrefix([]byte(prefix)) }
+
 func (s *rocksStore) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	return scanDB(s.db, prefix, fn)
 }
@@ -238,7 +245,7 @@ func scanDB(db *lsm.DB, prefix string, fn func(key string, value []byte) bool) e
 	var lower, upper []byte
 	if prefix != "" {
 		lower = []byte(prefix)
-		upper = prefixSuccessor([]byte(prefix))
+		upper = lsm.PrefixSuccessor([]byte(prefix))
 	}
 	it, err := db.NewRangeIterator(lower, upper)
 	if err != nil {
@@ -257,19 +264,6 @@ func scanDB(db *lsm.DB, prefix string, fn func(key string, value []byte) bool) e
 	// where the engine reports it. Swallowing that error would make a
 	// truncated scan look like a complete one.
 	return it.Close()
-}
-
-// prefixSuccessor returns the smallest key greater than every key with
-// the given prefix, or nil when no such key exists (all-0xff prefix).
-func prefixSuccessor(prefix []byte) []byte {
-	out := append([]byte(nil), prefix...)
-	for i := len(out) - 1; i >= 0; i-- {
-		if out[i] != 0xff {
-			out[i]++
-			return out[:i+1]
-		}
-	}
-	return nil
 }
 
 func (s *rocksStore) WriteBarrier(sync bool) error {
@@ -381,6 +375,15 @@ func (s *levelStore) Del(key string) error {
 		return s.applyBatch()
 	}
 	return nil
+}
+
+// DeletePrefix applies the pending batch first, so the deletion also
+// covers keys still buffered there and makes them durable with it.
+func (s *levelStore) DeletePrefix(prefix string) error {
+	if err := s.applyBatch(); err != nil {
+		return err
+	}
+	return s.db.DeletePrefix([]byte(prefix))
 }
 
 func (s *levelStore) Scan(prefix string, fn func(key string, value []byte) bool) error {

@@ -369,3 +369,55 @@ func TestLevelStoreScanSeesBatchedWrites(t *testing.T) {
 	}
 	st.StopBatch()
 }
+
+// TestStoreDeletePrefix: a prefix delete removes every key under the
+// prefix, flushed or still buffered (the level backend's pending batch
+// included), keeps the rest, and is durable when it returns: a reopen
+// after a Close sees it.
+func TestStoreDeletePrefix(t *testing.T) {
+	for _, b := range backends() {
+		t.Run(string(b), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			st := openTestStore(t, fs, b)
+			st.StartBatch()
+			for i := 0; i < 20; i++ {
+				for _, p := range []string{"gone/", "kept/"} {
+					if err := st.Put(fmt.Sprintf("%s%02d", p, i), bytes.Repeat([]byte{byte(i)}, 4<<10), false); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if i == 9 {
+					if err := st.WriteBarrier(true); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := st.DeletePrefix("gone/"); err != nil {
+				t.Fatal(err)
+			}
+			check := func(st Store) {
+				t.Helper()
+				n := 0
+				if err := st.Scan("", func(key string, _ []byte) bool {
+					if !strings.HasPrefix(key, "kept/") {
+						t.Errorf("%s survived the prefix delete", key)
+					}
+					n++
+					return true
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if n != 20 {
+					t.Fatalf("%d keys left, want the 20 kept ones", n)
+				}
+			}
+			check(st)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st = openTestStore(t, fs, b)
+			defer st.Close()
+			check(st)
+		})
+	}
+}

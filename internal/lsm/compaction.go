@@ -163,20 +163,16 @@ type compactionJob struct {
 }
 
 // admissibleLocked reports whether a candidate compaction is disjoint
-// from every running one: none of its files claimed, and its key span
-// free on both levels it touches.
+// from every running one and from the DeletePrefix in progress: none of
+// its files claimed or about to be retired, and its key span free on
+// both levels it touches.
 func (db *DB) admissibleLocked(level int, inputs, overlaps []*fileMeta) bool {
-	for _, f := range inputs {
-		if db.vs.fileClaimed(f.num) {
-			return false
-		}
-	}
-	for _, f := range overlaps {
-		if db.vs.fileClaimed(f.num) {
-			return false
-		}
-	}
 	all := append(append([]*fileMeta(nil), inputs...), overlaps...)
+	for _, f := range all {
+		if db.vs.fileClaimed(f.num) || db.dropTables[f.num] {
+			return false
+		}
+	}
 	lo, hi := keyRange(all)
 	return !db.vs.rangeClaimed(level, lo, hi) && !db.vs.rangeClaimed(level+1, lo, hi)
 }

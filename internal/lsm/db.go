@@ -59,6 +59,9 @@ type DB struct {
 	// sweeper must not delete them.
 	pendingOutputs map[uint64]bool
 	flushing       bool
+	// dropTables holds the tables a DeletePrefix in progress will retire
+	// (nil: none in progress); no merge may claim them meanwhile.
+	dropTables map[uint64]bool
 	// compactionsInFlight is the number of running background compaction
 	// workers (bounded by Options.MaxBackgroundJobs); their input
 	// reservations live in vs.claims. manualCompaction marks an exclusive
@@ -240,7 +243,8 @@ func (db *DB) replayLog(num uint64) error {
 	}
 }
 
-// newWAL rotates to a fresh log file (no-op when the WAL is disabled).
+// newWAL rotates to a fresh log file for the active memtable (no-op when
+// the WAL is disabled).
 func (db *DB) newWAL() error {
 	if db.opts.DisableWAL {
 		return nil
@@ -256,6 +260,7 @@ func (db *DB) newWAL() error {
 	db.wal = newWALWriter(f)
 	db.walFile = f
 	db.walNum = num
+	db.mem.logNum = num
 	return nil
 }
 
@@ -283,6 +288,9 @@ type pendingWrite struct {
 	b    *Batch
 	done bool
 	err  error
+	// drop marks a DeletePrefix's tombstones, which it commits itself
+	// without a log record: no leader takes them into its cohort.
+	drop bool
 }
 
 // Apply atomically applies a batch of writes and consumes the batch: the
@@ -338,7 +346,7 @@ func (db *DB) commitCohortLocked() {
 	if !db.opts.DisableWALGroupCommit {
 		groupBytes := cohort[0].b.Size()
 		for _, f := range db.writeQ[len(cohort):] {
-			if groupBytes+f.b.Size() > maxWriteGroupBytes {
+			if f.drop || groupBytes+f.b.Size() > maxWriteGroupBytes {
 				break
 			}
 			groupBytes += f.b.Size()
@@ -607,46 +615,71 @@ func (db *DB) flushAllLocked() error {
 	return nil
 }
 
-// flushOneLocked writes the oldest immutable memtable as an L0 table.
-// The lock is released around the table build.
+// flushOneLocked writes the oldest immutable memtable as an L0 table and
+// installs it, in the same edit, with the tables a DeletePrefix attached
+// to the memtable retires (an empty memtable that carries such a drop
+// installs without a table). The lock is released around the table build.
 func (db *DB) flushOneLocked() error {
 	m := db.imm[0]
-	num := db.vs.newFileNum()
-	db.pendingOutputs[num] = true
 	flushStart := db.rt.Now()
-	db.mu.Unlock()
-	meta, err := db.buildTable(m, num)
-	db.mu.Lock()
-	defer delete(db.pendingOutputs, num)
-	if err != nil {
-		return err
+	edit := &versionEdit{Deleted: m.drop}
+	var meta tableMeta
+	if !m.empty() {
+		num := db.vs.newFileNum()
+		db.pendingOutputs[num] = true
+		defer delete(db.pendingOutputs, num)
+		db.mu.Unlock()
+		var err error
+		meta, err = db.buildTable(m, num)
+		db.mu.Lock()
+		if err != nil {
+			return err
+		}
+		edit.Added = []addedFile{addedFileFromMeta(0, meta)}
 	}
-	// Everything in m is durable; logs older than the current WAL can go.
+	// Everything in m is durable, so its log can go. With Sync, a write was
+	// acknowledged durable when its record synced: every log from the one
+	// of the oldest memtable still unflushed on must stay, and that is not
+	// the live WAL while a second immutable memtable waits behind m. With
+	// Sync off a write is durable only at a flush (Options.Sync), and every
+	// log before the live WAL goes, as early as ever.
 	logNum := db.walNum
+	if db.opts.Sync && len(db.imm) > 1 {
+		logNum = db.imm[1].logNum
+	}
 	next := db.vs.nextFileNum
 	last := uint64(db.vs.lastSeq)
-	edit := &versionEdit{
-		Added:       []addedFile{addedFileFromMeta(0, meta)},
-		LogNum:      &logNum,
-		NextFileNum: &next,
-		LastSeq:     &last,
-	}
+	edit.LogNum, edit.NextFileNum, edit.LastSeq = &logNum, &next, &last
 	nv, err := db.vs.apply(edit)
 	if err != nil {
 		return err
 	}
-	// apply prepends to L0, so the new table is nv.levels[0][0].
-	nv.levels[0][0].reclaim = meta.mostlyTombstones()
+	if len(edit.Added) > 0 {
+		// apply prepends to L0, so the new table is nv.levels[0][0].
+		nv.levels[0][0].reclaim = meta.mostlyTombstones()
+	}
 	if err := db.vs.logEdit(edit); err != nil {
 		return err
 	}
 	db.imm = db.imm[1:]
-	db.m.flushes.Inc()
-	db.m.bytesFlushed.Add(meta.size)
-	db.m.flushDur.ObserveDuration(db.rt.Now() - flushStart)
-	db.m.trace.EmitSpan("lsm.flush", fmt.Sprintf("table=%d bytes=%d", num, meta.size), flushStart)
-	db.deleteObsoleteLocked()
+	if len(edit.Added) > 0 {
+		db.m.flushes.Inc()
+		db.m.bytesFlushed.Add(meta.size)
+		db.m.flushDur.ObserveDuration(db.rt.Now() - flushStart)
+		db.m.trace.EmitSpan("lsm.flush", fmt.Sprintf("table=%d bytes=%d", meta.fileNum, meta.size), flushStart)
+	}
+	if m.drop == nil {
+		db.deleteObsoleteLocked()
+		db.cond.Broadcast()
+		return nil
+	}
+	// A drop's tables are unlinked off the waiter's path: DeletePrefix
+	// returns once the edit is installed, while the flusher unlinks.
+	doomed := db.obsoleteFilesLocked()
 	db.cond.Broadcast()
+	db.mu.Unlock()
+	db.removeFiles(doomed)
+	db.mu.Lock()
 	return nil
 }
 
@@ -709,7 +742,9 @@ func (db *DB) get(key []byte) (value []byte, own bool, err error) {
 	ver := db.refCurrentLocked()
 	db.mu.Unlock()
 
+	probes := 0
 	defer func() {
+		db.m.getTables.Observe(int64(probes))
 		db.mu.Lock()
 		db.unrefVersion(ver)
 		db.mu.Unlock()
@@ -734,6 +769,7 @@ func (db *DB) get(key []byte) (value []byte, own bool, err error) {
 		if err != nil {
 			return nil, false, err
 		}
+		probes++
 		v, own, found, deleted, err := t.get(key, seq)
 		if err != nil {
 			return nil, false, err
@@ -804,6 +840,21 @@ func (db *DB) getTable(num uint64) (*tableReader, error) {
 // current version or any pinned version, and WAL files older than the
 // current log. Called with the lock held.
 func (db *DB) deleteObsoleteLocked() {
+	db.removeFiles(db.obsoleteFilesLocked())
+}
+
+// removeFiles unlinks the named files of the database directory (best
+// effort: a failed remove leaves the file to a later sweep).
+func (db *DB) removeFiles(names []string) {
+	for _, name := range names {
+		db.fs.Remove(db.dir + "/" + name)
+	}
+}
+
+// obsoleteFilesLocked lists the files deleteObsoleteLocked removes,
+// closing the readers and evicting the cached blocks of the tables among
+// them. Called with the lock held.
+func (db *DB) obsoleteFilesLocked() []string {
 	live := db.vs.liveFileNums()
 	for num := range db.pendingOutputs {
 		live[num] = true
@@ -817,8 +868,9 @@ func (db *DB) deleteObsoleteLocked() {
 	}
 	names, err := db.fs.List(db.dir)
 	if err != nil {
-		return
+		return nil
 	}
+	var doomed []string
 	for _, name := range names {
 		switch {
 		case strings.HasSuffix(name, ".sst"):
@@ -833,15 +885,16 @@ func (db *DB) deleteObsoleteLocked() {
 			if db.cache != nil {
 				db.cache.evictFile(num)
 			}
-			db.fs.Remove(db.dir + "/" + name)
+			doomed = append(doomed, name)
 		case strings.HasSuffix(name, ".log"):
 			num, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
 			if err != nil || num >= db.vs.logNum || num == db.walNum {
 				continue
 			}
-			db.fs.Remove(db.dir + "/" + name)
+			doomed = append(doomed, name)
 		}
 	}
+	return doomed
 }
 
 // Flush forces all buffered writes to SSTables, blocking until every
@@ -877,7 +930,7 @@ func (db *DB) CompactAll() error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	for db.manualCompaction {
+	for db.manualCompaction || db.dropTables != nil {
 		db.cond.Wait()
 	}
 	db.manualCompaction = true
@@ -1040,7 +1093,7 @@ func (db *DB) Close() error {
 		return ErrClosed
 	}
 	for db.flushing || db.compactionsInFlight > 0 || db.manualCompaction ||
-		db.logging || len(db.writeQ) > 0 {
+		db.logging || len(db.writeQ) > 0 || db.dropTables != nil {
 		db.cond.Wait()
 	}
 	db.closed = true

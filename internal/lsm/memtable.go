@@ -40,6 +40,13 @@ type memtable struct {
 	rnd    uint64 // xorshift state
 	size   int64  // approximate memory usage in bytes
 	count  int
+	// logNum is the WAL this memtable's writes are logged in (0 with the
+	// WAL off). With Options.Sync that log must stay until the memtable
+	// is flushed.
+	logNum uint64
+	// drop lists the tables a DeletePrefix retires in the edit that
+	// installs this memtable's flush.
+	drop []deletedFile
 
 	nodes  []skipNode
 	towers []atomic.Pointer[skipNode]

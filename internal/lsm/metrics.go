@@ -11,6 +11,9 @@ type dbMetrics struct {
 	puts    *obs.Counter
 	deletes *obs.Counter
 	gets    *obs.Counter
+	// getTables is the number of tables a Get probed (0: answered by a
+	// memtable).
+	getTables *obs.Histogram
 
 	flushes      *obs.Counter
 	bytesFlushed *obs.Counter
@@ -65,6 +68,8 @@ func newDBMetrics(reg *obs.Registry) dbMetrics {
 		puts:    s.Counter("puts"),
 		deletes: s.Counter("deletes"),
 		gets:    s.Counter("gets"),
+
+		getTables: s.Histogram("get.tables"),
 
 		flushes:      s.Counter("flush.count"),
 		bytesFlushed: s.Counter("flush.bytes"),
