@@ -52,7 +52,7 @@ func (db *DB) DeletePrefix(prefix []byte) error {
 	for l, files := range ver.levels {
 		for _, f := range files {
 			switch {
-			case !f.overlapsRange(lo, hi):
+			case !f.overlaps(lo, hi):
 			case f.insideRange(lo, hi) && !db.vs.fileClaimed(f.num):
 				retire = append(retire, deletedFile{Level: l, Num: f.num})
 				db.dropTables[f.num] = true
@@ -158,13 +158,6 @@ func (db *DB) prefixTombstones(lo, hi []byte, mems []*memtable, tables []*fileMe
 		}
 	}
 	return b, nil
-}
-
-// overlapsRange reports whether the file may hold a user key in [lo, hi)
-// (hi nil: unbounded).
-func (f *fileMeta) overlapsRange(lo, hi []byte) bool {
-	return bytes.Compare(f.largest.userKey(), lo) >= 0 &&
-		(hi == nil || bytes.Compare(f.smallest.userKey(), hi) < 0)
 }
 
 // insideRange reports whether every user key of the file lies in [lo, hi).

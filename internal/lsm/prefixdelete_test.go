@@ -35,7 +35,9 @@ func liveTables(db *DB) map[uint64]bool {
 // under the prefix leave the version and the directory in the one edit
 // that installs the drop's flush, which writes tombstones only for the
 // in-range keys of the table that straddles the range and of the
-// memtable. Everything else reads as before, also after a reopen.
+// memtable. That flush also makes the writes queued before the drop
+// durable: with the WAL off, a reopen after it and no other flush reads
+// everything else as before.
 func TestDeletePrefixRetiresWholeTables(t *testing.T) {
 	fs := vfs.NewMemFS()
 	open := func() *DB {
@@ -51,8 +53,10 @@ func TestDeletePrefixRetiresWholeTables(t *testing.T) {
 	}
 	fillPrefix(t, db, "c/", 10)
 	// In the memtable only.
-	if err := db.Put([]byte("a/mem"), []byte("m")); err != nil {
-		t.Fatal(err)
+	for _, k := range []string{"a/mem", "b/mem"} {
+		if err := db.Put([]byte(k), bytes.Repeat([]byte(k), 50)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := liveTables(db)
 	if len(before) != 4 {
@@ -65,9 +69,15 @@ func TestDeletePrefixRetiresWholeTables(t *testing.T) {
 	}
 	after := liveTables(db)
 	// Tables 1 and 3 are gone, 2 and 4 stay, and the drop added one table:
-	// the memtable's a/mem with tombstones of a/999 and a/mem.
+	// the memtable's a/mem and b/mem with tombstones of a/999 and a/mem.
 	if len(after) != 3 {
 		t.Fatalf("%d tables after the drop (%v), want 3", len(after), after)
+	}
+	db.mu.Lock()
+	buffered := !db.mem.empty() || len(db.imm) > 0
+	db.mu.Unlock()
+	if buffered {
+		t.Fatal("writes still buffered after the drop returned")
 	}
 	var added []uint64
 	for num := range after {
@@ -114,56 +124,19 @@ func TestDeletePrefixRetiresWholeTables(t *testing.T) {
 				t.Errorf("%s survived the drop: %q, %v", k, v, err)
 			}
 		}
-		for _, k := range []string{"b/000", "b/019", "c/000", "c/009"} {
+		for _, k := range []string{"b/000", "b/019", "b/mem", "c/000", "c/009"} {
 			if v, err := db.Get([]byte(k)); err != nil || !bytes.Equal(v, bytes.Repeat([]byte(k), 50)) {
 				t.Errorf("%s lost to the drop: %d bytes, %v", k, len(v), err)
 			}
 		}
 	}
 	check(db)
-	if err := db.Close(); err != nil {
+	if err := db.Close(); err != nil { // with the WAL off, Close flushes nothing
 		t.Fatal(err)
 	}
 	db = open()
 	defer db.Close()
 	check(db)
-}
-
-// TestDeletePrefixCommitsQueuedWrites: with the WAL off, the drop's one
-// flush makes durable the writes queued before it, and a reopen without
-// any other flush sees them together with the drop.
-func TestDeletePrefixCommitsQueuedWrites(t *testing.T) {
-	fs := vfs.NewMemFS()
-	db := openTestDB(t, fs, func(o *Options) { o.DisableCompaction = true; o.DisableWAL = true })
-	fillPrefix(t, db, "d/", 10)
-	if err := db.Put([]byte("m/1"), []byte("meta")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Delete([]byte("m/0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DeletePrefix([]byte("d/")); err != nil {
-		t.Fatal(err)
-	}
-	// Close without a flush: a new memtable would be lost with the WAL off.
-	db.mu.Lock()
-	empty := db.mem.empty() && len(db.imm) == 0
-	db.mu.Unlock()
-	if !empty {
-		t.Fatal("writes still buffered after the drop returned")
-	}
-	db.Close()
-	db = openTestDB(t, fs, func(o *Options) { o.DisableWAL = true })
-	defer db.Close()
-	if v, err := db.Get([]byte("m/1")); err != nil || string(v) != "meta" {
-		t.Fatalf("write queued before the drop: %q, %v", v, err)
-	}
-	if _, err := db.Get([]byte("d/003")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("dropped key after reopen: %v", err)
-	}
-	if files := db.NumTableFiles(); files[0] != 1 {
-		t.Fatalf("L0 holds %d tables after the drop, want the drop's own table only", files[0])
-	}
 }
 
 // TestDeletePrefixKeepsPinnedTables: an iterator opened before the drop
