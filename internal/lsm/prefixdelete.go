@@ -33,7 +33,6 @@ func PrefixSuccessor(prefix []byte) []byte {
 // DeletePrefix returns once the edit is installed. Calls are serialized
 // with each other and with CompactAll.
 func (db *DB) DeletePrefix(prefix []byte) error {
-	lo, hi := prefix, PrefixSuccessor(prefix)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for !db.closed && (db.dropTables != nil || db.manualCompaction) {
@@ -42,13 +41,52 @@ func (db *DB) DeletePrefix(prefix []byte) error {
 	if db.closed {
 		return ErrClosed
 	}
+	// An empty reservation keeps other drops and CompactAll out; the
+	// tables join it only at the head of the writer queue (commitDropLocked).
+	db.dropTables = make(map[uint64]bool)
+	defer func() {
+		db.dropTables = nil
+		db.cond.Broadcast()
+	}()
+	m, err := db.commitDropLocked(prefix, PrefixSuccessor(prefix))
+	if err != nil {
+		return err
+	}
+	if !db.opts.AsyncFlush {
+		return db.flushAllLocked()
+	}
+	// Close waits for dropTables to clear, so the flusher runs until m
+	// is installed or the engine fails.
+	db.maybeScheduleFlush()
+	for db.bgErr == nil && slices.Contains(db.imm, m) {
+		db.cond.Wait()
+	}
+	return db.bgErr
+}
+
+// commitDropLocked waits to head the writer queue, then reserves the
+// tables of the current version wholly inside [lo, hi) that no merge has
+// claimed, writes tombstones for every other key in the range to the
+// active memtable without a log record, attaches the reserved tables to
+// it and queues it for its flush, which it returns. Nothing is reserved
+// before the queue's head: a writer ahead may be stalled on L0, and a
+// reservation would keep off the L0 merge it waits for. At the head no
+// write is logging and every write queued before is in the memtable; the
+// ones behind wait while the lock is released for the scan. Called with
+// the lock held.
+func (db *DB) commitDropLocked(lo, hi []byte) (_ *memtable, err error) {
+	w := &pendingWrite{drop: true}
+	db.writeQ = append(db.writeQ, w)
+	for db.writeQ[0] != w {
+		db.cond.Wait()
+	}
+	defer func() { db.finishCohortLocked(db.writeQ[:1], err) }()
 	if db.bgErr != nil {
-		return db.bgErr
+		return nil, db.bgErr
 	}
 	ver := db.refCurrentLocked()
 	var retire []deletedFile
 	var scan []*fileMeta
-	db.dropTables = make(map[uint64]bool)
 	for l, files := range ver.levels {
 		for _, f := range files {
 			switch {
@@ -66,62 +104,35 @@ func (db *DB) DeletePrefix(prefix []byte) error {
 	b, err := db.prefixTombstones(lo, hi, mems, scan)
 	db.mu.Lock()
 	db.unrefVersion(ver)
-	defer func() {
-		db.dropTables = nil
-		db.cond.Broadcast()
-	}()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	m, err := db.commitDropLocked(b, retire)
-	if err != nil {
-		return err
-	}
-	if !db.opts.AsyncFlush {
-		return db.flushAllLocked()
-	}
-	// Close waits for dropTables to clear, so the flusher runs until m
-	// is installed or the engine fails.
-	db.maybeScheduleFlush()
-	for db.bgErr == nil && slices.Contains(db.imm, m) {
-		db.cond.Wait()
-	}
-	return db.bgErr
-}
-
-// commitDropLocked applies the tombstone batch b to the active memtable
-// without a log record, attaches the tables to retire and queues the
-// memtable for its flush, which it returns. It runs as the head of the
-// writer queue, so no cohort is logging and the writes queued before it
-// are in the memtable it rotates. Called with the lock held.
-func (db *DB) commitDropLocked(b *Batch, retire []deletedFile) (*memtable, error) {
 	defer b.release()
-	w := &pendingWrite{b: b, drop: true}
-	db.writeQ = append(db.writeQ, w)
-	for db.writeQ[0] != w {
-		db.cond.Wait()
+	if err := db.bgErr; err != nil {
+		return nil, err
 	}
-	err := db.bgErr
 	m := db.mem
-	if err == nil && b.Count() > 0 {
+	if b.Count() > 0 {
 		b.setSeq(db.vs.lastSeq + 1)
-		err = b.forEach(func(seq seqNum, kind keyKind, key, _ []byte) error {
+		if err := b.forEach(func(seq seqNum, kind keyKind, key, _ []byte) error {
 			m.add(seq, kind, key, nil)
 			return nil
-		})
+		}); err != nil {
+			// As for a cohort: entries may sit above lastSeq, unpublished.
+			db.bgErr = err
+			return nil, err
+		}
 		db.vs.lastSeq += seqNum(b.Count())
 		db.m.deletes.Add(int64(b.Count()))
 	}
-	if err == nil {
-		m.drop = retire
-		if err = db.rotateMemtable(); err != nil {
-			// m is queued with its drop but without the reservation that
-			// keeps merges off the tables: nothing may install it.
-			db.bgErr = err
-		}
+	m.drop = retire
+	if err := db.rotateMemtable(); err != nil {
+		// m is queued with its drop but without the reservation that
+		// keeps merges off the tables: nothing may install it.
+		db.bgErr = err
+		return nil, err
 	}
-	db.finishCohortLocked(db.writeQ[:1], err)
-	return m, err
+	return m, nil
 }
 
 // prefixTombstones returns a batch that deletes every user key in

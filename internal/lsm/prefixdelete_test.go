@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
+	"lsmio/internal/faultfs"
 	"lsmio/internal/vfs"
 )
 
@@ -330,4 +332,75 @@ func TestDeletePrefixConcurrent(t *testing.T) {
 	db = openTestDB(t, fs, opts)
 	defer db.Close()
 	check(db)
+}
+
+// TestDeletePrefixBehindStalledWriter: a writer stalled on the L0 stop
+// trigger is ahead of the drop in the writer queue, and the L0 merge that
+// would free it has not started. The drop must not keep that merge off
+// the tables it retires while it waits for the writer: the first merge
+// is held at its output's create while three tables of the prefix are
+// flushed behind it, so L0 stays at the stop trigger after it ends.
+func TestDeletePrefixBehindStalledWriter(t *testing.T) {
+	ffs := faultfs.New(vfs.NewMemFS())
+	held, gate := make(chan struct{}), make(chan struct{})
+	ffs.SetSleeper(func(time.Duration) {
+		close(held)
+		<-gate
+	})
+	// Creates 1 and 2 are the first two flushes, 3 is the merge of them.
+	ffs.AddRule(&faultfs.Rule{Op: faultfs.OpCreate, Path: ".sst", Nth: 3, Delay: time.Nanosecond, DelayOnly: true})
+	db := openTestDB(t, ffs, func(o *Options) {
+		o.WriteBufferSize = 64 << 10
+		o.L0CompactionTrigger = 2
+		o.L0SlowdownTrigger = -1
+		o.L0StopTrigger = 3
+		o.MaxBackgroundJobs = 1
+	})
+	fillPrefix(t, db, "a/", 20)
+	fillPrefix(t, db, "b/", 20)
+	<-held // the merge of a/ and b/ is at its output's create
+	for i := 0; i < 3; i++ {
+		fillPrefix(t, db, fmt.Sprintf("p/%d/", i), 20)
+	}
+	big := bytes.Repeat([]byte("x"), 64<<10)
+	if err := db.Put([]byte("x"), big); err != nil { // fills the memtable
+		t.Fatal(err)
+	}
+	wait := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened", what)
+			}
+		}
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- db.Put([]byte("y"), []byte("y")) }()
+	wait("the writer's stall", func() bool { return db.m.stallWaits.Load() > 0 })
+	go func() { errs <- db.DeletePrefix([]byte("p/")) }()
+	wait("the drop joining the writer queue", func() bool {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		return len(db.writeQ) == 2
+	})
+	close(gate)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("the stalled writer and the drop wait on each other")
+		}
+	}
+	defer db.Close()
+	if _, err := db.Get([]byte("p/1/007")); !errors.Is(err, ErrNotFound) {
+		t.Errorf("p/1/007 survived the drop: %v", err)
+	}
+	for _, k := range []string{"a/003", "x", "y"} {
+		if _, err := db.Get([]byte(k)); err != nil {
+			t.Errorf("%s lost: %v", k, err)
+		}
+	}
 }
