@@ -125,9 +125,14 @@ func main() {
 	}
 }
 
+// nearEdge is the margin, as a fraction of the bound, within which a
+// passing check is flagged as close to failing.
+const nearEdge = 0.10
+
 // outcomeLine formats one shape check's result. Bounds print at their
-// own precision (a 1.15 floor is not "1.1"), and a check the paper gives
-// no value for says so instead of "0.0x".
+// own precision (a 1.15 floor is not "1.1"), a check the paper gives no
+// value for says so instead of "0.0x", and a pass within nearEdge of a
+// bound says how far inside it lies.
 func outcomeLine(status string, o bench.CheckOutcome) string {
 	if o.Err != nil {
 		return fmt.Sprintf("  [%s] %-62s %v", status, o.Desc, o.Err)
@@ -141,5 +146,13 @@ func outcomeLine(status string, o bench.CheckOutcome) string {
 	if o.Paper != 0 {
 		paper = fmt.Sprintf("%.1fx", o.Paper)
 	}
-	return fmt.Sprintf("  [%s] %-62s paper %s band %s got %.2fx", status, o.Desc, paper, band, o.Got)
+	line := fmt.Sprintf("  [%s] %-62s paper %s band %s got %.2fx", status, o.Desc, paper, band, o.Got)
+	switch {
+	case !o.Passed:
+	case o.Min > 0 && o.Got < o.Min*(1+nearEdge):
+		line += fmt.Sprintf(" (%.1f%% over its bar)", (o.Got/o.Min-1)*100)
+	case o.Max > 0 && o.Got > o.Max*(1-nearEdge):
+		line += fmt.Sprintf(" (%.1f%% under its cap)", (1-o.Got/o.Max)*100)
+	}
+	return line
 }

@@ -33,3 +33,28 @@ func TestOutcomeLinePrintsBoundsExactly(t *testing.T) {
 		t.Errorf("error outcome = %q", got)
 	}
 }
+
+// TestOutcomeLineFlagsNearEdgePasses: a pass within 10% of its floor or
+// cap says how far inside the bound it lies; a wider pass and a failure
+// do not.
+func TestOutcomeLineFlagsNearEdgePasses(t *testing.T) {
+	cases := []struct {
+		o    bench.CheckOutcome
+		want string
+	}{
+		{bench.CheckOutcome{Desc: "piped", Min: 1.15, Got: 1.188, Passed: true}, " (3.3% over its bar)"},
+		{bench.CheckOutcome{Desc: "cost", Min: 0.95, Max: 1.2, Got: 1.14, Passed: true}, " (5.0% under its cap)"},
+		{bench.CheckOutcome{Desc: "wide", Min: 1.3, Got: 1.685, Passed: true}, ""},
+		{bench.CheckOutcome{Desc: "miss", Min: 1.02, Got: 1.0}, ""},
+	}
+	for _, c := range cases {
+		got := outcomeLine("PASS", c.o)
+		if c.want == "" {
+			if strings.Contains(got, "(") {
+				t.Errorf("outcomeLine(%+v) = %q, want no margin note", c.o, got)
+			}
+		} else if !strings.HasSuffix(got, c.want) {
+			t.Errorf("outcomeLine(%+v) = %q, want suffix %q", c.o, got, c.want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"lsmio/internal/obs"
@@ -103,13 +102,12 @@ func runCompactionFigure(f Figure, scale Scale, progress func(string)) (*FigureR
 
 // runCompactionWorkload drives the overwrite workload with zero-filled
 // values and returns the end-to-end virtual time (including the final
-// background drain), the p99 Put latency (index ⌊0.99·n⌋) and the
-// engine's registry snapshot (flush/compaction/stall instruments).
+// background drain), the p99 Put latency and the engine's registry
+// snapshot (flush/compaction/stall instruments).
 func runCompactionWorkload(scale Scale, jobs int, smooth bool) (time.Duration, time.Duration, obs.Snapshot, error) {
 	total, lats, snap, err := runOverwrite(scale, jobs, smooth, make([]byte, compValueSize-24), nil)
 	if err != nil {
 		return 0, 0, obs.Snapshot{}, err
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return total, lats[(len(lats)*99)/100], snap, nil
+	return total, p99(lats), snap, nil
 }

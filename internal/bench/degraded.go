@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"lsmio/ckpt"
@@ -187,7 +186,7 @@ func runDegradedMode(nodes int, scale Scale, m degradedMode) (time.Duration, tim
 	if err := s.run(); err != nil {
 		return 0, 0, obs.Snapshot{}, err
 	}
-	return total, quantileDuration(commits, 0.99), snap, nil
+	return total, p99(commits), snap, nil
 }
 
 // validateDegradedRecovery proves the dead-OST run is not just fast but
@@ -220,13 +219,4 @@ func checkDegradedRestore(store *ckpt.Store, rank int, scale Scale) error {
 		return fmt.Errorf("rank %d restore: %w", rank, err)
 	}
 	return checkStep(rank, step, degradedSteps, state, degradedVars, scale.PerRankBytes)
-}
-
-func quantileDuration(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[int(q*float64(len(s)-1)+0.5)]
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"time"
 
 	"lsmio/ckpt"
@@ -248,4 +249,15 @@ func runOverwrite(scale Scale, jobs int, smooth bool, payload []byte, tune func(
 		return 0, nil, obs.Snapshot{}, err
 	}
 	return total, lats, snap, nil
+}
+
+// p99 is the ⌈0.99·n⌉-th smallest of the n durations (0 for none), the
+// one p99 every figure reports; ds keeps its order.
+func p99(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[(len(s)*99+99)/100-1]
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -273,18 +272,13 @@ type ServiceResult struct {
 	Shards []svc.ShardStatus
 }
 
-// P99 is the behaved tenants' p99 step stall over all their steps: the
-// ⌈0.99·n⌉-th smallest of n.
+// P99 is the behaved tenants' p99 step stall over all their steps.
 func (r ServiceResult) P99() time.Duration {
 	var all []time.Duration
 	for _, st := range r.Steps {
 		all = append(all, st...)
 	}
-	if len(all) == 0 {
-		return 0
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	return all[(len(all)*99+99)/100-1]
+	return p99(all)
 }
 
 // Run calibrates the session on a solo probe — one tenant, no noisy

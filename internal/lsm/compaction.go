@@ -3,7 +3,6 @@ package lsm
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"time"
 
 	"lsmio/internal/iosched"
@@ -23,9 +22,9 @@ import (
 // running compactions may share an input file or overlap key ranges on a
 // level they both touch, so concurrent version edits stay exact and the
 // output files of a level remain disjoint. Memtable flushes run on their
-// own worker (db.flushing) and never queue behind compactions. A wide
-// merge is additionally split into key-range subcompactions executed in
-// parallel and stitched back in shard order.
+// own worker (db.flushing) and never queue behind compactions. Disjoint
+// merges on concurrent workers are the only compaction parallelism: each
+// merge is one pass over its inputs, with the lock released.
 
 // maxBytesForLevel returns the size target of a level.
 func (db *DB) maxBytesForLevel(level int) int64 {
@@ -291,96 +290,9 @@ func keyRange(files []*fileMeta) (lo, hi []byte) {
 	return lo, hi
 }
 
-// shardRange is one subcompaction's half-open user-key slice
-// [lower, upper); nil means unbounded.
-type shardRange struct {
-	lower, upper []byte
-}
-
-// contains reports whether a user key falls in the shard.
-func (s shardRange) contains(uk []byte) bool {
-	if s.lower != nil && bytes.Compare(uk, s.lower) < 0 {
-		return false
-	}
-	if s.upper != nil && bytes.Compare(uk, s.upper) >= 0 {
-		return false
-	}
-	return true
-}
-
-// filesForShard keeps the input files that can hold keys of the shard.
-func filesForShard(files []*fileMeta, s shardRange) []*fileMeta {
-	var out []*fileMeta
-	for _, f := range files {
-		if s.lower != nil && bytes.Compare(f.largest.userKey(), s.lower) < 0 {
-			continue
-		}
-		if s.upper != nil && bytes.Compare(f.smallest.userKey(), s.upper) >= 0 {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// planSubcompactions splits a merge over `all` into up to
-// MaxBackgroundJobs key-range shards, using the input files' smallest
-// keys as boundaries (they are cheap, deterministic, and — on the sorted
-// output level — align shards with existing file edges). Returns nil when
-// the merge should run unsharded; every user key belongs to exactly one
-// shard, so per-key shadowing and tombstone logic is unaffected.
-func (db *DB) planSubcompactions(all []*fileMeta) []shardRange {
-	n := db.opts.MaxBackgroundJobs
-	if n <= 1 || len(all) < 2 {
-		return nil
-	}
-	var cands [][]byte
-	for _, f := range all {
-		cands = append(cands, f.smallest.userKey())
-	}
-	sort.Slice(cands, func(i, j int) bool { return bytes.Compare(cands[i], cands[j]) < 0 })
-	uniq := cands[:0]
-	for i, c := range cands {
-		if i > 0 && bytes.Equal(c, uniq[len(uniq)-1]) {
-			continue
-		}
-		uniq = append(uniq, c)
-	}
-	// The global smallest key is not a useful boundary: everything below
-	// it is empty.
-	if len(uniq) > 0 {
-		uniq = uniq[1:]
-	}
-	if len(uniq) == 0 {
-		return nil
-	}
-	shards := n
-	if shards > len(uniq)+1 {
-		shards = len(uniq) + 1
-	}
-	if shards <= 1 {
-		return nil
-	}
-	out := make([]shardRange, 0, shards)
-	var lower []byte
-	for i := 1; i < shards; i++ {
-		b := uniq[i*len(uniq)/shards]
-		if lower != nil && bytes.Compare(b, lower) <= 0 {
-			continue
-		}
-		out = append(out, shardRange{lower: lower, upper: b})
-		lower = b
-	}
-	out = append(out, shardRange{lower: lower})
-	if len(out) <= 1 {
-		return nil
-	}
-	return out
-}
-
 // runCompactionLocked merges inputs (level) + overlaps (level+1) into new
-// tables at level+1, splitting the merge into parallel subcompactions
-// when the worker pool allows.
+// tables at level+1. Called with the lock held; the lock is released
+// around the merge.
 func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error {
 	outLevel := level + 1
 	all := append(append([]*fileMeta(nil), inputs...), overlaps...)
@@ -397,7 +309,6 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 	// Every entry at or below the last published sequence is visible to
 	// new readers; older versions of a key under it are not.
 	lastSeq := db.vs.lastSeq
-	shards := db.planSubcompactions(all)
 	compactStart := db.rt.Now()
 	var inputBytes int64
 	for _, f := range all {
@@ -419,15 +330,9 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 		outNums = append(outNums, n)
 		return n
 	}
-	var metas []tableMeta
-	var err error
-	if len(shards) <= 1 {
-		db.mu.Unlock()
-		metas, err = db.mergeTables(all, shardRange{}, dropTombstones, lastSeq, alloc)
-		db.mu.Lock()
-	} else {
-		metas, err = db.runSubcompactionsLocked(all, shards, dropTombstones, lastSeq, alloc)
-	}
+	db.mu.Unlock()
+	metas, err := db.mergeTables(all, dropTombstones, lastSeq, alloc)
+	db.mu.Lock()
 	defer func() {
 		for _, n := range outNums {
 			delete(db.pendingOutputs, n)
@@ -474,64 +379,23 @@ func (db *DB) runCompactionLocked(level int, inputs, overlaps []*fileMeta) error
 	db.m.compactionDur.ObserveDuration(db.rt.Now() - compactStart)
 	db.recordMergeRateLocked(inputBytes, db.rt.Now()-compactStart)
 	db.m.trace.EmitSpan("lsm.compaction",
-		fmt.Sprintf("L%d->L%d in=%d out_bytes=%d shards=%d", level, outLevel, len(all), totalOut, max(len(shards), 1)),
+		fmt.Sprintf("L%d->L%d in=%d out_bytes=%d", level, outLevel, len(all), totalOut),
 		compactStart)
 	db.deleteObsoleteLocked()
 	db.cond.Broadcast()
 	return nil
 }
 
-// runSubcompactionsLocked fans the merge out over key-range shards: shard
-// 0 runs on the calling worker, the rest on freshly spawned runtime
-// tasks, and the output tables are stitched back together in shard order
-// (the shards partition the user-key space, so concatenation preserves
-// the output level's sort invariant). Called with the lock held; the lock
-// is released around the merges. Any shard error fails the whole
-// compaction — the caller deletes every allocated output.
-func (db *DB) runSubcompactionsLocked(all []*fileMeta, shards []shardRange, dropTombstones bool, lastSeq seqNum, alloc func() uint64) ([]tableMeta, error) {
-	metas := make([][]tableMeta, len(shards))
-	errs := make([]error, len(shards))
-	pending := len(shards) - 1
-	db.m.subcompactions.Add(int64(len(shards)))
-	for i := 1; i < len(shards); i++ {
-		i := i
-		db.rt.Go("lsm-subcompact", false, func() {
-			metas[i], errs[i] = db.mergeTables(
-				filesForShard(all, shards[i]), shards[i], dropTombstones, lastSeq, alloc)
-			db.mu.Lock()
-			pending--
-			db.cond.Broadcast()
-			db.mu.Unlock()
-		})
-	}
-	db.mu.Unlock()
-	metas[0], errs[0] = db.mergeTables(
-		filesForShard(all, shards[0]), shards[0], dropTombstones, lastSeq, alloc)
-	db.mu.Lock()
-	for pending > 0 {
-		db.cond.Wait()
-	}
-	var out []tableMeta
-	for i := range shards {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out = append(out, metas[i]...)
-	}
-	return out, nil
-}
-
 // mergeTables merge-sorts the input tables into new output tables,
 // keeping only the newest entry at or below lastSeq per user key (and
-// dropping it too when it is a droppable tombstone). Only user keys
-// inside shard are emitted (the zero shardRange is unbounded). Called
-// without the lock.
+// dropping it too when it is a droppable tombstone). Called without the
+// lock.
 //
 // Every error return cleans up after itself: already-opened child
 // iterators are closed if table opening fails midway, the in-progress
 // output file is closed and deleted, and the merging iterator's own
 // close error is propagated rather than swallowed.
-func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones bool, lastSeq seqNum, allocNum func() uint64) (metas []tableMeta, err error) {
+func (db *DB) mergeTables(inputs []*fileMeta, dropTombstones bool, lastSeq seqNum, allocNum func() uint64) (metas []tableMeta, err error) {
 	children := make([]internalIterator, 0, len(inputs))
 	for _, fm := range inputs {
 		t, terr := db.getTable(fm.num)
@@ -607,12 +471,6 @@ func (db *DB) mergeTables(inputs []*fileMeta, shard shardRange, dropTombstones b
 	for merge.SeekToFirst(); merge.Valid(); merge.Next() {
 		ik := merge.IKey()
 		uk := ik.userKey()
-		if shard.upper != nil && bytes.Compare(uk, shard.upper) >= 0 {
-			break // inputs are sorted; nothing further belongs to this shard
-		}
-		if !shard.contains(uk) {
-			continue
-		}
 		if !haveLast || !bytes.Equal(uk, lastUser) {
 			lastUser = append(lastUser[:0], uk...)
 			haveLast = true

@@ -19,8 +19,8 @@ import (
 )
 
 // Tests for the parallel compaction/flush pipeline: concurrent background
-// workers under -race, subcompaction sharding, single-job equivalence,
-// write-stall smoothing, and the compaction error paths.
+// workers under -race, disjoint merges running at once, write-stall
+// smoothing, and the compaction error paths.
 
 // smallTreeOpts shapes a DB that compacts eagerly so short workloads
 // exercise multi-level background work.
@@ -95,93 +95,77 @@ func TestParallelCompactionStress(t *testing.T) {
 	}
 }
 
-// TestSubcompactionsShardWideMerges proves a wide L0→L1 merge is split
-// into key-range shards when the job pool allows, and that the stitched
-// result is byte-equal to the single-job merge of the same workload.
-func TestSubcompactionsShardWideMerges(t *testing.T) {
-	run := func(jobs int) (map[string]string, int64) {
-		db := openTestDB(t, vfs.NewMemFS(), func(o *Options) {
-			smallTreeOpts(o)
-			o.MaxBackgroundJobs = jobs
-			o.DisableCompaction = true // build L0 manually, compact once
-		})
-		defer db.Close()
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 900; i++ {
-			k := fmt.Sprintf("sc%05d", rng.Intn(400))
-			v := fmt.Sprintf("val-%06d", i)
-			if err := db.Put([]byte(k), []byte(v)); err != nil {
-				t.Fatal(err)
-			}
-			if i%120 == 119 {
-				if err := db.Flush(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := db.CompactAll(); err != nil {
-			t.Fatal(err)
-		}
-		out := map[string]string{}
-		it, err := db.NewIterator()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			out[string(it.Key())] = string(it.Value())
-		}
-		return out, obstest.Counter(t, db.Obs(), "lsm.compaction.subcompactions")
-	}
-
-	single, sub1 := run(1)
-	multi, sub4 := run(4)
-	if sub1 != 0 {
-		t.Fatalf("single-job mode ran %d subcompactions; must be the serial path", sub1)
-	}
-	if sub4 == 0 {
-		t.Fatal("4-job CompactAll of a wide L0 never sharded the merge")
-	}
-	if len(single) != len(multi) {
-		t.Fatalf("key count diverged: %d single vs %d multi", len(single), len(multi))
-	}
-	for k, v := range single {
-		if multi[k] != v {
-			t.Fatalf("key %s: single %q, multi %q", k, v, multi[k])
-		}
-	}
-}
-
 // TestConcurrentCompactionsDisjoint checks the scheduler actually runs
-// multiple compactions and that claims stay disjoint (no version
-// corruption — the apply would fail or checksums would break otherwise).
+// multiple compactions at once — on the deterministic simulator, with
+// table writes slow enough that merges last, at least two lsm.compaction
+// spans overlap in virtual time — and that claims stay disjoint (no
+// version corruption: the apply would fail or checksums would break
+// otherwise).
 func TestConcurrentCompactionsDisjoint(t *testing.T) {
-	db := openTestDB(t, vfs.NewMemFS(), func(o *Options) {
-		smallTreeOpts(o)
-		o.AsyncFlush = true
-		o.MaxBackgroundJobs = 4
+	k := sim.NewKernel()
+	var reg *obs.Registry
+	k.Spawn("writer", func(p *sim.Proc) {
+		opts := DefaultOptions(&delayFS{FS: vfs.NewMemFS(), k: k, d: time.Millisecond})
+		opts.Runtime = rt.Sim(k)
+		smallTreeOpts(&opts)
+		opts.AsyncFlush = true
+		opts.MaxBackgroundJobs = 4
+		db, err := Open("db", opts)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer db.Close()
+		payload := bytes.Repeat([]byte("d"), 200)
+		for i := 0; i < 4000; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("cc%05d", i%1300)), payload); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := db.WaitBackground(); err != nil {
+			t.Error(err)
+			return
+		}
+		for i := 0; i < 1300; i += 13 {
+			if _, err := db.Get([]byte(fmt.Sprintf("cc%05d", i))); err != nil {
+				t.Errorf("cc%05d: %v", i, err)
+				return
+			}
+		}
+		if err := db.VerifyChecksums(); err != nil {
+			t.Error(err)
+		}
+		reg = db.Obs()
 	})
-	defer db.Close()
-	payload := bytes.Repeat([]byte("d"), 200)
-	for i := 0; i < 4000; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("cc%05d", i%1300)), payload); err != nil {
-			t.Fatal(err)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if reg == nil {
+		return
+	}
+	var spans []obs.Event
+	for _, ev := range reg.Trace().Events() {
+		if ev.Kind == "lsm.compaction" {
+			spans = append(spans, ev)
 		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.WaitBackground(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1300; i += 13 {
-		if _, err := db.Get([]byte(fmt.Sprintf("cc%05d", i))); err != nil {
-			t.Fatalf("cc%05d: %v", i, err)
+	overlaps := 0
+	for i, a := range spans {
+		for _, b := range spans[i+1:] {
+			if a.At < b.At+b.Dur && b.At < a.At+a.Dur {
+				overlaps++
+			}
 		}
 	}
-	if err := db.VerifyChecksums(); err != nil {
-		t.Fatal(err)
+	if overlaps == 0 {
+		t.Fatalf("no two of %d compaction spans overlap: the 4-job pool ran one merge at a time", len(spans))
 	}
+	t.Logf("%d compaction spans, %d overlapping pairs", len(spans), overlaps)
 }
 
 // delayFS injects a fixed virtual-time cost into every SSTable write when
@@ -416,9 +400,6 @@ func TestSlowdownDisabledForPaperConfig(t *testing.T) {
 	waits, micros := obstest.Counter(t, db.Obs(), "lsm.slowdown.count"), obstest.Counter(t, db.Obs(), "lsm.slowdown.micros")
 	if waits != 0 || micros != 0 {
 		t.Fatalf("slowdown tier fired (%d waits) with compaction disabled", waits)
-	}
-	if sub := obstest.Counter(t, db.Obs(), "lsm.compaction.subcompactions"); sub != 0 {
-		t.Fatalf("subcompactions ran (%d) with compaction disabled", sub)
 	}
 }
 

@@ -21,7 +21,6 @@ type dbMetrics struct {
 
 	compactions    *obs.Counter
 	bytesCompacted *obs.Counter
-	subcompactions *obs.Counter
 	compactionDur  *obs.Histogram
 
 	walBytes *obs.Counter
@@ -77,7 +76,6 @@ func newDBMetrics(reg *obs.Registry) dbMetrics {
 
 		compactions:    s.Counter("compaction.count"),
 		bytesCompacted: s.Counter("compaction.bytes_written"),
-		subcompactions: s.Counter("compaction.subcompactions"),
 		compactionDur:  s.Histogram("compaction.duration"),
 
 		walBytes:        s.Counter("wal.bytes"),

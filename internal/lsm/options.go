@@ -119,12 +119,12 @@ type Options struct {
 	BaseLevelSize int64
 
 	// MaxBackgroundJobs caps the number of concurrent background
-	// compaction workers (RocksDB's max_background_jobs). Workers run
-	// compactions on disjoint levels/key ranges in parallel, and a wide
-	// merge is split into that many key-range subcompactions. 1 (the
-	// default) reproduces the single-threaded behaviour exactly; the
-	// paper-reproduction configs disable compaction altogether, so this
-	// knob only matters for the general-workload/ablation paths.
+	// compaction workers (RocksDB's max_background_jobs), each running
+	// one merge at a time: merges on disjoint levels/key ranges proceed
+	// in parallel, and a single merge is never split. 1 (the default)
+	// runs one merge at a time; the paper-reproduction configs disable
+	// compaction altogether, so this knob only matters for the
+	// general-workload/ablation paths.
 	MaxBackgroundJobs int
 
 	// EncodeWorkers runs the two stages of every table build (flush and

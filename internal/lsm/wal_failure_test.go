@@ -217,11 +217,24 @@ func TestWALAppendFailurePoisonsDB(t *testing.T) {
 // that retired the log of the memtable queued behind it: the install
 // edit recorded the live WAL as the oldest log still needed, the sweep
 // then unlinked the log of the second immutable memtable, and a crash
-// before that memtable's flush lost writes acknowledged with Sync. The
-// first table's create is held until k3 is in, so two memtables wait;
-// the second table's create fails, so the crash comes after the first
-// flush has installed and before the second one could.
+// before that memtable's flush lost its writes. The first table's create
+// is held until k3 is in, so two memtables wait; the second table's
+// create fails, so the crash comes after the first flush has installed
+// and before the second one could. With Sync the crash is the machine's
+// (only synced bytes survive) and every write was acknowledged durable;
+// with Sync off it is the process's (every written byte survives), and
+// the recovered writes must still be a prefix of the acknowledged ones.
 func TestFlushKeepsTheQueuedMemtablesLog(t *testing.T) {
+	for _, sync := range []bool{true, false} {
+		name := "sync"
+		if !sync {
+			name = "nosync-process-crash"
+		}
+		t.Run(name, func(t *testing.T) { flushKeepsTheQueuedMemtablesLog(t, sync) })
+	}
+}
+
+func flushKeepsTheQueuedMemtablesLog(t *testing.T, sync bool) {
 	ffs := faultfs.New(vfs.NewMemFS())
 	held, gate := make(chan struct{}), make(chan struct{})
 	ffs.SetSleeper(func(time.Duration) {
@@ -231,7 +244,7 @@ func TestFlushKeepsTheQueuedMemtablesLog(t *testing.T) {
 	ffs.AddRule(&faultfs.Rule{Op: faultfs.OpCreate, Path: ".sst", Nth: 1, Delay: time.Nanosecond, DelayOnly: true})
 	ffs.AddRule(&faultfs.Rule{Op: faultfs.OpCreate, Path: ".sst", Nth: 2})
 	db := openTestDB(t, ffs, func(o *Options) {
-		o.Sync = true
+		o.Sync = sync
 		o.AsyncFlush = true
 		o.WriteBufferSize = 64 << 10
 		o.DisableCompaction = true
@@ -255,19 +268,55 @@ func TestFlushKeepsTheQueuedMemtablesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ffs.Crash()
-	db.Close() // its handles died with the crash
+	var after vfs.FS = ffs
+	if sync {
+		ffs.Crash()
+	} else {
+		after = copyDir(t, ffs, "db")
+	}
+	db.Close() // with Sync its handles died with the crash; without, its copy is taken
 	ffs.ClearRules()
 
-	db2, err := Open("db", DefaultOptions(ffs))
+	db2, err := Open("db", DefaultOptions(after))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer db2.Close()
 	for _, k := range []string{"k1", "k2", "k3"} {
 		if v, err := db2.Get([]byte(k)); err != nil || !bytes.Equal(v, val(k)) {
-			t.Errorf("%s, acked with Sync, lost after the crash (%d bytes, %v); directory before the crash: %v",
+			t.Errorf("%s lost after the crash (%d bytes, %v); directory before the crash: %v",
 				k, len(v), err, names)
 		}
 	}
+}
+
+// copyDir returns a MemFS holding every file of dir with the bytes
+// written to it so far: what a process crash leaves behind.
+func copyDir(t *testing.T, fs vfs.FS, dir string) *vfs.MemFS {
+	t.Helper()
+	out := vfs.NewMemFS()
+	names, err := fs.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		f, err := fs.Open(dir + "/" + n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := vfs.ReadAll(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := out.Create(dir + "/" + n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		g.Close()
+	}
+	return out
 }

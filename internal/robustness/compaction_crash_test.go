@@ -13,9 +13,8 @@ import (
 )
 
 // TestCompactionCrashSweep is the multi-job variant of TestLSMCrashSweep:
-// leveled compaction stays ENABLED with a two-worker background pool (and
-// subcompaction sharding on the wide manual merge), so the recorded
-// boundary stream includes table merges and manifest rewrites. A crash at
+// leveled compaction stays ENABLED with a two-worker background pool, so
+// the recorded boundary stream includes table merges and manifest rewrites. A crash at
 // every one of those boundaries must still recover every acknowledged
 // write — compaction rearranges files, never logical content, so no
 // version/manifest state it leaves behind may lose data.
@@ -33,8 +32,7 @@ func TestCompactionCrashSweep(t *testing.T) { compactionCrashSweep(t, mergeEarly
 func TestCompactionCrashSweepRacing(t *testing.T) { compactionCrashSweep(t, mergeLate) }
 
 // TestCompactionCrashSweepFree runs the same workload with nothing held:
-// the background merge races the foreground writes and the manual merge's
-// two shards may interleave their creates and syncs, so it enumerates
+// the background merge races the foreground writes, so it enumerates
 // crash states the pinned orders never produce. Its boundary numbering
 // varies from run to run, so it checks every crash point in one test
 // rather than one subtest per boundary.
@@ -57,10 +55,7 @@ const (
 // drained before the next one (mergeEarly), or until the write that
 // rotates the memtable a third time is acknowledged, then held again at
 // its output sync until exactly one more write's log sync has landed
-// (mergeLate). The manual merge's second shard is held at its output
-// create until the first shard's output is synced. Left free, the merge
-// lands anywhere in that window and the shards' creates and syncs
-// interleave.
+// (mergeLate). Left free, the merge lands anywhere in that window.
 func compactionCrashSweep(t *testing.T, order sweepOrder) {
 	if testing.Short() {
 		t.Skip("crash-point enumeration sweep skipped in -short mode")
@@ -70,11 +65,11 @@ func compactionCrashSweep(t *testing.T, order sweepOrder) {
 		t.Fatal(err)
 	}
 	// Tables are created in this order: two flushes, the first merge's
-	// output, two more flushes, then the manual merge's two shard outputs
-	// (mergeLate creates the third flush's table before the merge's output,
+	// output, two more flushes, then the manual merge's output (mergeLate
+	// creates the third flush's table before the merge's output,
 	// but the merge's create call is made, and held, first). Each hold is a
 	// delay rule whose length names it to the sleeper.
-	const holdMerge, holdShard, holdMergeSync = time.Nanosecond, 2 * time.Nanosecond, 3 * time.Nanosecond
+	const holdMerge, holdMergeSync = time.Nanosecond, 2 * time.Nanosecond
 	held, gate := make(chan struct{}), make(chan struct{})
 	release := sync.OnceFunc(func() { close(gate) })
 	defer release()
@@ -90,7 +85,6 @@ func compactionCrashSweep(t *testing.T, order sweepOrder) {
 		}
 		return true
 	}
-	var shardAfter atomic.Int64     // boundary count the second shard waits for
 	var mergeSyncAfter atomic.Int64 // boundary count the late merge's sync waits for
 	wantHolds := 0
 	if order != free {
@@ -99,8 +93,6 @@ func compactionCrashSweep(t *testing.T, order sweepOrder) {
 			case holdMerge:
 				close(held)
 				<-gate
-			case holdShard:
-				waitFor(shardAfter.Load(), "first shard never synced")
 			case holdMergeSync:
 				waitFor(mergeSyncAfter.Load(), "no write landed inside the merge")
 			}
@@ -110,12 +102,7 @@ func compactionCrashSweep(t *testing.T, order sweepOrder) {
 			Nth:   3,
 			Delay: holdMerge, DelayOnly: true,
 		})
-		ffs.AddRule(&faultfs.Rule{
-			Op: faultfs.OpCreate, Path: ".sst",
-			Nth:   7,
-			Delay: holdShard, DelayOnly: true,
-		})
-		wantHolds = 2
+		wantHolds = 1
 	}
 	if order == mergeLate {
 		// Table syncs: the two flushes, the third flush, then the merge.
@@ -124,7 +111,7 @@ func compactionCrashSweep(t *testing.T, order sweepOrder) {
 			Nth:   4,
 			Delay: holdMergeSync, DelayOnly: true,
 		})
-		wantHolds = 3
+		wantHolds = 2
 	}
 
 	opts := lsm.DefaultOptions(ffs)
@@ -179,7 +166,7 @@ func compactionCrashSweep(t *testing.T, order sweepOrder) {
 			t.Fatal("background merge never reached its output create")
 		}
 	}
-	// Phase 2: overwrite a band, then force a wide sharded merge. The
+	// Phase 2: overwrite a band, then force a wide merge. The
 	// fourth write rotates the memtable, flushing it.
 	for i := 0; i < 12; i++ {
 		if order == mergeLate && i == 4 {
@@ -199,10 +186,6 @@ func compactionCrashSweep(t *testing.T, order sweepOrder) {
 			}
 		}
 	}
-	// CompactAll's flush crosses five boundaries (table create, log create,
-	// two syncs, log remove); the first shard's create and sync follow.
-	// Unpinned, nothing reads it.
-	shardAfter.Store(int64(ffs.Boundaries()) + 7)
 	if err := db.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
