@@ -77,6 +77,44 @@ func TestDuplicateStepRejected(t *testing.T) {
 	}
 }
 
+// TestRewrittenVariableLastWriteWins: writing one variable twice in a
+// step keeps the second value, as the store does, and every read path
+// agrees on it. The step is healthy: nothing reads it as corrupt, and a
+// restore returns it rather than an older step.
+func TestRewrittenVariableLastWriteWins(t *testing.T) {
+	s, mgr := newStore(t, 0)
+	defer mgr.Close()
+	commitStep(t, s, 1, []byte("older step"))
+	c, err := s.Begin(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"first", "second!"} {
+		if err := c.Write("state", []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := s.Manifest(2); err != nil || fmt.Sprint(names) != "[state]" {
+		t.Fatalf("manifest = %v, %v; want [state]", names, err)
+	}
+	if got, err := s.Read(2, "state"); err != nil || string(got) != "second!" {
+		t.Fatalf("Read = %q, %v", got, err)
+	}
+	if all, err := s.ReadAll(2); err != nil || string(all["state"]) != "second!" {
+		t.Fatalf("ReadAll = %q, %v", all["state"], err)
+	}
+	step, state, err := s.RestoreLatest()
+	if err != nil || step != 2 || string(state["state"]) != "second!" {
+		t.Fatalf("RestoreLatest = step %d %q, %v; want step 2 %q", step, state["state"], err, "second!")
+	}
+	if q, err := s.Quarantined(); err != nil || len(q) != 0 {
+		t.Fatalf("quarantined %v, %v", q, err)
+	}
+}
+
 func TestCommitDisciplines(t *testing.T) {
 	s, mgr := newStore(t, 0)
 	defer mgr.Close()
