@@ -28,13 +28,15 @@ race:
 check: vet race restore-chaos svc-chaos svc-smoke restart figures fuzz bench-once
 
 # Bounded fuzzing of the parsers that read on-disk bytes, of the
-# encoder that writes them and of the in-memory and crash filesystem
-# models the tests run on: each native fuzz target, named as
-# package:target, runs for FUZZTIME. A failing input is written under the
-# package's testdata/fuzz/ and replays under plain `go test` from then on.
+# encoder that writes them, of the CRC combine that checksums them and
+# of the in-memory and crash filesystem models the tests run on: each
+# native fuzz target, named as package:target, runs for FUZZTIME. A
+# failing input is written under the package's testdata/fuzz/ and
+# replays under plain `go test` from then on.
 FUZZTIME ?= 10s
 FUZZ_TARGETS = ./internal/lsm:FuzzParseBlock ./internal/lsm:FuzzWALReader \
 	./internal/lsm:FuzzSnappyDecode ./internal/lsm:FuzzBatchDecode \
+	./internal/lsm:FuzzCRCCombine \
 	./internal/snappy:FuzzSnappyEncode ./internal/vfs:FuzzMemFSOps \
 	./internal/faultfs:FuzzFaultFSModel
 fuzz:
@@ -94,12 +96,12 @@ figures:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# One iteration of every codec and engine benchmark and of the root
-# package's knob ablations: tests never run them, so without this a
-# benchmark that panics or no longer builds its inputs goes unnoticed
-# until someone measures with it. A few seconds.
+# One iteration of every codec, engine and checkpoint-layer benchmark
+# and of the root package's knob ablations: tests never run them, so
+# without this a benchmark that panics or no longer builds its inputs
+# goes unnoticed until someone measures with it. A few seconds.
 bench-once:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/snappy ./internal/lsm
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/snappy ./internal/lsm ./ckpt
 
 # Wall-clock smoke of the checkpoint write path: one short round of the
 # repository benchmark's paper-configuration workload on the real

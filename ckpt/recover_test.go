@@ -173,6 +173,41 @@ func TestLatestVerified(t *testing.T) {
 	}
 }
 
+// damageTables inverts the first byte of marker wherever marker occurs
+// in a table file under dir, as disk damage would, and reports whether
+// it found any.
+func damageTables(t *testing.T, fs vfs.FS, dir string, marker []byte) bool {
+	t.Helper()
+	names, err := fs.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".sst") {
+			continue
+		}
+		f, err := fs.Open(dir + "/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := vfs.ReadAll(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(blob, marker); i >= 0 {
+			if _, err := f.WriteAt([]byte{^blob[i]}, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+			found = true
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return found
+}
+
 // TestScrubQuarantinesEngineCorruption damages SSTable bytes underneath a
 // committed step — disk damage the ckpt payload checksums never get to
 // see because the engine's block checksum fails first. The scrubber must
@@ -204,43 +239,7 @@ func TestScrubQuarantinesEngineCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	marker := bad[1024:1088]
-	names, err := fs.List("app")
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupted := false
-	for _, name := range names {
-		if !strings.HasSuffix(name, ".sst") {
-			continue
-		}
-		f, err := fs.Open("app/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		size, err := fs.Stat("app/" + name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob := make([]byte, size)
-		if _, err := f.ReadAt(blob, 0); err != nil {
-			t.Fatal(err)
-		}
-		if i := bytes.Index(blob, marker); i >= 0 {
-			flipped := make([]byte, 16)
-			for j := range flipped {
-				flipped[j] = ^blob[i+j]
-			}
-			if _, err := f.WriteAt(flipped, int64(i)); err != nil {
-				t.Fatal(err)
-			}
-			corrupted = true
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !corrupted {
+	if !damageTables(t, fs, "app", bad[1024:1088]) {
 		t.Fatal("step 2 payload not found in any SSTable")
 	}
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync/atomic"
 	"time"
 
@@ -265,8 +264,7 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 		if herr := s.hook(opts, "var", step, v.Name); herr != nil {
 			return herr
 		}
-		if local, ok := opts.Local[v.Name]; ok &&
-			int64(len(local)) == v.Bytes && crc32.ChecksumIEEE(local) == v.CRC {
+		if local, ok := opts.Local[v.Name]; ok && m.holds(v, local) {
 			results[i] = local
 			atomic.AddInt64(&deltaVars, 1)
 			atomic.AddInt64(&deltaBytes, v.Bytes)
@@ -287,7 +285,7 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 		if rerr != nil {
 			return rerr
 		}
-		if int64(len(data)) != v.Bytes || crc32.ChecksumIEEE(data) != v.CRC {
+		if !m.holds(v, data) {
 			return fmt.Errorf("%w: step %d variable %q (store key %s)",
 				ErrCorrupt, step, v.Name, key)
 		}

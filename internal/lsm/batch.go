@@ -20,10 +20,34 @@ import (
 // the only copy the engine makes of a value on the way in: DB.Apply hands
 // the buffer itself to the memtable and leaves the batch empty, so a
 // later Put or Reset on the same Batch starts a fresh buffer.
+//
+// A value put with PutCRC carries its CRC-32C out of band, in sums: not
+// in the wire encoding, so the WAL never sees it and replay has none.
 type Batch struct {
 	data  []byte
 	count uint32
+	sums  []opSum
+	// one holds the first sum, so a batch of one put (DB.PutCRC)
+	// allocates nothing for it.
+	one [1]opSum
 }
+
+// opSum is the CRC-32C a caller gave for the value of the batch's
+// op-th operation.
+type opSum struct{ op, crc uint32 }
+
+// valueSum is what a memtable entry knows of its value's checksum: the
+// value's CRC-32C when its writer supplied one, noSum otherwise. The
+// table builder folds it into the checksum of a block that holds the
+// value raw (encodeBlock) instead of reading the value again.
+type valueSum uint64
+
+const noSum valueSum = 0
+
+func sumOf(crc uint32) valueSum { return valueSum(crc) | 1<<32 }
+
+// crc returns the value's CRC-32C and whether there is one.
+func (s valueSum) crc() (uint32, bool) { return uint32(s), s != noSum }
 
 const batchHeaderLen = 12
 
@@ -31,7 +55,22 @@ const batchHeaderLen = 12
 func NewBatch() *Batch { return &Batch{} }
 
 // Put queues a key/value write.
-func (b *Batch) Put(key, value []byte) {
+func (b *Batch) Put(key, value []byte) { b.put(key, value, noSum) }
+
+// PutCRC is Put for a caller that has checksummed the value: crc must be
+// its CRC-32C (crc32.Castagnoli). A table block that holds the value raw
+// gets its checksum from crc instead of from a pass over the value, so a
+// crc that is not the value's makes the block read back as
+// ErrCorruption.
+func (b *Batch) PutCRC(key, value []byte, crc uint32) { b.put(key, value, sumOf(crc)) }
+
+func (b *Batch) put(key, value []byte, sum valueSum) {
+	if crc, ok := sum.crc(); ok {
+		if b.sums == nil {
+			b.sums = b.one[:0]
+		}
+		b.sums = append(b.sums, opSum{op: b.count, crc: crc})
+	}
 	b.appendKey(kindValue, key)
 	b.data = binary.AppendUvarint(b.data, uint64(len(value)))
 	// In a fresh batch this append outgrows the header-sized buffer, so
@@ -71,11 +110,12 @@ func (b *Batch) Bytes(off, n int) []byte { return b.data[off : off+n : off+n] }
 func (b *Batch) Reset() {
 	b.data = b.data[:min(len(b.data), batchHeaderLen)]
 	clear(b.data)
-	b.count = 0
+	b.count, b.sums = 0, b.sums[:0]
 }
 
-// release gives up the buffer, which now belongs to the memtable.
-func (b *Batch) release() { b.data, b.count = nil, 0 }
+// release gives up the buffer, which now belongs to the memtable. The
+// sums were copied into its entries, so their slice stays for reuse.
+func (b *Batch) release() { b.data, b.count, b.sums = nil, 0, b.sums[:0] }
 
 // setSeq stamps the starting sequence number before application/logging.
 func (b *Batch) setSeq(seq seqNum) {
@@ -86,15 +126,16 @@ func (b *Batch) setSeq(seq seqNum) {
 func (b *Batch) seq() seqNum { return seqNum(binary.LittleEndian.Uint64(b.data[:8])) }
 
 // forEach decodes the batch, calling fn for every operation with the
-// operation's own sequence number. key and value are slices of the
-// batch's buffer.
-func (b *Batch) forEach(fn func(seq seqNum, kind keyKind, key, value []byte) error) error {
+// operation's own sequence number and its value's sum. key and value
+// are slices of the batch's buffer.
+func (b *Batch) forEach(fn func(seq seqNum, kind keyKind, key, value []byte, sum valueSum) error) error {
 	if len(b.data) < batchHeaderLen {
 		return fmt.Errorf("lsm: batch too short")
 	}
 	seq := b.seq()
 	count := binary.LittleEndian.Uint32(b.data[8:12])
 	p := b.data[batchHeaderLen:]
+	sums := b.sums
 	for i := uint32(0); i < count; i++ {
 		if len(p) < 1 {
 			return fmt.Errorf("lsm: batch truncated at op %d", i)
@@ -108,6 +149,7 @@ func (b *Batch) forEach(fn func(seq seqNum, kind keyKind, key, value []byte) err
 		key := p[n : n+int(keyLen)]
 		p = p[n+int(keyLen):]
 		var value []byte
+		sum := noSum
 		if kind == kindValue {
 			valLen, n := binary.Uvarint(p)
 			if n <= 0 || uint64(len(p)-n) < valLen {
@@ -117,8 +159,11 @@ func (b *Batch) forEach(fn func(seq seqNum, kind keyKind, key, value []byte) err
 			// an append by that caller must not reach the next entry.
 			value = p[n : n+int(valLen) : n+int(valLen)]
 			p = p[n+int(valLen):]
+			if len(sums) > 0 && sums[0].op == i {
+				sum, sums = sumOf(sums[0].crc), sums[1:]
+			}
 		}
-		if err := fn(seq+seqNum(i), kind, key, value); err != nil {
+		if err := fn(seq+seqNum(i), kind, key, value, sum); err != nil {
 			return err
 		}
 	}

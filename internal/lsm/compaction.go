@@ -496,7 +496,7 @@ func (db *DB) mergeTables(inputs []*fileMeta, dropTombstones bool, lastSeq seqNu
 				return nil, err
 			}
 		}
-		w.add(ik, merge.Value())
+		w.add(ik, merge.Value(), noSum)
 		if w.estimatedSize() >= target {
 			if err := finishOutput(); err != nil {
 				return nil, err

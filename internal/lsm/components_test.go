@@ -66,9 +66,9 @@ func TestQuickIKeyOrderMatchesSpec(t *testing.T) {
 
 func TestMemtableBasic(t *testing.T) {
 	m := newMemtable()
-	m.add(1, kindValue, []byte("a"), []byte("1"))
-	m.add(2, kindValue, []byte("b"), []byte("2"))
-	m.add(3, kindValue, []byte("a"), []byte("1v2")) // overwrite
+	m.add(1, kindValue, []byte("a"), []byte("1"), noSum)
+	m.add(2, kindValue, []byte("b"), []byte("2"), noSum)
+	m.add(3, kindValue, []byte("a"), []byte("1v2"), noSum) // overwrite
 
 	if v, found, deleted := m.get([]byte("a"), 100); !found || deleted || string(v) != "1v2" {
 		t.Fatalf("get a: %q %v %v", v, found, deleted)
@@ -81,7 +81,7 @@ func TestMemtableBasic(t *testing.T) {
 	if _, found, _ := m.get([]byte("b"), 1); found {
 		t.Fatal("b should be invisible at seq 1")
 	}
-	m.add(4, kindDelete, []byte("a"), nil)
+	m.add(4, kindDelete, []byte("a"), nil, noSum)
 	if _, found, deleted := m.get([]byte("a"), 100); !found || !deleted {
 		t.Fatal("tombstone should be found+deleted")
 	}
@@ -91,7 +91,7 @@ func TestMemtableIterationSorted(t *testing.T) {
 	m := newMemtable()
 	keys := []string{"mango", "apple", "zebra", "kiwi", "banana"}
 	for i, k := range keys {
-		m.add(seqNum(i+1), kindValue, []byte(k), []byte(k))
+		m.add(seqNum(i+1), kindValue, []byte(k), []byte(k), noSum)
 	}
 	var got []string
 	it := m.iterator()
@@ -113,11 +113,11 @@ func TestMemtableQuickMatchesMap(t *testing.T) {
 		key := fmt.Sprintf("key-%03d", rng.Intn(300))
 		seq++
 		if rng.Intn(5) == 0 {
-			m.add(seq, kindDelete, []byte(key), nil)
+			m.add(seq, kindDelete, []byte(key), nil, noSum)
 			delete(model, key)
 		} else {
 			val := fmt.Sprintf("val-%d", i)
-			m.add(seq, kindValue, []byte(key), []byte(val))
+			m.add(seq, kindValue, []byte(key), []byte(val), noSum)
 			model[key] = val
 		}
 	}
@@ -263,7 +263,7 @@ func TestBatchEncodeDecode(t *testing.T) {
 		t.Fatalf("count = %d", b.Count())
 	}
 	var ops []string
-	err := b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
+	err := b.forEach(func(seq seqNum, kind keyKind, key, value []byte, _ valueSum) error {
 		ops = append(ops, fmt.Sprintf("%d/%d/%s/%d", seq, kind, key, len(value)))
 		return nil
 	})
@@ -569,7 +569,7 @@ func TestSSTableWriteRead(t *testing.T) {
 			for i := 0; i < n; i++ {
 				ik := makeIKey([]byte(fmt.Sprintf("key-%06d", i)), seqNum(i+1), kindValue)
 				// Compressible values so the codec actually engages.
-				w.add(ik, bytes.Repeat([]byte{byte('a' + i%26)}, 64))
+				w.add(ik, bytes.Repeat([]byte{byte('a' + i%26)}, 64), noSum)
 			}
 			meta, err := w.finish()
 			if err != nil {
@@ -629,7 +629,7 @@ func TestSSTableSeek(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i += 2 {
-		w.add(makeIKey([]byte(fmt.Sprintf("k%06d", i)), 1, kindValue), []byte("v"))
+		w.add(makeIKey([]byte(fmt.Sprintf("k%06d", i)), 1, kindValue), []byte("v"), noSum)
 	}
 	if _, err := w.finish(); err != nil {
 		t.Fatal(err)
@@ -659,7 +659,7 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		w.add(makeIKey([]byte(fmt.Sprintf("k%06d", i)), 1, kindValue), bytes.Repeat([]byte("v"), 50))
+		w.add(makeIKey([]byte(fmt.Sprintf("k%06d", i)), 1, kindValue), bytes.Repeat([]byte("v"), 50), noSum)
 	}
 	if _, err := w.finish(); err != nil {
 		t.Fatal(err)
@@ -683,10 +683,10 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 
 func TestMergingIterator(t *testing.T) {
 	m1, m2 := newMemtable(), newMemtable()
-	m1.add(1, kindValue, []byte("a"), []byte("m1"))
-	m1.add(2, kindValue, []byte("c"), []byte("m1"))
-	m2.add(3, kindValue, []byte("b"), []byte("m2"))
-	m2.add(4, kindValue, []byte("a"), []byte("m2-newer"))
+	m1.add(1, kindValue, []byte("a"), []byte("m1"), noSum)
+	m1.add(2, kindValue, []byte("c"), []byte("m1"), noSum)
+	m2.add(3, kindValue, []byte("b"), []byte("m2"), noSum)
+	m2.add(4, kindValue, []byte("a"), []byte("m2-newer"), noSum)
 	mi := newMergingIterator([]internalIterator{m1.iterator(), m2.iterator()})
 	var got []string
 	for mi.SeekToFirst(); mi.Valid(); mi.Next() {

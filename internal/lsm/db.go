@@ -228,9 +228,10 @@ func (db *DB) replayLog(num uint64) error {
 			return err
 		}
 		maxApplied := db.vs.lastSeq
-		err = b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
-			// rec is this record's own buffer; the memtable keeps it.
-			db.mem.add(seq, kind, key, value)
+		err = b.forEach(func(seq seqNum, kind keyKind, key, value []byte, _ valueSum) error {
+			// rec is this record's own buffer; the memtable keeps it. A
+			// logged value carries no sum: its flush checksums it.
+			db.mem.add(seq, kind, key, value, noSum)
 			if seq > maxApplied {
 				maxApplied = seq
 			}
@@ -265,9 +266,16 @@ func (db *DB) newWAL() error {
 }
 
 // Put writes a key/value pair.
-func (db *DB) Put(key, value []byte) error {
+func (db *DB) Put(key, value []byte) error { return db.put(key, value, noSum) }
+
+// PutCRC is Put with the value's CRC-32C, crc (Batch.PutCRC).
+func (db *DB) PutCRC(key, value []byte, crc uint32) error {
+	return db.put(key, value, sumOf(crc))
+}
+
+func (db *DB) put(key, value []byte, sum valueSum) error {
 	b := NewBatch()
-	b.Put(key, value)
+	b.put(key, value, sum)
 	return db.Apply(b)
 }
 
@@ -402,8 +410,8 @@ func (db *DB) commitCohortLocked() {
 	}
 	var applyErr error
 	for _, pw := range cohort {
-		err := pw.b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
-			db.mem.add(seq, kind, key, value)
+		err := pw.b.forEach(func(seq seqNum, kind keyKind, key, value []byte, sum valueSum) error {
+			db.mem.add(seq, kind, key, value, sum)
 			switch kind {
 			case kindValue:
 				db.m.puts.Inc()
@@ -699,7 +707,7 @@ func (db *DB) buildTable(m *memtable, num uint64) (tableMeta, error) {
 	}
 	it := m.iterator()
 	for it.SeekToFirst(); it.Valid(); it.Next() {
-		w.add(it.IKey(), it.Value())
+		w.add(it.IKey(), it.Value(), it.Sum())
 	}
 	return w.finish()
 }

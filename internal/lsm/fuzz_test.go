@@ -128,6 +128,6 @@ func FuzzBatchDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		_ = dec.forEach(func(seqNum, keyKind, []byte, []byte) error { return nil })
+		_ = dec.forEach(func(seqNum, keyKind, []byte, []byte, valueSum) error { return nil })
 	})
 }

@@ -21,6 +21,7 @@ const (
 type skipNode struct {
 	ikey  internalKey
 	value []byte
+	sum   valueSum // not counted in memtable.size: flush points stay put
 	next  []atomic.Pointer[skipNode]
 }
 
@@ -121,11 +122,12 @@ func (m *memtable) newNode(seq seqNum, kind keyKind, userKey []byte, h int) *ski
 // add inserts an entry. Keys are unique per (userKey, seq, kind) because
 // the sequence number increases on every write. userKey is copied; value
 // is kept as passed, so it must never change afterwards — in practice it
-// is a slice of the batch buffer the DB took over in Apply.
-func (m *memtable) add(seq seqNum, kind keyKind, userKey, value []byte) {
+// is a slice of the batch buffer the DB took over in Apply. sum goes to
+// the flush with the value.
+func (m *memtable) add(seq seqNum, kind keyKind, userKey, value []byte, sum valueSum) {
 	h := m.randomHeight()
 	n := m.newNode(seq, kind, userKey, h)
-	n.value = value
+	n.value, n.sum = value, sum
 	ik := n.ikey
 	var prev [maxSkipHeight]*skipNode
 	m.findGreaterOrEqual(ik, prev[:])
@@ -184,4 +186,5 @@ func (it *memIterator) Next()               { it.n = it.n.next[0].Load() }
 func (it *memIterator) Valid() bool         { return it.n != nil }
 func (it *memIterator) IKey() internalKey   { return it.n.ikey }
 func (it *memIterator) Value() []byte       { return it.n.value }
+func (it *memIterator) Sum() valueSum       { return it.n.sum }
 func (it *memIterator) Close() error        { return nil }

@@ -114,8 +114,8 @@ func (db *DB) commitDropLocked(lo, hi []byte) (_ *memtable, err error) {
 	m := db.mem
 	if b.Count() > 0 {
 		b.setSeq(db.vs.lastSeq + 1)
-		if err := b.forEach(func(seq seqNum, kind keyKind, key, _ []byte) error {
-			m.add(seq, kind, key, nil)
+		if err := b.forEach(func(seq seqNum, kind keyKind, key, _ []byte, _ valueSum) error {
+			m.add(seq, kind, key, nil, noSum)
 			return nil
 		}); err != nil {
 			// As for a cohort: entries may sit above lastSeq, unpublished.

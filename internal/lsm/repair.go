@@ -112,7 +112,7 @@ func Repair(dir string, opts Options) (RepairSummary, error) {
 		}
 		it := mem.iterator()
 		for it.SeekToFirst(); it.Valid(); it.Next() {
-			w.add(it.IKey(), it.Value())
+			w.add(it.IKey(), it.Value(), noSum)
 		}
 		meta, err := w.finish()
 		if err != nil {
@@ -271,8 +271,8 @@ func salvageLog(fs vfs.FS, dir string, num uint64, mem *memtable) (records int, 
 		if err != nil {
 			return records, lastSeq
 		}
-		err = b.forEach(func(seq seqNum, kind keyKind, key, value []byte) error {
-			mem.add(seq, kind, key, value)
+		err = b.forEach(func(seq seqNum, kind keyKind, key, value []byte, _ valueSum) error {
+			mem.add(seq, kind, key, value, noSum)
 			return nil
 		})
 		if err != nil {

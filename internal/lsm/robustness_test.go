@@ -72,7 +72,7 @@ func TestBatchDecodeGarbage(t *testing.T) {
 			return true
 		}
 		// Decoded garbage must fail structurally, not panic.
-		_ = b.forEach(func(seqNum, keyKind, []byte, []byte) error { return nil })
+		_ = b.forEach(func(seqNum, keyKind, []byte, []byte, valueSum) error { return nil })
 		return true
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 500}); err != nil {

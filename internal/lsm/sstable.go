@@ -242,8 +242,10 @@ func (w *tableWriter) writeScheduled(pieces ...[]byte) error {
 // add appends an entry; keys must arrive in increasing internal-key order.
 // value is not copied when it is at least a block long and blocks are
 // stored raw: it must stay unchanged until the table is sealed, which
-// memtable entries and parsed blocks (the two sources) guarantee.
-func (w *tableWriter) add(ik internalKey, value []byte) {
+// memtable entries and parsed blocks (the two sources) guarantee. Then
+// sum, the value's CRC-32C when the writer gave one, stands in for the
+// value in its block's checksum; otherwise it is not used.
+func (w *tableWriter) add(ik internalKey, value []byte, sum valueSum) {
 	if w.err != nil {
 		return
 	}
@@ -268,23 +270,23 @@ func (w *tableWriter) add(ik internalKey, value []byte) {
 		// the value goes from where it is to the file. (A codec needs the
 		// whole block in one piece, hence the second condition.)
 		w.dataBlock.addHeader(ik, len(value))
-		w.cutDataBlock(value)
+		w.cutDataBlock(value, sum)
 		return
 	}
 	w.dataBlock.add(ik, value)
 	if w.dataBlock.estimatedSize() >= w.opts.BlockSize {
-		w.cutDataBlock(nil)
+		w.cutDataBlock(nil, noSum)
 	}
 }
 
 // cutDataBlock ends the block under construction and submits it. A
 // non-nil value belongs to the block's last entry, whose header is the
-// last thing in the builder.
-func (w *tableWriter) cutDataBlock(value []byte) {
+// last thing in the builder; sum is its CRC-32C, if known.
+func (w *tableWriter) cutDataBlock(value []byte, sum valueSum) {
 	if w.err != nil {
 		return
 	}
-	b := tableBlock{kind: blkData, data: rawBlock{value: value}, indexKey: w.lastIKey}
+	b := tableBlock{kind: blkData, data: rawBlock{value: value, sum: sum}, indexKey: w.lastIKey}
 	if value != nil {
 		b.data.split = len(w.dataBlock.buf)
 	}
@@ -331,12 +333,13 @@ type tableBlock struct {
 // rawBlock is a block's bytes in file order: buf, or, when the block ends
 // in an entry whose value was too large to copy, buf[:split] ++ value ++
 // buf[split:] (only ever a block that is stored raw: add sees to that).
-// encodeBlock turns an unencoded rawBlock into an encoded one of the same
-// shape.
+// sum is value's CRC-32C when its writer gave one. encodeBlock turns an
+// unencoded rawBlock into an encoded one of the same shape.
 type rawBlock struct {
 	buf   []byte
 	value []byte
 	split int
+	sum   valueSum
 }
 
 func (b rawBlock) size() int { return len(b.buf) + len(b.value) }
@@ -394,9 +397,14 @@ func encodeBlock(raw rawBlock, allowCompress bool, scratch *[]byte) (enc rawBloc
 	}
 	payloadLen = enc.size()
 	// One checksum over the pieces in file order. split is 0 without a
-	// value, which makes the first two updates no-ops.
+	// value, which makes the first two updates no-ops. A value whose
+	// CRC-32C came with it is not read: its sum is combined in instead.
 	crc := crc32.Update(0, crcTable, enc.buf[:enc.split])
-	crc = crc32.Update(crc, crcTable, enc.value)
+	if valueCRC, ok := enc.sum.crc(); ok {
+		crc = crcCombine(crc, valueCRC, int64(len(enc.value)))
+	} else {
+		crc = crc32.Update(crc, crcTable, enc.value)
+	}
 	crc = crc32.Update(crc, crcTable, enc.buf[enc.split:])
 	crc = crc32.Update(crc, crcTable, []byte{blockType})
 	enc.buf = append(enc.buf, blockType)
@@ -443,7 +451,7 @@ func (w *tableWriter) estimatedSize() int64 {
 // result.
 func (w *tableWriter) seal() {
 	if !w.dataBlock.empty() {
-		w.cutDataBlock(nil)
+		w.cutDataBlock(nil, noSum)
 	}
 	if w.err == nil && w.opts.BitsPerKey > 0 && len(w.userKeys) > 0 {
 		w.submit(&tableBlock{kind: blkFilter})
