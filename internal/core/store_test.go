@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -250,6 +251,55 @@ func TestStoreLargeValuesAcrossBarriers(t *testing.T) {
 				if err != nil || !bytes.Equal(v, big) {
 					t.Fatalf("big-%d: %v", i, err)
 				}
+			}
+		})
+	}
+}
+
+// TestStorePutCRCReachesTheBlock: on both backends the CRC a PutCRC
+// carries becomes the checksum of the block that holds its value, also
+// when one batch holds puts with and without a CRC. The true CRC reads
+// back as the value; one that is not the value's reads back as
+// lsm.ErrCorruption once the value is in a table.
+func TestStorePutCRCReachesTheBlock(t *testing.T) {
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, b := range backends() {
+		t.Run(string(b), func(t *testing.T) {
+			// A write buffer that holds all three puts: the level
+			// backend applies them as one batch.
+			st, err := OpenStore("store", StoreOptions{Backend: b, FS: vfs.NewMemFS(), WriteBufferSize: 1 << 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			good := bytes.Repeat([]byte("g"), 100<<10) // more than a block
+			plain := bytes.Repeat([]byte("p"), 100<<10)
+			bad := bytes.Repeat([]byte("b"), 100<<10)
+			if err := st.StartBatch(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutCRC("good", good, crc32.Checksum(good, castagnoli)); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put("plain", plain, false); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutCRC("bad", bad, crc32.Checksum(bad, castagnoli)+1); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.StopBatch(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WriteBarrier(true); err != nil {
+				t.Fatal(err)
+			}
+			for k, want := range map[string][]byte{"good": good, "plain": plain} {
+				if v, err := st.Get(k); err != nil || !bytes.Equal(v, want) {
+					t.Fatalf("Get(%s) = %d bytes, %v", k, len(v), err)
+				}
+			}
+			if v, err := st.Get("bad"); !errors.Is(err, lsm.ErrCorruption) {
+				t.Fatalf("Get(bad) = %d bytes, %v; want lsm.ErrCorruption", len(v), err)
 			}
 		})
 	}
