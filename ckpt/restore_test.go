@@ -284,7 +284,7 @@ func TestManifestDigestDetectsTamperedManifest(t *testing.T) {
 			kept = append(kept, v)
 		}
 	}
-	blob, _ := json.Marshal(manifest{Step: 2, Vars: kept})
+	blob, _ := json.Marshal(manifest{Version: m.Version, Step: 2, Vars: kept})
 	if err := mgr.Put(s.manifestKey(2), blob); err != nil {
 		t.Fatal(err)
 	}
