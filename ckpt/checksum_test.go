@@ -2,9 +2,11 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"lsmio/internal/core"
@@ -92,4 +94,96 @@ func TestWrongValueCRCReadsAsCorrupt(t *testing.T) {
 	if err != nil || step != 1 || !bytes.Equal(state["state"], good) {
 		t.Fatalf("RestoreLatest = step %d, %v; want a fallback to step 1", step, err)
 	}
+}
+
+// checkFallsBack restores the latest step and wants it to be step 1,
+// holding want, with step 2 quarantined on the way.
+func checkFallsBack(t *testing.T, s *Store, want []byte) {
+	t.Helper()
+	step, state, rep, err := s.Restore(RestoreOptions{})
+	if err != nil || step != 1 || !bytes.Equal(state["state"], want) {
+		t.Fatalf("Restore = step %d, %v; want a fallback to step 1", step, err)
+	}
+	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != 2 {
+		t.Fatalf("quarantined = %v, want [2]", rep.Quarantined)
+	}
+}
+
+// TestOverwrittenVariableFailsTheManifestCheck: a read takes a
+// variable's CRC-32C from the block check that verified its bytes, and
+// compares it with the manifest's, which Write computed from the
+// caller's bytes. Other bytes put over a committed variable sit in an
+// intact block, so the engine reads them back with their own CRC; only
+// the manifest's entry can tell, and it does: Read reports ErrCorrupt
+// and Restore quarantines the step and falls back.
+func TestOverwrittenVariableFailsTheManifestCheck(t *testing.T) {
+	s, mgr := newStore(t, 0)
+	defer mgr.Close()
+	rng := rand.New(rand.NewSource(4))
+	good, data, other := make([]byte, 96<<10), make([]byte, 96<<10), make([]byte, 96<<10)
+	rng.Read(good)
+	rng.Read(data)
+	rng.Read(other)
+	commitStep(t, s, 1, good)
+	commitStep(t, s, 2, data)
+	if err := mgr.Put(s.dataKey(2, "state"), other); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.WriteBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	v, crc, ok, err := mgr.GetCRC(s.dataKey(2, "state"))
+	if err != nil || !bytes.Equal(v, other) || !ok || crc != crc32.Checksum(other, castagnoli) {
+		t.Fatalf("GetCRC = %d bytes, crc %#08x, ok %v, %v; want the other bytes with their CRC", len(v), crc, ok, err)
+	}
+	if got, err := s.Read(2, "state"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read = %d bytes, %v; want ErrCorrupt", len(got), err)
+	}
+	checkFallsBack(t, s, good)
+}
+
+// TestFlippedManifestCRCFailsRestore: one bit flipped in a variable's
+// manifest CRC, with the manifest digest recomputed so that the manifest
+// itself reads as intact, leaves the variable's bytes and its block
+// untouched: only the comparison of the CRC the read derived with the
+// manifest's can catch it. Read reports ErrCorrupt, and Restore
+// quarantines the step and falls back.
+func TestFlippedManifestCRCFailsRestore(t *testing.T) {
+	s, mgr := newStore(t, 0)
+	defer mgr.Close()
+	rng := rand.New(rand.NewSource(6))
+	good, data := make([]byte, 96<<10), make([]byte, 96<<10)
+	rng.Read(good)
+	rng.Read(data)
+	commitStep(t, s, 1, good)
+	commitStep(t, s, 2, data)
+	m, err := s.loadManifest(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Vars[0].CRC ^= 1 << 7
+	blob, err := json.Marshal(manifest{Version: m.Version, Step: 2, Vars: m.Vars})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Put(s.manifestKey(2), blob); err != nil {
+		t.Fatal(err)
+	}
+	digest := strconv.FormatUint(uint64(crc32.ChecksumIEEE(blob)), 10)
+	if err := mgr.Put(s.digestKey(2), []byte(digest)); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.WriteBarrier(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.loadManifest(2); err != nil {
+		t.Fatalf("the rewritten manifest does not load: %v", err)
+	}
+	if _, _, ok, err := mgr.GetCRC(s.dataKey(2, "state")); err != nil || !ok {
+		t.Fatalf("GetCRC: ok %v, %v; want a derived CRC", ok, err)
+	}
+	if got, err := s.Read(2, "state"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Read = %d bytes, %v; want ErrCorrupt", len(got), err)
+	}
+	checkFallsBack(t, s, good)
 }

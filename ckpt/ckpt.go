@@ -90,15 +90,22 @@ type varEntry struct {
 }
 
 // holds reports whether data is the variable v the manifest records:
-// its length, and its CRC of the manifest's kind.
-func (m *manifest) holds(v varEntry, data []byte) bool {
+// its length, and its CRC of the manifest's kind. crc is data's CRC-32C
+// when ok: the engine derived it from the block check that just read
+// data (core.Manager.GetCRC), so a version-1 manifest compares it
+// without another pass over data. Otherwise holds makes that one pass
+// itself, of the manifest's kind: CRC-32 IEEE for version 0.
+func (m *manifest) holds(v varEntry, data []byte, crc uint32, ok bool) bool {
 	if int64(len(data)) != v.Bytes {
 		return false
 	}
-	if m.Version == 0 {
-		return crc32.ChecksumIEEE(data) == v.CRC
+	switch {
+	case m.Version == 0:
+		crc = crc32.ChecksumIEEE(data)
+	case !ok:
+		crc = crc32.Checksum(data, castagnoli)
 	}
-	return crc32.Checksum(data, castagnoli) == v.CRC
+	return crc == v.CRC
 }
 
 func (s *Store) manifestKey(step int64) string {
@@ -324,7 +331,7 @@ func (s *Store) Read(step int64, name string) ([]byte, error) {
 		if v.Name != name {
 			continue
 		}
-		data, err := s.mgr.Get(s.dataKey(step, name))
+		data, crc, derived, err := s.mgr.GetCRC(s.dataKey(step, name))
 		if errors.Is(err, core.ErrNotFound) {
 			return nil, fmt.Errorf("%w: step %d variable %q (store key %s)",
 				ErrIncomplete, step, name, s.dataKey(step, name))
@@ -332,7 +339,7 @@ func (s *Store) Read(step int64, name string) ([]byte, error) {
 		if err != nil {
 			return nil, classifyCorrupt(step, err)
 		}
-		if !m.holds(v, data) {
+		if !m.holds(v, data, crc, derived) {
 			return nil, fmt.Errorf("%w: step %d variable %q (store key %s)",
 				ErrCorrupt, step, name, s.dataKey(step, name))
 		}
@@ -381,7 +388,7 @@ func (s *Store) ReadAll(step int64) (map[string][]byte, error) {
 			return nil, fmt.Errorf("%w: step %d missing variable %q (store key %s)",
 				ErrIncomplete, step, name, s.dataKey(step, name))
 		}
-		if !m.holds(v, data) {
+		if !m.holds(v, data, 0, false) {
 			return nil, fmt.Errorf("%w: step %d variable %q (store key %s)",
 				ErrCorrupt, step, name, s.dataKey(step, name))
 		}

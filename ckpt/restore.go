@@ -264,7 +264,7 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 		if herr := s.hook(opts, "var", step, v.Name); herr != nil {
 			return herr
 		}
-		if local, ok := opts.Local[v.Name]; ok && m.holds(v, local) {
+		if local, ok := opts.Local[v.Name]; ok && m.holds(v, local, 0, false) {
 			results[i] = local
 			atomic.AddInt64(&deltaVars, 1)
 			atomic.AddInt64(&deltaBytes, v.Bytes)
@@ -272,10 +272,12 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 		}
 		key := s.dataKey(step, v.Name)
 		var data []byte
+		var crc uint32
+		var derived bool
 		rerr := opts.Policy.Do(opts.Ctx, rtm, uint64(step)^uint64(i)*0x9e3779b97f4a7c15,
 			func(int) error {
 				var gerr error
-				data, gerr = s.mgr.Get(key)
+				data, crc, derived, gerr = s.mgr.GetCRC(key)
 				if errors.Is(gerr, core.ErrNotFound) {
 					return fmt.Errorf("%w: step %d missing variable %q (store key %s)",
 						ErrIncomplete, step, v.Name, key)
@@ -285,7 +287,7 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 		if rerr != nil {
 			return rerr
 		}
-		if !m.holds(v, data) {
+		if !m.holds(v, data, crc, derived) {
 			return fmt.Errorf("%w: step %d variable %q (store key %s)",
 				ErrCorrupt, step, v.Name, key)
 		}

@@ -103,13 +103,28 @@ func NewManager(dir string, opts ManagerOptions) (*Manager, error) {
 func (m *Manager) Get(key string) ([]byte, error) {
 	start := m.reg.Now()
 	v, err := m.store.Get(key)
+	return v, m.getDone(start, len(v), err)
+}
+
+// GetCRC is Get that also returns the value's CRC-32C when the engine
+// derived it from the block check of the read (Store.GetCRC). It costs
+// what Get costs.
+func (m *Manager) GetCRC(key string) (value []byte, crc uint32, ok bool, err error) {
+	start := m.reg.Now()
+	value, crc, ok, err = m.store.GetCRC(key)
+	return value, crc, ok, m.getDone(start, len(value), err)
+}
+
+// getDone counts and charges a get of n bytes that began at start, once
+// err says it succeeded.
+func (m *Manager) getDone(start time.Duration, n int, err error) error {
 	if err == nil {
 		m.m.gets.Inc()
-		m.m.bytesGot.Add(int64(len(v)))
-		m.rt.Compute(getCost(len(v)))
+		m.m.bytesGot.Add(int64(n))
+		m.rt.Compute(getCost(n))
 		m.m.getLatency.ObserveDuration(m.reg.Now() - start)
 	}
-	return v, err
+	return err
 }
 
 // ReadBatch loads every key under prefix in one sequential sweep of the

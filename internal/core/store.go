@@ -58,6 +58,12 @@ type Store interface {
 	// Get returns the value for key, always synchronously. The value is
 	// the caller's to keep and modify (lsm.DB.Get: copied at most once).
 	Get(key string) ([]byte, error)
+	// GetCRC is Get that also returns the value's CRC-32C
+	// (crc32.Castagnoli) when the engine derived it from the checksum
+	// pass that verified the table block the value was just read from
+	// (lsm.DB.GetCRC); ok is false otherwise, and always for a value
+	// still buffered in memory.
+	GetCRC(key string) (value []byte, crc uint32, ok bool, err error)
 	// Put writes key; with sync it blocks until durable.
 	Put(key string, value []byte, sync bool) error
 	// PutCRC is Put without sync for a caller that has checksummed
@@ -210,10 +216,20 @@ func (s *rocksStore) StopBatch() error  { return nil }
 
 func (s *rocksStore) Get(key string) ([]byte, error) {
 	v, err := s.db.Get([]byte(key))
+	return v, storeErr(err)
+}
+
+func (s *rocksStore) GetCRC(key string) ([]byte, uint32, bool, error) {
+	v, crc, ok, err := s.db.GetCRC([]byte(key))
+	return v, crc, ok, storeErr(err)
+}
+
+// storeErr reports the engine's missing key as the store's.
+func storeErr(err error) error {
 	if errors.Is(err, lsm.ErrNotFound) {
-		return nil, ErrNotFound
+		return ErrNotFound
 	}
-	return v, err
+	return err
 }
 
 func (s *rocksStore) Put(key string, value []byte, sync bool) error {
@@ -333,17 +349,31 @@ func (s *levelStore) applyBatch() error {
 }
 
 func (s *levelStore) Get(key string) ([]byte, error) {
-	if s.deleted != nil && s.deleted[key] {
-		return nil, ErrNotFound
-	}
-	if v, ok := s.pending[key]; ok {
-		return append([]byte(nil), s.batch.Bytes(v.off, v.n)...), nil
+	if v, ok, err := s.getPending(key); ok {
+		return v, err
 	}
 	v, err := s.db.Get([]byte(key))
-	if errors.Is(err, lsm.ErrNotFound) {
-		return nil, ErrNotFound
+	return v, storeErr(err)
+}
+
+func (s *levelStore) GetCRC(key string) ([]byte, uint32, bool, error) {
+	if v, ok, err := s.getPending(key); ok {
+		return v, 0, false, err
 	}
-	return v, err
+	v, crc, ok, err := s.db.GetCRC([]byte(key))
+	return v, crc, ok, storeErr(err)
+}
+
+// getPending answers a get from the writes still in the pending batch,
+// if it holds key's newest: ok reports whether it does.
+func (s *levelStore) getPending(key string) (v []byte, ok bool, err error) {
+	if s.deleted != nil && s.deleted[key] {
+		return nil, true, ErrNotFound
+	}
+	if p, ok := s.pending[key]; ok {
+		return append([]byte(nil), s.batch.Bytes(p.off, p.n)...), true, nil
+	}
+	return nil, false, nil
 }
 
 func (s *levelStore) Put(key string, value []byte, sync bool) error {

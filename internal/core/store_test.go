@@ -305,6 +305,46 @@ func TestStorePutCRCReachesTheBlock(t *testing.T) {
 	}
 }
 
+// TestStoreGetCRC: on both backends GetCRC returns the value's CRC-32C
+// once the value is in a table, a block of its own, and read from there,
+// never while it waits in the level backend's batch or in the memtable.
+func TestStoreGetCRC(t *testing.T) {
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	for _, b := range backends() {
+		t.Run(string(b), func(t *testing.T) {
+			st := openTestStore(t, vfs.NewMemFS(), b)
+			defer st.Close()
+			v := bytes.Repeat([]byte("v"), 100<<10) // more than a block
+			crc := crc32.Checksum(v, castagnoli)
+			check := func(when string, wantOK bool) {
+				t.Helper()
+				got, gotCRC, ok, err := st.GetCRC("k")
+				if err != nil || !bytes.Equal(got, v) || ok != wantOK || ok && gotCRC != crc {
+					t.Fatalf("%s: GetCRC = %d bytes, crc %#08x, ok %v, %v; want ok %v", when, len(got), gotCRC, ok, err, wantOK)
+				}
+			}
+			if err := st.StartBatch(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.PutCRC("k", v, crc); err != nil {
+				t.Fatal(err)
+			}
+			check("buffered", false)
+			if err := st.StopBatch(); err != nil {
+				t.Fatal(err)
+			}
+			check("in the memtable", false)
+			if err := st.WriteBarrier(true); err != nil {
+				t.Fatal(err)
+			}
+			check("in a table", true)
+			if _, _, _, err := st.GetCRC("missing"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("GetCRC(missing) = %v, want ErrNotFound", err)
+			}
+		})
+	}
+}
+
 func TestStoreScan(t *testing.T) {
 	for _, b := range backends() {
 		t.Run(string(b), func(t *testing.T) {

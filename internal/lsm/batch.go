@@ -36,10 +36,12 @@ type Batch struct {
 // op-th operation.
 type opSum struct{ op, crc uint32 }
 
-// valueSum is what a memtable entry knows of its value's checksum: the
-// value's CRC-32C when its writer supplied one, noSum otherwise. The
-// table builder folds it into the checksum of a block that holds the
-// value raw (encodeBlock) instead of reading the value again.
+// valueSum is an optional CRC-32C of some bytes: noSum when there is
+// none. A memtable entry has its value's when its writer supplied one,
+// which the table builder folds into the checksum of a block that holds
+// the value raw (encodeBlock) instead of reading the value again. A read
+// has a raw block's entries' from the block check (readRawBlock), from
+// which a get derives its value's (tableReader.get).
 type valueSum uint64
 
 const noSum valueSum = 0

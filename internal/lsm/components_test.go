@@ -590,7 +590,7 @@ func TestSSTableWriteRead(t *testing.T) {
 			}
 			// Point lookups.
 			for _, i := range []int{0, 1, 500, 1234, n - 1} {
-				v, _, found, deleted, err := r.get([]byte(fmt.Sprintf("key-%06d", i)), maxSeq)
+				v, _, _, found, deleted, err := r.get([]byte(fmt.Sprintf("key-%06d", i)), maxSeq, false)
 				if err != nil || !found || deleted {
 					t.Fatalf("get %d: found=%v deleted=%v err=%v", i, found, deleted, err)
 				}
@@ -599,10 +599,10 @@ func TestSSTableWriteRead(t *testing.T) {
 				}
 			}
 			// Absent keys.
-			if _, _, found, _, err := r.get([]byte("zzz"), maxSeq); err != nil || found {
+			if _, _, _, found, _, err := r.get([]byte("zzz"), maxSeq, false); err != nil || found {
 				t.Fatalf("absent key: found=%v err=%v", found, err)
 			}
-			if _, _, found, _, err := r.get([]byte("key-0000005x"), maxSeq); err != nil || found {
+			if _, _, _, found, _, err := r.get([]byte("key-0000005x"), maxSeq, false); err != nil || found {
 				t.Fatalf("absent key 2: found=%v err=%v", found, err)
 			}
 			// Full scan.
@@ -676,7 +676,7 @@ func TestSSTableDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err) // index block is at the end, still intact
 	}
-	if _, _, _, _, err := r.get([]byte("k000001"), maxSeq); err == nil {
+	if _, _, _, _, _, err := r.get([]byte("k000001"), maxSeq, false); err == nil {
 		t.Fatal("expected checksum error reading corrupted block")
 	}
 }

@@ -721,16 +721,36 @@ func (db *DB) buildTable(m *memtable, num uint64) (tableMeta, error) {
 // a small part of that block; a value in the memtable or in a cached
 // block, which later reads see too, is copied.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	v, own, err := db.get(key)
-	if err != nil || own {
-		return v, err
+	v, _, err := db.getOwned(key, false)
+	return v, err
+}
+
+// GetCRC is Get that also returns the value's CRC-32C (crc32.Castagnoli)
+// when it comes out of the pass that checked the table block the value
+// was just read from: ok then, and only then. The value must be stored
+// raw, not cached, and end its block's entries (tableReader.get), which
+// a value of a block's size or more put without compression does. A
+// value from the memtable has no such sum, whatever its writer gave
+// PutCRC: that crc was never checked against the bytes.
+func (db *DB) GetCRC(key []byte) (value []byte, crc uint32, ok bool, err error) {
+	value, sum, err := db.getOwned(key, true)
+	crc, ok = sum.crc()
+	return value, crc, ok, err
+}
+
+// getOwned is Get's body, with the value's sum when wantCRC asks for it
+// and the block check gives it.
+func (db *DB) getOwned(key []byte, wantCRC bool) ([]byte, valueSum, error) {
+	v, own, sum, err := db.get(key, wantCRC)
+	if err == nil && !own {
+		v = append([]byte(nil), v...)
 	}
-	return append([]byte(nil), v...), nil
+	return v, sum, err
 }
 
 // Has reports whether key has a live value.
 func (db *DB) Has(key []byte) (bool, error) {
-	_, _, err := db.get(key)
+	_, _, _, err := db.get(key, false)
 	if err == ErrNotFound {
 		return false, nil
 	}
@@ -743,12 +763,13 @@ func (db *DB) Has(key []byte) (bool, error) {
 // get finds key's newest value where it lies. own reports whether the
 // caller may keep the slice as its own (tableReader.get); when false it
 // is shared with the memtable or the block cache and must not be
-// modified.
-func (db *DB) get(key []byte) (value []byte, own bool, err error) {
+// modified. sum is the value's CRC-32C from a table read's block check,
+// with wantCRC (tableReader.get).
+func (db *DB) get(key []byte, wantCRC bool) (value []byte, own bool, sum valueSum, err error) {
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		return nil, false, ErrClosed
+		return nil, false, noSum, ErrClosed
 	}
 	db.m.gets.Inc()
 	seq := db.vs.lastSeq
@@ -767,36 +788,36 @@ func (db *DB) get(key []byte) (value []byte, own bool, err error) {
 
 	if v, found, deleted := mem.get(key, seq); found {
 		if deleted {
-			return nil, false, ErrNotFound
+			return nil, false, noSum, ErrNotFound
 		}
-		return v, false, nil
+		return v, false, noSum, nil
 	}
 	for i := len(imms) - 1; i >= 0; i-- {
 		if v, found, deleted := imms[i].get(key, seq); found {
 			if deleted {
-				return nil, false, ErrNotFound
+				return nil, false, noSum, ErrNotFound
 			}
-			return v, false, nil
+			return v, false, noSum, nil
 		}
 	}
 	for _, fm := range ver.filesForKey(key) {
 		t, err := db.getTable(fm.num)
 		if err != nil {
-			return nil, false, err
+			return nil, false, noSum, err
 		}
 		probes++
-		v, own, found, deleted, err := t.get(key, seq)
+		v, own, sum, found, deleted, err := t.get(key, seq, wantCRC)
 		if err != nil {
-			return nil, false, err
+			return nil, false, noSum, err
 		}
 		if found {
 			if deleted {
-				return nil, false, ErrNotFound
+				return nil, false, noSum, ErrNotFound
 			}
-			return v, own, nil
+			return v, own, sum, nil
 		}
 	}
-	return nil, false, ErrNotFound
+	return nil, false, noSum, ErrNotFound
 }
 
 // refCurrentLocked pins the current version for a reader.

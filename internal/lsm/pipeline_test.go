@@ -228,7 +228,7 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 								t.Fatal(err)
 							}
 							for i, ik := range keys {
-								v, _, found, deleted, err := tr.get(ik.userKey(), maxSeq)
+								v, _, _, found, deleted, err := tr.get(ik.userKey(), maxSeq, false)
 								if err != nil || !found || deleted || !bytes.Equal(v, values[i]) {
 									t.Fatalf("get %s: %d bytes, found=%v deleted=%v err=%v", ik, len(v), found, deleted, err)
 								}
@@ -258,7 +258,7 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								b, err := tr.readBlock(h, new([]byte))
+								b, _, err := tr.readBlock(h, new([]byte))
 								if err != nil {
 									t.Fatal(err)
 								}

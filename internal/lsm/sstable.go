@@ -580,7 +580,7 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 		offset: int64(binary.LittleEndian.Uint64(footer[16:])),
 		length: int64(binary.LittleEndian.Uint64(footer[24:])),
 	}
-	rawIndex, err := t.readRawBlock(indexHandle, new([]byte), nil)
+	rawIndex, _, err := t.readRawBlock(indexHandle, new([]byte), nil)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: table %d index: %w", fileNum, err)
 	}
@@ -588,7 +588,7 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 		return nil, err
 	}
 	if filterHandle.length > 0 {
-		if t.filter, err = t.readRawBlock(filterHandle, new([]byte), nil); err != nil {
+		if t.filter, _, err = t.readRawBlock(filterHandle, new([]byte), nil); err != nil {
 			return nil, fmt.Errorf("lsm: table %d filter: %w", fileNum, err)
 		}
 	}
@@ -603,29 +603,40 @@ func openTable(f vfs.File, opts *Options, fileNum uint64, cache *blockCache) (*t
 // decodes into a new slice. Otherwise both buffers stay the caller's to
 // reuse: a raw block is returned in *scratch, and a compressed one is
 // decoded into *decoded.
-func (t *tableReader) readRawBlock(h blockHandle, scratch, decoded *[]byte) ([]byte, error) {
+//
+// entries is the CRC-32C of a raw block's entries region (entriesLen),
+// which comes out of the block check's one pass: the pass is split where
+// the restart trailer starts. It is noSum for a compressed block, whose
+// pass is over other bytes, and for a block without a valid trailer.
+func (t *tableReader) readRawBlock(h blockHandle, scratch, decoded *[]byte) (data []byte, entries valueSum, err error) {
 	n := int(h.length) + blockTrailerLen
 	if cap(*scratch) < n {
 		*scratch = make([]byte, n, max(n, 2*cap(*scratch)))
 	}
 	buf := (*scratch)[:n]
 	if _, err := t.f.ReadAt(buf, h.offset); err != nil && err != io.EOF {
-		return nil, err
+		return nil, noSum, err
 	}
 	data, trailer := buf[:h.length], buf[h.length:]
 	blockType := trailer[0]
 	wantCRC := binary.LittleEndian.Uint32(trailer[1:])
-	crc := crc32.Checksum(data, crcTable)
+	// Wherever split falls, the two pieces make the same sum as one.
+	split, hasEntries := entriesLen(data)
+	entriesCRC := crc32.Checksum(data[:split], crcTable)
+	crc := crc32.Update(entriesCRC, crcTable, data[split:])
 	crc = crc32.Update(crc, crcTable, []byte{blockType})
 	if crc != wantCRC {
-		return nil, fmt.Errorf("lsm: block at %d: checksum mismatch: %w", h.offset, ErrCorruption)
+		return nil, noSum, fmt.Errorf("lsm: block at %d: checksum mismatch: %w", h.offset, ErrCorruption)
 	}
 	switch blockType {
 	case compressionNone:
 		if decoded == nil {
 			*scratch = nil
 		}
-		return data, nil
+		if hasEntries {
+			entries = sumOf(entriesCRC)
+		}
+		return data, entries, nil
 	case compressionSnappy:
 		var dst []byte
 		if decoded != nil {
@@ -633,37 +644,38 @@ func (t *tableReader) readRawBlock(h blockHandle, scratch, decoded *[]byte) ([]b
 		}
 		out, err := snappy.Decode(dst, data)
 		if err != nil {
-			return nil, fmt.Errorf("lsm: block at %d: decompress: %w", h.offset, err)
+			return nil, noSum, fmt.Errorf("lsm: block at %d: decompress: %w", h.offset, err)
 		}
 		if decoded != nil {
 			*decoded = out
 		}
-		return out, nil
+		return out, noSum, nil
 	default:
-		return nil, fmt.Errorf("lsm: block at %d: unknown type %d: %w", h.offset, blockType, ErrCorruption)
+		return nil, noSum, fmt.Errorf("lsm: block at %d: unknown type %d: %w", h.offset, blockType, ErrCorruption)
 	}
 }
 
 // readBlock returns a parsed block, using the shared cache when enabled.
-// scratch is readRawBlock's.
-func (t *tableReader) readBlock(h blockHandle, scratch *[]byte) (*block, error) {
+// scratch is readRawBlock's. entries is the CRC-32C of the block's
+// entries when the block was just read and checked and is stored raw
+// (readRawBlock); a block from the cache has none.
+func (t *tableReader) readBlock(h blockHandle, scratch *[]byte) (b *block, entries valueSum, err error) {
 	if t.cache != nil {
 		if b, ok := t.cache.get(t.fileNum, h.offset); ok {
-			return b, nil
+			return b, noSum, nil
 		}
 	}
-	raw, err := t.readRawBlock(h, scratch, nil)
+	raw, entries, err := t.readRawBlock(h, scratch, nil)
 	if err != nil {
-		return nil, err
+		return nil, noSum, err
 	}
-	b, err := parseBlock(raw)
-	if err != nil {
-		return nil, err
+	if b, err = parseBlock(raw); err != nil {
+		return nil, noSum, err
 	}
 	if t.cache != nil {
 		t.cache.put(t.fileNum, h.offset, b, int64(len(raw)))
 	}
-	return b, nil
+	return b, entries, nil
 }
 
 // readMergeBlock is readBlock for a merge's input: a block the cache
@@ -676,7 +688,7 @@ func (t *tableReader) readMergeBlock(h blockHandle, scratch, decoded *[]byte) (*
 			return b, nil
 		}
 	}
-	raw, err := t.readRawBlock(h, scratch, decoded)
+	raw, _, err := t.readRawBlock(h, scratch, decoded)
 	if err != nil {
 		return nil, err
 	}
@@ -689,39 +701,51 @@ func (t *tableReader) readMergeBlock(h blockHandle, scratch, decoded *[]byte) (*
 // see that block (the cache is off) and the value is most of it, so
 // that handing it out keeps little else alive. Otherwise the caller
 // copies it.
-func (t *tableReader) get(userKey []byte, seq seqNum) (value []byte, own, found, deleted bool, err error) {
+//
+// With wantCRC, sum is the value's CRC-32C when the block check that
+// just passed gives it: the value is its own (so the block is not
+// cached and the bytes before the value are no longer than it), the
+// block is stored raw and the value ends its entries region. Then the
+// value's sum is the region's with the head, the bytes before the value,
+// taken out, a pass over the head instead of the value. Otherwise sum is
+// noSum.
+func (t *tableReader) get(userKey []byte, seq seqNum, wantCRC bool) (value []byte, own bool, sum valueSum, found, deleted bool, err error) {
 	if t.filter != nil && !bloomMayContain(t.filter, userKey) {
-		return nil, false, false, false, nil
+		return nil, false, noSum, false, false, nil
 	}
 	target := lookupKey(userKey, seq)
 	idxIter := t.index.iterator()
 	idxIter.Seek(target)
 	if !idxIter.Valid() {
-		return nil, false, false, false, idxIter.Close()
+		return nil, false, noSum, false, false, idxIter.Close()
 	}
 	h, err := decodeHandle(idxIter.Value())
 	if err != nil {
-		return nil, false, false, false, err
+		return nil, false, noSum, false, false, err
 	}
-	b, err := t.readBlock(h, new([]byte))
+	b, entries, err := t.readBlock(h, new([]byte))
 	if err != nil {
-		return nil, false, false, false, err
+		return nil, false, noSum, false, false, err
 	}
 	it := b.iterator()
 	it.Seek(target)
 	if !it.Valid() {
-		return nil, false, false, false, it.Close()
+		return nil, false, noSum, false, false, it.Close()
 	}
 	ik := it.IKey()
 	if !bytes.Equal(ik.userKey(), userKey) {
-		return nil, false, false, false, it.Close()
+		return nil, false, noSum, false, false, it.Close()
 	}
 	if ik.kind() == kindDelete {
-		return nil, false, true, true, it.Close()
+		return nil, false, noSum, true, true, it.Close()
 	}
 	v := it.Value()
 	own = t.cache == nil && 2*len(v) >= len(b.data)
-	return v[:len(v):len(v)], own, true, false, it.Close()
+	if entriesCRC, ok := entries.crc(); ok && wantCRC && own && it.off == len(b.data) {
+		head := b.data[:len(b.data)-len(v)]
+		sum = sumOf(entriesCRC ^ crcCombine(crc32.Checksum(head, crcTable), 0, int64(len(v))))
+	}
+	return v[:len(v):len(v)], own, sum, true, false, it.Close()
 }
 
 // iterator returns an ordered iterator over the whole table.
@@ -774,7 +798,7 @@ func (it *tableIterator) loadData() {
 	if it.merge {
 		b, err = it.t.readMergeBlock(h, &it.stored, it.decoded)
 	} else {
-		b, err = it.t.readBlock(h, &it.stored)
+		b, _, err = it.t.readBlock(h, &it.stored)
 	}
 	if err != nil {
 		it.err = err
