@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"strings"
+	"sync"
 	"testing"
 
 	"lsmio/internal/lsm"
@@ -439,6 +440,63 @@ func TestStoreReadsAreTheCallers(t *testing.T) {
 				if err := st.WriteBarrier(true); err != nil {
 					t.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// TestStoreConcurrentUse: goroutines that each own a key prefix put,
+// read back, scan and barrier on one store at once (the level backend
+// inside a batch window), and every write stays visible to its writer
+// and to a final scan. Run under -race it checks the Store contract.
+func TestStoreConcurrentUse(t *testing.T) {
+	const writers, keys = 4, 64
+	for _, b := range backends() {
+		t.Run(string(b), func(t *testing.T) {
+			st := openTestStore(t, vfs.NewMemFS(), b)
+			defer st.Close()
+			if err := st.StartBatch(); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					prefix := fmt.Sprintf("g%d/", g)
+					for i := 0; i < keys; i++ {
+						key := fmt.Sprintf("%sk%03d", prefix, i)
+						val := bytes.Repeat([]byte{byte(g), byte(i)}, 512)
+						if err := st.Put(key, val, false); err != nil {
+							t.Error(err)
+							return
+						}
+						if v, err := st.Get(key); err != nil || !bytes.Equal(v, val) {
+							t.Errorf("%s: read %d bytes, %v", key, len(v), err)
+							return
+						}
+						if i%16 != 15 {
+							continue
+						}
+						if err := st.WriteBarrier(true); err != nil {
+							t.Error(err)
+							return
+						}
+						n := 0
+						if err := st.Scan(prefix, func(string, []byte) bool { n++; return true }); err != nil || n != i+1 {
+							t.Errorf("scan of %s saw %d keys, %v; want %d", prefix, n, err, i+1)
+							return
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if err := st.StopBatch(); err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if err := st.Scan("g", func(string, []byte) bool { n++; return true }); err != nil || n != writers*keys {
+				t.Fatalf("final scan saw %d keys, %v; want %d", n, err, writers*keys)
 			}
 		})
 	}
