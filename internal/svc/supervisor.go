@@ -163,8 +163,8 @@ func (u *supervisor) probeLoop() {
 // probeShard issues one heartbeat read against the shard store, feeding
 // the same breaker as request outcomes (a healthy miss counts as OK).
 func (s *Service) probeShard(sh *shard) {
-	s.lock(sh)
-	defer s.unlock(sh)
+	s.rlock(sh)
+	defer s.runlock(sh)
 	if sh.mgr == nil || sh.state.Load() != shardUp {
 		return
 	}
@@ -348,13 +348,13 @@ func (s *Service) ShardStatuses() []ShardStatus {
 			State:    shardStateName(sh.state.Load()),
 			Restarts: sh.restarts.Load(),
 		}
-		s.lock(sh)
+		s.rlock(sh)
 		if sh.health != nil {
 			h := sh.health.Snapshot()[0]
 			st.Breaker = h.State.String()
 			st.ConsecErrs = h.ConsecErrs
 		}
-		s.unlock(sh)
+		s.runlock(sh)
 		if sh.state.Load() != shardUp {
 			st.DownFor = s.reg.Now() - time.Duration(sh.downAt.Load())
 		}

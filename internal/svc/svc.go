@@ -117,17 +117,17 @@ func shardStateName(st int32) string {
 	return fmt.Sprintf("state(%d)", st)
 }
 
-// shard is one slot of the pool: a Manager plus its serialization lock
-// (real runtime only; see Service.lock).
+// shard is one slot of the pool: a Manager plus the lock that keeps it
+// attached while requests use it (real runtime only; see Service.rlock).
 type shard struct {
 	idx int
 	mgr *core.Manager
-	mu  sync.Mutex
+	mu  sync.RWMutex
 	ops *obs.Counter
 
 	// Supervisor state. state/restarts/downAt are atomics so request
 	// paths can fail fast without locks; mgr and health are swapped only
-	// under the shard lock, with writers fenced.
+	// under the shard lock held exclusively, with writers fenced.
 	state    atomic.Int32
 	restarts atomic.Int64
 	downAt   atomic.Int64 // reg.Now() ns at which the shard went down
@@ -339,12 +339,30 @@ func (s *Service) dupWrite() {
 
 // ---- shard application ------------------------------------------------
 
-// lock serializes direct shard access on the real runtime. Inside the
-// simulator the cooperative scheduler plus the one-server-per-shard
-// front provide the serialization and the lock is skipped: taken as an
-// rt mutex it would be held across store I/O that parks in virtual
-// time, queueing requests the calibrated figures let overlap
-// (DESIGN.md §5).
+// rlock holds sh's manager and health tracker in place on the real
+// runtime: every request takes it shared, so requests to one shard run
+// side by side (core.Store is safe for concurrent use), and only lock,
+// taken by the paths that detach or swap sh.mgr and sh.health, waits for
+// them to finish. RWMutex is not reentrant: nothing may take the shard
+// lock again while holding it shared, or a pending swap deadlocks it.
+// Inside the simulator the cooperative scheduler plus the
+// one-server-per-shard front provide the serialization and the lock is
+// skipped: taken as an rt mutex it would be held across store I/O that
+// parks in virtual time, queueing requests the calibrated figures let
+// overlap (DESIGN.md §5).
+func (s *Service) rlock(sh *shard) {
+	if s.kern == nil {
+		sh.mu.RLock()
+	}
+}
+
+func (s *Service) runlock(sh *shard) {
+	if s.kern == nil {
+		sh.mu.RUnlock()
+	}
+}
+
+// lock takes sh's lock exclusively, to detach or swap its manager.
 func (s *Service) lock(sh *shard) {
 	if s.kern == nil {
 		sh.mu.Lock()
@@ -359,7 +377,7 @@ func (s *Service) unlock(sh *shard) {
 
 // shardUp fails fast when sh is not serving: callers get a typed
 // retryable ShardDownError (or ErrClosed during shutdown) instead of
-// touching a dead store. Must be called with the shard lock held.
+// touching a dead store. Must be called with the shard lock held shared.
 func (s *Service) shardUp(sh *shard) error {
 	if sh.state.Load() == shardUp && sh.mgr != nil {
 		return nil
@@ -374,7 +392,8 @@ func (s *Service) shardUp(sh *shard) error {
 // kicks the supervisor when the breaker trips. An op that raced a crash
 // (the shard left Up while it was in flight) is converted to the typed
 // retryable form so tenants never see the dying store's raw error.
-// Must be called with the shard lock held.
+// Must be called with the shard lock held shared; kick only starts the
+// restart worker, which takes the lock exclusively on its own.
 func (s *Service) observe(sh *shard, start time.Duration, err error) error {
 	if err == nil || errors.Is(err, ErrNotFound) {
 		if sh.health != nil {
@@ -438,15 +457,15 @@ type reply struct {
 
 // apply executes req on its shard: the one dispatch behind both
 // transports, run on the caller in-process and on the shard's server
-// process over the fabric, under the shard lock. A write's in-flight
-// slot is released once it is applied.
+// process over the fabric, under the shard lock held shared. A write's
+// in-flight slot is released once it is applied.
 func (s *Service) apply(req request) (rep reply) {
 	if req.write {
 		defer s.exitWrite()
 	}
 	sh := s.shards[req.shard]
-	s.lock(sh)
-	defer s.unlock(sh)
+	s.rlock(sh)
+	defer s.runlock(sh)
 	if rep.err = s.shardUp(sh); rep.err != nil {
 		return rep
 	}
