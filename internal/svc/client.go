@@ -170,9 +170,11 @@ func (c *Client) Get(key string) ([]byte, error) {
 
 // Scan calls fn for every tenant key with the given prefix, in key
 // order, with the namespace stripped, merging the per-shard sweeps
-// client-side.
+// client-side. Its request latency ends when the merge is sorted,
+// before fn sees the first pair.
 func (c *Client) Scan(prefix string, fn func(key string, value []byte) bool) error {
 	s := c.s
+	start := s.reg.Now()
 	if err := c.admit(0); err != nil {
 		return err
 	}
@@ -183,11 +185,13 @@ func (c *Client) Scan(prefix string, fn func(key string, value []byte) bool) err
 		rep, err := c.roundTrip(request{op: opScan, shard: idx, tenant: c.ts.name, key: ns},
 			int64(len(ns)))
 		if err != nil {
+			c.ts.reqLat.ObserveDuration(s.reg.Now() - start)
 			return err
 		}
 		all = append(all, rep.pairs...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
+	c.ts.reqLat.ObserveDuration(s.reg.Now() - start)
 	for _, pr := range all {
 		if !fn(pr.Key[strip:], pr.Value) {
 			break

@@ -374,3 +374,22 @@ func TestServiceClosed(t *testing.T) {
 		t.Fatalf("RegisterTenant after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestScanRecordsRequestLatency: a Scan, like every other tenant
+// request, adds one sample to the tenant's request-latency histogram.
+func TestScanRecordsRequestLatency(t *testing.T) {
+	s := newLocalService(t, 2, AdmissionConfig{}, nil)
+	defer s.Close()
+	tn := s.Tenant("app")
+	if err := tn.Put("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	lat := s.Obs().Histogram("svc.tenant.app.request_ns")
+	before := lat.Count()
+	if err := tn.Scan("", func(string, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if got := lat.Count() - before; got != 1 {
+		t.Fatalf("one scan added %d request-latency samples, want 1", got)
+	}
+}
