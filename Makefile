@@ -99,12 +99,12 @@ figures:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
-# One iteration of every codec, engine and checkpoint-layer benchmark
-# and of the root package's knob ablations: tests never run them, so
-# without this a benchmark that panics or no longer builds its inputs
-# goes unnoticed until someone measures with it. A few seconds.
+# One iteration of every codec, engine, checkpoint-layer and service
+# benchmark and of the root package's knob ablations: tests never run
+# them, so without this a benchmark that panics or no longer builds its
+# inputs goes unnoticed until someone measures with it. A few seconds.
 bench-once:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/snappy ./internal/lsm ./ckpt
+	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/snappy ./internal/lsm ./ckpt ./internal/svc
 
 # Wall-clock smoke of the checkpoint write path: one short round of the
 # repository benchmark's paper-configuration workload on the real
