@@ -1,6 +1,6 @@
 // Command lsmiod hosts the multi-tenant sharded checkpoint service
 // (internal/svc): a pool of LSM-backed shards multiplexed between
-// tenants with consistent-hash routing and fair-share admission.
+// tenants with hashed key routing and fair-share admission.
 //
 //	lsmiod -sim -tenants 4 -noisy -assert-fair 2
 //	    run a simulated session: tenants checkpoint over the fabric

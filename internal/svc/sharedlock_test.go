@@ -85,8 +85,8 @@ func startParkedScan(t *testing.T, shards, gated int) *parkedScan {
 		t.Fatal(err)
 	}
 	p.s = s
-	// Keys of one prefix tend to route to one shard: put until every
-	// shard holds some, so the scan reads a table on each.
+	// Put until every shard holds some keys, so the scan reads a table
+	// on each.
 	reader := s.Tenant("reader")
 	per := make([]int, shards)
 	for n := 0; slices.Min(per) < 8; n++ {
@@ -94,7 +94,7 @@ func startParkedScan(t *testing.T, shards, gated int) *parkedScan {
 		if err := reader.Put(key, []byte("v"+key)); err != nil {
 			t.Fatal(err)
 		}
-		per[s.ring.Route(nsKey("reader", key))]++
+		per[route(nsKey("reader", key), shards)]++
 		p.nKeys++
 	}
 	if err := reader.Barrier(); err != nil {

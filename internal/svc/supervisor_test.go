@@ -49,7 +49,7 @@ func shardKeys(s *Service, tenant string) []string {
 	found := 0
 	for n := 0; found < len(keys); n++ {
 		k := fmt.Sprintf("probe%04d", n)
-		idx := s.ring.Route(nsKey(tenant, k))
+		idx := route(nsKey(tenant, k), s.Shards())
 		if keys[idx] == "" {
 			keys[idx] = k
 			found++

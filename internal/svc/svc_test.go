@@ -128,12 +128,55 @@ func writeFile(fs vfs.FS, name string, data []byte) error {
 }
 
 // TestReopenWithOtherShardCountRefused: a service directory keeps the
-// shard count its SERVICE.json records. Under another count the ring
-// routes keys to shards that do not hold them, so New must refuse it,
-// while reopening with the recorded count reads every key back. A
+// shard count and the layout version its SERVICE.json records. Under
+// another count, or over two shards laid out by the version-1 ring,
+// keys would route to shards that do not hold them, so New refuses with
+// a *LayoutError; reopening with the recorded count reads every key
+// back. A version-1 single-shard directory opens (every key is on shard
+// 0 under both versions) and is rewritten as the current version. A
 // manifest that still carries the old "epoch" field reads; one that
 // does not parse is an error.
 func TestReopenWithOtherShardCountRefused(t *testing.T) {
+	const n = 200
+	fill := func(s *Service) {
+		t.Helper()
+		tn := s.Tenant("app")
+		for i := 0; i < n; i++ {
+			if err := tn.Put(fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("v%04d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tn.Barrier(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readBack := func(s *Service) {
+		t.Helper()
+		tn := s.Tenant("app")
+		for i := 0; i < n; i++ {
+			v, err := tn.Get(fmt.Sprintf("k%04d", i))
+			if err != nil || string(v) != fmt.Sprintf("v%04d", i) {
+				t.Fatalf("k%04d after reopen: %q %v", i, v, err)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused := func(err error, version, shards, want int) {
+		t.Helper()
+		var le *LayoutError
+		if !errors.As(err, &le) {
+			t.Fatalf("want a *LayoutError, got %v", err)
+		}
+		if le.Version != version || le.Shards != shards || le.Want != want {
+			t.Fatalf("refusal %+v, want version %d, %d shard(s), asked %d", *le, version, shards, want)
+		}
+	}
+
 	mfs := vfs.NewMemFS()
 	shardFS := []vfs.FS{vfs.NewMemFS(), vfs.NewMemFS(), vfs.NewMemFS()}
 	open := func(n int) (*Service, error) {
@@ -151,28 +194,29 @@ func TestReopenWithOtherShardCountRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn := s.Tenant("app")
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := tn.Put(fmt.Sprintf("k%04d", i), []byte(fmt.Sprintf("v%04d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tn.Barrier(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	fill(s)
 
-	if s, err := open(3); err == nil {
+	s, err = open(3)
+	if err == nil {
 		s.Close()
 		t.Fatal("reopening a 2-shard directory with 3 shards succeeded")
-	} else if !strings.Contains(err.Error(), "2 shard") || !strings.Contains(err.Error(), "3") {
+	}
+	refused(err, manifestVersion, 2, 3)
+	if !strings.Contains(err.Error(), "2 shard") || !strings.Contains(err.Error(), "3") {
 		t.Fatalf("refusal does not name both shard counts: %v", err)
 	}
 
-	old := []byte(`{"version": 1, "shards": 2, "epoch": 0}`)
+	if err := writeFile(mfs, ManifestName, []byte(`{"version": 1, "shards": 2}`)); err != nil {
+		t.Fatal(err)
+	}
+	s, err = open(2)
+	if err == nil {
+		s.Close()
+		t.Fatal("a version-1 2-shard directory was opened")
+	}
+	refused(err, 1, 2, 2)
+
+	old := []byte(fmt.Sprintf(`{"version": %d, "shards": 2, "epoch": 0}`, manifestVersion))
 	if err := writeFile(mfs, ManifestName, old); err != nil {
 		t.Fatal(err)
 	}
@@ -180,16 +224,7 @@ func TestReopenWithOtherShardCountRefused(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen with the recorded count: %v", err)
 	}
-	tn = s.Tenant("app")
-	for i := 0; i < n; i++ {
-		v, err := tn.Get(fmt.Sprintf("k%04d", i))
-		if err != nil || string(v) != fmt.Sprintf("v%04d", i) {
-			t.Fatalf("k%04d after reopen: %q %v", i, v, err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	readBack(s)
 
 	if err := writeFile(mfs, ManifestName, []byte("{")); err != nil {
 		t.Fatal(err)
@@ -197,6 +232,23 @@ func TestReopenWithOtherShardCountRefused(t *testing.T) {
 	if s, err := open(2); err == nil {
 		s.Close()
 		t.Fatal("an unparseable SERVICE.json was accepted")
+	}
+
+	mfs = vfs.NewMemFS()
+	shardFS[0] = vfs.NewMemFS()
+	if s, err = open(1); err != nil {
+		t.Fatal(err)
+	}
+	fill(s)
+	if err := writeFile(mfs, ManifestName, []byte(`{"version": 1, "shards": 1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = open(1); err != nil {
+		t.Fatalf("reopen a version-1 single-shard directory: %v", err)
+	}
+	readBack(s)
+	if m, err := ReadManifest(mfs); err != nil || m.Version != manifestVersion {
+		t.Fatalf("manifest after reopen: version %d, %v; want %d", m.Version, err, manifestVersion)
 	}
 }
 
