@@ -387,7 +387,7 @@ func (s ServiceSession) run(load serviceLoad) (ServiceResult, error) {
 		for i := range nodes {
 			nodes[i] = clients + i
 		}
-		front = svc.NewFront(service, r.cluster.Fabric(), nodes)
+		front = svc.NewFront(service, r.cluster.Fabric(), nodes, svc.FrontOptions{})
 		return nil
 	})
 	if err := r.run(); err != nil {

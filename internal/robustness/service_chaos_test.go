@@ -61,7 +61,7 @@ type chaosTenant struct {
 	beforeOp func()
 }
 
-func (ct *chaosTenant) run(tn *svc.Tenant, steps, blocks int, pause func()) {
+func (ct *chaosTenant) run(tn *svc.Client, steps, blocks int, pause func()) {
 	for step := 0; step < steps; step++ {
 		for b := 0; b < blocks; b++ {
 			if !ct.retry(func() error {
@@ -265,7 +265,7 @@ func TestServiceChaosPartitionMidCommit(t *testing.T) {
 		// The deadline sits well above steady-state op latency (a
 		// barrier apply spends tens of virtual ms in pfs I/O) but still
 		// bounds a request wedged behind the partition.
-		front = svc.NewFrontOpts(s, cluster.Fabric(), shardNodes, svc.FrontOptions{
+		front = svc.NewFront(s, cluster.Fabric(), shardNodes, svc.FrontOptions{
 			RequestTimeout: 400 * time.Millisecond,
 		})
 	})

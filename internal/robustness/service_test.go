@@ -71,7 +71,7 @@ func newSvcHarness(t *testing.T, shards int, adm svc.AdmissionConfig) *svcHarnes
 		for i := range nodes {
 			nodes[i] = svcTenants + i
 		}
-		h.front = svc.NewFront(h.s, h.cluster.Fabric(), nodes)
+		h.front = svc.NewFront(h.s, h.cluster.Fabric(), nodes, svc.FrontOptions{})
 	})
 	if runErr := h.k.Run(); runErr != nil {
 		t.Fatalf("setup run: %v", runErr)

@@ -150,7 +150,7 @@ func TestTransportsAgree(t *testing.T) {
 		if s == nil {
 			return
 		}
-		f := NewFront(s, netsim.New(k, netsim.DefaultConfig(4)), []int{2, 3})
+		f := NewFront(s, netsim.New(k, netsim.DefaultConfig(4)), []int{2, 3}, FrontOptions{})
 		fabric = agreementScript(s, f.Connect("app", 0), f.Connect("greedy", 1))
 	})
 	if err := k.Run(); err != nil {

@@ -167,16 +167,11 @@ type timeoutSentinel struct{}
 // decode/dispatch.
 const frontOpCost = 3 * time.Microsecond
 
-// NewFront starts shard server processes over fabric with default
-// options, one per entry of shardNodes, which maps shard index to
-// fabric endpoint and must cover every shard. Requires a service
-// running inside the simulator.
-func NewFront(s *Service, fabric *netsim.Fabric, shardNodes []int) *Front {
-	return NewFrontOpts(s, fabric, shardNodes, FrontOptions{})
-}
-
-// NewFrontOpts is NewFront with explicit fault-handling options.
-func NewFrontOpts(s *Service, fabric *netsim.Fabric, shardNodes []int, opts FrontOptions) *Front {
+// NewFront starts shard server processes over fabric, one per entry
+// of shardNodes, which maps shard index to fabric endpoint and must
+// cover every shard. The zero FrontOptions means the defaults. Requires
+// a service running inside the simulator.
+func NewFront(s *Service, fabric *netsim.Fabric, shardNodes []int, opts FrontOptions) *Front {
 	if s.kern == nil {
 		panic("svc: NewFront requires a simulator-mode service")
 	}

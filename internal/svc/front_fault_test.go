@@ -48,7 +48,7 @@ func newFaultFront(t *testing.T, k *sim.Kernel, shards int, fo FrontOptions, sup
 	for i := range nodes {
 		nodes[i] = 1 + i
 	}
-	return s, NewFrontOpts(s, fabric, nodes, fo), plan
+	return s, NewFront(s, fabric, nodes, fo), plan
 }
 
 // TestFrontDropHedgedRetry: the fault plan eats the first request

@@ -47,7 +47,7 @@ func newSimService(t *testing.T, k *sim.Kernel, shards, clients int, adm Admissi
 	for i := range nodes {
 		nodes[i] = clients + i
 	}
-	return s, NewFront(s, fabric, nodes)
+	return s, NewFront(s, fabric, nodes, FrontOptions{})
 }
 
 func TestFrontBasic(t *testing.T) {
@@ -183,7 +183,7 @@ func TestFrontErrorClassRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f := NewFront(s, fabric, []int{1})
+		f := NewFront(s, fabric, []int{1}, FrontOptions{})
 		c := f.Connect("app", 0)
 		if err := c.Put("k", []byte("v")); err != nil {
 			t.Fatal(err)
