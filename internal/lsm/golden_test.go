@@ -66,6 +66,70 @@ func TestCompactionTablesMatchGolden(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	checkGolden(t, fs, "testdata/compaction.sha256", *updateGolden)
+}
+
+// TestValueCompactionTablesMatchGolden pins what a merge writes for values
+// of about a block and more, which a snappy store keeps one to a block. A
+// seeded program puts compressible values of 1 B to 20 KiB under 200 keys,
+// so later puts overwrite earlier ones; it flushes every 100 puts and
+// merges everything every fourth flush, so blocks of one value are merged
+// again and again, some after a smaller entry began the output's block and
+// some shadowed by a newer value. The tables must match
+// testdata/compaction-value.sha256 with the table build inline and with
+// four encode workers: nothing merges but CompactAll, so neither the
+// schedule nor the file numbers depend on timing.
+func TestValueCompactionTablesMatchGolden(t *testing.T) {
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			fs := vfs.NewMemFS()
+			db := openTestDB(t, fs, func(o *Options) {
+				o.EncodeWorkers = workers
+				o.DisableCompaction = true // only CompactAll merges
+				o.WriteBufferSize = 64 << 20
+			})
+			runValueProgram(t, db, db.CompactAll)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, fs, "testdata/compaction-value.sha256", *updateGolden && workers == 0)
+		})
+	}
+}
+
+// runValueProgram is the program of TestValueCompactionTablesMatchGolden,
+// with compact standing for each of its merges.
+func runValueProgram(t *testing.T, db *DB, compact func() error) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(50))
+	for i := 1; i <= 1500; i++ {
+		v := make([]byte, 1+rng.Intn(20<<10))
+		for off := 0; off < len(v); off += 128 {
+			rng.Read(v[off:min(off+64, len(v))])
+			copy(v[min(off+64, len(v)):], v[off:min(off+64, len(v))])
+		}
+		if err := db.Put(fmt.Appendf(nil, "val/%04d", rng.Intn(200)), v); err != nil {
+			t.Fatal(err)
+		}
+		if i%100 != 0 {
+			continue
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if i%400 == 0 || i == 1500 {
+			if err := compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// checkGolden compares the SHA-256 of every table in fs's store "db", and
+// of the entries each decodes to, with the golden file, after writing it
+// from them when update is set.
+func checkGolden(t *testing.T, fs vfs.FS, golden string, update bool) {
+	t.Helper()
 	names, err := fs.List("db")
 	if err != nil {
 		t.Fatal(err)
@@ -88,8 +152,7 @@ func TestCompactionTablesMatchGolden(t *testing.T) {
 		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(data), name)
 		fmt.Fprintf(&got, "%x  %s entries\n", entriesDigest(t, fs, "db/"+name), name)
 	}
-	const golden = "testdata/compaction.sha256"
-	if *updateGolden {
+	if update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
