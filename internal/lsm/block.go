@@ -148,6 +148,7 @@ func entriesLen(raw []byte) (n int, ok bool) {
 // blockIterator walks a block's entries in order.
 type blockIterator struct {
 	b     *block
+	start int // offset of the current entry
 	off   int // offset of the NEXT entry to decode
 	key   []byte
 	value []byte
@@ -164,6 +165,7 @@ func (it *blockIterator) decodeNext() bool {
 		it.valid = false
 		return false
 	}
+	it.start = it.off
 	data := it.b.data[it.off:]
 	shared, n1 := binary.Uvarint(data)
 	if n1 <= 0 {

@@ -13,7 +13,7 @@ import (
 	"lsmio/internal/vfs"
 )
 
-func openTestDB(t *testing.T, fs vfs.FS, mutate func(*Options)) *DB {
+func openTestDB(t testing.TB, fs vfs.FS, mutate func(*Options)) *DB {
 	t.Helper()
 	opts := DefaultOptions(fs)
 	if mutate != nil {

@@ -54,6 +54,16 @@ type dbMetrics struct {
 	cacheMisses *obs.Counter
 
 	trace *obs.Trace
+	scope obs.Scope
+}
+
+// forwardedBlocks counts the data blocks merges placed as they read them
+// (tableWriter.forward). Unlike the other instruments it is created at
+// the first such block, not at Open: a store that never forwards one
+// (blocks stored raw, no compaction, every simulated figure) snapshots
+// without it.
+func (m *dbMetrics) forwardedBlocks() *obs.Counter {
+	return m.scope.Counter("compaction.forwarded_blocks")
 }
 
 // discardMetrics backs standalone tableWriters (repair, direct test
@@ -102,5 +112,6 @@ func newDBMetrics(reg *obs.Registry) dbMetrics {
 		cacheMisses: s.Counter("cache.misses"),
 
 		trace: s.Trace(),
+		scope: s,
 	}
 }

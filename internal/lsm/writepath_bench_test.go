@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -195,5 +196,74 @@ func TestCompactionAllocationRatchet(t *testing.T) {
 	t.Logf("%d tables x %d values: the merge allocated %.3f times what decoding its input does", tables, count, got/floor)
 	if got > limit*floor {
 		t.Errorf("the merge allocated %.3f times what decoding its input does, limit %.2f: a per-block buffer is back", got/floor, limit)
+	}
+}
+
+// mergeFS is a MemFS whose table files drop what is written to them once
+// discard is set: the inputs of a merge are kept, its outputs are not, so
+// that what is measured is the merge and not the growth of an in-memory
+// file.
+type mergeFS struct {
+	vfs.FS
+	discard bool
+}
+
+func (fs *mergeFS) Create(name string) (vfs.File, error) {
+	f, err := fs.FS.Create(name)
+	if err == nil && fs.discard && strings.HasSuffix(name, ".sst") {
+		f = discardFile{f}
+	}
+	return f, err
+}
+
+// BenchmarkCompactionMerge times one merge of four L0 tables, each the
+// flush of a 4 MiB memtable, into L1, on the ckpt-smallobj configuration:
+// snappy, 4 KiB blocks, the block cache on, compressible objects of 4 to
+// 64 KiB (every 64 random bytes followed by their copy). The tables are
+// read from MemFS, their keys interleave, and the output is discarded
+// (mergeFS). MB/s is of value bytes merged.
+func BenchmarkCompactionMerge(b *testing.B) {
+	const tables, tableBytes = 4, 4 << 20
+	rng := rand.New(rand.NewSource(18))
+	var values [][]byte
+	var total int64
+	for total < tableBytes {
+		v := make([]byte, 4<<10+rng.Intn(60<<10))
+		for off := 0; off < len(v); off += 128 {
+			rng.Read(v[off:min(off+64, len(v))])
+			copy(v[min(off+64, len(v)):], v[off:min(off+64, len(v))])
+		}
+		values = append(values, v)
+		total += int64(len(v))
+	}
+	b.SetBytes(tables * total)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fs := &mergeFS{FS: vfs.NewMemFS()}
+		db := openTestDB(b, fs, func(o *Options) {
+			o.DisableCompaction = true // nothing merges before CompactAll
+			o.WriteBufferSize = 2 * tableBytes
+		})
+		for r := 0; r < tables; r++ {
+			for k, v := range values {
+				if err := db.Put(fmt.Appendf(nil, "obj/%05d/%d", k, r), v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		fs.discard = true
+		b.StartTimer()
+		if err := db.CompactAll(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

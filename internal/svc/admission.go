@@ -233,22 +233,20 @@ func burstOr(cfg, rate, min float64) float64 {
 // QuotaError when the delay would exceed MaxWait. Counters are charged
 // on admission (the request will run); rejects are counted separately.
 func (a *admission) admit(ts *tenantState, nBytes int) (time.Duration, error) {
+	var wait time.Duration
 	a.mu.Lock()
+	if !a.cfg.Disabled {
+		now := a.reg.Now()
+		wait = ts.bytesB.need(now, float64(nBytes))
+		if wait > a.cfg.MaxWait {
+			ts.rejects.Inc()
+			a.mu.Unlock()
+			return 0, &QuotaError{Tenant: ts.name, RetryAfter: wait}
+		}
+		ts.bytesB.commit(now, float64(nBytes))
+	}
 	ts.ops.Inc()
 	ts.bytesIn.Add(int64(nBytes))
-	if a.cfg.Disabled {
-		a.mu.Unlock()
-		ts.admWait.Observe(0)
-		return 0, nil
-	}
-	now := a.reg.Now()
-	wait := ts.bytesB.need(now, float64(nBytes))
-	if wait > a.cfg.MaxWait {
-		ts.rejects.Inc()
-		a.mu.Unlock()
-		return 0, &QuotaError{Tenant: ts.name, RetryAfter: wait}
-	}
-	ts.bytesB.commit(now, float64(nBytes))
 	a.mu.Unlock()
 	ts.admWait.ObserveDuration(wait)
 	return wait, nil

@@ -331,6 +331,44 @@ func TestQuotaExhaustion(t *testing.T) {
 	}
 }
 
+// TestQuotaRejectChargesNothing: a request admission rejects does not
+// run, so it adds one to its tenant's quota_rejects and nothing to its
+// ops or bytes_in.
+func TestQuotaRejectChargesNothing(t *testing.T) {
+	s := newLocalService(t, 1, AdmissionConfig{
+		CapacityBytesPerSec: 1 << 20,
+		MaxWait:             20 * time.Millisecond,
+	}, nil)
+	defer s.Close()
+	if _, err := s.RegisterTenant("greedy", TenantConfig{Weight: 1, BurstBytes: 64 << 10}); err != nil {
+		t.Fatal(err)
+	}
+	tn := s.Tenant("greedy")
+	counter := func(name string) int64 { return s.reg.Counter("svc.tenant.greedy." + name).Load() }
+	var qe *QuotaError
+	for i := 0; i < 64 && qe == nil; i++ {
+		ops, in, rejects := counter("ops"), counter("bytes_in"), counter("quota_rejects")
+		err := tn.Put(fmt.Sprintf("k%d", i), make([]byte, 32<<10))
+		if !errors.As(err, &qe) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counter("ops") != ops+1 || counter("bytes_in") != in+32<<10 || counter("quota_rejects") != rejects {
+				t.Fatalf("admitted put %d: ops %d -> %d, bytes_in %d -> %d, quota_rejects %d -> %d",
+					i, ops, counter("ops"), in, counter("bytes_in"), rejects, counter("quota_rejects"))
+			}
+			continue
+		}
+		if counter("ops") != ops || counter("bytes_in") != in || counter("quota_rejects") != rejects+1 {
+			t.Fatalf("rejected put %d: ops %d -> %d, bytes_in %d -> %d, quota_rejects %d -> %d",
+				i, ops, counter("ops"), in, counter("bytes_in"), rejects, counter("quota_rejects"))
+		}
+	}
+	if qe == nil {
+		t.Fatal("quota never exhausted")
+	}
+}
+
 // TestFairShareWeights verifies the admission math directly: with a
 // shared capacity, a weight-3 tenant gets three times the byte rate of
 // a weight-1 tenant.
