@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
@@ -165,4 +166,51 @@ func TestApplyConsumesCohortBatches(t *testing.T) {
 			}
 		}
 	}
+}
+
+// With the WAL off there is no log record to take a copy, so DB.Put,
+// Batch.Put and Batch.PutCRC are what keep an acknowledged value apart
+// from the caller's slices: they copy on a store without a WAL too.
+// Only DB.PutCRC keeps the caller's value there, under its own stated
+// contract.
+func TestWALOffPutAndApplyCopy(t *testing.T) {
+	const keys = 8
+	db, err := Open("db", CheckpointOptions(vfs.NewMemFS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// Round 0 through DB.Put, each slice scribbled once Put returns.
+	for i := 0; i < keys; i++ {
+		key, val := []byte(fmt.Sprintf("own-0-%02d", i)), ownedValue(0, i)
+		if err := db.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+		clear(key)
+		clear(val)
+	}
+	// Round 1 queued with Batch.PutCRC and Batch.Put, scribbled once
+	// Apply returns.
+	b := NewBatch()
+	var queued [][]byte
+	for i := 0; i < keys; i++ {
+		key, val := []byte(fmt.Sprintf("own-1-%02d", i)), ownedValue(1, i)
+		if i%2 == 0 {
+			b.PutCRC(key, val, crc32.Checksum(val, crcTable))
+		} else {
+			b.Put(key, val)
+		}
+		queued = append(queued, key, val)
+	}
+	if err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range queued {
+		clear(s)
+	}
+	checkOwned(t, db, "memtable", 2, keys)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkOwned(t, db, "after Flush", 2, keys)
 }

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"testing"
 
 	"lsmio/internal/vfs"
@@ -127,4 +128,55 @@ func TestReadValuesAreTheCallers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMemtableGetOutlivesThePutBuffer: a value Get or OwnValue returned
+// from the memtable stays what was put when the writer's buffer changes
+// afterwards, here once the flush that wrote it has returned, which is
+// when a writer of DB.PutCRC on a store without a WAL may change it.
+func TestMemtableGetOutlivesThePutBuffer(t *testing.T) {
+	const keys = 24
+	db, err := Open("db", CheckpointOptions(vfs.NewMemFS()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	var bufs [][]byte
+	for i := 0; i < keys; i++ {
+		v := readValue(i)
+		if err := db.PutCRC(readKey(i), v, crc32.Checksum(v, crcTable)); err != nil {
+			t.Fatal(err)
+		}
+		bufs = append(bufs, v)
+	}
+	var got, scanned [][]byte
+	for i := 0; i < keys; i++ {
+		v, err := db.Get(readKey(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v)
+	}
+	it, err := db.NewIterator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		scanned = append(scanned, it.OwnValue())
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range bufs {
+		scribble(v)
+	}
+	for i := 0; i < keys; i++ {
+		if !bytes.Equal(got[i], readValue(i)) || !bytes.Equal(scanned[i], readValue(i)) {
+			t.Fatalf("key %d: Get and scan results changed with the put buffer", i)
+		}
+	}
+	checkReads(t, db, "table, put buffers scribbled", keys)
 }
