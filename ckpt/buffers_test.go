@@ -101,47 +101,56 @@ func TestBuffersAreTheCallersAfterCommit(t *testing.T) {
 }
 
 // TestBufferChangedBeforeCommit breaks the contract on purpose: a
-// buffer changes between its Write and the Commit. Whatever the store
-// keeps, the changed bytes never read back as the committed variable.
-// A value of a block or more and a value that shares its block are
-// both tried.
+// buffer changes between its Write and the Commit. The changed bytes
+// never read back as the committed variable. With the WAL off the store
+// kept the buffer, so the step reads as corrupt (a value of a block or
+// more fails its block's check, which holds the CRC Write computed; a
+// smaller one fails the manifest's CRC) and Restore falls back. With the
+// WAL on the store copied the bytes Write saw, and those read back.
 func TestBufferChangedBeforeCommit(t *testing.T) {
-	for _, n := range []int{100, 96 << 10} {
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			s, mgr := newStore(t, 0)
-			defer mgr.Close()
-			rng := rand.New(rand.NewSource(int64(n)))
-			good, data := make([]byte, n), make([]byte, n)
-			rng.Read(good)
-			rng.Read(data)
-			written := bytes.Clone(data)
-			commitStep(t, s, 1, good)
-			c, err := s.Begin(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Write("state", data); err != nil {
-				t.Fatal(err)
-			}
-			flip(data)
-			if err := c.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			got, err := s.Read(2, "state")
-			switch {
-			case errors.Is(err, ErrCorrupt):
-			case err != nil:
-				t.Fatalf("Read = %v, want ErrCorrupt or the bytes Write saw", err)
-			case !bytes.Equal(got, written):
-				t.Fatalf("Read returned %d bytes that are not the bytes Write saw", len(got))
-			}
-			step, state, _, err := s.Restore(RestoreOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if step == 2 && !bytes.Equal(state["state"], written) || step == 1 && !bytes.Equal(state["state"], good) {
-				t.Fatalf("Restore = step %d with bytes that are not that step's", step)
-			}
-		})
+	for _, backend := range []core.Backend{core.BackendRocks, core.BackendLevel} {
+		for _, n := range []int{100, 96 << 10} {
+			t.Run(fmt.Sprintf("%s/%d", backend, n), func(t *testing.T) {
+				mgr, err := core.NewManager("app", core.ManagerOptions{
+					Store: core.StoreOptions{Backend: backend, FS: vfs.NewMemFS(), WriteBufferSize: 64 << 10},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mgr.Close()
+				s := New(mgr, Options{})
+				rng := rand.New(rand.NewSource(int64(n)))
+				good, data := make([]byte, n), make([]byte, n)
+				rng.Read(good)
+				rng.Read(data)
+				written := bytes.Clone(data)
+				commitStep(t, s, 1, good)
+				c, err := s.Begin(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Write("state", data); err != nil {
+					t.Fatal(err)
+				}
+				flip(data)
+				if err := c.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Read(2, "state")
+				if backend == core.BackendLevel {
+					if err != nil || !bytes.Equal(got, written) {
+						t.Fatalf("Read = %d bytes, %v; want the bytes Write saw", len(got), err)
+					}
+					return
+				}
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("Read = %d bytes, %v; want ErrCorrupt", len(got), err)
+				}
+				if _, err := s.ReadAll(2); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("ReadAll = %v, want ErrCorrupt", err)
+				}
+				checkFallsBack(t, s, good)
+			})
+		}
 	}
 }

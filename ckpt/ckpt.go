@@ -160,6 +160,14 @@ func (s *Store) Begin(step int64) (*Checkpoint, error) {
 // Write checksums data once, with CRC-32C: the manifest records that
 // CRC, and the engine uses it for the checksum of the table block that
 // holds the variable instead of reading the bytes again.
+//
+// data must not change until Commit or Abort returns: with the WAL off
+// (the paper's configuration) the store keeps data itself, not a copy,
+// until the barrier that writes it (core.Manager.PutCRC). After a failed
+// Commit the store may still hold data, and Abort is what releases it:
+// data stays unchanged until Abort has returned nil. A buffer changed
+// too early makes the step read as ErrCorrupt, never as bytes Write did
+// not see.
 func (c *Checkpoint) Write(name string, data []byte) error {
 	if c.committed {
 		return fmt.Errorf("ckpt: write after commit")

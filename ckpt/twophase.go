@@ -12,7 +12,8 @@ package ckpt
 // Writer is the per-step write handle shared by both commit disciplines.
 // *Checkpoint satisfies it.
 type Writer interface {
-	// Write stores one named variable in the step.
+	// Write stores one named variable in the step. data must not
+	// change until Commit or Abort returns (Checkpoint.Write).
 	Write(name string, data []byte) error
 	// Commit acknowledges the step at the implementation's first
 	// durability phase: fully durable for a direct store,

@@ -178,7 +178,9 @@ func (t *Tier) Begin(step int64) (*Checkpoint, error) {
 	return &Checkpoint{t: t, inner: inner, step: step}, nil
 }
 
-// Write stores one named variable in the staged checkpoint.
+// Write stores one named variable in the staged checkpoint. data must
+// not change until Commit or Abort returns (ckpt.Checkpoint.Write); the
+// drain writes the step again from what it reads back, not from data.
 func (c *Checkpoint) Write(name string, data []byte) error {
 	if err := c.inner.Write(name, data); err != nil {
 		return err

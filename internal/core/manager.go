@@ -168,7 +168,9 @@ func (m *Manager) PutSync(key string, value []byte) error {
 // PutCRC is Put for a caller that has computed value's CRC-32C
 // (crc32.Castagnoli): the engine uses crc for the checksum of the table
 // block that holds the value instead of reading the value again
-// (Store.PutCRC).
+// (Store.PutCRC). value must not change until a WriteBarrier or
+// DeletePrefix called after PutCRC returned has returned nil: with the
+// WAL off the store writes the table from the caller's slice.
 func (m *Manager) PutCRC(key string, value []byte, crc uint32) error {
 	start := m.reg.Now()
 	m.rt.Compute(putCost(len(value)))

@@ -74,6 +74,11 @@ type Store interface {
 	// folds into the checksum of a table block holding the value instead
 	// of reading the value again (lsm.Batch.PutCRC). A crc that is not
 	// the value's makes the value read back as lsm.ErrCorruption.
+	//
+	// value must not change until a WriteBarrier or DeletePrefix called
+	// after PutCRC returned has returned nil: a store without a WAL keeps
+	// the caller's slice until the flush that writes it
+	// (lsm.DB.PutCRC). A failed one leaves value in use.
 	PutCRC(key string, value []byte, crc uint32) error
 	// Append extends key's existing value (creating it if absent).
 	Append(key string, value []byte, sync bool) error

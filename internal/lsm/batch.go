@@ -15,11 +15,13 @@ import (
 // (§3.1.2): entries accumulate in the batch and hit the engine only on a
 // barrier.
 //
-// Ownership: Put and Delete copy key and value into the batch's buffer,
-// so the caller may reuse its own slices as soon as they return. That is
-// the only copy the engine makes of a value on the way in: DB.Apply hands
-// the buffer itself to the memtable and leaves the batch empty, so a
-// later Put or Reset on the same Batch starts a fresh buffer.
+// Ownership: Put, PutCRC and Delete copy key and value into the batch's
+// buffer, so the caller may reuse its own slices as soon as they return.
+// That is the only copy the engine makes of a value on the way in:
+// DB.Apply hands the buffer itself to the memtable and leaves the batch
+// empty, so a later Put or Reset on the same Batch starts a fresh buffer.
+// The one batch that copies no value is the one DB.PutCRC builds on a
+// store without a WAL (putRef): its value stays in the caller's buffer.
 //
 // A value put with PutCRC carries its CRC-32C out of band, in sums: not
 // in the wire encoding, so the WAL never sees it and replay has none.
@@ -30,6 +32,9 @@ type Batch struct {
 	// one holds the first sum, so a batch of one put (DB.PutCRC)
 	// allocates nothing for it.
 	one [1]opSum
+	// ref is the value of the batch's last put when putRef queued it:
+	// data ends with that put's value length, not its bytes.
+	ref []byte
 }
 
 // opSum is the CRC-32C a caller gave for the value of the batch's
@@ -67,6 +72,24 @@ func (b *Batch) Put(key, value []byte) { b.put(key, value, noSum) }
 func (b *Batch) PutCRC(key, value []byte, crc uint32) { b.put(key, value, sumOf(crc)) }
 
 func (b *Batch) put(key, value []byte, sum valueSum) {
+	b.putHeader(key, len(value), sum)
+	// In a fresh batch this append outgrows the header-sized buffer, so
+	// the value is copied exactly once, into a buffer of just its size.
+	b.data = append(b.data, value...)
+}
+
+// putRef is put for the one put of a batch, without the copy: the batch
+// keeps value where it is, and the memtable takes the caller's slice.
+// The batch has no wire encoding of the value then, so only a store
+// without a WAL uses it (DB.PutCRC).
+func (b *Batch) putRef(key, value []byte, sum valueSum) {
+	b.putHeader(key, len(value), sum)
+	b.ref = value[:len(value):len(value)]
+}
+
+// putHeader queues a put's sum and everything of its entry but the
+// value's bytes.
+func (b *Batch) putHeader(key []byte, valueLen int, sum valueSum) {
 	if crc, ok := sum.crc(); ok {
 		if b.sums == nil {
 			b.sums = b.one[:0]
@@ -74,10 +97,7 @@ func (b *Batch) put(key, value []byte, sum valueSum) {
 		b.sums = append(b.sums, opSum{op: b.count, crc: crc})
 	}
 	b.appendKey(kindValue, key)
-	b.data = binary.AppendUvarint(b.data, uint64(len(value)))
-	// In a fresh batch this append outgrows the header-sized buffer, so
-	// the value is copied exactly once, into a buffer of just its size.
-	b.data = append(b.data, value...)
+	b.data = binary.AppendUvarint(b.data, uint64(valueLen))
 }
 
 // Delete queues a deletion.
@@ -101,7 +121,7 @@ func (b *Batch) appendKey(kind keyKind, key []byte) {
 func (b *Batch) Count() int { return int(b.count) }
 
 // Size returns the encoded size in bytes.
-func (b *Batch) Size() int { return max(len(b.data), batchHeaderLen) }
+func (b *Batch) Size() int { return max(len(b.data), batchHeaderLen) + len(b.ref) }
 
 // Bytes returns n bytes of the encoding starting at off, valid until the
 // batch is next modified or applied. The value of the most recent Put is
@@ -112,12 +132,12 @@ func (b *Batch) Bytes(off, n int) []byte { return b.data[off : off+n : off+n] }
 func (b *Batch) Reset() {
 	b.data = b.data[:min(len(b.data), batchHeaderLen)]
 	clear(b.data)
-	b.count, b.sums = 0, b.sums[:0]
+	b.count, b.sums, b.ref = 0, b.sums[:0], nil
 }
 
 // release gives up the buffer, which now belongs to the memtable. The
 // sums were copied into its entries, so their slice stays for reuse.
-func (b *Batch) release() { b.data, b.count, b.sums = nil, 0, b.sums[:0] }
+func (b *Batch) release() { b.data, b.count, b.sums, b.ref = nil, 0, b.sums[:0], nil }
 
 // setSeq stamps the starting sequence number before application/logging.
 func (b *Batch) setSeq(seq seqNum) {
@@ -129,7 +149,8 @@ func (b *Batch) seq() seqNum { return seqNum(binary.LittleEndian.Uint64(b.data[:
 
 // forEach decodes the batch, calling fn for every operation with the
 // operation's own sequence number and its value's sum. key and value
-// are slices of the batch's buffer.
+// are slices of the batch's buffer, except a value putRef kept where
+// its caller has it.
 func (b *Batch) forEach(fn func(seq seqNum, kind keyKind, key, value []byte, sum valueSum) error) error {
 	if len(b.data) < batchHeaderLen {
 		return fmt.Errorf("lsm: batch too short")
@@ -154,13 +175,17 @@ func (b *Batch) forEach(fn func(seq seqNum, kind keyKind, key, value []byte, sum
 		sum := noSum
 		if kind == kindValue {
 			valLen, n := binary.Uvarint(p)
-			if n <= 0 || uint64(len(p)-n) < valLen {
+			switch {
+			case b.ref != nil && i == count-1:
+				value = b.ref // the last op: p is not read again
+			case n <= 0 || uint64(len(p)-n) < valLen:
 				return fmt.Errorf("lsm: batch: bad value at op %d", i)
+			default:
+				// Capped: the memtable keeps this slice and Get returns it, and
+				// an append by that caller must not reach the next entry.
+				value = p[n : n+int(valLen) : n+int(valLen)]
+				p = p[n+int(valLen):]
 			}
-			// Capped: the memtable keeps this slice and Get returns it, and
-			// an append by that caller must not reach the next entry.
-			value = p[n : n+int(valLen) : n+int(valLen)]
-			p = p[n+int(valLen):]
 			if len(sums) > 0 && sums[0].op == i {
 				sum, sums = sumOf(sums[0].crc), sums[1:]
 			}

@@ -268,9 +268,22 @@ func (db *DB) newWAL() error {
 // Put writes a key/value pair.
 func (db *DB) Put(key, value []byte) error { return db.put(key, value, noSum) }
 
-// PutCRC is Put with the value's CRC-32C, crc (Batch.PutCRC).
+// PutCRC is Put with the value's CRC-32C, crc (Batch.PutCRC). With the
+// WAL on, the log record is the copy, as for Put. With the WAL off
+// (Options.DisableWAL) nothing copies value: the memtable keeps the
+// caller's slice and the flush writes the table from it, so value must
+// not change until a Flush or DeletePrefix called after PutCRC returned
+// has returned nil; after a failed one it is still in use. Get and
+// Iterator.OwnValue hand out copies, which stay as they were; an
+// Iterator opened before that flush reads the slice itself until it is
+// closed.
 func (db *DB) PutCRC(key, value []byte, crc uint32) error {
-	return db.put(key, value, sumOf(crc))
+	if !db.opts.DisableWAL {
+		return db.put(key, value, sumOf(crc))
+	}
+	b := NewBatch()
+	b.putRef(key, value, sumOf(crc))
+	return db.Apply(b)
 }
 
 func (db *DB) put(key, value []byte, sum valueSum) error {
@@ -305,8 +318,8 @@ type pendingWrite struct {
 // memtable takes over the batch's buffer instead of copying every value
 // out of it, so when Apply returns — with or without an error — b is
 // empty, and whatever the caller queues on it next goes into a new
-// buffer. Nothing the caller passed to Put or Delete is referenced: those
-// were copied into the batch when they were queued.
+// buffer. Nothing the caller passed to Put, PutCRC or Delete is
+// referenced: those were copied into the batch when they were queued.
 //
 // Writes go through a LevelDB-style writer queue: each caller enqueues
 // its batch and waits until either a leader has committed it (a cohort

@@ -121,9 +121,12 @@ func (m *memtable) newNode(seq seqNum, kind keyKind, userKey []byte, h int) *ski
 
 // add inserts an entry. Keys are unique per (userKey, seq, kind) because
 // the sequence number increases on every write. userKey is copied; value
-// is kept as passed, so it must never change afterwards — in practice it
-// is a slice of the batch buffer the DB took over in Apply. sum goes to
-// the flush with the value.
+// is kept as passed, so it must not change while the memtable can still
+// be read or flushed. It is a slice of the batch buffer the DB took over
+// in Apply, of a replayed log record, or, for DB.PutCRC on a store
+// without a WAL, the caller's own slice, which that caller keeps
+// unchanged until the flush that writes it has returned. sum goes to the
+// flush with the value.
 func (m *memtable) add(seq seqNum, kind keyKind, userKey, value []byte, sum valueSum) {
 	h := m.randomHeight()
 	n := m.newNode(seq, kind, userKey, h)
