@@ -119,15 +119,20 @@ perf-smoke:
 		{ echo "perf-smoke: the round failed or its last line does not report \"correct\":true" >&2; exit 1; }
 
 # Paired wall-clock comparison against a base revision: BASE is checked
-# out as a git worktree under .bench_scratch/, and N rounds of WORKLOAD
-# run in each tree, alternating, with the order swapped every pair. Prints
-# both medians and IQRs, the ratio, the pairs won and a verdict against
-# the bound of every end-to-end metric in BENCHMARK.json. Manual: a pair
-# of 20 s rounds takes about a minute.
+# out as a git worktree under .bench_scratch/, and N rounds run in each
+# tree, alternating, with the order swapped every pair. A round is one
+# run of WORKLOAD, or of the Go benchmarks matching BENCH in PKG (default
+# every package; BENCHTIME is go test's -benchtime) from test binaries
+# built once per tree. Prints both medians and IQRs, the ratio, the pairs
+# won and a verdict for every end-to-end metric in BENCHMARK.json (against
+# its bound) or every unit the benchmarks report. Manual: a pair of 20 s
+# workload rounds takes about a minute.
 N ?= 10
+PKG ?= ./...
 pairs:
-	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)" ] || { echo "usage: make pairs BASE=<rev> WORKLOAD=<name> [N=10]" >&2; exit 2; }
-	$(GO) run ./cmd/benchpairs -base $(BASE) -workload $(WORKLOAD) -n $(N)
+	@[ -n "$(BASE)" ] && [ -n "$(WORKLOAD)$(BENCH)" ] || { echo "usage: make pairs BASE=<rev> WORKLOAD=<name> [N=10]" >&2; \
+		echo "       make pairs BASE=<rev> BENCH=<regexp> [PKG=<packages>] [BENCHTIME=<t>] [N=10]" >&2; exit 2; }
+	$(GO) run ./cmd/benchpairs -base $(BASE) $(if $(BENCH),-bench '$(BENCH)' -pkg '$(PKG)' -benchtime '$(BENCHTIME)',-workload $(WORKLOAD)) -n $(N)
 
 # Size of the program, counted one way for every change: non-test Go
 # lines outside benchmark/, in total, per top-level directory and per
