@@ -195,7 +195,8 @@ func (it *Iterator) Valid() bool { return it.valid }
 func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the current value where it lies, without a copy: in the
-// memtable or in a block the iterator read. It is read-only and valid
+// memtable (for a DB.PutCRC value on a store without a WAL, the writer's
+// own buffer) or in a block the iterator read. It is read-only and valid
 // until the next positioning call. OwnValue is the form to keep.
 func (it *Iterator) Value() []byte { return it.value }
 
