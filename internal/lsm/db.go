@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"lsmio/internal/iosched"
@@ -265,8 +266,18 @@ func (db *DB) newWAL() error {
 	return nil
 }
 
+// oneOps holds the Batch structs of Put, PutCRC and Delete between calls.
+// Apply gives a batch's buffer to the memtable and leaves the batch
+// empty, so only the struct is reused, never the bytes of a value.
+var oneOps = sync.Pool{New: func() any { return NewBatch() }}
+
 // Put writes a key/value pair.
-func (db *DB) Put(key, value []byte) error { return db.put(key, value, noSum) }
+func (db *DB) Put(key, value []byte) error {
+	b := oneOps.Get().(*Batch)
+	defer oneOps.Put(b)
+	b.Put(key, value)
+	return db.Apply(b)
+}
 
 // PutCRC is Put with the value's CRC-32C, crc (Batch.PutCRC). With the
 // WAL on, the log record is the copy, as for Put. With the WAL off
@@ -278,23 +289,20 @@ func (db *DB) Put(key, value []byte) error { return db.put(key, value, noSum) }
 // Iterator opened before that flush reads the slice itself until it is
 // closed.
 func (db *DB) PutCRC(key, value []byte, crc uint32) error {
-	if !db.opts.DisableWAL {
-		return db.put(key, value, sumOf(crc))
+	b := oneOps.Get().(*Batch)
+	defer oneOps.Put(b)
+	if db.opts.DisableWAL {
+		b.putRef(key, value, sumOf(crc))
+	} else {
+		b.PutCRC(key, value, crc)
 	}
-	b := NewBatch()
-	b.putRef(key, value, sumOf(crc))
-	return db.Apply(b)
-}
-
-func (db *DB) put(key, value []byte, sum valueSum) error {
-	b := NewBatch()
-	b.put(key, value, sum)
 	return db.Apply(b)
 }
 
 // Delete removes a key.
 func (db *DB) Delete(key []byte) error {
-	b := NewBatch()
+	b := oneOps.Get().(*Batch)
+	defer oneOps.Put(b)
 	b.Delete(key)
 	return db.Apply(b)
 }
