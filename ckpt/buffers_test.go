@@ -15,8 +15,9 @@ import (
 // Abort returns. From then on the caller's buffers are its own again,
 // whatever the store's configuration.
 
-// bufferVars returns a step's variables: a few bytes, one block, several
-// blocks, and more than newStore's memtable, so that the step is
+// bufferVars returns a step's variables, the same for the same seed: a
+// few bytes, one block, several blocks, and more than the 256 KiB
+// memtable of TestBuffersAreTheCallersAfterCommit, so that the step is
 // flushed in parts before its Commit.
 func bufferVars(seed int64) map[string][]byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -27,15 +28,6 @@ func bufferVars(seed int64) map[string][]byte {
 		vars[fmt.Sprintf("v%d", i)] = v
 	}
 	return vars
-}
-
-// copyVars returns a deep copy of vars.
-func copyVars(vars map[string][]byte) map[string][]byte {
-	out := make(map[string][]byte, len(vars))
-	for name, v := range vars {
-		out[name] = bytes.Clone(v)
-	}
-	return out
 }
 
 // flip inverts every byte of v.
@@ -57,8 +49,7 @@ func TestBuffersAreTheCallersAfterCommit(t *testing.T) {
 			defer mgr.Close()
 			s := New(mgr, Options{})
 			for step := int64(1); step <= 2; step++ {
-				vars := bufferVars(step)
-				want := copyVars(vars)
+				vars, want := bufferVars(step), bufferVars(step)
 				c, err := s.Begin(step)
 				if err != nil {
 					t.Fatal(err)

@@ -24,7 +24,7 @@ func readPathDB(tb testing.TB, count, size int) *DB {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fillDB(tb, db, 0, count, make([]byte, size))
+	fillDB(tb, db, 0, count, make([]byte, size), false)
 	if err := db.Flush(); err != nil {
 		tb.Fatal(err)
 	}

@@ -48,26 +48,24 @@ func writePathDB(tb testing.TB, payload int) *DB {
 	return db
 }
 
-// fillDB puts count values of size bytes each under fresh keys.
-func fillDB(tb testing.TB, db *DB, round, count int, value []byte) {
+// fillDB puts count values of size bytes each under fresh keys; with
+// withCRC through PutCRC, as a checkpoint's Write puts.
+func fillDB(tb testing.TB, db *DB, round, count int, value []byte, withCRC bool) {
 	tb.Helper()
-	key := make([]byte, 0, 32)
-	for i := 0; i < count; i++ {
-		key = fmt.Appendf(key[:0], "ckpt/%06d/var%05d", round, i)
-		if err := db.Put(key, value); err != nil {
-			tb.Fatal(err)
-		}
+	var crc uint32
+	if withCRC {
+		crc = crc32.Checksum(value, crcTable)
 	}
-}
-
-// fillDBCRC is fillDB through PutCRC, as a checkpoint's Write puts.
-func fillDBCRC(tb testing.TB, db *DB, round, count int, value []byte) {
-	tb.Helper()
-	crc := crc32.Checksum(value, crcTable)
 	key := make([]byte, 0, 32)
 	for i := 0; i < count; i++ {
 		key = fmt.Appendf(key[:0], "ckpt/%06d/var%05d", round, i)
-		if err := db.PutCRC(key, value, crc); err != nil {
+		var err error
+		if withCRC {
+			err = db.PutCRC(key, value, crc)
+		} else {
+			err = db.Put(key, value)
+		}
+		if err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -84,20 +82,20 @@ func fillDBCRC(tb testing.TB, db *DB, round, count int, value []byte) {
 func TestWritePathAllocationRatchet(t *testing.T) {
 	for _, c := range []struct {
 		name        string
-		fill        func(testing.TB, *DB, int, int, []byte)
+		withCRC     bool
 		count, size int
 		limit       float64
 	}{
-		{"Put", fillDB, 64, 1 << 20, 1.25},
-		{"Put", fillDB, 4096, 4 << 10, 2.0},
-		{"PutCRC", fillDBCRC, 64, 1 << 20, 0.1},
+		{"Put", false, 64, 1 << 20, 1.25},
+		{"Put", false, 4096, 4 << 10, 2.0},
+		{"PutCRC", true, 64, 1 << 20, 0.1},
 	} {
 		payload := c.count * c.size
 		db := writePathDB(t, payload)
 		value := make([]byte, c.size)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c.fill(t, db, 0, c.count, value)
+		fillDB(t, db, 0, c.count, value, c.withCRC)
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +120,7 @@ func benchmarkPut(b *testing.B, count, size int) {
 		b.StopTimer()
 		db := writePathDB(b, count*size)
 		b.StartTimer()
-		fillDB(b, db, i, count, value)
+		fillDB(b, db, i, count, value, false)
 		b.StopTimer()
 		db.Close() // unflushed: the WAL is off, the memtable is dropped
 		b.StartTimer()
@@ -147,7 +145,7 @@ func BenchmarkFlushLarge(b *testing.B) {
 	defer db.Close()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		fillDB(b, db, i, count, value)
+		fillDB(b, db, i, count, value, false)
 		b.StartTimer()
 		if err := db.Flush(); err != nil {
 			b.Fatal(err)
