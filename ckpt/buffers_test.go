@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lsmio/internal/core"
+	"lsmio/internal/faultfs"
 	"lsmio/internal/vfs"
 )
 
@@ -143,5 +144,70 @@ func TestBufferChangedBeforeCommit(t *testing.T) {
 				checkFallsBack(t, s, good)
 			})
 		}
+	}
+}
+
+// TestAbortReleasesBuffersAfterFailedCommit: a Commit whose barrier fails
+// leaves the step's data in the store's memtable, which on a store
+// without a WAL is the caller's buffers. Abort writes it out before it
+// returns, so the buffers may change from then on: the next step commits
+// and restores, and a scan of every key, which reads the aborted step's
+// table too, finds no block that fails its check.
+func TestAbortReleasesBuffersAfterFailedCommit(t *testing.T) {
+	ffs := faultfs.New(vfs.NewMemFS())
+	mgr, err := core.NewManager("app", core.ManagerOptions{
+		Store: core.StoreOptions{FS: ffs, WriteBufferSize: 1 << 20},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	s := New(mgr, Options{})
+	commitStep(t, s, 1, []byte("first"))
+	vars := bufferVars(2)
+	c, err := s.Begin(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range vars {
+		if err := c.Write(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ffs.AddRule(&faultfs.Rule{Op: faultfs.OpWrite, Path: ".sst", Times: -1})
+	if err := c.Commit(); err == nil {
+		t.Fatal("Commit succeeded with every table write failing")
+	}
+	ffs.ClearRules()
+	if err := c.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vars {
+		flip(v)
+	}
+	state := bufferVars(3)
+	c, err = s.Begin(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range state {
+		if err := c.Write(name, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	step, got, _, err := s.Restore(RestoreOptions{})
+	if err != nil || step != 3 || len(got) != len(state) {
+		t.Fatalf("Restore = step %d, %d vars, %v; want step 3", step, len(got), err)
+	}
+	for name, v := range bufferVars(3) {
+		if !bytes.Equal(got[name], v) {
+			t.Fatalf("Restore: %s is not what was committed", name)
+		}
+	}
+	if err := mgr.ReadBatch("", func(string, []byte) bool { return true }); err != nil {
+		t.Fatalf("scan of every key: %v", err)
 	}
 }
