@@ -180,3 +180,50 @@ func TestMemtableGetOutlivesThePutBuffer(t *testing.T) {
 	}
 	checkReads(t, db, "table, put buffers scribbled", keys)
 }
+
+// TestCacheOnValuesAreTheCallers: with the block cache on, a value at
+// least half its block, read from the file, and a small value served out
+// of a cached block are both the caller's. Writing into what Get
+// returned changes neither what the next Get returns nor the cached
+// block, and the small value's second Get is still a cache hit. Snappy
+// and raw blocks.
+func TestCacheOnValuesAreTheCallers(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		raw  bool
+	}{{"snappy", false}, {"raw", true}} {
+		t.Run(c.name, func(t *testing.T) {
+			db := openTestDB(t, vfs.NewMemFS(), func(o *Options) { o.DisableCompression = c.raw })
+			defer db.Close()
+			// "big" is a block of its own; the three small values share
+			// one, each well under half of it.
+			vals := map[string][]byte{"big": readValue(5), "s0": readValue(2), "s1": readValue(8), "s2": readValue(14)}
+			for k, v := range vals {
+				if err := db.Put([]byte(k), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []string{"big", "s1"} {
+				for round := 0; round < 3; round++ {
+					hits := db.m.cacheHits.Load()
+					v, err := db.Get([]byte(k))
+					if err != nil || !bytes.Equal(v, vals[k]) {
+						t.Fatalf("Get %s, round %d: %d bytes, %v; want %d bytes", k, round, len(v), err, len(vals[k]))
+					}
+					if hit := db.m.cacheHits.Load() > hits; k == "s1" && hit != (round > 0) {
+						t.Fatalf("Get %s, round %d: cache hit %v, want %v", k, round, hit, round > 0)
+					}
+					scribble(v)
+				}
+			}
+			for _, k := range []string{"s0", "s2"} {
+				if v, err := db.Get([]byte(k)); err != nil || !bytes.Equal(v, vals[k]) {
+					t.Fatalf("Get %s after its block's neighbour was scribbled: %d bytes, %v", k, len(v), err)
+				}
+			}
+		})
+	}
+}
