@@ -737,10 +737,11 @@ func (db *DB) buildTable(m *memtable, num uint64) (tableMeta, error) {
 //
 // Ownership: the value is the caller's, to keep and to modify; nothing
 // the caller does to it reaches the store. It is copied at most once on
-// the way out. A value read from a table with the block cache off is
-// the block that read brought in (the one pread, no copy), unless it is
-// a small part of that block; a value in the memtable or in a cached
-// block, which later reads see too, is copied.
+// the way out. A value read from a table file is the block that read
+// brought in (the one pread, no copy; for a compressed block, its
+// decoded form), unless it is a small part of that block; such a block
+// is the caller's and never enters the block cache. A value in the
+// memtable or in a cached block, which later reads see too, is copied.
 func (db *DB) Get(key []byte) ([]byte, error) {
 	v, _, err := db.getOwned(key, false)
 	return v, err
@@ -749,8 +750,9 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 // GetCRC is Get that also returns the value's CRC-32C (crc32.Castagnoli)
 // when it comes out of the pass that checked the table block the value
 // was just read from: ok then, and only then. The value must be stored
-// raw, not cached, and end its block's entries (tableReader.get), which
-// a value of a block's size or more put without compression does. A
+// raw, read from the file rather than the block cache, be at least half
+// its block and end the block's entries (tableReader.get), which a value
+// of a block's size or more put without compression does. A
 // value from the memtable has no such sum, whatever its writer gave
 // PutCRC: that crc was never checked against the bytes.
 func (db *DB) GetCRC(key []byte) (value []byte, crc uint32, ok bool, err error) {

@@ -31,8 +31,10 @@ func checkGetCRC(t *testing.T, db *DB, key string, want []byte, wantOK bool) {
 // stored raw that ends its block's entries and is most of them, in a
 // block of its own or after smaller entries. A value in the middle of a
 // block, a small last one, a value in the memtable or an immutable one
-// (whatever CRC its writer gave), in a compressed block or under the
-// block cache has none.
+// (whatever CRC its writer gave), in a compressed block or served from
+// the block cache has none. With the cache on, a value read from the
+// file that is most of its block carries its sum and leaves the cache
+// alone.
 func TestGetCRC(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	random := func(n int) []byte {
@@ -120,14 +122,33 @@ func TestGetCRC(t *testing.T) {
 	t.Run("cache", func(t *testing.T) {
 		db := openTestDB(t, vfs.NewMemFS(), func(o *Options) { o.DisableCompression = true })
 		defer db.Close()
-		v := random(3 * db.opts.BlockSize)
-		if err := db.PutCRC([]byte("k"), v, crc32.Checksum(v, crcTable)); err != nil {
-			t.Fatal(err)
+		bs := db.opts.BlockSize
+		vals := map[string][]byte{"k": random(3 * bs), "s0": random(bs / 8), "s1": random(bs / 8)}
+		for k, v := range vals {
+			if err := db.PutCRC([]byte(k), v, crc32.Checksum(v, crcTable)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		checkGetCRC(t, db, "k", v, false) // read from the file into the cache
-		checkGetCRC(t, db, "k", v, false) // from the cache
+		// k is a block of its own: every read takes it from the file,
+		// with its sum, and leaves the cache without it.
+		for round := 0; round < 2; round++ {
+			hits := db.m.cacheHits.Load()
+			checkGetCRC(t, db, "k", vals["k"], true)
+			if db.m.cacheHits.Load() != hits {
+				t.Fatalf("GetCRC(k), round %d: served from the cache", round)
+			}
+		}
+		// s1 ends a block it shares with s0, under half of it: the first
+		// read caches the block and the second is served from there,
+		// neither with a sum.
+		checkGetCRC(t, db, "s1", vals["s1"], false)
+		hits := db.m.cacheHits.Load()
+		checkGetCRC(t, db, "s1", vals["s1"], false)
+		if db.m.cacheHits.Load() != hits+1 {
+			t.Fatal("GetCRC(s1), second read: not served from the cache")
+		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
+	"slices"
 
 	"lsmio/internal/iosched"
 	"lsmio/internal/snappy"
@@ -752,20 +753,55 @@ func (t *tableReader) readMergeBlock(h blockHandle, scratch, decoded *[]byte) (b
 	return b, stored, err
 }
 
+// readPointBlock is readRawBlock for a point read. A store that
+// compresses reads each block's stored bytes, only the decoder's input,
+// into a buffer kept between point reads (keptPointBufs), and decodes
+// into a fresh slice, which is the block returned. A block found stored
+// raw there is copied out, so the kept buffer never becomes a value. A
+// store that does not compress reads into a buffer of exactly the
+// block's size, which is the block returned.
+func (t *tableReader) readPointBlock(h blockHandle) (raw []byte, entries valueSum, err error) {
+	if t.opts.DisableCompression {
+		return t.readRawBlock(h, new([]byte), nil)
+	}
+	var stored, decoded []byte
+	select {
+	case stored = <-keptPointBufs:
+	default:
+	}
+	raw, entries, err = t.readRawBlock(h, &stored, &decoded)
+	if err == nil && decoded == nil {
+		raw = slices.Clone(raw)
+	}
+	if cap(stored) <= maxKeptBlockBuf {
+		select {
+		case keptPointBufs <- stored[:0]:
+		default:
+		}
+	}
+	return raw, entries, err
+}
+
+// keptPointBufs are the buffers point reads read compressed blocks into:
+// up to one per P, like a merge input's (keptReadBufs), dropped when a
+// block larger than maxKeptBlockBuf grew them.
+var keptPointBufs = make(chan []byte, runtime.GOMAXPROCS(0))
+
 // get finds the newest entry for userKey at snapshot seq within this
 // table. The value lies in the block the lookup read; own reports
-// whether the caller may keep it as its own: true when no one else can
-// see that block (the cache is off) and the value is most of it, so
-// that handing it out keeps little else alive. Otherwise the caller
-// copies it.
+// whether the caller may keep it as its own: true when the block was
+// just read from the file and the value is at least half of it, so that
+// handing it out keeps little else alive. Such a block is the value's
+// and never enters the block cache. Every other block read from the
+// file does (when the cache is on), and a value in a cached block is the
+// caller's to copy.
 //
 // With wantCRC, sum is the value's CRC-32C when the block check that
-// just passed gives it: the value is its own (so the block is not
-// cached and the bytes before the value are no longer than it), the
-// block is stored raw and the value ends its entries region. Then the
-// value's sum is the region's with the head, the bytes before the value,
-// taken out, a pass over the head instead of the value. Otherwise sum is
-// noSum.
+// just passed gives it: the value is its own (so the bytes before the
+// value are no longer than it), the block is stored raw and the value
+// ends its entries region. Then the value's sum is the region's with the
+// head, the bytes before the value, taken out, a pass over the head
+// instead of the value. Otherwise sum is noSum.
 func (t *tableReader) get(userKey []byte, seq seqNum, wantCRC bool) (value []byte, own bool, sum valueSum, found, deleted bool, err error) {
 	if t.filter != nil && !bloomMayContain(t.filter, userKey) {
 		return nil, false, noSum, false, false, nil
@@ -780,29 +816,39 @@ func (t *tableReader) get(userKey []byte, seq seqNum, wantCRC bool) (value []byt
 	if err != nil {
 		return nil, false, noSum, false, false, err
 	}
-	b, entries, err := t.readBlock(h, new([]byte))
-	if err != nil {
-		return nil, false, noSum, false, false, err
+	var b *block
+	cached := false
+	if t.cache != nil {
+		b, cached = t.cache.get(t.fileNum, h.offset)
+	}
+	var entries valueSum
+	rawLen := 0
+	if !cached {
+		var raw []byte
+		if raw, entries, err = t.readPointBlock(h); err != nil {
+			return nil, false, noSum, false, false, err
+		}
+		if b, err = parseBlock(raw); err != nil {
+			return nil, false, noSum, false, false, err
+		}
+		rawLen = len(raw)
 	}
 	it := b.iterator()
 	it.Seek(target)
-	if !it.Valid() {
-		return nil, false, noSum, false, false, it.Close()
+	found = it.Valid() && bytes.Equal(it.IKey().userKey(), userKey)
+	deleted = found && it.IKey().kind() == kindDelete
+	if found && !deleted {
+		value = it.Value()
+		own = !cached && 2*len(value) >= len(b.data)
 	}
-	ik := it.IKey()
-	if !bytes.Equal(ik.userKey(), userKey) {
-		return nil, false, noSum, false, false, it.Close()
+	if t.cache != nil && !cached && !own {
+		t.cache.put(t.fileNum, h.offset, b, int64(rawLen))
 	}
-	if ik.kind() == kindDelete {
-		return nil, false, noSum, true, true, it.Close()
-	}
-	v := it.Value()
-	own = t.cache == nil && 2*len(v) >= len(b.data)
 	if entriesCRC, ok := entries.crc(); ok && wantCRC && own && it.off == len(b.data) {
-		head := b.data[:len(b.data)-len(v)]
-		sum = sumOf(entriesCRC ^ crcCombine(crc32.Checksum(head, crcTable), 0, int64(len(v))))
+		head := b.data[:len(b.data)-len(value)]
+		sum = sumOf(entriesCRC ^ crcCombine(crc32.Checksum(head, crcTable), 0, int64(len(value))))
 	}
-	return v[:len(v):len(v)], own, sum, true, false, it.Close()
+	return value[:len(value):len(value)], own, sum, found, deleted, it.Close()
 }
 
 // iterator returns an ordered iterator over the whole table.
