@@ -258,7 +258,7 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								b, _, err := tr.readBlock(h, new([]byte))
+								b, err := tr.readBlock(h, new([]byte))
 								if err != nil {
 									t.Fatal(err)
 								}

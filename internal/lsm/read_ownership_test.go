@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"testing"
 
 	"lsmio/internal/vfs"
@@ -226,4 +227,28 @@ func TestCacheOnValuesAreTheCallers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConcurrentPointReads: Gets from several goroutines at once on the
+// ckpt-smallobj configuration, each reading compressed blocks into a
+// buffer kept between point reads, all return what was put.
+func TestConcurrentPointReads(t *testing.T) {
+	values := smallObjValues(2, 64)
+	db := smallObjDB(t, values)
+	defer db.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := 0; n < 4*len(values); n++ {
+				k := (n + 16*g) % len(values)
+				if v, err := db.Get(smallObjKey(nil, k)); err != nil || !bytes.Equal(v, values[k]) {
+					t.Errorf("reader %d: Get %s = %d bytes, %v; want %d bytes", g, smallObjKey(nil, k), len(v), err, len(values[k]))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -706,27 +706,27 @@ func (t *tableReader) readRawBlock(h blockHandle, scratch, decoded *[]byte) (dat
 	}
 }
 
-// readBlock returns a parsed block, using the shared cache when enabled.
-// scratch is readRawBlock's. entries is the CRC-32C of the block's
-// entries when the block was just read and checked and is stored raw
-// (readRawBlock); a block from the cache has none.
-func (t *tableReader) readBlock(h blockHandle, scratch *[]byte) (b *block, entries valueSum, err error) {
+// readBlock returns a parsed block for an iterator, using the shared
+// cache when enabled: a block read from the file is inserted. scratch is
+// readRawBlock's.
+func (t *tableReader) readBlock(h blockHandle, scratch *[]byte) (*block, error) {
 	if t.cache != nil {
 		if b, ok := t.cache.get(t.fileNum, h.offset); ok {
-			return b, noSum, nil
+			return b, nil
 		}
 	}
-	raw, entries, err := t.readRawBlock(h, scratch, nil)
+	raw, _, err := t.readRawBlock(h, scratch, nil)
 	if err != nil {
-		return nil, noSum, err
+		return nil, err
 	}
-	if b, err = parseBlock(raw); err != nil {
-		return nil, noSum, err
+	b, err := parseBlock(raw)
+	if err != nil {
+		return nil, err
 	}
 	if t.cache != nil {
 		t.cache.put(t.fileNum, h.offset, b, int64(len(raw)))
 	}
-	return b, entries, nil
+	return b, nil
 }
 
 // readMergeBlock is readBlock for a merge's input: a block the cache
@@ -941,7 +941,7 @@ func (it *tableIterator) loadData() {
 	if it.merge {
 		b, it.stored, err = it.t.readMergeBlock(h, &it.scratch, it.decoded)
 	} else {
-		b, _, err = it.t.readBlock(h, &it.scratch)
+		b, err = it.t.readBlock(h, &it.scratch)
 	}
 	if err != nil {
 		it.err = err
