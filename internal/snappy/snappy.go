@@ -281,8 +281,18 @@ func Decode(dst, src []byte) ([]byte, error) {
 
 	// Sized once from the header. A hostile header cannot make this
 	// large: no input decodes to more than maxExpansion times its length,
-	// and one that claims to fails the length check at the end.
-	out := slices.Grow(dst, min(decodedLen, maxExpansion*len(src)))
+	// and one that claims to fails the length check at the end. A new
+	// buffer is made rather than grown with slices.Grow: the race
+	// detector's build does not fuse Grow's append of a made slice, so
+	// Grow would allocate the decoded size twice there. It at least
+	// doubles, as Grow does for a small dst: a caller that decodes block
+	// after block into one dst grows it a few times, not once per
+	// larger block.
+	out := dst
+	if k := min(decodedLen, maxExpansion*len(src)); cap(dst)-len(dst) < k {
+		out = make([]byte, len(dst), max(len(dst)+k, 2*cap(dst)))
+		copy(out, dst)
+	}
 	base := len(out)
 	for len(src) > 0 {
 		tag := src[0]
