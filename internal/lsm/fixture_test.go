@@ -58,15 +58,22 @@ var fixtureStores = []struct {
 func fixtureEntries(name string, seed int64, sizes func(*rand.Rand) []int) (keys []string, values [][]byte) {
 	rng := rand.New(rand.NewSource(seed))
 	for i, n := range sizes(rng) {
-		v := make([]byte, n)
-		for off := 0; off < n; off += 128 {
-			rng.Read(v[off:min(off+64, n)])
-			copy(v[min(off+64, n):], v[off:min(off+64, n)])
-		}
 		keys = append(keys, fmt.Sprintf("%s/%04d", name, i))
-		values = append(values, v)
+		values = append(values, compressibleValue(rng, n))
 	}
 	return keys, values
+}
+
+// compressibleValue returns n bytes of the benchmark's compressible
+// payload: every 64 random bytes are followed by their copy, which
+// snappy halves.
+func compressibleValue(rng *rand.Rand, n int) []byte {
+	v := make([]byte, n)
+	for off := 0; off < n; off += 128 {
+		rng.Read(v[off:min(off+64, n)])
+		copy(v[min(off+64, n):], v[off:min(off+64, n)])
+	}
+	return v
 }
 
 // TestEarlierStoresStillRead opens each store under testdata/stores, reads

@@ -103,11 +103,7 @@ func runValueProgram(t *testing.T, db *DB, compact func() error) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(50))
 	for i := 1; i <= 1500; i++ {
-		v := make([]byte, 1+rng.Intn(20<<10))
-		for off := 0; off < len(v); off += 128 {
-			rng.Read(v[off:min(off+64, len(v))])
-			copy(v[min(off+64, len(v)):], v[off:min(off+64, len(v))])
-		}
+		v := compressibleValue(rng, 1+rng.Intn(20<<10))
 		if err := db.Put(fmt.Appendf(nil, "val/%04d", rng.Intn(200)), v); err != nil {
 			t.Fatal(err)
 		}

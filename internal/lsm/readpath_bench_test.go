@@ -75,18 +75,12 @@ func scanAll(tb testing.TB, db *DB, count int, own bool) {
 }
 
 // smallObjValues returns count values of the ckpt-smallobj mix:
-// objects of 4 to 64 KiB, every 64 random bytes followed by their copy,
-// which snappy halves.
+// compressible objects of 4 to 64 KiB.
 func smallObjValues(seed int64, count int) [][]byte {
 	rng := rand.New(rand.NewSource(seed))
 	values := make([][]byte, count)
 	for i := range values {
-		v := make([]byte, 4<<10+rng.Intn(60<<10))
-		for off := 0; off < len(v); off += 128 {
-			rng.Read(v[off:min(off+64, len(v))])
-			copy(v[min(off+64, len(v)):], v[off:min(off+64, len(v))])
-		}
-		values[i] = v
+		values[i] = compressibleValue(rng, 4<<10+rng.Intn(60<<10))
 	}
 	return values
 }

@@ -242,11 +242,7 @@ func BenchmarkCompactionMerge(b *testing.B) {
 	var values [][]byte
 	var total int64
 	for total < tableBytes {
-		v := make([]byte, 4<<10+rng.Intn(60<<10))
-		for off := 0; off < len(v); off += 128 {
-			rng.Read(v[off:min(off+64, len(v))])
-			copy(v[min(off+64, len(v)):], v[off:min(off+64, len(v))])
-		}
+		v := compressibleValue(rng, 4<<10+rng.Intn(60<<10))
 		values = append(values, v)
 		total += int64(len(v))
 	}
