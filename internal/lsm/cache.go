@@ -32,7 +32,26 @@ type cacheShard struct {
 	used     int64
 	order    *list.List // front = most recent
 	items    map[cacheKey]*list.Element
+
+	// traffic counts the bytes of the blocks put into the shard or
+	// passed by (putIfReread) since it was made. passed holds each block
+	// passed by within the last capacity bytes of traffic, with the
+	// traffic just after it; passedOrder holds the same, oldest first,
+	// and may still hold a block passed has dropped or passed again.
+	traffic     int64
+	passed      map[cacheKey]int64
+	passedOrder []passedBlock
 }
+
+type passedBlock struct {
+	key cacheKey
+	at  int64
+}
+
+// minPassedCharge is the least traffic a block passed by counts for, so
+// that passed holds at most capacity/minPassedCharge blocks however
+// small they are.
+const minPassedCharge = 1 << 10
 
 type cacheKey struct {
 	fileNum uint64
@@ -69,6 +88,7 @@ func newBlockCacheShards(capacity int64, n int, hits, misses *obs.Counter) *bloc
 			capacity: per,
 			order:    list.New(),
 			items:    make(map[cacheKey]*list.Element),
+			passed:   make(map[cacheKey]int64),
 		}
 	}
 	return c
@@ -102,7 +122,42 @@ func (c *blockCache) put(fileNum uint64, offset int64, b *block, size int64) {
 	s := c.shard(fileNum, offset)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.insert(cacheKey{fileNum, offset}, b, size)
+}
+
+// putIfReread is put for a block a point read would take as its own, a
+// value of half the block or more (tableReader.get). Caching such a
+// block pays only if it is read again before the cache would evict it,
+// and a block of a checkpoint restore larger than the cache is read
+// again only on the next restore, long after. So the block goes in only
+// when a point read passed it by before, less than the shard's capacity
+// of traffic ago: had it been cached then, it would most likely still be
+// here. putIfReread reports whether it inserted the block; if not, it
+// records the block as passed by, and the caller keeps it.
+func (c *blockCache) putIfReread(fileNum uint64, offset int64, b *block, size int64) bool {
+	s := c.shard(fileNum, offset)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.passedOrder) > 0 && s.traffic-s.passedOrder[0].at >= s.capacity {
+		if p := s.passedOrder[0]; s.passed[p.key] == p.at {
+			delete(s.passed, p.key)
+		}
+		s.passedOrder = s.passedOrder[1:]
+	}
 	key := cacheKey{fileNum, offset}
+	if _, ok := s.passed[key]; ok {
+		delete(s.passed, key)
+		s.insert(key, b, size)
+		return true
+	}
+	s.traffic += max(size, minPassedCharge)
+	s.passed[key] = s.traffic
+	s.passedOrder = append(s.passedOrder, passedBlock{key, s.traffic})
+	return false
+}
+
+// insert is put's body, under s.mu.
+func (s *cacheShard) insert(key cacheKey, b *block, size int64) {
 	if el, ok := s.items[key]; ok {
 		s.order.MoveToFront(el)
 		return
@@ -110,6 +165,7 @@ func (c *blockCache) put(fileNum uint64, offset int64, b *block, size int64) {
 	el := s.order.PushFront(&cacheEntry{key: key, block: b, size: size})
 	s.items[key] = el
 	s.used += size
+	s.traffic += size
 	for s.used > s.capacity && s.order.Len() > 1 {
 		oldest := s.order.Back()
 		ent := oldest.Value.(*cacheEntry)

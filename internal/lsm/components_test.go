@@ -397,6 +397,64 @@ func TestBlockCacheLRU(t *testing.T) {
 	}
 }
 
+// TestBlockCacheTakesRereadBlocks: putIfReread passes a block by on its
+// first read and takes it on a read within the shard's capacity of
+// traffic after that one, counting both blocks put and blocks passed by.
+// A cyclic pass over more than the cache holds, a restore larger than the
+// cache read again, never gets a block in. Blocks smaller than
+// minPassedCharge count for that much.
+func TestBlockCacheTakesRereadBlocks(t *testing.T) {
+	var hits, misses obs.Counter
+	const kib = 1 << 10
+	c := newBlockCacheShards(64*kib, 1, &hits, &misses)
+	b := &block{}
+	if c.putIfReread(1, 0, b, 16*kib) {
+		t.Fatal("first read of block 0 cached it")
+	}
+	c.putIfReread(1, 1, b, 16*kib)
+	c.put(1, 2, b, 16*kib)
+	if !c.putIfReread(1, 0, b, 16*kib) {
+		t.Fatal("block 0 read again after 32 KiB of traffic, under 64: not cached")
+	}
+	if !cachedBlocks(c)[cacheKey{1, 0}] {
+		t.Fatal("block 0 reported cached but is not there")
+	}
+
+	// Block 10, then 64 KiB of other traffic: too far to take it.
+	c.putIfReread(1, 10, b, 16*kib)
+	c.put(1, 11, b, 32*kib)
+	c.putIfReread(1, 12, b, 32*kib)
+	if c.putIfReread(1, 10, b, 16*kib) {
+		t.Fatal("block 10 read again after 64 KiB of traffic: cached")
+	}
+
+	// Passes over 8 blocks of 32 KiB, four times the cache.
+	for pass := 0; pass < 3; pass++ {
+		for i := int64(0); i < 8; i++ {
+			if c.putIfReread(2, i, b, 32*kib) {
+				t.Fatalf("pass %d: block %d of a cyclic read four times the cache was cached", pass, i)
+			}
+		}
+	}
+
+	// 100-byte blocks count for 1 KiB each: 70 of them take a block
+	// passed by before the first out of reach, 60 do not.
+	for _, n := range []int64{60, 70} {
+		c.putIfReread(3, 0, b, 100)
+		for i := int64(0); i < n; i++ {
+			c.putIfReread(uint64(4+n), i, b, 100)
+		}
+		if got := c.putIfReread(3, 0, b, 100); got != (n == 60) {
+			t.Fatalf("after %d small blocks passed by: took the block %v, want %v", n, got, n == 60)
+		}
+		c.evictFile(3)
+	}
+	s := &c.shards[0]
+	if max := s.capacity/minPassedCharge + 1; int64(len(s.passed)) > max {
+		t.Fatalf("%d blocks recorded as passed by, at most %d fit the capacity", len(s.passed), max)
+	}
+}
+
 // cachedBlocks lists the blocks a cache holds.
 func cachedBlocks(c *blockCache) map[cacheKey]bool {
 	out := make(map[cacheKey]bool)

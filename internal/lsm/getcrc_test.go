@@ -34,7 +34,8 @@ func checkGetCRC(t *testing.T, db *DB, key string, want []byte, wantOK bool) {
 // (whatever CRC its writer gave), in a compressed block or served from
 // the block cache has none. With the cache on, a value read from the
 // file that is most of its block carries its sum and leaves the cache
-// alone.
+// alone, until it is read again soon enough that the cache takes its
+// block.
 func TestGetCRC(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	random := func(n int) []byte {
@@ -132,13 +133,16 @@ func TestGetCRC(t *testing.T) {
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		// k is a block of its own: every read takes it from the file,
-		// with its sum, and leaves the cache without it.
-		for round := 0; round < 2; round++ {
+		// k is a block of its own: the first read takes it from the
+		// file, with its sum, and leaves the cache without it. The
+		// second reads the file again, well within the cache's reach of
+		// the first, so the cache takes the block and the read has no
+		// sum; the third is served from the cache.
+		for round, want := range []struct{ hit, sum bool }{{false, true}, {false, false}, {true, false}} {
 			hits := db.m.cacheHits.Load()
-			checkGetCRC(t, db, "k", vals["k"], true)
-			if db.m.cacheHits.Load() != hits {
-				t.Fatalf("GetCRC(k), round %d: served from the cache", round)
+			checkGetCRC(t, db, "k", vals["k"], want.sum)
+			if hit := db.m.cacheHits.Load() != hits; hit != want.hit {
+				t.Fatalf("GetCRC(k), round %d: cache hit %v, want %v", round, hit, want.hit)
 			}
 		}
 		// s1 ends a block it shares with s0, under half of it: the first

@@ -186,8 +186,10 @@ func TestMemtableGetOutlivesThePutBuffer(t *testing.T) {
 // least half its block, read from the file, and a small value served out
 // of a cached block are both the caller's. Writing into what Get
 // returned changes neither what the next Get returns nor the cached
-// block, and the small value's second Get is still a cache hit. Snappy
-// and raw blocks.
+// block, and the small value's second Get is still a cache hit. The big
+// value's three Gets take its block from the file, copy it out of the
+// block the cache takes on the second (blockCache.putIfReread) and copy
+// it out of the cache. Snappy and raw blocks.
 func TestCacheOnValuesAreTheCallers(t *testing.T) {
 	for _, c := range []struct {
 		name string

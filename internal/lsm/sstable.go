@@ -755,46 +755,38 @@ func (t *tableReader) readMergeBlock(h blockHandle, scratch, decoded *[]byte) (b
 
 // readPointBlock is readRawBlock for a point read. A store that
 // compresses reads each block's stored bytes, only the decoder's input,
-// into a buffer kept between point reads (keptPointBufs), and decodes
-// into a fresh slice, which is the block returned. A block found stored
-// raw there is copied out, so the kept buffer never becomes a value. A
-// store that does not compress reads into a buffer of exactly the
-// block's size, which is the block returned.
+// into the stored buffer of a pair kept between reads (keptReadBufs),
+// and decodes into a fresh slice, which is the block returned. A block
+// found stored raw there is copied out, so the kept buffer never becomes
+// a value. A store that does not compress reads into a buffer of exactly
+// the block's size, which is the block returned.
 func (t *tableReader) readPointBlock(h blockHandle) (raw []byte, entries valueSum, err error) {
 	if t.opts.DisableCompression {
 		return t.readRawBlock(h, new([]byte), nil)
 	}
-	var stored, decoded []byte
+	var bufs readBufs
 	select {
-	case stored = <-keptPointBufs:
+	case bufs = <-keptReadBufs:
 	default:
 	}
-	raw, entries, err = t.readRawBlock(h, &stored, &decoded)
+	var decoded []byte
+	raw, entries, err = t.readRawBlock(h, &bufs.stored, &decoded)
 	if err == nil && decoded == nil {
 		raw = slices.Clone(raw)
 	}
-	if cap(stored) <= maxKeptBlockBuf {
-		select {
-		case keptPointBufs <- stored[:0]:
-		default:
-		}
-	}
+	bufs.keep()
 	return raw, entries, err
 }
-
-// keptPointBufs are the buffers point reads read compressed blocks into:
-// up to one per P, like a merge input's (keptReadBufs), dropped when a
-// block larger than maxKeptBlockBuf grew them.
-var keptPointBufs = make(chan []byte, runtime.GOMAXPROCS(0))
 
 // get finds the newest entry for userKey at snapshot seq within this
 // table. The value lies in the block the lookup read; own reports
 // whether the caller may keep it as its own: true when the block was
-// just read from the file and the value is at least half of it, so that
-// handing it out keeps little else alive. Such a block is the value's
-// and never enters the block cache. Every other block read from the
-// file does (when the cache is on), and a value in a cached block is the
-// caller's to copy.
+// just read from the file, the value is at least half of it, so that
+// handing it out keeps little else alive, and the block cache, when on,
+// did not take the block (blockCache.putIfReread: it takes one that is
+// read again within its reach). Every other block read from the file
+// goes into the cache (when it is on), and a value in a cached block is
+// the caller's to copy.
 //
 // With wantCRC, sum is the value's CRC-32C when the block check that
 // just passed gives it: the value is its own (so the bytes before the
@@ -841,8 +833,12 @@ func (t *tableReader) get(userKey []byte, seq seqNum, wantCRC bool) (value []byt
 		value = it.Value()
 		own = !cached && 2*len(value) >= len(b.data)
 	}
-	if t.cache != nil && !cached && !own {
-		t.cache.put(t.fileNum, h.offset, b, int64(rawLen))
+	if t.cache != nil && !cached {
+		if own {
+			own = !t.cache.putIfReread(t.fileNum, h.offset, b, int64(rawLen))
+		} else {
+			t.cache.put(t.fileNum, h.offset, b, int64(rawLen))
+		}
 	}
 	if entriesCRC, ok := entries.crc(); ok && wantCRC && own && it.off == len(b.data) {
 		head := b.data[:len(b.data)-len(value)]
@@ -885,10 +881,23 @@ func (t *tableReader) mergeIterator(reuse bool) *tableIterator {
 // key order is its last, so a merge input that started from empty ones
 // would grow them again in every merge. They are kept between merges
 // instead, like a table build's (keptBlockBufs): up to one pair per P,
-// dropped when a block larger than maxKeptBlockBuf grew them.
+// dropped when a block larger than maxKeptBlockBuf grew them. Point
+// reads of compressed blocks borrow a pair for its stored buffer.
 type readBufs struct{ stored, decoded []byte }
 
 var keptReadBufs = make(chan readBufs, runtime.GOMAXPROCS(0))
+
+// keep hands b on to the next merge input or point read, unless it is
+// empty or a block larger than maxKeptBlockBuf grew it.
+func (b readBufs) keep() {
+	if cap(b.stored) == 0 || cap(b.stored) > maxKeptBlockBuf || cap(b.decoded) > maxKeptBlockBuf {
+		return
+	}
+	select {
+	case keptReadBufs <- readBufs{b.stored[:0], b.decoded[:0]}:
+	default:
+	}
+}
 
 // keepReadBufs hands a reusing merge input's buffers on to the next
 // merge. The iterator reads no more blocks after it; a second call finds
@@ -897,15 +906,9 @@ func (it *tableIterator) keepReadBufs() {
 	if it.decoded == nil {
 		return
 	}
-	b := readBufs{it.scratch[:0], (*it.decoded)[:0]}
+	b := readBufs{it.scratch, *it.decoded}
 	it.scratch, it.decoded, it.data, it.stored = nil, nil, nil, nil
-	if cap(b.stored) == 0 || cap(b.stored) > maxKeptBlockBuf || cap(b.decoded) > maxKeptBlockBuf {
-		return
-	}
-	select {
-	case keptReadBufs <- b:
-	default:
-	}
+	b.keep()
 }
 
 // close releases the underlying file.

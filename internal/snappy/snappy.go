@@ -281,17 +281,19 @@ func Decode(dst, src []byte) ([]byte, error) {
 
 	// Sized once from the header. A hostile header cannot make this
 	// large: no input decodes to more than maxExpansion times its length,
-	// and one that claims to fails the length check at the end. A new
-	// buffer is made rather than grown with slices.Grow: the race
-	// detector's build does not fuse Grow's append of a made slice, so
-	// Grow would allocate the decoded size twice there. It at least
-	// doubles, as Grow does for a small dst: a caller that decodes block
-	// after block into one dst grows it a few times, not once per
-	// larger block.
-	out := dst
-	if k := min(decodedLen, maxExpansion*len(src)); cap(dst)-len(dst) < k {
-		out = make([]byte, len(dst), max(len(dst)+k, 2*cap(dst)))
-		copy(out, dst)
+	// and one that claims to fails the length check at the end. A dst
+	// with no room at all gets a buffer of exactly that size, made rather
+	// than grown with slices.Grow: the race detector's build does not
+	// fuse Grow's append of a made slice, so Grow would allocate the
+	// decoded size twice there. A dst with room grows as append grows
+	// it, so a caller that decodes block after block into one dst grows
+	// it a few times, not once per larger block.
+	k := min(decodedLen, maxExpansion*len(src))
+	var out []byte
+	if cap(dst) == 0 {
+		out = make([]byte, 0, k)
+	} else {
+		out = slices.Grow(dst, k)
 	}
 	base := len(out)
 	for len(src) > 0 {
