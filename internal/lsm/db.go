@@ -739,9 +739,11 @@ func (db *DB) buildTable(m *memtable, num uint64) (tableMeta, error) {
 // the caller does to it reaches the store. It is copied at most once on
 // the way out. A value read from a table file is the block that read
 // brought in (the one pread, no copy; for a compressed block, its
-// decoded form), unless it is a small part of that block; such a block
-// is the caller's and never enters the block cache. A value in the
-// memtable or in a cached block, which later reads see too, is copied.
+// decoded form), unless it is a small part of that block or the block
+// cache takes the block, which it does for one read again soon after
+// (blockCache.putIfReread); a block handed over is the caller's and
+// never enters the cache. A value in the memtable or in a cached block,
+// which later reads see too, is copied.
 func (db *DB) Get(key []byte) ([]byte, error) {
 	v, _, err := db.getOwned(key, false)
 	return v, err

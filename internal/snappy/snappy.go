@@ -282,12 +282,12 @@ func Decode(dst, src []byte) ([]byte, error) {
 	// Sized once from the header. A hostile header cannot make this
 	// large: no input decodes to more than maxExpansion times its length,
 	// and one that claims to fails the length check at the end. A dst
-	// with no room at all gets a buffer of exactly that size, made rather
+	// without capacity gets a buffer of exactly that size, made rather
 	// than grown with slices.Grow: the race detector's build does not
 	// fuse Grow's append of a made slice, so Grow would allocate the
-	// decoded size twice there. A dst with room grows as append grows
-	// it, so a caller that decodes block after block into one dst grows
-	// it a few times, not once per larger block.
+	// decoded size twice there. Any other dst grows as append grows it,
+	// so a caller that decodes block after block into one dst grows it
+	// a few times, not once per larger block.
 	k := min(decodedLen, maxExpansion*len(src))
 	var out []byte
 	if cap(dst) == 0 {
