@@ -7,15 +7,17 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // MemFS is an in-memory FS used by unit tests and as the data store
 // backing the simulated parallel file system. It is safe for concurrent
 // use.
 type MemFS struct {
-	mu    sync.Mutex
-	files map[string]*memNode
-	dirs  map[string]bool
+	mu     sync.Mutex
+	files  map[string]*memNode
+	dirs   map[string]bool
+	closed atomic.Bool
 }
 
 // memPageSize is the unit a memNode stores its bytes in. A file grows a
@@ -136,6 +138,9 @@ func (m *MemFS) Create(name string) (File, error) {
 	name = clean(name)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return nil, fmt.Errorf("create %s: %w", name, ErrClosed)
+	}
 	if m.dirs[name] {
 		return nil, fmt.Errorf("create %s: %w", name, ErrIsDir)
 	}
@@ -150,6 +155,9 @@ func (m *MemFS) Open(name string) (File, error) {
 	name = clean(name)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return nil, fmt.Errorf("open %s: %w", name, ErrClosed)
+	}
 	n, ok := m.files[name]
 	if !ok {
 		return nil, fmt.Errorf("open %s: %w", name, ErrNotExist)
@@ -162,6 +170,9 @@ func (m *MemFS) Remove(name string) error {
 	name = clean(name)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return fmt.Errorf("remove %s: %w", name, ErrClosed)
+	}
 	if _, ok := m.files[name]; !ok {
 		return fmt.Errorf("remove %s: %w", name, ErrNotExist)
 	}
@@ -174,6 +185,9 @@ func (m *MemFS) Rename(oldName, newName string) error {
 	oldName, newName = clean(oldName), clean(newName)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return fmt.Errorf("rename %s: %w", oldName, ErrClosed)
+	}
 	n, ok := m.files[oldName]
 	if !ok {
 		return fmt.Errorf("rename %s: %w", oldName, ErrNotExist)
@@ -189,6 +203,9 @@ func (m *MemFS) MkdirAll(dir string) error {
 	dir = clean(dir)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return fmt.Errorf("mkdir %s: %w", dir, ErrClosed)
+	}
 	m.dirs[dir] = true
 	m.ensureParents(dir + "/x")
 	return nil
@@ -199,6 +216,9 @@ func (m *MemFS) List(dir string) ([]string, error) {
 	dir = clean(dir)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return nil, fmt.Errorf("list %s: %w", dir, ErrClosed)
+	}
 	if !m.dirs[dir] && dir != "." {
 		return nil, fmt.Errorf("list %s: %w", dir, ErrNotExist)
 	}
@@ -242,6 +262,9 @@ func (m *MemFS) Stat(name string) (int64, error) {
 	name = clean(name)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed.Load() {
+		return 0, fmt.Errorf("stat %s: %w", name, ErrClosed)
+	}
 	n, ok := m.files[name]
 	if !ok {
 		return 0, fmt.Errorf("stat %s: %w", name, ErrNotExist)
@@ -251,7 +274,7 @@ func (m *MemFS) Stat(name string) (int64, error) {
 	return n.size, nil
 }
 
-// Exists implements FS.
+// Exists implements FS. A closed filesystem holds nothing.
 func (m *MemFS) Exists(name string) bool {
 	name = clean(name)
 	m.mu.Lock()
@@ -260,6 +283,24 @@ func (m *MemFS) Exists(name string) bool {
 		return true
 	}
 	return m.dirs[name]
+}
+
+// Close releases the filesystem's pages. Every later call on it returns
+// ErrClosed (Exists reports false), and so does every call on a file
+// opened from it, whenever that file was opened.
+func (m *MemFS) Close() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed.Swap(true) {
+		return ErrClosed
+	}
+	for _, n := range m.files {
+		n.mu.Lock()
+		n.pages, n.size = nil, 0
+		n.mu.Unlock()
+	}
+	m.files, m.dirs = map[string]*memNode{}, map[string]bool{}
+	return nil
 }
 
 // TotalBytes reports the sum of all file sizes, for tests and accounting.
@@ -283,6 +324,29 @@ type memFile struct {
 	closed bool
 }
 
+// err is ErrClosed once f or its filesystem is closed.
+func (f *memFile) err() error {
+	if f.closed || f.fs.closed.Load() {
+		return ErrClosed
+	}
+	return nil
+}
+
+// lock takes f's node for one call, or returns ErrClosed holding
+// nothing. The check follows the lock, so no call runs on a node that
+// MemFS.Close has released.
+func (f *memFile) lock() error {
+	if f.closed {
+		return ErrClosed
+	}
+	f.node.mu.Lock()
+	if f.fs.closed.Load() {
+		f.node.mu.Unlock()
+		return ErrClosed
+	}
+	return nil
+}
+
 func (f *memFile) Name() string { return f.name }
 
 func (f *memFile) Read(p []byte) (int, error) {
@@ -292,10 +356,9 @@ func (f *memFile) Read(p []byte) (int, error) {
 }
 
 func (f *memFile) ReadAt(p []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, ErrClosed
+	if err := f.lock(); err != nil {
+		return 0, err
 	}
-	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
 	if off >= f.node.size {
 		return 0, io.EOF
@@ -314,18 +377,17 @@ func (f *memFile) Write(p []byte) (int, error) {
 }
 
 func (f *memFile) WriteAt(p []byte, off int64) (int, error) {
-	if f.closed {
-		return 0, ErrClosed
+	if err := f.lock(); err != nil {
+		return 0, err
 	}
-	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
 	f.node.writeAt(p, off)
 	return len(p), nil
 }
 
 func (f *memFile) Seek(offset int64, whence int) (int64, error) {
-	if f.closed {
-		return 0, ErrClosed
+	if err := f.err(); err != nil {
+		return 0, err
 	}
 	var base int64
 	switch whence {
@@ -334,9 +396,11 @@ func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		base = f.pos
 	case io.SeekEnd:
-		f.node.mu.Lock()
-		base = f.node.size
-		f.node.mu.Unlock()
+		size, err := f.Size()
+		if err != nil {
+			return 0, err
+		}
+		base = size
 	default:
 		return 0, fmt.Errorf("seek %s: bad whence %d", f.name, whence)
 	}
@@ -349,35 +413,26 @@ func (f *memFile) Seek(offset int64, whence int) (int64, error) {
 }
 
 func (f *memFile) Size() (int64, error) {
-	if f.closed {
-		return 0, ErrClosed
+	if err := f.lock(); err != nil {
+		return 0, err
 	}
-	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
 	return f.node.size, nil
 }
 
-func (f *memFile) Sync() error {
-	if f.closed {
-		return ErrClosed
-	}
-	return nil
-}
+func (f *memFile) Sync() error { return f.err() }
 
 func (f *memFile) Truncate(size int64) error {
-	if f.closed {
-		return ErrClosed
+	if err := f.lock(); err != nil {
+		return err
 	}
-	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
 	f.node.truncate(size)
 	return nil
 }
 
 func (f *memFile) Close() error {
-	if f.closed {
-		return ErrClosed
-	}
+	err := f.err()
 	f.closed = true
-	return nil
+	return err
 }

@@ -253,6 +253,89 @@ func TestShrinkThenWriteLeavesZeroHole(t *testing.T) {
 	}
 }
 
+// A closed MemFS hands its full pages on to the next one with their old
+// bytes in them. None of those bytes may show: every hole reads as
+// zeros, whether it lies inside a page, at a page's start, or behind a
+// growing Truncate.
+func TestReusedPageShowsNoOldBytes(t *testing.T) {
+	old := NewMemFS()
+	for i := range 8 {
+		f, err := old.Create(fmt.Sprintf("f%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(bytes.Repeat([]byte{0xA5}, 2*memPageSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys := NewMemFS()
+	defer fsys.Close()
+	for _, tc := range []struct {
+		name  string
+		ops   func(f File) error
+		wrote func(want []byte) // sets the bytes ops wrote in a zero buffer
+	}{
+		{"inside a page", func(f File) error {
+			if _, err := f.WriteAt(bytes.Repeat([]byte{1}, 100), 0); err != nil {
+				return err
+			}
+			_, err := f.WriteAt([]byte{2}, 600_000)
+			return err
+		}, func(want []byte) {
+			copy(want, bytes.Repeat([]byte{1}, 100))
+			want[600_000] = 2
+		}},
+		{"at a page's start", func(f File) error {
+			_, err := f.WriteAt([]byte{3}, memPageSize+700_000)
+			return err
+		}, func(want []byte) { want[memPageSize+700_000] = 3 }},
+		{"after a growing Truncate", func(f File) error {
+			if _, err := f.WriteAt(bytes.Repeat([]byte{4}, 600_000), 0); err != nil {
+				return err
+			}
+			if err := f.Truncate(100); err != nil {
+				return err
+			}
+			if err := f.Truncate(900_000); err != nil {
+				return err
+			}
+			_, err := f.WriteAt([]byte{5}, 800_000)
+			return err
+		}, func(want []byte) {
+			copy(want, bytes.Repeat([]byte{4}, 100))
+			want[800_000] = 5
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := fsys.Create(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.ops(f); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadAll(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range got {
+				if b == 0xA5 {
+					t.Fatalf("byte %d of %d reads 0xa5, a byte of the closed filesystem", i, len(got))
+				}
+			}
+			want := make([]byte, len(got))
+			tc.wrote(want)
+			if i := firstDiff(got, want); i >= 0 {
+				t.Fatalf("byte %d = %#x, want %#x", i, got[i], want[i])
+			}
+		})
+	}
+}
+
 // firstDiff returns the first index at which a and b differ, or -1.
 func firstDiff(a, b []byte) int {
 	for i := range min(len(a), len(b)) {
@@ -267,8 +350,10 @@ func firstDiff(a, b []byte) int {
 }
 
 // memOp is one step of a MemFS model program: a WriteAt, a Truncate or a
-// ReadAt (Kind%3), at an offset below three pages. Half the ops are
-// centred on a page boundary.
+// ReadAt (Kind%3), at an offset below three pages, or, for one Kind in
+// 16, a release: the filesystem is closed, handing its pages back, and
+// the program goes on with an empty file on a fresh MemFS, whose pages
+// may be the released ones. Half the ops are centred on a page boundary.
 type memOp struct {
 	Kind uint8
 	Off  uint32
@@ -302,14 +387,26 @@ func decodeMemOps(b []byte) []memOp {
 // reports the first difference: in size, in a read's bytes, n or io.EOF,
 // or in the final contents.
 func checkMemFSOps(ops []memOp) error {
-	f, err := NewMemFS().Create("f")
+	fsys := NewMemFS()
+	defer func() { fsys.Close() }()
+	f, err := fsys.Create("f")
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	var model []byte
 	for i, op := range ops {
 		off := op.offset()
+		if op.Kind%16 == 15 {
+			if err := fsys.Close(); err != nil {
+				return fmt.Errorf("op %d: Close: %v", i, err)
+			}
+			fsys = NewMemFS()
+			if f, err = fsys.Create("f"); err != nil {
+				return err
+			}
+			model = nil
+			continue
+		}
 		switch op.Kind % 3 {
 		case 0:
 			data := make([]byte, op.Len)
@@ -393,6 +490,20 @@ func FuzzMemFSOps(f *testing.F) {
 		op(2, 0<<2|1, 4096, 0),
 		op(0, (2*memPageSize-7)<<2|1, 60000, 3),
 		op(2, (3*memPageSize-5)<<2|1, 65535, 0),
+	}, nil))
+	// A full page written and released, then, on the fresh MemFS, a
+	// write far into a page, a read of the hole before it, a shrink, a
+	// growing Truncate, a write past the cut and a read of it all.
+	f.Add(bytes.Join([][]byte{
+		op(0, 0<<2|1, 65535, 0x55),
+		op(0, (memPageSize-65535)<<2|1, 65535, 0x66),
+		op(15, 0, 0, 0),
+		op(0, 700000<<2|1, 100, 7),
+		op(2, 0<<2|1, 65535, 0),
+		op(1, 700010<<2|1, 0, 0),
+		op(1, 900000<<2|1, 0, 0),
+		op(0, 800000<<2|1, 1, 9),
+		op(2, 699990<<2|1, 65535, 0),
 	}, nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if err := checkMemFSOps(decodeMemOps(b)); err != nil {
