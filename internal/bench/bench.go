@@ -192,6 +192,8 @@ func RunFigure(f Figure, scale Scale, progress func(string)) (*FigureResult, err
 						bw = res.ReadBW
 					}
 					fr.addMetrics(s.Name, cluster.Obs().Snapshot())
+					// The next point reuses this one's pages.
+					cluster.Close()
 					fr.Points = append(fr.Points, Point{
 						Series:      s.Name,
 						Transfer:    transfer,

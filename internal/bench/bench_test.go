@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -151,6 +153,39 @@ func BenchmarkSimIORSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweep(Scale{Nodes: []int{16}, PerRankBytes: 4 << 20, BufferSize: 1 << 20})
+	}
+}
+
+// A figure point that follows a closed one takes the closed point's
+// pages from vfs's page pool, so the simulated file costs it no fresh
+// allocation. The point is Fig. 5's IOR baseline at 1 MiB transfers,
+// 4 ranks x 8 MiB; its rank buffers alone are 0.125 bytes per payload
+// byte. Measured 0.13 (0.32-0.44 under -race, where sync.Pool drops a
+// quarter of what it is given at random); a point whose cluster is not
+// closed allocates every page again: 1.13. The GC is off while it
+// runs: a collection empties the pool.
+func TestFigurePointAllocationRatchet(t *testing.T) {
+	const limit = 0.75
+	f := Fig5()
+	f.Series = f.Series[:1]
+	f.Transfers = []int64{1 << 20}
+	scale := Scale{Nodes: []int{4}, PerRankBytes: 8 << 20, BufferSize: 1 << 20}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if _, err := RunFigure(f, scale, nil); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fr, err := RunFigure(f, scale, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := fr.Points[0].Result.TotalBytes
+	perByte := float64(after.TotalAlloc-before.TotalAlloc) / float64(payload)
+	t.Logf("second point: %.3f bytes allocated per payload byte (%d B payload)", perByte, payload)
+	if perByte > limit {
+		t.Errorf("%.3f bytes allocated per payload byte, limit %.2f: the point did not reuse the pages of the one before", perByte, limit)
 	}
 }
 

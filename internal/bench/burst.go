@@ -137,6 +137,7 @@ func burstRank(p *sim.Proc, tp ckpt.TwoPhase, perRank int64, compute time.Durati
 // registry snapshot.
 func runBurstSync(nodes int, scale Scale, compute time.Duration) (time.Duration, time.Duration, obs.Snapshot, error) {
 	s := newSimRun(pfs.VikingConfig(nodes))
+	defer s.close()
 	stalls := make([]time.Duration, nodes)
 	var total time.Duration
 	s.ranks("sync-rank", nodes, func(p *sim.Proc, r int) error {
@@ -166,6 +167,7 @@ func runBurstSync(nodes int, scale Scale, compute time.Duration) (time.Duration,
 // with the ranks' shared `burst.*` tier instruments).
 func runBurstStaged(nodes int, scale Scale, compute time.Duration) (time.Duration, time.Duration, obs.Snapshot, error) {
 	s := newSimRun(pfs.VikingConfig(nodes))
+	defer s.close()
 	// One registry shared by every rank's tier, so the drain counters and
 	// lag histogram aggregate across the whole run.
 	tierReg := obs.NewRegistryOn(s.rtm.Now)

@@ -128,6 +128,7 @@ func degradedClusterConfig(nodes int) pfs.Config {
 // rebuilds the lost stripes onto spares, and a clean re-read after.
 func runDegradedMode(nodes int, scale Scale, m degradedMode) (time.Duration, time.Duration, obs.Snapshot, error) {
 	s := newSimRun(degradedClusterConfig(nodes))
+	defer s.close()
 	cluster := s.cluster
 	cluster.EnableResilience(pfs.Resilience{
 		Hedge:  m.hedge,

@@ -36,6 +36,10 @@ func newSimRun(cfg pfs.Config) *simRun {
 	return &simRun{k: k, rtm: rt.Sim(k), cluster: pfs.NewCluster(k, cfg)}
 }
 
+// close closes the cluster once the run's results are read, so the next
+// run reuses its pages.
+func (s *simRun) close() { s.cluster.Close() }
+
 // spawn starts body as a proc of the next pass; run reports its error.
 func (s *simRun) spawn(name string, body func(p *sim.Proc) error) {
 	err := new(error)
@@ -207,6 +211,7 @@ func overwriteOptions(fs vfs.FS, rtm rt.Runtime, jobs, buf int) lsm.Options {
 // engine's registry snapshot.
 func runOverwrite(scale Scale, jobs int, smooth bool, payload []byte, tune func(*lsm.Options)) (time.Duration, []time.Duration, obs.Snapshot, error) {
 	s := newSimRun(pfs.VikingConfig(1))
+	defer s.close()
 	buf := 64 * compValueSize
 	totalPuts := int(4 * scale.PerRankBytes / compValueSize)
 	keyspace := totalPuts / 2

@@ -215,6 +215,7 @@ func pipelineFill(p []byte, seed uint64) {
 // duration and the fraction of it the pipeline's writer stage was busy.
 func runPipelineFlush(scale Scale, workers int) (time.Duration, float64, obs.Snapshot, error) {
 	s := newSimRun(pfs.VikingConfig(1))
+	defer s.close()
 	totalPuts := int(scale.PerRankBytes / pipeValueSize)
 
 	var dur time.Duration
@@ -278,6 +279,7 @@ func runPipelineCompaction(scale Scale, workers int) (time.Duration, obs.Snapsho
 // returning also the mean cohort size (writes per fsync).
 func runPipelineWAL(scale Scale, grouped bool) (time.Duration, float64, obs.Snapshot, error) {
 	s := newSimRun(pfs.VikingConfig(1))
+	defer s.close()
 	totalPuts := int(scale.PerRankBytes / pipeWALValueSize)
 	perWriter := totalPuts / pipeWALWriters
 

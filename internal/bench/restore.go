@@ -126,6 +126,7 @@ func runRestoreFigure(f Figure, scale Scale, progress func(string)) (*FigureResu
 // metrics snapshot (pfs + ckpt restore latency quantiles).
 func runRestoreMode(nodes int, scale Scale, m restoreMode) (time.Duration, obs.Snapshot, error) {
 	s := newSimRun(degradedClusterConfig(nodes))
+	defer s.close()
 	cluster := s.cluster
 	cluster.EnableResilience(pfs.Resilience{Hedge: true, Parity: true})
 

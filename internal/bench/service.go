@@ -369,6 +369,7 @@ type serviceHost struct {
 func (s ServiceSession) run(load serviceLoad) (ServiceResult, error) {
 	clients := s.Tenants + 1 // the last client node hosts the noisy tenant
 	r := newSimRun(pfs.VikingConfig(clients + s.Shards))
+	defer r.close()
 	opts, sched := s.options(r.rtm, load.adm, s.BufferSize, func(i int) vfs.FS { return r.cluster.Client(clients + i) })
 	if sched != nil {
 		r.cluster.SetIOScheduler(sched)

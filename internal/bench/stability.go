@@ -160,6 +160,7 @@ func runStabilityWorkload(scale Scale, withSched bool) (stabStats, error) {
 	stormStart := 2 * phaseDur
 
 	s := newSimRun(cfg)
+	defer s.close()
 	cluster := s.cluster
 	cluster.EnableResilience(pfs.Resilience{Parity: true})
 

@@ -54,6 +54,9 @@ func (f *ClientFS) Create(name string) (vfs.File, error) {
 // CreateStriped makes a file with an explicit stripe count and size
 // (the `lfs setstripe` equivalent; zero values use the cluster default).
 func (f *ClientFS) CreateStriped(name string, stripeCount int, stripeSize int64) (vfs.File, error) {
+	if err := f.c.live(); err != nil {
+		return nil, err
+	}
 	p := f.c.cur()
 	f.c.chargeMDS(p, f.nodeID)
 	name = normalize(name)
@@ -73,6 +76,9 @@ func (f *ClientFS) track(pf *pfsFile) *pfsFile {
 // Open opens an existing file. Opening by another rank sees the layout the
 // creator established (shared-file N-to-1 workloads rely on this).
 func (f *ClientFS) Open(name string) (vfs.File, error) {
+	if err := f.c.live(); err != nil {
+		return nil, err
+	}
 	p := f.c.cur()
 	f.c.chargeMDS(p, f.nodeID)
 	name = normalize(name)
@@ -92,6 +98,9 @@ func (f *ClientFS) Open(name string) (vfs.File, error) {
 
 // Remove implements vfs.FS.
 func (f *ClientFS) Remove(name string) error {
+	if err := f.c.live(); err != nil {
+		return err
+	}
 	f.c.chargeMDS(f.c.cur(), f.nodeID)
 	name = normalize(name)
 	if err := f.c.store.Remove(name); err != nil {
@@ -103,6 +112,9 @@ func (f *ClientFS) Remove(name string) error {
 
 // Rename implements vfs.FS.
 func (f *ClientFS) Rename(oldName, newName string) error {
+	if err := f.c.live(); err != nil {
+		return err
+	}
 	f.c.chargeMDS(f.c.cur(), f.nodeID)
 	oldName, newName = normalize(oldName), normalize(newName)
 	if err := f.c.store.Rename(oldName, newName); err != nil {
@@ -117,18 +129,27 @@ func (f *ClientFS) Rename(oldName, newName string) error {
 
 // MkdirAll implements vfs.FS.
 func (f *ClientFS) MkdirAll(dir string) error {
+	if err := f.c.live(); err != nil {
+		return err
+	}
 	f.c.chargeMDS(f.c.cur(), f.nodeID)
 	return f.c.store.MkdirAll(dir)
 }
 
 // List implements vfs.FS.
 func (f *ClientFS) List(dir string) ([]string, error) {
+	if err := f.c.live(); err != nil {
+		return nil, err
+	}
 	f.c.chargeMDS(f.c.cur(), f.nodeID)
 	return f.c.store.List(dir)
 }
 
 // Stat implements vfs.FS.
 func (f *ClientFS) Stat(name string) (int64, error) {
+	if err := f.c.live(); err != nil {
+		return 0, err
+	}
 	f.c.chargeMDS(f.c.cur(), f.nodeID)
 	return f.c.store.Stat(name)
 }
@@ -144,6 +165,9 @@ func (f *ClientFS) Exists(name string) bool {
 // barrier. Unflushed write-back extents are pushed out first; a failed
 // push (injected OST fault surviving the retry budget) fails the barrier.
 func (f *ClientFS) Barrier() error {
+	if err := f.c.live(); err != nil {
+		return err
+	}
 	var firstErr error
 	for pf := range f.open {
 		if err := pf.flushWriteBack(); err != nil && firstErr == nil {
@@ -240,6 +264,9 @@ func (pf *pfsFile) Read(p []byte) (int, error) {
 }
 
 func (pf *pfsFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := pf.fs.c.live(); err != nil {
+		return 0, err
+	}
 	if err := pf.flushWriteBack(); err != nil {
 		return 0, err
 	}
@@ -362,6 +389,9 @@ func (pf *pfsFile) Size() (int64, error) { return pf.inner.Size() }
 
 // Sync blocks until this handle's writes reach stable storage.
 func (pf *pfsFile) Sync() error {
+	if err := pf.fs.c.live(); err != nil {
+		return err
+	}
 	if err := pf.flushWriteBack(); err != nil {
 		return err
 	}
@@ -415,6 +445,9 @@ func (pf *pfsFile) rebuildParityMeta() {
 }
 
 func (pf *pfsFile) Close() error {
+	if err := pf.fs.c.live(); err != nil {
+		return err
+	}
 	err := pf.flushWriteBack()
 	pf.finalizeCRCs()
 	delete(pf.fs.open, pf)

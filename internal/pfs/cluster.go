@@ -293,6 +293,22 @@ func (c *Cluster) ResetStats() { c.reg.ResetPrefix("pfs.") }
 // Store exposes the backing in-memory store (tests use it to verify data).
 func (c *Cluster) Store() *vfs.MemFS { return c.store }
 
+// Close ends the cluster once its results are read: the pages of its
+// files go back to vfs's page pool for the next cluster to reuse, and
+// every later call through one of its clients, or on a file opened
+// through one, returns vfs.ErrClosed. Stats and the registry stay
+// readable.
+func (c *Cluster) Close() error { return c.store.Close() }
+
+// live is what a client call returns before it charges any time:
+// vfs.ErrClosed once the cluster is closed, whose kernel is done.
+func (c *Cluster) live() error {
+	if c.store.Closed() {
+		return fmt.Errorf("pfs: %w", vfs.ErrClosed)
+	}
+	return nil
+}
+
 func (c *Cluster) ossNodeID(ossIdx int) int { return c.cfg.ComputeNodes + ossIdx }
 func (c *Cluster) ossOf(ostIdx int) int     { return ostIdx % c.cfg.NumOSSs }
 

@@ -2,6 +2,7 @@ package pfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -562,5 +563,97 @@ func TestNVMeConfigRemovesSeekPenalty(t *testing.T) {
 	nvme := scatterTime(NVMeConfig(1))
 	if nvme*5 > hdd {
 		t.Fatalf("NVMe scattered writes (%v) should be >5x faster than HDD (%v)", nvme, hdd)
+	}
+}
+
+// A closed cluster refuses every call with vfs.ErrClosed: through its
+// clients, and on files opened before the close, one of them with
+// writes still in its write-back extent. None of them reads the bytes a
+// later cluster wrote into the pages the closed one handed back.
+func TestClosedClusterRefusesEveryCall(t *testing.T) {
+	var files []vfs.File
+	var fs *ClientFS
+	c := runOnCluster(t, testConfig(1), func(c *Cluster, cfs *ClientFS) {
+		fs = cfs
+		for _, name := range []string{"a", "dir/b"} {
+			f, err := cfs.Create(name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := f.Write(bytes.Repeat([]byte{0xA5}, 3<<20+100)); err != nil {
+				t.Error(err)
+			}
+			files = append(files, f)
+		}
+		if err := files[0].Sync(); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); !errors.Is(err, vfs.ErrClosed) {
+		t.Errorf("second Close: %v, want vfs.ErrClosed", err)
+	}
+	// A second cluster takes the pages back and fills them.
+	runOnCluster(t, testConfig(1), func(_ *Cluster, cfs *ClientFS) {
+		f, err := cfs.Create("a")
+		if err == nil {
+			_, err = f.Write(bytes.Repeat([]byte{0x5A}, 8<<20))
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	})
+
+	check := func(call string, err error) {
+		t.Helper()
+		if !errors.Is(err, vfs.ErrClosed) {
+			t.Errorf("%s after Close: %v, want vfs.ErrClosed", call, err)
+		}
+	}
+	_, err := fs.Create("c")
+	check("Create", err)
+	_, err = fs.CreateStriped("c", 2, 1<<20)
+	check("CreateStriped", err)
+	_, err = fs.Open("a")
+	check("Open", err)
+	check("Remove", fs.Remove("a"))
+	check("Rename", fs.Rename("a", "z"))
+	check("MkdirAll", fs.MkdirAll("d"))
+	_, err = fs.List("dir")
+	check("List", err)
+	_, err = fs.Stat("a")
+	check("Stat", err)
+	check("Barrier", fs.Barrier())
+	_, err = fs.Scrub("")
+	check("Scrub", err)
+	if fs.Exists("a") || fs.Exists("dir") {
+		t.Error("Exists after Close reports a file")
+	}
+	for i, f := range files {
+		buf := make([]byte, 1<<20)
+		n, err := f.ReadAt(buf, 0)
+		check(fmt.Sprintf("file %d ReadAt", i), err)
+		if n != 0 || !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Errorf("file %d ReadAt after Close read %d bytes into its buffer", i, n)
+		}
+		_, err = f.Seek(0, 0)
+		check("Seek", err)
+		n, err = f.Read(buf)
+		check("Read", err)
+		if n != 0 {
+			t.Errorf("file %d Read after Close read %d bytes", i, n)
+		}
+		_, err = f.Write([]byte{1})
+		check("Write", err)
+		_, err = f.WriteAt([]byte{1}, 0)
+		check("WriteAt", err)
+		_, err = f.Size()
+		check("Size", err)
+		check("Sync", f.Sync())
+		check("Truncate", f.Truncate(0))
+		check("Close", f.Close())
 	}
 }

@@ -374,6 +374,9 @@ type ScrubReport struct {
 // (remapping the layout). I/O time is charged to the calling process.
 func (f *ClientFS) Scrub(dir string) (ScrubReport, error) {
 	c := f.c
+	if err := c.live(); err != nil {
+		return ScrubReport{}, err
+	}
 	p := c.cur()
 	var rep ScrubReport
 	for _, path := range c.Layouts(dir) {

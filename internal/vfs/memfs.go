@@ -24,11 +24,20 @@ type MemFS struct {
 // page at a time, so growing it copies at most one page, never the file.
 const memPageSize = 1 << 20
 
+// pagePool recycles full-size pages from one MemFS to the next: Close
+// puts a closed filesystem's full pages in, and growPage takes one out
+// whenever it grows a page to full size. A pooled page keeps its old
+// bytes; memNode's hole rule keeps them from showing. The pool is a
+// sync.Pool, so the GC empties it when nothing takes the pages: a
+// capped free list kept live instead raised the simulator's peak RSS.
+var pagePool sync.Pool // of *[memPageSize]byte
+
 // memNode is one file's bytes. Page i holds the file's bytes from
 // i*memPageSize, up to its length; a nil or short page reads as zeros up
-// to size. Invariant: a page's bytes between its length and its capacity
-// are zero, so extending a page within its capacity exposes only zeros
-// (a shrinking Truncate clears what it cuts off).
+// to size. A page's bytes between its length and its capacity may be
+// anything (a pooled page's old bytes, or bytes a shrinking Truncate cut
+// off), so the hole rule: a write that starts past a page's length first
+// clears the hole between the two.
 type memNode struct {
 	mu    sync.Mutex
 	size  int64
@@ -69,6 +78,9 @@ func (n *memNode) writeAt(p []byte, off int64) {
 			if need > cap(pg) {
 				pg = growPage(pg, need)
 			}
+			if in > len(pg) {
+				clear(pg[len(pg):in])
+			}
 			pg = pg[:need]
 			n.pages[i] = pg
 		}
@@ -83,29 +95,49 @@ func (n *memNode) writeAt(p []byte, off int64) {
 
 // growPage returns pg with capacity for need bytes. A page grows by
 // doubling from 1 KiB up to memPageSize, so a small file, or a file's
-// partly written last page, costs about what it holds.
+// partly written last page, costs about what it holds; a full-size page
+// comes from pagePool when it has one.
 func growPage(pg []byte, need int) []byte {
 	c := max(cap(pg), 1024)
 	for c < need {
 		c *= 2
 	}
-	c = min(c, memPageSize)
-	grown := make([]byte, len(pg), c)
+	var grown []byte
+	if c >= memPageSize {
+		if full, ok := pagePool.Get().(*[memPageSize]byte); ok {
+			grown = full[:len(pg)]
+		} else {
+			grown = make([]byte, len(pg), memPageSize)
+		}
+	} else {
+		grown = make([]byte, len(pg), c)
+	}
 	copy(grown, pg)
 	return grown
 }
 
+// release hands n's full-size pages to pagePool and empties n.
+func (n *memNode) release() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, pg := range n.pages {
+		if cap(pg) == memPageSize {
+			pagePool.Put((*[memPageSize]byte)(pg[:memPageSize]))
+		}
+	}
+	n.pages, n.size = nil, 0
+}
+
 // truncate sets the file's size. Growing adds a hole, which reads as
-// zeros; shrinking drops the pages past the end and clears the cut-off
-// tail of the last one, keeping the zero invariant.
+// zeros; shrinking drops the pages past the end and shortens the last
+// one, whose cut-off bytes the hole rule clears before a write exposes
+// them.
 func (n *memNode) truncate(size int64) {
 	if keep := int((size + memPageSize - 1) / memPageSize); size < n.size && keep <= len(n.pages) {
 		clear(n.pages[keep:])
 		n.pages = n.pages[:keep]
 		if in := int(size % memPageSize); in > 0 && in < len(n.pages[keep-1]) {
-			pg := n.pages[keep-1]
-			clear(pg[in:])
-			n.pages[keep-1] = pg[:in]
+			n.pages[keep-1] = n.pages[keep-1][:in]
 		}
 	}
 	n.size = size
@@ -285,7 +317,8 @@ func (m *MemFS) Exists(name string) bool {
 	return m.dirs[name]
 }
 
-// Close releases the filesystem's pages. Every later call on it returns
+// Close releases the filesystem: its files' full-size pages go to
+// pagePool for the next MemFS to reuse. Every later call on it returns
 // ErrClosed (Exists reports false), and so does every call on a file
 // opened from it, whenever that file was opened.
 func (m *MemFS) Close() error {
@@ -295,13 +328,14 @@ func (m *MemFS) Close() error {
 		return ErrClosed
 	}
 	for _, n := range m.files {
-		n.mu.Lock()
-		n.pages, n.size = nil, 0
-		n.mu.Unlock()
+		n.release()
 	}
 	m.files, m.dirs = map[string]*memNode{}, map[string]bool{}
 	return nil
 }
+
+// Closed reports whether Close has been called.
+func (m *MemFS) Closed() bool { return m.closed.Load() }
 
 // TotalBytes reports the sum of all file sizes, for tests and accounting.
 func (m *MemFS) TotalBytes() int64 {
