@@ -267,3 +267,26 @@ func TestDeterminism(t *testing.T) {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
 }
+
+// matchesPattern accepts exactly what pattern writes: at every length
+// around the 32-byte step, a flip of any one byte is caught, and so is
+// another rank's or another offset's pattern.
+func TestMatchesPatternCatchesEveryByte(t *testing.T) {
+	for n := 0; n <= 70; n++ {
+		buf := make([]byte, n)
+		pattern(buf, 3, 4096)
+		if !matchesPattern(buf, 3, 4096) {
+			t.Fatalf("%d B: the pattern does not match itself", n)
+		}
+		for i := range buf {
+			buf[i] ^= 0x10
+			if matchesPattern(buf, 3, 4096) {
+				t.Fatalf("%d B: a flip of byte %d passed", n, i)
+			}
+			buf[i] ^= 0x10
+		}
+		if n >= 8 && (matchesPattern(buf, 2, 4096) || matchesPattern(buf, 3, 4097)) {
+			t.Fatalf("%d B: another rank's or offset's pattern passed", n)
+		}
+	}
+}
