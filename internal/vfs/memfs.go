@@ -26,11 +26,15 @@ const memPageSize = 1 << 20
 
 // pagePool recycles full-size pages from one MemFS to the next: Close
 // puts a closed filesystem's full pages in, and growPage takes one out
-// whenever it grows a page to full size. A pooled page keeps its old
+// whenever it grows a page past pooledPageMin. A pooled page keeps its old
 // bytes; memNode's hole rule keeps them from showing. The pool is a
 // sync.Pool, so the GC empties it when nothing takes the pages: a
 // capped free list kept live instead raised the simulator's peak RSS.
 var pagePool sync.Pool // of *[memPageSize]byte
+
+// pooledPageMin is the capacity from which a growing page is taken from
+// pagePool rather than doubled.
+const pooledPageMin = 64 << 10
 
 // memNode is one file's bytes. Page i holds the file's bytes from
 // i*memPageSize, up to its length; a nil or short page reads as zeros up
@@ -95,21 +99,24 @@ func (n *memNode) writeAt(p []byte, off int64) {
 
 // growPage returns pg with capacity for need bytes. A page grows by
 // doubling from 1 KiB up to memPageSize, so a small file, or a file's
-// partly written last page, costs about what it holds; a full-size page
-// comes from pagePool when it has one.
+// partly written last page, costs about what it holds. Past
+// pooledPageMin it takes a full-size page from pagePool when the pool
+// has one: pages that size are the simulated files' payload, which goes
+// on to fill them, and a pooled page costs neither an allocation nor
+// the doublings' copies.
 func growPage(pg []byte, need int) []byte {
 	c := max(cap(pg), 1024)
 	for c < need {
 		c *= 2
 	}
+	c = min(c, memPageSize)
 	var grown []byte
-	if c >= memPageSize {
+	if c >= pooledPageMin {
 		if full, ok := pagePool.Get().(*[memPageSize]byte); ok {
 			grown = full[:len(pg)]
-		} else {
-			grown = make([]byte, len(pg), memPageSize)
 		}
-	} else {
+	}
+	if grown == nil {
 		grown = make([]byte, len(pg), c)
 	}
 	copy(grown, pg)
