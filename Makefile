@@ -118,9 +118,11 @@ perf-smoke:
 	[ $$rc -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
 		{ echo "perf-smoke: the round failed or its last line does not report \"correct\":true" >&2; exit 1; }
 
-# Paired wall-clock comparison against a base revision: BASE is checked
-# out as a git worktree under .bench_scratch/, and N rounds run in each
-# tree, alternating, with the order swapped every pair. A round is one
+# Paired wall-clock comparison against a base revision: BASE, and HEAD
+# with the working tree's changes copied over it, are checked out as two
+# git worktrees side by side under .bench_scratch/, so both sides build
+# and run the same way, and N rounds run in each tree, alternating, with
+# the order swapped every pair. A round is one
 # run of WORKLOAD, or of the Go benchmarks matching BENCH in PKG (default
 # every package; BENCHTIME is go test's -benchtime) from test binaries
 # built once per tree. Prints both medians and IQRs, the ratio, the pairs

@@ -1,9 +1,13 @@
 // Command benchpairs measures the working tree against a base revision.
-// It checks the base out as a git worktree under .bench_scratch/, runs
-// one round in each tree N times, alternating the trees and swapping
-// which goes first in every pair, and prints, for every metric: both
-// medians, both interquartile ranges, the ratio, the pairs the working
-// tree wins and a verdict. A round is one of two things:
+// It makes two git worktrees side by side under .bench_scratch/: the
+// base revision, and HEAD with the working tree's changes and new files
+// copied over it. Both sides build and run from a tree of the same
+// shape, with their own build output, so nothing but the code differs
+// between them. It runs one round in each tree N times, alternating the
+// trees and swapping which goes first in every pair, and prints, for
+// every metric: both medians, both interquartile ranges, the ratio, the
+// pairs the working tree wins and a verdict. A round is one of two
+// things:
 //
 //   - with -workload, one run of a BENCHMARK.json workload with that
 //     file's own command; the metrics are its end-to-end metrics, judged
@@ -91,11 +95,11 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	err := withBase(*base, func(tree string) error {
+	err := withTrees(*base, func(trees [2]string) error {
 		if *bench != "" {
-			return runBench(ctx, tree, *base, *bench, strings.Fields(*pkg), *benchtime, *n, os.Stdout)
+			return runBench(ctx, trees, *base, *bench, strings.Fields(*pkg), *benchtime, *n, os.Stdout)
 		}
-		return runWorkload(ctx, tree, *base, *workload, *n, *seconds, os.Stdout)
+		return runWorkload(ctx, trees, *base, *workload, *n, *seconds, os.Stdout)
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpairs:", err)
@@ -103,24 +107,77 @@ func main() {
 	}
 }
 
-// withBase checks base out as a worktree under .bench_scratch/, calls fn
-// with its path and removes it again.
-func withBase(base string, fn func(tree string) error) error {
+// withTrees makes the two trees a pair runs, the base revision's and the
+// working tree's, as worktrees under .bench_scratch/, calls fn with
+// their paths (the base's first) and removes them again.
+//
+// The head runs from a worktree too, not from the checkout, so that the
+// two sides differ in nothing but their code: the same path depth, a
+// build cache of their own each, the same scratch directory layout.
+func withTrees(base string, fn func(trees [2]string) error) error {
 	if _, err := os.Stat("go.mod"); err != nil {
 		return fmt.Errorf("%w (run from the root of the checkout)", err)
 	}
-	tree := filepath.Join(".bench_scratch", "pairs-base")
-	// A worktree left by an interrupted run is replaced.
-	_ = exec.Command("git", "worktree", "remove", "--force", tree).Run()
-	if msg, err := exec.Command("git", "worktree", "add", "--detach", tree, base).CombinedOutput(); err != nil {
-		return fmt.Errorf("git worktree add %s: %v: %s", base, err, msg)
-	}
-	defer func() {
-		if msg, err := exec.Command("git", "worktree", "remove", "--force", tree).CombinedOutput(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchpairs: removing %s: %v: %s", tree, err, msg)
+	var trees [2]string
+	for side, rev := range [2]string{base, "HEAD"} {
+		tree := filepath.Join(".bench_scratch", "pairs-"+sides[side])
+		// A worktree left by an interrupted run is replaced.
+		_ = exec.Command("git", "worktree", "remove", "--force", tree).Run()
+		if msg, err := exec.Command("git", "worktree", "add", "--detach", tree, rev).CombinedOutput(); err != nil {
+			return fmt.Errorf("git worktree add %s: %v: %s", rev, err, msg)
 		}
-	}()
-	return fn(tree)
+		defer func() {
+			if msg, err := exec.Command("git", "worktree", "remove", "--force", tree).CombinedOutput(); err != nil {
+				fmt.Fprintf(os.Stderr, "benchpairs: removing %s: %v: %s", tree, err, msg)
+			}
+		}()
+		trees[side] = tree
+	}
+	if err := copyChanges(trees[1]); err != nil {
+		return err
+	}
+	return fn(trees)
+}
+
+// copyChanges brings a worktree of HEAD to the working tree's state: the
+// files changed since HEAD, staged or not, and the untracked files that
+// are not ignored are copied over, and the deleted ones removed.
+func copyChanges(tree string) error {
+	changed, err := exec.Command("git", "diff", "--name-only", "--no-renames", "-z", "HEAD").Output()
+	if err != nil {
+		return fmt.Errorf("git diff: %w", err)
+	}
+	untracked, err := exec.Command("git", "ls-files", "--others", "--exclude-standard", "-z").Output()
+	if err != nil {
+		return fmt.Errorf("git ls-files: %w", err)
+	}
+	for _, name := range strings.Split(string(changed)+string(untracked), "\x00") {
+		if name == "" {
+			continue
+		}
+		dst := filepath.Join(tree, name)
+		data, err := os.ReadFile(name)
+		if errors.Is(err, os.ErrNotExist) {
+			if err := os.Remove(dst); err != nil && !errors.Is(err, os.ErrNotExist) {
+				return err
+			}
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		info, err := os.Stat(name)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		if err := os.WriteFile(dst, data, info.Mode().Perm()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // alternate runs n pairs of rounds, the base tree first in odd pairs and
@@ -144,7 +201,7 @@ func alternate(ctx context.Context, n int, runOne func(side, pair int) round) ([
 	return rounds, nil
 }
 
-func runWorkload(ctx context.Context, tree, base, workload string, n, seconds int, out io.Writer) error {
+func runWorkload(ctx context.Context, dirs [2]string, base, workload string, n, seconds int, out io.Writer) error {
 	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		return err
@@ -156,7 +213,6 @@ func runWorkload(ctx context.Context, tree, base, workload string, n, seconds in
 	if seconds <= 0 {
 		seconds = sp.RunSeconds
 	}
-	dirs := [2]string{tree, "."}
 	rounds, err := alternate(ctx, n, func(side, i int) round {
 		args := append(append([]string(nil), sp.Command[1:]...),
 			"--workload", workload, "--seed", strconv.Itoa(i+1),
@@ -204,7 +260,7 @@ func runRound(ctx context.Context, dir, name string, args []string) round {
 // runBench builds one test binary per package with test files in each
 // tree, runs the benchmarks matching re in every one of them per round,
 // and reports every benchmark and unit they print.
-func runBench(ctx context.Context, tree, base, re string, pkgs []string, benchtime string, n int, out io.Writer) error {
+func runBench(ctx context.Context, trees [2]string, base, re string, pkgs []string, benchtime string, n int, out io.Writer) error {
 	list, err := exec.Command("go", append([]string{"list", "-f",
 		"{{if or .TestGoFiles .XTestGoFiles}}{{.Dir}}{{end}}"}, pkgs...)...).Output()
 	if err != nil {
@@ -227,7 +283,7 @@ func runBench(ctx context.Context, tree, base, re string, pkgs []string, benchti
 	}
 	bins := filepath.Join(root, ".bench_scratch", "pairs-bin")
 	defer os.RemoveAll(bins)
-	dirs := [2]string{filepath.Join(root, tree), root}
+	dirs := [2]string{filepath.Join(root, trees[0]), filepath.Join(root, trees[1])}
 	for side, dir := range dirs {
 		for i, rel := range rels {
 			if _, err := os.Stat(filepath.Join(dir, rel)); err != nil {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -78,6 +82,73 @@ func TestUnitBetter(t *testing.T) {
 	} {
 		if got := unitBetter(name); got != want {
 			t.Errorf("unitBetter(%q) = %s, want %s", name, got, want)
+		}
+	}
+}
+
+// copyChanges makes a worktree of HEAD match the working tree: a
+// modified file, a staged one, a new untracked one and a deleted one;
+// an ignored file stays out.
+func TestCopyChangesBringsTheWorkingTree(t *testing.T) {
+	dir := t.TempDir()
+	git := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@t"}, args...)...)
+		cmd.Dir = dir
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v: %s", args, err, msg)
+		}
+	}
+	write := func(name, data string) {
+		t.Helper()
+		p := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	git("init", "-q")
+	// The worktree is ignored, as .bench_scratch/ is in the repository.
+	write(".gitignore", "ignored\n/tree/\n")
+	write("kept", "kept")
+	write("modified", "old")
+	write("staged", "old")
+	write("deleted", "old")
+	git("add", ".")
+	git("commit", "-q", "-m", "base")
+	write("modified", "new")
+	write("staged", "new")
+	git("add", "staged")
+	write("sub/untracked", "new")
+	write("ignored", "new")
+	if err := os.Remove(filepath.Join(dir, "deleted")); err != nil {
+		t.Fatal(err)
+	}
+	git("worktree", "add", "-q", "--detach", "tree", "HEAD")
+
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+	if err := copyChanges("tree"); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{"kept": "kept", "modified": "new", "staged": "new", "sub/untracked": "new", "deleted": "", "ignored": ""} {
+		got, err := os.ReadFile(filepath.Join("tree", name))
+		if want == "" {
+			if !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("%s in the tree: %q, %v; want it absent", name, got, err)
+			}
+			continue
+		}
+		if string(got) != want || err != nil {
+			t.Errorf("%s in the tree: %q, %v; want %q", name, got, err, want)
 		}
 	}
 }
