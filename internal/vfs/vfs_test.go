@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -334,6 +335,59 @@ func TestReusedPageShowsNoOldBytes(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Close may race with calls on open files: each call either completes
+// on the file's own bytes or returns ErrClosed, and once one has
+// returned ErrClosed every later one does.
+func TestCloseWhileFilesAreInUse(t *testing.T) {
+	fsys := NewMemFS()
+	var wg sync.WaitGroup
+	started := make(chan struct{}, 4)
+	for g := range 4 {
+		f, err := fsys.Create(fmt.Sprintf("f%d", g))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			data := bytes.Repeat([]byte{byte(g + 1)}, 256<<10)
+			buf := make([]byte, len(data))
+			closed := false
+			for i := 0; i < 200; i++ {
+				if i == 1 {
+					started <- struct{}{}
+				}
+				off := int64(i%8) * int64(len(data))
+				_, werr := f.WriteAt(data, off)
+				n, rerr := f.ReadAt(buf, off)
+				for _, err := range []error{werr, rerr} {
+					switch {
+					case errors.Is(err, ErrClosed):
+						closed = true
+					case err != nil && err != io.EOF:
+						t.Errorf("file %d op %d: %v", g, i, err)
+						return
+					case closed:
+						t.Errorf("file %d op %d succeeded after an ErrClosed", g, i)
+						return
+					}
+				}
+				if rerr == nil && !bytes.Equal(buf[:n], data) {
+					t.Errorf("file %d op %d read bytes it did not write", g, i)
+					return
+				}
+			}
+		}()
+	}
+	for range 4 {
+		<-started
+	}
+	if err := fsys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
 }
 
 // firstDiff returns the first index at which a and b differ, or -1.
