@@ -184,22 +184,16 @@ func pattern(buf []byte, rank int, globalOff int64) {
 }
 
 // matchesPattern reports whether buf holds what pattern writes for rank
-// and globalOff, comparing each word as it is generated.
+// and globalOff, comparing each 32 bytes as they are generated.
 func matchesPattern(buf []byte, rank int, globalOff int64) bool {
 	l := seedLanes(rank, globalOff)
-	i := 0
-	for ; i+32 <= len(buf); i += 32 {
+	var want [32]byte
+	for i := 0; i < len(buf); i += 32 {
 		l = l.next()
-		w := buf[i : i+32]
-		if binary.LittleEndian.Uint64(w) != l.a || binary.LittleEndian.Uint64(w[8:]) != l.b ||
-			binary.LittleEndian.Uint64(w[16:]) != l.c || binary.LittleEndian.Uint64(w[24:]) != l.d {
+		l.put(want[:])
+		if n := min(32, len(buf)-i); string(buf[i:i+n]) != string(want[:n]) {
 			return false
 		}
-	}
-	if i < len(buf) {
-		var tail [32]byte
-		l.next().put(tail[:])
-		return string(buf[i:]) == string(tail[:len(buf)-i])
 	}
 	return true
 }

@@ -337,7 +337,7 @@ func (m *MemFS) Close() error {
 	for _, n := range m.files {
 		n.release()
 	}
-	m.files, m.dirs = map[string]*memNode{}, map[string]bool{}
+	m.files, m.dirs = nil, nil
 	return nil
 }
 
