@@ -26,6 +26,9 @@ var fixtureStores = []struct {
 	name string
 	seed int64
 	raw  bool // blocks stored uncompressed
+	// wal: the entries are records of the log, not tables, and the last
+	// record is torn, as a crash leaves it.
+	wal bool
 	// sizes returns the value sizes, one entry per key.
 	sizes func(rng *rand.Rand) []int
 }{
@@ -50,7 +53,20 @@ var fixtureStores = []struct {
 		}
 		return append(s, 5<<10, 12<<10)
 	}},
+	// A log of one record per key, cut inside its last: Open replays the
+	// intact records into a table and drops the torn one.
+	{name: "wal", seed: 4, wal: true, sizes: func(rng *rand.Rand) []int {
+		s := make([]int, 40, 41)
+		for i := range s {
+			s[i] = 50 + rng.Intn(400)
+		}
+		return append(s, 6<<10)
+	}},
 }
+
+// walFixtureCut is how many bytes the wal store's log lost from its end:
+// less than its last record, more than its header.
+const walFixtureCut = 3 << 10
 
 // fixtureEntries returns a fixture store's keys and values: every 64
 // random bytes of a value are followed by their copy, as in the
@@ -79,39 +95,37 @@ func compressibleValue(rng *rand.Rand, n int) []byte {
 // TestEarlierStoresStillRead opens each store under testdata/stores, reads
 // back every key against the generator, checks that a scan finds no other
 // key, and verifies every block's checksum. The block types are counted
-// too, so a store that stopped holding what its name says fails.
+// too, so a store that stopped holding what its name says fails. A log
+// store's torn last key must be absent, and Repair on a copy of the store
+// must replay as many records as Open did.
 func TestEarlierStoresStillRead(t *testing.T) {
 	for _, st := range fixtureStores {
 		t.Run(st.name, func(t *testing.T) {
 			dir := filepath.Join("testdata", "stores", st.name)
 			keys, values := fixtureEntries(st.name, st.seed, st.sizes)
 			if *writeStores {
-				writeFixtureStore(t, dir, st.raw, keys, values)
+				writeFixtureStore(t, dir, st.raw, st.wal, keys, values)
 			}
-			fs := vfs.NewMemFS()
-			names, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
+			var torn []byte
+			if st.wal {
+				torn = []byte(keys[len(keys)-1])
+				keys, values = keys[:len(keys)-1], values[:len(values)-1]
+				sum, err := Repair("db", DefaultOptions(loadFixtureStore(t, dir)))
+				if err != nil || sum.LogRecordsRecovered != len(keys) {
+					t.Fatalf("Repair = %+v, %v; want %d log records", sum, err, len(keys))
+				}
 			}
-			for _, e := range names {
-				data, err := os.ReadFile(filepath.Join(dir, e.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				f, err := fs.Create("db/" + e.Name())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := f.Write(data); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-			}
+			fs := loadFixtureStore(t, dir)
 			db, err := Open("db", DefaultOptions(fs))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
+			if torn != nil {
+				if _, err := db.Get(torn); err != ErrNotFound {
+					t.Fatalf("Get(%s) of the torn record: %v, want ErrNotFound", torn, err)
+				}
+			}
 			for i, k := range keys {
 				got, err := db.Get([]byte(k))
 				if err != nil || !bytes.Equal(got, values[i]) {
@@ -180,9 +194,10 @@ func dataBlockTypes(t *testing.T, fs vfs.FS, dir string) map[byte]int {
 	return types
 }
 
-// writeFixtureStore writes keys and values to a new store, flushes it to
-// tables and copies its files to dir.
-func writeFixtureStore(t *testing.T, dir string, raw bool, keys []string, values [][]byte) {
+// writeFixtureStore writes keys and values to a new store and copies its
+// files to dir: flushed to tables, or with wal left in the log, whose end
+// then loses walFixtureCut bytes.
+func writeFixtureStore(t *testing.T, dir string, raw, wal bool, keys []string, values [][]byte) {
 	t.Helper()
 	fs := vfs.NewMemFS()
 	opts := DefaultOptions(fs)
@@ -196,8 +211,10 @@ func writeFixtureStore(t *testing.T, dir string, raw bool, keys []string, values
 			t.Fatal(err)
 		}
 	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
+	if !wal {
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -222,8 +239,37 @@ func writeFixtureStore(t *testing.T, dir string, raw bool, keys []string, values
 		if err != nil {
 			t.Fatal(err)
 		}
+		if wal && strings.HasSuffix(name, ".log") {
+			data = data[:len(data)-walFixtureCut]
+		}
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+}
+
+// loadFixtureStore copies the files of the store in dir to "db" on a new
+// MemFS.
+func loadFixtureStore(t *testing.T, dir string) vfs.FS {
+	t.Helper()
+	fs := vfs.NewMemFS()
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range names {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := fs.Create("db/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
+	return fs
 }
