@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -119,8 +117,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	if !o.DisableCache {
 		db.cache = newBlockCache(cacheSize, db.m.cacheHits, db.m.cacheMisses)
 	}
+	var replayed *memtable
 	if db.fs.Exists(currentFileName(db.dir)) {
-		if err := db.recover(); err != nil {
+		var err error
+		if replayed, err = db.recover(); err != nil {
 			return nil, err
 		}
 	} else {
@@ -129,12 +129,29 @@ func Open(dir string, opts Options) (*DB, error) {
 		// that is metadata damage, and Repair can rebuild it.
 		if names, err := db.fs.List(db.dir); err == nil {
 			for _, name := range names {
-				if strings.HasSuffix(name, ".sst") || strings.HasPrefix(name, "MANIFEST-") {
+				if kind, _ := parseFileName(name); kind == fileTable || kind == fileManifest {
 					return nil, fmt.Errorf("lsm: %s contains database files but no CURRENT; run Repair", db.dir)
 				}
 			}
 		}
-		if err := db.vs.createNew(); err != nil {
+		if err := db.fs.MkdirAll(db.dir); err != nil {
+			return nil, err
+		}
+		next := db.vs.nextFileNum
+		if err := db.vs.writeManifest(1, &versionEdit{Comparator: "lsmio.bytewise", NextFileNum: &next}); err != nil {
+			return nil, err
+		}
+	}
+	if replayed != nil {
+		// The replay installs as a flush does. Every log is below the next
+		// file number, so that is the LogNum that retires them all.
+		db.mem.logNum = db.vs.nextFileNum
+		db.mu.Lock()
+		db.imm = append(db.imm, replayed)
+		err := db.flushOneLocked()
+		db.mu.Unlock()
+		if err != nil {
+			db.Close()
 			return nil, err
 		}
 	}
@@ -144,105 +161,48 @@ func Open(dir string, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// recover replays the manifest and any WAL files newer than the recorded
-// log number.
-func (db *DB) recover() error {
+// recover loads the manifest and replays the logs it has not retired,
+// oldest first, into a memtable, which it returns: nil when there are no
+// such logs.
+func (db *DB) recover() (*memtable, error) {
 	minLog, err := db.vs.recover()
 	if err != nil {
-		return fmt.Errorf("lsm: recover manifest in %s: %w", db.dir, err)
+		return nil, fmt.Errorf("lsm: recover manifest in %s: %w", db.dir, err)
 	}
 	names, err := db.fs.List(db.dir)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var logs []uint64
 	for _, name := range names {
-		switch {
-		case strings.HasSuffix(name, ".log"):
-			num, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
-			if err == nil && num >= minLog {
-				logs = append(logs, num)
-			}
-		case strings.HasPrefix(name, "MANIFEST-"):
+		switch kind, num := parseFileName(name); {
+		case kind == fileLog && num >= minLog:
+			logs = append(logs, num)
+		case kind == fileManifest && num < db.vs.manifestNum:
 			// vs.recover has switched CURRENT — a rename, atomic and
 			// durable — to a fresh manifest that snapshots everything the
 			// older ones said. They are garbage from here on, and every
 			// open leaves one: sweep them (best effort; a crash or a
 			// failed remove leaves them for the next open).
-			num, err := strconv.ParseUint(strings.TrimPrefix(name, "MANIFEST-"), 10, 64)
-			if err == nil && num < db.vs.manifestNum {
-				db.fs.Remove(db.dir + "/" + name)
-			}
+			db.fs.Remove(db.dir + "/" + name)
 		}
 	}
-	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
+	if len(logs) == 0 {
+		return nil, nil
+	}
+	slices.Sort(logs)
+	mem := newMemtable()
 	for _, num := range logs {
-		if err := db.replayLog(num); err != nil {
-			return fmt.Errorf("lsm: replay %s: %w", logFileName(db.dir, num), err)
-		}
-	}
-	// Flush whatever the replay produced so old logs can be dropped.
-	if !db.mem.empty() {
-		meta, err := db.buildTable(db.mem, db.vs.newFileNum())
+		// A log the manifest has not counted keeps its number: no file
+		// created from here on may take it.
+		db.vs.nextFileNum = max(db.vs.nextFileNum, num+1)
+		_, last, err := replayLog(db.fs, db.dir, num, mem)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("lsm: replay %s: %w", logFileName(db.dir, num), err)
 		}
-		next := db.vs.nextFileNum
-		edit := &versionEdit{
-			Added:       []addedFile{addedFileFromMeta(0, meta)},
-			NextFileNum: &next,
-		}
-		if _, err := db.vs.apply(edit); err != nil {
-			return err
-		}
-		if err := db.vs.logEdit(edit); err != nil {
-			return err
-		}
-		db.mem = newMemtable()
+		db.vs.lastSeq = max(db.vs.lastSeq, last)
 	}
-	return nil
-}
-
-func (db *DB) replayLog(num uint64) error {
-	f, err := db.fs.Open(logFileName(db.dir, num))
-	if err != nil {
-		if errors.Is(err, vfs.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	r, err := newWALReader(f)
-	if err != nil {
-		return err
-	}
-	for {
-		rec, err := r.next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		b, err := decodeBatch(rec)
-		if err != nil {
-			return err
-		}
-		maxApplied := db.vs.lastSeq
-		err = b.forEach(func(seq seqNum, kind keyKind, key, value []byte, _ valueSum) error {
-			// rec is this record's own buffer; the memtable keeps it. A
-			// logged value carries no sum: its flush checksums it.
-			db.mem.add(seq, kind, key, value, noSum)
-			if seq > maxApplied {
-				maxApplied = seq
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		db.vs.lastSeq = maxApplied
-	}
+	return mem, nil
 }
 
 // newWAL rotates to a fresh log file for the active memtable (no-op when
@@ -659,7 +619,7 @@ func (db *DB) flushOneLocked() error {
 		defer delete(db.pendingOutputs, num)
 		db.mu.Unlock()
 		var err error
-		meta, err = db.buildTable(m, num)
+		meta, err = buildTable(&db.opts, db.dir, m, num, &db.m)
 		db.mu.Lock()
 		if err != nil {
 			return err
@@ -671,11 +631,13 @@ func (db *DB) flushOneLocked() error {
 	// and that is not the live WAL while a second immutable memtable waits
 	// behind m. With Sync the waiting memtable's writes were acknowledged
 	// durable when their records synced; without it a process crash still
-	// keeps the bytes written to its log, and replay needs them.
-	logNum := db.walNum
+	// keeps the bytes written to its log, and replay needs them. A memtable
+	// with the WAL off has no log (0): the number in effect stays.
+	logNum := db.mem.logNum
 	if len(db.imm) > 1 {
 		logNum = db.imm[1].logNum
 	}
+	logNum = max(logNum, db.vs.logNum)
 	next := db.vs.nextFileNum
 	last := uint64(db.vs.lastSeq)
 	edit.LogNum, edit.NextFileNum, edit.LastSeq = &logNum, &next, &last
@@ -719,10 +681,10 @@ func (db *DB) flushOneLocked() error {
 	return nil
 }
 
-// buildTable writes a memtable out as an SSTable with the pre-allocated
-// file number. Called without the lock.
-func (db *DB) buildTable(m *memtable, num uint64) (tableMeta, error) {
-	w, err := newTableWriter(&db.opts, tableFileName(db.dir, num), num, &db.m, iosched.Flush)
+// buildTable writes a memtable out as table num of dir: a flush's, and
+// Repair's of the logs it salvaged (metrics nil). Called without the lock.
+func buildTable(opts *Options, dir string, m *memtable, num uint64, metrics *dbMetrics) (tableMeta, error) {
+	w, err := newTableWriter(opts, tableFileName(dir, num), num, metrics, iosched.Flush)
 	if err != nil {
 		return tableMeta{}, err
 	}
@@ -933,12 +895,8 @@ func (db *DB) obsoleteFilesLocked() []string {
 	}
 	var doomed []string
 	for _, name := range names {
-		switch {
-		case strings.HasSuffix(name, ".sst"):
-			num, err := strconv.ParseUint(strings.TrimSuffix(name, ".sst"), 10, 64)
-			if err != nil || live[num] {
-				continue
-			}
+		switch kind, num := parseFileName(name); {
+		case kind == fileTable && !live[num]:
 			if t, ok := db.tables[num]; ok {
 				t.close()
 				delete(db.tables, num)
@@ -947,11 +905,7 @@ func (db *DB) obsoleteFilesLocked() []string {
 				db.cache.evictFile(num)
 			}
 			doomed = append(doomed, name)
-		case strings.HasSuffix(name, ".log"):
-			num, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
-			if err != nil || num >= db.vs.logNum || num == db.walNum {
-				continue
-			}
+		case kind == fileLog && num < db.vs.logNum && num != db.walNum:
 			doomed = append(doomed, name)
 		}
 	}

@@ -1,12 +1,13 @@
 package lsm
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
-	"strconv"
+	"io"
+	"slices"
 	"strings"
 
-	"lsmio/internal/iosched"
 	"lsmio/internal/vfs"
 )
 
@@ -16,9 +17,11 @@ import (
 //
 // Every readable .sst file is scanned (checksums verified) and re-added
 // at level 0, ordered so that higher file numbers (newer data) shadow
-// lower ones; salvageable WAL records are replayed into a fresh table.
-// Unreadable files are skipped and reported in the summary. On success a
-// new MANIFEST and CURRENT are written and the database opens normally.
+// lower ones; the intact prefix of every log is replayed into one more
+// table, the newest. Unreadable files and torn logs are reported in the
+// summary. A new manifest listing the tables then replaces the old ones,
+// and only after CURRENT names it are the old manifests and the logs
+// removed; the database then opens normally.
 func Repair(dir string, opts Options) (RepairSummary, error) {
 	o := opts.withDefaults()
 	if err := o.check(); err != nil {
@@ -32,32 +35,18 @@ func Repair(dir string, opts Options) (RepairSummary, error) {
 	if err != nil {
 		return sum, fmt.Errorf("lsm: repair: %w", err)
 	}
-
-	// Drop old metadata: it is what we are rebuilding.
-	for _, name := range names {
-		if name == "CURRENT" || strings.HasPrefix(name, "MANIFEST-") {
-			fs.Remove(dir + "/" + name)
-		}
-	}
-
-	type salvaged struct {
-		meta   tableMeta
-		maxSeq seqNum
-	}
-	var tables []salvaged
+	vs := newVersionSet(fs, dir)
+	var tables []tableMeta
 	var logs []uint64
-	maxFileNum := uint64(1)
-
+	var maxSeq seqNum
 	for _, name := range names {
-		switch {
-		case strings.HasSuffix(name, ".sst"):
-			num, err := strconv.ParseUint(strings.TrimSuffix(name, ".sst"), 10, 64)
-			if err != nil {
-				continue
-			}
-			if num > maxFileNum {
-				maxFileNum = num
-			}
+		kind, num := parseFileName(name)
+		if kind == fileOther {
+			continue
+		}
+		vs.nextFileNum = max(vs.nextFileNum, num+1)
+		switch kind {
+		case fileTable:
 			meta, tableMaxSeq, err := inspectTable(fs, dir, num, &o)
 			if err != nil {
 				sum.TablesSkipped++
@@ -66,89 +55,58 @@ func Repair(dir string, opts Options) (RepairSummary, error) {
 			}
 			sum.TablesRecovered++
 			sum.EntriesRecovered += meta.entries
-			tables = append(tables, salvaged{meta: meta, maxSeq: tableMaxSeq})
-		case strings.HasSuffix(name, ".log"):
-			num, err := strconv.ParseUint(strings.TrimSuffix(name, ".log"), 10, 64)
-			if err != nil {
-				continue
-			}
-			if num > maxFileNum {
-				maxFileNum = num
-			}
+			tables = append(tables, meta)
+			maxSeq = max(maxSeq, tableMaxSeq)
+		case fileLog:
 			logs = append(logs, num)
 		}
 	}
 
-	// Replay salvageable WAL records into a memtable, newest log last.
-	sort.Slice(logs, func(i, j int) bool { return logs[i] < logs[j] })
+	slices.Sort(logs)
 	mem := newMemtable()
-	maxSeqSeen := seqNum(0)
 	for _, num := range logs {
-		records, lastSeq := salvageLog(fs, dir, num, mem)
+		records, last, err := replayLog(fs, dir, num, mem)
 		sum.LogRecordsRecovered += records
-		if lastSeq > maxSeqSeen {
-			maxSeqSeen = lastSeq
+		maxSeq = max(maxSeq, last)
+		if err != nil {
+			sum.Problems = append(sum.Problems, fmt.Sprintf("%s: %v", logFileName(dir, num), err))
 		}
 	}
-
-	// The database's sequence must exceed every recovered entry's, so
-	// reads see the newest versions (tombstones included) and new writes
-	// shadow everything salvaged.
-	for _, t := range tables {
-		if t.maxSeq > maxSeqSeen {
-			maxSeqSeen = t.maxSeq
-		}
-	}
-
-	vs := newVersionSet(fs, dir)
-	vs.nextFileNum = maxFileNum + 1
-
-	// The WAL salvage becomes one more L0 table (the newest).
 	if !mem.empty() {
-		num := vs.newFileNum()
-		w, err := newTableWriter(&o, tableFileName(dir, num), num, nil, iosched.Flush)
+		meta, err := buildTable(&o, dir, mem, vs.newFileNum(), nil)
 		if err != nil {
 			return sum, err
 		}
-		it := mem.iterator()
-		for it.SeekToFirst(); it.Valid(); it.Next() {
-			w.add(it.IKey(), it.Value(), noSum)
-		}
-		meta, err := w.finish()
-		if err != nil {
-			return sum, err
-		}
-		tables = append(tables, salvaged{meta: meta})
+		tables = append(tables, meta)
 		sum.TablesRecovered++
 	}
 
-	// Rebuild the manifest: tables at L0, higher file numbers first
-	// (newer data shadows older under L0's newest-first semantics).
-	sort.Slice(tables, func(i, j int) bool {
-		return tables[i].meta.fileNum < tables[j].meta.fileNum
-	})
-	if err := vs.createNew(); err != nil {
-		return sum, err
-	}
-	next := vs.nextFileNum
-	last := uint64(maxSeqSeen)
-	logNum := vs.logNum
-	edit := &versionEdit{NextFileNum: &next, LastSeq: &last, LogNum: &logNum}
+	// LastSeq is the highest recovered sequence, so reads see the newest
+	// versions (tombstones included) and new writes shadow everything
+	// salvaged. Every log is in a table now: LogNum retires them all.
+	last := uint64(maxSeq)
+	logNum := vs.nextFileNum
+	edit := &versionEdit{LastSeq: &last, LogNum: &logNum}
+	// L0 lists newest first and apply prepends: add in file-number order.
+	slices.SortFunc(tables, func(a, b tableMeta) int { return cmp.Compare(a.fileNum, b.fileNum) })
 	for _, t := range tables {
-		edit.Added = append(edit.Added, addedFileFromMeta(0, t.meta))
+		edit.Added = append(edit.Added, addedFileFromMeta(0, t))
 	}
 	if _, err := vs.apply(edit); err != nil {
 		return sum, err
 	}
-	if err := vs.logEdit(edit); err != nil {
+	if err := vs.writeManifest(vs.newFileNum(), vs.snapshotEdit()); err != nil {
+		vs.close()
 		return sum, err
 	}
 	if err := vs.close(); err != nil {
 		return sum, err
 	}
-	// Old logs are now fully represented by tables.
-	for _, num := range logs {
-		fs.Remove(logFileName(dir, num))
+	// The new manifest's number is past every name listed.
+	for _, name := range names {
+		if kind, _ := parseFileName(name); kind == fileLog || kind == fileManifest {
+			fs.Remove(dir + "/" + name)
+		}
 	}
 	return sum, nil
 }
@@ -181,33 +139,18 @@ func (db *DB) VerifyChecksums() error {
 	for level, files := range ver.levels {
 		for _, fm := range files {
 			t, err := db.getTable(fm.num)
+			if err == nil {
+				_, _, err = scanTable(t)
+			}
 			if err != nil {
 				return fmt.Errorf("lsm: L%d table %06d: %w", level, fm.num, err)
-			}
-			it := t.iterator()
-			var prev internalKey
-			count := 0
-			for it.SeekToFirst(); it.Valid(); it.Next() {
-				ik := it.IKey()
-				if prev.valid() && compareIKeys(prev, ik) >= 0 {
-					return fmt.Errorf("lsm: L%d table %06d: keys out of order", level, fm.num)
-				}
-				prev = append(prev[:0], ik...)
-				count++
-			}
-			if err := it.Close(); err != nil {
-				return fmt.Errorf("lsm: L%d table %06d: %w", level, fm.num, err)
-			}
-			if count == 0 {
-				return fmt.Errorf("lsm: L%d table %06d: empty table", level, fm.num)
 			}
 		}
 	}
 	return nil
 }
 
-// inspectTable fully scans one table, verifying checksums, and returns
-// its metadata plus the highest sequence number it holds.
+// inspectTable opens table num of dir and scans it (scanTable).
 func inspectTable(fs vfs.FS, dir string, num uint64, opts *Options) (tableMeta, seqNum, error) {
 	f, err := fs.Open(tableFileName(dir, num))
 	if err != nil {
@@ -218,69 +161,75 @@ func inspectTable(fs vfs.FS, dir string, num uint64, opts *Options) (tableMeta, 
 	if err != nil {
 		return tableMeta{}, 0, err
 	}
-	meta := tableMeta{fileNum: num}
-	meta.size, _ = f.Size()
-	var tableMaxSeq seqNum
+	return scanTable(t)
+}
+
+// scanTable reads every entry of t, which checks every block's checksum,
+// and checks the keys' order. It returns the table's metadata and the
+// highest sequence number it holds; an empty table is an error.
+func scanTable(t *tableReader) (meta tableMeta, maxSeq seqNum, err error) {
+	meta = tableMeta{fileNum: t.fileNum, size: t.size}
 	it := t.iterator()
-	var prev internalKey
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		ik := it.IKey()
-		if prev.valid() && compareIKeys(prev, ik) >= 0 {
-			return tableMeta{}, 0, fmt.Errorf("keys out of order")
-		}
-		if !meta.smallest.valid() {
+		if meta.entries == 0 {
 			meta.smallest = append(internalKey(nil), ik...)
+		} else if compareIKeys(meta.largest, ik) >= 0 {
+			return tableMeta{}, 0, errors.New("keys out of order")
 		}
 		meta.largest = append(meta.largest[:0], ik...)
-		prev = append(prev[:0], ik...)
-		if ik.seq() > tableMaxSeq {
-			tableMaxSeq = ik.seq()
-		}
+		maxSeq = max(maxSeq, ik.seq())
 		meta.entries++
 	}
 	if err := it.Close(); err != nil {
 		return tableMeta{}, 0, err
 	}
 	if meta.entries == 0 {
-		return tableMeta{}, 0, fmt.Errorf("no entries")
+		return tableMeta{}, 0, errors.New("empty table")
 	}
-	meta.largest = append(internalKey(nil), meta.largest...)
-	return meta, tableMaxSeq, nil
+	return meta, maxSeq, nil
 }
 
-// salvageLog replays the intact prefix of a WAL file into mem: every
-// record up to the first one that is torn, fails its checksum or does
-// not decode. It returns how many records it replayed and the sequence
-// number just past the last entry they hold.
-func salvageLog(fs vfs.FS, dir string, num uint64, mem *memtable) (records int, lastSeq seqNum) {
+// replayLog adds the intact prefix of log num to mem: every record up to
+// the first that is torn, fails its checksum or does not decode. It
+// returns how many records it added, the highest sequence number among
+// their entries, and the error that stopped it: nil at the log's end or
+// at a torn tail, as a crash leaves it, and for a log that does not exist.
+// Open fails on that error; Repair keeps the prefix.
+func replayLog(fs vfs.FS, dir string, num uint64, mem *memtable) (records int, last seqNum, err error) {
 	f, err := fs.Open(logFileName(dir, num))
+	if errors.Is(err, vfs.ErrNotExist) {
+		return 0, 0, nil
+	}
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
 	defer f.Close()
 	r, err := newWALReader(f)
 	if err != nil {
-		return 0, 0
+		return 0, 0, err
 	}
-	for {
+	for ; ; records++ {
 		rec, err := r.next()
+		if err == io.EOF {
+			return records, last, nil
+		}
 		if err != nil {
-			return records, lastSeq // EOF or torn tail: keep what we have
+			return records, last, err
 		}
 		b, err := decodeBatch(rec)
 		if err != nil {
-			return records, lastSeq
+			return records, last, err
 		}
 		err = b.forEach(func(seq seqNum, kind keyKind, key, value []byte, _ valueSum) error {
+			// rec is this record's own buffer; the memtable keeps it. A
+			// logged value carries no sum: its flush checksums it.
 			mem.add(seq, kind, key, value, noSum)
+			last = max(last, seq)
 			return nil
 		})
 		if err != nil {
-			return records, lastSeq
-		}
-		records++
-		if end := b.seq() + seqNum(b.Count()); end > lastSeq {
-			lastSeq = end
+			return records, last, err
 		}
 	}
 }

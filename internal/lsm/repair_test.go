@@ -220,7 +220,7 @@ func mustList(t *testing.T, fs vfs.FS, dir string) []string {
 
 func TestSalvageLogTruncatedTail(t *testing.T) {
 	// A crash mid-write leaves the WAL's final record cut inside its
-	// payload. salvageLog must keep every complete record and stop cleanly
+	// payload. replayLog must keep every complete record and stop cleanly
 	// at the torn tail.
 	fs := vfs.NewMemFS()
 	fs.MkdirAll("db")
@@ -256,11 +256,11 @@ func TestSalvageLogTruncatedTail(t *testing.T) {
 
 	// One pass replays exactly the complete records and counts them.
 	mem := newMemtable()
-	records, lastSeq := salvageLog(fs, "db", 7, mem)
-	if records != complete {
-		t.Fatalf("salvaged %d records, want %d", records, complete)
+	records, lastSeq, err := replayLog(fs, "db", 7, mem)
+	if records != complete || err != nil {
+		t.Fatalf("salvaged %d records, %v; want %d", records, err, complete)
 	}
-	if want := seqNum(complete + 1); lastSeq != want {
+	if want := seqNum(complete); lastSeq != want {
 		t.Fatalf("lastSeq = %d, want %d", lastSeq, want)
 	}
 	for i := 0; i < complete; i++ {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"lsmio/internal/vfs"
@@ -239,6 +240,35 @@ func manifestFileName(dir string, num uint64) string {
 }
 func currentFileName(dir string) string { return dir + "/CURRENT" }
 
+// fileKind is what parseFileName makes of a directory entry.
+type fileKind int
+
+const (
+	fileOther fileKind = iota
+	fileTable
+	fileLog
+	fileManifest
+)
+
+// parseFileName returns the kind and number of a database file's name
+// (000012.sst, 000012.log, MANIFEST-000012); fileOther for any other name.
+func parseFileName(name string) (fileKind, uint64) {
+	kind, digits := fileOther, ""
+	switch {
+	case strings.HasSuffix(name, ".sst"):
+		kind, digits = fileTable, strings.TrimSuffix(name, ".sst")
+	case strings.HasSuffix(name, ".log"):
+		kind, digits = fileLog, strings.TrimSuffix(name, ".log")
+	case strings.HasPrefix(name, "MANIFEST-"):
+		kind, digits = fileManifest, strings.TrimPrefix(name, "MANIFEST-")
+	}
+	num, err := strconv.ParseUint(digits, 10, 64)
+	if err != nil {
+		return fileOther, 0
+	}
+	return kind, num
+}
+
 func newVersionSet(fs vfs.FS, dir string) *versionSet {
 	return &versionSet{
 		fs:          fs,
@@ -315,49 +345,41 @@ func (vs *versionSet) logEdit(edit *versionEdit) error {
 	return vs.manifest.sync()
 }
 
-// createNew initializes a brand-new database directory.
-func (vs *versionSet) createNew() error {
-	if err := vs.fs.MkdirAll(vs.dir); err != nil {
-		return err
-	}
-	vs.manifestNum = 1
-	f, err := vs.fs.Create(manifestFileName(vs.dir, vs.manifestNum))
+// writeManifest starts manifest num with edit as its first record and
+// points CURRENT at it: CURRENT.tmp is written, synced and renamed over
+// CURRENT, so a crash leaves CURRENT naming the old manifest or the new
+// one. It is the one place a manifest begins and CURRENT switches.
+func (vs *versionSet) writeManifest(num uint64, edit *versionEdit) error {
+	f, err := vs.fs.Create(manifestFileName(vs.dir, num))
 	if err != nil {
 		return err
 	}
 	vs.manifestFile = f
 	vs.manifest = newWALWriter(f)
-	next := vs.nextFileNum
-	edit := &versionEdit{
-		Comparator:  "lsmio.bytewise",
-		NextFileNum: &next,
-	}
 	if err := vs.logEdit(edit); err != nil {
 		return err
 	}
-	return vs.setCurrent(vs.manifestNum)
-}
-
-// setCurrent atomically points CURRENT at a manifest.
-func (vs *versionSet) setCurrent(manifestNum uint64) error {
 	tmp := vs.dir + "/CURRENT.tmp"
-	f, err := vs.fs.Create(tmp)
+	cf, err := vs.fs.Create(tmp)
 	if err != nil {
 		return err
 	}
-	name := fmt.Sprintf("MANIFEST-%06d\n", manifestNum)
-	if _, err := f.Write([]byte(name)); err != nil {
-		f.Close()
+	if _, err := fmt.Fprintf(cf, "MANIFEST-%06d\n", num); err != nil {
+		cf.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := cf.Sync(); err != nil {
+		cf.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
+	if err := cf.Close(); err != nil {
 		return err
 	}
-	return vs.fs.Rename(tmp, currentFileName(vs.dir))
+	if err := vs.fs.Rename(tmp, currentFileName(vs.dir)); err != nil {
+		return err
+	}
+	vs.manifestNum = num
+	return nil
 }
 
 // recover loads the version state from CURRENT + manifest. It returns the
@@ -422,21 +444,9 @@ func (vs *versionSet) recover() (logNum uint64, err error) {
 	}
 	// Continue appending to a fresh manifest that snapshots current state,
 	// so old manifests never grow unboundedly across reopens.
-	manifestNum := vs.newFileNum()
-	f, err := vs.fs.Create(manifestFileName(vs.dir, manifestNum))
-	if err != nil {
+	if err := vs.writeManifest(vs.newFileNum(), vs.snapshotEdit()); err != nil {
 		return 0, err
 	}
-	vs.manifestFile = f
-	vs.manifest = newWALWriter(f)
-	snap := vs.snapshotEdit()
-	if err := vs.logEdit(snap); err != nil {
-		return 0, err
-	}
-	if err := vs.setCurrent(manifestNum); err != nil {
-		return 0, err
-	}
-	vs.manifestNum = manifestNum
 	return vs.logNum, nil
 }
 
