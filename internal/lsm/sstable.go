@@ -153,40 +153,54 @@ func newTableWriter(opts *Options, name string, fileNum uint64, m *dbMetrics, io
 	if opts.EncodeWorkers > 0 && opts.Runtime != nil {
 		w.pipe = newTablePipeline(w, opts.EncodeWorkers)
 	} else {
-		select {
-		case b := <-keptBlockBufs:
-			w.dataBlock.buf, w.cbuf = b.block, b.comp
-		default:
-		}
+		b := takeBlockBufs()
+		w.dataBlock.buf, w.cbuf = b.raw, b.enc
 	}
 	return w, nil
 }
 
-// blockBufs are an inline build's two block buffers: the block being
-// built and its compressed form. They grow to the largest block of the
-// table, a value's size where values are larger than a block, so a
-// writer that started from empty ones would grow them again, doubling,
-// for every flush and every merge output. They are kept between tables
-// instead, up to one pair per P, and dropped when a block larger than
-// maxKeptBlockBuf grew them.
-type blockBufs struct{ block, comp []byte }
+// blockBufs are the two buffers of one block at a time: its raw form and
+// its encoded form. An inline build builds each block in raw and
+// compresses it into enc; a reusing merge input reads each stored block
+// into enc and decodes it into raw; a point read of a compressed block
+// reads into enc. They grow to the largest block of a table, a value's
+// size where values are larger than a block, so a user that started from
+// empty ones would grow them again, doubling, for every flush, merge
+// input and merge output. They are kept between users instead, up to one
+// pair per P (keep).
+type blockBufs struct{ raw, enc []byte }
 
 var keptBlockBufs = make(chan blockBufs, runtime.GOMAXPROCS(0))
 
 const maxKeptBlockBuf = 1 << 20
 
-// keepBlockBufs hands an inline build's block buffers on to the next
-// table. The writer builds no more data blocks after it.
-func (w *tableWriter) keepBlockBufs() {
-	b := blockBufs{w.dataBlock.buf[:0], w.cbuf[:0]}
-	w.dataBlock.buf, w.cbuf = nil, nil
-	if cap(b.block) > maxKeptBlockBuf || cap(b.comp) > maxKeptBlockBuf {
+// takeBlockBufs returns a kept pair, or an empty one when none is kept.
+func takeBlockBufs() blockBufs {
+	select {
+	case b := <-keptBlockBufs:
+		return b
+	default:
+		return blockBufs{}
+	}
+}
+
+// keep hands b on to the next user, unless it is empty or a block larger
+// than maxKeptBlockBuf grew it.
+func (b blockBufs) keep() {
+	if cap(b.raw)+cap(b.enc) == 0 || cap(b.raw) > maxKeptBlockBuf || cap(b.enc) > maxKeptBlockBuf {
 		return
 	}
 	select {
-	case keptBlockBufs <- b:
+	case keptBlockBufs <- blockBufs{b.raw[:0], b.enc[:0]}:
 	default:
 	}
+}
+
+// keepBlockBufs hands an inline build's block buffers on. The writer
+// builds no more data blocks after it.
+func (w *tableWriter) keepBlockBufs() {
+	blockBufs{w.dataBlock.buf, w.cbuf}.keep()
+	w.dataBlock.buf, w.cbuf = nil, nil
 }
 
 // writeRaw appends p through the coalescing buffer, returning the write
@@ -755,7 +769,7 @@ func (t *tableReader) readMergeBlock(h blockHandle, scratch, decoded *[]byte) (b
 
 // readPointBlock is readRawBlock for a point read. A store that
 // compresses reads each block's stored bytes, only the decoder's input,
-// into the stored buffer of a pair kept between reads (keptReadBufs),
+// into the encoded buffer of a kept pair (blockBufs),
 // and decodes into a fresh slice, which is the block returned. A block
 // found stored raw there is copied out, so the kept buffer never becomes
 // a value. A store that does not compress reads into a buffer of exactly
@@ -764,13 +778,9 @@ func (t *tableReader) readPointBlock(h blockHandle) (raw []byte, entries valueSu
 	if t.opts.DisableCompression {
 		return t.readRawBlock(h, new([]byte), nil)
 	}
-	var bufs readBufs
-	select {
-	case bufs = <-keptReadBufs:
-	default:
-	}
+	bufs := takeBlockBufs()
 	var decoded []byte
-	raw, entries, err = t.readRawBlock(h, &bufs.stored, &decoded)
+	raw, entries, err = t.readRawBlock(h, &bufs.enc, &decoded)
 	if err == nil && decoded == nil {
 		raw = slices.Clone(raw)
 	}
@@ -859,54 +869,26 @@ func (t *tableReader) iterator() *tableIterator {
 // moves: the merge may reuse them only when the output copies what it is
 // given, which tableWriter.add does unless blocks are stored raw, and
 // tableWriter.forward writes a stored block before the merge moves on or
-// copies it. The buffers come from the ones earlier merge inputs grew
-// (keptReadBufs) and go back when the iterator is closed.
+// copies it. The buffers are a kept pair (blockBufs), which goes back
+// when the iterator is closed.
 func (t *tableReader) mergeIterator(reuse bool) *tableIterator {
 	it := t.iterator()
 	it.merge = true
 	if reuse {
+		b := takeBlockBufs()
 		it.decoded = new([]byte)
-		select {
-		case b := <-keptReadBufs:
-			it.scratch, *it.decoded = b.stored, b.decoded
-		default:
-		}
+		it.scratch, *it.decoded = b.enc, b.raw
 	}
 	return it
 }
 
-// readBufs are a reusing merge input's two buffers: the stored form of
-// the block last read and its decoded form. Each grows by doubling to
-// the largest block of its table, which on a store whose values grow in
-// key order is its last, so a merge input that started from empty ones
-// would grow them again in every merge. They are kept between merges
-// instead, like a table build's (keptBlockBufs): up to one pair per P,
-// dropped when a block larger than maxKeptBlockBuf grew them. Point
-// reads of compressed blocks borrow a pair for its stored buffer.
-type readBufs struct{ stored, decoded []byte }
-
-var keptReadBufs = make(chan readBufs, runtime.GOMAXPROCS(0))
-
-// keep hands b on to the next merge input or point read, unless it is
-// empty or a block larger than maxKeptBlockBuf grew it.
-func (b readBufs) keep() {
-	if cap(b.stored) == 0 || cap(b.stored) > maxKeptBlockBuf || cap(b.decoded) > maxKeptBlockBuf {
-		return
-	}
-	select {
-	case keptReadBufs <- readBufs{b.stored[:0], b.decoded[:0]}:
-	default:
-	}
-}
-
-// keepReadBufs hands a reusing merge input's buffers on to the next
-// merge. The iterator reads no more blocks after it; a second call finds
-// none to hand on.
+// keepReadBufs hands a reusing merge input's buffers on. The iterator
+// reads no more blocks after it; a second call finds none to hand on.
 func (it *tableIterator) keepReadBufs() {
 	if it.decoded == nil {
 		return
 	}
-	b := readBufs{it.scratch, *it.decoded}
+	b := blockBufs{*it.decoded, it.scratch}
 	it.scratch, it.decoded, it.data, it.stored = nil, nil, nil, nil
 	b.keep()
 }
