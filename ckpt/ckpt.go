@@ -16,6 +16,7 @@
 package ckpt
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,6 +27,7 @@ import (
 
 	"lsmio/internal/core"
 	"lsmio/internal/lsm"
+	"lsmio/internal/resil"
 )
 
 // ErrNoCheckpoint reports that no committed checkpoint exists.
@@ -336,24 +338,37 @@ func (s *Store) Read(step int64, name string) ([]byte, error) {
 		return nil, err
 	}
 	for _, v := range m.Vars {
-		if v.Name != name {
-			continue
+		if v.Name == name {
+			return s.readVar(context.Background(), resil.Policy{}, 0, m, step, v)
 		}
-		data, crc, derived, err := s.mgr.GetCRC(s.dataKey(step, name))
-		if errors.Is(err, core.ErrNotFound) {
-			return nil, fmt.Errorf("%w: step %d variable %q (store key %s)",
-				ErrIncomplete, step, name, s.dataKey(step, name))
-		}
-		if err != nil {
-			return nil, classifyCorrupt(step, err)
-		}
-		if !m.holds(v, data, crc, derived) {
-			return nil, fmt.Errorf("%w: step %d variable %q (store key %s)",
-				ErrCorrupt, step, name, s.dataKey(step, name))
-		}
-		return data, nil
 	}
 	return nil, fmt.Errorf("ckpt: step %d has no variable %q", step, name)
+}
+
+// readVar reads variable v of step under policy and checks it against
+// its manifest m: a missing value is ErrIncomplete, and engine-level
+// corruption (classifyCorrupt) or a value m does not hold is ErrCorrupt.
+// Neither is retried: the policy retries transient store errors only.
+func (s *Store) readVar(ctx context.Context, policy resil.Policy, seed uint64, m *manifest, step int64, v varEntry) ([]byte, error) {
+	key := s.dataKey(step, v.Name)
+	var data []byte
+	err := policy.Do(ctx, s.mgr.Runtime(), seed, func(int) error {
+		got, crc, derived, err := s.mgr.GetCRC(key)
+		if errors.Is(err, core.ErrNotFound) {
+			return fmt.Errorf("%w: step %d missing variable %q (store key %s)",
+				ErrIncomplete, step, v.Name, key)
+		}
+		if err != nil {
+			return classifyCorrupt(step, err)
+		}
+		if !m.holds(v, got, crc, derived) {
+			return fmt.Errorf("%w: step %d variable %q (store key %s)",
+				ErrCorrupt, step, v.Name, key)
+		}
+		data = got
+		return nil
+	})
+	return data, err
 }
 
 // classifyCorrupt rewrites engine-level corruption under a step's keys

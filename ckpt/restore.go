@@ -270,26 +270,9 @@ func (s *Store) restoreStep(step int64, par int, opts RestoreOptions, rep *Resto
 			atomic.AddInt64(&deltaBytes, v.Bytes)
 			return nil
 		}
-		key := s.dataKey(step, v.Name)
-		var data []byte
-		var crc uint32
-		var derived bool
-		rerr := opts.Policy.Do(opts.Ctx, rtm, uint64(step)^uint64(i)*0x9e3779b97f4a7c15,
-			func(int) error {
-				var gerr error
-				data, crc, derived, gerr = s.mgr.GetCRC(key)
-				if errors.Is(gerr, core.ErrNotFound) {
-					return fmt.Errorf("%w: step %d missing variable %q (store key %s)",
-						ErrIncomplete, step, v.Name, key)
-				}
-				return classifyCorrupt(step, gerr)
-			})
-		if rerr != nil {
-			return rerr
-		}
-		if !m.holds(v, data, crc, derived) {
-			return fmt.Errorf("%w: step %d variable %q (store key %s)",
-				ErrCorrupt, step, v.Name, key)
+		data, err := s.readVar(opts.Ctx, opts.Policy, uint64(step)^uint64(i)*0x9e3779b97f4a7c15, m, step, v)
+		if err != nil {
+			return err
 		}
 		results[i] = data
 		atomic.AddInt64(&bytesRead, v.Bytes)
