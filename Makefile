@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench bench-once figures fuzz restore-chaos svc-smoke svc-chaos restart perf-smoke loc pairs
+.PHONY: build test check race vet bench-once figures fuzz restore-chaos svc-smoke svc-chaos restart perf-smoke loc pairs
 
 build:
 	$(GO) build ./...
@@ -24,7 +24,7 @@ race:
 # enumeration sweeps in internal/robustness) under the race detector,
 # plus the extension figures regenerated, shape-checked and compared
 # with their versioned JSON, each fuzz target run for a bounded time and
-# the codec and engine benchmarks run once.
+# every benchmark run once.
 check: vet race restore-chaos svc-chaos svc-smoke restart figures fuzz bench-once
 
 # Bounded fuzzing of the parsers that read on-disk bytes, of the
@@ -96,15 +96,11 @@ figures:
 	done
 	git diff --exit-code -- 'BENCH_ext-*.json'
 
-bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
-
-# One iteration of every codec, engine, checkpoint-layer and service
-# benchmark and of the root package's knob ablations: tests never run
+# One iteration of every benchmark of every package: tests never run
 # them, so without this a benchmark that panics or no longer builds its
-# inputs goes unnoticed until someone measures with it. A few seconds.
+# inputs goes unnoticed until someone measures with it.
 bench-once:
-	$(GO) test -run '^$$' -bench . -benchtime 1x . ./internal/snappy ./internal/lsm ./ckpt ./internal/svc
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Wall-clock smoke of the checkpoint write path: one short round of the
 # repository benchmark's paper-configuration workload on the real
