@@ -166,11 +166,11 @@ func newTableWriter(opts *Options, name string, fileNum uint64, m *dbMetrics, io
 // reads into enc. They grow to the largest block of a table, a value's
 // size where values are larger than a block, so a user that started from
 // empty ones would grow them again, doubling, for every flush, merge
-// input and merge output. They are kept between users instead, up to one
-// pair per P (keep).
+// input and merge output. They are kept between users instead (keep), up
+// to two pairs per P: a merge holds one per input and one for its output.
 type blockBufs struct{ raw, enc []byte }
 
-var keptBlockBufs = make(chan blockBufs, runtime.GOMAXPROCS(0))
+var keptBlockBufs = make(chan blockBufs, 2*runtime.GOMAXPROCS(0))
 
 const maxKeptBlockBuf = 1 << 20
 
@@ -194,13 +194,6 @@ func (b blockBufs) keep() {
 	case keptBlockBufs <- blockBufs{b.raw[:0], b.enc[:0]}:
 	default:
 	}
-}
-
-// keepBlockBufs hands an inline build's block buffers on. The writer
-// builds no more data blocks after it.
-func (w *tableWriter) keepBlockBufs() {
-	blockBufs{w.dataBlock.buf, w.cbuf}.keep()
-	w.dataBlock.buf, w.cbuf = nil, nil
 }
 
 // writeRaw appends p through the coalescing buffer, returning the write
@@ -526,7 +519,9 @@ func (w *tableWriter) seal() {
 		w.pipe.closeSubmit(w.err)
 		return
 	}
-	w.keepBlockBufs()
+	// No more data blocks: the block buffers go on to their next user.
+	blockBufs{w.dataBlock.buf, w.cbuf}.keep()
+	w.dataBlock.buf, w.cbuf = nil, nil
 	if w.err == nil {
 		w.err = w.writeTail()
 	}
@@ -882,16 +877,6 @@ func (t *tableReader) mergeIterator(reuse bool) *tableIterator {
 	return it
 }
 
-// keepReadBufs hands a reusing merge input's buffers on. The iterator
-// reads no more blocks after it; a second call finds none to hand on.
-func (it *tableIterator) keepReadBufs() {
-	if it.decoded == nil {
-		return
-	}
-	b := blockBufs{*it.decoded, it.scratch}
-	it.scratch, it.decoded, it.data, it.stored = nil, nil, nil, nil
-	b.keep()
-}
 
 // close releases the underlying file.
 func (t *tableReader) close() error { return t.f.Close() }
@@ -992,11 +977,12 @@ func (it *tableIterator) soleBlock() (stored []byte, rawLen int) {
 	return it.stored, len(d.b.data) + 4*d.b.numRestarts + 4
 }
 
-// Close returns the iterator's error; a merge input hands its buffers on
-// to the next merge (keepReadBufs).
+// Close returns the iterator's error. A reusing merge input hands its
+// buffers on and reads no more blocks; a second Close finds none.
 func (it *tableIterator) Close() error {
-	if it.merge {
-		it.keepReadBufs()
+	if it.merge && it.decoded != nil {
+		blockBufs{*it.decoded, it.scratch}.keep()
+		it.scratch, it.decoded, it.data, it.stored = nil, nil, nil, nil
 	}
 	return it.err
 }
