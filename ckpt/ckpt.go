@@ -339,7 +339,7 @@ func (s *Store) Read(step int64, name string) ([]byte, error) {
 	}
 	for _, v := range m.Vars {
 		if v.Name == name {
-			return s.readVar(context.Background(), resil.Policy{}, 0, m, step, v)
+			return s.readVar(context.TODO(), resil.Policy{}, 0, m, step, v)
 		}
 	}
 	return nil, fmt.Errorf("ckpt: step %d has no variable %q", step, name)
