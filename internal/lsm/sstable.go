@@ -877,7 +877,6 @@ func (t *tableReader) mergeIterator(reuse bool) *tableIterator {
 	return it
 }
 
-
 // close releases the underlying file.
 func (t *tableReader) close() error { return t.f.Close() }
 
