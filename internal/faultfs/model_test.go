@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"lsmio/internal/vfs"
@@ -91,6 +92,71 @@ func TestSyncAfterRenameFollowsTheFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Crash", fs)
+}
+
+// TestSyncDuringBarrierKeepsItsBytes lets a Barrier read a file, then
+// appends to the file and syncs it before the Barrier records what it
+// read: the synced bytes must survive a crash, not the Barrier's shorter
+// read of them.
+func TestSyncDuringBarrierKeepsItsBytes(t *testing.T) {
+	inner := &stallFS{FS: vfs.NewMemFS(), read: make(chan struct{}), release: make(chan struct{})}
+	fs := New(inner)
+	h, err := fs.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Write([]byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() { done <- fs.Barrier() }()
+	<-inner.read
+	if _, err := h.Write([]byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	close(inner.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFile(t, fs, "a"); string(got) != "oldnew" {
+		t.Fatalf("a = %q after the crash, want %q", got, "oldnew")
+	}
+}
+
+// stallFS holds the first read through a handle it opened, once the read
+// is done, until release is closed; read is closed when it holds it.
+type stallFS struct {
+	vfs.FS
+	once          sync.Once
+	read, release chan struct{}
+}
+
+func (s *stallFS) Open(name string) (vfs.File, error) {
+	f, err := s.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return stallFile{f, s}, nil
+}
+
+type stallFile struct {
+	vfs.File
+	s *stallFS
+}
+
+func (f stallFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	f.s.once.Do(func() {
+		close(f.s.read)
+		<-f.s.release
+	})
+	return n, err
 }
 
 // refFile is one file of the reference model: its live and durable bytes.
