@@ -214,12 +214,19 @@ type FS struct {
 	recording  bool
 	images     []image
 	boundaries int
+	// reads numbers the reads of file content that Sync and Barrier
+	// capture, in the order they begin (node.read).
+	reads uint64
 }
 
 // node is one file of the model. durable is the content a crash keeps.
 // Its bytes are never modified once set (capture may only append past
-// them), so recorded images share them.
-type node struct{ durable []byte }
+// them), so recorded images share them. read is the number of the read
+// they came from (FS.reads).
+type node struct {
+	durable []byte
+	read    uint64
+}
 
 // New wraps inner. Files already present in inner are treated as fully
 // durable: New reads every one of them into the model.
@@ -508,6 +515,8 @@ func (f *FS) Barrier() error {
 		}
 	}
 	f.mu.Lock()
+	f.reads++
+	read := f.reads
 	files := make(map[string]*node, len(f.names))
 	for p, nd := range f.names {
 		files[p] = nd
@@ -517,7 +526,7 @@ func (f *FS) Barrier() error {
 		data, err := f.readInner(p)
 		f.mu.Lock()
 		if err == nil && f.names[p] == nd {
-			nd.capture(data)
+			nd.capture(data, read)
 		}
 		f.mu.Unlock()
 	}
@@ -530,8 +539,15 @@ func (f *FS) Barrier() error {
 // capture makes data the file's durable content. Content that extends
 // the durable bytes is appended to them: the images taken before keep
 // their shorter view of the same array, so a file that only grows, like
-// a log, costs each image only what it added. Callers hold the FS's mu.
-func (nd *node) capture(data []byte) {
+// a log, costs each image only what it added. read numbers the read data
+// came from: data read before the durable bytes were is older than they
+// are and changes nothing, as when a Barrier read a file before a Sync of
+// it read and captured more. Callers hold the FS's mu.
+func (nd *node) capture(data []byte, read uint64) {
+	if read < nd.read {
+		return
+	}
+	nd.read = read
 	if n := len(nd.durable); n > 0 && len(data) >= n && bytes.Equal(data[:n], nd.durable) {
 		nd.durable = append(nd.durable, data[n:]...)
 	} else {
@@ -671,6 +687,10 @@ func (fl *file) Sync() error {
 	if err := fl.inner.Sync(); err != nil {
 		return err
 	}
+	fl.fs.mu.Lock()
+	fl.fs.reads++
+	read := fl.fs.reads
+	fl.fs.mu.Unlock()
 	var data []byte
 	if fl.node != nil {
 		var err error
@@ -680,7 +700,7 @@ func (fl *file) Sync() error {
 	}
 	fl.fs.mu.Lock()
 	if fl.node != nil {
-		fl.node.capture(data)
+		fl.node.capture(data, read)
 	}
 	fl.fs.noteLocked(OpSync, fl.path)
 	fl.fs.mu.Unlock()
