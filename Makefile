@@ -23,7 +23,8 @@ race:
 # Full gate: vet + the complete test suite (including the crash-point
 # enumeration sweeps in internal/robustness) under the race detector,
 # plus the extension figures regenerated, shape-checked and compared
-# with their versioned JSON, each fuzz target run for a bounded time and
+# with their versioned JSON, the paper figures at quick scale compared
+# with their versioned CSVs, each fuzz target run for a bounded time and
 # every benchmark run once.
 check: vet race restore-chaos svc-chaos svc-smoke restart figures fuzz bench-once
 
@@ -88,6 +89,14 @@ svc-chaos:
 # internal/obs. And the simulator is deterministic, so the BENCH_*.json
 # files versioned at the repo root must come out byte for byte: a diff
 # is a change in virtual time that the PR has to explain and commit.
+# The paper's Figs. 5-10 then run at quick scale into results/quick/:
+# their CSVs and the run's transcript, which lists every shape check's
+# outcome, are versioned and diffed the same way. Their bands are set
+# for paper scale and some fail at quick scale (ROADMAP item 16), so a
+# run that ends by counting failed checks is not itself a failure: a
+# check that changes outcome changes the transcript. A run that stops
+# on an error leaves CSVs missing or its transcript cut short, and
+# fails here.
 figures:
 	$(GO) run ./cmd/lsmio-bench -fig ext -scale quick -json . -q
 	@for f in BENCH_ext-*.json; do \
@@ -95,6 +104,11 @@ figures:
 		grep -q '"p999"' $$f || { echo "figures: $$f missing latency quantiles" >&2; exit 1; }; \
 	done
 	git diff --exit-code -- 'BENCH_ext-*.json'
+	@rm -rf results/quick && mkdir -p results/quick
+	@$(GO) run ./cmd/lsmio-bench -fig paper -scale quick -csv results/quick -q > results/quick/figures.txt || \
+		tail -n 1 results/quick/figures.txt | grep -q 'shape check(s) outside their band$$' || \
+		{ echo "figures: lsmio-bench -fig paper -scale quick failed" >&2; exit 1; }
+	git diff --exit-code -- results/quick/
 
 # One iteration of every benchmark of every package: tests never run
 # them, so without this a benchmark that panics or no longer builds its
