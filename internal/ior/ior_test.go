@@ -2,6 +2,7 @@ package ior
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -288,5 +289,52 @@ func TestMatchesPatternCatchesEveryByte(t *testing.T) {
 		if n >= 8 && (matchesPattern(buf, 2, 4096) || matchesPattern(buf, 3, 4097)) {
 			t.Fatalf("%d B: another rank's or offset's pattern passed", n)
 		}
+	}
+}
+
+// TestSievedReadVirtualTimePinned pins the virtual cost of the two
+// sieved read paths, a posix-collective and an HDF5 shared-file read
+// phase (8 ranks, 64 KiB transfers, verify on), to the values recorded
+// before sieved reads stopped copying their window: the read phase's
+// time as float bits, and the bytes and RPCs the cluster served during
+// it. How a sieved read is carried out may change; what it books may not.
+func TestSievedReadVirtualTimePinned(t *testing.T) {
+	const nodes = 8
+	for _, tc := range []struct {
+		api          API
+		collective   bool
+		secondsBits  uint64
+		bytes, reads int64
+	}{
+		{APIPosix, true, 0x3f941618bd888394, 16777216, 32},
+		{APIHDF5, false, 0x3f72bd023aa90482, 16793600, 24},
+	} {
+		t.Run(string(tc.api), func(t *testing.T) {
+			cluster := smallCluster(nodes)
+			p := smallParams(tc.api)
+			p.Collective = tc.collective
+			p.DoRead = false
+			if _, err := Run(cluster, nodes, p); err != nil {
+				t.Fatal(err)
+			}
+			before := cluster.Stats()
+			p.DoWrite, p.DoRead = false, true
+			res, err := Run(cluster, nodes, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes := res.Storage.BytesRead - before.BytesRead
+			reads := res.Storage.ReadOps - before.ReadOps
+			t.Logf("read phase: %v s (bits %#x), %d B read in %d RPCs",
+				res.ReadSeconds, math.Float64bits(res.ReadSeconds), bytes, reads)
+			if got := math.Float64bits(res.ReadSeconds); got != tc.secondsBits {
+				t.Errorf("read phase took %v s (bits %#x), pinned %v s (bits %#x)",
+					res.ReadSeconds, got, math.Float64frombits(tc.secondsBits), tc.secondsBits)
+			}
+			if bytes != tc.bytes || reads != tc.reads {
+				t.Errorf("read phase served %d B in %d RPCs, pinned %d B in %d RPCs",
+					bytes, reads, tc.bytes, tc.reads)
+			}
+		})
 	}
 }
