@@ -248,7 +248,7 @@ func runRound(ctx context.Context, dir, name string, args []string) round {
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
-		return round{err: fmt.Errorf("%v: %s", err, lastLine(stderr.Bytes()))}
+		return round{err: fmt.Errorf("%v: %s", err, failureCause(stdout.Bytes(), stderr.Bytes()))}
 	}
 	var r round
 	if err := json.Unmarshal([]byte(lastLine(stdout.Bytes())), &r); err != nil {
@@ -483,6 +483,26 @@ func report(out io.Writer, metrics []metric, rounds [2][]round) error {
 		}
 	}
 	return nil
+}
+
+// failureCause says why a round exited non-zero. The benchmark prints
+// each reason a round was not correct as a "FAILED: " line on stdout and
+// an error that stopped it on stderr; without FAILED lines, stdout's
+// last line stands in for them.
+func failureCause(stdout, stderr []byte) string {
+	var causes []string
+	for _, l := range strings.Split(string(stdout), "\n") {
+		if strings.HasPrefix(l, "FAILED: ") {
+			causes = append(causes, l)
+		}
+	}
+	if len(causes) == 0 {
+		causes = append(causes, lastLine(stdout))
+	}
+	if l := lastLine(stderr); l != "" {
+		causes = append(causes, l)
+	}
+	return strings.Join(causes, "; ")
 }
 
 func lastLine(b []byte) string {

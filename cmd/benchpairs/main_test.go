@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -149,6 +150,23 @@ func TestCopyChangesBringsTheWorkingTree(t *testing.T) {
 		}
 		if string(got) != want || err != nil {
 			t.Errorf("%s in the tree: %q, %v; want %q", name, got, err, want)
+		}
+	}
+}
+
+// A round that exits non-zero carries its cause into the report: the
+// benchmark prints why a round was not correct on stdout, not stderr.
+func TestFailedRoundKeepsItsCause(t *testing.T) {
+	for _, c := range []struct{ script, want string }{
+		{`echo 'FAILED: restore after crash: bad magic'; echo 'FAILED: step 3'; echo '{"correct":false}'; exit 1`,
+			"FAILED: restore after crash: bad magic; FAILED: step 3"},
+		{`echo 'starting'; echo 'no result'; exit 1`, ": no result"},
+		{`echo 'FAILED: step 3'; echo 'benchmark: scratch is full' >&2; exit 1`,
+			"FAILED: step 3; benchmark: scratch is full"},
+	} {
+		r := runRound(context.Background(), t.TempDir(), "sh", []string{"-c", c.script})
+		if r.err == nil || !strings.HasSuffix(r.err.Error(), c.want) {
+			t.Errorf("round error %v, want one ending in %q", r.err, c.want)
 		}
 	}
 }
