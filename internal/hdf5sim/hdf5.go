@@ -313,14 +313,19 @@ func (h *File) RawWriteAt(data []byte, off int64) error {
 	return err
 }
 
-// RawReadAt reads bulk bytes at a file offset, bypassing the dataset
-// layer.
-func (h *File) RawReadAt(data []byte, off int64) error {
-	_, err := h.f.ReadAt(data, off)
-	if err == io.EOF {
-		err = nil
+// RawReadCovering reads bulk bytes at a file offset as one piece of a
+// read of the window [start, end) that covers them, bypassing the
+// dataset layer: the file books the whole window and copies only data
+// (data sieving under MPI-IO). The file must be one that can, as every
+// file a pfs client opens can.
+func (h *File) RawReadCovering(data []byte, off, start, end int64) (int, error) {
+	f, ok := h.f.(interface {
+		ReadCovering(p []byte, off, start, end int64) (int, error)
+	})
+	if !ok {
+		return 0, fmt.Errorf("hdf5sim: %T cannot read a covering window", h.f)
 	}
-	return err
+	return f.ReadCovering(data, off, start, end)
 }
 
 // Sync flushes outstanding writes (H5Fflush).

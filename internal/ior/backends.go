@@ -120,24 +120,14 @@ func (b *posixBackend) setupRead() error {
 		b.f = f
 	}
 	if b.e.p.Collective && !b.e.p.FilePerProc {
-		b.sv = newSieveReader(b.e, func(dst []byte, off int64) error {
-			_, err := b.f.ReadAt(dst, off)
-			if err == io.EOF {
-				err = nil
-			}
-			return err
-		})
+		b.sv = newSieveReader(b.e, b.f.(coveringFile).ReadCovering)
 	}
 	return nil
 }
 
 func (b *posixBackend) readAt(seg int, off int64, dst []byte) error {
 	if b.sv != nil {
-		size, err := b.f.Size()
-		if err != nil {
-			return err
-		}
-		return b.sv.read(off, dst, size)
+		return b.sv.read(off, dst)
 	}
 	_, err := b.f.ReadAt(dst, off)
 	if err == io.EOF {
@@ -277,7 +267,7 @@ func (b *hdf5Backend) setupRead() error {
 	// amplification behind HDF5's dramatic read-side collapse in the
 	// paper's Figure 10 (125-687x below the alternatives).
 	if !b.e.p.FilePerProc {
-		b.sv = newSieveReader(b.e, b.h.RawReadAt)
+		b.sv = newSieveReader(b.e, b.h.RawReadCovering)
 	}
 	return nil
 }
@@ -287,7 +277,7 @@ func (b *hdf5Backend) readAt(seg int, off int64, dst []byte) error {
 		// Chunk lookup still goes through the B-tree; the bulk read is
 		// sieved.
 		return b.h.ReadHyperslab(off, dst, sourceFunc(func(chunk []byte, fileOff int64) error {
-			return b.sv.read(fileOff, chunk, 0)
+			return b.sv.read(fileOff, chunk)
 		}))
 	}
 	return b.h.ReadHyperslab(off, dst, nil)

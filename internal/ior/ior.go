@@ -262,9 +262,8 @@ func Run(cluster *pfs.Cluster, nodes int, p Params) (Result, error) {
 			fail(err)
 			return
 		}
-		buf := make([]byte, p.TransferSize)
-
 		if p.DoWrite {
+			buf := make([]byte, p.TransferSize)
 			if err := b.setupWrite(); err != nil {
 				fail(fmt.Errorf("rank %d setupWrite: %w", r.Rank(), err))
 				return

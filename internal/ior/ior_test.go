@@ -219,6 +219,48 @@ func TestCollectiveWriteAllocationRatchet(t *testing.T) {
 	}
 }
 
+// TestSievedReadAllocationRatchet: a sieved read phase, posix-collective
+// or HDF5 shared-file (8 ranks x 4 MiB in 1 MiB transfers, so a 4 MiB
+// sieve window), allocates at most a stated multiple of its payload. The
+// file is written first, outside the count; the floor is the same read
+// of a file written in 1 KiB transfers, as in the write ratchet above.
+// Measured: 0.25 B/B on both paths, each rank's transfer buffer. It was
+// 1.50 when each rank copied its 4 MiB window into a scratch buffer
+// (1.0) and allocated a write buffer it did not use (0.25); a window
+// scratch of even one transfer per rank reads 0.5 and fails.
+func TestSievedReadAllocationRatchet(t *testing.T) {
+	const nodes, segments, limit = 8, 4, 0.4
+	for _, tc := range []struct {
+		api        API
+		collective bool
+	}{{APIPosix, true}, {APIHDF5, false}} {
+		t.Run(string(tc.api), func(t *testing.T) {
+			run := func(xfer int64) float64 {
+				cluster := smallCluster(nodes)
+				p := DefaultParams(tc.api, xfer, segments)
+				p.Collective = tc.collective
+				if _, err := Run(cluster, nodes, p); err != nil {
+					t.Fatal(err)
+				}
+				p.DoWrite, p.DoRead, p.Verify = false, true, true
+				return allocated(func() {
+					if _, err := Run(cluster, nodes, p); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			floor := run(1 << 10)
+			payload := float64(nodes * segments << 20)
+			perByte := (run(1<<20) - floor) / payload
+			t.Logf("%d ranks x %d MiB read in 1 MiB transfers: %.3f B allocated per payload byte beyond the 1 KiB run's %.0f B",
+				nodes, segments, perByte, floor)
+			if perByte > limit {
+				t.Errorf("%.3f B allocated per payload byte, limit %.2f: a copy is back on the sieved read path", perByte, float64(limit))
+			}
+		})
+	}
+}
+
 // TestVerifyCatchesCorruption is the mutation check of Verify: one byte
 // of the stored file flipped between the write and the read phase must
 // fail the read-back.

@@ -2,6 +2,7 @@ package ior
 
 import (
 	"fmt"
+	"io"
 )
 
 // Two-phase (collective buffering) I/O, ROMIO-style as tuned for Lustre:
@@ -120,20 +121,29 @@ func (tp *twoPhase) write(seg, t int, off int64, data []byte,
 
 // sieveReader models ROMIO's data-sieving read path for non-contiguous
 // (interleaved N-to-1) collective reads: to read a strided piece, the
-// library reads the whole covering extent into a scratch buffer and copies
-// the wanted bytes out. Amplification grows with the interleave factor —
-// the mechanism behind the paper's observation that collective I/O makes
-// IOR reads dramatically slower.
+// library reads the whole covering window and copies the wanted bytes
+// out of it. Amplification grows with the interleave factor — the
+// mechanism behind the paper's observation that collective I/O makes IOR
+// reads dramatically slower. The file books the read of the whole window
+// in virtual time but copies only the piece, which is still read for
+// real and verified: nothing ever looks at the window's other bytes.
 type sieveReader struct {
-	e       *env
-	readRaw func(dst []byte, off int64) error
-	scratch []byte
-	window  int64
+	// readCovering reads dst at off as one piece of a read of the
+	// window [start, end): a pfs file's ReadCovering, directly or
+	// through the HDF5 raw data channel.
+	readCovering func(dst []byte, off, start, end int64) (int, error)
+	window       int64
+}
+
+// coveringFile is a file that can read a piece of a window; every file
+// a pfs client opens is one.
+type coveringFile interface {
+	ReadCovering(p []byte, off, start, end int64) (int, error)
 }
 
 const maxSieveBuffer = 4 << 20 // ROMIO's default ind_rd_buffer_size ballpark
 
-func newSieveReader(e *env, readRaw func(dst []byte, off int64) error) *sieveReader {
+func newSieveReader(e *env, readCovering func(dst []byte, off, start, end int64) (int, error)) *sieveReader {
 	window := int64(e.nodes) * e.p.TransferSize
 	if window > maxSieveBuffer {
 		window = maxSieveBuffer
@@ -141,31 +151,18 @@ func newSieveReader(e *env, readRaw func(dst []byte, off int64) error) *sieveRea
 	if window < e.p.TransferSize {
 		window = e.p.TransferSize
 	}
-	return &sieveReader{e: e, readRaw: readRaw, window: window}
+	return &sieveReader{readCovering: readCovering, window: window}
 }
 
-func (sr *sieveReader) read(off int64, dst []byte, fileSize int64) error {
+func (sr *sieveReader) read(off int64, dst []byte) error {
 	start := off - off%sr.window
-	end := start + sr.window
-	// The requested range must always be covered, even when it straddles
-	// a window boundary (HDF5 shifts data extents by its metadata region).
-	if want := off + int64(len(dst)); want > end {
-		end = want
+	// The window always covers the requested range, even when it
+	// straddles a window boundary (HDF5 shifts data extents by its
+	// metadata region); the file cuts it at its end.
+	end := max(start+sr.window, off+int64(len(dst)))
+	_, err := sr.readCovering(dst, off, start, end)
+	if err == io.EOF {
+		err = nil
 	}
-	if fileSize > 0 && end > fileSize {
-		end = fileSize
-	}
-	if want := off + int64(len(dst)); end < want {
-		end = want
-	}
-	length := end - start
-	if int64(cap(sr.scratch)) < length {
-		sr.scratch = make([]byte, length)
-	}
-	buf := sr.scratch[:length]
-	if err := sr.readRaw(buf, start); err != nil {
-		return err
-	}
-	copy(dst, buf[off-start:])
-	return nil
+	return err
 }

@@ -3,6 +3,7 @@ package pfs
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"path"
 	"strings"
 	"time"
@@ -273,6 +274,41 @@ func (pf *pfsFile) ReadAt(p []byte, off int64) (int, error) {
 	n, err := pf.inner.ReadAt(p, off)
 	if n > 0 {
 		if cerr := pf.chargeReadWithRA(off, int64(n)); cerr != nil {
+			return 0, cerr
+		}
+	}
+	return n, err
+}
+
+// ReadCovering reads p at off as one piece of a read of the window
+// [start, end), which must cover it, and books the whole window: what
+// ReadAt of the window would do in virtual time (write-back flushed, one
+// read of the window up to the file's end through read-ahead, the same
+// counters and errors, a dead OST that serves only the window's other
+// bytes included) with only p's bytes copied. It is data sieving's read,
+// where a library reads a window to hand its caller one piece of it.
+// Like ReadAt it returns io.EOF when p runs past the end of the file.
+func (pf *pfsFile) ReadCovering(p []byte, off, start, end int64) (int, error) {
+	if off < start || off+int64(len(p)) > end {
+		return 0, fmt.Errorf("pfs: read of [%d, %d) outside its window [%d, %d)",
+			off, off+int64(len(p)), start, end)
+	}
+	if err := pf.fs.c.live(); err != nil {
+		return 0, err
+	}
+	if err := pf.flushWriteBack(); err != nil {
+		return 0, err
+	}
+	n, err := pf.inner.ReadAt(p, off)
+	if err != nil && err != io.EOF {
+		return n, err
+	}
+	size, serr := pf.inner.Size()
+	if serr != nil {
+		return 0, serr
+	}
+	if w := min(end, size) - start; w > 0 {
+		if cerr := pf.chargeReadWithRA(start, w); cerr != nil {
 			return 0, cerr
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -656,4 +657,116 @@ func TestClosedClusterRefusesEveryCall(t *testing.T) {
 		check("Truncate", f.Truncate(0))
 		check("Close", f.Close())
 	}
+}
+
+// ReadCovering books exactly what ReadAt of its window books: after each
+// of a series of sieved reads the virtual clock and the read counters
+// match ReadAt's, so does the cost of the plain sequential read that
+// follows (the read-ahead state), and only the requested bytes are
+// copied, and copied right.
+func TestReadCoveringBooksItsWindow(t *testing.T) {
+	const stripe = 64 << 10
+	data := pattern(20*stripe + 1000)
+	type step struct{ off, n, start, end int64 }
+	steps := []step{
+		{stripe, stripe, 0, 4 * stripe},                  // a piece inside the window
+		{4 * stripe, stripe, 4 * stripe, 8 * stripe},     // sequential: read-ahead
+		{5 * stripe, stripe, 4 * stripe, 8 * stripe},     // inside the read-ahead window
+		{12 * stripe, 1000, 12 * stripe, 14 * stripe},    // a jump
+		{20 * stripe, 1000, 16 * stripe, 24 * stripe},    // a window past the end
+		{20*stripe + 500, 500, 20 * stripe, 24 * stripe}, // the file's last bytes
+	}
+	type point struct {
+		now          sim.Time
+		bytes, reads int64
+	}
+	trace := func(cover bool) []point {
+		var got []point
+		runOnCluster(t, testConfig(1), func(c *Cluster, fs *ClientFS) {
+			f, err := fs.CreateStriped("sieved", 4, stripe)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := f.WriteAt(data, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := f.Sync(); err != nil {
+				t.Error(err)
+				return
+			}
+			p := c.cur()
+			mark := func() {
+				s := c.Stats()
+				got = append(got, point{p.Now(), s.BytesRead, s.ReadOps})
+			}
+			mark()
+			for _, s := range steps {
+				if cover {
+					buf := bytes.Repeat([]byte{0xee}, int(s.n)+2)
+					n, err := f.(*pfsFile).ReadCovering(buf[1:1+s.n], s.off, s.start, s.end)
+					want := data[min(s.off, int64(len(data))):min(s.off+s.n, int64(len(data)))]
+					if (err != nil && err != io.EOF) || n != len(want) || !bytes.Equal(buf[1:1+n], want) {
+						t.Errorf("ReadCovering(%+v) = %d, %v; the bytes match: %v", s, n, err, bytes.Equal(buf[1:1+n], want))
+					}
+					if buf[0] != 0xee || buf[len(buf)-1] != 0xee || (n < int(s.n) && buf[1+n] != 0xee) {
+						t.Errorf("ReadCovering(%+v) wrote outside the bytes it read", s)
+					}
+				} else if _, err := f.ReadAt(make([]byte, s.end-s.start), s.start); err != nil && err != io.EOF {
+					t.Errorf("ReadAt of %+v's window: %v", s, err)
+				}
+				mark()
+			}
+			// The next sequential read: it costs what the read-ahead state
+			// left behind.
+			if _, err := f.ReadAt(make([]byte, stripe), 8*stripe); err != nil {
+				t.Error(err)
+			}
+			mark()
+		})
+		return got
+	}
+	want, got := trace(false), trace(true)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("after step %d: ReadCovering left %+v, ReadAt of the window %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// A dead OST that serves only window bytes outside the requested piece
+// fails ReadCovering as it fails ReadAt of the window; outside the window
+// it fails neither.
+func TestReadCoveringFailsOnADeadOSTInItsWindow(t *testing.T) {
+	const stripe = 64 << 10
+	runOnCluster(t, testConfig(1), func(c *Cluster, fs *ClientFS) {
+		f, err := fs.CreateStriped("sieved", 4, stripe)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := f.WriteAt(pattern(8*stripe), 0); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := f.Sync(); err != nil {
+			t.Error(err)
+			return
+		}
+		c.SetOSTHealth(c.layouts["sieved"].osts[3], OSTDead, 0)
+		var dead *DeadOSTError
+		if _, err := f.ReadAt(make([]byte, 4*stripe), 0); !errors.As(err, &dead) {
+			t.Errorf("ReadAt of the window: %v, want a DeadOSTError", err)
+		}
+		if _, err := f.(*pfsFile).ReadCovering(make([]byte, stripe), 0, 0, 4*stripe); !errors.As(err, &dead) {
+			t.Errorf("ReadCovering: %v, want a DeadOSTError", err)
+		}
+		if _, err := f.(*pfsFile).ReadCovering(make([]byte, stripe), 0, 0, 3*stripe); err != nil {
+			t.Errorf("ReadCovering of a window the dead OST does not serve: %v", err)
+		}
+		if _, err := f.(*pfsFile).ReadCovering(make([]byte, stripe), 0, stripe, 4*stripe); err == nil {
+			t.Error("ReadCovering of a piece outside its window succeeded")
+		}
+	})
 }
