@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race vet bench-once figures fuzz restore-chaos svc-smoke svc-chaos restart perf-smoke loc pairs
+.PHONY: build test check race vet bench-once figures determinism fuzz restore-chaos svc-smoke svc-chaos restart perf-smoke loc pairs
 
 build:
 	$(GO) build ./...
@@ -24,9 +24,9 @@ race:
 # enumeration sweeps in internal/robustness) under the race detector,
 # plus the extension figures regenerated, shape-checked and compared
 # with their versioned JSON, the paper figures at quick scale compared
-# with their versioned CSVs, each fuzz target run for a bounded time and
-# every benchmark run once.
-check: vet race restore-chaos svc-chaos svc-smoke restart figures fuzz bench-once
+# with their versioned CSVs, both again on one OS thread, each fuzz
+# target run for a bounded time and every benchmark run once.
+check: vet race restore-chaos svc-chaos svc-smoke restart figures determinism fuzz bench-once
 
 # Bounded fuzzing of the parsers that read on-disk bytes, of the
 # encoder that writes them, of the CRC combine that checksums them and
@@ -110,6 +110,25 @@ figures:
 		{ echo "figures: lsmio-bench -fig paper -scale quick failed" >&2; exit 1; }
 	git diff --exit-code -- results/quick/
 
+# The simulator's output does not depend on how the Go scheduler runs
+# its goroutines: the extension and paper figures at quick scale, rerun
+# with GOMAXPROCS=1 into a temporary directory, must reproduce every
+# versioned BENCH_ext-*.json, every results/quick/ CSV and the paper
+# run's transcript byte for byte. The quick-scale band failures the
+# transcript counts are tolerated exactly as in `figures`. About 40 s
+# on two cores.
+determinism:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir -p "$$d/ext" "$$d/results/quick" && \
+	$(GO) build -o "$$d/lsmio-bench" ./cmd/lsmio-bench && \
+	GOMAXPROCS=1 "$$d/lsmio-bench" -fig ext -scale quick -json "$$d/ext" -q > /dev/null && \
+	for f in BENCH_ext-*.json; do cmp "$$f" "$$d/ext/$$f" || exit 1; done && \
+	[ $$(ls "$$d/ext" | wc -l) -eq $$(ls BENCH_ext-*.json | wc -l) ] || \
+		{ echo "determinism: the ext run failed or wrote other JSON files than the versioned ones" >&2; exit 1; }; \
+	( cd "$$d" && GOMAXPROCS=1 ./lsmio-bench -fig paper -scale quick -csv results/quick -q > results/quick/figures.txt ) || \
+		tail -n 1 "$$d/results/quick/figures.txt" | grep -q 'shape check(s) outside their band$$' || \
+		{ echo "determinism: lsmio-bench -fig paper -scale quick failed" >&2; exit 1; }; \
+	diff -r results/quick "$$d/results/quick" && echo "determinism: GOMAXPROCS=1 reproduces every versioned figure byte for byte"
+
 # One iteration of every benchmark of every package: tests never run
 # them, so without this a benchmark that panics or no longer builds its
 # inputs goes unnoticed until someone measures with it.
@@ -156,7 +175,7 @@ LOC_OPTIONS = internal/lsm/options.go:Options internal/core/store.go:StoreOption
 	internal/svc/admission.go:TenantConfig internal/svc/admission.go:AdmissionConfig \
 	internal/core/manager.go:ManagerOptions internal/adios2/adios2.go:Config \
 	internal/svc/front.go:FrontOptions internal/pfs/resilience.go:Resilience \
-	internal/bench/service.go:ServiceSession
+	internal/bench/service.go:ServiceSession internal/resil/resil.go:Options
 loc:
 	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
 	xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); top = (n == 2 ? "." : p[2]); \

@@ -430,15 +430,15 @@ func unitBetter(name string) string {
 }
 
 // report prints, for every metric, both medians and IQRs, the ratio, the
-// pairs the head wins and a verdict. It fails when a round produced no
-// result.
+// smallest ratio the base's spread resolves, the pairs the head wins and
+// a verdict. It fails when a round produced no result.
 func report(out io.Writer, metrics []metric, rounds [2][]round) error {
 	width := len("metric")
 	for _, m := range metrics {
 		width = max(width, len(m.Name))
 	}
-	fmt.Fprintf(out, "%-*s %12s %10s %12s %10s %7s %6s  %s\n",
-		width, "metric", "base p50", "base IQR", "head p50", "head IQR", "ratio", "wins", "verdict")
+	fmt.Fprintf(out, "%-*s %12s %10s %12s %10s %7s %9s %6s  %s\n",
+		width, "metric", "base p50", "base IQR", "head p50", "head IQR", "ratio", "resolves", "wins", "verdict")
 	for _, m := range metrics {
 		var bs, hs []float64
 		wins, losses, pairs := 0, 0, 0
@@ -471,8 +471,8 @@ func report(out io.Writer, metrics []metric, rounds [2][]round) error {
 		if bm != 0 {
 			ratio = hm / bm
 		}
-		fmt.Fprintf(out, "%-*s %12.4g %10.3g %12.4g %10.3g %7.3f %3d/%-2d  %s\n",
-			width, m.Name, bm, biqr, hm, hiqr, ratio, wins, pairs,
+		fmt.Fprintf(out, "%-*s %12.4g %10.3g %12.4g %10.3g %7.3f %9s %3d/%-2d  %s\n",
+			width, m.Name, bm, biqr, hm, hiqr, ratio, resolution(bm, biqr), wins, pairs,
 			verdict(m.Better, m.Bound, bm, hm, biqr, wins, losses, pairs))
 	}
 	for side := range rounds {
@@ -537,11 +537,34 @@ func better(direction string, a, b float64) bool {
 	return a > b
 }
 
+// minPairs is the fewest pairs whose sign test can reach signAlpha: with
+// four, even four wins out of four has probability 1/16 under noise.
+const (
+	minPairs  = 5
+	signAlpha = 0.05
+)
+
+// signTest is the exact one-sided sign test over the pairs that were not
+// ties: the probability that noise alone, a fair coin per pair, wins at
+// least wins of the wins+losses pairs.
+func signTest(wins, losses int) float64 {
+	n := wins + losses
+	p, c := 0.0, 1.0 // c is n choose k, from k = n down
+	for k := n; k >= wins; k-- {
+		p += c
+		c = c * float64(k) / float64(n-k+1)
+	}
+	return p / math.Pow(2, float64(n))
+}
+
 // verdict judges the head median against the base median: "better" when
-// the head wins at least nine pairs in ten and its median moved by more
+// the head wins at least nine pairs in ten, the sign test over the
+// untied pairs puts that below signAlpha and its median moved by more
 // than the base's IQR; "worse" past the metric's bound, or, for a metric
-// without one (bound 0), by the mirror of the rule for better; "same"
-// otherwise.
+// without one (bound 0), when it loses nine pairs in ten and its median
+// moved by more than the base's IQR; "too few pairs" when it is not
+// worse and fewer than minPairs pairs ran, since no result could then be
+// better; "same" otherwise.
 func verdict(direction string, bound, bm, hm, biqr float64, wins, losses, pairs int) string {
 	if bm == 0 && hm == 0 {
 		return "same (both zero)"
@@ -562,10 +585,22 @@ func verdict(direction string, bound, bm, hm, biqr float64, wins, losses, pairs 
 			return fmt.Sprintf("WORSE (bound %.4g)", limit)
 		}
 	}
-	if 10*wins >= 9*pairs && moved && better(direction, hm, bm) {
+	if pairs < minPairs {
+		return "too few pairs"
+	}
+	if 10*wins >= 9*pairs && signTest(wins, losses) <= signAlpha && moved && better(direction, hm, bm) {
 		return "better"
 	}
 	return "same"
+}
+
+// resolution is the smallest ratio of head to base the session could
+// tell from noise: 1 ± the base's IQR over its median.
+func resolution(bm, biqr float64) string {
+	if bm == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("1±%.3f", biqr/math.Abs(bm))
 }
 
 // quantile is the q-quantile of xs by linear interpolation between the

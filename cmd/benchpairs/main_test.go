@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -22,28 +23,47 @@ func TestQuantileInterpolates(t *testing.T) {
 
 func TestVerdict(t *testing.T) {
 	cases := []struct {
-		direction    string
-		bound        float64
-		bm, hm       float64
-		wins, losses int
-		want         string
+		direction           string
+		bound               float64
+		bm, hm              float64
+		wins, losses, pairs int
+		want                string
 	}{
-		{"higher", 0.25, 100, 70, 0, 10, "WORSE (bound 75)"},
-		{"higher", 0.25, 100, 130, 10, 0, "better"},
-		{"higher", 0.25, 100, 130, 8, 2, "same"},
-		{"higher", 0.25, 100, 103, 10, 0, "same"}, // within the base's IQR
-		{"lower", 0.25, 100, 130, 0, 10, "WORSE (bound 125)"},
-		{"lower", 0.25, 100, 70, 9, 1, "better"},
-		// Without a bound, worse mirrors better.
-		{"lower", 0, 100, 110, 0, 10, "WORSE"},
-		{"lower", 0, 100, 110, 2, 8, "same"},
-		{"lower", 0, 100, 103, 0, 10, "same"}, // within the base's IQR
-		{"higher", 0, 100, 90, 1, 9, "WORSE"},
+		{"higher", 0.25, 100, 70, 0, 10, 10, "WORSE (bound 75)"},
+		{"higher", 0.25, 100, 130, 10, 0, 10, "better"},
+		{"higher", 0.25, 100, 103, 10, 0, 10, "same"}, // within the base's IQR
+		{"lower", 0.25, 100, 130, 0, 10, 10, "WORSE (bound 125)"},
+		{"lower", 0.25, 100, 70, 9, 1, 10, "better"},
+		// Without a bound, worse mirrors better, with no sign test.
+		{"lower", 0, 100, 110, 0, 10, 10, "WORSE"},
+		{"lower", 0, 100, 110, 2, 8, 10, "same"},
+		{"lower", 0, 100, 103, 0, 10, 10, "same"}, // within the base's IQR
+		{"higher", 0, 100, 90, 1, 9, 10, "WORSE"},
+		// The sign test's boundary: 4/4 has probability 1/16 under noise,
+		// 5/5 1/32, 8/10 0.055 and 9/10 0.011.
+		{"higher", 0.25, 100, 130, 4, 0, 4, "too few pairs"},
+		{"higher", 0.25, 100, 130, 5, 0, 5, "better"},
+		{"higher", 0.25, 100, 130, 8, 2, 10, "same"},
+		{"higher", 0.25, 100, 130, 9, 1, 10, "better"},
+		// Worse stays as strict with few pairs.
+		{"higher", 0.25, 100, 70, 0, 4, 4, "WORSE (bound 75)"},
+		{"higher", 0, 100, 90, 0, 4, 4, "WORSE"},
 	}
 	for _, c := range cases {
-		if got := verdict(c.direction, c.bound, c.bm, c.hm, 5, c.wins, c.losses, 10); got != c.want {
-			t.Errorf("verdict(%s, bound %v, %v -> %v, %d/10 won, %d lost) = %q, want %q",
-				c.direction, c.bound, c.bm, c.hm, c.wins, c.losses, got, c.want)
+		if got := verdict(c.direction, c.bound, c.bm, c.hm, 5, c.wins, c.losses, c.pairs); got != c.want {
+			t.Errorf("verdict(%s, bound %v, %v -> %v, %d/%d won, %d lost) = %q, want %q",
+				c.direction, c.bound, c.bm, c.hm, c.wins, c.pairs, c.losses, got, c.want)
+		}
+	}
+}
+
+func TestSignTest(t *testing.T) {
+	for _, c := range []struct {
+		wins, losses int
+		want         float64
+	}{{4, 0, 1.0 / 16}, {5, 0, 1.0 / 32}, {8, 2, 56.0 / 1024}, {9, 1, 11.0 / 1024}, {0, 0, 1}, {0, 3, 1}} {
+		if got := signTest(c.wins, c.losses); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("signTest(%d, %d) = %v, want %v", c.wins, c.losses, got, c.want)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // tenantsCmd implements `lsmioctl tenants [-json] [-health]` for a
 // service directory (one holding a SERVICE.json written by lsmiod): the
-// tenant quota table and shard layout, without opening the shard
+// tenant weight table and shard layout, without opening the shard
 // stores. -health adds the supervisor's per-shard view (state, restart
 // counts, breaker status) recorded when the manifest was last written.
 func tenantsCmd(fs lsmio.FS, args []string) {
@@ -41,9 +41,9 @@ func tenantsCmd(fs lsmio.FS, args []string) {
 		return
 	}
 	fmt.Printf("service: %d shard(s), %d tenant(s)\n", m.Shards, len(m.Tenants))
-	fmt.Printf("%-24s %8s %14s\n", "TENANT", "WEIGHT", "BYTES/S")
+	fmt.Printf("%-24s %8s\n", "TENANT", "WEIGHT")
 	for _, t := range m.Tenants {
-		fmt.Printf("%-24s %8.2f %14s\n", t.Name, t.Weight, rateOrDash(t.BytesPerSec))
+		fmt.Printf("%-24s %8.2f\n", t.Name, t.Weight)
 	}
 	if *health {
 		if len(m.ShardStatus) == 0 {
@@ -59,11 +59,4 @@ func tenantsCmd(fs lsmio.FS, args []string) {
 			fmt.Printf("%-6d %-11s %9d %-10s %11d\n", sh.Shard, sh.State, sh.Restarts, breaker, sh.ConsecErrs)
 		}
 	}
-}
-
-func rateOrDash(r float64) string {
-	if r <= 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.0f", r)
 }

@@ -108,9 +108,6 @@ type IO struct {
 // SetEngine selects the engine type ("BP5" or "plugin").
 func (io *IO) SetEngine(engineType string) { io.engineType = engineType }
 
-// EngineType returns the configured engine type.
-func (io *IO) EngineType() string { return io.engineType }
-
 // SetParameter sets an engine parameter (e.g. BufferChunkSize, PluginName).
 func (io *IO) SetParameter(key, value string) { io.params[key] = value }
 

@@ -146,9 +146,6 @@ func TestXMLConfigSelectsPlugin(t *testing.T) {
 		t.Fatal(err)
 	}
 	io := a.DeclareIO("checkpoint")
-	if io.EngineType() != "plugin" {
-		t.Fatalf("engine type = %q", io.EngineType())
-	}
 	if _, err := io.Open("some/path", ModeWrite); err == nil || err.Error() != "stop here" {
 		t.Fatalf("open err = %v", err)
 	}

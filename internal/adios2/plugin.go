@@ -50,14 +50,3 @@ func lookupPlugin(name string) (PluginFactory, bool) {
 	f, ok := pluginRegistry.m[name]
 	return f, ok
 }
-
-// RegisteredPlugins lists the registered plugin names (diagnostics).
-func RegisteredPlugins() []string {
-	pluginRegistry.RLock()
-	defer pluginRegistry.RUnlock()
-	names := make([]string, 0, len(pluginRegistry.m))
-	for n := range pluginRegistry.m {
-		names = append(names, n)
-	}
-	return names
-}

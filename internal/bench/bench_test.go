@@ -27,12 +27,6 @@ func TestFigureCatalogueComplete(t *testing.T) {
 			t.Fatalf("figure %s has no series/transfers", id)
 		}
 	}
-	if _, ok := FigureByID("fig9"); !ok {
-		t.Fatal("FigureByID failed")
-	}
-	if _, ok := FigureByID("nope"); ok {
-		t.Fatal("FigureByID matched garbage")
-	}
 }
 
 func TestRunFigureProducesAllPoints(t *testing.T) {

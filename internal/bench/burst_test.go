@@ -6,10 +6,7 @@ func TestExtBurstFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rank simulation sweep skipped in -short mode")
 	}
-	fig, ok := FigureByID("ext-burst")
-	if !ok {
-		t.Fatal("ext-burst missing from catalogue")
-	}
+	fig := ExtBurst()
 	scale := Scale{Nodes: []int{1, 4}, PerRankBytes: 2 << 20, BufferSize: 512 << 10}
 	var lines int
 	fr, err := RunFigure(fig, scale, func(string) { lines++ })

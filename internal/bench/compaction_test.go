@@ -6,10 +6,7 @@ func TestExtCompactionFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compaction pipeline sweep skipped in -short mode")
 	}
-	fig, ok := FigureByID("ext-compaction")
-	if !ok {
-		t.Fatal("ext-compaction missing from catalogue")
-	}
+	fig := ExtCompaction()
 	scale := Scale{Nodes: []int{1, 4}, PerRankBytes: 2 << 20, BufferSize: 512 << 10}
 	var lines int
 	fr, err := RunFigure(fig, scale, func(string) { lines++ })

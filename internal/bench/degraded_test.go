@@ -6,10 +6,7 @@ func TestExtDegradedFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rank degradation sweep skipped in -short mode")
 	}
-	fig, ok := FigureByID("ext-degraded")
-	if !ok {
-		t.Fatal("ext-degraded missing from catalogue")
-	}
+	fig := ExtDegraded()
 	scale := Scale{Nodes: []int{1, 4}, PerRankBytes: 2 << 20, BufferSize: 512 << 10}
 	var lines int
 	fr, err := RunFigure(fig, scale, func(string) { lines++ })

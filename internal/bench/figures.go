@@ -309,13 +309,3 @@ func ExtNVMe() Figure {
 func Figures() []Figure {
 	return []Figure{Fig5(), Fig6(), Fig7(), Fig8(), Fig9(), Fig10(), ExtNVMe(), ExtBurst(), ExtDegraded(), ExtCompaction(), ExtRestore(), ExtService(), ExtPipeline(), ExtStability()}
 }
-
-// FigureByID finds one figure ("fig5" ... "fig10").
-func FigureByID(id string) (Figure, bool) {
-	for _, f := range Figures() {
-		if f.ID == id {
-			return f, true
-		}
-	}
-	return Figure{}, false
-}

@@ -6,10 +6,7 @@ func TestExtPipelineFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline sweep skipped in -short mode")
 	}
-	fig, ok := FigureByID("ext-pipeline")
-	if !ok {
-		t.Fatal("ext-pipeline missing from catalogue")
-	}
+	fig := ExtPipeline()
 	scale := Scale{Nodes: []int{1, 4}, PerRankBytes: 1 << 20, BufferSize: 256 << 10}
 	var lines int
 	fr, err := RunFigure(fig, scale, func(string) { lines++ })

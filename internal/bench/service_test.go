@@ -6,10 +6,7 @@ func TestExtServiceFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-tenant service sweep skipped in -short mode")
 	}
-	fig, ok := FigureByID("ext-service")
-	if !ok {
-		t.Fatal("ext-service missing from catalogue")
-	}
+	fig := ExtService()
 	scale := Scale{Nodes: []int{1, 4}, PerRankBytes: 2 << 20, BufferSize: 512 << 10}
 	fr, err := RunFigure(fig, scale, nil)
 	if err != nil {

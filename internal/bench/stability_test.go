@@ -11,10 +11,7 @@ func TestExtStabilityFigureRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sustained-load stability sweep skipped in -short mode")
 	}
-	fig, ok := FigureByID("ext-stability")
-	if !ok {
-		t.Fatal("ext-stability missing from catalogue")
-	}
+	fig := ExtStability()
 	fr, err := RunFigure(fig, QuickScale(), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -144,10 +144,6 @@ func New(staging, durable *ckpt.Store, opts Options) *Tier {
 	return t
 }
 
-// Obs returns the tier's metrics/trace registry (the injected one when
-// Options.Obs was set, a private one otherwise).
-func (t *Tier) Obs() *obs.Registry { return t.reg }
-
 // notePending mirrors the pending steps and bytes into their gauges.
 // Call it with mu held wherever pendingBytes changes; moving a step from
 // the queue to in flight leaves both unchanged.

@@ -70,7 +70,7 @@ func TestInlineStageDrain(t *testing.T) {
 	for step := int64(1); step <= 3; step++ {
 		want[step] = commitStep(t, tier, step, 512)
 	}
-	reg := tier.Obs()
+	reg := tier.reg
 	if staged, pending := obstest.Counter(t, reg, "burst.staged.steps"), obstest.Gauge(t, reg, "burst.pending.steps"); staged != 3 || pending != 3 {
 		t.Fatalf("after staging: %d steps staged, %d pending, want 3 and 3", staged, pending)
 	}
@@ -120,10 +120,10 @@ func TestBudgetBackpressureInlineReclaim(t *testing.T) {
 	for step := int64(1); step <= 4; step++ {
 		commitStep(t, tier, step, 1024)
 	}
-	if hw := obstest.Gauge(t, tier.Obs(), "burst.pending.high_water"); hw > tier.opts.StagingBudget {
+	if hw := obstest.Gauge(t, tier.reg, "burst.pending.high_water"); hw > tier.opts.StagingBudget {
 		t.Fatalf("high-water %d exceeded budget %d", hw, tier.opts.StagingBudget)
 	}
-	if obstest.Counter(t, tier.Obs(), "burst.drained.steps") == 0 {
+	if obstest.Counter(t, tier.reg, "burst.drained.steps") == 0 {
 		t.Fatal("backpressure never triggered an inline drain")
 	}
 	if err := tier.Sync(); err != nil {
@@ -163,7 +163,7 @@ func TestWorkerDrainsConcurrently(t *testing.T) {
 	if s, _ := staging.Steps(); len(s) != 0 {
 		t.Fatalf("staging not drained: %v", s)
 	}
-	if drained, pending := obstest.Counter(t, tier.Obs(), "burst.drained.steps"), obstest.Gauge(t, tier.Obs(), "burst.pending.steps"); drained != steps || pending != 0 {
+	if drained, pending := obstest.Counter(t, tier.reg, "burst.drained.steps"), obstest.Gauge(t, tier.reg, "burst.pending.steps"); drained != steps || pending != 0 {
 		t.Fatalf("after close: %d steps drained, %d pending, want %d and 0", drained, pending, steps)
 	}
 }
@@ -236,7 +236,7 @@ func TestDrainFailureIsStickyAndStepStaysStaged(t *testing.T) {
 	if _, err := durable.Latest(); !errors.Is(err, ckpt.ErrNoCheckpoint) {
 		t.Fatal("corrupt step leaked into the durable store")
 	}
-	if errs, drained := obstest.Counter(t, tier.Obs(), "burst.drain.errors"), obstest.Counter(t, tier.Obs(), "burst.drained.steps"); errs != 1 || drained != 0 {
+	if errs, drained := obstest.Counter(t, tier.reg, "burst.drain.errors"), obstest.Counter(t, tier.reg, "burst.drained.steps"); errs != 1 || drained != 0 {
 		t.Fatalf("%d drain errors, %d steps drained, want 1 and 0", errs, drained)
 	}
 }
@@ -289,7 +289,7 @@ func TestRecoverRequeuesVerifiedAndQuarantinesCorrupt(t *testing.T) {
 	} else if _, ok := q[3]; !ok {
 		t.Fatalf("quarantined = %v, want step 3", q)
 	}
-	if n := obstest.Gauge(t, tier2.Obs(), "burst.pending.steps"); n != 1 {
+	if n := obstest.Gauge(t, tier2.reg, "burst.pending.steps"); n != 1 {
 		t.Fatalf("recover queued %d steps, want 1 (step 2)", n)
 	}
 	// RestoreLatest must skip the quarantined staged step 3 and prefer
@@ -389,9 +389,9 @@ func TestCountersSnapshotIsolated(t *testing.T) {
 	tier, _, _, done := newMemTier(t, 0, Options{})
 	defer done()
 	commitStep(t, tier, 1, 100)
-	before := tier.Obs().Snapshot()
+	before := tier.reg.Snapshot()
 	before.Counters["burst.staged.steps"] = 99 // mutating the snapshot must not leak back
-	if obstest.Counter(t, tier.Obs(), "burst.staged.steps") != 1 {
+	if obstest.Counter(t, tier.reg, "burst.staged.steps") != 1 {
 		t.Fatal("Snapshot returned shared state")
 	}
 	if stall := before.Counters["burst.commit.stall_nanos"]; stall != 0 {

@@ -61,7 +61,7 @@ func TestDrainPolicyRetriesTransientReadFaults(t *testing.T) {
 		tier, smgr, dmgr := pfsStagingTier(t, k, cluster.Client(0), Options{
 			DrainPolicy: resil.Policy{MaxRetries: 2, BaseDelay: time.Millisecond},
 		})
-		reg = tier.Obs()
+		reg = tier.reg
 		c, err := tier.Begin(1)
 		if err != nil {
 			t.Errorf("begin: %v", err)
@@ -128,7 +128,7 @@ func TestDrainPolicyTimeoutFailsStep(t *testing.T) {
 				Timeout:    10 * time.Millisecond,
 			},
 		})
-		reg = tier.Obs()
+		reg = tier.reg
 		c, _ := tier.Begin(1)
 		if err := c.Write("state", make([]byte, 64<<10)); err != nil {
 			t.Errorf("write: %v", err)
@@ -189,7 +189,7 @@ func TestDrainCtxCancellation(t *testing.T) {
 	if err := tier.Sync(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Sync sticky error = %v", err)
 	}
-	if canceled, drained := obstest.Counter(t, tier.Obs(), "burst.drain.canceled"), obstest.Counter(t, tier.Obs(), "burst.drained.steps"); canceled != 1 || drained != 0 {
+	if canceled, drained := obstest.Counter(t, tier.reg, "burst.drain.canceled"), obstest.Counter(t, tier.reg, "burst.drained.steps"); canceled != 1 || drained != 0 {
 		t.Fatalf("%d drains canceled, %d steps drained, want 1 and 0", canceled, drained)
 	}
 	if _, err := staging.Manifest(1); err != nil {

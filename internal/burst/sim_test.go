@@ -64,7 +64,7 @@ func TestSimWorkerHidesDrainLatency(t *testing.T) {
 	var reg *obs.Registry
 	k.Spawn("app", func(p *sim.Proc) {
 		tier, smgr, dmgr := simTier(t, k, cluster.Client(0), Options{})
-		reg = tier.Obs()
+		reg = tier.reg
 		tier.StartWorker()
 		payload := make([]byte, 1<<20)
 		for step := int64(1); step <= 3; step++ {
@@ -141,7 +141,7 @@ func TestSimDrainRateLimit(t *testing.T) {
 			return
 		}
 		end = p.Now().Duration()
-		reg = tier.Obs()
+		reg = tier.reg
 		tier.Close()
 		smgr.Close()
 		dmgr.Close()
@@ -184,7 +184,7 @@ func TestSimBudgetBackpressureBlocks(t *testing.T) {
 			t.Errorf("sync: %v", err)
 			return
 		}
-		reg = tier.Obs()
+		reg = tier.reg
 		tier.Close()
 		smgr.Close()
 		dmgr.Close()
@@ -204,7 +204,7 @@ func TestSimBudgetBackpressureBlocks(t *testing.T) {
 }
 
 // TestDrainRetryAccounting injects transient OST faults during a drain
-// and checks the pfs retry counters surface them — and that ResetStats
+// and checks the pfs retry counters surface them — and that Obs().ResetPrefix("pfs.")
 // opens a clean accounting window.
 func TestDrainRetryAccounting(t *testing.T) {
 	cfg := slowPFSConfig()
@@ -231,9 +231,9 @@ func TestDrainRetryAccounting(t *testing.T) {
 		// Staging took no PFS traffic; the drain is the first PFS load.
 		// Isolate its accounting window, then fault its first two write
 		// RPC attempts.
-		cluster.ResetStats()
+		cluster.Obs().ResetPrefix("pfs.")
 		if st := cluster.Stats(); st.Retries != 0 || st.FaultsInjected != 0 || st.WriteOps != 0 {
-			t.Errorf("ResetStats left residue: %+v", st)
+			t.Errorf("ResetPrefix left residue: %+v", st)
 			return
 		}
 		fails := 2
@@ -257,9 +257,9 @@ func TestDrainRetryAccounting(t *testing.T) {
 			t.Error("drain wrote no bytes to the PFS")
 		}
 		cluster.InjectFaults(nil)
-		cluster.ResetStats()
+		cluster.Obs().ResetPrefix("pfs.")
 		if st := cluster.Stats(); st.Retries != 0 || st.FaultsInjected != 0 {
-			t.Errorf("second ResetStats left residue: %+v", st)
+			t.Errorf("second ResetPrefix left residue: %+v", st)
 		}
 		tier.Close()
 		smgr.Close()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lsmio/internal/resil"
 	"lsmio/internal/vfs"
 )
 
@@ -61,7 +62,7 @@ func TestDelayBeforeInjectedError(t *testing.T) {
 	if slept != 3*time.Millisecond {
 		t.Fatalf("slept %v before the failure, want 3ms", slept)
 	}
-	if !IsTransient(err) {
+	if resil.Classify(err) != resil.ClassTransient {
 		t.Fatal("error lost its transient marker")
 	}
 }

@@ -106,13 +106,6 @@ func (e *InjectedError) Unwrap() error { return ErrInjected }
 // import this package.
 func (e *InjectedError) TransientFault() bool { return e.Transient }
 
-// IsTransient reports whether err (anywhere in its chain) marks itself as a
-// transient, retryable fault.
-func IsTransient(err error) bool {
-	var t interface{ TransientFault() bool }
-	return errors.As(err, &t) && t.TransientFault()
-}
-
 // Rule schedules fault injection. A rule fires on the Nth call matching
 // (Op, Path), and keeps firing for Times consecutive matches.
 type Rule struct {

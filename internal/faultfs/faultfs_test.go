@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"lsmio/internal/resil"
 	"lsmio/internal/vfs"
 )
 
@@ -82,7 +83,7 @@ func TestTransientClassification(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected error, got %v", err)
 	}
-	if !IsTransient(err) {
+	if resil.Classify(err) != resil.ClassTransient {
 		t.Fatalf("want transient, got %v", err)
 	}
 	if err := f.Sync(); err != nil {
@@ -90,7 +91,7 @@ func TestTransientClassification(t *testing.T) {
 	}
 	// Permanent errors are not transient.
 	fs.AddRule(&Rule{Op: OpSync, Times: 1})
-	if err := f.Sync(); IsTransient(err) || !errors.Is(err, ErrInjected) {
+	if err := f.Sync(); resil.Classify(err) == resil.ClassTransient || !errors.Is(err, ErrInjected) {
 		t.Fatalf("want permanent injected error, got %v", err)
 	}
 }

@@ -195,9 +195,6 @@ func Open(fsys vfs.FS, path string) (*File, error) {
 // OpenShared opens the shared file from a non-creating rank.
 func OpenShared(fsys vfs.FS, path string) (*File, error) { return Open(fsys, path) }
 
-// Spec returns the dataset geometry.
-func (h *File) Spec() DatasetSpec { return h.spec }
-
 // WriteHyperslab writes [start, start+len(data)) of the dataset. The range
 // must be chunk-aligned (how IOR drives HDF5 with transfer == chunk).
 // Each chunk costs, in order: an object-header touch, a B-tree node

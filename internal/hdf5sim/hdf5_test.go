@@ -37,8 +37,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted through HDF5-like file")
 	}
-	if g.Spec().ChunkLen != 64<<10 || g.Spec().TotalLen != 1<<20 {
-		t.Fatalf("spec lost on reopen: %+v", g.Spec())
+	if g.spec.ChunkLen != 64<<10 || g.spec.TotalLen != 1<<20 {
+		t.Fatalf("spec lost on reopen: %+v", g.spec)
 	}
 	g.Close()
 }

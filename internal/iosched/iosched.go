@@ -44,7 +44,6 @@
 package iosched
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -154,14 +153,6 @@ func New(cfg Config) *Scheduler {
 // and configured with a positive device rate).
 func (s *Scheduler) Enabled() bool { return s != nil && s.rate > 0 }
 
-// Obs returns the registry the scheduler records into.
-func (s *Scheduler) Obs() *obs.Registry {
-	if s == nil {
-		return nil
-	}
-	return s.reg
-}
-
 // Acquire blocks until class may issue n bytes of I/O, sleeping on the
 // configured clock until the grant's start time, and returns how long
 // it waited. Free (and wait-less) on a nil or disabled scheduler.
@@ -174,26 +165,6 @@ func (s *Scheduler) Acquire(class Class, n int64) time.Duration {
 		s.clk.Sleep(wait)
 	}
 	return wait
-}
-
-// AcquireCtx is Acquire with cooperative cancellation: a context
-// already canceled buys nothing, and a cancellation observed after the
-// pacing sleep refunds the tokens (Cancel) and returns the context
-// error, so an aborted I/O does not leak budget.
-func (s *Scheduler) AcquireCtx(ctx context.Context, class Class, n int64) (time.Duration, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-	}
-	wait := s.Acquire(class, n)
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			s.Cancel(class, n)
-			return wait, err
-		}
-	}
-	return wait, nil
 }
 
 // Cancel returns n bytes of previously acquired budget that were never
@@ -278,8 +249,9 @@ func (s *Scheduler) weight(c Class) float64 {
 	return w
 }
 
-// ClassState is a diagnostic snapshot of one class's accounting,
-// exposed for tests and the lsmioctl stats iosched section.
+// ClassState is a diagnostic snapshot of one class's accounting, for
+// tests: `lsmioctl stats` reads the class's `iosched.*` obs instruments
+// instead.
 type ClassState struct {
 	// NextFree is the class's virtual next-free time; values in the
 	// future mean the class has unexpired claims on the device.

@@ -1,7 +1,6 @@
 package iosched
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
@@ -14,17 +13,11 @@ import (
 // advances Now, so a test observes exactly the pacing the scheduler
 // imposed.
 type fakeClock struct {
-	now     time.Duration
-	onSleep func() // optional: runs while the caller is "parked"
+	now time.Duration
 }
 
-func (f *fakeClock) Now() time.Duration { return f.now }
-func (f *fakeClock) Sleep(d time.Duration) {
-	f.now += d
-	if f.onSleep != nil {
-		f.onSleep()
-	}
-}
+func (f *fakeClock) Now() time.Duration    { return f.now }
+func (f *fakeClock) Sleep(d time.Duration) { f.now += d }
 
 func TestDisabledAndNilAreFree(t *testing.T) {
 	var nilSched *Scheduler
@@ -206,26 +199,24 @@ func TestTokenAccountingUnderConcurrentAcquireCancel(t *testing.T) {
 	}
 }
 
-func TestAcquireCtxCancellationRefunds(t *testing.T) {
+// A canceled grant becomes a refund credit that the class's next
+// Acquire spends before it buys device time.
+func TestCancelRefundsTheGrant(t *testing.T) {
 	f := &fakeClock{}
 	s := New(Config{BytesPerSec: 10e6, Clock: f})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.AcquireCtx(ctx, Drain, 1<<20); err == nil {
-		t.Fatal("canceled context acquired tokens")
+	s.Acquire(Drain, 8<<20) // backlog so the next acquire must sleep
+	if wait := s.Acquire(Drain, 1<<20); wait <= 0 {
+		t.Fatal("second acquire did not wait behind the backlog")
 	}
-	if st := s.State(Drain); st.NextFree != 0 {
-		t.Fatalf("pre-canceled acquire advanced the class clock: %+v", st)
+	s.Cancel(Drain, 1<<20)
+	before := s.State(Drain)
+	if before.Refund != 1<<20 {
+		t.Fatalf("canceled grant not refunded: %+v", before)
 	}
-	// Cancellation that lands while the caller is parked in the pacing
-	// sleep refunds the grant.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	s2 := New(Config{BytesPerSec: 10e6, Clock: &fakeClock{onSleep: cancel2}})
-	s2.Acquire(Drain, 8<<20) // backlog so the next acquire must sleep
-	if _, err := s2.AcquireCtx(ctx2, Drain, 1<<20); err == nil {
-		t.Fatal("post-sleep cancellation not surfaced")
+	if wait := s.Acquire(Drain, 1<<20); wait != 0 {
+		t.Fatalf("acquire covered by the refund waited %v", wait)
 	}
-	if st := s2.State(Drain); st.Refund != 1<<20 {
-		t.Fatalf("canceled grant not refunded: %+v", st)
+	if st := s.State(Drain); st.Refund != 0 || st.NextFree != before.NextFree {
+		t.Fatalf("refunded acquire bought device time: before %+v after %+v", before, st)
 	}
 }

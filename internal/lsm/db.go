@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -44,15 +45,14 @@ type DB struct {
 	cond rt.Cond // mu's one wait channel: any state change broadcasts
 
 	// State below is guarded by mu.
-	mem     *memtable
-	imm     []*memtable // oldest first
-	wal     *walWriter
-	walFile vfs.File
-	walNum  uint64
-	vs      *versionSet
-	tables  map[uint64]*tableReader
-	cache   *blockCache
-	pinned  map[*version]bool // versions referenced by readers
+	mem    *memtable
+	imm    []*memtable // oldest first
+	wal    *walWriter
+	walNum uint64
+	vs     *versionSet
+	tables map[uint64]*tableReader
+	cache  *blockCache
+	pinned map[*version]bool // versions referenced by readers
 	// pendingOutputs holds file numbers of tables being written by a flush
 	// or compaction that no version references yet; the obsolete-file
 	// sweeper must not delete them.
@@ -216,11 +216,10 @@ func (db *DB) newWAL() error {
 	if err != nil {
 		return err
 	}
-	if db.walFile != nil {
-		db.walFile.Close()
+	if db.wal != nil {
+		db.wal.close()
 	}
 	db.wal = newWALWriter(f)
-	db.walFile = f
 	db.walNum = num
 	db.mem.logNum = num
 	return nil
@@ -1074,14 +1073,14 @@ func (db *DB) GetProperty(name string) (string, bool) {
 	}
 	switch {
 	case strings.HasPrefix(name, PropNumFilesAtLevelPrefix):
-		var l int
-		if _, err := fmt.Sscan(strings.TrimPrefix(name, PropNumFilesAtLevelPrefix), &l); err != nil || l < 0 || l >= numLevels {
+		l, ok := propLevel(strings.TrimPrefix(name, PropNumFilesAtLevelPrefix))
+		if !ok {
 			return "", false
 		}
 		return fmt.Sprint(len(db.vs.current.levels[l])), true
 	case strings.HasPrefix(name, PropLevelBytesPrefix):
-		var l int
-		if _, err := fmt.Sscan(strings.TrimPrefix(name, PropLevelBytesPrefix), &l); err != nil || l < 0 || l >= numLevels {
+		l, ok := propLevel(strings.TrimPrefix(name, PropLevelBytesPrefix))
+		if !ok {
 			return "", false
 		}
 		return fmt.Sprint(db.vs.current.levelBytes(l)), true
@@ -1096,6 +1095,17 @@ func (db *DB) GetProperty(name string) (string, bool) {
 	default:
 		return "", false
 	}
+}
+
+// propLevel parses the level that ends a per-level property name. Only
+// the canonical decimal form of a level the tree has is accepted, so
+// "1x", "0x1", "+1" and "01" name no level.
+func propLevel(suffix string) (int, bool) {
+	l, err := strconv.Atoi(suffix)
+	if err != nil || l < 0 || l >= numLevels || strconv.Itoa(l) != suffix {
+		return 0, false
+	}
+	return l, true
 }
 
 // Close waits for background work and releases all files. With the WAL
@@ -1117,8 +1127,8 @@ func (db *DB) Close() error {
 	}
 	db.tables = nil
 	var err error
-	if db.walFile != nil {
-		err = db.walFile.Close()
+	if db.wal != nil {
+		err = db.wal.close()
 	}
 	if e := db.vs.close(); err == nil {
 		err = e

@@ -361,6 +361,17 @@ func TestGetProperty(t *testing.T) {
 	if _, ok := db.GetProperty(PropNumFilesAtLevelPrefix + "99"); ok {
 		t.Fatal("out-of-range level matched")
 	}
+	for _, name := range []string{
+		PropNumFilesAtLevelPrefix + "1x",
+		PropLevelBytesPrefix + "0x1",
+		PropNumFilesAtLevelPrefix + "+1",
+		PropLevelBytesPrefix + "01",
+		PropNumFilesAtLevelPrefix,
+	} {
+		if v, ok := db.GetProperty(name); ok {
+			t.Errorf("malformed level name %q answered %q", name, v)
+		}
+	}
 }
 
 func TestIteratorSeek(t *testing.T) {

@@ -58,7 +58,7 @@ func TestGroupCommitCoalescesConcurrentSyncWriters(t *testing.T) {
 	if syncs > total/2 {
 		t.Fatalf("%d fsyncs for %d sync writes: group commit is not coalescing", syncs, total)
 	}
-	if n := db.m.walGroupSize.Count(); n != groups {
+	if n := db.m.walGroupSize.Snapshot().Count; n != groups {
 		t.Fatalf("group size histogram has %d samples, want %d", n, groups)
 	}
 

@@ -12,6 +12,7 @@ import (
 
 	"lsmio/internal/faultfs"
 	"lsmio/internal/iosched"
+	"lsmio/internal/obs"
 	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
@@ -186,8 +187,9 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 							fs := vfs.NewMemFS()
 							opts := base
 							opts.FS, opts.EncodeWorkers, opts.UseMMap = fs, workers, mmap
+							schedReg := obs.NewRegistry()
 							if sched {
-								opts.IOSched = iosched.New(iosched.Config{BytesPerSec: 1 << 40})
+								opts.IOSched = iosched.New(iosched.Config{BytesPerSec: 1 << 40, Obs: schedReg})
 							}
 							opts = opts.withDefaults()
 							w, err := newTableWriter(&opts, "t.sst", 1, nil, iosched.Flush)
@@ -213,7 +215,7 @@ func TestLargeValueTableBytesIdentical(t *testing.T) {
 								t.Fatalf("table differs from the reference image (%d vs %d bytes)", len(got), len(want))
 							}
 							if sched {
-								granted := opts.IOSched.Obs().Snapshot().Counters["iosched.flush.granted_bytes"]
+								granted := schedReg.Snapshot().Counters["iosched.flush.granted_bytes"]
 								if granted != int64(len(want)) {
 									t.Errorf("scheduler granted %d bytes for a %d-byte table", granted, len(want))
 								}

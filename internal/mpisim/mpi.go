@@ -5,10 +5,9 @@
 // NIC contention).
 //
 // The subset implemented is what HPC checkpointing middleware and the IOR
-// benchmark need: Send/Recv with tags, Barrier, Bcast, Reduce, Allreduce,
-// Gather/Gatherv, Scatter and Alltoall. Collectives use binomial-tree
-// algorithms like a real MPI implementation, so their cost scales as
-// O(log P) in latency.
+// benchmark need: Send/Recv with tags, Barrier, Allreduce and Gather.
+// Barrier and Allreduce use binomial-tree algorithms like a real MPI
+// implementation, so their cost scales as O(log P) in latency.
 package mpisim
 
 import (
@@ -44,15 +43,6 @@ func NewWorld(k *sim.Kernel, fabric *netsim.Fabric, size int) *World {
 	}
 	return w
 }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
-// Kernel returns the underlying simulation kernel.
-func (w *World) Kernel() *sim.Kernel { return w.k }
-
-// Fabric returns the interconnect.
-func (w *World) Fabric() *netsim.Fabric { return w.fabric }
 
 // Launch spawns one process per rank running body and returns immediately;
 // the caller runs the kernel to completion.
@@ -98,9 +88,6 @@ func (r *Rank) Rank() int { return r.rank }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.world.size }
 
-// Proc returns the simulation process backing this rank.
-func (r *Rank) Proc() *sim.Proc { return r.proc }
-
 // Now returns the rank's current virtual time.
 func (r *Rank) Now() sim.Time { return r.proc.Now() }
 
@@ -141,8 +128,6 @@ const (
 	tagBcast
 	tagReduce
 	tagGather
-	tagScatter
-	tagAlltoall
 )
 
 // Barrier blocks until every rank in the world has entered it.
@@ -153,57 +138,26 @@ func (r *Rank) Barrier() {
 	r.bcastTree(tagBarrier, nil, 0)
 }
 
-// Bcast distributes data of the modelled size from root to all ranks,
-// returning the payload on every rank.
-func (r *Rank) Bcast(root int, data any, size int64) any {
-	return r.bcastRooted(tagBcast, root, data, size)
-}
-
-func (r *Rank) bcastRooted(tag, root int, data any, size int64) any {
-	// Re-number so root is 0 in the tree, then run a binomial broadcast.
-	if r.virt(root) != 0 {
-		data = r.recvVirtual(tag, root)
+// bcastTree broadcasts data from rank 0 down a binomial tree: a rank
+// receives from its parent (its rank with the lowest set bit cleared),
+// then sends to each child (its rank with one lower bit set).
+func (r *Rank) bcastTree(tag int, data any, size int64) any {
+	v := r.rank
+	if v != 0 {
+		data = r.Recv(v&(v-1), tag)
 	}
-	return r.bcastVirtualSend(tag, root, data, size)
-}
-
-// Virtual-rank helpers for rooted collectives.
-func (r *Rank) virt(root int) int { return (r.rank - root + r.world.size) % r.world.size }
-func (r *Rank) real(v, root int) int {
-	return (v + root) % r.world.size
-}
-
-func (r *Rank) recvVirtual(tag, root int) any {
-	v := r.virt(root)
-	// Parent in binomial tree: clear lowest set bit.
-	parent := v & (v - 1)
-	return r.Recv(r.real(parent, root), tag)
-}
-
-func (r *Rank) bcastVirtualSend(tag, root int, data any, size int64) any {
-	v := r.virt(root)
-	// Children: v | bit for each bit below v's lowest set bit.
-	for bit := 1; bit < r.world.size; bit <<= 1 {
-		if v&bit != 0 {
-			break
-		}
-		child := v | bit
-		if child < r.world.size {
-			r.Send(r.real(child, root), tag, data, size)
+	for bit := 1; bit < r.world.size && v&bit == 0; bit <<= 1 {
+		if child := v | bit; child < r.world.size {
+			r.Send(child, tag, data, size)
 		}
 	}
 	return data
 }
 
-// bcastTree broadcasts from rank 0 (used by Barrier).
-func (r *Rank) bcastTree(tag int, data any, size int64) any {
-	return r.bcastRooted(tag, 0, data, size)
-}
-
 // ReduceFunc combines two payloads into one.
 type ReduceFunc func(a, b any) any
 
-// reduceTree performs a binomial-tree reduction to virtual rank 0 (root 0).
+// reduceTree performs a binomial-tree reduction to rank 0.
 func (r *Rank) reduceTree(tag int, data any, size int64, combine ReduceFunc) any {
 	v := r.rank
 	for bit := 1; bit < r.world.size; bit <<= 1 {
@@ -222,29 +176,6 @@ func (r *Rank) reduceTree(tag int, data any, size int64, combine ReduceFunc) any
 		}
 	}
 	return data
-}
-
-// Reduce combines payloads from all ranks at root using combine; only root
-// receives the final value (others get nil).
-func (r *Rank) Reduce(root int, data any, size int64, combine ReduceFunc) any {
-	// Rotate so the tree is rooted at `root`.
-	if root == 0 {
-		return r.reduceTree(tagReduce, data, size, combine)
-	}
-	// Reduce to 0 then forward; adequate cost model, avoids re-deriving
-	// the rotated tree.
-	v := r.reduceTree(tagReduce, data, size, combine)
-	if r.rank == 0 {
-		if root != 0 {
-			r.Send(root, tagReduce, v, size)
-			return nil
-		}
-		return v
-	}
-	if r.rank == root {
-		return r.Recv(0, tagReduce)
-	}
-	return nil
 }
 
 // Allreduce combines payloads from all ranks and distributes the result to
@@ -287,53 +218,6 @@ func (r *Rank) Gather(root int, data any, size int64) []any {
 			continue
 		}
 		out[src] = r.Recv(src, tagGather)
-	}
-	return out
-}
-
-// Scatter distributes items[i] from root to rank i; returns this rank's
-// item. size is the per-item modelled size.
-func (r *Rank) Scatter(root int, items []any, size int64) any {
-	if r.rank == root {
-		if len(items) != r.world.size {
-			panic("mpisim: scatter item count != world size")
-		}
-		for dst := 0; dst < r.world.size; dst++ {
-			if dst == root {
-				continue
-			}
-			r.Send(dst, tagScatter, items[dst], size)
-		}
-		return items[root]
-	}
-	return r.Recv(root, tagScatter)
-}
-
-// Allgather collects every rank's item on every rank, returned as a slice
-// indexed by rank (gather to 0 + broadcast, the common implementation for
-// modest payloads).
-func (r *Rank) Allgather(item any, size int64) []any {
-	gathered := r.Gather(0, item, size)
-	res := r.Bcast(0, gathered, size*int64(r.world.size))
-	return res.([]any)
-}
-
-// Alltoall exchanges items[i] with every rank i using a ring schedule
-// (round k: send to rank+k, receive from rank-k); returns received items
-// indexed by source rank. size is the per-item modelled size. Sends are
-// eager (buffered at the destination), so the schedule cannot deadlock.
-func (r *Rank) Alltoall(items []any, size int64) []any {
-	p := r.world.size
-	if len(items) != p {
-		panic("mpisim: alltoall item count != world size")
-	}
-	out := make([]any, p)
-	out[r.rank] = items[r.rank]
-	for round := 1; round < p; round++ {
-		dst := (r.rank + round) % p
-		src := (r.rank - round + p) % p
-		r.Send(dst, tagAlltoall, items[dst], size)
-		out[src] = r.Recv(src, tagAlltoall)
 	}
 	return out
 }

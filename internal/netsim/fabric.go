@@ -41,9 +41,6 @@ type Fabric struct {
 	tx   []*sim.Resource // per-node transmit side
 	rx   []*sim.Resource // per-node receive side
 	plan *Plan           // fault schedule, nil when the fabric is healthy
-
-	bytesMoved int64
-	messages   int64
 }
 
 // New builds a fabric on kernel k.
@@ -64,9 +61,6 @@ func New(k *sim.Kernel, cfg Config) *Fabric {
 	return f
 }
 
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
-
 // Nodes returns the number of endpoints.
 func (f *Fabric) Nodes() int { return f.cfg.Nodes }
 
@@ -85,8 +79,6 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to int, size int64) {
 	if size < 0 {
 		size = 0
 	}
-	f.messages++
-	f.bytesMoved += size
 	if from == to {
 		// Loopback: memory copy, no NIC involvement.
 		p.Sleep(time.Duration(float64(size) / (4 * f.cfg.Bandwidth) * 1e9))
@@ -122,13 +114,10 @@ func (f *Fabric) Transfer(p *sim.Proc, from, to int, size int64) {
 // infrastructure traffic can bypass injection.
 func (f *Fabric) SetPlan(pl *Plan) { f.plan = pl }
 
-// Plan returns the installed fault plan, nil when healthy.
-func (f *Fabric) Plan() *Plan { return f.plan }
-
 // TryTransfer moves size bytes from node `from` to node `to` under the
 // installed fault plan. A dropped message still charges the base
 // latency (it left the NIC before dying) and returns a *DropError; a
-// duplicated message is charged and counted twice and reported via dup
+// duplicated message is charged twice and reported via dup
 // so the receiver-side protocol can model the double delivery; a
 // delayed message pays the extra latency before the normal transfer.
 // With no plan installed TryTransfer is exactly Transfer.
@@ -144,7 +133,6 @@ func (f *Fabric) TryTransfer(p *sim.Proc, from, to int, size int64) (dup bool, e
 	}
 	if drop {
 		p.Sleep(f.cfg.Latency)
-		f.messages++
 		return false, &DropError{From: from, To: to}
 	}
 	f.Transfer(p, from, to, size)
@@ -153,9 +141,3 @@ func (f *Fabric) TryTransfer(p *sim.Proc, from, to int, size int64) (dup bool, e
 	}
 	return dup, nil
 }
-
-// BytesMoved reports the cumulative payload bytes transferred.
-func (f *Fabric) BytesMoved() int64 { return f.bytesMoved }
-
-// Messages reports the cumulative number of Transfer calls.
-func (f *Fabric) Messages() int64 { return f.messages }

@@ -75,18 +75,22 @@ func TestLoopbackIsCheap(t *testing.T) {
 	}
 }
 
+// Each transfer charges its sender one latency plus its own bytes'
+// wire time, one after the other.
 func TestAccounting(t *testing.T) {
 	k := sim.NewKernel()
 	f := New(k, testConfig(2))
+	var end sim.Time
 	k.Spawn("s", func(p *sim.Proc) {
 		f.Transfer(p, 0, 1, 100)
 		f.Transfer(p, 0, 1, 200)
+		end = p.Now()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f.BytesMoved() != 300 || f.Messages() != 2 {
-		t.Fatalf("bytes=%d msgs=%d", f.BytesMoved(), f.Messages())
+	if want := sim.Time(2*time.Millisecond + 300*time.Nanosecond); end != want {
+		t.Fatalf("end = %v, want %v", end, want)
 	}
 }
 

@@ -74,6 +74,7 @@ func TestPlanDuplicate(t *testing.T) {
 	f := New(k, testConfig(2))
 	f.SetPlan(NewPlan().AddRule(Rule{From: 0, To: 1, Nth: 1, Times: 1, Action: FaultDup}))
 	var dups []bool
+	var end sim.Time
 	k.Spawn("s", func(p *sim.Proc) {
 		for i := 0; i < 2; i++ {
 			dup, err := f.TryTransfer(p, 0, 1, 100)
@@ -82,6 +83,7 @@ func TestPlanDuplicate(t *testing.T) {
 			}
 			dups = append(dups, dup)
 		}
+		end = p.Now()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -89,9 +91,10 @@ func TestPlanDuplicate(t *testing.T) {
 	if !dups[0] || dups[1] {
 		t.Fatalf("dup pattern = %v, want [true false]", dups)
 	}
-	// The duplicate was charged as a second message.
-	if f.Messages() != 3 || f.BytesMoved() != 300 {
-		t.Fatalf("messages=%d bytes=%d, want 3/300", f.Messages(), f.BytesMoved())
+	// The duplicate was charged as a second message: three latencies
+	// and three wire times of 100 bytes.
+	if want := sim.Time(3*time.Millisecond + 300*time.Nanosecond); end != want {
+		t.Fatalf("end = %v, want %v", end, want)
 	}
 }
 

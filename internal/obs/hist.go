@@ -91,9 +91,6 @@ func (h *Histogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the number of recorded values.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Quantile estimates the q-quantile of the live histogram.
 func (h *Histogram) Quantile(q float64) int64 { return h.Snapshot().Quantile(q) }
 

@@ -265,6 +265,3 @@ func (s Scope) Histogram(name string) *Histogram { return s.r.Histogram(s.pfx + 
 
 // Trace returns the underlying registry's trace ring.
 func (s Scope) Trace() *Trace { return s.r.Trace() }
-
-// Registry returns the underlying registry.
-func (s Scope) Registry() *Registry { return s.r }

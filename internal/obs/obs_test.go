@@ -82,7 +82,7 @@ func TestResetAndResetPrefix(t *testing.T) {
 	if s.Counters["pfs.write_ops"] != 20 || s.Hists["pfs.lat"].Count != 1 {
 		t.Fatalf("pfs.* should survive a lsm.-prefix reset")
 	}
-	if r.Trace().Len() != 1 {
+	if len(r.Trace().Events()) != 1 {
 		t.Fatal("ResetPrefix must not clear the trace ring")
 	}
 
@@ -91,7 +91,7 @@ func TestResetAndResetPrefix(t *testing.T) {
 	if s.Counters["pfs.write_ops"] != 0 || s.Hists["pfs.lat"].Count != 0 {
 		t.Fatalf("full reset left state: %+v", s.Counters)
 	}
-	if r.Trace().Len() != 0 {
+	if len(r.Trace().Events()) != 0 {
 		t.Fatal("full reset must clear the trace ring")
 	}
 	// Handles created before the reset keep recording.
@@ -198,7 +198,7 @@ func TestTraceRing(t *testing.T) {
 	}
 
 	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
+	if len(tr.Events()) != 0 || tr.Dropped() != 0 {
 		t.Fatal("reset failed")
 	}
 }
@@ -213,7 +213,7 @@ func TestScope(t *testing.T) {
 	if snap.Counters["ckpt.commits"] != 1 || snap.Gauges["ckpt.keep"] != 3 {
 		t.Fatalf("scope names wrong: %v", snap.Names())
 	}
-	if s.Trace() != r.Trace() || s.Registry() != r {
+	if s.Trace() != r.Trace() {
 		t.Fatal("scope plumbing wrong")
 	}
 }

@@ -102,16 +102,6 @@ func (t *Trace) Dropped() int64 {
 	return t.dropped
 }
 
-// Len reports how many events are currently buffered.
-func (t *Trace) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.full {
-		return len(t.buf)
-	}
-	return t.next
-}
-
 // Reset clears the ring and the dropped count.
 func (t *Trace) Reset() {
 	t.mu.Lock()

@@ -34,8 +34,3 @@ func (w *Window) Advance() Snapshot {
 	w.prev = cur
 	return delta
 }
-
-// Last returns the cumulative snapshot the window is currently primed
-// at (the state as of the latest NewWindow/Advance), for callers that
-// need both the windowed and the running totals.
-func (w *Window) Last() Snapshot { return w.prev }

@@ -248,9 +248,6 @@ func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 // Fabric returns the interconnect (shared with the MPI world).
 func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }
 
-// Config returns the effective configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Stats returns a snapshot of the cumulative storage statistics — a
 // legacy view assembled from the `pfs.*` instruments in the obs
 // registry (Cluster.Obs).
@@ -284,11 +281,6 @@ func (c *Cluster) Stats() Stats {
 // per-operation latency histograms (pfs.ost.write_latency /
 // pfs.ost.read_latency) and the trace ring, all on virtual time.
 func (c *Cluster) Obs() *obs.Registry { return c.reg }
-
-// ResetStats zeroes the cumulative `pfs.*` statistics, starting a fresh
-// accounting window (e.g. to isolate the retries a single drain incurs
-// from those of the workload that staged the data).
-func (c *Cluster) ResetStats() { c.reg.ResetPrefix("pfs.") }
 
 // Store exposes the backing in-memory store (tests use it to verify data).
 func (c *Cluster) Store() *vfs.MemFS { return c.store }
@@ -653,24 +645,6 @@ func (c *Cluster) readRun(p *sim.Proc, client int, l *layout, r run) error {
 			r.ostIdx, attempts, err)
 	}
 	return nil
-}
-
-// OSTUtilization returns each OST's busy time as a fraction of elapsed
-// virtual time (diagnostics for the harness).
-func (c *Cluster) OSTUtilization() []float64 {
-	now := c.k.Now()
-	if now == 0 {
-		return make([]float64, len(c.osts))
-	}
-	out := make([]float64, len(c.osts))
-	for i, o := range c.osts {
-		busy := o.busyUntil
-		if busy > now {
-			busy = now
-		}
-		out[i] = busy.Seconds() / now.Seconds()
-	}
-	return out
 }
 
 // DescribeLayout reports a file's striping, for tests and tooling.

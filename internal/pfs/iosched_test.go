@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lsmio/internal/iosched"
+	"lsmio/internal/obs"
 	"lsmio/internal/rt"
 	"lsmio/internal/sim"
 )
@@ -40,11 +41,13 @@ func TestScrubThrottledDoesNotDegradeCommitP99(t *testing.T) {
 		c := NewCluster(k, cfg)
 		c.EnableResilience(Resilience{Parity: true})
 		var sched *iosched.Scheduler
+		var reg *obs.Registry
 		if throttled {
 			// Budget ≈ the bandwidth one striped writer can reach (2
 			// OSTs' worth); scrub's 5% share only matters while the
 			// foreground class holds unexpired claims.
-			sched = iosched.New(iosched.Config{BytesPerSec: 2 * cfg.OSTSeqWriteBW, Clock: rtm})
+			reg = obs.NewRegistry()
+			sched = iosched.New(iosched.Config{BytesPerSec: 2 * cfg.OSTSeqWriteBW, Clock: rtm, Obs: reg})
 			c.SetIOScheduler(sched)
 		}
 		if withScrub {
@@ -118,8 +121,8 @@ func TestScrubThrottledDoesNotDegradeCommitP99(t *testing.T) {
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if sched != nil {
-			snap := sched.Obs().Snapshot()
+		if reg != nil {
+			snap := reg.Snapshot()
 			t.Logf("sched: scrub grants=%d wait=%v fg grants=%d fg wait=%v",
 				snap.Counters["iosched.scrub.grants"],
 				time.Duration(snap.Counters["iosched.scrub.wait_nanos"]),

@@ -520,29 +520,27 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 }
 
-func TestOSTUtilizationReporting(t *testing.T) {
-	c := runOnCluster(t, testConfig(1), func(c *Cluster, fs *ClientFS) {
+func TestDefaultLayoutStripesOverFourOSTs(t *testing.T) {
+	runOnCluster(t, testConfig(1), func(c *Cluster, fs *ClientFS) {
 		f, _ := fs.Create("u")
 		f.Write(make([]byte, 16<<20))
 		fs.Barrier()
 		f.Close()
+		count, _, osts, err := c.DescribeLayout("u")
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := map[int]bool{}
+		for _, o := range osts {
+			if o < 0 || o >= 45 {
+				t.Fatalf("OST %d outside the cluster's 45", o)
+			}
+			distinct[o] = true
+		}
+		if count != 4 || len(distinct) != 4 { // default stripe count
+			t.Fatalf("stripe count %d over %d distinct OSTs %v, want 4", count, len(distinct), osts)
+		}
 	})
-	util := c.OSTUtilization()
-	if len(util) != 45 {
-		t.Fatalf("%d OSTs", len(util))
-	}
-	busy := 0
-	for _, u := range util {
-		if u < 0 || u > 1.0001 {
-			t.Fatalf("utilization out of range: %v", u)
-		}
-		if u > 0 {
-			busy++
-		}
-	}
-	if busy != 4 { // default stripe count
-		t.Fatalf("%d OSTs busy, want 4", busy)
-	}
 }
 
 func TestNVMeConfigRemovesSeekPenalty(t *testing.T) {

@@ -146,9 +146,7 @@ func TestNewLayoutSkipsDeadOST(t *testing.T) {
 
 func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 	runOnCluster(t, resilTestConfig(3), func(c *Cluster, fs *ClientFS) {
-		c.EnableResilience(Resilience{
-			Tracker: resil.Options{ErrThreshold: 3, OpenTimeout: 200 * time.Millisecond},
-		})
+		c.EnableResilience(Resilience{}) // 3 errors open a breaker for 200ms
 		faulty := true
 		c.InjectFaults(func(write bool, ostIdx, attempt int) error {
 			if faulty && write && ostIdx == 0 {
@@ -178,7 +176,7 @@ func TestBreakerTripsSkipsAndRecovers(t *testing.T) {
 				t.Errorf("layout %v routed to breakered OST 0", osts)
 			}
 		}
-		// Fault clears; after OpenTimeout the next layout probes OST 0 and
+		// Fault clears; after the 200ms open timeout the next layout probes OST 0 and
 		// a successful write closes the breaker.
 		faulty = false
 		c.cur().Sleep(250 * time.Millisecond)

@@ -108,9 +108,6 @@ type ClassError struct {
 
 func (e *ClassError) Error() string { return e.Msg }
 
-// Class returns the carried classification.
-func (e *ClassError) Class() Class { return e.C }
-
 // TransientFault marks the error retryable when it crossed the wire as
 // ClassTransient.
 func (e *ClassError) TransientFault() bool { return e.C == ClassTransient }

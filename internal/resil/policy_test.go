@@ -184,16 +184,18 @@ func TestPolicyBackoffDeterministic(t *testing.T) {
 func TestHalfOpenSingleProbeUnderConcurrency(t *testing.T) {
 	var now atomic.Int64
 	clock := func() time.Duration { return time.Duration(now.Load()) }
-	tr := New(1, clock, Options{ErrThreshold: 1, OpenTimeout: 10 * time.Millisecond})
+	tr := New(1, clock, Options{})
 
-	tr.ObserveErr(0)
+	for i := 0; i < errThreshold; i++ {
+		tr.ObserveErr(0)
+	}
 	if tr.State(0) != Open {
 		t.Fatalf("state = %v, want Open", tr.State(0))
 	}
 	if tr.Route(0) {
 		t.Fatal("open breaker routed before its timeout")
 	}
-	now.Store(int64(20 * time.Millisecond))
+	now.Store(int64(2 * openTimeout))
 
 	const callers = 64
 	var granted atomic.Int64
@@ -239,10 +241,12 @@ func TestHalfOpenSingleProbeUnderConcurrency(t *testing.T) {
 func TestHalfOpenFailedProbeReopens(t *testing.T) {
 	var now atomic.Int64
 	clock := func() time.Duration { return time.Duration(now.Load()) }
-	tr := New(1, clock, Options{ErrThreshold: 1, OpenTimeout: 10 * time.Millisecond})
+	tr := New(1, clock, Options{})
 
-	tr.ObserveErr(0)
-	now.Store(int64(15 * time.Millisecond))
+	for i := 0; i < errThreshold; i++ {
+		tr.ObserveErr(0)
+	}
+	now.Store(int64(openTimeout + openTimeout/2))
 	if !tr.Route(0) {
 		t.Fatal("timeout elapsed but no probe granted")
 	}

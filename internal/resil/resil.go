@@ -12,9 +12,9 @@
 //
 // Breaker life cycle (per target):
 //
-//	Closed ──(ErrThreshold consecutive errors, or
-//	          SlowStrikes consecutive ≥SlowFactor×median observations)──▶ Open
-//	Open ──(OpenTimeout elapsed; next Route() grants one probe)──▶ HalfOpen
+//	Closed ──(errThreshold consecutive errors, or
+//	          SlowStrikes consecutive ≥slowFactor×median observations)──▶ Open
+//	Open ──(openTimeout elapsed; next Route() grants one probe)──▶ HalfOpen
 //	HalfOpen ──(probe ObserveOK)──▶ Closed
 //	HalfOpen ──(probe ObserveErr)──▶ Open (timer restarts)
 //
@@ -55,21 +55,24 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// Options tunes the tracker. The zero value uses the defaults below.
+// The breaker's fixed tuning.
+const (
+	// ewmaAlpha is the EWMA smoothing factor for served latency.
+	ewmaAlpha = 0.3
+	// errThreshold is how many consecutive errors open the breaker.
+	errThreshold = 3
+	// openTimeout is how long an open breaker rejects routing before the
+	// next Route call is granted as a half-open probe.
+	openTimeout = 200 * time.Millisecond
+	// slowFactor is how many times the median EWMA across closed targets
+	// an observation must take to count as a slow strike.
+	slowFactor = 6
+)
+
+// Options tunes the tracker. The zero value uses the defaults.
 type Options struct {
-	// Alpha is the EWMA smoothing factor for served latency (default 0.3).
-	Alpha float64
-	// ErrThreshold is how many consecutive errors open the breaker
-	// (default 3).
-	ErrThreshold int
-	// OpenTimeout is how long an open breaker rejects routing before the
-	// next Route call is granted as a half-open probe (default 200ms).
-	OpenTimeout time.Duration
-	// SlowFactor and SlowStrikes open the breaker on sustained slowness:
-	// SlowStrikes consecutive observations, each at least SlowFactor times
-	// the median EWMA across closed targets, trip the breaker even though
-	// every request succeeded (defaults 6× and 16).
-	SlowFactor  float64
+	// SlowStrikes consecutive slow strikes (see slowFactor) open the
+	// breaker even though every request succeeded (default 16).
 	SlowStrikes int
 	// Latency optionally injects a shared latency histogram for quantile
 	// estimation (replacing the private sorted-sample ring the tracker
@@ -85,18 +88,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Alpha <= 0 || o.Alpha > 1 {
-		o.Alpha = 0.3
-	}
-	if o.ErrThreshold <= 0 {
-		o.ErrThreshold = 3
-	}
-	if o.OpenTimeout <= 0 {
-		o.OpenTimeout = 200 * time.Millisecond
-	}
-	if o.SlowFactor <= 1 {
-		o.SlowFactor = 6
-	}
 	if o.SlowStrikes <= 0 {
 		o.SlowStrikes = 16
 	}
@@ -135,8 +126,6 @@ type Tracker struct {
 
 	lat     *obs.Histogram // shared latency histogram (see Options.Latency)
 	ownsLat bool           // tracker records into lat itself
-
-	denials int64
 }
 
 // New builds a tracker for n targets. now is the monotonic clock the
@@ -170,7 +159,7 @@ func (tr *Tracker) ObserveOK(i int, lat time.Duration) {
 	if t.ewma == 0 {
 		t.ewma = float64(lat)
 	} else {
-		t.ewma = tr.opts.Alpha*float64(lat) + (1-tr.opts.Alpha)*t.ewma
+		t.ewma = ewmaAlpha*float64(lat) + (1-ewmaAlpha)*t.ewma
 	}
 	if tr.ownsLat {
 		tr.lat.ObserveDuration(lat)
@@ -190,7 +179,7 @@ func (tr *Tracker) ObserveOK(i int, lat time.Duration) {
 	// Sustained-slowness trip: compare against the median EWMA of the
 	// other closed targets, so a uniformly loaded cluster never trips.
 	med := tr.medianEWMALocked(i)
-	if med > 0 && float64(lat) >= tr.opts.SlowFactor*med {
+	if med > 0 && float64(lat) >= slowFactor*med {
 		t.consecSlow++
 		if t.consecSlow >= tr.opts.SlowStrikes {
 			tr.openLocked(i, "slow")
@@ -213,7 +202,7 @@ func (tr *Tracker) ObserveErr(i int) {
 	case HalfOpen:
 		tr.openLocked(i, "probe-failed")
 	case Closed:
-		if t.consecErr >= tr.opts.ErrThreshold {
+		if t.consecErr >= errThreshold {
 			tr.openLocked(i, "errors")
 		}
 	}
@@ -242,7 +231,7 @@ func (tr *Tracker) Route(i int) bool {
 	case Closed:
 		return true
 	case Open:
-		if tr.now()-t.openedAt >= tr.opts.OpenTimeout {
+		if tr.now()-t.openedAt >= openTimeout {
 			t.state = HalfOpen
 			t.probing = true
 			t.probes++
@@ -251,7 +240,6 @@ func (tr *Tracker) Route(i int) bool {
 			}
 			return true
 		}
-		tr.denials++
 		return false
 	case HalfOpen:
 		if !t.probing {
@@ -262,7 +250,6 @@ func (tr *Tracker) Route(i int) bool {
 			}
 			return true
 		}
-		tr.denials++
 		return false
 	}
 	return false
@@ -306,13 +293,6 @@ func (tr *Tracker) medianEWMALocked(skip int) float64 {
 // log-bucket estimates (≤25% bucket width).
 func (tr *Tracker) Quantile(q float64) time.Duration {
 	return time.Duration(tr.lat.Quantile(q))
-}
-
-// Denials returns how many Route calls were rejected by open breakers.
-func (tr *Tracker) Denials() int64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.denials
 }
 
 // Snapshot returns every target's health.

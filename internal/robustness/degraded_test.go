@@ -286,7 +286,7 @@ func TestDegradedSlowOSTHedgedTail(t *testing.T) {
 
 // burstOverCluster stages into a MemFS-backed store and drains into a
 // cluster-backed durable store, inline (no worker) for determinism.
-func burstOverCluster(k *sim.Kernel, durableFS vfs.FS) (*burst.Tier, *core.Manager, *core.Manager, error) {
+func burstOverCluster(k *sim.Kernel, durableFS vfs.FS, reg *obs.Registry) (*burst.Tier, *core.Manager, *core.Manager, error) {
 	rtm := rt.Sim(k)
 	smgr, err := core.NewManager("stage", core.ManagerOptions{
 		Store:   core.StoreOptions{FS: vfs.NewMemFS(), WriteBufferSize: 64 << 10},
@@ -302,7 +302,7 @@ func burstOverCluster(k *sim.Kernel, durableFS vfs.FS) (*burst.Tier, *core.Manag
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	tier := burst.New(ckpt.New(smgr, ckpt.Options{}), ckpt.New(dmgr, ckpt.Options{}), burst.Options{Runtime: rtm})
+	tier := burst.New(ckpt.New(smgr, ckpt.Options{}), ckpt.New(dmgr, ckpt.Options{}), burst.Options{Runtime: rtm, Obs: reg})
 	return tier, smgr, dmgr, nil
 }
 
@@ -337,9 +337,9 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 		k := sim.NewKernel()
 		cluster := pfs.NewCluster(k, cfg)
 		dumpTraceOnFailure(t, "", cluster.Obs())
-		var reg *obs.Registry
+		reg := obs.NewRegistry()
 		k.Spawn("main", func(*sim.Proc) {
-			tier, _, _, err := burstOverCluster(k, cluster.Client(0))
+			tier, _, _, err := burstOverCluster(k, cluster.Client(0), reg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -354,7 +354,6 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 			if err := tier.Sync(); err == nil {
 				t.Error("drain into a dead cluster reported success")
 			}
-			reg = tier.Obs()
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -368,9 +367,9 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 		k := sim.NewKernel()
 		cluster := pfs.NewCluster(k, cfg)
 		dumpTraceOnFailure(t, "", cluster.Obs())
-		var reg *obs.Registry
+		reg := obs.NewRegistry()
 		k.Spawn("main", func(*sim.Proc) {
-			tier, _, _, err := burstOverCluster(k, cluster.Client(0))
+			tier, _, _, err := burstOverCluster(k, cluster.Client(0), reg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -385,7 +384,6 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 			if err := tier.Sync(); err == nil {
 				t.Error("drain with exhausted retries reported success")
 			}
-			reg = tier.Obs()
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -400,9 +398,9 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 		cluster := pfs.NewCluster(k, cfg)
 		dumpTraceOnFailure(t, "", cluster.Obs())
 		cluster.EnableResilience(pfs.Resilience{Parity: true})
-		var reg *obs.Registry
+		reg := obs.NewRegistry()
 		k.Spawn("main", func(*sim.Proc) {
-			tier, _, dmgr, err := burstOverCluster(k, cluster.ResilientClient(0))
+			tier, _, dmgr, err := burstOverCluster(k, cluster.ResilientClient(0), reg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -416,7 +414,6 @@ func TestBurstDrainFailureClassification(t *testing.T) {
 				t.Errorf("parity-striped drain failed with one dead OST: %v", err)
 				return
 			}
-			reg = tier.Obs()
 			step, state, err := ckpt.New(dmgr, ckpt.Options{}).RestoreLatest()
 			if err != nil || step != 1 {
 				t.Errorf("durable restore = step %d, %v", step, err)

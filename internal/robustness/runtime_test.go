@@ -38,9 +38,10 @@ func TestSimStackLeaksNoWallTime(t *testing.T) {
 	k := sim.NewKernel()
 	rtm := rt.Sim(k) // the one place the stack's runtime is named
 	cluster := pfs.NewCluster(k, pfs.VikingConfig(shards+2))
-	sched := iosched.New(iosched.Config{BytesPerSec: 64 << 20, Clock: rtm})
+	schedReg := obs.NewRegistryOn(rtm.Now)
+	sched := iosched.New(iosched.Config{BytesPerSec: 64 << 20, Clock: rtm, Obs: schedReg})
 
-	regs := map[string]*obs.Registry{"pfs": cluster.Obs(), "iosched": sched.Obs()}
+	regs := map[string]*obs.Registry{"pfs": cluster.Obs(), "iosched": schedReg}
 	manager := func(name string, node int) (*core.Manager, error) {
 		mgr, err := core.NewManager(name, core.ManagerOptions{
 			Store: core.StoreOptions{
@@ -101,9 +102,9 @@ func TestSimStackLeaksNoWallTime(t *testing.T) {
 			t.Error(err)
 			return
 		}
+		regs["burst"] = obs.NewRegistryOn(rtm.Now)
 		tier := burst.New(ckpt.New(smgr, ckpt.Options{}), ckpt.New(dmgr, ckpt.Options{}),
-			burst.Options{Runtime: rtm, IOSched: sched, StagingBudget: 96 << 10})
-		regs["burst"] = tier.Obs()
+			burst.Options{Runtime: rtm, IOSched: sched, StagingBudget: 96 << 10, Obs: regs["burst"]})
 		tier.StartWorker()
 		for step := int64(1); step <= 3; step++ {
 			c, err := tier.Begin(step)

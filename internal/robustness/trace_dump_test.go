@@ -45,6 +45,6 @@ func dumpTraceOnFailure(t *testing.T, label string, reg *obs.Registry) {
 			t.Logf("metrics dump: %v", err)
 		}
 		t.Logf("trace ring dumped to %s (%d events, %d dropped)",
-			name, reg.Trace().Len(), reg.Trace().Dropped())
+			name, len(reg.Trace().Events()), reg.Trace().Dropped())
 	})
 }

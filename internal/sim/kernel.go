@@ -172,15 +172,6 @@ func (p *Proc) SetDaemon(on bool) *Proc {
 	return p
 }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the kernel-unique process id.
-func (p *Proc) ID() int { return p.id }
-
-// Kernel returns the kernel this process runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 

@@ -74,7 +74,9 @@ func TestResourceSerializes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			r.Use(p, 1, 10*time.Millisecond)
+			r.Acquire(p, 1)
+			p.Sleep(10 * time.Millisecond)
+			r.Release(1)
 			ends[i] = p.Now()
 		})
 	}
@@ -95,7 +97,9 @@ func TestResourceCapacityTwoAdmitsPairs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		i := i
 		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			r.Use(p, 1, 10*time.Millisecond)
+			r.Acquire(p, 1)
+			p.Sleep(10 * time.Millisecond)
+			r.Release(1)
 			ends[i] = p.Now()
 		})
 	}
@@ -256,26 +260,6 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestWaitGroup(t *testing.T) {
-	k := NewKernel()
-	wg := NewWaitGroup(k)
-	var end Time
-	k.Spawn("parent", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			d := time.Duration(i) * time.Millisecond
-			wg.Go("child", func(c *Proc) { c.Sleep(d) })
-		}
-		wg.Wait(p)
-		end = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if end != Time(3*time.Millisecond) {
-		t.Fatalf("end = %v, want 3ms", end)
-	}
-}
-
 func TestSpawnFromProcess(t *testing.T) {
 	k := NewKernel()
 	var seen []string
@@ -348,21 +332,21 @@ func TestCurrentProcVisibleToNestedCode(t *testing.T) {
 	if k.Current() != nil {
 		t.Fatal("Current outside run should be nil")
 	}
-	var insideName string
+	var inside *Proc
 	library := func() { // library code with no *Proc plumbed through
-		insideName = k.Current().Name()
+		inside = k.Current()
 		k.Compute(5 * time.Millisecond)
 	}
 	var end Time
-	k.Spawn("worker", func(p *Proc) {
+	worker := k.Spawn("worker", func(p *Proc) {
 		library()
 		end = p.Now()
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if insideName != "worker" {
-		t.Fatalf("Current().Name() = %q", insideName)
+	if inside != worker {
+		t.Fatalf("Current() = %p, want the worker %p", inside, worker)
 	}
 	if end != Time(5*time.Millisecond) {
 		t.Fatalf("Compute charged %v", end)
@@ -371,20 +355,4 @@ func TestCurrentProcVisibleToNestedCode(t *testing.T) {
 	k.Compute(time.Hour)
 	var nilK *Kernel
 	nilK.Compute(time.Hour)
-}
-
-func TestSignalPending(t *testing.T) {
-	k := NewKernel()
-	s := NewSignal(k)
-	k.Spawn("waiter", func(p *Proc) { s.Wait(p) })
-	k.Spawn("checker", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		if s.Pending() != 1 {
-			t.Errorf("pending = %d", s.Pending())
-		}
-		s.Broadcast()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
 }

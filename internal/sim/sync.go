@@ -1,7 +1,5 @@
 package sim
 
-import "time"
-
 // Signal is a broadcast condition: processes Wait on it and are all resumed
 // by the next Broadcast. There is no Wait-with-predicate; callers re-check
 // their condition after waking, as with sync.Cond.
@@ -28,9 +26,6 @@ func (s *Signal) Broadcast() {
 		s.k.schedule(s.k.now, w)
 	}
 }
-
-// Pending reports how many processes are waiting.
-func (s *Signal) Pending() int { return len(s.waiters) }
 
 // Resource models a capacity-limited facility (a disk, a NIC, a server
 // thread pool) with FIFO admission. A process holds n units between Acquire
@@ -84,14 +79,6 @@ func (r *Resource) Release(n int64) {
 	}
 }
 
-// Use acquires n units, sleeps for d, and releases: the common
-// "occupy a facility for a service time" pattern.
-func (r *Resource) Use(p *Proc, n int64, d time.Duration) {
-	r.Acquire(p, n)
-	p.Sleep(d)
-	r.Release(n)
-}
-
 // Queue is an unbounded FIFO mailbox between processes. Send never blocks;
 // Recv blocks until an item is available. It is the building block for
 // simulated message passing.
@@ -128,46 +115,3 @@ func (q *Queue) Recv(p *Proc) any {
 
 // Len reports the number of queued items.
 func (q *Queue) Len() int { return len(q.items) }
-
-// WaitGroup tracks a set of child processes and lets a parent wait for all
-// of them, mirroring sync.WaitGroup for simulated processes.
-type WaitGroup struct {
-	k     *Kernel
-	count int
-	sig   *Signal
-}
-
-// NewWaitGroup returns a WaitGroup bound to k.
-func NewWaitGroup(k *Kernel) *WaitGroup {
-	return &WaitGroup{k: k, sig: NewSignal(k)}
-}
-
-// Add increments the outstanding count by n.
-func (wg *WaitGroup) Add(n int) { wg.count += n }
-
-// Done decrements the count, waking waiters when it reaches zero.
-func (wg *WaitGroup) Done() {
-	wg.count--
-	if wg.count < 0 {
-		panic("sim: WaitGroup count below zero")
-	}
-	if wg.count == 0 {
-		wg.sig.Broadcast()
-	}
-}
-
-// Wait parks p until the count is zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	for wg.count > 0 {
-		wg.sig.Wait(p)
-	}
-}
-
-// Go spawns body as a child process tracked by the WaitGroup.
-func (wg *WaitGroup) Go(name string, body func(p *Proc)) {
-	wg.Add(1)
-	wg.k.Spawn(name, func(p *Proc) {
-		defer wg.Done()
-		body(p)
-	})
-}

@@ -27,18 +27,14 @@ func (e *QuotaError) Error() string {
 // TransientFault marks the rejection retryable for resil.Classify.
 func (e *QuotaError) TransientFault() bool { return true }
 
-// TenantConfig sets a tenant's fair-share weight and hard quotas. The
-// zero value means weight 1 and no per-tenant caps (the tenant is still
-// bounded by its weighted share of the service capacity, when one is
-// configured).
+// TenantConfig sets a tenant's fair-share weight. The zero value means
+// weight 1: the tenant is bounded by its weighted share of the service
+// capacity, when one is configured.
 type TenantConfig struct {
 	// Weight is the tenant's fair-share weight; the tenant's slice of
 	// the service capacity is Weight over the sum of all registered
 	// weights. Zero or negative means 1.
 	Weight float64
-	// BytesPerSec is a hard per-tenant rate cap applied on top of the
-	// weighted share. Zero means no cap.
-	BytesPerSec float64
 	// BurstBytes sizes the tenant's token bucket (how far a tenant may
 	// run ahead of its sustained rate). Zero picks a default of a
 	// quarter second at the tenant's rate.
@@ -46,9 +42,8 @@ type TenantConfig struct {
 }
 
 // AdmissionConfig configures the service-wide fair-share admission
-// control. The zero value enables admission with no capacity limits:
-// every request is admitted immediately until tenants carry hard
-// quotas or a capacity is set.
+// control. The zero value enables admission with no capacity limit:
+// every request is admitted immediately until a capacity is set.
 type AdmissionConfig struct {
 	// Disabled turns fair-share admission off entirely (requests go
 	// straight to the shards); used as the control arm of the
@@ -184,7 +179,7 @@ func (a *admission) tenant(name string, cfg *TenantConfig) *tenantState {
 }
 
 // recomputeLocked re-derives every tenant's bucket rate from the
-// capacity split by weight, intersected with the tenant's hard caps.
+// capacity split by weight.
 func (a *admission) recomputeLocked() {
 	var sumW float64
 	for _, ts := range a.tenants {
@@ -195,23 +190,8 @@ func (a *admission) recomputeLocked() {
 		if a.cfg.CapacityBytesPerSec > 0 && sumW > 0 {
 			share = a.cfg.CapacityBytesPerSec * ts.weight() / sumW
 		}
-		ts.bytesB.rate = combineRate(ts.cfg.BytesPerSec, share)
+		ts.bytesB.rate = share
 		ts.bytesB.burst = burstOr(ts.cfg.BurstBytes, ts.bytesB.rate, 64<<10)
-	}
-}
-
-// combineRate intersects a hard cap and a fair share: the tighter of
-// the two positive rates, unlimited when both are zero.
-func combineRate(hard, share float64) float64 {
-	switch {
-	case hard <= 0:
-		return share
-	case share <= 0:
-		return hard
-	case hard < share:
-		return hard
-	default:
-		return share
 	}
 }
 

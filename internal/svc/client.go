@@ -62,9 +62,6 @@ func (s *Service) newClient(ts *tenantState, tr transport, retry resil.Policy, r
 		lossAck: make(map[int]uint64)}
 }
 
-// Tenant returns the tenant name the client is bound to.
-func (c *Client) Tenant() string { return c.ts.name }
-
 // admit runs fair-share admission, sleeping out any delay it imposes.
 func (c *Client) admit(nBytes int) error {
 	s := c.s

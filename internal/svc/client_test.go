@@ -25,8 +25,9 @@ type tenantAPI interface {
 }
 
 // agreementService builds a two-shard service on rtm with supervision
-// off (a crashed shard stays down) and a "greedy" tenant whose byte cap
-// one 128 KiB put exhausts for the rest of the run.
+// off (a crashed shard stays down) and a "greedy" tenant whose share of
+// the capacity, 1 B/s beside app's weight of 2^40-1, one 128 KiB put
+// exhausts for the rest of the run.
 func agreementService(t *testing.T, rtm rt.Runtime) *Service {
 	reg := obs.NewRegistryOn(rtm.Now)
 	s, err := New(Options{
@@ -40,13 +41,17 @@ func agreementService(t *testing.T, rtm rt.Runtime) *Service {
 		},
 		Runtime:    rtm,
 		Obs:        reg,
+		Admission:  AdmissionConfig{CapacityBytesPerSec: 1 << 40},
 		Supervisor: SupervisorConfig{Disabled: true},
 	})
 	if err != nil {
 		t.Error(err)
 		return nil
 	}
-	if _, err := s.RegisterTenant("greedy", TenantConfig{Weight: 1, BytesPerSec: 1, BurstBytes: 64 << 10}); err != nil {
+	if _, err := s.RegisterTenant("app", TenantConfig{Weight: 1<<40 - 1}); err != nil {
+		t.Error(err)
+	}
+	if _, err := s.RegisterTenant("greedy", TenantConfig{Weight: 1, BurstBytes: 64 << 10}); err != nil {
 		t.Error(err)
 	}
 	return s

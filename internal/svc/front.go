@@ -207,12 +207,6 @@ func (f *Front) serve(p *sim.Proc, idx int) {
 	s := f.s
 	for {
 		req := f.queues[idx].Recv(p).(request)
-		if req.op == opStop {
-			if req.replyTo != nil {
-				req.replyTo.Send(reply{})
-			}
-			return
-		}
 		f.qDepth[idx].SetMax(int64(f.queues[idx].Len() + 1))
 		p.Sleep(frontOpCost)
 		var rep reply
@@ -254,16 +248,6 @@ func (f *Front) serve(p *sim.Proc, idx int) {
 			rep.err = overWire(rep.err)
 			req.replyTo.Send(rep)
 		}
-	}
-}
-
-// Stop shuts every shard server down (mainly for tests; the servers
-// are daemons and do not hold the simulation open).
-func (f *Front) Stop(p *sim.Proc) {
-	for _, q := range f.queues {
-		done := sim.NewQueue(f.s.kern, "svc-stop")
-		q.Send(request{op: opStop, replyTo: done})
-		done.Recv(p)
 	}
 }
 

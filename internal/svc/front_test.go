@@ -126,7 +126,6 @@ func TestFrontBasic(t *testing.T) {
 		if s0 == 0 || s1 == 0 {
 			t.Errorf("shard ops skewed: %d / %d", s0, s1)
 		}
-		f.Stop(p)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -37,9 +37,8 @@ type Manifest struct {
 
 // ManifestTenant is one tenant's registered admission settings.
 type ManifestTenant struct {
-	Name        string  `json:"name"`
-	Weight      float64 `json:"weight"`
-	BytesPerSec float64 `json:"bytes_per_sec,omitempty"`
+	Name   string  `json:"name"`
+	Weight float64 `json:"weight"`
 }
 
 // Manifest returns the service's current layout description.
@@ -47,11 +46,7 @@ func (s *Service) Manifest() Manifest {
 	m := Manifest{Version: manifestVersion, Shards: len(s.shards)}
 	s.adm.mu.Lock()
 	for name, ts := range s.adm.tenants {
-		m.Tenants = append(m.Tenants, ManifestTenant{
-			Name:        name,
-			Weight:      ts.weight(),
-			BytesPerSec: ts.cfg.BytesPerSec,
-		})
+		m.Tenants = append(m.Tenants, ManifestTenant{Name: name, Weight: ts.weight()})
 	}
 	s.adm.mu.Unlock()
 	sort.Slice(m.Tenants, func(i, j int) bool { return m.Tenants[i].Name < m.Tenants[j].Name })

@@ -467,7 +467,6 @@ const (
 	opGet
 	opScan
 	opBarrier
-	opStop // fabric only: stops the shard's server process
 )
 
 // reply is the outcome of one applied request.

@@ -388,16 +388,6 @@ func TestFairShareWeights(t *testing.T) {
 	if heavy != 3<<20 || light != 1<<20 {
 		t.Fatalf("rates heavy=%v light=%v, want 3MiB/1MiB split", heavy, light)
 	}
-	// A hard cap tightens the share, never loosens it.
-	if _, err := s.RegisterTenant("heavy", TenantConfig{Weight: 3, BytesPerSec: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	s.adm.mu.Lock()
-	capped := s.adm.tenants["heavy"].bytesB.rate
-	s.adm.mu.Unlock()
-	if capped != 1<<20 {
-		t.Fatalf("hard cap ignored: rate=%v", capped)
-	}
 }
 
 // TestZeroWeightTenant: a zero (or negative) Weight means weight 1,
@@ -475,11 +465,11 @@ func TestScanRecordsRequestLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	lat := s.Obs().Histogram("svc.tenant.app.request_ns")
-	before := lat.Count()
+	before := lat.Snapshot().Count
 	if err := tn.Scan("", func(string, []byte) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
-	if got := lat.Count() - before; got != 1 {
+	if got := lat.Snapshot().Count - before; got != 1 {
 		t.Fatalf("one scan added %d request-latency samples, want 1", got)
 	}
 }

@@ -66,9 +66,6 @@ type File interface {
 	Name() string
 }
 
-// WriteString writes s to f.
-func WriteString(f File, s string) (int, error) { return f.Write([]byte(s)) }
-
 // ReadAll reads the whole file from the beginning regardless of cursor.
 func ReadAll(f File) ([]byte, error) {
 	size, err := f.Size()
