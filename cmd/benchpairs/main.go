@@ -537,8 +537,9 @@ func better(direction string, a, b float64) bool {
 	return a > b
 }
 
-// minPairs is the fewest pairs whose sign test can reach signAlpha: with
-// four, even four wins out of four has probability 1/16 under noise.
+// "Better" needs a sign test below signAlpha, which minPairs is the
+// fewest pairs that can reach: four wins out of four has probability
+// 1/16 under noise, five out of five 1/32.
 const (
 	minPairs  = 5
 	signAlpha = 0.05
