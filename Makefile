@@ -175,7 +175,8 @@ LOC_OPTIONS = internal/lsm/options.go:Options internal/core/store.go:StoreOption
 	internal/svc/admission.go:TenantConfig internal/svc/admission.go:AdmissionConfig \
 	internal/core/manager.go:ManagerOptions internal/adios2/adios2.go:Config \
 	internal/svc/front.go:FrontOptions internal/pfs/resilience.go:Resilience \
-	internal/bench/service.go:ServiceSession internal/resil/resil.go:Options
+	internal/bench/service.go:ServiceSession internal/resil/resil.go:Options \
+	internal/ior/ior.go:Params
 loc:
 	@find . -path ./benchmark -prune -o -path './.*' -prune -o -name '*.go' ! -name '*_test.go' -print | \
 	xargs wc -l | awk '$$2 != "total" { n = split($$2, p, "/"); top = (n == 2 ? "." : p[2]); \

@@ -7,6 +7,7 @@ import (
 
 	"lsmio/internal/core"
 	"lsmio/internal/mpisim"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/pfs"
 	"lsmio/internal/rt"
 	"lsmio/internal/sim"
@@ -87,8 +88,8 @@ func TestCheckpointOnSimulatedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := cluster.Stats(); s.BytesWritten == 0 || s.LockSwitches != 0 {
-		// Per-rank stores: the whole run must be lock-migration free.
-		t.Fatalf("storage stats: %+v", s)
+	// Per-rank stores: the whole run must be lock-migration free.
+	if w, l := cluster.Stats().BytesWritten, obstest.Counter(t, cluster.Obs(), "pfs.lock_switches"); w == 0 || l != 0 {
+		t.Fatalf("storage stats: %d bytes written, %d lock switches", w, l)
 	}
 }

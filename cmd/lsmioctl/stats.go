@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lsmio"
+	"lsmio/internal/iosched"
 	"lsmio/internal/svc"
 	"lsmio/internal/vfs"
 )
@@ -129,10 +130,9 @@ func serviceStats(fsys lsmio.FS, m svc.Manifest, asJSON bool) {
 func writeIOSchedSection(w io.Writer, snap lsmio.MetricsSnapshot) {
 	rate := snap.Gauges["iosched.device.rate_bytes_per_sec"]
 	busy := snap.Counters["iosched.device.busy_nanos"]
-	classes := []string{"foreground", "flush", "drain", "compaction", "scrub"}
 	attached := rate != 0 || busy != 0
-	for _, c := range classes {
-		if snap.Counters["iosched."+c+".grants"] != 0 {
+	for c := iosched.Class(0); c < iosched.NumClasses; c++ {
+		if snap.Counters["iosched."+c.String()+".grants"] != 0 {
 			attached = true
 		}
 	}
@@ -142,7 +142,8 @@ func writeIOSchedSection(w io.Writer, snap lsmio.MetricsSnapshot) {
 	fmt.Fprintf(w, "\niosched: device budget %.1f MB/s, %v of device time bought\n",
 		float64(rate)/1e6, time.Duration(busy).Round(time.Millisecond))
 	fmt.Fprintf(w, "  %-12s %10s %14s %14s %12s\n", "class", "grants", "bytes", "wait", "deficit")
-	for _, c := range classes {
+	for cl := iosched.Class(0); cl < iosched.NumClasses; cl++ {
+		c := cl.String()
 		fmt.Fprintf(w, "  %-12s %10d %14d %14s %12d\n", c,
 			snap.Counters["iosched."+c+".grants"],
 			snap.Counters["iosched."+c+".granted_bytes"],

@@ -22,8 +22,7 @@
 //
 // Flow control: when the bytes staged but not yet drained exceed
 // Options.StagingBudget, Commit blocks until the drain catches up
-// (backpressure). Options.IOSched keeps background draining from
-// monopolizing the PFS against the next compute phase's own I/O.
+// (backpressure). The drain runs flat out: nothing paces it.
 //
 // The drain worker is a daemon task of Options.Runtime and one rt
 // mutex/cond pair guards the in-memory state, so the same code runs on
@@ -36,7 +35,6 @@ import (
 	"time"
 
 	"lsmio/ckpt"
-	"lsmio/internal/iosched"
 	"lsmio/internal/obs"
 	"lsmio/internal/resil"
 	"lsmio/internal/rt"
@@ -48,13 +46,6 @@ type Options struct {
 	// not yet drained; Commit blocks while a new step would exceed it.
 	// Zero means unbounded (no backpressure).
 	StagingBudget int64
-	// IOSched, when set and enabled, paces the drain: the worker buys
-	// Drain-class tokens from the shared bandwidth scheduler for each
-	// step's bytes, so draining is arbitrated globally against the LSM
-	// engine's flush/compaction I/O and the PFS scrubber and does not
-	// contend with the application's next I/O phase. Nil or disabled
-	// means drain flat-out.
-	IOSched *iosched.Scheduler
 	// Runtime is what the tier waits, spawns its drain worker and reads
 	// time on: the stack's rt.Sim inside the simulator, rt.Real() when
 	// nil.

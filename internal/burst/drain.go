@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"lsmio/ckpt"
-	"lsmio/internal/iosched"
 	"lsmio/internal/resil"
 )
 
@@ -42,13 +41,6 @@ func (t *Tier) runWorker() {
 		t.inFlight++
 		t.mu.Unlock()
 
-		// The step buys Drain-class tokens before its I/O is issued, so
-		// drain bandwidth is arbitrated against flush, compaction and
-		// scrub. The wait feeds the tier's throttle counter, a view of
-		// iosched.drain.wait_nanos.
-		if w := t.opts.IOSched.Acquire(iosched.Drain, item.bytes); w > 0 {
-			t.m.throttleNanos.Add(int64(w))
-		}
 		t.finish(item, t.drain(item))
 	}
 }

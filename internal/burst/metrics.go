@@ -28,10 +28,6 @@ type tierMetrics struct {
 	pendingSteps *obs.Gauge
 
 	stallNanos *obs.Counter // Commit time blocked on the staging budget
-	// throttleNanos is drain time spent waiting for Drain-class tokens
-	// from Options.IOSched (a view of iosched.drain.wait_nanos, kept so
-	// consumers of burst.drain.throttle_nanos see one number).
-	throttleNanos *obs.Counter
 
 	lagNanos    *obs.Gauge // staged→durable latency of the last drain
 	maxLagNanos *obs.Gauge
@@ -58,8 +54,7 @@ func newTierMetrics(reg *obs.Registry) tierMetrics {
 		highWater:    s.Gauge("pending.high_water"),
 		pendingSteps: s.Gauge("pending.steps"),
 
-		stallNanos:    s.Counter("commit.stall_nanos"),
-		throttleNanos: s.Counter("drain.throttle_nanos"),
+		stallNanos: s.Counter("commit.stall_nanos"),
 
 		lagNanos:    s.Gauge("drain.lag_nanos"),
 		maxLagNanos: s.Gauge("drain.max_lag_nanos"),

@@ -30,23 +30,11 @@ func newBackend(e *env) (backend, error) {
 	}
 }
 
-// fileOffsetFor is fileOffset generalized to any rank (two-phase
-// aggregators need to know every rank's access pattern).
-func (e *env) fileOffsetFor(rank, seg, t int) int64 {
-	if e.p.FilePerProc {
-		return int64(seg)*e.p.BlockSize + int64(t)*e.p.TransferSize
-	}
-	n := int64(e.nodes)
-	return int64(seg)*n*e.p.BlockSize +
-		int64(rank)*e.p.BlockSize +
-		int64(t)*e.p.TransferSize
-}
-
 // ---------------------------------------------------------------- posix
 
 // posixBackend is the IOR baseline: plain WriteAt/ReadAt against one
-// shared striped file (or one file per process), optionally through
-// two-phase collective buffering.
+// shared striped file, optionally through two-phase collective
+// buffering.
 type posixBackend struct {
 	e  *env
 	f  vfs.File
@@ -54,39 +42,24 @@ type posixBackend struct {
 	sv *sieveReader
 }
 
-func (b *posixBackend) path() string {
-	if b.e.p.FilePerProc {
-		return fmt.Sprintf("%s.%08d", b.e.p.TestFile, b.e.rank.Rank())
-	}
-	return b.e.p.TestFile
-}
-
 func (b *posixBackend) setupWrite() error {
 	p, fs, r := b.e.p, b.e.fs, b.e.rank
-	if p.FilePerProc {
-		f, err := fs.CreateStriped(b.path(), p.StripeCount, p.StripeSize)
+	if r.Rank() == 0 {
+		f, err := fs.CreateStriped(p.TestFile, p.StripeCount, p.StripeSize)
 		if err != nil {
 			return err
 		}
 		b.f = f
-	} else {
-		if r.Rank() == 0 {
-			f, err := fs.CreateStriped(b.path(), p.StripeCount, p.StripeSize)
-			if err != nil {
-				return err
-			}
-			b.f = f
-		}
-		r.Barrier()
-		if r.Rank() != 0 {
-			f, err := fs.Open(b.path())
-			if err != nil {
-				return err
-			}
-			b.f = f
-		}
 	}
-	if p.Collective && !p.FilePerProc {
+	r.Barrier()
+	if r.Rank() != 0 {
+		f, err := fs.Open(p.TestFile)
+		if err != nil {
+			return err
+		}
+		b.f = f
+	}
+	if p.Collective {
 		b.tp = newTwoPhase(b.e, func(data []byte, off int64) error {
 			_, err := b.f.WriteAt(data, off)
 			return err
@@ -113,13 +86,13 @@ func (b *posixBackend) finishWrite() error {
 
 func (b *posixBackend) setupRead() error {
 	if b.f == nil {
-		f, err := b.e.fs.Open(b.path())
+		f, err := b.e.fs.Open(b.e.p.TestFile)
 		if err != nil {
 			return err
 		}
 		b.f = f
 	}
-	if b.e.p.Collective && !b.e.p.FilePerProc {
+	if b.e.p.Collective {
 		b.sv = newSieveReader(b.e, b.f.(coveringFile).ReadCovering)
 	}
 	return nil
@@ -150,22 +123,13 @@ type hdf5Backend struct {
 	sv *sieveReader
 }
 
-func (b *hdf5Backend) path() string {
-	if b.e.p.FilePerProc {
-		return fmt.Sprintf("%s.%08d.h5", b.e.p.TestFile, b.e.rank.Rank())
-	}
-	return b.e.p.TestFile + ".h5"
-}
+func (b *hdf5Backend) path() string { return b.e.p.TestFile + ".h5" }
 
 func (b *hdf5Backend) spec() hdf5sim.DatasetSpec {
 	p := b.e.p
-	total := p.BlockSize * int64(p.SegmentCount)
-	if !p.FilePerProc {
-		total *= int64(b.e.nodes)
-	}
 	return hdf5sim.DatasetSpec{
 		Name:     "data",
-		TotalLen: total,
+		TotalLen: p.BlockSize * int64(p.SegmentCount) * int64(b.e.nodes),
 		ChunkLen: p.TransferSize,
 		ElemSize: 1,
 	}
@@ -178,34 +142,22 @@ func (b *hdf5Backend) setupWrite() error {
 	// experiment's stripe count/size (the `lfs setstripe` convention; an
 	// explicit per-file layout here would be discarded by the format
 	// layer's own create call).
-	create := func() error {
+	if r.Rank() == 0 {
 		h, err := hdf5sim.Create(b.e.fs, b.path(), b.spec())
 		if err != nil {
 			return err
 		}
 		b.h = h
-		return nil
 	}
-	if p.FilePerProc {
-		if err := create(); err != nil {
+	r.Barrier()
+	if r.Rank() != 0 {
+		h, err := hdf5sim.OpenShared(b.e.fs, b.path())
+		if err != nil {
 			return err
 		}
-	} else {
-		if r.Rank() == 0 {
-			if err := create(); err != nil {
-				return err
-			}
-		}
-		r.Barrier()
-		if r.Rank() != 0 {
-			h, err := hdf5sim.OpenShared(b.e.fs, b.path())
-			if err != nil {
-				return err
-			}
-			b.h = h
-		}
+		b.h = h
 	}
-	if p.Collective && !p.FilePerProc {
+	if p.Collective {
 		b.tp = newTwoPhase(b.e, b.h.RawWriteAt)
 		// Collective mode coordinates every metadata update (chunk
 		// allocation must be consistent across ranks), which costs an
@@ -266,21 +218,16 @@ func (b *hdf5Backend) setupRead() error {
 	// data sieving to the small strided chunk requests — the read
 	// amplification behind HDF5's dramatic read-side collapse in the
 	// paper's Figure 10 (125-687x below the alternatives).
-	if !b.e.p.FilePerProc {
-		b.sv = newSieveReader(b.e, b.h.RawReadCovering)
-	}
+	b.sv = newSieveReader(b.e, b.h.RawReadCovering)
 	return nil
 }
 
 func (b *hdf5Backend) readAt(seg int, off int64, dst []byte) error {
-	if b.sv != nil {
-		// Chunk lookup still goes through the B-tree; the bulk read is
-		// sieved.
-		return b.h.ReadHyperslab(off, dst, sourceFunc(func(chunk []byte, fileOff int64) error {
-			return b.sv.read(fileOff, chunk)
-		}))
-	}
-	return b.h.ReadHyperslab(off, dst, nil)
+	// Chunk lookup still goes through the B-tree; the bulk read is
+	// sieved.
+	return b.h.ReadHyperslab(off, dst, sourceFunc(func(chunk []byte, fileOff int64) error {
+		return b.sv.read(fileOff, chunk)
+	}))
 }
 
 func (b *hdf5Backend) finishRead() error { return nil }
@@ -331,9 +278,6 @@ func (b *adios2Backend) setupEngine(mode adios2.Mode) error {
 		b.io.SetParameter("BufferChunkSize", fmt.Sprint(b.e.p.WriteBufferSize))
 		if b.engineType == "plugin" {
 			b.io.SetParameter("PluginName", lsmioplugin.PluginName)
-			if b.e.p.LSMIOBackend != "" {
-				b.io.SetParameter("Backend", string(b.e.p.LSMIOBackend))
-			}
 		}
 		b.vars = make(map[int]*adios2.Variable)
 	}
@@ -390,7 +334,6 @@ func (b *lsmioBackend) key(off int64) string {
 
 func (b *lsmioBackend) storeOptions() core.StoreOptions {
 	return core.StoreOptions{
-		Backend:         b.e.p.LSMIOBackend,
 		FS:              b.e.fs,
 		Runtime:         b.e.rt,
 		WriteBufferSize: b.e.p.WriteBufferSize,

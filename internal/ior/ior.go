@@ -1,6 +1,6 @@
 // Package ior reimplements the IOR parallel I/O benchmark on the
 // simulated cluster: the same block/transfer/segment access-pattern
-// generator, N-to-1 shared-file and file-per-process layouts, optional
+// generator, the N-to-1 shared-file layout every figure runs, optional
 // collective I/O, write and read-back phases, and the same measurement
 // rule the paper uses (first MPI barrier → last I/O operation → second
 // MPI barrier).
@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"lsmio/internal/core"
 	"lsmio/internal/mpisim"
 	"lsmio/internal/pfs"
 	"lsmio/internal/rt"
@@ -43,8 +42,6 @@ type Params struct {
 	// SegmentCount repeats the block pattern; per-rank data volume is
 	// BlockSize * SegmentCount.
 	SegmentCount int
-	// FilePerProc switches from N-to-1 shared file to N-to-N.
-	FilePerProc bool
 	// Collective enables two-phase (ROMIO-style) I/O for posix and hdf5.
 	Collective bool
 	// StripeCount / StripeSize configure the file's Lustre layout.
@@ -62,8 +59,6 @@ type Params struct {
 	// WriteBufferSize sets LSMIO's memtable and ADIOS2's BufferChunkSize
 	// (the paper uses 32 MB for both).
 	WriteBufferSize int
-	// LSMIOBackend picks the rocks- or level-style local store.
-	LSMIOBackend core.Backend
 	// LSMIOBatchRead reads back via one sequential batch sweep instead of
 	// per-key point lookups (the paper's §5.1 read optimization).
 	LSMIOBatchRead bool
@@ -111,18 +106,17 @@ func (p *Params) normalize() error {
 
 // Result reports aggregate bandwidths in bytes/second, as IOR does.
 type Result struct {
-	Nodes        int
 	WriteBW      float64
 	ReadBW       float64
 	WriteSeconds float64
 	ReadSeconds  float64
 	BytesPerRank int64
 	TotalBytes   int64
-	Storage      pfs.Stats // cumulative cluster stats after the run
+	Storage      pfs.Stats // the cluster's cumulative bytes written after the run
 }
 
-// backend is one rank's API driver. Offsets are file offsets for the
-// shared-file layout and per-own-file offsets for file-per-process.
+// backend is one rank's API driver. Offsets are offsets in the shared
+// file.
 type backend interface {
 	// setupWrite prepares files for the write phase (outside the timed
 	// region, like IOR's open outside -O useO_DIRECT ... timing).
@@ -149,15 +143,13 @@ type env struct {
 	nodes int
 }
 
-// fileOffset computes where (seg, transfer t) of this rank lands.
+// fileOffsetFor computes where (seg, transfer t) of a rank lands in the
+// shared file (two-phase aggregators need every rank's access pattern).
 // IOR's segmented layout: segment s holds rank blocks back to back.
-func (e *env) fileOffset(seg, t int) int64 {
-	if e.p.FilePerProc {
-		return int64(seg)*e.p.BlockSize + int64(t)*e.p.TransferSize
-	}
+func (e *env) fileOffsetFor(rank, seg, t int) int64 {
 	n := int64(e.nodes)
 	return int64(seg)*n*e.p.BlockSize +
-		int64(e.rank.Rank())*e.p.BlockSize +
+		int64(rank)*e.p.BlockSize +
 		int64(t)*e.p.TransferSize
 }
 
@@ -237,7 +229,7 @@ func Run(cluster *pfs.Cluster, nodes int, p Params) (Result, error) {
 	rtm := rt.Sim(k)
 	world := mpisim.NewWorld(k, cluster.Fabric(), nodes)
 
-	res := Result{Nodes: nodes}
+	var res Result
 	res.BytesPerRank = p.BlockSize * int64(p.SegmentCount)
 	res.TotalBytes = res.BytesPerRank * int64(nodes)
 	xfersPerBlock := int(p.BlockSize / p.TransferSize)
@@ -272,7 +264,7 @@ func Run(cluster *pfs.Cluster, nodes int, p Params) (Result, error) {
 			t0 := r.MaxTime(r.Now())
 			for seg := 0; seg < p.SegmentCount; seg++ {
 				for t := 0; t < xfersPerBlock; t++ {
-					off := e.fileOffset(seg, t)
+					off := e.fileOffsetFor(r.Rank(), seg, t)
 					pattern(buf, r.Rank(), off)
 					if err := b.writeAt(seg, off, buf); err != nil {
 						fail(fmt.Errorf("rank %d write seg %d: %w", r.Rank(), seg, err))
@@ -301,7 +293,7 @@ func Run(cluster *pfs.Cluster, nodes int, p Params) (Result, error) {
 			dst := make([]byte, p.TransferSize)
 			for seg := 0; seg < p.SegmentCount; seg++ {
 				for t := 0; t < xfersPerBlock; t++ {
-					off := e.fileOffset(seg, t)
+					off := e.fileOffsetFor(r.Rank(), seg, t)
 					if err := b.readAt(seg, off, dst); err != nil {
 						fail(fmt.Errorf("rank %d read seg %d: %w", r.Rank(), seg, err))
 						return

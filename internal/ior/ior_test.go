@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/pfs"
 	"lsmio/internal/sim"
 )
@@ -64,36 +65,6 @@ func TestCollectiveWriteReadVerify(t *testing.T) {
 	}
 }
 
-func TestFilePerProcess(t *testing.T) {
-	for _, api := range []API{APIPosix, APIHDF5} {
-		t.Run(string(api), func(t *testing.T) {
-			cluster := smallCluster(4)
-			p := smallParams(api)
-			p.FilePerProc = true
-			res, err := Run(cluster, 4, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.WriteBW <= 0 || res.ReadBW <= 0 {
-				t.Fatalf("bandwidths: %+v", res)
-			}
-		})
-	}
-}
-
-func TestLevelBackendLSMIO(t *testing.T) {
-	cluster := smallCluster(2)
-	p := smallParams(APILSMIO)
-	p.LSMIOBackend = "level"
-	res, err := Run(cluster, 2, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WriteBW <= 0 || res.ReadBW <= 0 {
-		t.Fatalf("bandwidths: %+v", res)
-	}
-}
-
 func TestTransferSmallerThanBlock(t *testing.T) {
 	cluster := smallCluster(2)
 	p := smallParams(APIPosix)
@@ -133,10 +104,6 @@ func TestSegmentedLayoutInterleavesRanks(t *testing.T) {
 	}
 	if got := e.fileOffsetFor(0, 1, 0); got != 256<<10 {
 		t.Fatalf("rank0 seg1 = %d", got)
-	}
-	e.p.FilePerProc = true
-	if got := e.fileOffsetFor(2, 1, 0); got != 64<<10 {
-		t.Fatalf("fpp rank2 seg1 = %d", got)
 	}
 }
 
@@ -359,14 +326,15 @@ func TestSievedReadVirtualTimePinned(t *testing.T) {
 			if _, err := Run(cluster, nodes, p); err != nil {
 				t.Fatal(err)
 			}
-			before := cluster.Stats()
+			bytesBefore := obstest.Counter(t, cluster.Obs(), "pfs.bytes_read")
+			readsBefore := obstest.Counter(t, cluster.Obs(), "pfs.read_ops")
 			p.DoWrite, p.DoRead = false, true
 			res, err := Run(cluster, nodes, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bytes := res.Storage.BytesRead - before.BytesRead
-			reads := res.Storage.ReadOps - before.ReadOps
+			bytes := obstest.Counter(t, cluster.Obs(), "pfs.bytes_read") - bytesBefore
+			reads := obstest.Counter(t, cluster.Obs(), "pfs.read_ops") - readsBefore
 			t.Logf("read phase: %v s (bits %#x), %d B read in %d RPCs",
 				res.ReadSeconds, math.Float64bits(res.ReadSeconds), bytes, reads)
 			if got := math.Float64bits(res.ReadSeconds); got != tc.secondsBits {

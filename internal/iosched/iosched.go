@@ -1,22 +1,23 @@
 // Package iosched is the global I/O-bandwidth fair scheduler: one
 // shared arbiter that splits a device's (simulated or wall-clock)
 // bandwidth across priority classes using per-class token budgets.
-// Before PR 10 every background I/O consumer self-throttled with a
-// local heuristic — job counts in the LSM engine, sleep pacing in the
-// burst tier, nothing at all for the parity scrubber —
-// exactly the uncoordinated setup Luo & Carey ("On Performance
-// Stability in LSM-based Storage Systems") show produces hour-scale
-// throughput variance and p999 drift under sustained load. The
-// scheduler replaces all of those private rate limits: every
-// background byte now buys tokens from one instance, and job counts
-// remain purely a concurrency cap.
+// Without it every background I/O consumer would self-throttle with a
+// local heuristic — job counts in the LSM engine, nothing at all for
+// the parity scrubber — exactly the uncoordinated setup Luo & Carey
+// ("On Performance Stability in LSM-based Storage Systems") show
+// produces hour-scale throughput variance and p999 drift under
+// sustained load. Every paced byte buys tokens from one instance, and
+// job counts remain purely a concurrency cap. The burst tier's drain is
+// not paced.
 //
 // Model (DESIGN.md §15):
 //
-//   - Five classes, highest priority first: Foreground (WAL/commit),
-//     Flush, Drain (burst-buffer drain), Compaction, Scrub. Priority is
-//     expressed as a bandwidth share (weight), not strict precedence,
-//     so no class can be starved outright.
+//   - Four classes, highest priority first: Foreground (WAL/commit),
+//     Flush, Compaction, Scrub. Priority is expressed as a bandwidth
+//     share (weight), not strict precedence, so no class can be
+//     starved outright. The shares reserve 85% of the device; the
+//     other 15% is reserved for no class and goes to whichever
+//     classes are active.
 //   - Token budgets in the time domain. Each class keeps a virtual
 //     next-free time; a grant of n bytes at effective rate R advances
 //     it by n/R. A grant whose start lies in the future makes the
@@ -38,9 +39,10 @@
 // disabled (BytesPerSec <= 0), so call sites thread one optional
 // *Scheduler without guards. Instruments live under `iosched.<class>.*`
 // in the configured obs registry: grants, granted_bytes, wait_nanos
-// (the shared pacing-time convention — the burst tier's legacy
-// drain.throttle_nanos is now a snapshot view of the Drain class's
-// wait), a wait histogram, and deficit/utilization gauges.
+// (the shared pacing-time convention), a wait histogram, and
+// deficit/utilization gauges. The stats surface is the registry alone;
+// the one legacy stats field left anywhere is pfs.Stats.BytesWritten,
+// which ROADMAP item 26 removes.
 package iosched
 
 import (
@@ -62,8 +64,6 @@ const (
 	// Flush is memtable-to-L0 table builds — the write path's backlog
 	// drain, one step behind foreground.
 	Flush
-	// Drain is the burst tier's staged-step copy to the durable store.
-	Drain
 	// Compaction is background level compaction I/O.
 	Compaction
 	// Scrub is parity scrub/repair — pure maintenance, lowest class.
@@ -72,7 +72,7 @@ const (
 	NumClasses
 )
 
-var classNames = [NumClasses]string{"foreground", "flush", "drain", "compaction", "scrub"}
+var classNames = [NumClasses]string{"foreground", "flush", "compaction", "scrub"}
 
 // String returns the class's dotted-name segment ("foreground", ...).
 func (c Class) String() string {
@@ -83,8 +83,10 @@ func (c Class) String() string {
 }
 
 // shares is the bandwidth split, in weight units (foreground > flush >
-// drain = compaction > scrub). They sum to totalShare.
-var shares = [NumClasses]float64{40, 25, 15, 15, 5}
+// compaction > scrub). A class's reserved rate is its share of
+// totalShare; the shares sum to 85, so 15% of the device is reserved
+// for no class.
+var shares = [NumClasses]float64{40, 25, 15, 5}
 
 const totalShare = 100
 
@@ -104,9 +106,8 @@ type Config struct {
 }
 
 // Scheduler divides device bandwidth across classes. One instance is
-// shared by every background I/O consumer in a deployment (engine
-// flush + compaction, burst drain, parity scrub) plus the foreground
-// WAL path; see New.
+// shared by every paced I/O consumer in a deployment (engine flush +
+// compaction, parity scrub) plus the foreground WAL path; see New.
 type Scheduler struct {
 	rate float64
 	clk  rt.Clock

@@ -141,7 +141,7 @@ func TestSimDeterminismAndNoStarvation(t *testing.T) {
 func TestTokenAccountingUnderConcurrentAcquireCancel(t *testing.T) {
 	const rate = 4e9
 	s := New(Config{BytesPerSec: rate})
-	classes := []Class{Foreground, Flush, Drain, Compaction, Scrub}
+	classes := []Class{Foreground, Flush, Compaction, Scrub}
 	var mu sync.Mutex
 	var granted, canceled int64
 	var wg sync.WaitGroup
@@ -204,19 +204,19 @@ func TestTokenAccountingUnderConcurrentAcquireCancel(t *testing.T) {
 func TestCancelRefundsTheGrant(t *testing.T) {
 	f := &fakeClock{}
 	s := New(Config{BytesPerSec: 10e6, Clock: f})
-	s.Acquire(Drain, 8<<20) // backlog so the next acquire must sleep
-	if wait := s.Acquire(Drain, 1<<20); wait <= 0 {
+	s.Acquire(Compaction, 8<<20) // backlog so the next acquire must sleep
+	if wait := s.Acquire(Compaction, 1<<20); wait <= 0 {
 		t.Fatal("second acquire did not wait behind the backlog")
 	}
-	s.Cancel(Drain, 1<<20)
-	before := s.State(Drain)
+	s.Cancel(Compaction, 1<<20)
+	before := s.State(Compaction)
 	if before.Refund != 1<<20 {
 		t.Fatalf("canceled grant not refunded: %+v", before)
 	}
-	if wait := s.Acquire(Drain, 1<<20); wait != 0 {
+	if wait := s.Acquire(Compaction, 1<<20); wait != 0 {
 		t.Fatalf("acquire covered by the refund waited %v", wait)
 	}
-	if st := s.State(Drain); st.Refund != 0 || st.NextFree != before.NextFree {
+	if st := s.State(Compaction); st.Refund != 0 || st.NextFree != before.NextFree {
 		t.Fatalf("refunded acquire bought device time: before %+v after %+v", before, st)
 	}
 }

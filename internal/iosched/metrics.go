@@ -6,9 +6,7 @@ import (
 
 // schedMetrics holds the scheduler's obs instrument handles under the
 // `iosched.` prefix, resolved once at New. Per-class names follow the
-// repo's unified pacing-time convention (`iosched.<class>.wait_nanos`);
-// the burst tier's legacy `burst.drain.throttle_nanos` counter is kept
-// as a snapshot view of the Drain class's wait.
+// repo's unified pacing-time convention (`iosched.<class>.wait_nanos`).
 type schedMetrics struct {
 	grants    [NumClasses]*obs.Counter   // acquires granted
 	bytes     [NumClasses]*obs.Counter   // bytes granted (grant rate per window)

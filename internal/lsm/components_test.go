@@ -2,7 +2,9 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"strings"
@@ -328,6 +330,49 @@ func TestWALRoundTrip(t *testing.T) {
 	}
 	if _, err := r.next(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
+	}
+}
+
+// TestWALAppendAllocatesNothing appends one group-commit cohort —
+// ckpt-smallobj's object sizes, fragmented across blocks, behind a
+// record that leaves a block tail too short for a header — and checks
+// that it allocates nothing once the writer's buffer has grown, and
+// that each fragment's checksum is the CRC-32C of its type byte and
+// payload.
+func TestWALAppendAllocatesNothing(t *testing.T) {
+	f, err := vfs.NewMemFS().Create("wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes, _ := smallObjSizes(32)
+	record := make([]byte, sizes[len(sizes)-1])
+	w := newWALWriter(discardFile{f})
+	appendCohort := func() {
+		w.blockOff = 0
+		if err := w.addRecord(record[:walBlockSize-walHeaderSize-3]); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range sizes {
+			if err := w.addRecord(record[:n]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, appendCohort); allocs != 0 {
+		t.Errorf("one cohort append allocates %v times, want 0", allocs)
+	}
+
+	w = newWALWriter(f)
+	if err := w.addRecord([]byte("record")); err != nil {
+		t.Fatal(err)
+	}
+	want := crc32.Checksum(append([]byte{recFull}, "record"...), crcTable)
+	var hdr [walHeaderSize]byte
+	if _, err := f.ReadAt(hdr[:], 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint32(hdr[:]); got != want {
+		t.Errorf("fragment checksum %#x, want CRC-32C of type and payload %#x", got, want)
 	}
 }
 

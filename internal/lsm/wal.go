@@ -25,6 +25,18 @@ const (
 	recLast   = 4
 )
 
+// walTypeCRC[t] is the CRC-32C of the one-byte fragment type t, where a
+// fragment's checksum starts before it goes on over the payload.
+var walTypeCRC = func() (crcs [256]uint32) {
+	for t := range crcs {
+		crcs[t] = crc32.Checksum([]byte{byte(t)}, crcTable)
+	}
+	return crcs
+}()
+
+// walPad is the zeros that pad a block's tail too short for a header.
+var walPad [walHeaderSize - 1]byte
+
 // walWriter appends records to a log file.
 type walWriter struct {
 	f        vfs.File
@@ -51,7 +63,7 @@ func (w *walWriter) addRecord(data []byte) error {
 		if leftover < walHeaderSize {
 			// Pad the tail of the block with zeros.
 			if leftover > 0 {
-				if _, err := w.f.Write(make([]byte, leftover)); err != nil {
+				if _, err := w.f.Write(walPad[:leftover]); err != nil {
 					w.resync()
 					return err
 				}
@@ -90,8 +102,7 @@ func (w *walWriter) addRecord(data []byte) error {
 func (w *walWriter) emit(typ byte, payload []byte) error {
 	w.buf = w.buf[:0]
 	var hdr [walHeaderSize]byte
-	crc := crc32.Checksum([]byte{typ}, crcTable)
-	crc = crc32.Update(crc, crcTable, payload)
+	crc := crc32.Update(walTypeCRC[typ], crcTable, payload)
 	binary.LittleEndian.PutUint32(hdr[0:], crc)
 	binary.LittleEndian.PutUint16(hdr[4:], uint16(len(payload)))
 	hdr[6] = typ
@@ -197,9 +208,7 @@ func (r *walReader) next() ([]byte, error) {
 		if _, err := r.f.ReadAt(payload, r.off+walHeaderSize); err != nil && err != io.EOF {
 			return nil, err
 		}
-		crc := crc32.Checksum([]byte{typ}, crcTable)
-		crc = crc32.Update(crc, crcTable, payload)
-		if crc != wantCRC {
+		if crc32.Update(walTypeCRC[typ], crcTable, payload) != wantCRC {
 			return nil, io.EOF // corrupt tail: stop replay
 		}
 		r.off += int64(walHeaderSize + length)

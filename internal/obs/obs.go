@@ -20,8 +20,10 @@
 //     under the discrete-event simulator (virtual time) and in real
 //     time. The default clock is the real runtime's (rt.Real).
 //
-// DESIGN.md §10 documents the naming scheme, the trace-event schema and
-// the compatibility story for the legacy Stats structs.
+// DESIGN.md §10 documents the naming scheme and the trace-event schema.
+// One legacy stats field is left outside the registry,
+// pfs.Stats.BytesWritten (a view of `pfs.bytes_written` that the
+// repository benchmark reads); ROADMAP item 26 removes it.
 package obs
 
 import (

@@ -248,33 +248,10 @@ func (c *Cluster) Kernel() *sim.Kernel { return c.k }
 // Fabric returns the interconnect (shared with the MPI world).
 func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }
 
-// Stats returns a snapshot of the cumulative storage statistics — a
-// legacy view assembled from the `pfs.*` instruments in the obs
-// registry (Cluster.Obs).
+// Stats returns the cumulative bytes written, read from the
+// `pfs.bytes_written` counter of the obs registry (Cluster.Obs).
 func (c *Cluster) Stats() Stats {
-	m := &c.m
-	return Stats{
-		BytesWritten:       m.bytesWritten.Load(),
-		BytesRead:          m.bytesRead.Load(),
-		WriteOps:           m.writeOps.Load(),
-		ReadOps:            m.readOps.Load(),
-		Seeks:              m.seeks.Load(),
-		LockSwitches:       m.lockSwitches.Load(),
-		MetadataOps:        m.metadataOps.Load(),
-		ClientStalls:       m.clientStalls.Load(),
-		Retries:            m.retries.Load(),
-		FaultsInjected:     m.faults.Load(),
-		Hedges:             m.hedges.Load(),
-		HedgeWins:          m.hedgeWins.Load(),
-		DegradedReads:      m.degradedReads.Load(),
-		DegradedReadBytes:  m.degradedReadBytes.Load(),
-		ParityBytesWritten: m.parityBytes.Load(),
-		LostStripeWrites:   m.lostStripeWrites.Load(),
-		DegradedLayouts:    m.degradedLayouts.Load(),
-		ScrubVerified:      m.scrubVerified.Load(),
-		ScrubRepaired:      m.scrubRepaired.Load(),
-		ScrubUnrecoverable: m.scrubUnrecoverable.Load(),
-	}
+	return Stats{BytesWritten: c.m.bytesWritten.Load()}
 }
 
 // Obs returns the cluster's registry: every `pfs.*` counter plus the

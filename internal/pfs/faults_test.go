@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lsmio/internal/faultfs"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/sim"
 )
 
@@ -49,12 +50,11 @@ func TestTransientWriteFaultIsRetried(t *testing.T) {
 			t.Errorf("close: %v", err)
 		}
 	})
-	st := c.Stats()
-	if st.Retries != 2 {
-		t.Fatalf("Retries = %d, want 2", st.Retries)
+	if n := obstest.Counter(t, c.Obs(), "pfs.retries"); n != 2 {
+		t.Fatalf("pfs.retries = %d, want 2", n)
 	}
-	if st.FaultsInjected != 2 {
-		t.Fatalf("FaultsInjected = %d, want 2", st.FaultsInjected)
+	if n := obstest.Counter(t, c.Obs(), "pfs.faults_injected"); n != 2 {
+		t.Fatalf("pfs.faults_injected = %d, want 2", n)
 	}
 }
 
@@ -84,8 +84,8 @@ func TestPermanentWriteFaultSurfacesImmediately(t *testing.T) {
 			t.Errorf("permanent fault was retried: %v", err)
 		}
 	})
-	if st := c.Stats(); st.Retries != 0 {
-		t.Fatalf("Retries = %d, want 0 for permanent fault", st.Retries)
+	if n := obstest.Counter(t, c.Obs(), "pfs.retries"); n != 0 {
+		t.Fatalf("pfs.retries = %d, want 0 for permanent fault", n)
 	}
 }
 
@@ -120,9 +120,8 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 			t.Errorf("want failure after RetryMax+1 = 4 attempts, got: %v", err)
 		}
 	})
-	st := c.Stats()
-	if st.Retries != int64(cfg.RetryMax) {
-		t.Fatalf("Retries = %d, want %d", st.Retries, cfg.RetryMax)
+	if n := obstest.Counter(t, c.Obs(), "pfs.retries"); n != int64(cfg.RetryMax) {
+		t.Fatalf("pfs.retries = %d, want %d", n, cfg.RetryMax)
 	}
 	// Backoff is charged on the virtual clock: 3 retries with jitter ≥ 50%
 	// of 1ms, 2ms, 4ms → at least 3.5ms of virtual time must have passed.
@@ -162,8 +161,8 @@ func TestTransientReadFaultIsRetried(t *testing.T) {
 		}
 		f.Close()
 	})
-	if st := c.Stats(); st.Retries != 1 {
-		t.Fatalf("Retries = %d, want 1", st.Retries)
+	if n := obstest.Counter(t, c.Obs(), "pfs.retries"); n != 1 {
+		t.Fatalf("pfs.retries = %d, want 1", n)
 	}
 }
 
@@ -207,9 +206,8 @@ func TestReadRetryBudgetExhaustion(t *testing.T) {
 			t.Errorf("want read failure after RetryMax+1 = 4 attempts, got: %v", err)
 		}
 	})
-	st := c.Stats()
-	if st.Retries != int64(cfg.RetryMax) {
-		t.Fatalf("Retries = %d, want %d", st.Retries, cfg.RetryMax)
+	if n := obstest.Counter(t, c.Obs(), "pfs.retries"); n != int64(cfg.RetryMax) {
+		t.Fatalf("pfs.retries = %d, want %d", n, cfg.RetryMax)
 	}
 	// Jitter floor: 3 backoffs of at least 0.5×(1ms, 2ms, 4ms).
 	if min := 3500 * time.Microsecond; elapsed < min {

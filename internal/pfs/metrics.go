@@ -6,8 +6,8 @@ import (
 
 // pfsMetrics holds the cluster's obs instrument handles under the `pfs.`
 // prefix, resolved once at NewCluster so the RPC paths never hash
-// instrument names. The legacy Stats struct is a snapshot view over
-// these (Cluster.Stats). Latency histograms are recorded by the cluster
+// instrument names. The legacy Stats struct reads bytesWritten
+// (Cluster.Stats). Latency histograms are recorded by the cluster
 // itself — the resil tracker reads quantiles from writeLatency but never
 // records into it, so there is exactly one owner per instrument.
 type pfsMetrics struct {

@@ -225,45 +225,9 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Stats aggregates what the storage system did, for the harness and tests.
-// It is a point-in-time snapshot taken by Cluster.Stats; the live counters
-// are atomic, so concurrent clients (e.g. app ranks plus the burst-buffer
-// drain worker in go-mode) may update and read them under -race.
+// Stats holds the bytes the cluster's clients wrote, the one count the
+// repository benchmark reads from it; every count, this one included,
+// is a `pfs.*` instrument of the cluster's registry (Cluster.Obs).
 type Stats struct {
 	BytesWritten int64
-	BytesRead    int64
-	WriteOps     int64
-	ReadOps      int64
-	Seeks        int64
-	LockSwitches int64
-	MetadataOps  int64
-	ClientStalls int64
-	// Retries counts RPC attempts repeated after a transient fault;
-	// FaultsInjected counts every fault delivered by the InjectFaults hook.
-	Retries        int64
-	FaultsInjected int64
-
-	// Resilience counters (all zero unless EnableResilience was called or
-	// an OST health state was set; see resilience.go).
-	//
-	// Hedges counts stripe writes duplicated to a spare OST after the
-	// hedge delay; HedgeWins counts those where the spare finished first.
-	Hedges    int64
-	HedgeWins int64
-	// DegradedReads/DegradedReadBytes count reads served by parity
-	// reconstruction because a stripe member was dead or lost.
-	DegradedReads     int64
-	DegradedReadBytes int64
-	// ParityBytesWritten is the extra parity traffic of K+1 layouts.
-	ParityBytesWritten int64
-	// LostStripeWrites counts stripe writes absorbed by parity because the
-	// member OST was dead (the commit succeeded without that member).
-	LostStripeWrites int64
-	// DegradedLayouts counts layouts allocated while skipping at least one
-	// dead or breakered OST (degraded-mode re-striping).
-	DegradedLayouts int64
-	// Scrub outcome counters (stripe units checked by ClientFS.Scrub).
-	ScrubVerified      int64
-	ScrubRepaired      int64
-	ScrubUnrecoverable int64
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/sim"
 	"lsmio/internal/vfs"
 )
@@ -157,8 +159,8 @@ func TestSingleWriterNoLockSwitches(t *testing.T) {
 		fs.Barrier()
 		f.Close()
 	})
-	if s := c.Stats(); s.LockSwitches != 0 {
-		t.Fatalf("single writer caused %d lock switches", s.LockSwitches)
+	if n := obstest.Counter(t, c.Obs(), "pfs.lock_switches"); n != 0 {
+		t.Fatalf("single writer caused %d lock switches", n)
 	}
 }
 
@@ -204,8 +206,8 @@ func TestSharedFileInterleavingCausesLockSwitches(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.LockSwitches < 50 {
-		t.Fatalf("interleaved shared-file writers caused only %d lock switches", s.LockSwitches)
+	if n := obstest.Counter(t, c.Obs(), "pfs.lock_switches"); n < 50 {
+		t.Fatalf("interleaved shared-file writers caused only %d lock switches", n)
 	}
 }
 
@@ -334,8 +336,8 @@ func TestMetadataOpsAreCharged(t *testing.T) {
 		fs.Rename("a", "b")
 		fs.Remove("b")
 	})
-	if s := c.Stats(); s.MetadataOps < 5 {
-		t.Fatalf("metadata ops = %d", s.MetadataOps)
+	if n := obstest.Counter(t, c.Obs(), "pfs.metadata_ops"); n < 5 {
+		t.Fatalf("metadata ops = %d", n)
 	}
 	if c.Kernel().Now() == 0 {
 		t.Fatal("metadata ops charged no time")
@@ -353,7 +355,7 @@ func TestDirtyLagBackpressure(t *testing.T) {
 		fs.Barrier()
 		f.Close()
 	})
-	if s := c.Stats(); s.ClientStalls == 0 {
+	if obstest.Counter(t, c.Obs(), "pfs.client_stalls") == 0 {
 		t.Fatal("expected client stalls with a tiny dirty window")
 	}
 }
@@ -387,14 +389,13 @@ func TestWriteBackCoalescing(t *testing.T) {
 		fs.Barrier()
 		f.Close()
 	})
-	s := c.Stats()
 	// 4 MB over stripe count 4 = 4 runs (one per OST) at most a couple of
 	// flush boundaries.
-	if s.WriteOps > 12 {
-		t.Fatalf("sequential writes produced %d RPCs; coalescing broken", s.WriteOps)
+	if n := obstest.Counter(t, c.Obs(), "pfs.write_ops"); n > 12 {
+		t.Fatalf("sequential writes produced %d RPCs; coalescing broken", n)
 	}
-	if s.BytesWritten != 4<<20 {
-		t.Fatalf("bytes written = %d", s.BytesWritten)
+	if n := c.Stats().BytesWritten; n != 4<<20 {
+		t.Fatalf("bytes written = %d", n)
 	}
 }
 
@@ -408,8 +409,8 @@ func TestNonContiguousWritesFlushEagerly(t *testing.T) {
 		fs.Barrier()
 		f.Close()
 	})
-	if s := c.Stats(); s.WriteOps < 16 {
-		t.Fatalf("non-contiguous writes coalesced: %d RPCs", s.WriteOps)
+	if n := obstest.Counter(t, c.Obs(), "pfs.write_ops"); n < 16 {
+		t.Fatalf("non-contiguous writes coalesced: %d RPCs", n)
 	}
 }
 
@@ -426,8 +427,8 @@ func TestReadAheadServesSequentialReads(t *testing.T) {
 	})
 	// 8 MB of sequential 64K reads with 4 MB read-ahead: ~2-4 read RPC
 	// batches (per-OST runs), not 128.
-	if s := c.Stats(); s.ReadOps > 24 {
-		t.Fatalf("sequential reads issued %d RPCs; read-ahead broken", s.ReadOps)
+	if n := obstest.Counter(t, c.Obs(), "pfs.read_ops"); n > 24 {
+		t.Fatalf("sequential reads issued %d RPCs; read-ahead broken", n)
 	}
 }
 
@@ -443,10 +444,9 @@ func TestRandomReadsBypassReadAhead(t *testing.T) {
 		}
 		f.Close()
 	})
-	s := c.Stats()
 	// Each random read is its own RPC (plus the initial write RPCs).
-	if s.ReadOps < 32 {
-		t.Fatalf("random reads coalesced unexpectedly: %d RPCs", s.ReadOps)
+	if n := obstest.Counter(t, c.Obs(), "pfs.read_ops"); n < 32 {
+		t.Fatalf("random reads coalesced unexpectedly: %d RPCs", n)
 	}
 }
 
@@ -467,8 +467,8 @@ func TestOSTStreamCacheAbsorbsFewStreams(t *testing.T) {
 		f1.Close()
 		f2.Close()
 	})
-	if s := c.Stats(); s.Seeks > 4 {
-		t.Fatalf("two interleaved streams caused %d seeks", s.Seeks)
+	if n := obstest.Counter(t, c.Obs(), "pfs.seeks"); n > 4 {
+		t.Fatalf("two interleaved streams caused %d seeks", n)
 	}
 }
 
@@ -494,13 +494,13 @@ func TestOSTStreamCacheThrashesWithManyStreams(t *testing.T) {
 			f.Close()
 		}
 	})
-	if s := c.Stats(); s.Seeks < 12 {
-		t.Fatalf("stream-cache thrash produced only %d seeks", s.Seeks)
+	if n := obstest.Counter(t, c.Obs(), "pfs.seeks"); n < 12 {
+		t.Fatalf("stream-cache thrash produced only %d seeks", n)
 	}
 }
 
 func TestClusterDeterminism(t *testing.T) {
-	run := func() (sim.Time, Stats) {
+	run := func() (sim.Time, map[string]int64) {
 		var end sim.Time
 		c := runOnCluster(t, testConfig(1), func(c *Cluster, fs *ClientFS) {
 			f, _ := fs.Create("d")
@@ -511,11 +511,11 @@ func TestClusterDeterminism(t *testing.T) {
 			f.Close()
 			end = c.Kernel().Now()
 		})
-		return end, c.Stats()
+		return end, c.Obs().Snapshot().Counters
 	}
 	e1, s1 := run()
 	e2, s2 := run()
-	if e1 != e2 || s1 != s2 {
+	if e1 != e2 || !maps.Equal(s1, s2) {
 		t.Fatalf("non-deterministic: %v/%+v vs %v/%+v", e1, s1, e2, s2)
 	}
 }
@@ -696,8 +696,7 @@ func TestReadCoveringBooksItsWindow(t *testing.T) {
 			}
 			p := c.cur()
 			mark := func() {
-				s := c.Stats()
-				got = append(got, point{p.Now(), s.BytesRead, s.ReadOps})
+				got = append(got, point{p.Now(), obstest.Counter(t, c.Obs(), "pfs.bytes_read"), obstest.Counter(t, c.Obs(), "pfs.read_ops")})
 			}
 			mark()
 			for _, s := range steps {

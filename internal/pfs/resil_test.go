@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lsmio/internal/faultfs"
+	"lsmio/internal/obs/obstest"
 	"lsmio/internal/resil"
 )
 
@@ -107,15 +108,13 @@ func TestParityAbsorbsDeadMemberAndServesDegradedReads(t *testing.T) {
 		}
 		g.Close()
 	})
-	st := c.Stats()
-	if st.LostStripeWrites == 0 {
-		t.Error("expected LostStripeWrites > 0")
+	if obstest.Counter(t, c.Obs(), "pfs.parity.lost_stripe_writes") == 0 {
+		t.Error("expected lost stripe writes > 0")
 	}
-	if st.DegradedReads == 0 || st.DegradedReadBytes == 0 {
-		t.Errorf("expected degraded reads, got %d ops / %d bytes",
-			st.DegradedReads, st.DegradedReadBytes)
+	if ops, n := obstest.Counter(t, c.Obs(), "pfs.degraded.reads"), obstest.Counter(t, c.Obs(), "pfs.degraded.read_bytes"); ops == 0 || n == 0 {
+		t.Errorf("expected degraded reads, got %d ops / %d bytes", ops, n)
 	}
-	if st.ParityBytesWritten == 0 {
+	if obstest.Counter(t, c.Obs(), "pfs.parity.bytes_written") == 0 {
 		t.Error("expected parity traffic")
 	}
 }
@@ -139,8 +138,8 @@ func TestNewLayoutSkipsDeadOST(t *testing.T) {
 			t.Errorf("stripe width %d, want 3 (healthy OSTs available)", len(osts))
 		}
 	})
-	if c.Stats().DegradedLayouts == 0 {
-		t.Error("expected DegradedLayouts > 0")
+	if obstest.Counter(t, c.Obs(), "pfs.degraded.layouts") == 0 {
+		t.Error("expected degraded layouts > 0")
 	}
 }
 
@@ -247,11 +246,10 @@ func TestHedgedWriteRedirectsStraggler(t *testing.T) {
 		}
 		f.Close()
 	})
-	st := c.Stats()
-	if st.Hedges == 0 {
+	if obstest.Counter(t, c.Obs(), "pfs.hedge.issued") == 0 {
 		t.Fatal("expected hedged writes against the slow OST")
 	}
-	if st.HedgeWins == 0 {
+	if obstest.Counter(t, c.Obs(), "pfs.hedge.wins") == 0 {
 		t.Fatal("expected at least one hedge win")
 	}
 }
@@ -297,8 +295,7 @@ func TestHedgeWinDoesNotMaskPrimaryLatency(t *testing.T) {
 		}
 		f.Close()
 	})
-	st := c.Stats()
-	if st.HedgeWins == 0 {
+	if obstest.Counter(t, c.Obs(), "pfs.hedge.wins") == 0 {
 		t.Fatal("expected hedge wins against the slow OST")
 	}
 	// The victim's EWMA must reflect its true 10x latency, not the fast
@@ -342,17 +339,11 @@ func TestScrubRepairsCorruption(t *testing.T) {
 			t.Errorf("scrub: %v", err)
 			return
 		}
-		if rep.Files != 1 {
-			t.Errorf("scrub files = %d, want 1", rep.Files)
-		}
 		if rep.Repaired < 2 {
 			t.Errorf("scrub repaired = %d, want >= 2 (two corrupted units)", rep.Repaired)
 		}
 		if rep.Unrecoverable != 0 {
 			t.Errorf("scrub unrecoverable = %d, want 0", rep.Unrecoverable)
-		}
-		if rep.Verified == 0 {
-			t.Error("scrub verified no clean units")
 		}
 		// The true bytes are back.
 		raw, _ = c.Store().Open("ckpt/obj.dat")
@@ -363,9 +354,11 @@ func TestScrubRepairsCorruption(t *testing.T) {
 			t.Error("scrub did not restore the original bytes")
 		}
 	})
-	st := c.Stats()
-	if st.ScrubRepaired < 2 || st.ScrubVerified == 0 {
-		t.Errorf("scrub stats = %+v", st)
+	if n := obstest.Counter(t, c.Obs(), "pfs.scrub.repaired"); n < 2 {
+		t.Errorf("pfs.scrub.repaired = %d, want >= 2", n)
+	}
+	if obstest.Counter(t, c.Obs(), "pfs.scrub.verified") == 0 {
+		t.Error("scrub verified no clean units")
 	}
 }
 
@@ -400,7 +393,7 @@ func TestScrubRebuildsDeadMemberOntoSpare(t *testing.T) {
 			}
 		}
 		// ...so reads are full-speed again (not degraded) and correct.
-		before := c.Stats().DegradedReads
+		before := obstest.Counter(t, c.Obs(), "pfs.degraded.reads")
 		g, _ := rfs.Open("ckpt/obj.dat")
 		got := make([]byte, len(data))
 		if _, err := g.ReadAt(got, 0); err != nil {
@@ -410,7 +403,7 @@ func TestScrubRebuildsDeadMemberOntoSpare(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Error("read after rebuild returned wrong bytes")
 		}
-		if c.Stats().DegradedReads != before {
+		if obstest.Counter(t, c.Obs(), "pfs.degraded.reads") != before {
 			t.Error("read after rebuild still used parity reconstruction")
 		}
 	})

@@ -362,8 +362,6 @@ func (c *Cluster) Layouts(prefix string) []string {
 
 // ScrubReport summarizes one scrub pass.
 type ScrubReport struct {
-	Files         int
-	Verified      int // stripe units whose checksum matched
 	Repaired      int // stripe units rebuilt (relocation or corruption)
 	Unrecoverable int // stripe units lost beyond parity's tolerance
 }
@@ -381,7 +379,6 @@ func (f *ClientFS) Scrub(dir string) (ScrubReport, error) {
 	var rep ScrubReport
 	for _, path := range c.Layouts(dir) {
 		l := c.layouts[path]
-		rep.Files++
 		size, err := c.store.Stat(path)
 		if err != nil {
 			return rep, fmt.Errorf("pfs: scrub stat %s: %w", path, err)
@@ -411,7 +408,6 @@ func (f *ClientFS) Scrub(dir string) (ScrubReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		rep.Verified += v
 		rep.Repaired += r
 		rep.Unrecoverable += u
 		c.m.scrubVerified.Add(int64(v))

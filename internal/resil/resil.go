@@ -101,20 +101,15 @@ type target struct {
 	consecSlow int
 	state      State
 	openedAt   time.Duration
-	probing    bool // half-open: one probe currently granted
-	trips      int64
-	probes     int64
-	lastReason string
+	probing    bool  // half-open: one probe currently granted
+	trips      int64 // breaker openings, counted in the trip trace event
 }
 
-// TargetHealth is a point-in-time snapshot of one target.
+// TargetHealth is a point-in-time snapshot of one target. Why and how
+// often its breaker opened is in the "resil.breaker.trip" trace events.
 type TargetHealth struct {
 	State      State
-	EWMA       time.Duration
 	ConsecErrs int
-	Trips      int64
-	Probes     int64
-	Reason     string // why the breaker last opened ("errors", "slow")
 }
 
 // Tracker tracks n storage targets.
@@ -214,7 +209,6 @@ func (tr *Tracker) openLocked(i int, reason string) {
 	t.openedAt = tr.now()
 	t.probing = false
 	t.trips++
-	t.lastReason = reason
 	if tr.opts.Trace != nil {
 		tr.opts.Trace.Emitf("resil.breaker.trip", "target=%d reason=%s trips=%d", i, reason, t.trips)
 	}
@@ -234,7 +228,6 @@ func (tr *Tracker) Route(i int) bool {
 		if tr.now()-t.openedAt >= openTimeout {
 			t.state = HalfOpen
 			t.probing = true
-			t.probes++
 			if tr.opts.Trace != nil {
 				tr.opts.Trace.Emitf("resil.breaker.probe", "target=%d", i)
 			}
@@ -244,7 +237,6 @@ func (tr *Tracker) Route(i int) bool {
 	case HalfOpen:
 		if !t.probing {
 			t.probing = true
-			t.probes++
 			if tr.opts.Trace != nil {
 				tr.opts.Trace.Emitf("resil.breaker.probe", "target=%d", i)
 			}
@@ -301,14 +293,7 @@ func (tr *Tracker) Snapshot() []TargetHealth {
 	defer tr.mu.Unlock()
 	out := make([]TargetHealth, len(tr.t))
 	for i, t := range tr.t {
-		out[i] = TargetHealth{
-			State:      t.state,
-			EWMA:       time.Duration(t.ewma),
-			ConsecErrs: t.consecErr,
-			Trips:      t.trips,
-			Probes:     t.probes,
-			Reason:     t.lastReason,
-		}
+		out[i] = TargetHealth{State: t.state, ConsecErrs: t.consecErr}
 	}
 	return out
 }

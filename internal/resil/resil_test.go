@@ -122,7 +122,8 @@ func TestHalfOpenProbeFailureReopens(t *testing.T) {
 }
 
 func TestSlownessTripsBreaker(t *testing.T) {
-	tr, _ := newTestTracker(4, Options{SlowStrikes: 4})
+	trace := obs.NewTrace(16, func() time.Duration { return 0 })
+	tr, _ := newTestTracker(4, Options{SlowStrikes: 4, Trace: trace})
 	// Establish a 1ms baseline on targets 1..3.
 	for r := 0; r < 8; r++ {
 		for i := 1; i < 4; i++ {
@@ -139,12 +140,14 @@ func TestSlownessTripsBreaker(t *testing.T) {
 	if tr.State(0) != Open {
 		t.Fatalf("sustained slowness should open breaker; state = %v", tr.State(0))
 	}
-	snap := tr.Snapshot()
-	if snap[0].Reason != "slow" {
-		t.Fatalf("trip reason = %q, want slow", snap[0].Reason)
+	var trips []string
+	for _, ev := range trace.Events() {
+		if ev.Kind == "resil.breaker.trip" {
+			trips = append(trips, ev.Detail)
+		}
 	}
-	if snap[0].Trips != 1 {
-		t.Fatalf("trips = %d, want 1", snap[0].Trips)
+	if want := "target=0 reason=slow trips=1"; len(trips) != 1 || trips[0] != want {
+		t.Fatalf("trip events = %q, want [%q]", trips, want)
 	}
 }
 

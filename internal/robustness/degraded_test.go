@@ -225,11 +225,10 @@ func TestDegradedDeadOSTMidRun(t *testing.T) {
 		}
 		return nil
 	})
-	st := r.cluster.Stats()
-	if st.LostStripeWrites == 0 {
+	if obstest.Counter(t, r.cluster.Obs(), "pfs.parity.lost_stripe_writes") == 0 {
 		t.Fatal("no writes were absorbed by parity — the dead OST was never hit")
 	}
-	if st.DegradedReads == 0 {
+	if obstest.Counter(t, r.cluster.Obs(), "pfs.degraded.reads") == 0 {
 		t.Fatal("restore never used parity reconstruction")
 	}
 
@@ -248,7 +247,7 @@ func TestDegradedDeadOSTMidRun(t *testing.T) {
 	}
 
 	// Post-rebuild restore reads clean data off the spares.
-	before := r.cluster.Stats().DegradedReads
+	before := obstest.Counter(t, r.cluster.Obs(), "pfs.degraded.reads")
 	r.inSim(t, "deg-restore-rebuilt", func() error {
 		step, state, err := r.stores[0].RestoreLatest()
 		if err != nil {
@@ -256,7 +255,7 @@ func TestDegradedDeadOSTMidRun(t *testing.T) {
 		}
 		return checkRestored(step, state)
 	})
-	if after := r.cluster.Stats().DegradedReads; after != before {
+	if after := obstest.Counter(t, r.cluster.Obs(), "pfs.degraded.reads"); after != before {
 		t.Fatalf("restore still degraded after rebuild (%d new reconstructions)", after-before)
 	}
 	r.shutdown(t)
@@ -274,9 +273,9 @@ func TestDegradedSlowOSTHedgedTail(t *testing.T) {
 	slow := runDegradedCheckpoints(t, true, 10, false)
 	slow.shutdown(t)
 
-	st := slow.cluster.Stats()
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("straggler OST triggered no hedges (hedges=%d wins=%d)", st.Hedges, st.HedgeWins)
+	hedges, wins := obstest.Counter(t, slow.cluster.Obs(), "pfs.hedge.issued"), obstest.Counter(t, slow.cluster.Obs(), "pfs.hedge.wins")
+	if hedges == 0 || wins == 0 {
+		t.Fatalf("straggler OST triggered no hedges (hedges=%d wins=%d)", hedges, wins)
 	}
 	hp, sp := p99(healthy.commits), p99(slow.commits)
 	if sp > 2*hp {

@@ -22,7 +22,7 @@ import (
 // simulated PFS, a burst tier in front of one more store, one shared
 // I/O scheduler — naming the runtime once and injecting NO registry, so
 // every layer creates its default one. After a workload that exercises
-// admission sleeps, engine flushes, drain pacing and a shard
+// admission sleeps, engine flushes, a staged drain and a shard
 // crash-restart, every registry must read exactly the kernel's clock,
 // and no trace timestamp or histogram sample may lie beyond the
 // kernel's final virtual time. The test first lets the process's wall
@@ -104,7 +104,7 @@ func TestSimStackLeaksNoWallTime(t *testing.T) {
 		}
 		regs["burst"] = obs.NewRegistryOn(rtm.Now)
 		tier := burst.New(ckpt.New(smgr, ckpt.Options{}), ckpt.New(dmgr, ckpt.Options{}),
-			burst.Options{Runtime: rtm, IOSched: sched, StagingBudget: 96 << 10, Obs: regs["burst"]})
+			burst.Options{Runtime: rtm, StagingBudget: 96 << 10, Obs: regs["burst"]})
 		tier.StartWorker()
 		for step := int64(1); step <= 3; step++ {
 			c, err := tier.Begin(step)

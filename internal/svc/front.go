@@ -22,7 +22,7 @@ import (
 // Under a netsim fault plan the front is the layer that keeps requests
 // alive: every client operation carries an optional end-to-end deadline
 // (FrontOptions.RequestTimeout) and a bounded sequential retry driven
-// by resil.Policy, so a dropped message, a timed-out reply, or a request
+// by resil.Policy (frontRetries, frontRetryDelay), so a dropped message, a timed-out reply, or a request
 // that raced a shard restart is retried once before the typed transient
 // error surfaces — and never after the caller's deadline has passed
 // (deadline expiry classifies as resil.ClassCanceled).
@@ -50,6 +50,10 @@ type Front struct {
 // value keeps historical behavior (no deadlines, no extra virtual-time
 // events) apart from the bounded retry, which only fires on transport
 // faults that previously surfaced raw.
+//
+// Transport faults — dropped messages, attempt timeouts, and shard-down
+// rejections — are retried frontRetries times, the first after
+// frontRetryDelay, and never past RequestTimeout.
 type FrontOptions struct {
 	// RequestTimeout bounds one client operation end to end — attempts
 	// plus backoff — on virtual time. Expiry surfaces as an error
@@ -62,24 +66,19 @@ type FrontOptions struct {
 	// defaults to RequestTimeout/2 (no per-attempt bound when both are
 	// zero).
 	AttemptTimeout time.Duration
-	// Retry is the retry policy for transport faults: dropped
-	// messages, attempt timeouts, and shard-down rejections. Zero
-	// MaxRetries defaults to 1 (one retry); zero BaseDelay to
-	// 50µs. Retry.Timeout is overwritten with RequestTimeout.
-	Retry resil.Policy
 }
 
+// The fabric transport's retry policy: one retry, 50µs after the
+// failed attempt.
+const (
+	frontRetries    = 1
+	frontRetryDelay = 50 * time.Microsecond
+)
+
 func (o FrontOptions) withDefaults() FrontOptions {
-	if o.Retry.MaxRetries <= 0 {
-		o.Retry.MaxRetries = 1
-	}
-	if o.Retry.BaseDelay <= 0 {
-		o.Retry.BaseDelay = 50 * time.Microsecond
-	}
 	if o.AttemptTimeout <= 0 && o.RequestTimeout > 0 {
 		o.AttemptTimeout = o.RequestTimeout / 2
 	}
-	o.Retry.Timeout = o.RequestTimeout
 	return o
 }
 
@@ -255,8 +254,8 @@ func (f *Front) serve(p *sim.Proc, idx int) {
 // fabric endpoint, registering the tenant on first use.
 func (f *Front) Connect(tenant string, node int) *Client {
 	f.s.gConns.Add(1)
-	return f.s.newClient(f.s.adm.tenant(tenant, nil), fabricConn{f: f, node: node},
-		f.opts.Retry, f.cRetries)
+	retry := resil.Policy{MaxRetries: frontRetries, BaseDelay: frontRetryDelay, Timeout: f.opts.RequestTimeout}
+	return f.s.newClient(f.s.adm.tenant(tenant, nil), fabricConn{f: f, node: node}, retry, f.cRetries)
 }
 
 // fabricConn is one Client's fabric transport: requests and replies
